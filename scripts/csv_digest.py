@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Run every CLI command on short configs and print a sha256 per CSV.
+
+Two checkouts that print the same lines write byte-identical CSVs for these
+runs. Compare a change against its parent with
+
+    python3 scripts/csv_digest.py > after.txt
+    python3 scripts/csv_digest.py --src <parent checkout>/src > before.txt
+    diff before.txt after.txt
+
+The short configs are the bundled ones in `configs/` with fewer runs,
+iterations and steps; the whole set takes about ten seconds on two cores.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, command, bundled config, section overrides, extra CLI arguments)
+RUNS = (
+    ("plan_1d", "plan", "timeopt1d.json",
+     {"optimizer": {"runs": 2, "max_iterations": 80}}, []),
+    ("plan_2d", "plan", "cluttered2d.json",
+     {"optimizer": {"runs": 2, "max_iterations": 40, "pop_size": 16}}, []),
+    ("mpc", "mpc", "mpc2d.json",
+     {"mpc": {"iterations_per_step": 4, "pop_size": 16, "max_steps": 60}}, []),
+    ("mpc_disturb", "mpc", "mpc2d.json",
+     {"mpc": {"iterations_per_step": 4, "pop_size": 16, "max_steps": 60}},
+     ["--disturb", "step=5", "dq=(0.05,0)"]),
+    ("mpc_lag", "mpc", "mpc2d.json",
+     {"mpc": {"iterations_per_step": 4, "pop_size": 16, "max_steps": 30,
+              "plant": "lag"}}, []),
+    ("mpc_greedy", "mpc", "mpc2d.json", {"mpc": {"max_steps": 40}},
+     ["--baseline", "greedy"]),
+    ("ablate_nvia", "ablate-nvia", "ablate_nvia.json",
+     {"optimizer": {"n_list": [1, 2, 4], "seeds": 2, "max_iterations": 80}}, []),
+    ("ablate_chol", "ablate-chol", "ablate_chol.json",
+     {"optimizer": {"seeds": 2, "max_iterations": 30}}, []),
+)
+
+
+def short_config(name: str, overrides: dict) -> dict:
+    cfg = json.loads((ROOT / "configs" / name).read_text())
+    for section, values in overrides.items():
+        cfg[section].update(values)
+    return cfg
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the viaplan package to run")
+    args = parser.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from viaplan.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command, config, overrides, extra in RUNS:
+            run_dir = Path(tmp) / name
+            run_dir.mkdir()
+            cfg_path = run_dir / "config.json"
+            cfg_path.write_text(json.dumps(short_config(config, overrides)))
+            code = cli_main([command, str(cfg_path), "--out-dir",
+                             str(run_dir / "out"), "--quiet", *extra])
+            print(f"{name} exit={code}")
+            for csv in sorted((run_dir / "out").glob("*.csv")):
+                digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+                print(f"{digest}  {name}/{csv.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

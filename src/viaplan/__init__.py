@@ -7,8 +7,8 @@ from .mpc import (ExactPlant, LagPlant, MpcConfig, MpcStepResult,
                   run_greedy_loop, select_n_via)
 from .optimizer import EvolutionStrategy, SmoothnessPrior, build_prior, converged
 from .planner import PlanningProblem, SolveResult, solve
-from .spline import (BoundaryConditions, SplineBasis, ViaPoints, build_basis,
-                     evaluate, smoothness_cost, smoothness_gram, via_timings)
+from .spline import (BoundaryConditions, SplineBasis, build_basis, evaluate,
+                     smoothness_cost, smoothness_gram, via_timings)
 from .timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
                      min_duration, synthesize, synthesize_direct)
 from .worlds import (Disk, PushWorld, Rect, World2D, ablation_world_1d,
@@ -22,7 +22,7 @@ __all__ = [
     "ExactPlant", "InfeasibleError", "KinodynamicLimits", "LagPlant", "MpcConfig",
     "MpcStepResult", "PhaseGrid", "PlanningProblem", "PushContext", "PushWorld",
     "Rect", "SmoothnessPrior", "SolveResult", "SplineBasis", "Trajectory",
-    "ViaPoints", "World2D", "ablation_world_1d", "build_basis", "build_prior",
+    "World2D", "ablation_world_1d", "build_basis", "build_prior",
     "bundled_cluttered_world", "bundled_start_goal", "converged", "evaluate",
     "evaluate_total", "extract_short_horizon", "min_duration", "mpc_step",
     "path_winding", "run_closed_loop", "run_greedy_loop", "select_n_via",

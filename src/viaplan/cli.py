@@ -85,25 +85,21 @@ WORLD_KEYS = ({"type", "disks", "rects", "robot_radius", "bounds_lo", "bounds_hi
               set())
 
 
+def _per_dof(value, dof: int):
+    """A config scalar broadcast to every DoF, or a per-DoF list as given."""
+    if value is None:
+        return None
+    arr = np.asarray(value, dtype=float)
+    return arr * np.ones(dof) if arr.ndim == 0 else arr
+
+
 def build_problem(sec: dict) -> tuple[BoundaryConditions, KinodynamicLimits]:
     q0 = np.asarray(sec["q0"], dtype=float)
     qT = np.asarray(sec["qT"], dtype=float)
     qd0 = np.asarray(sec.get("qd0", np.zeros_like(q0)), dtype=float)
     qdT = np.asarray(sec.get("qdT", np.zeros_like(qT)), dtype=float)
-    dof = q0.shape[0]
-    ones = np.ones(dof)
-    qd_max = np.asarray(sec["qd_max"], dtype=float) * ones \
-        if np.ndim(sec["qd_max"]) == 0 else np.asarray(sec["qd_max"], dtype=float)
-    qdd_max = np.asarray(sec["qdd_max"], dtype=float) * ones \
-        if np.ndim(sec["qdd_max"]) == 0 else np.asarray(sec["qdd_max"], dtype=float)
-    q_min = sec.get("q_min")
-    q_max = sec.get("q_max")
-    if q_min is not None:
-        q_min = np.asarray(q_min, dtype=float) * ones if np.ndim(q_min) == 0 \
-            else np.asarray(q_min, dtype=float)
-    if q_max is not None:
-        q_max = np.asarray(q_max, dtype=float) * ones if np.ndim(q_max) == 0 \
-            else np.asarray(q_max, dtype=float)
+    qd_max, qdd_max, q_min, q_max = (_per_dof(sec.get(key), q0.shape[0])
+                                     for key in ("qd_max", "qdd_max", "q_min", "q_max"))
     limits = KinodynamicLimits(-qd_max, qd_max, -qdd_max, qdd_max, q_min, q_max)
     return BoundaryConditions(q0, qd0, qT, qdT), limits
 
@@ -130,6 +126,55 @@ def build_weights(sec: dict) -> CostWeights:
     return CostWeights(**{k: float(v) for k, v in sec.items()})
 
 
+PROBLEM_FIELDS = {"n_via": int, "pop_size": int, "max_iterations": int,
+                  "tol": float, "mode": str, "use_chol": bool}
+MPC_FIELDS = {"dt_mpc": float, "t_stop": float, "n_max": int, "alpha": float,
+              "pop_size": int, "grid_k": int, "explore_sigma": float,
+              "warmstart_sigma": float, "plant_dt": float,
+              "iterations_per_step": int, "goal_tol": float, "vel_tol": float}
+
+
+def typed_fields(sec: dict, fields: dict) -> dict:
+    """The section's values for the given dataclass fields, cast to their
+    types; absent or null keys are left to the dataclass defaults."""
+    return {k: cast(sec[k]) for k, cast in fields.items() if sec.get(k) is not None}
+
+
+def planning_problem(opt: dict, bc, limits, weights, checker, seed: int,
+                     **defaults) -> PlanningProblem:
+    """PlanningProblem from an optimizer section.  `defaults` are the command's
+    own values for keys the section leaves out (ablate-chol's 150 iterations)
+    or that its schema does not accept (ablate-nvia's n_via)."""
+    return PlanningProblem(bc, limits, grid=PhaseGrid(int(opt.get("grid_k", 50))),
+                           weights=weights, checker=checker, seed=seed,
+                           **typed_fields({**defaults, **opt}, PROBLEM_FIELDS))
+
+
+def init_sigma(opt: dict) -> float | None:
+    sigma = opt.get("init_sigma")
+    return None if sigma is None else float(sigma)
+
+
+def load_experiment(args, section: str, keys, world: bool = True):
+    """Read and build the parts every command shares: (bc, limits, world or
+    None, weights, the command's own section, base seed)."""
+    sections = {"problem": PROBLEM_KEYS, section: keys, "costs": COSTS_KEYS}
+    if world:
+        sections["world"] = WORLD_KEYS
+    cfg = load_config(args.config, sections)
+    bc, limits = build_problem(cfg["problem"])
+    checker = build_world(cfg.get("world", {}))
+    sec = cfg[section]
+    seed = args.seed if args.seed is not None else int(sec.get("seed", 0))
+    return bc, limits, checker, build_weights(cfg["costs"]), sec, seed
+
+
+def out_dir(args) -> Path:
+    path = Path(args.out_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 # -- plan ------------------------------------------------------------------
 
 
@@ -138,37 +183,22 @@ PLAN_OPT_KEYS = ({"n_via", "pop_size", "runs", "max_iterations", "tol",
 
 
 def cmd_plan(args) -> int:
-    cfg = load_config(args.config, {"problem": PROBLEM_KEYS,
-                                    "optimizer": PLAN_OPT_KEYS,
-                                    "costs": COSTS_KEYS, "world": WORLD_KEYS})
-    bc, limits = build_problem(cfg["problem"])
-    world = build_world(cfg["world"])
-    weights = build_weights(cfg["costs"])
-    opt = cfg["optimizer"]
+    bc, limits, world, weights, opt, base_seed = load_experiment(
+        args, "optimizer", PLAN_OPT_KEYS)
     runs = int(opt.get("runs", 1))
-    base_seed = args.seed if args.seed is not None else int(opt.get("seed", 0))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = out_dir(args)
 
     dof = bc.dof
     rows = []
     n_valid = 0
     for i in range(runs):
         seed = base_seed + i
-        problem = PlanningProblem(
-            bc, limits, n_via=int(opt["n_via"]),
-            pop_size=int(opt.get("pop_size", 16)),
-            grid=PhaseGrid(int(opt.get("grid_k", 50))), weights=weights,
-            checker=world, max_iterations=int(opt.get("max_iterations", 500)),
-            tol=float(opt.get("tol", 1e-6)), seed=seed,
-            mode=str(opt.get("mode", "sep")),
-            use_chol=bool(opt.get("use_chol", True)))
-        sigma = opt.get("init_sigma")
+        problem = planning_problem(opt, bc, limits, weights, world, seed)
         try:
-            res = solve(problem, init_sigma_scale=None if sigma is None else float(sigma))
+            res = solve(problem, init_sigma_scale=init_sigma(opt))
         except InfeasibleError:
             rows.append([seed, float("nan"), float("nan"), False,
-                         int(opt.get("max_iterations", 500))])
+                         problem.max_iterations])
             continue
         traj, report = res.trajectory, res.report
         if not report.valid and res.best_report.valid:
@@ -185,12 +215,12 @@ def cmd_plan(args) -> int:
         header = (["t"] + [f"q{d}" for d in range(dof)]
                   + [f"qd{d}" for d in range(dof)]
                   + [f"qdd{d}" for d in range(dof)])
-        write_csv(out_dir / f"trajectory_{seed}.csv", header, traj_rows)
+        write_csv(out / f"trajectory_{seed}.csv", header, traj_rows)
         if not args.quiet:
             print(f"seed {seed}: T={traj.duration:.4f} valid={report.valid} "
                   f"iters={res.iterations}")
 
-    write_csv(out_dir / "plan_runs.csv",
+    write_csv(out / "plan_runs.csv",
               ["seed", "final_cost", "T", "valid", "iterations"], rows)
     if n_valid == 0:
         print("no valid run", file=sys.stderr)
@@ -204,7 +234,7 @@ def cmd_plan(args) -> int:
 MPC_KEYS = ({"dt_mpc", "t_stop", "alpha", "n_max", "pop_size", "grid_k",
              "explore_sigma", "warmstart_sigma", "plant_dt",
              "iterations_per_step", "max_steps", "goal_tol", "vel_tol", "seed",
-             "mode", "use_chol", "plant", "lag_time_constant"}, set())
+             "plant", "lag_time_constant"}, set())
 
 
 def parse_disturb(tokens: list[str]) -> dict:
@@ -225,25 +255,8 @@ def parse_disturb(tokens: list[str]) -> dict:
 
 
 def cmd_mpc(args) -> int:
-    cfg = load_config(args.config, {"problem": PROBLEM_KEYS, "costs": COSTS_KEYS,
-                                    "world": WORLD_KEYS, "mpc": MPC_KEYS})
-    bc, limits = build_problem(cfg["problem"])
-    world = build_world(cfg["world"])
-    weights = build_weights(cfg["costs"])
-    m = cfg["mpc"]
-    seed = args.seed if args.seed is not None else int(m.get("seed", 0))
-    iters = m.get("iterations_per_step")
-    config = MpcConfig(
-        dt_mpc=float(m.get("dt_mpc", 0.08)), t_stop=float(m.get("t_stop", 1.0)),
-        n_max=int(m.get("n_max", 4)), alpha=float(m.get("alpha", 2.0)),
-        pop_size=int(m.get("pop_size", 32)), grid_k=int(m.get("grid_k", 20)),
-        explore_sigma=m.get("explore_sigma"),
-        warmstart_sigma=m.get("warmstart_sigma"), weights=weights,
-        plant_dt=float(m.get("plant_dt", 1e-3)), seed=seed,
-        iterations_per_step=None if iters is None else int(iters),
-        goal_tol=float(m.get("goal_tol", 1e-3)),
-        vel_tol=float(m.get("vel_tol", 1e-3)),
-        mode=str(m.get("mode", "sep")), use_chol=bool(m.get("use_chol", True)))
+    bc, limits, world, weights, m, seed = load_experiment(args, "mpc", MPC_KEYS)
+    config = MpcConfig(weights=weights, seed=seed, **typed_fields(m, MPC_FIELDS))
     max_steps = int(m.get("max_steps", 150))
     disturbances = parse_disturb(args.disturb) if args.disturb else None
     plant = None
@@ -259,8 +272,7 @@ def cmd_mpc(args) -> int:
                               checker=world, max_steps=max_steps, plant=plant,
                               disturbances=disturbances)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = out_dir(args)
     dof = bc.dof
     deterministic = config.iterations_per_step is not None
     ep_rows = [[r["step"], r["t"], *r["q"], *r["qd"], r["mode"], r["step_cost"],
@@ -269,8 +281,8 @@ def cmd_mpc(args) -> int:
     header = (["step", "t"] + [f"q{d}" for d in range(dof)]
               + [f"qd{d}" for d in range(dof)]
               + ["mode", "step_cost", "step_ms", "valid"])
-    write_csv(out_dir / "episode.csv", header, ep_rows)
-    write_csv(out_dir / "summary.csv",
+    write_csv(out / "episode.csv", header, ep_rows)
+    write_csv(out / "summary.csv",
               ["goal_reached", "steps", "final_distance"],
               [[log.goal_reached, log.steps, log.final_distance]])
     if not args.quiet:
@@ -289,33 +301,21 @@ NVIA_OPT_KEYS = ({"n_list", "seeds", "pop_size", "max_iterations", "tol",
 
 
 def cmd_ablate_nvia(args) -> int:
-    cfg = load_config(args.config, {"problem": PROBLEM_KEYS,
-                                    "optimizer": NVIA_OPT_KEYS,
-                                    "costs": COSTS_KEYS})
-    bc, limits = build_problem(cfg["problem"])
-    weights = build_weights(cfg["costs"])
-    opt = cfg["optimizer"]
+    bc, limits, _, weights, opt, base_seed = load_experiment(
+        args, "optimizer", NVIA_OPT_KEYS, world=False)
     n_list = [int(n) for n in opt.get("n_list", list(range(1, 17)))]
     seeds = int(opt.get("seeds", 5))
-    base_seed = args.seed if args.seed is not None else int(opt.get("seed", 0))
-    sigma = opt.get("init_sigma")
     rows = []
     for n_via in n_list:
         for i in range(seeds):
-            problem = PlanningProblem(
-                bc, limits, n_via=n_via, pop_size=int(opt.get("pop_size", 16)),
-                grid=PhaseGrid(int(opt.get("grid_k", 50))), weights=weights,
-                max_iterations=int(opt.get("max_iterations", 500)),
-                tol=float(opt.get("tol", 1e-6)), seed=base_seed + i)
-            res = solve(problem,
-                        init_sigma_scale=None if sigma is None else float(sigma))
+            problem = planning_problem(opt, bc, limits, weights, None,
+                                       base_seed + i, n_via=n_via)
+            res = solve(problem, init_sigma_scale=init_sigma(opt))
             rows.append([n_via, res.trajectory.duration, res.iterations])
             if not args.quiet:
                 print(f"N={n_via} seed={base_seed + i}: "
                       f"T={res.trajectory.duration:.4f} iters={res.iterations}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "ablate_nvia.csv", ["N", "T_final", "iterations"], rows)
+    write_csv(out_dir(args) / "ablate_nvia.csv", ["N", "T_final", "iterations"], rows)
     return 0
 
 
@@ -327,29 +327,17 @@ CHOL_SETUPS = (("sep_chol", "sep", True), ("sep_plain", "sep", False),
 
 
 def cmd_ablate_chol(args) -> int:
-    cfg = load_config(args.config, {"problem": PROBLEM_KEYS,
-                                    "optimizer": CHOL_OPT_KEYS,
-                                    "costs": COSTS_KEYS, "world": WORLD_KEYS})
-    bc, limits = build_problem(cfg["problem"])
-    world = build_world(cfg["world"])
-    weights = build_weights(cfg["costs"])
-    opt = cfg["optimizer"]
+    bc, limits, world, weights, opt, base_seed = load_experiment(
+        args, "optimizer", CHOL_OPT_KEYS)
     seeds = int(opt.get("seeds", 20))
-    base_seed = args.seed if args.seed is not None else int(opt.get("seed", 0))
-    sigma = opt.get("init_sigma")
     rows = []
     for name, mode, use_chol in CHOL_SETUPS:
         for i in range(seeds):
-            problem = PlanningProblem(
-                bc, limits, n_via=int(opt.get("n_via", 6)),
-                pop_size=int(opt.get("pop_size", 16)),
-                grid=PhaseGrid(int(opt.get("grid_k", 50))), weights=weights,
-                checker=world, max_iterations=int(opt.get("max_iterations", 150)),
-                tol=float(opt.get("tol", 1e-6)), seed=base_seed + i,
-                mode=mode, use_chol=use_chol)
+            problem = planning_problem(opt, bc, limits, weights, world,
+                                       base_seed + i, n_via=6, max_iterations=150,
+                                       mode=mode, use_chol=use_chol)
             try:
-                res = solve(problem, init_sigma_scale=None if sigma is None
-                            else float(sigma))
+                res = solve(problem, init_sigma_scale=init_sigma(opt))
             except InfeasibleError:
                 continue
             first_valid = -1 if res.first_valid_iter is None else res.first_valid_iter
@@ -358,9 +346,7 @@ def cmd_ablate_chol(args) -> int:
             if not args.quiet:
                 print(f"{name} seed={base_seed + i}: first_valid={first_valid} "
                       f"best={res.history_best[-1]:.4f}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "ablate_chol.csv",
+    write_csv(out_dir(args) / "ablate_chol.csv",
               ["setup", "seed", "iteration", "best_cost", "first_valid_iter"],
               rows)
     return 0

@@ -9,8 +9,7 @@ can still rank them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,13 +38,6 @@ class CostReport:
     per_term: dict
     valid: bool
     violation_count: int
-
-
-@runtime_checkable
-class CollisionChecker(Protocol):
-    """Binary configuration-space collision test."""
-
-    def is_colliding(self, q: np.ndarray) -> bool: ...
 
 
 @dataclass(frozen=True)
@@ -77,17 +69,14 @@ def cost_jla(traj: Trajectory, limits: KinodynamicLimits,
     return cost, int(np.count_nonzero(over) + np.count_nonzero(under))
 
 
-def _colliding_mask(checker, points: np.ndarray) -> np.ndarray:
-    mask_fn = getattr(checker, "colliding_mask", None)
-    if mask_fn is not None:
-        return np.asarray(mask_fn(points), dtype=bool)
-    return np.array([checker.is_colliding(p) for p in points], dtype=bool)
-
-
 def cost_collision(traj: Trajectory, checker, grid: PhaseGrid) -> tuple[float, int]:
-    """Number of grid configurations in collision."""
+    """Number of grid configurations in collision.
+
+    checker.colliding_mask(points) takes an (M, D) array of configurations and
+    returns M booleans, true where a configuration is in collision.
+    """
     q, _, _ = traj.sample_grid(grid)
-    hits = int(np.count_nonzero(_colliding_mask(checker, q)))
+    hits = int(np.count_nonzero(checker.colliding_mask(q)))
     return float(hits), hits
 
 

@@ -3,23 +3,27 @@
 Each step first tries the deterministic no-via-point trajectory (stopping
 primitive); otherwise it initializes the evolution strategy by warm-starting
 from the time-shifted previous solution or by exploring from a straight-line
-guess, runs generations until the step budget expires, and extracts a finely
-sampled short-horizon reference for the tracking plant.
+guess, runs the planner's shared generation loop (always sep-CMA-ES behind
+the smoothness Cholesky factor) until the step budget expires, and extracts
+a finely sampled short-horizon reference for the tracking plant.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .costs import CostReport, CostWeights, evaluate_total
-from .optimizer import EvolutionStrategy, build_prior
-from .planner import evaluate_candidates, straight_line_init, PlanningProblem
+from .planner import (PlanningProblem, generations, make_es, score,
+                      straight_line_init)
 from .spline import BoundaryConditions, build_basis, via_timings
 from .timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
-                     synthesize, synthesize_direct)
+                     synthesize_direct)
+
+GREEDY_HORIZON = 0.15   # greedy baseline: reach of one step's endpoint
+GREEDY_SAMPLES = 32     # greedy baseline: endpoints tried per step
 
 
 class ExpiredError(Exception):
@@ -42,8 +46,6 @@ class MpcConfig:
     iterations_per_step: int | None = None  # None: wall-clock budget
     goal_tol: float = 1e-3
     vel_tol: float = 1e-3
-    mode: str = "sep"
-    use_chol: bool = True
 
     def __post_init__(self):
         if self.dt_mpc <= 0.0 or self.t_stop <= 0.0 or self.alpha <= 0.0:
@@ -74,13 +76,6 @@ class MpcStepResult:
     step_seconds: float
 
 
-def direct_trajectory(q, qd, qT, qdT, limits: KinodynamicLimits,
-                      grid: PhaseGrid) -> Trajectory:
-    """The unique minimal-duration cubic from the current to the goal state."""
-    bc = BoundaryConditions(q, qd, qT, qdT)
-    return synthesize_direct(bc, limits, grid)
-
-
 def select_n_via(t_prev: float, alpha: float, n_max: int) -> int:
     """Via-point count rule: N = max(1, min(ceil(alpha * T), n_max))."""
     if t_prev < 0.0:
@@ -88,9 +83,8 @@ def select_n_via(t_prev: float, alpha: float, n_max: int) -> int:
     return max(1, min(int(np.ceil(alpha * t_prev)), n_max))
 
 
-def warm_start(prev_solution: Trajectory, elapsed: float,
-               new_bc: BoundaryConditions, alpha: float, n_max: int,
-               warmstart_sigma: float):
+def warm_start(prev_solution: Trajectory, elapsed: float, alpha: float,
+               n_max: int, warmstart_sigma: float):
     """Time-shifted previous solution as the next initial mean.
 
     Returns (mean, sigma_scale, n_via); raises ExpiredError when the previous
@@ -144,14 +138,16 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
              seed: int = 0) -> MpcStepResult:
     """One full-horizon MPC step (direct gate, then budgeted optimization)."""
     t_start = time.monotonic()
-    grid = PhaseGrid(config.grid_k)
     bc = BoundaryConditions(q, qd, qT, qdT)
     explore_sigma, warmstart_sigma = _sigma_defaults(config, bc)
+    problem = PlanningProblem(bc, limits, n_via=config.n_max,
+                              pop_size=config.pop_size,
+                              grid=PhaseGrid(config.grid_k),
+                              weights=config.weights, checker=checker,
+                              push_ctx=push_ctx, seed=seed)
 
     try:
-        direct = direct_trajectory(q, qd, qT, qdT, limits, grid)
-        direct_report = evaluate_total(direct, config.weights, limits, grid,
-                                       checker, push_ctx)
+        direct, direct_report = score(build_basis(0, bc.dof), None, problem)
         if direct_report.valid and direct.duration <= config.t_stop:
             horizon = extract_short_horizon(direct, config.dt_mpc, config.plant_dt)
             return MpcStepResult(solution=direct, report=direct_report,
@@ -165,31 +161,20 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
     init = None
     if prev_result is not None and prev_result.valid and prev_result.solution is not None:
         try:
-            init = warm_start(prev_result.solution, config.dt_mpc, bc,
+            init = warm_start(prev_result.solution, config.dt_mpc,
                               config.alpha, config.n_max, warmstart_sigma)
             mode = "warmstart"
         except ExpiredError:
-            init = None
+            pass
     if init is None:
         init = explore_init(bc, config.n_max, explore_sigma)
     mean, sigma_scale, n_via = init
 
+    problem = replace(problem, n_via=n_via)
     basis = build_basis(n_via, bc.dof)
-    prior = build_prior(basis, bc)
-    transform = prior.chol if config.use_chol else None
-    scale = prior.scale if config.use_chol else 1.0
-    problem = PlanningProblem(bc, limits, n_via=n_via, pop_size=config.pop_size,
-                              grid=grid, weights=config.weights, checker=checker,
-                              push_ctx=push_ctx, seed=seed, mode=config.mode,
-                              use_chol=config.use_chol)
-    es = EvolutionStrategy(mean=mean, sigma_diag=(sigma_scale / scale) ** 2,
-                           pop_size=config.pop_size, transform=transform,
-                           mode=config.mode, seed=seed)
+    es = make_es(problem, basis, mean, sigma_scale)
     iterations = 0
-    while True:
-        candidates = es.sample()
-        _, _, costs = evaluate_candidates(basis, candidates, problem)
-        es.update(candidates, costs)
+    for _ in generations(es, basis, problem):
         iterations += 1
         if config.iterations_per_step is not None:
             if iterations >= config.iterations_per_step:
@@ -198,17 +183,13 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
             break
 
     try:
-        solution = synthesize(basis, es.mean.reshape(-1, bc.dof), bc, limits, grid)
-        report = evaluate_total(solution, config.weights, limits, grid,
-                                checker, push_ctx)
-        valid = report.valid
+        solution, report = score(basis, es.mean, problem)
     except InfeasibleError:
-        solution, report, valid = None, None, False
-
-    horizon = None
-    if solution is not None:
+        solution = report = horizon = None
+    else:
         horizon = extract_short_horizon(solution, config.dt_mpc, config.plant_dt)
-    return MpcStepResult(solution=solution, report=report, valid=valid,
+    return MpcStepResult(solution=solution, report=report,
+                         valid=report is not None and report.valid,
                          mode=mode, iterations_run=iterations,
                          short_horizon=horizon,
                          step_seconds=time.monotonic() - t_start)
@@ -248,8 +229,27 @@ class LagPlant(ExactPlant):
 class EpisodeLog:
     rows: list
     goal_reached: bool
-    steps: int
+    steps: int                 # steps run, one row each
     final_distance: float
+
+
+def _at_goal(plant, qT, qdT, config: MpcConfig) -> bool:
+    return (float(np.linalg.norm(plant.q - qT)) < config.goal_tol
+            and float(np.linalg.norm(plant.qd - qdT)) < config.vel_tol)
+
+
+def _episode_log(rows: list, plant, qT, qdT, config: MpcConfig) -> EpisodeLog:
+    """Shared tail of both loops; a loop stops early only at the goal."""
+    return EpisodeLog(rows=rows, goal_reached=_at_goal(plant, qT, qdT, config),
+                      steps=len(rows),
+                      final_distance=float(np.linalg.norm(plant.q - qT)))
+
+
+def _row(step: int, t: float, plant, mode: str, valid: bool, cost: float,
+         seconds: float, iterations: int) -> dict:
+    return {"step": step, "t": t, "q": plant.q.copy(), "qd": plant.qd.copy(),
+            "mode": mode, "valid": valid, "step_cost": cost,
+            "step_seconds": seconds, "iterations": iterations}
 
 
 def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
@@ -266,24 +266,20 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
     prev: MpcStepResult | None = None
     fallback: tuple[Trajectory, float] | None = None
     t_sim = 0.0
-    goal_reached = False
-    step = 0
     for step in range(max_steps):
         if step in disturbances:
             plant.q = plant.q + np.asarray(disturbances[step], dtype=float)
             prev = None  # stale plan; force explore / direct re-entry
             fallback = None
-        dist = float(np.linalg.norm(plant.q - qT))
-        speed = float(np.linalg.norm(plant.qd - qdT))
-        if dist < config.goal_tol and speed < config.vel_tol:
-            goal_reached = True
+        if _at_goal(plant, qT, qdT, config):
             break
         result = mpc_step(plant.q, plant.qd, qT, qdT, limits, config,
                           checker=checker, push_ctx=push_ctx, prev_result=prev,
                           seed=config.seed + step)
         horizon = result.short_horizon
-        if result.valid and result.solution is not None:
-            fallback = (result.solution, 0.0)
+        if result.valid:
+            # Replay the rest of this plan, from one step on, if later steps fail.
+            fallback = (result.solution, config.dt_mpc)
         elif fallback is not None:
             traj, offset = fallback
             if offset < traj.duration:
@@ -299,31 +295,19 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
                                    qd=np.zeros((2, plant.q.shape[0])),
                                    qdd=np.zeros((2, plant.q.shape[0])))
         plant.advance(horizon)
-        if fallback is not None and result.valid:
-            fallback = (fallback[0], config.dt_mpc)
-        rows.append({
-            "step": step, "t": t_sim, "q": plant.q.copy(), "qd": plant.qd.copy(),
-            "mode": result.mode, "valid": result.valid,
-            "step_cost": result.report.total if result.report else float("nan"),
-            "step_seconds": result.step_seconds,
-            "iterations": result.iterations_run,
-        })
+        rows.append(_row(step, t_sim, plant, result.mode, result.valid,
+                         result.report.total if result.report else float("nan"),
+                         result.step_seconds, result.iterations_run))
         prev = result if result.valid else None
         t_sim += config.dt_mpc
-    final_dist = float(np.linalg.norm(plant.q - qT))
-    if not goal_reached:
-        goal_reached = final_dist < config.goal_tol and \
-            float(np.linalg.norm(plant.qd - qdT)) < config.vel_tol
-    return EpisodeLog(rows=rows, goal_reached=goal_reached,
-                      steps=step, final_distance=final_dist)
+    return _episode_log(rows, plant, qT, qdT, config)
 
 
 # -- greedy short-horizon baseline ----------------------------------------
 
 
 def greedy_step(q, qd, qT, limits: KinodynamicLimits, config: MpcConfig,
-                checker=None, horizon_dist: float = 0.15, n_samples: int = 32,
-                seed: int = 0):
+                checker=None, seed: int = 0):
     """Short-horizon baseline: sample nearby endpoints, pick the valid one
     closest to the goal.  Returns a Trajectory or None (no valid motion)."""
     rng = np.random.default_rng(seed)
@@ -332,17 +316,18 @@ def greedy_step(q, qd, qT, limits: KinodynamicLimits, config: MpcConfig,
     qT = np.asarray(qT, dtype=float)
     to_goal = qT - q
     dist = float(np.linalg.norm(to_goal))
-    local_goal = qT if dist <= horizon_dist else q + to_goal / dist * horizon_dist
+    local_goal = qT if dist <= GREEDY_HORIZON else q + to_goal / dist * GREEDY_HORIZON
     endpoints = [local_goal]
-    endpoints.extend(local_goal + (horizon_dist / 2.0)
-                     * rng.standard_normal((n_samples - 1, q.shape[0])))
+    endpoints.extend(local_goal + (GREEDY_HORIZON / 2.0)
+                     * rng.standard_normal((GREEDY_SAMPLES - 1, q.shape[0])))
     best = None
     best_cost = np.inf
     for end in endpoints:
-        if float(np.linalg.norm(end - q)) > horizon_dist:
+        if float(np.linalg.norm(end - q)) > GREEDY_HORIZON:
             continue
         try:
-            traj = direct_trajectory(q, qd, end, np.zeros_like(q), limits, grid)
+            traj = synthesize_direct(BoundaryConditions(q, qd, end, np.zeros_like(q)),
+                                     limits, grid)
         except InfeasibleError:
             continue
         report = evaluate_total(traj, config.weights, limits, grid, checker)
@@ -356,33 +341,24 @@ def greedy_step(q, qd, qT, limits: KinodynamicLimits, config: MpcConfig,
 
 
 def run_greedy_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
-                    config: MpcConfig, checker=None, max_steps: int = 200,
-                    horizon_dist: float = 0.15) -> EpisodeLog:
+                    config: MpcConfig, checker=None,
+                    max_steps: int = 200) -> EpisodeLog:
     """Closed loop around the greedy baseline (stalls in concave regions)."""
     qT = np.asarray(qT, dtype=float)
+    qdT = np.asarray(qdT, dtype=float)
     plant = ExactPlant(q0, qd0)
     rows = []
     t_sim = 0.0
-    goal_reached = False
-    step = 0
     for step in range(max_steps):
-        dist = float(np.linalg.norm(plant.q - qT))
-        if dist < config.goal_tol and float(np.linalg.norm(plant.qd)) < config.vel_tol:
-            goal_reached = True
+        if _at_goal(plant, qT, qdT, config):
             break
         t0 = time.monotonic()
         traj = greedy_step(plant.q, plant.qd, qT, limits, config, checker,
-                           horizon_dist=horizon_dist, seed=config.seed + step)
+                           seed=config.seed + step)
         if traj is not None:
-            horizon = extract_short_horizon(traj, config.dt_mpc, config.plant_dt)
-            plant.advance(horizon)
-        rows.append({
-            "step": step, "t": t_sim, "q": plant.q.copy(), "qd": plant.qd.copy(),
-            "mode": "greedy", "valid": traj is not None,
-            "step_cost": float("nan"),
-            "step_seconds": time.monotonic() - t0,
-            "iterations": 0,
-        })
+            plant.advance(extract_short_horizon(traj, config.dt_mpc,
+                                                config.plant_dt))
+        rows.append(_row(step, t_sim, plant, "greedy", traj is not None,
+                         float("nan"), time.monotonic() - t0, 0))
         t_sim += config.dt_mpc
-    return EpisodeLog(rows=rows, goal_reached=goal_reached, steps=step,
-                      final_distance=float(np.linalg.norm(plant.q - qT)))
+    return _episode_log(rows, plant, qT, qdT, config)

@@ -27,8 +27,6 @@ class SmoothnessPrior:
 
     sigma: np.ndarray       # (ND, ND) covariance = G_via^-1
     chol: np.ndarray        # lower-triangular L with sigma = L L^T
-    gram_via: np.ndarray
-    gram_cross: np.ndarray
     mean_via: np.ndarray    # conditioned mean given the boundary parameters
 
     @property
@@ -36,10 +34,6 @@ class SmoothnessPrior:
         """Largest marginal standard deviation; used to express initial
         sampling scales in configuration units."""
         return float(np.sqrt(np.max(np.diag(self.sigma))))
-
-    def conditioned_mean(self, bc: BoundaryConditions, duration: float = 1.0) -> np.ndarray:
-        w_bc = np.concatenate([bc.q0, duration * bc.qd0, bc.qT, duration * bc.qdT])
-        return np.linalg.solve(self.gram_via, -self.gram_cross @ w_bc)
 
 
 def build_prior(basis: SplineBasis, bc: BoundaryConditions,
@@ -51,8 +45,7 @@ def build_prior(basis: SplineBasis, bc: BoundaryConditions,
     chol = np.linalg.cholesky(sigma)
     w_bc = np.concatenate([bc.q0, duration * bc.qd0, bc.qT, duration * bc.qdT])
     mean_via = np.linalg.solve(gram_via, -gram_cross @ w_bc)
-    return SmoothnessPrior(sigma=sigma, chol=chol, gram_via=gram_via,
-                           gram_cross=gram_cross, mean_via=mean_via)
+    return SmoothnessPrior(sigma=sigma, chol=chol, mean_via=mean_via)
 
 
 class EvolutionStrategy:
@@ -109,10 +102,9 @@ class EvolutionStrategy:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample(self, pop_size: int | None = None) -> np.ndarray:
-        """Draw a population, shape (M, dim)."""
-        m = self.pop_size if pop_size is None else pop_size
-        z = self.rng.standard_normal((m, self.dim))
+    def sample(self) -> np.ndarray:
+        """Draw a population, shape (pop_size, dim)."""
+        z = self.rng.standard_normal((self.pop_size, self.dim))
         y = self._shape(z)
         return self.mean + self.step_size * (y @ self.transform.T)
 

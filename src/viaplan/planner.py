@@ -1,20 +1,22 @@
-"""Offline stochastic trajectory optimization loop.
+"""Stochastic trajectory optimization, shared by offline planning and MPC.
 
-Sample via-point sets, synthesize minimal-duration trajectories, evaluate them
-on the phase grid, update the evolution strategy; repeat until the best cost
-stalls or the iteration budget runs out.  The returned solution is synthesized
-from the final sampling mean; the best evaluated candidate is also exposed.
+`make_es` sets up the evolution strategy, `generations` runs sample ->
+evaluate -> update for as long as its caller iterates, and `score`
+synthesizes and scores one via-point vector.  `solve` stops when the best cost
+stalls or the iteration budget runs out (`mpc.mpc_step` at its step budget)
+and reports the final mean's trajectory and the best evaluated one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .costs import CostReport, CostWeights, PushContext, evaluate_total
 from .optimizer import EvolutionStrategy, build_prior, converged
-from .spline import BoundaryConditions, build_basis, via_timings
+from .spline import BoundaryConditions, SplineBasis, build_basis, via_timings
 from .timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
                      synthesize)
 
@@ -48,7 +50,6 @@ class SolveResult:
     report: CostReport
     best_trajectory: Trajectory
     best_report: CostReport
-    best_candidate: np.ndarray
     history: list            # per-generation best cost
     history_best: list       # best-so-far cost (non-increasing)
     iterations: int
@@ -63,28 +64,52 @@ def straight_line_init(bc: BoundaryConditions, n_via: int) -> np.ndarray:
     return pts.reshape(-1)
 
 
+def make_es(problem: PlanningProblem, basis: SplineBasis, mean,
+            sigma_scale: float) -> EvolutionStrategy:
+    """ES over basis's via-points, behind the smoothness Cholesky factor unless
+    problem.use_chol is off; sigma_scale is in configuration units."""
+    prior = build_prior(basis, problem.bc)
+    transform = prior.chol if problem.use_chol else None
+    scale = prior.scale if problem.use_chol else 1.0
+    mean = np.asarray(mean, dtype=float).reshape(basis.n_via * problem.bc.dof)
+    return EvolutionStrategy(mean=mean, sigma_diag=(sigma_scale / scale) ** 2,
+                             pop_size=problem.pop_size, transform=transform,
+                             mode=problem.mode, seed=problem.seed)
+
+
+def score(basis: SplineBasis, q_via, problem: PlanningProblem):
+    """(Trajectory, CostReport) of one via-point vector; raises
+    InfeasibleError when no finite duration meets the limits."""
+    traj = synthesize(basis, q_via, problem.bc, problem.limits, problem.grid)
+    return traj, evaluate_total(traj, problem.weights, problem.limits,
+                                problem.grid, problem.checker, problem.push_ctx)
+
+
 def evaluate_candidates(basis, candidates: np.ndarray, problem: PlanningProblem):
     """Synthesize and score a population; infeasible candidates rank last."""
-    dof = problem.bc.dof
     trajs: list[Trajectory | None] = []
     reports: list[CostReport | None] = []
-    costs = np.empty(candidates.shape[0])
-    infeasible_cost = 10.0 * problem.weights.invalid_penalty
+    costs = np.full(candidates.shape[0], 10.0 * problem.weights.invalid_penalty)
     for i, x in enumerate(candidates):
         try:
-            traj = synthesize(basis, x.reshape(-1, dof), problem.bc,
-                              problem.limits, problem.grid)
+            traj, report = score(basis, x, problem)
         except InfeasibleError:
-            trajs.append(None)
-            reports.append(None)
-            costs[i] = infeasible_cost
-            continue
-        report = evaluate_total(traj, problem.weights, problem.limits,
-                                problem.grid, problem.checker, problem.push_ctx)
+            traj = report = None
+        else:
+            costs[i] = report.total
         trajs.append(traj)
         reports.append(report)
-        costs[i] = report.total
     return trajs, reports, costs
+
+
+def generations(es: EvolutionStrategy, basis, problem: PlanningProblem):
+    """Sample, evaluate and update without end; yields each generation's
+    (trajectories, reports, costs) after its update."""
+    while True:
+        candidates = es.sample()
+        trajs, reports, costs = evaluate_candidates(basis, candidates, problem)
+        es.update(candidates, costs)
+        yield trajs, reports, costs
 
 
 def solve(problem: PlanningProblem, init_mean: np.ndarray | None = None,
@@ -92,39 +117,27 @@ def solve(problem: PlanningProblem, init_mean: np.ndarray | None = None,
     """Run the optimization loop and return mean and best-ever solutions."""
     bc = problem.bc
     basis = build_basis(problem.n_via, bc.dof)
-    prior = build_prior(basis, bc)
-    dim = problem.n_via * bc.dof
-
     if init_mean is None:
         init_mean = straight_line_init(bc, problem.n_via)
-    init_mean = np.asarray(init_mean, dtype=float).reshape(dim)
     if init_sigma_scale is None:
         init_sigma_scale = 0.5 * float(np.linalg.norm(bc.qT - bc.q0)) or 0.5
-
-    transform = prior.chol if problem.use_chol else None
-    scale = prior.scale if problem.use_chol else 1.0
-    es = EvolutionStrategy(mean=init_mean,
-                           sigma_diag=(init_sigma_scale / scale) ** 2,
-                           pop_size=problem.pop_size, transform=transform,
-                           mode=problem.mode, seed=problem.seed)
+    es = make_es(problem, basis, init_mean, init_sigma_scale)
 
     history: list[float] = []
     history_best: list[float] = []
     best_cost = np.inf
-    best: tuple[np.ndarray, Trajectory, CostReport] | None = None
+    best: tuple[Trajectory, CostReport] | None = None
     iterations = 0
     did_converge = False
     first_valid: int | None = None
-    for iterations in range(1, problem.max_iterations + 1):
-        candidates = es.sample()
-        trajs, reports, costs = evaluate_candidates(basis, candidates, problem)
+    loop = islice(generations(es, basis, problem), problem.max_iterations)
+    for iterations, (trajs, reports, costs) in enumerate(loop, start=1):
         if first_valid is None and any(r is not None and r.valid for r in reports):
             first_valid = iterations
-        es.update(candidates, costs)
         i_best = int(np.argmin(costs))
         if trajs[i_best] is not None and costs[i_best] < best_cost:
             best_cost = costs[i_best]
-            best = (candidates[i_best].copy(), trajs[i_best], reports[i_best])
+            best = (trajs[i_best], reports[i_best])
         # Convergence watches the per-generation best: it only stalls once the
         # sampling distribution has collapsed onto a local optimum.
         history.append(float(costs[i_best]))
@@ -137,16 +150,12 @@ def solve(problem: PlanningProblem, init_mean: np.ndarray | None = None,
         raise InfeasibleError("no candidate admitted a finite duration")
 
     try:
-        mean_traj = synthesize(basis, es.mean.reshape(-1, bc.dof), bc,
-                               problem.limits, problem.grid)
-        mean_report = evaluate_total(mean_traj, problem.weights, problem.limits,
-                                     problem.grid, problem.checker,
-                                     problem.push_ctx)
+        mean_traj, mean_report = score(basis, es.mean, problem)
     except InfeasibleError:
-        mean_traj, mean_report = best[1], best[2]
+        mean_traj, mean_report = best
 
     return SolveResult(trajectory=mean_traj, report=mean_report,
-                       best_trajectory=best[1], best_report=best[2],
-                       best_candidate=best[0], history=history,
-                       history_best=history_best, iterations=iterations,
-                       converged=did_converge, first_valid_iter=first_valid)
+                       best_trajectory=best[0], best_report=best[1],
+                       history=history, history_best=history_best,
+                       iterations=iterations, converged=did_converge,
+                       first_valid_iter=first_valid)

@@ -10,7 +10,7 @@ so evaluation and the smoothness Gram matrices reduce to precomputed matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,31 +47,6 @@ class BoundaryConditions:
     @property
     def dof(self) -> int:
         return self.q0.shape[0]
-
-
-@dataclass(frozen=True)
-class ViaPoints:
-    """N via-point configurations; timings are implicit and uniform."""
-
-    points: np.ndarray  # (N, D)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("via-points must be an N x D matrix")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n_via(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def timings(self) -> np.ndarray:
-        return via_timings(self.n_via)
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return self.points.reshape(-1)
 
 
 class SplineBasis:
@@ -247,8 +222,8 @@ def evaluate(basis: SplineBasis, q_via, bc: BoundaryConditions,
 def smoothness_gram(basis: SplineBasis):
     """Stacked-vector Gram blocks (G_via: ND x ND, G_cross: ND x 4D).
 
-    Stacking is via-major / DoF-minor, matching ViaPoints.stacked and the
-    boundary parameter order [q0, q'0, qT, q'T].
+    Stacking is via-major / DoF-minor, i.e. an (N, D) via-point matrix
+    flattened row by row, and the boundary parameter order [q0, q'0, qT, q'T].
     """
     eye = np.eye(basis.dof)
     return (np.kron(basis.gram_via_scalar, eye),

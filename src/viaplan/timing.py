@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spline import BoundaryConditions, SplineBasis, build_basis
+from .spline import BoundaryConditions, SplineBasis, build_basis, evaluate
 
 
 class InfeasibleError(Exception):
@@ -87,61 +87,43 @@ class Trajectory:
     degenerate: bool = False
 
     def position(self, s) -> np.ndarray:
-        if self.degenerate:
-            s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-            out = np.tile(self.bc.q0, (s_arr.shape[0], 1))
-            return out[0] if np.ndim(s) == 0 else out
-        u = self.basis.pack(self.q_via, self.bc, self.duration)
-        vals = self.basis.eval_matrix(s, 0) @ u
-        return vals[0] if np.ndim(s) == 0 else vals
+        return self._evaluate(s, 0)
 
     def velocity(self, s) -> np.ndarray:
-        return self._derivative(s, 1)
+        return self._evaluate(s, 1)
 
     def acceleration(self, s) -> np.ndarray:
-        return self._derivative(s, 2)
+        return self._evaluate(s, 2)
 
-    def _derivative(self, s, order: int) -> np.ndarray:
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if self.degenerate:
-            out = np.zeros((s_arr.shape[0], self.bc.dof))
-        else:
-            u = self.basis.pack(self.q_via, self.bc, self.duration)
-            out = self.basis.eval_matrix(s_arr, order) @ u / self.duration**order
-        return out[0] if np.ndim(s) == 0 else out
+    def _evaluate(self, s, order: int) -> np.ndarray:
+        if not self.degenerate:
+            return evaluate(self.basis, self.q_via, self.bc, self.duration, s, order)
+        # Zero duration: the trajectory rests at q0.
+        rest = self.bc.q0 if order == 0 else np.zeros(self.bc.dof)
+        if np.ndim(s) == 0:
+            return rest.copy()
+        return np.tile(rest, (np.size(s), 1))
 
     def at_time(self, t: float, order: int = 0) -> np.ndarray:
         """Evaluate at absolute time t in [0, T] (clamped)."""
-        if self.degenerate:
-            return self.position(0.0) if order == 0 else np.zeros(self.bc.dof)
-        s = min(max(t / self.duration, 0.0), 1.0)
-        return (self.position, self.velocity, self.acceleration)[order](s)
+        s = 0.0 if self.degenerate else min(max(t / self.duration, 0.0), 1.0)
+        return self._evaluate(s, order)
 
     def sample_grid(self, grid: PhaseGrid):
         """(positions, velocities, accelerations) on the phase grid."""
         if self.degenerate:
-            n = grid.n_points
-            d = self.bc.dof
-            return (np.tile(self.bc.q0, (n, 1)), np.zeros((n, d)), np.zeros((n, d)))
+            return tuple(self._evaluate(grid.points, order) for order in range(3))
         e0, e1, e2 = self.basis.grid_matrices(grid.n_points)
         u = self.basis.pack(self.q_via, self.bc, self.duration)
         return (e0 @ u, e1 @ u / self.duration, e2 @ u / self.duration**2)
 
 
-def min_duration_at_point(a, b, c, d, limits: KinodynamicLimits) -> float:
-    """Closed-form minimal duration for one evaluation point.
-
-    a, b, c, d are D-vectors with q-dot = a/T + b and q-ddot = c/T^2 + d/T.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    d = np.atleast_2d(np.asarray(d, dtype=float))
-    return min_duration_arrays(a, b, c, d, limits)
-
-
 def min_duration_arrays(a, b, c, d, limits: KinodynamicLimits) -> float:
-    """Minimal duration over stacked evaluation points, shape (..., D)."""
+    """Minimal duration over stacked evaluation points, shape (..., D).
+
+    At each point q-dot = a/T + b and q-ddot = c/T^2 + d/T; the bound at a
+    point is closed-form, and the result is the most conservative one.
+    """
     if np.any(b > limits.qd_max) or np.any(b < limits.qd_min):
         raise InfeasibleError("boundary velocities exceed the velocity limits")
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -5,7 +5,8 @@ import pytest
 
 from viaplan.mpc import (ExactPlant, ExpiredError, LagPlant, MpcConfig,
                          explore_init, extract_short_horizon, mpc_step,
-                         run_closed_loop, select_n_via, warm_start)
+                         run_closed_loop, run_greedy_loop, select_n_via,
+                         warm_start)
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import KinodynamicLimits, PhaseGrid, synthesize
@@ -66,7 +67,7 @@ def test_warm_start_zero_elapsed_preserves_cost():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     prev = solve(PlanningProblem(bc, lim, n_via=4, pop_size=16, seed=0)).trajectory
-    mean, sigma, n_via = warm_start(prev, 0.0, bc, alpha=0.5, n_max=4,
+    mean, sigma, n_via = warm_start(prev, 0.0, alpha=0.5, n_max=4,
                                     warmstart_sigma=0.05)
     assert sigma == 0.05
     assert n_via == select_n_via(prev.duration, 0.5, 4)
@@ -80,7 +81,7 @@ def test_warm_start_expired():
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     prev = solve(PlanningProblem(bc, lim, n_via=2, pop_size=16, seed=0)).trajectory
     with pytest.raises(ExpiredError):
-        warm_start(prev, prev.duration + 1.0, bc, 2.0, 4, 0.05)
+        warm_start(prev, prev.duration + 1.0, 2.0, 4, 0.05)
 
 
 def test_explore_init_straight_line():
@@ -157,6 +158,28 @@ def test_closed_loop_lag_plant():
     plant = LagPlant([0.1, 0.1], np.zeros(2), time_constant=0.01)
     log = run_closed_loop([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2),
                           LIMITS_2D, config, max_steps=200, plant=plant)
+    assert log.goal_reached
+
+
+def test_episode_steps_count_rows_when_budget_runs_out():
+    # Too few steps to reach the goal: every step ran and wrote a row.
+    config = MpcConfig(iterations_per_step=2, pop_size=8, seed=0)
+    for loop in (run_closed_loop, run_greedy_loop):
+        log = loop([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2),
+                   LIMITS_2D, config, max_steps=3)
+        assert not log.goal_reached
+        assert log.steps == len(log.rows) == 3
+
+
+def test_greedy_goal_checked_after_last_step():
+    # Start within one greedy step of the goal: the single allowed step
+    # reaches it, and only the check after the loop can see that.
+    config = MpcConfig(seed=0)
+    q0 = np.array([0.5, 0.5])
+    goal = np.array([0.501, 0.5])
+    log = run_greedy_loop(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D,
+                          config, max_steps=1)
+    assert log.steps == len(log.rows) == 1
     assert log.goal_reached
 
 

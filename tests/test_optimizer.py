@@ -32,11 +32,16 @@ def test_prior_mean_minimizes_smoothness():
 def test_prior_conditioned_mean_scales_with_duration():
     basis = build_basis(2, 1)
     bc = BoundaryConditions([0.0], [0.3], [1.0], [-0.1])
-    prior = build_prior(basis, bc)
-    mean_t1 = prior.conditioned_mean(bc, duration=1.0)
-    mean_t2 = prior.conditioned_mean(bc, duration=2.0)
-    np.testing.assert_allclose(mean_t1, prior.mean_via, atol=1e-12)
+    mean_t1 = build_prior(basis, bc).mean_via
+    mean_t2 = build_prior(basis, bc, duration=2.0).mean_via
+    np.testing.assert_allclose(mean_t1, build_prior(basis, bc, duration=1.0).mean_via,
+                               atol=1e-12)
     assert not np.allclose(mean_t1, mean_t2)
+    # Only the boundary slopes scale with the duration: without them the
+    # conditioned mean does not depend on it.
+    rest = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
+    np.testing.assert_allclose(build_prior(basis, rest, duration=2.0).mean_via,
+                               build_prior(basis, rest).mean_via, atol=1e-12)
 
 
 def test_sampling_deterministic():

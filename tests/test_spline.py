@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viaplan.spline import (BoundaryConditions, ViaPoints, build_basis,
-                            evaluate, smoothness_cost, smoothness_gram,
-                            via_timings)
+from viaplan.spline import (BoundaryConditions, build_basis, evaluate,
+                            smoothness_cost, smoothness_gram, via_timings)
 
 
 def qp_reference(n_via, q0, m0, qT, mT, q_via, n_grid=200):
@@ -70,10 +69,19 @@ def test_bc_validation():
 
 
 def test_via_points_stacking():
-    vp = ViaPoints(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert vp.n_via == 2
-    np.testing.assert_allclose(vp.stacked, [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_allclose(vp.timings, [1 / 3, 2 / 3])
+    # A stacked via-point vector is the (N, D) matrix flattened row by row
+    # (via-major, DoF-minor), and the stacked Gram blocks use that order.
+    rng = np.random.default_rng(5)
+    basis = build_basis(2, 2)
+    bc = BoundaryConditions(*rng.standard_normal((4, 2)))
+    pts = np.array([[1.0, 2.0], [3.0, 4.0]])
+    x = pts.reshape(-1)
+    np.testing.assert_allclose(x, [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_allclose(via_timings(2), [1 / 3, 2 / 3])
+    gram_via, gram_cross = smoothness_gram(basis)
+    w_bc = np.concatenate([bc.q0, bc.qd0, bc.qT, bc.qdT])
+    via_part = smoothness_cost(basis, pts, bc) - smoothness_cost(basis, 0 * pts, bc)
+    assert abs(via_part - (0.5 * x @ gram_via @ x + x @ gram_cross @ w_bc)) < 1e-9
 
 
 def test_direct_cubic_is_smoothstep():

@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import (InfeasibleError, KinodynamicLimits, PhaseGrid,
-                            duration_splits, min_duration, min_duration_at_point,
+                            duration_splits, min_duration, min_duration_arrays,
                             synthesize, synthesize_direct)
+
+
+def min_duration_at_point(a, b, c, d, limits):
+    """min_duration_arrays on one evaluation point of a 1-DoF trajectory."""
+    return min_duration_arrays(*(np.array([[v]]) for v in (a, b, c, d)), limits)
 
 
 def admissible(basis, q_via, bc, limits, grid, duration, slack=1e-9):
@@ -55,25 +60,25 @@ def test_phase_grid():
 
 def test_point_closed_form_velocity_limited():
     lim = KinodynamicLimits.symmetric(0.1, 100.0, 1)
-    t = min_duration_at_point([1.5], [0.0], [0.0], [0.0], lim)
+    t = min_duration_at_point(1.5, 0.0, 0.0, 0.0, lim)
     assert abs(t - 15.0) < 1e-12
 
 
 def test_point_closed_form_acceleration_limited():
     lim = KinodynamicLimits.symmetric(100.0, 0.2, 1)
-    t = min_duration_at_point([0.0], [0.0], [6.0], [0.0], lim)
+    t = min_duration_at_point(0.0, 0.0, 6.0, 0.0, lim)
     assert abs(t - np.sqrt(30.0)) < 1e-9
 
 
 def test_point_closed_form_stationary():
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
-    assert min_duration_at_point([0.0], [0.0], [0.0], [0.0], lim) == 0.0
+    assert min_duration_at_point(0.0, 0.0, 0.0, 0.0, lim) == 0.0
 
 
 def test_point_infeasible_boundary_velocity():
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     with pytest.raises(InfeasibleError):
-        min_duration_at_point([0.0], [0.5], [0.0], [0.0], lim)
+        min_duration_at_point(0.0, 0.5, 0.0, 0.0, lim)
 
 
 def test_direct_1d_velocity_limited():
