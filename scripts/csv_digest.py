@@ -4,9 +4,10 @@
 Two checkouts that print the same lines write byte-identical CSVs for these
 runs. Compare a change against its parent with
 
-    python3 scripts/csv_digest.py > after.txt
-    python3 scripts/csv_digest.py --src <parent checkout>/src > before.txt
-    diff before.txt after.txt
+    python3 scripts/csv_digest.py --against <parent checkout>/src
+
+which runs both trees in subprocesses, prints this tree's lines, then every
+line that differs, and exits 1 when any line differs.
 
 The short configs are the bundled ones in `configs/` with fewer runs,
 iterations and steps; the whole set takes about ten seconds on two cores.
@@ -15,6 +16,7 @@ iterations and steps; the whole set takes about ten seconds on two cores.
 import argparse
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -51,11 +53,35 @@ def short_config(name: str, overrides: dict) -> dict:
     return cfg
 
 
+def digests(src: str) -> list[str]:
+    """This script's output for the viaplan package in src, from a subprocess."""
+    out = subprocess.run([sys.executable, __file__, "--src", src],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
+def compare(src: str, other: str) -> int:
+    mine, theirs = digests(src), digests(other)
+    print("\n".join(mine))
+    differ = [(a, b) for a, b in zip(mine, theirs) if a != b]
+    if len(mine) != len(theirs):
+        differ.append((f"{len(mine)} lines", f"{len(theirs)} lines"))
+    for a, b in differ:
+        print(f"differs: {a}\n against: {b}")
+    print("every CSV identical" if not differ else f"{len(differ)} lines differ")
+    return 1 if differ else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the viaplan package to run")
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="also run the viaplan package in OTHER_SRC and "
+                             "exit 1 if any line differs")
     args = parser.parse_args()
+    if args.against:
+        return compare(args.src, args.against)
     sys.path.insert(0, str(Path(args.src).resolve()))
     from viaplan.cli import main as cli_main
 

@@ -1,10 +1,13 @@
-"""Phase-grid cost evaluation of candidate trajectories.
+"""Phase-grid cost evaluation of a population of trajectories.
 
 Task-agnostic terms (duration, smoothness, joint-limit avoidance) plus the
-task-specific collision count and box-pushing progress.  Invalid candidates
-(joint-limit hit, collision, or non-improving push) are not discarded; they
-receive a large penalty plus their violation count so the evolution strategy
-can still rank them.
+task-specific collision count and box-pushing progress.  `evaluate_total`
+scores a whole generation at once: one stacked position pass on the phase
+grid, one collision query over every grid point, one joint-limit mask and one
+smoothness quadratic form; only the push rollout runs per trajectory.
+Invalid candidates (joint-limit hit, collision, or non-improving push) are
+not discarded; they receive a large penalty plus their violation count so the
+evolution strategy can still rank them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spline import smoothness_cost
+from .spline import stacked_smoothness
 from .timing import KinodynamicLimits, PhaseGrid, Trajectory
 
 
@@ -56,28 +59,34 @@ def cost_duration(traj: Trajectory) -> float:
     return traj.duration
 
 
-def cost_jla(traj: Trajectory, limits: KinodynamicLimits,
-             grid: PhaseGrid) -> tuple[float, int]:
-    """Discontinuous joint-limit metric: 1 + overshoot per violating point/DoF."""
+def cost_jla(q: np.ndarray, limits: KinodynamicLimits) -> tuple[np.ndarray, np.ndarray]:
+    """Discontinuous joint-limit metric of stacked grid positions (M, K+1, D):
+    per trajectory, 1 + overshoot summed over violating points/DoFs, and the
+    number of violations."""
+    costs = np.zeros(q.shape[0])
     if limits.q_min is None:
-        return 0.0, 0
-    q, _, _ = traj.sample_grid(grid)
+        return costs, np.zeros(q.shape[0], dtype=int)
     over = q >= limits.q_max
     under = q <= limits.q_min
-    cost = float(np.sum((1.0 + q - limits.q_max)[over])
-                 + np.sum((1.0 + limits.q_min - q)[under]))
-    return cost, int(np.count_nonzero(over) + np.count_nonzero(under))
+    counts = np.count_nonzero(over, axis=(1, 2)) + np.count_nonzero(under, axis=(1, 2))
+    over_by = 1.0 + q - limits.q_max
+    under_by = 1.0 + limits.q_min - q
+    # One sum per violating trajectory over its own masked values: a sum over
+    # the padded (K+1, D) block would round differently.
+    for m in np.flatnonzero(counts):
+        costs[m] = np.sum(over_by[m][over[m]]) + np.sum(under_by[m][under[m]])
+    return costs, counts
 
 
-def cost_collision(traj: Trajectory, checker, grid: PhaseGrid) -> tuple[float, int]:
-    """Number of grid configurations in collision.
+def cost_collision(q: np.ndarray, checker) -> np.ndarray:
+    """Number of grid configurations in collision, per trajectory of the
+    stacked grid positions q (M, K+1, D).
 
-    checker.colliding_mask(points) takes an (M, D) array of configurations and
-    returns M booleans, true where a configuration is in collision.
+    checker.colliding_mask(points) takes a (P, D) array of configurations and
+    returns P booleans, true where a configuration is in collision.
     """
-    q, _, _ = traj.sample_grid(grid)
-    hits = int(np.count_nonzero(checker.colliding_mask(q)))
-    return float(hits), hits
+    mask = checker.colliding_mask(q.reshape(-1, q.shape[-1]))
+    return np.count_nonzero(mask.reshape(q.shape[:2]), axis=1)
 
 
 def cost_push(traj: Trajectory, push_ctx: PushContext) -> tuple[float, bool]:
@@ -95,40 +104,52 @@ def cost_push(traj: Trajectory, push_ctx: PushContext) -> tuple[float, bool]:
     return float(np.exp(eT - e0)), eT < e0
 
 
-def evaluate_total(traj: Trajectory, weights: CostWeights,
-                   limits: KinodynamicLimits, grid: PhaseGrid,
-                   checker=None, push_ctx: PushContext | None = None) -> CostReport:
-    """Aggregate all configured cost terms into a CostReport."""
-    per_term: dict[str, float] = {}
-    per_term["duration"] = cost_duration(traj)
-    per_term["smooth"] = 0.0 if traj.degenerate else smoothness_cost(
-        traj.basis, traj.q_via, traj.bc, traj.duration)
-    violations = 0
-    valid = True
+def evaluate_total(trajs, weights: CostWeights, limits: KinodynamicLimits,
+                   grid: PhaseGrid, checker=None,
+                   push_ctx: PushContext | None = None) -> list[CostReport]:
+    """One CostReport per trajectory of a population (sharing n_via and dof).
 
-    jla, jla_count = cost_jla(traj, limits, grid)
-    per_term["jla"] = jla
-    violations += jla_count
-    valid &= jla_count == 0
+    Positions, joint limits, collisions and smoothness are evaluated for the
+    whole population at once; the push rollout runs per trajectory.
+    """
+    if not trajs:
+        return []
+    basis = trajs[0].basis
+    u = np.stack([t.basis.pack(t.q_via, t.bc, t.duration) for t in trajs])
+    q = np.matmul(basis.grid_matrices(grid.n_points)[0], u)
+    smooth = stacked_smoothness(basis, u)
+    for m, traj in enumerate(trajs):
+        if traj.degenerate:
+            # Zero duration: the trajectory rests at q0.
+            q[m] = traj.bc.q0
+            smooth[m] = 0.0
+    jla, jla_counts = (x.tolist() for x in cost_jla(q, limits))
+    hits = cost_collision(q, checker).tolist() if checker is not None else None
+    smooth = smooth.tolist()
+    reports = []
+    for m, traj in enumerate(trajs):
+        per_term: dict[str, float] = {"duration": cost_duration(traj),
+                                      "smooth": smooth[m], "jla": jla[m]}
+        violations = jla_counts[m]
+        valid = violations == 0
+        if hits is not None:
+            per_term["collision"] = float(hits[m])
+            violations += hits[m]
+            valid &= hits[m] == 0
+        if push_ctx is not None:
+            push, push_valid = cost_push(traj, push_ctx)
+            per_term["push"] = push
+            if not push_valid:
+                violations += 1
+            valid &= push_valid
 
-    if checker is not None:
-        coll, hits = cost_collision(traj, checker, grid)
-        per_term["collision"] = coll
-        violations += hits
-        valid &= hits == 0
-    if push_ctx is not None:
-        push, push_valid = cost_push(traj, push_ctx)
-        per_term["push"] = push
-        if not push_valid:
-            violations += 1
-        valid &= push_valid
-
-    total = (weights.duration * per_term["duration"]
-             + weights.smooth * per_term["smooth"]
-             + weights.jla * per_term["jla"]
-             + weights.collision * per_term.get("collision", 0.0)
-             + weights.push * per_term.get("push", 0.0))
-    if not valid:
-        total += weights.invalid_penalty + violations
-    return CostReport(total=float(total), per_term=per_term,
-                      valid=bool(valid), violation_count=violations)
+        total = (weights.duration * per_term["duration"]
+                 + weights.smooth * per_term["smooth"]
+                 + weights.jla * per_term["jla"]
+                 + weights.collision * per_term.get("collision", 0.0)
+                 + weights.push * per_term.get("push", 0.0))
+        if not valid:
+            total += weights.invalid_penalty + violations
+        reports.append(CostReport(total=float(total), per_term=per_term,
+                                  valid=bool(valid), violation_count=violations))
+    return reports

@@ -5,7 +5,9 @@ primitive); otherwise it initializes the evolution strategy by warm-starting
 from the time-shifted previous solution or by exploring from a straight-line
 guess, runs the planner's shared generation loop (always sep-CMA-ES behind
 the smoothness Cholesky factor) until the step budget expires, and extracts
-a finely sampled short-horizon reference for the tracking plant.
+a finely sampled short-horizon reference for the tracking plant, evaluated
+at all plant sample times in one pass.  The greedy baseline scores all its
+endpoints in one `costs.evaluate_total` call.
 """
 
 from __future__ import annotations
@@ -52,6 +54,14 @@ class MpcConfig:
             raise ValueError("dt_mpc, t_stop and alpha must be positive")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
+        if self.pop_size < 4:
+            raise ValueError("population size must be at least 4")
+        if self.grid_k < 2:
+            raise ValueError("phase grid needs grid_k >= 2")
+        if not 0.0 < self.plant_dt <= self.dt_mpc:
+            raise ValueError("need 0 < plant_dt <= dt_mpc")
+        if self.iterations_per_step is not None and self.iterations_per_step < 1:
+            raise ValueError("iterations_per_step must be at least 1 (or None)")
         if (self.explore_sigma is not None and self.warmstart_sigma is not None
                 and not self.explore_sigma > self.warmstart_sigma > 0.0):
             raise ValueError("need explore_sigma > warmstart_sigma > 0")
@@ -114,15 +124,27 @@ def extract_short_horizon(traj: Trajectory, dt_mpc: float,
 
 def extract_reference(traj: Trajectory, t0: float, duration: float,
                       plant_dt: float) -> ShortHorizon:
-    """Reference series from traj over [t0, min(t0 + duration, T)]."""
+    """Reference series from traj over [t0, min(t0 + duration, T)].
+
+    Each sample equals traj.at_time(t, order) bit for bit: every time gets its
+    own (1, N+4) @ (N+4, D) product, which a single (S, N+4) @ (N+4, D)
+    product would round differently.
+    """
     t_end = min(t0 + duration, traj.duration)
     n_whole = int(np.floor((t_end - t0) / plant_dt + 1e-12))
     times = t0 + plant_dt * np.arange(n_whole + 1)
     if times[-1] < t_end - 1e-12:
         times = np.append(times, t_end)
-    q = np.stack([traj.at_time(t, 0) for t in times])
-    qd = np.stack([traj.at_time(t, 1) for t in times])
-    qdd = np.stack([traj.at_time(t, 2) for t in times])
+    if traj.degenerate:
+        q = np.tile(traj.bc.q0, (times.size, 1))
+        qd, qdd = np.zeros_like(q), np.zeros_like(q)
+    else:
+        s = np.clip(times / traj.duration, 0.0, 1.0)
+        u = traj.basis.pack(traj.q_via, traj.bc, traj.duration)
+        q, qd, qdd = (np.matmul(traj.basis.eval_matrix(s, order)[:, None, :], u)[:, 0]
+                      for order in range(3))
+        qd = qd / traj.duration
+        qdd = qdd / traj.duration**2
     return ShortHorizon(times=times - t0, q=q, qd=qd, qdd=qdd)
 
 
@@ -320,8 +342,7 @@ def greedy_step(q, qd, qT, limits: KinodynamicLimits, config: MpcConfig,
     endpoints = [local_goal]
     endpoints.extend(local_goal + (GREEDY_HORIZON / 2.0)
                      * rng.standard_normal((GREEDY_SAMPLES - 1, q.shape[0])))
-    best = None
-    best_cost = np.inf
+    reachable = []
     for end in endpoints:
         if float(np.linalg.norm(end - q)) > GREEDY_HORIZON:
             continue
@@ -330,7 +351,12 @@ def greedy_step(q, qd, qT, limits: KinodynamicLimits, config: MpcConfig,
                                      limits, grid)
         except InfeasibleError:
             continue
-        report = evaluate_total(traj, config.weights, limits, grid, checker)
+        reachable.append((end, traj))
+    reports = evaluate_total([traj for _, traj in reachable], config.weights,
+                             limits, grid, checker)
+    best = None
+    best_cost = np.inf
+    for (end, traj), report in zip(reachable, reports):
         if not report.valid:
             continue
         cost = float(np.sum((end - qT) ** 2))

@@ -2,9 +2,12 @@
 
 `make_es` sets up the evolution strategy, `generations` runs sample ->
 evaluate -> update for as long as its caller iterates, and `score`
-synthesizes and scores one via-point vector.  `solve` stops when the best cost
-stalls or the iteration budget runs out (`mpc.mpc_step` at its step budget)
-and reports the final mean's trajectory and the best evaluated one.
+synthesizes and scores one via-point vector.  `evaluate_candidates`
+synthesizes each candidate's minimal duration on its own and scores the
+feasible ones together in one `costs.evaluate_total` call.  `solve` stops
+when the best cost stalls or the iteration budget runs out (`mpc.mpc_step`
+at its step budget) and reports the final mean's trajectory and the best
+evaluated one.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ class PlanningProblem:
             raise ValueError("the stochastic loop needs n_via >= 1")
         if self.pop_size < 4:
             raise ValueError("population size must be at least 4")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass
@@ -81,24 +86,27 @@ def score(basis: SplineBasis, q_via, problem: PlanningProblem):
     """(Trajectory, CostReport) of one via-point vector; raises
     InfeasibleError when no finite duration meets the limits."""
     traj = synthesize(basis, q_via, problem.bc, problem.limits, problem.grid)
-    return traj, evaluate_total(traj, problem.weights, problem.limits,
-                                problem.grid, problem.checker, problem.push_ctx)
+    return traj, _evaluate([traj], problem)[0]
+
+
+def _evaluate(trajs: list, problem: PlanningProblem) -> list:
+    return evaluate_total(trajs, problem.weights, problem.limits, problem.grid,
+                          problem.checker, problem.push_ctx)
 
 
 def evaluate_candidates(basis, candidates: np.ndarray, problem: PlanningProblem):
     """Synthesize and score a population; infeasible candidates rank last."""
     trajs: list[Trajectory | None] = []
-    reports: list[CostReport | None] = []
-    costs = np.full(candidates.shape[0], 10.0 * problem.weights.invalid_penalty)
-    for i, x in enumerate(candidates):
+    for x in candidates:
         try:
-            traj, report = score(basis, x, problem)
+            trajs.append(synthesize(basis, x, problem.bc, problem.limits,
+                                    problem.grid))
         except InfeasibleError:
-            traj = report = None
-        else:
-            costs[i] = report.total
-        trajs.append(traj)
-        reports.append(report)
+            trajs.append(None)
+    scored = iter(_evaluate([t for t in trajs if t is not None], problem))
+    reports = [None if t is None else next(scored) for t in trajs]
+    costs = np.array([10.0 * problem.weights.invalid_penalty if r is None
+                      else r.total for r in reports])
     return trajs, reports, costs
 
 

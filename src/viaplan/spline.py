@@ -238,5 +238,9 @@ def smoothness_cost(basis: SplineBasis, q_via, bc: BoundaryConditions,
     the metric itself is evaluated in phase space and is otherwise
     duration-independent.
     """
-    u = basis.pack(q_via, bc, duration)
-    return 0.5 * float(np.einsum("id,ij,jd->", u, basis.gram_full, u))
+    return float(stacked_smoothness(basis, basis.pack(q_via, bc, duration)[None])[0])
+
+
+def stacked_smoothness(basis: SplineBasis, u: np.ndarray) -> np.ndarray:
+    """smoothness_cost of each packed parameter matrix in u, shape (M, N+4, D)."""
+    return 0.5 * np.einsum("mid,ij,mjd->m", u, basis.gram_full, u)

@@ -6,7 +6,10 @@ the position-dependent parts and b, d the boundary-velocity parts.  On a
 uniform phase grid each evaluation point admits a closed-form minimal duration
 (linear inequalities in 1/T for velocities, quadratics for accelerations); the
 synthesized duration is the most conservative of these, which saturates at
-least one bound at one grid point.
+least one bound at one grid point.  `min_duration_arrays` solves the upper
+and lower acceleration quadratics together on a leading axis.  Durations are
+synthesized one candidate per `synthesize` call; costs are scored per
+population in `costs.evaluate_total`.
 """
 
 from __future__ import annotations
@@ -121,48 +124,36 @@ class Trajectory:
 def min_duration_arrays(a, b, c, d, limits: KinodynamicLimits) -> float:
     """Minimal duration over stacked evaluation points, shape (..., D).
 
-    At each point q-dot = a/T + b and q-ddot = c/T^2 + d/T; the bound at a
-    point is closed-form, and the result is the most conservative one.
+    At each point q-dot = a/T + b and q-ddot = c/T^2 + d/T.  With x = 1/T the
+    velocity bounds are linear in x and the acceleration bounds are the
+    quadratics c x^2 + d x = r, solved for r = qdd_max and r = qdd_min at once
+    on a leading axis; the result is 1/x for the smallest admissible x > 0.
     """
-    if np.any(b > limits.qd_max) or np.any(b < limits.qd_min):
+    if (b > limits.qd_max).any() or (b < limits.qd_min).any():
         raise InfeasibleError("boundary velocities exceed the velocity limits")
+    r = np.array([limits.qdd_max, limits.qdd_min])
+    r = r.reshape((2,) + (1,) * (np.ndim(c) - 1) + r.shape[1:])
+    # Lanes that divide by zero or take the root of a negative discriminant
+    # give inf, or NaN or a negative x, which the `> 0` tests drop: each
+    # lane's smallest positive x is the one the formulas give where they apply.
     with np.errstate(divide="ignore", invalid="ignore"):
-        safe_a = np.where(a == 0.0, 1.0, a)
-        x_vel = np.where(a > 0.0, (limits.qd_max - b) / safe_a,
-                         np.where(a < 0.0, (limits.qd_min - b) / safe_a, np.inf))
-    qdd_max = np.broadcast_to(limits.qdd_max, c.shape)
-    qdd_min = np.broadcast_to(limits.qdd_min, c.shape)
-    x_hi = _smallest_positive_root_arr(c, d, qdd_max)
-    x_lo = _smallest_positive_root_arr(c, d, qdd_min)
-    x = np.minimum(np.minimum(x_vel, x_hi), x_lo)
-    x_min = float(np.min(x))
+        x_vel = np.where(a > 0.0, (limits.qd_max - b) / a,
+                         np.where(a < 0.0, (limits.qd_min - b) / a, np.inf))
+        # Linear lanes (c == 0): x = r / d.
+        x_lin = r / d
+        x_acc = np.where((c == 0.0) & (x_lin > 0.0), x_lin, np.inf)
+        # Quadratic lanes (c != 0): both roots in the cancellation-free form.
+        qv = -0.5 * (d + np.where(d >= 0.0, 1.0, -1.0) * np.sqrt(d**2 + 4.0 * c * r))
+        x1 = qv / c
+        x2 = -r / qv
+    x_acc = np.minimum(x_acc, np.where(x1 > 0.0, x1, np.inf))
+    x_acc = np.minimum(x_acc, np.where((c != 0.0) & (x2 > 0.0), x2, np.inf))
+    x_min = float(np.minimum(np.minimum(x_vel, x_acc[0]), x_acc[1]).min())
     if np.isinf(x_min):
         return 0.0
     if x_min <= 0.0:
         raise InfeasibleError("a kinodynamic limit is active at infinite duration")
     return 1.0 / x_min
-
-
-def _smallest_positive_root_arr(c: np.ndarray, d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Smallest x > 0 with c x^2 + d x = r, elementwise; inf where none."""
-    out = np.full(np.broadcast(c, d, r).shape, np.inf)
-    c, d, r = np.broadcast_arrays(c, d, r)
-    lin = (c == 0.0) & (d != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_lin = r / np.where(d == 0.0, 1.0, d)
-    out = np.where(lin & (x_lin > 0.0), x_lin, out)
-    quad = c != 0.0
-    disc = d**2 + 4.0 * c * r
-    ok = quad & (disc >= 0.0)
-    sq = np.sqrt(np.where(ok, disc, 0.0))
-    sgn = np.where(d >= 0.0, 1.0, -1.0)
-    qv = -0.5 * (d + sgn * sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x1 = qv / np.where(c == 0.0, 1.0, c)
-        x2 = -r / np.where(qv == 0.0, 1.0, qv)
-    for x, extra in ((x1, ok), (x2, ok & (qv != 0.0))):
-        out = np.minimum(out, np.where(extra & (x > 0.0), x, np.inf))
-    return out
 
 
 def duration_splits(basis: SplineBasis, q_via, bc: BoundaryConditions, grid: PhaseGrid):

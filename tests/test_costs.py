@@ -12,17 +12,11 @@ from viaplan.worlds import Disk, PushWorld, World2D
 
 
 class StubTrajectory:
-    """Fixed grid samples, for exercising cost formulas in isolation."""
+    """A bare duration, for exercising per-trajectory cost formulas."""
 
-    def __init__(self, q, qd=None, qdd=None, duration=1.0):
-        self.q = np.atleast_2d(np.asarray(q, dtype=float))
-        self.qd = np.zeros_like(self.q) if qd is None else np.atleast_2d(qd)
-        self.qdd = np.zeros_like(self.q) if qdd is None else np.atleast_2d(qdd)
+    def __init__(self, duration=1.0):
         self.duration = duration
         self.degenerate = False
-
-    def sample_grid(self, grid):
-        return self.q, self.qd, self.qdd
 
 
 def make_limits(q_min, q_max, dof=1):
@@ -37,48 +31,56 @@ def test_weights_validation():
 
 
 def test_cost_duration_identity():
-    traj = StubTrajectory(np.zeros((3, 1)), duration=15.0)
+    traj = StubTrajectory(duration=15.0)
     assert cost_duration(traj) == 15.0
 
 
+def stacked(*grids):
+    """Grid positions of several trajectories, stacked to (M, K+1, D)."""
+    return np.stack([np.atleast_2d(np.asarray(q, dtype=float)) for q in grids])
+
+
 def test_jla_upper_violation():
-    traj = StubTrajectory([[0.0], [3.0], [0.5]])
-    cost, count = cost_jla(traj, make_limits(-2.8, 2.8), PhaseGrid(2))
-    assert abs(cost - 1.2) < 1e-12
-    assert count == 1
+    cost, count = cost_jla(stacked([[0.0], [3.0], [0.5]]), make_limits(-2.8, 2.8))
+    assert abs(cost[0] - 1.2) < 1e-12
+    assert count.tolist() == [1]
 
 
 def test_jla_lower_violation():
-    traj = StubTrajectory([[0.0], [-3.1], [0.5]])
-    cost, count = cost_jla(traj, make_limits(-2.8, 2.8), PhaseGrid(2))
-    assert abs(cost - 1.3) < 1e-12
-    assert count == 1
+    cost, count = cost_jla(stacked([[0.0], [-3.1], [0.5]]), make_limits(-2.8, 2.8))
+    assert abs(cost[0] - 1.3) < 1e-12
+    assert count.tolist() == [1]
 
 
 def test_jla_interior_is_zero():
-    traj = StubTrajectory([[0.1], [2.0], [-2.0]])
-    cost, count = cost_jla(traj, make_limits(-2.8, 2.8), PhaseGrid(2))
-    assert cost == 0.0 and count == 0
+    cost, count = cost_jla(stacked([[0.1], [2.0], [-2.0]]), make_limits(-2.8, 2.8))
+    assert cost.tolist() == [0.0] and count.tolist() == [0]
+
+
+def test_jla_is_per_trajectory():
+    cost, count = cost_jla(stacked([[0.0], [3.0], [0.5]], [[0.1], [2.0], [-2.0]],
+                                   [[-3.1], [-3.1], [2.9]]),
+                           make_limits(-2.8, 2.8))
+    np.testing.assert_allclose(cost, [1.2, 0.0, 1.3 + 1.3 + 1.1], atol=1e-12)
+    assert count.tolist() == [1, 0, 3]
 
 
 def test_jla_jump_is_exactly_one():
-    at_limit = StubTrajectory([[2.8]])
-    cost, count = cost_jla(at_limit, make_limits(-2.8, 2.8), PhaseGrid(2))
-    assert abs(cost - 1.0) < 1e-12 and count == 1
+    cost, count = cost_jla(stacked([[2.8]]), make_limits(-2.8, 2.8))
+    assert abs(cost[0] - 1.0) < 1e-12 and count.tolist() == [1]
 
 
 def test_jla_no_position_bounds():
-    traj = StubTrajectory([[1e9]])
     lim = KinodynamicLimits.symmetric(1.0, 1.0, 1)
-    assert cost_jla(traj, lim, PhaseGrid(2)) == (0.0, 0)
+    cost, count = cost_jla(stacked([[1e9]], [[-1e9]]), lim)
+    assert cost.tolist() == [0.0, 0.0] and count.tolist() == [0, 0]
 
 
 def test_collision_count():
     world = World2D(obstacles=(Disk([0.5, 0.5], 0.1),))
     q = np.array([[0.1, 0.1], [0.5, 0.5], [0.52, 0.5], [0.9, 0.9]])
-    traj = StubTrajectory(q)
-    cost, hits = cost_collision(traj, world, PhaseGrid(3))
-    assert cost == 2.0 and hits == 2
+    free = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3], [0.9, 0.9]])
+    assert cost_collision(stacked(q, free, q[::-1]), world).tolist() == [2, 0, 2]
 
 
 def test_collision_count_refines_with_grid():
@@ -86,10 +88,13 @@ def test_collision_count_refines_with_grid():
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
     world = World2D(obstacles=(Disk([0.5, 0.5], 0.15),))
     basis = build_basis(0, 2)
-    coarse = cost_collision(synthesize(basis, None, bc, lim, PhaseGrid(40)),
-                            world, PhaseGrid(40))[1]
-    fine = cost_collision(synthesize(basis, None, bc, lim, PhaseGrid(80)),
-                          world, PhaseGrid(80))[1]
+
+    def hits(k):
+        traj = synthesize(basis, None, bc, lim, PhaseGrid(k))
+        q, _, _ = traj.sample_grid(PhaseGrid(k))
+        return int(cost_collision(q[None], world)[0])
+
+    coarse, fine = hits(40), hits(80)
     assert coarse > 0
     assert abs(fine - 2 * coarse) <= 2
 
@@ -107,7 +112,7 @@ def test_push_formula(monkeypatch):
     monkeypatch.setattr("viaplan.worlds.simulate_push", fake_push)
     world = PushWorld(box_position=box0, box_radius=0.05, robot_radius=0.05)
     ctx = PushContext(world=world, target=target)
-    traj = StubTrajectory(np.zeros((5, 2)), duration=1.0)
+    traj = StubTrajectory(duration=1.0)
     traj.position = lambda s: np.zeros((np.atleast_1d(s).shape[0], 2))
     cost, valid = cost_push(traj, ctx)
     assert abs(cost - np.exp(0.04 - 0.25)) < 1e-12
@@ -133,7 +138,7 @@ def test_total_weighted_sum_for_valid():
     traj = synthesize(build_basis(0, 1), None, bc, lim, grid)
     weights = CostWeights(duration=1.0, smooth=0.01, jla=1.0, collision=1.0,
                           push=0.0)
-    report = evaluate_total(traj, weights, lim, grid)
+    report, = evaluate_total([traj], weights, lim, grid)
     expected = traj.duration + 0.01 * smoothness_cost(traj.basis, traj.q_via,
                                                       bc, traj.duration)
     assert report.valid
@@ -146,7 +151,7 @@ def test_invalid_gets_penalty():
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
     grid = PhaseGrid(50)
     traj = synthesize(build_basis(0, 2), None, bc, lim, grid)
-    report = evaluate_total(traj, CostWeights(), lim, grid, checker=world)
+    report, = evaluate_total([traj], CostWeights(), lim, grid, checker=world)
     assert not report.valid
     assert report.total >= CostWeights().invalid_penalty
     assert report.violation_count == report.per_term["collision"]
@@ -159,12 +164,11 @@ def test_invalid_dominance_over_population():
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
     grid = PhaseGrid(50)
     basis = build_basis(3, 2)
+    trajs = [synthesize(basis, bc.q0 + np.outer([0.25, 0.5, 0.75], bc.qT - bc.q0)
+                        + rng.normal(scale=0.3, size=(3, 2)), bc, lim, grid)
+             for _ in range(60)]
     valid_totals, invalid_totals = [], []
-    for _ in range(60):
-        q_via = bc.q0 + np.outer([0.25, 0.5, 0.75], bc.qT - bc.q0) \
-            + rng.normal(scale=0.3, size=(3, 2))
-        traj = synthesize(basis, q_via, bc, lim, grid)
-        report = evaluate_total(traj, CostWeights(), lim, grid, checker=world)
+    for report in evaluate_total(trajs, CostWeights(), lim, grid, checker=world):
         (valid_totals if report.valid else invalid_totals).append(report.total)
     assert valid_totals and invalid_totals
     assert max(valid_totals) < min(invalid_totals)
@@ -175,6 +179,6 @@ def test_report_deterministic():
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     grid = PhaseGrid(50)
     traj = synthesize(build_basis(2, 1), [[0.3], [0.7]], bc, lim, grid)
-    r1 = evaluate_total(traj, CostWeights(), lim, grid)
-    r2 = evaluate_total(traj, CostWeights(), lim, grid)
+    r1, = evaluate_total([traj], CostWeights(), lim, grid)
+    r2, = evaluate_total([traj], CostWeights(), lim, grid)
     assert r1.total == r2.total and r1.per_term == r2.per_term

@@ -23,6 +23,14 @@ def test_config_validation():
         MpcConfig(n_max=0)
     with pytest.raises(ValueError):
         MpcConfig(explore_sigma=0.01, warmstart_sigma=0.1)
+    # Each of these used to be accepted, and then either ran one generation
+    # anyway (iterations_per_step=0) or failed inside the first mpc_step.
+    for bad in ({"iterations_per_step": 0}, {"iterations_per_step": -1},
+                {"pop_size": 3}, {"grid_k": 1},
+                {"plant_dt": 0.1, "dt_mpc": 0.08}, {"plant_dt": 0.0}):
+        with pytest.raises(ValueError):
+            MpcConfig(**bad)
+    MpcConfig(iterations_per_step=1, pop_size=4, grid_k=2, plant_dt=0.08)
 
 
 def test_select_n_via_formula():

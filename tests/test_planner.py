@@ -46,6 +46,11 @@ def test_problem_validation():
         PlanningProblem(bc, lim, n_via=0)
     with pytest.raises(ValueError):
         PlanningProblem(bc, lim, n_via=2, pop_size=3)
+    # max_iterations=0 used to surface from solve as InfeasibleError("no
+    # candidate admitted a finite duration"), having run no generation.
+    with pytest.raises(ValueError, match="max_iterations"):
+        PlanningProblem(bc, lim, n_via=2, max_iterations=0)
+    assert solve(PlanningProblem(bc, lim, n_via=2, max_iterations=1)).iterations == 1
 
 
 def test_solve_1d_reaches_near_bang_bang():
