@@ -2,7 +2,8 @@
 
 Task-agnostic terms (duration, smoothness, joint-limit avoidance) plus the
 task-specific collision count and box-pushing progress.  `evaluate_total`
-scores a whole generation at once: one stacked position pass on the phase
+scores a whole generation at once: one pass packing the (M, N+4, D)
+parameters (`SplineBasis.pack_stack`), one stacked position pass on the phase
 grid, one collision query over every grid point, one joint-limit mask and one
 smoothness quadratic form; only the push rollout runs per trajectory.
 Invalid candidates (joint-limit hit, collision, or non-improving push) are
@@ -115,7 +116,8 @@ def evaluate_total(trajs, weights: CostWeights, limits: KinodynamicLimits,
     if not trajs:
         return []
     basis = trajs[0].basis
-    u = np.stack([t.basis.pack(t.q_via, t.bc, t.duration) for t in trajs])
+    u = basis.pack_stack([t.q_via for t in trajs], [t.bc for t in trajs],
+                         [t.duration for t in trajs])
     q = np.matmul(basis.grid_matrices(grid.n_points)[0], u)
     smooth = stacked_smoothness(basis, u)
     for m, traj in enumerate(trajs):

@@ -21,12 +21,21 @@ def via_timings(n_via: int) -> np.ndarray:
     return np.arange(1, n_via + 1) / (n_via + 1)
 
 
+def frozen_array(values) -> np.ndarray:
+    """A read-only float copy of values, at least 1-D."""
+    arr = np.array(values, dtype=float, ndmin=1)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class BoundaryConditions:
     """Boundary positions and velocities (velocities in units per second).
 
     Velocities are stored in the time domain; they map to phase derivatives by
-    multiplication with the total duration T at evaluation time.
+    multiplication with the total duration T at evaluation time.  The arrays
+    are read-only copies, so a BoundaryConditions never changes after it is
+    built and work derived from it can be memoized by identity.
     """
 
     q0: np.ndarray
@@ -36,8 +45,7 @@ class BoundaryConditions:
 
     def __post_init__(self):
         for name in ("q0", "qd0", "qT", "qdT"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
         shapes = {self.q0.shape, self.qd0.shape, self.qT.shape, self.qdT.shape}
         if len(shapes) != 1 or self.q0.ndim != 1:
             raise ValueError("boundary vectors must share one dimension D")
@@ -70,6 +78,8 @@ class SplineBasis:
         self._coeffs = self._build_coeffs(n_via)
         self._gram = self._build_gram()
         self._grid_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # timing.boundary_half's one entry: (bc, limits, grid, *its result).
+        self.boundary_memo: tuple | None = None
 
     @staticmethod
     def _build_coeffs(n: int) -> np.ndarray:
@@ -155,6 +165,11 @@ class SplineBasis:
 
     # -- parameter packing ------------------------------------------------
 
+    def via_matrix(self, q_via) -> np.ndarray:
+        """Via-points as an (N, D) float array; None stands for no via-points."""
+        pts = np.zeros((0, self.dof)) if q_via is None else np.asarray(q_via, dtype=float)
+        return pts.reshape(self.n_via, self.dof)
+
     def pack_split(self, q_via, bc: BoundaryConditions):
         """Split parameter matrices (U_a, U_b) with U = U_a + T * U_b.
 
@@ -162,12 +177,10 @@ class SplineBasis:
         velocities in the phase-slope slots (their phase derivatives scale
         with the duration T).
         """
-        n, d = self.n_via, self.dof
-        pts = np.zeros((0, d)) if q_via is None else np.asarray(q_via, dtype=float)
-        pts = pts.reshape(n, d)
-        u_a = np.zeros((self.n_coef, d))
-        u_b = np.zeros((self.n_coef, d))
-        u_a[:n] = pts
+        n = self.n_via
+        u_a = np.zeros((self.n_coef, self.dof))
+        u_b = np.zeros((self.n_coef, self.dof))
+        u_a[:n] = self.via_matrix(q_via)
         u_a[n] = bc.q0
         u_a[n + 2] = bc.qT
         u_b[n + 1] = bc.qd0
@@ -177,6 +190,24 @@ class SplineBasis:
     def pack(self, q_via, bc: BoundaryConditions, duration: float) -> np.ndarray:
         u_a, u_b = self.pack_split(q_via, bc)
         return u_a + duration * u_b
+
+    def pack_stack(self, q_vias, bcs, durations) -> np.ndarray:
+        """pack of M trajectories at once, shape (M, N+4, D).
+
+        q_vias holds M (N, D) via-point arrays, bcs M boundary conditions and
+        durations M floats.  Slice m is the same U_a + T * U_b, element by
+        element, as pack(q_vias[m], bcs[m], durations[m]), so the two agree
+        bit for bit, signed zeros included.
+        """
+        n = self.n_via
+        u_a = np.zeros((len(bcs), self.n_coef, self.dof))
+        u_b = np.zeros_like(u_a)
+        u_a[:, :n] = q_vias
+        u_a[:, n] = [bc.q0 for bc in bcs]
+        u_a[:, n + 2] = [bc.qT for bc in bcs]
+        u_b[:, n + 1] = [bc.qd0 for bc in bcs]
+        u_b[:, n + 3] = [bc.qdT for bc in bcs]
+        return u_a + np.asarray(durations, dtype=float)[:, None, None] * u_b
 
     # -- smoothness -------------------------------------------------------
 

@@ -6,8 +6,11 @@ the position-dependent parts and b, d the boundary-velocity parts.  On a
 uniform phase grid each evaluation point admits a closed-form minimal duration
 (linear inequalities in 1/T for velocities, quadratics for accelerations); the
 synthesized duration is the most conservative of these, which saturates at
-least one bound at one grid point.  `min_duration_arrays` solves the upper
-and lower acceleration quadratics together on a leading axis.  Durations are
+least one bound at one grid point.  The kernel comes in two halves: the
+boundary half (`BoundaryLanes`, from b and d) is built once per generation by
+`boundary_half` and memoized on the basis; the candidate half
+(`BoundaryLanes.duration`) takes a and c and solves the upper and lower
+acceleration quadratics together on a leading axis.  Durations are
 synthesized one candidate per `synthesize` call; costs are scored per
 population in `costs.evaluate_total`.
 """
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spline import BoundaryConditions, SplineBasis, build_basis, evaluate
+from .spline import (BoundaryConditions, SplineBasis, build_basis, evaluate,
+                     frozen_array)
 
 
 class InfeasibleError(Exception):
@@ -27,7 +31,8 @@ class InfeasibleError(Exception):
 
 @dataclass(frozen=True)
 class KinodynamicLimits:
-    """Per-DoF box bounds on velocity, acceleration and (optionally) position."""
+    """Per-DoF box bounds on velocity, acceleration and (optionally) position,
+    held as read-only copies like BoundaryConditions."""
 
     qd_min: np.ndarray
     qd_max: np.ndarray
@@ -40,7 +45,7 @@ class KinodynamicLimits:
         for name in ("qd_min", "qd_max", "qdd_min", "qdd_max", "q_min", "q_max"):
             val = getattr(self, name)
             if val is not None:
-                object.__setattr__(self, name, np.atleast_1d(np.asarray(val, dtype=float)))
+                object.__setattr__(self, name, frozen_array(val))
         if not (np.all(self.qd_min < 0.0) and np.all(self.qd_max > 0.0)):
             raise ValueError("velocity bounds must straddle zero")
         if not (np.all(self.qdd_min < 0.0) and np.all(self.qdd_max > 0.0)):
@@ -121,60 +126,109 @@ class Trajectory:
         return (e0 @ u, e1 @ u / self.duration, e2 @ u / self.duration**2)
 
 
-def min_duration_arrays(a, b, c, d, limits: KinodynamicLimits) -> float:
-    """Minimal duration over stacked evaluation points, shape (..., D).
+@dataclass(frozen=True)
+class BoundaryLanes:
+    """The half of the duration closed form that depends only on the boundary
+    conditions, the limits and the grid, which a whole ES generation shares.
 
     At each point q-dot = a/T + b and q-ddot = c/T^2 + d/T.  With x = 1/T the
     velocity bounds are linear in x and the acceleration bounds are the
-    quadratics c x^2 + d x = r, solved for r = qdd_max and r = qdd_min at once
-    on a leading axis; the result is 1/x for the smallest admissible x > 0.
+    quadratics c x^2 + d x = r, for r = qdd_max and r = qdd_min on a leading
+    axis.  From the boundary parts b and d, shape (..., D), this holds
+    everything that does not involve a or c: the velocity check on b,
+    qd_max - b, qd_min - b, the positive part of r/d (the root of the linear
+    lanes, c == 0), sign(d), d^2, r and -r.  `duration(a, c)` is the other
+    half.
     """
-    if (b > limits.qd_max).any() or (b < limits.qd_min).any():
-        raise InfeasibleError("boundary velocities exceed the velocity limits")
-    r = np.array([limits.qdd_max, limits.qdd_min])
-    r = r.reshape((2,) + (1,) * (np.ndim(c) - 1) + r.shape[1:])
-    # Lanes that divide by zero or take the root of a negative discriminant
-    # give inf, or NaN or a negative x, which the `> 0` tests drop: each
-    # lane's smallest positive x is the one the formulas give where they apply.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_vel = np.where(a > 0.0, (limits.qd_max - b) / a,
-                         np.where(a < 0.0, (limits.qd_min - b) / a, np.inf))
-        # Linear lanes (c == 0): x = r / d.
-        x_lin = r / d
-        x_acc = np.where((c == 0.0) & (x_lin > 0.0), x_lin, np.inf)
-        # Quadratic lanes (c != 0): both roots in the cancellation-free form.
-        qv = -0.5 * (d + np.where(d >= 0.0, 1.0, -1.0) * np.sqrt(d**2 + 4.0 * c * r))
-        x1 = qv / c
-        x2 = -r / qv
-    x_acc = np.minimum(x_acc, np.where(x1 > 0.0, x1, np.inf))
-    x_acc = np.minimum(x_acc, np.where((c != 0.0) & (x2 > 0.0), x2, np.inf))
-    x_min = float(np.minimum(np.minimum(x_vel, x_acc[0]), x_acc[1]).min())
-    if np.isinf(x_min):
-        return 0.0
-    if x_min <= 0.0:
-        raise InfeasibleError("a kinodynamic limit is active at infinite duration")
-    return 1.0 / x_min
+
+    feasible: bool           # b within the velocity limits
+    b: np.ndarray
+    d: np.ndarray
+    vel_hi: np.ndarray       # qd_max - b
+    vel_lo: np.ndarray       # qd_min - b
+    x_lin: np.ndarray        # r/d where positive, else inf
+    sign_d: np.ndarray       # 1 where d >= 0, else -1
+    d2: np.ndarray           # d^2
+    r: np.ndarray            # (qdd_max, qdd_min), shape (2, 1.., D)
+    neg_r: np.ndarray        # -r
+
+    @classmethod
+    def from_splits(cls, b, d, limits: KinodynamicLimits) -> "BoundaryLanes":
+        feasible = not ((b > limits.qd_max).any() or (b < limits.qd_min).any())
+        r = np.array([limits.qdd_max, limits.qdd_min])
+        r = r.reshape((2,) + (1,) * (np.ndim(d) - 1) + r.shape[1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_lin = r / d
+        return cls(feasible, b, d, limits.qd_max - b, limits.qd_min - b,
+                   np.where(x_lin > 0.0, x_lin, np.inf),
+                   np.where(d >= 0.0, 1.0, -1.0), d**2, r, -r)
+
+    def duration(self, a, c) -> float:
+        """Minimal duration given the position parts a and c, shape (..., D):
+        1/x for the smallest admissible x > 0 over every point and DoF."""
+        if not self.feasible:
+            raise InfeasibleError("boundary velocities exceed the velocity limits")
+        # Root lanes that divide by zero or take the root of a negative
+        # discriminant give inf, NaN or a negative x, which the `> 0` test
+        # drops.  Velocity lanes with a == +-0 divide the limit that the sign
+        # bit picks, which is never of the opposite sign, so they give +inf,
+        # or NaN when b sits on that limit, which fmin skips.  Each lane's
+        # smallest positive x is the one the formulas give where they apply.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_vel = np.where(np.signbit(a), self.vel_lo, self.vel_hi) / a
+            # Quadratic lanes (c != 0): both roots in the cancellation-free
+            # form; linear lanes (c == 0) take r/d in place of the second.
+            qv = -0.5 * (self.d + self.sign_d * np.sqrt(self.d2 + 4.0 * c * self.r))
+            x_acc = np.empty((2,) + qv.shape)
+            np.divide(qv, c, out=x_acc[0])
+            np.divide(self.neg_r, qv, out=x_acc[1])
+        np.copyto(x_acc[1], self.x_lin, where=c == 0.0)
+        x_min = min(np.fmin.reduce(x_vel, axis=None, initial=np.inf),
+                    np.where(x_acc > 0.0, x_acc, np.inf).min())
+        if x_min == np.inf:
+            return 0.0
+        if x_min <= 0.0:
+            raise InfeasibleError("a kinodynamic limit is active at infinite duration")
+        return 1.0 / float(x_min)
 
 
-def duration_splits(basis: SplineBasis, q_via, bc: BoundaryConditions, grid: PhaseGrid):
-    """(a, b, c, d) arrays of shape (K+1, D) for the duration closed form."""
-    _, e1, e2 = basis.grid_matrices(grid.n_points)
-    u_a, u_b = basis.pack_split(q_via, bc)
-    return e1 @ u_a, e1 @ u_b, e2 @ u_a, e2 @ u_b
+def boundary_half(basis: SplineBasis, bc: BoundaryConditions,
+                  limits: KinodynamicLimits, grid: PhaseGrid):
+    """(boundary rows of U_a, BoundaryLanes) shared by every candidate of
+    (basis, bc, limits, grid).
+
+    Built once and kept in basis.boundary_memo, which is reused while the
+    same three objects (`is`) come back, as they do for a whole generation.
+    Their arrays are read-only, so an object never changes under the memo,
+    and the memo holds them, so their ids are not reused while it lives.
+    """
+    memo = basis.boundary_memo
+    if memo is None or memo[0] is not bc or memo[1] is not limits or memo[2] is not grid:
+        _, e1, e2 = basis.grid_matrices(grid.n_points)
+        u_a, u_b = basis.pack_split(np.zeros((basis.n_via, basis.dof)), bc)
+        memo = (bc, limits, grid, u_a[basis.n_via:],
+                BoundaryLanes.from_splits(e1 @ u_b, e2 @ u_b, limits))
+        basis.boundary_memo = memo
+    return memo[3:]
 
 
 def min_duration(basis: SplineBasis, q_via, bc: BoundaryConditions,
                  limits: KinodynamicLimits, grid: PhaseGrid) -> float:
-    """Most conservative per-point minimal duration over the phase grid."""
-    a, b, c, d = duration_splits(basis, q_via, bc, grid)
-    return min_duration_arrays(a, b, c, d, limits)
+    """Most conservative per-point minimal duration over the phase grid.
+
+    Per call only the via-points are packed into U_a = [q_via; boundary rows]
+    and a = E1 U_a, c = E2 U_a are formed; the rest is the boundary half.
+    """
+    tail, lanes = boundary_half(basis, bc, limits, grid)
+    _, e1, e2 = basis.grid_matrices(grid.n_points)
+    u_a = np.concatenate((basis.via_matrix(q_via), tail))
+    return lanes.duration(e1 @ u_a, e2 @ u_a)
 
 
 def synthesize(basis: SplineBasis, q_via, bc: BoundaryConditions,
                limits: KinodynamicLimits, grid: PhaseGrid) -> Trajectory:
     """Build the kinodynamically admissible trajectory of minimal duration."""
-    pts = np.zeros((0, bc.dof)) if q_via is None else np.asarray(q_via, dtype=float)
-    pts = pts.reshape(basis.n_via, bc.dof)
+    pts = basis.via_matrix(q_via)
     duration = min_duration(basis, pts, bc, limits, grid)
     return Trajectory(basis, pts, bc, duration, degenerate=(duration == 0.0))
 

@@ -52,19 +52,25 @@ class World2D:
             raise ValueError("robot_radius must be non-negative")
 
     def colliding_mask(self, points: np.ndarray) -> np.ndarray:
+        """Collision flags of (P, 2) points, one pass per obstacle over the
+        contiguous x and y columns."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        x, y = np.ascontiguousarray(pts.T)
         rr = self.robot_radius
-        out = np.any(pts - rr < self.bounds_lo, axis=1)
-        out |= np.any(pts + rr > self.bounds_hi, axis=1)
+        (x_lo, y_lo), (x_hi, y_hi) = self.bounds_lo, self.bounds_hi
+        out = (x - rr < x_lo) | (y - rr < y_lo) | (x + rr > x_hi) | (y + rr > y_hi)
         for obs in self.obstacles:
             if isinstance(obs, Disk):
-                d2 = np.sum((pts - obs.center) ** 2, axis=1)
-                out |= d2 < (obs.radius + rr) ** 2
-            else:
+                cx, cy = obs.center
+                out |= (x - cx) ** 2 + (y - cy) ** 2 < (obs.radius + rr) ** 2
+            elif rr > 0.0:
                 # Distance from point to the rectangle, inflated by rr.
-                delta = np.maximum(np.maximum(obs.lo - pts, pts - obs.hi), 0.0)
-                out |= np.sum(delta**2, axis=1) < rr**2 if rr > 0.0 else \
-                    np.all((pts > obs.lo) & (pts < obs.hi), axis=1)
+                dx = np.maximum(np.maximum(obs.lo[0] - x, x - obs.hi[0]), 0.0)
+                dy = np.maximum(np.maximum(obs.lo[1] - y, y - obs.hi[1]), 0.0)
+                out |= dx**2 + dy**2 < rr**2
+            else:
+                out |= ((x > obs.lo[0]) & (x < obs.hi[0])
+                        & (y > obs.lo[1]) & (y < obs.hi[1]))
         return out
 
     def is_colliding(self, q: np.ndarray) -> bool:

@@ -1,9 +1,11 @@
 """The population-wide paths against per-item reference code, bit for bit.
 
-Each reference below is a test-local copy of the earlier one-at-a-time code:
-per-trajectory scoring through `Trajectory.sample_grid`, the two-call
-acceleration root finder, and `Trajectory.at_time` per reference sample.  The
-new paths must reproduce them exactly (`==`, not a tolerance), because any
+Each reference below is a test-local copy of earlier code: per-trajectory
+scoring through `Trajectory.sample_grid`, the two-call acceleration root
+finder, the per-candidate duration path that recomputed the boundary parts
+for every candidate, the obstacle loop of `World2D.colliding_mask` over
+(P, 2) temporaries, and `Trajectory.at_time` per reference sample.  The new
+paths must reproduce them exactly (`==`, not a tolerance), because any
 rounding difference in a cost can change the ES ranking and hence every
 CSV written downstream.
 """
@@ -19,9 +21,14 @@ from viaplan.costs import CostWeights, cost_duration, evaluate_total
 from viaplan.mpc import extract_reference
 from viaplan.planner import PlanningProblem, evaluate_candidates
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
-from viaplan.timing import (InfeasibleError, KinodynamicLimits, PhaseGrid,
-                            min_duration_arrays, synthesize)
+from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
+                            PhaseGrid, min_duration, synthesize)
 from viaplan.worlds import Disk, Rect, World2D
+
+
+def lanes_min_duration(a, b, c, d, limits):
+    """Minimal duration over lane arrays through the two halves of the kernel."""
+    return BoundaryLanes.from_splits(b, d, limits).duration(a, c)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -139,6 +146,63 @@ def ref_min_duration_arrays(a, b, c, d, limits):
     if x_min <= 0.0:
         raise InfeasibleError("a kinodynamic limit is active at infinite duration")
     return 1.0 / x_min
+
+
+# -- reference: per-candidate duration with its own boundary parts -----------
+
+
+def ref_duration_splits(basis, q_via, bc, grid):
+    _, e1, e2 = basis.grid_matrices(grid.n_points)
+    u_a, u_b = basis.pack_split(q_via, bc)
+    return e1 @ u_a, e1 @ u_b, e2 @ u_a, e2 @ u_b
+
+
+def ref_single_pass_arrays(a, b, c, d, limits):
+    """The one-pass kernel that took all four parts for every candidate."""
+    if (b > limits.qd_max).any() or (b < limits.qd_min).any():
+        raise InfeasibleError("boundary velocities exceed the velocity limits")
+    r = np.array([limits.qdd_max, limits.qdd_min])
+    r = r.reshape((2,) + (1,) * (np.ndim(c) - 1) + r.shape[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_vel = np.where(a > 0.0, (limits.qd_max - b) / a,
+                         np.where(a < 0.0, (limits.qd_min - b) / a, np.inf))
+        x_lin = r / d
+        x_acc = np.where((c == 0.0) & (x_lin > 0.0), x_lin, np.inf)
+        qv = -0.5 * (d + np.where(d >= 0.0, 1.0, -1.0) * np.sqrt(d**2 + 4.0 * c * r))
+        x1 = qv / c
+        x2 = -r / qv
+    x_acc = np.minimum(x_acc, np.where(x1 > 0.0, x1, np.inf))
+    x_acc = np.minimum(x_acc, np.where((c != 0.0) & (x2 > 0.0), x2, np.inf))
+    x_min = float(np.minimum(np.minimum(x_vel, x_acc[0]), x_acc[1]).min())
+    if np.isinf(x_min):
+        return 0.0
+    if x_min <= 0.0:
+        raise InfeasibleError("a kinodynamic limit is active at infinite duration")
+    return 1.0 / x_min
+
+
+def ref_min_duration(basis, q_via, bc, limits, grid):
+    return ref_single_pass_arrays(*ref_duration_splits(basis, q_via, bc, grid),
+                                  limits)
+
+
+# -- reference: obstacle loop over (P, 2) temporaries -------------------------
+
+
+def ref_colliding_mask(world, points):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    rr = world.robot_radius
+    out = np.any(pts - rr < world.bounds_lo, axis=1)
+    out |= np.any(pts + rr > world.bounds_hi, axis=1)
+    for obs in world.obstacles:
+        if isinstance(obs, Disk):
+            d2 = np.sum((pts - obs.center) ** 2, axis=1)
+            out |= d2 < (obs.radius + rr) ** 2
+        else:
+            delta = np.maximum(np.maximum(obs.lo - pts, pts - obs.hi), 0.0)
+            out |= np.sum(delta**2, axis=1) < rr**2 if rr > 0.0 else \
+                np.all((pts > obs.lo) & (pts < obs.hi), axis=1)
+    return out
 
 
 # -- reference: per-sample reference extraction ------------------------------
@@ -294,26 +358,151 @@ def test_min_duration_arrays_matches_two_root_calls(seed, n_points, dof):
     b = np.clip(special_lanes(rng, (n_points, dof)), -0.6, 0.6)
     limits = KinodynamicLimits(-rng.uniform(0.5, 2.0, dof), rng.uniform(0.5, 2.0, dof),
                                -rng.uniform(0.5, 2.0, dof), rng.uniform(0.5, 2.0, dof))
+    # Lanes where b sits exactly on a velocity limit: with a == 0 or -0.0
+    # there, (limit - b) / a is 0/0.
+    edge = rng.random((n_points, dof))
+    b = np.where(edge < 0.1, limits.qd_max, np.where(edge < 0.2, limits.qd_min, b))
     try:
         ref = ref_min_duration_arrays(a, b, c, d, limits)
     except InfeasibleError as err:
         with pytest.raises(InfeasibleError, match=str(err)):
-            min_duration_arrays(a, b, c, d, limits)
+            lanes_min_duration(a, b, c, d, limits)
     else:
-        got = min_duration_arrays(a, b, c, d, limits)
+        got = lanes_min_duration(a, b, c, d, limits)
         assert got == ref and type(got) is float
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in square")
 def test_min_duration_arrays_branch_lanes():
-    # One lane per branch: c == 0 (linear), d == 0, d == -0.0, disc < 0.
+    # One lane per branch: c == 0 (linear), d == 0, d == -0.0, disc < 0, and
+    # linear lanes whose d^2 overflows, where only r/d gives the root.
     lim = KinodynamicLimits.symmetric(1.0, 1.0, 1)
-    c = np.array([[0.0], [2.0], [-2.0], [-3.0], [0.0], [0.0]])
-    d = np.array([[0.5], [0.0], [-0.0], [0.1], [-0.0], [0.0]])
-    a = np.array([[0.3], [0.0], [-0.2], [0.0], [0.0], [1e-3]])
+    c = np.array([[0.0], [2.0], [-2.0], [-3.0], [0.0], [0.0], [0.0], [0.0]])
+    d = np.array([[0.5], [0.0], [-0.0], [0.1], [-0.0], [0.0], [1e200], [-1e200]])
+    a = np.array([[0.3], [0.0], [-0.2], [0.0], [0.0], [1e-3], [0.0], [0.0]])
     b = np.zeros_like(a)
-    for rows in ([0], [1], [2], [3], [4], [5], list(range(6))):
+    for rows in ([0], [1], [2], [3], [4], [5], [6], [7], list(range(8))):
         args = [x[rows] for x in (a, b, c, d)]
-        assert min_duration_arrays(*args, lim) == ref_min_duration_arrays(*args, lim)
+        assert lanes_min_duration(*args, lim) == ref_min_duration_arrays(*args, lim)
+
+
+def random_bc(rng, dof, qd_max, speed):
+    """Boundary conditions whose velocities are `speed` times the limit in
+    size: below 1 feasible, exactly 1 on the limit, above 1 infeasible."""
+    def vel():
+        return rng.choice([-1.0, 1.0], dof) * speed * qd_max
+
+    return BoundaryConditions(rng.uniform(0.2, 0.8, dof), vel(),
+                              rng.uniform(0.2, 0.8, dof), vel())
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 3))
+def test_min_duration_matches_per_candidate_splits(seed, n_via, dof):
+    """The boundary half, memoized on the basis, and the candidate half give
+    what computing all of (a, b, c, d) per candidate gave.  Two boundary
+    conditions, limits and grids take turns on one basis, changing one of
+    the three at a time, so a memo entry served for the wrong key would show."""
+    rng = np.random.default_rng(seed)
+    basis = build_basis(n_via, dof)
+    bcs, lims, grids = [], [], []
+    for _ in range(2):
+        qd_max = rng.uniform(0.3, 1.5, dof)
+        lims.append(KinodynamicLimits(-qd_max, qd_max, -rng.uniform(0.5, 3.0, dof),
+                                      rng.uniform(0.5, 3.0, dof)))
+        bcs.append(random_bc(rng, dof, qd_max, rng.choice([0.0, 0.2, 0.9, 1.0, 1.3])))
+        grids.append(PhaseGrid(int(rng.integers(2, 60))))
+    setups = [(bcs[0], lims[0], grids[0]), (bcs[0], lims[1], grids[0]),
+              (bcs[0], lims[1], grids[1]), (bcs[1], lims[1], grids[1]),
+              (bcs[1], lims[1], PhaseGrid(grids[1].k)), (bcs[1], lims[0], grids[0])]
+    cands = rng.uniform(0.0, 1.0, (5, n_via, dof))
+    for i in range(18):
+        bc, limits, grid = setups[i % len(setups)]
+        x = None if n_via == 0 and i % 2 else cands[i % len(cands)]
+        try:
+            ref = ref_min_duration(basis, x, bc, limits, grid)
+        except InfeasibleError as err:
+            with pytest.raises(InfeasibleError, match=str(err)):
+                min_duration(basis, x, bc, limits, grid)
+            with pytest.raises(InfeasibleError, match=str(err)):
+                synthesize(basis, x, bc, limits, grid)
+        else:
+            got = min_duration(basis, x, bc, limits, grid)
+            assert got == ref and type(got) is float
+            traj = synthesize(basis, x, bc, limits, grid)
+            assert traj.duration == ref and traj.degenerate is (ref == 0.0)
+
+
+@SETTINGS
+@given(problems)
+def test_population_with_differing_boundary_conditions(params):
+    """A population whose trajectories have different boundary conditions,
+    as mpc.greedy_step builds it, scores as each trajectory does alone."""
+    seed, dof, n_via, degenerate, with_bounds, with_checker = params
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, dof, max(n_via, 1), degenerate, with_bounds,
+                             with_checker, pop_size=int(rng.integers(4, 16)))
+    basis = build_basis(n_via, dof)
+    qd_max = problem.limits.qd_max
+    trajs = []
+    for m in range(problem.pop_size):
+        bc = (problem.bc if m % 4 == 0
+              else random_bc(rng, dof, qd_max, rng.choice([0.0, 0.5])))
+        x = rng.uniform(0.2, 0.8, (n_via, dof))
+        if m % 5 == 1:
+            # At rest at q0 == qT: zero duration.
+            bc = BoundaryConditions(bc.q0, np.zeros(dof), bc.q0, np.zeros(dof))
+            x = np.tile(bc.q0, (n_via, 1))
+        trajs.append(synthesize(basis, x, bc, problem.limits, problem.grid))
+    assert len({id(t.bc) for t in trajs}) > 1
+    reports = evaluate_total(trajs, problem.weights, problem.limits,
+                             problem.grid, problem.checker)
+    for traj, report in zip(trajs, reports):
+        alone = evaluate_total([traj], problem.weights, problem.limits,
+                               problem.grid, problem.checker)[0]
+        assert_same_report(report, (alone.total, alone.per_term, alone.valid,
+                                    alone.violation_count))
+        assert_same_report(report, ref_evaluate(traj, problem.weights,
+                                                problem.limits, problem.grid,
+                                                problem.checker))
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.02, 0.0625]))
+def test_colliding_mask_matches_obstacle_loop(seed, robot_radius):
+    """Column-wise colliding_mask against the loop over (P, 2) temporaries,
+    with points exactly tangent to disks, on rectangle edges and corners, on
+    inflated rectangle faces and on the shrunken workspace bounds."""
+    rng = np.random.default_rng(seed)
+    rr = robot_radius
+    # Dyadic centers, corners and radii: the edge points below are exact.
+    ticks = np.arange(1, 16) / 16.0
+    obstacles = []
+    probes = [rng.uniform(-0.1, 1.1, (200, 2)), [[rr, rr], [1.0 - rr, 1.0 - rr]]]
+    for _ in range(rng.integers(0, 4)):
+        center = rng.choice(ticks, 2)
+        radius = float(rng.choice([0.0625, 0.125, 0.1]))
+        obstacles.append(Disk(center, radius))
+        reach = radius + rr
+        probes.append(center + [[reach, 0.0], [-reach, 0.0], [0.0, reach],
+                                [0.0, -reach]])
+    for _ in range(rng.integers(0, 4)):
+        lo = rng.choice(ticks, 2)
+        hi = lo + rng.choice([0.0625, 0.125, 0.25], 2)
+        obstacles.append(Rect(lo, hi))
+        mid = 0.5 * (lo + hi)
+        probes.append([lo, hi, [lo[0], hi[1]], [hi[0], lo[1]],
+                       [lo[0], mid[1]], [hi[0], mid[1]], [mid[0], lo[1]],
+                       [mid[0], hi[1]], [lo[0] - rr, mid[1]], [hi[0] + rr, mid[1]],
+                       [mid[0], lo[1] - rr], [mid[0], hi[1] + rr], mid])
+    rng.shuffle(obstacles)
+    world = World2D(obstacles=tuple(obstacles), robot_radius=rr)
+    points = np.concatenate([np.asarray(p, dtype=float) for p in probes])
+    got = world.colliding_mask(points)
+    assert got.dtype == bool and got.shape == (len(points),)
+    np.testing.assert_array_equal(got, ref_colliding_mask(world, points))
+    for p in points[-8:]:
+        assert world.is_colliding(p) == ref_colliding_mask(world, p[None])[0]
 
 
 @SETTINGS

@@ -68,6 +68,16 @@ def test_bc_validation():
         BoundaryConditions([np.nan], [0.0], [1.0], [0.0])
 
 
+def test_bc_arrays_are_read_only_copies():
+    q = np.array([0.1, 0.2])
+    bc = BoundaryConditions(q, np.zeros(2), np.ones(2), np.zeros(2))
+    q[0] = 5.0
+    assert bc.q0[0] == 0.1
+    for name in ("q0", "qd0", "qT", "qdT"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(bc, name)[0] = 1.0
+
+
 def test_via_points_stacking():
     # A stacked via-point vector is the (N, D) matrix flattened row by row
     # (via-major, DoF-minor), and the stacked Gram blocks use that order.

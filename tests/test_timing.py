@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viaplan.spline import BoundaryConditions, build_basis
-from viaplan.timing import (InfeasibleError, KinodynamicLimits, PhaseGrid,
-                            duration_splits, min_duration, min_duration_arrays,
-                            synthesize, synthesize_direct)
+from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
+                            PhaseGrid, boundary_half, min_duration, synthesize,
+                            synthesize_direct)
 
 
 def min_duration_at_point(a, b, c, d, limits):
-    """min_duration_arrays on one evaluation point of a 1-DoF trajectory."""
-    return min_duration_arrays(*(np.array([[v]]) for v in (a, b, c, d)), limits)
+    """The two halves of the duration kernel on one evaluation point of a
+    1-DoF trajectory."""
+    a, b, c, d = (np.array([[v]]) for v in (a, b, c, d))
+    return BoundaryLanes.from_splits(b, d, limits).duration(a, c)
 
 
 def admissible(basis, q_via, bc, limits, grid, duration, slack=1e-9):
@@ -181,15 +183,50 @@ def test_bang_bang_lower_bound():
 
 
 def test_duration_splits_consistency():
+    # b and d from the boundary half, with a and c from U_a, give the
+    # time-domain velocity and acceleration at any duration, and min_duration
+    # is the candidate half applied to them.
     rng = np.random.default_rng(2)
     basis = build_basis(3, 2)
     bc = BoundaryConditions(*rng.standard_normal((4, 2)))
     q_via = rng.standard_normal((3, 2))
     grid = PhaseGrid(20)
-    a, b, c, d = duration_splits(basis, q_via, bc, grid)
-    duration = 3.7
+    lim = KinodynamicLimits.symmetric(5.0, 5.0, 2)
+    tail, lanes = boundary_half(basis, bc, lim, grid)
+    u_a, _ = basis.pack_split(q_via, bc)
+    np.testing.assert_array_equal(tail, u_a[3:])
     _, e1, e2 = basis.grid_matrices(grid.n_points)
+    a, c = e1 @ u_a, e2 @ u_a
+    duration = 3.7
     u = basis.pack(q_via, bc, duration)
-    np.testing.assert_allclose(a / duration + b, e1 @ u / duration, atol=1e-9)
-    np.testing.assert_allclose(c / duration**2 + d / duration,
+    np.testing.assert_allclose(a / duration + lanes.b, e1 @ u / duration, atol=1e-9)
+    np.testing.assert_allclose(c / duration**2 + lanes.d / duration,
                                e2 @ u / duration**2, atol=1e-9)
+    assert min_duration(basis, q_via, bc, lim, grid) == lanes.duration(a, c)
+
+
+def test_limits_are_read_only_copies():
+    qd = np.array([1.0, 2.0])
+    lim = KinodynamicLimits(-qd, qd, -qd, qd, q_min=-qd, q_max=qd)
+    qd[0] = 9.0
+    assert lim.qd_max[0] == 1.0 and lim.q_max[0] == 1.0
+    for name in ("qd_min", "qd_max", "qdd_min", "qdd_max", "q_min", "q_max"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(lim, name)[0] = 0.5
+
+
+def test_boundary_half_memo_follows_its_key():
+    # One entry per basis, keyed by the identity of bc, limits and grid: a
+    # new object is a miss even when equal, and the old entry is not served
+    # after another key has replaced it.
+    basis = build_basis(2, 1)
+    bc = BoundaryConditions([0.0], [0.1], [1.0], [0.0])
+    lim = KinodynamicLimits.symmetric(0.5, 1.0, 1)
+    grid = PhaseGrid(10)
+    _, first = boundary_half(basis, bc, lim, grid)
+    assert boundary_half(basis, bc, lim, grid)[1] is first
+    other_bc = BoundaryConditions([0.0], [0.2], [1.0], [0.0])
+    _, second = boundary_half(basis, other_bc, lim, grid)
+    assert second is not first and second.b[0, 0] != first.b[0, 0]
+    assert boundary_half(basis, bc, lim, PhaseGrid(10))[1] is not first
+    assert boundary_half(basis, bc, lim, grid)[1] is not first
