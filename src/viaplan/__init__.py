@@ -3,8 +3,8 @@ smoothness-shaped evolution strategy, and full-horizon MPC on toy worlds."""
 
 from .costs import CostReport, CostWeights, PushContext, evaluate_total
 from .mpc import (ExactPlant, LagPlant, MpcConfig, MpcStepResult,
-                  extract_short_horizon, mpc_step, run_closed_loop,
-                  run_greedy_loop, select_n_via)
+                  extract_short_horizon, greedy_step, mpc_step,
+                  run_closed_loop, select_n_via)
 from .optimizer import EvolutionStrategy, SmoothnessPrior, build_prior, converged
 from .planner import PlanningProblem, SolveResult, solve
 from .spline import (BoundaryConditions, SplineBasis, build_basis, evaluate,
@@ -24,8 +24,8 @@ __all__ = [
     "Rect", "SmoothnessPrior", "SolveResult", "SplineBasis", "Trajectory",
     "World2D", "ablation_world_1d", "build_basis", "build_prior",
     "bundled_cluttered_world", "bundled_start_goal", "converged", "evaluate",
-    "evaluate_total", "extract_short_horizon", "min_duration", "mpc_step",
-    "path_winding", "run_closed_loop", "run_greedy_loop", "select_n_via",
+    "evaluate_total", "extract_short_horizon", "greedy_step", "min_duration",
+    "mpc_step", "path_winding", "run_closed_loop", "select_n_via",
     "simulate_push", "single_obstacle_world", "smoothness_cost",
     "smoothness_gram", "solve", "synthesize", "synthesize_direct", "via_timings",
 ]

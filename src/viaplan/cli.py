@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .costs import CostWeights
-from .mpc import LagPlant, MpcConfig, run_closed_loop, run_greedy_loop
+from .mpc import LagPlant, MpcConfig, greedy_step, run_closed_loop
 from .planner import PlanningProblem, solve
 from .spline import BoundaryConditions
 from .timing import InfeasibleError, KinodynamicLimits, PhaseGrid
@@ -264,13 +264,10 @@ def cmd_mpc(args) -> int:
         plant = LagPlant(bc.q0, bc.qd0,
                          time_constant=float(m.get("lag_time_constant", 0.05)))
 
-    if args.baseline == "greedy":
-        log = run_greedy_loop(bc.q0, bc.qd0, bc.qT, bc.qdT, limits, config,
-                              checker=world, max_steps=max_steps)
-    else:
-        log = run_closed_loop(bc.q0, bc.qd0, bc.qT, bc.qdT, limits, config,
-                              checker=world, max_steps=max_steps, plant=plant,
-                              disturbances=disturbances)
+    step = greedy_step if args.baseline == "greedy" else None
+    log = run_closed_loop(bc.q0, bc.qd0, bc.qT, bc.qdT, limits, config,
+                          checker=world, max_steps=max_steps, plant=plant,
+                          disturbances=disturbances, step=step)
 
     out = out_dir(args)
     dof = bc.dof

@@ -62,20 +62,15 @@ def cost_duration(traj: Trajectory) -> float:
 
 def cost_jla(q: np.ndarray, limits: KinodynamicLimits) -> tuple[np.ndarray, np.ndarray]:
     """Discontinuous joint-limit metric of stacked grid positions (M, K+1, D):
-    per trajectory, 1 + overshoot summed over violating points/DoFs, and the
-    number of violations."""
-    costs = np.zeros(q.shape[0])
+    per trajectory, 1 + overshoot summed over its (K+1, D) block with zeros
+    where no limit is hit, and the number of violations."""
     if limits.q_min is None:
-        return costs, np.zeros(q.shape[0], dtype=int)
+        return np.zeros(q.shape[0]), np.zeros(q.shape[0], dtype=int)
     over = q >= limits.q_max
     under = q <= limits.q_min
     counts = np.count_nonzero(over, axis=(1, 2)) + np.count_nonzero(under, axis=(1, 2))
-    over_by = 1.0 + q - limits.q_max
-    under_by = 1.0 + limits.q_min - q
-    # One sum per violating trajectory over its own masked values: a sum over
-    # the padded (K+1, D) block would round differently.
-    for m in np.flatnonzero(counts):
-        costs[m] = np.sum(over_by[m][over[m]]) + np.sum(under_by[m][under[m]])
+    costs = (np.where(over, 1.0 + q - limits.q_max, 0.0).sum(axis=(1, 2))
+             + np.where(under, 1.0 + limits.q_min - q, 0.0).sum(axis=(1, 2)))
     return costs, counts
 
 

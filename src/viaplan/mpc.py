@@ -6,8 +6,9 @@ from the time-shifted previous solution or by exploring from a straight-line
 guess, runs the planner's shared generation loop (always sep-CMA-ES behind
 the smoothness Cholesky factor) until the step budget expires, and extracts
 a finely sampled short-horizon reference for the tracking plant, evaluated
-at all plant sample times in one pass.  The greedy baseline scores all its
-endpoints in one `costs.evaluate_total` call.
+at all plant sample times in one pass.  The greedy baseline is another step
+function for the same closed loop; it scores all its endpoints in one
+`costs.evaluate_total` call.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class MpcStepResult:
     solution: Trajectory | None
     report: CostReport | None
     valid: bool
-    mode: str                  # direct | warmstart | explore
+    mode: str                  # direct | warmstart | explore | greedy
     iterations_run: int
     short_horizon: ShortHorizon | None
     step_seconds: float
@@ -260,25 +261,14 @@ def _at_goal(plant, qT, qdT, config: MpcConfig) -> bool:
             and float(np.linalg.norm(plant.qd - qdT)) < config.vel_tol)
 
 
-def _episode_log(rows: list, plant, qT, qdT, config: MpcConfig) -> EpisodeLog:
-    """Shared tail of both loops; a loop stops early only at the goal."""
-    return EpisodeLog(rows=rows, goal_reached=_at_goal(plant, qT, qdT, config),
-                      steps=len(rows),
-                      final_distance=float(np.linalg.norm(plant.q - qT)))
-
-
-def _row(step: int, t: float, plant, mode: str, valid: bool, cost: float,
-         seconds: float, iterations: int) -> dict:
-    return {"step": step, "t": t, "q": plant.q.copy(), "qd": plant.qd.copy(),
-            "mode": mode, "valid": valid, "step_cost": cost,
-            "step_seconds": seconds, "iterations": iterations}
-
-
 def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
                     config: MpcConfig, checker=None, push_ctx=None,
                     max_steps: int = 200, plant=None,
-                    disturbances: dict | None = None) -> EpisodeLog:
-    """Step the MPC at 1/dt_mpc until the goal state is reached (or budget)."""
+                    disturbances: dict | None = None,
+                    step=None) -> EpisodeLog:
+    """Call step (mpc_step when None, or greedy_step) at 1/dt_mpc until the
+    goal state is reached or max_steps have run."""
+    step = step or mpc_step   # looked up per call, so a patched mpc_step runs
     qT = np.asarray(qT, dtype=float)
     qdT = np.asarray(qdT, dtype=float)
     if plant is None:
@@ -288,16 +278,16 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
     prev: MpcStepResult | None = None
     fallback: tuple[Trajectory, float] | None = None
     t_sim = 0.0
-    for step in range(max_steps):
-        if step in disturbances:
-            plant.q = plant.q + np.asarray(disturbances[step], dtype=float)
+    for k in range(max_steps):
+        if k in disturbances:
+            plant.q = plant.q + np.asarray(disturbances[k], dtype=float)
             prev = None  # stale plan; force explore / direct re-entry
             fallback = None
         if _at_goal(plant, qT, qdT, config):
             break
-        result = mpc_step(plant.q, plant.qd, qT, qdT, limits, config,
-                          checker=checker, push_ctx=push_ctx, prev_result=prev,
-                          seed=config.seed + step)
+        result = step(plant.q, plant.qd, qT, qdT, limits, config,
+                      checker=checker, push_ctx=push_ctx, prev_result=prev,
+                      seed=config.seed + k)
         horizon = result.short_horizon
         if result.valid:
             # Replay the rest of this plan, from one step on, if later steps fail.
@@ -317,21 +307,31 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
                                    qd=np.zeros((2, plant.q.shape[0])),
                                    qdd=np.zeros((2, plant.q.shape[0])))
         plant.advance(horizon)
-        rows.append(_row(step, t_sim, plant, result.mode, result.valid,
-                         result.report.total if result.report else float("nan"),
-                         result.step_seconds, result.iterations_run))
+        cost = result.report.total if result.report else float("nan")
+        rows.append({"step": k, "t": t_sim, "q": plant.q.copy(),
+                     "qd": plant.qd.copy(), "mode": result.mode,
+                     "valid": result.valid, "step_cost": cost,
+                     "step_seconds": result.step_seconds,
+                     "iterations": result.iterations_run})
         prev = result if result.valid else None
         t_sim += config.dt_mpc
-    return _episode_log(rows, plant, qT, qdT, config)
+    return EpisodeLog(rows=rows, goal_reached=_at_goal(plant, qT, qdT, config),
+                      steps=len(rows),
+                      final_distance=float(np.linalg.norm(plant.q - qT)))
 
 
 # -- greedy short-horizon baseline ----------------------------------------
 
 
-def greedy_step(q, qd, qT, limits: KinodynamicLimits, config: MpcConfig,
-                checker=None, seed: int = 0):
-    """Short-horizon baseline: sample nearby endpoints, pick the valid one
-    closest to the goal.  Returns a Trajectory or None (no valid motion)."""
+def greedy_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
+                checker=None, push_ctx=None,
+                prev_result: MpcStepResult | None = None,
+                seed: int = 0) -> MpcStepResult:
+    """Short-horizon baseline with mpc_step's signature: sample nearby
+    endpoints, each reached at rest, and move to the valid one closest to the
+    goal; invalid when none is valid.  qdT, push_ctx and prev_result are
+    unused."""
+    t_start = time.monotonic()
     rng = np.random.default_rng(seed)
     grid = PhaseGrid(config.grid_k)
     q = np.asarray(q, dtype=float)
@@ -363,28 +363,8 @@ def greedy_step(q, qd, qT, limits: KinodynamicLimits, config: MpcConfig,
         if cost < best_cost:
             best_cost = cost
             best = traj
-    return best
-
-
-def run_greedy_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
-                    config: MpcConfig, checker=None,
-                    max_steps: int = 200) -> EpisodeLog:
-    """Closed loop around the greedy baseline (stalls in concave regions)."""
-    qT = np.asarray(qT, dtype=float)
-    qdT = np.asarray(qdT, dtype=float)
-    plant = ExactPlant(q0, qd0)
-    rows = []
-    t_sim = 0.0
-    for step in range(max_steps):
-        if _at_goal(plant, qT, qdT, config):
-            break
-        t0 = time.monotonic()
-        traj = greedy_step(plant.q, plant.qd, qT, limits, config, checker,
-                           seed=config.seed + step)
-        if traj is not None:
-            plant.advance(extract_short_horizon(traj, config.dt_mpc,
-                                                config.plant_dt))
-        rows.append(_row(step, t_sim, plant, "greedy", traj is not None,
-                         float("nan"), time.monotonic() - t0, 0))
-        t_sim += config.dt_mpc
-    return _episode_log(rows, plant, qT, qdT, config)
+    horizon = (None if best is None
+               else extract_short_horizon(best, config.dt_mpc, config.plant_dt))
+    return MpcStepResult(solution=best, report=None, valid=best is not None,
+                         mode="greedy", iterations_run=0, short_horizon=horizon,
+                         step_seconds=time.monotonic() - t_start)

@@ -6,7 +6,9 @@ inverse Gram matrix of second phase-derivatives), so with unit diagonal scale
 the very first population is distributed like the smoothness prior conditioned
 on the boundary parameters.  The diagonal scale is adapted by sep-CMA-ES; a
 full-covariance mode is kept for ablations.  All randomness comes from one
-seeded generator, and updates depend on cost ranks only.
+seeded generator, and updates depend on cost ranks only: `update(costs)` ranks
+the standard-normal z that the last `sample()` drew (as CMA-ES does), so no
+candidate is mapped back through L.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .spline import BoundaryConditions, SplineBasis, smoothness_gram
 
@@ -98,13 +99,13 @@ class EvolutionStrategy:
         if mode == "full":
             self.cov = np.diag(self.sigma_diag)
             self._cov_half = np.diag(np.sqrt(self.sigma_diag))
-            self._cov_half_inv = np.diag(1.0 / np.sqrt(self.sigma_diag))
+        self._z: np.ndarray | None = None     # the pending sample's draws
 
     # -- sampling ---------------------------------------------------------
 
     def sample(self) -> np.ndarray:
-        """Draw a population, shape (pop_size, dim)."""
-        z = self.rng.standard_normal((self.pop_size, self.dim))
+        """Draw a population, shape (pop_size, dim); its z waits for update."""
+        z = self._z = self.rng.standard_normal((self.pop_size, self.dim))
         y = self._shape(z)
         return self.mean + self.step_size * (y @ self.transform.T)
 
@@ -113,25 +114,18 @@ class EvolutionStrategy:
             return z * np.sqrt(self.sigma_diag)
         return z @ self._cov_half.T
 
-    def whiten(self, candidates: np.ndarray) -> np.ndarray:
-        """Recover the standard-normal coordinates of candidates."""
-        delta = (np.atleast_2d(candidates) - self.mean) / self.step_size
-        y = solve_triangular(self.transform, delta.T, lower=True).T
-        if self.mode == "sep":
-            return y / np.sqrt(self.sigma_diag)
-        return y @ self._cov_half_inv.T
-
     # -- update -----------------------------------------------------------
 
-    def update(self, candidates: np.ndarray, costs: np.ndarray) -> None:
-        """One generation update from ranked (candidate, cost) pairs."""
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    def update(self, costs: np.ndarray) -> None:
+        """One generation update from the costs of the last sample, in order."""
         costs = np.asarray(costs, dtype=float)
-        if candidates.shape[0] != costs.shape[0] or candidates.shape[1] != self.dim:
-            raise ValueError("candidate/cost dimensions do not match the state")
+        if self._z is None:
+            raise ValueError("update needs a sample drawn since the last update")
+        if costs.shape != (self.pop_size,):
+            raise ValueError("need one cost per sampled candidate")
         order = np.argsort(costs, kind="stable")
-        sel = candidates[order[:self.mu]]
-        z = self.whiten(sel)                      # (mu, dim)
+        z = self._z[order[:self.mu]]              # (mu, dim)
+        self._z = None
         y = self._shape(z)                        # pre-transform displacements
         z_w = self.weights @ z
         y_w = self.weights @ y
@@ -168,7 +162,6 @@ class EvolutionStrategy:
             evals = np.maximum(evals, SIGMA_FLOOR)
             self.cov = (evecs * evals) @ evecs.T
             self._cov_half = (evecs * np.sqrt(evals)) @ evecs.T
-            self._cov_half_inv = (evecs / np.sqrt(evals)) @ evecs.T
 
         self.step_size *= float(np.exp((cs / ds) * (ps_norm / self.chi_n - 1.0)))
 

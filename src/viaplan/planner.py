@@ -116,7 +116,7 @@ def generations(es: EvolutionStrategy, basis, problem: PlanningProblem):
     while True:
         candidates = es.sample()
         trajs, reports, costs = evaluate_candidates(basis, candidates, problem)
-        es.update(candidates, costs)
+        es.update(costs)
         yield trajs, reports, costs
 
 

@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import mannwhitneyu
 
 from viaplan.cli import main as cli_main
-from viaplan.mpc import MpcConfig, run_closed_loop, run_greedy_loop
+from viaplan.mpc import MpcConfig, greedy_step, run_closed_loop
 from viaplan.optimizer import EvolutionStrategy, build_prior
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis, evaluate
@@ -192,8 +192,9 @@ def test_criterion_6_mpc_vs_greedy():
             if row["iterations"] > 0:
                 per_gen = row["step_seconds"] / row["iterations"]
                 overshoots.append(row["step_seconds"] - config.dt_mpc - per_gen)
-        greedy = run_greedy_loop(q0, np.zeros(2), qT, np.zeros(2), limits,
-                                 config, checker=world, max_steps=150)
+        greedy = run_closed_loop(q0, np.zeros(2), qT, np.zeros(2), limits,
+                                 config, checker=world, max_steps=150,
+                                 step=greedy_step)
         greedy_ok += greedy.goal_reached
     # The budget is checked between generations, so a step may run over by at
     # most one generation.  Typical overshoot must be small; the worst case is

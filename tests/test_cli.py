@@ -1,10 +1,15 @@
 """CLI config validation, artifact layout, exit codes and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import viaplan
 from viaplan.cli import ConfigError, main, parse_disturb
 
 
@@ -177,3 +182,16 @@ def test_ablate_chol_artifacts(tmp_path):
 
 def test_bad_subcommand_exits_two():
     assert main(["frobnicate", "x.json"]) == 2
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only: a fresh interpreter importing the
+    # package and its CLI must not load any part of it.
+    src = str(Path(viaplan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, viaplan, viaplan.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

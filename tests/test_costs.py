@@ -63,6 +63,14 @@ def test_jla_is_per_trajectory():
                            make_limits(-2.8, 2.8))
     np.testing.assert_allclose(cost, [1.2, 0.0, 1.3 + 1.3 + 1.1], atol=1e-12)
     assert count.tolist() == [1, 0, 3]
+    # The padded block sum agrees with a sum over each trajectory's own
+    # violating entries up to rounding in the order of summation.
+    q = np.random.default_rng(0).uniform(-3.5, 3.5, (40, 51, 2))
+    lim = KinodynamicLimits.symmetric(1.0, 1.0, 2, q_range=(-2.8, 2.8))
+    cost, _ = cost_jla(q, lim)
+    masked = [np.sum((1.0 + x - lim.q_max)[x >= lim.q_max])
+              + np.sum((1.0 + lim.q_min - x)[x <= lim.q_min]) for x in q]
+    np.testing.assert_allclose(cost, masked, rtol=1e-13, atol=0)
 
 
 def test_jla_jump_is_exactly_one():

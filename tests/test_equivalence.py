@@ -1,7 +1,8 @@
 """The population-wide paths against per-item reference code, bit for bit.
 
 Each reference below is a test-local copy of earlier code: per-trajectory
-scoring through `Trajectory.sample_grid`, the two-call acceleration root
+scoring through `Trajectory.sample_grid` (its joint-limit term summed over
+each trajectory's padded (K+1, D) block), the two-call acceleration root
 finder, the per-candidate duration path that recomputed the boundary parts
 for every candidate, the obstacle loop of `World2D.colliding_mask` over
 (P, 2) temporaries, and `Trajectory.at_time` per reference sample.  The new
@@ -47,8 +48,9 @@ def ref_jla(traj, limits, grid):
     q, _, _ = traj.sample_grid(grid)
     over = q >= limits.q_max
     under = q <= limits.q_min
-    cost = float(np.sum((1.0 + q - limits.q_max)[over])
-                 + np.sum((1.0 + limits.q_min - q)[under]))
+    # The padded (K+1, D) block sum, zeros where no limit is hit.
+    cost = float(np.where(over, 1.0 + q - limits.q_max, 0.0).sum()
+                 + np.where(under, 1.0 + limits.q_min - q, 0.0).sum())
     return cost, int(np.count_nonzero(over) + np.count_nonzero(under))
 
 

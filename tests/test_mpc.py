@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from viaplan.mpc import (ExactPlant, ExpiredError, LagPlant, MpcConfig,
-                         explore_init, extract_short_horizon, mpc_step,
-                         run_closed_loop, run_greedy_loop, select_n_via,
-                         warm_start)
+                         explore_init, extract_short_horizon, greedy_step,
+                         mpc_step, run_closed_loop, select_n_via, warm_start)
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import KinodynamicLimits, PhaseGrid, synthesize
@@ -169,12 +168,30 @@ def test_closed_loop_lag_plant():
     assert log.goal_reached
 
 
+def test_closed_loop_calls_mpc_step_by_name(monkeypatch):
+    # viabench captures each step by patching viaplan.mpc.mpc_step, so the
+    # default step must be looked up when the loop runs.
+    import viaplan.mpc as mpc
+
+    calls = []
+
+    def counting_step(*args, **kwargs):
+        calls.append(mpc_step(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(mpc, "mpc_step", counting_step)
+    log = run_closed_loop([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2),
+                          LIMITS_2D, MpcConfig(iterations_per_step=2, pop_size=8),
+                          max_steps=3)
+    assert len(calls) == len(log.rows) == 3
+
+
 def test_episode_steps_count_rows_when_budget_runs_out():
     # Too few steps to reach the goal: every step ran and wrote a row.
     config = MpcConfig(iterations_per_step=2, pop_size=8, seed=0)
-    for loop in (run_closed_loop, run_greedy_loop):
-        log = loop([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2),
-                   LIMITS_2D, config, max_steps=3)
+    for step in (mpc_step, greedy_step):
+        log = run_closed_loop([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2),
+                              LIMITS_2D, config, max_steps=3, step=step)
         assert not log.goal_reached
         assert log.steps == len(log.rows) == 3
 
@@ -185,10 +202,52 @@ def test_greedy_goal_checked_after_last_step():
     config = MpcConfig(seed=0)
     q0 = np.array([0.5, 0.5])
     goal = np.array([0.501, 0.5])
-    log = run_greedy_loop(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D,
-                          config, max_steps=1)
+    log = run_closed_loop(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D,
+                          config, max_steps=1, step=greedy_step)
     assert log.steps == len(log.rows) == 1
     assert log.goal_reached
+    assert log.rows[0]["mode"] == "greedy" and log.rows[0]["iterations"] == 0
+
+
+def test_failed_greedy_step_holds_or_replays():
+    # A failed greedy step used to leave the plant as it was: q stood still
+    # while qd kept its last nonzero value.  Now the closed loop replays the
+    # last valid greedy motion past its first step, and holds at zero
+    # velocity once that motion has run out.
+    config = MpcConfig(seed=0)
+    results = []
+
+    def recording_step(*args, **kwargs):
+        results.append(greedy_step(*args, **kwargs))
+        return results[-1]
+
+    log = run_closed_loop([0.1, 0.5], np.zeros(2), [0.9, 0.5], np.zeros(2),
+                          LIMITS_2D, config, checker=bundled_cluttered_world(),
+                          max_steps=40, step=recording_step)
+    assert len(results) == len(log.rows)
+    replayed = held = 0
+    prev_q, last_valid, since = np.array([0.1, 0.5]), None, 0
+    for row, result in zip(log.rows, results):
+        assert result.mode == "greedy" and result.report is None
+        assert result.iterations_run == 0 and result.step_seconds > 0.0
+        if result.valid:
+            last_valid, since = result.solution, 0
+        else:
+            assert not row["valid"]
+            since += 1
+            if last_valid is not None and since * config.dt_mpc < last_valid.duration:
+                t_end = min((since + 1) * config.dt_mpc, last_valid.duration)
+                np.testing.assert_allclose(row["q"], last_valid.at_time(t_end),
+                                           rtol=0, atol=1e-9)
+                np.testing.assert_allclose(row["qd"], last_valid.at_time(t_end, 1),
+                                           rtol=0, atol=1e-9)
+                replayed += 1
+            else:
+                np.testing.assert_array_equal(row["q"], prev_q)
+                assert np.all(row["qd"] == 0.0)
+                held += 1
+        prev_q = row["q"]
+    assert replayed > 0 and held > 0
 
 
 def test_exact_plant_advances_to_horizon_end():
