@@ -7,7 +7,8 @@ runs. Compare a change against its parent with
     python3 scripts/csv_digest.py --against <parent checkout>/src
 
 which runs both trees in subprocesses, prints this tree's lines, then every
-line that differs, and exits 1 when any line differs.
+line that differs and the line counts of both trees' `viaplan/*.py` (with
+and without `cli.py`), and exits 1 when any digest line differs.
 
 The short configs are the bundled ones in `configs/` with fewer runs,
 iterations and steps; the whole set takes about ten seconds on two cores.
@@ -60,6 +61,14 @@ def digests(src: str) -> list[str]:
     return out.stdout.splitlines()
 
 
+def line_counts(src: str) -> str:
+    """Lines of the viaplan package in src, in total and without cli.py."""
+    counts = {f.name: len(f.read_text().splitlines())
+              for f in Path(src, "viaplan").glob("*.py")}
+    total = sum(counts.values())
+    return f"{total} ({total - counts.get('cli.py', 0)} without cli.py)"
+
+
 def compare(src: str, other: str) -> int:
     mine, theirs = digests(src), digests(other)
     print("\n".join(mine))
@@ -68,6 +77,7 @@ def compare(src: str, other: str) -> int:
         differ.append((f"{len(mine)} lines", f"{len(theirs)} lines"))
     for a, b in differ:
         print(f"differs: {a}\n against: {b}")
+    print(f"viaplan/*.py lines: {line_counts(src)}, against {line_counts(other)}")
     print("every CSV identical" if not differ else f"{len(differ)} lines differ")
     return 1 if differ else 0
 

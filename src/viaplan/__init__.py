@@ -10,7 +10,7 @@ from .planner import PlanningProblem, SolveResult, solve
 from .spline import (BoundaryConditions, SplineBasis, build_basis, evaluate,
                      smoothness_cost, smoothness_gram, via_timings)
 from .timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
-                     min_duration, synthesize, synthesize_direct)
+                     boundary_half, min_duration, synthesize, synthesize_direct)
 from .worlds import (Disk, PushWorld, Rect, World2D, ablation_world_1d,
                      bundled_cluttered_world, bundled_start_goal, path_winding,
                      simulate_push, single_obstacle_world)
@@ -22,7 +22,7 @@ __all__ = [
     "ExactPlant", "InfeasibleError", "KinodynamicLimits", "LagPlant", "MpcConfig",
     "MpcStepResult", "PhaseGrid", "PlanningProblem", "PushContext", "PushWorld",
     "Rect", "SmoothnessPrior", "SolveResult", "SplineBasis", "Trajectory",
-    "World2D", "ablation_world_1d", "build_basis", "build_prior",
+    "World2D", "ablation_world_1d", "boundary_half", "build_basis", "build_prior",
     "bundled_cluttered_world", "bundled_start_goal", "converged", "evaluate",
     "evaluate_total", "extract_short_horizon", "greedy_step", "min_duration",
     "mpc_step", "path_winding", "run_closed_loop", "select_n_via",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,15 @@ from .worlds import (Disk, Rect, World2D, bundled_cluttered_world,
 
 class ConfigError(Exception):
     pass
+
+
+@contextmanager
+def config_values():
+    """Report a value that a constructor rejects as a ConfigError."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _fmt(x) -> str:
@@ -134,6 +144,58 @@ MPC_FIELDS = {"dt_mpc": float, "t_stop": float, "n_max": int, "alpha": float,
               "iterations_per_step": int, "goal_tol": float, "vel_tol": float}
 
 
+VECTOR = "a number or a list of numbers"
+INTS = "a list of integers"
+DISKS = "a list of [x, y, radius] disks"
+RECTS = "a list of [x_lo, y_lo, x_hi, y_hi] rectangles"
+TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+              str: "a string"}
+
+# The JSON type of every key a command reads.
+KEY_TYPES = {
+    **PROBLEM_FIELDS, **MPC_FIELDS,
+    **dict.fromkeys(("runs", "seeds", "seed", "max_steps"), int),
+    **dict.fromkeys(("init_sigma", "lag_time_constant", "robot_radius",
+                     *COSTS_KEYS[0]), float),
+    **dict.fromkeys((*PROBLEM_KEYS[0], "bounds_lo", "bounds_hi"), VECTOR),
+    "type": str, "plant": str, "n_list": INTS, "disks": DISKS, "rects": RECTS,
+}
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def has_type(value, kind) -> bool:
+    """Whether a JSON value is of kind: bool keys take only true or false,
+    int keys only integers, float keys any number."""
+    if kind in TYPE_NAMES:
+        if kind is float:
+            return _number(value)
+        return isinstance(value, bool) == (kind is bool) and isinstance(value, kind)
+    if not isinstance(value, list):
+        return kind == VECTOR and _number(value)
+    if kind == INTS:
+        return all(has_type(v, int) for v in value)
+    if kind == VECTOR:
+        return all(map(_number, value))
+    width = 3 if kind == DISKS else 4
+    return all(isinstance(row, list) and len(row) == width and all(map(_number, row))
+               for row in value)
+
+
+def check_types(cfg: dict) -> None:
+    """Raise a ConfigError naming the first key whose value is not of its
+    KEY_TYPES kind.  Null passes here; load_experiment drops it from the
+    command's own section, so the command's default applies."""
+    for name, sec in cfg.items():
+        for key, value in sec.items():
+            kind = KEY_TYPES[key]
+            if value is not None and not has_type(value, kind):
+                raise ConfigError(f"key '{name}.{key}' must be "
+                                  f"{TYPE_NAMES.get(kind, kind)}, not {json.dumps(value)}")
+
+
 def typed_fields(sec: dict, fields: dict) -> dict:
     """The section's values for the given dataclass fields, cast to their
     types; absent or null keys are left to the dataclass defaults."""
@@ -145,9 +207,10 @@ def planning_problem(opt: dict, bc, limits, weights, checker, seed: int,
     """PlanningProblem from an optimizer section.  `defaults` are the command's
     own values for keys the section leaves out (ablate-chol's 150 iterations)
     or that its schema does not accept (ablate-nvia's n_via)."""
-    return PlanningProblem(bc, limits, grid=PhaseGrid(int(opt.get("grid_k", 50))),
-                           weights=weights, checker=checker, seed=seed,
-                           **typed_fields({**defaults, **opt}, PROBLEM_FIELDS))
+    with config_values():
+        return PlanningProblem(bc, limits, grid=PhaseGrid(int(opt.get("grid_k", 50))),
+                               weights=weights, checker=checker, seed=seed,
+                               **typed_fields({**defaults, **opt}, PROBLEM_FIELDS))
 
 
 def init_sigma(opt: dict) -> float | None:
@@ -162,11 +225,18 @@ def load_experiment(args, section: str, keys, world: bool = True):
     if world:
         sections["world"] = WORLD_KEYS
     cfg = load_config(args.config, sections)
-    bc, limits = build_problem(cfg["problem"])
-    checker = build_world(cfg.get("world", {}))
-    sec = cfg[section]
-    seed = args.seed if args.seed is not None else int(sec.get("seed", 0))
-    return bc, limits, checker, build_weights(cfg["costs"]), sec, seed
+    check_types(cfg)
+    with config_values():
+        bc, limits = build_problem(cfg["problem"])
+        checker = build_world(cfg.get("world", {}))
+        weights = build_weights(cfg["costs"])
+    if any(v is not None and v.shape != bc.q0.shape for v in vars(limits).values()):
+        raise ConfigError("every limit needs one value per DoF of q0")
+    if checker is not None and bc.dof != 2:
+        raise ConfigError("a world needs a 2-DoF problem")
+    sec = {key: value for key, value in cfg[section].items() if value is not None}
+    seed = args.seed if args.seed is not None else sec.get("seed", 0)
+    return bc, limits, checker, weights, sec, seed
 
 
 def out_dir(args) -> Path:
@@ -256,9 +326,14 @@ def parse_disturb(tokens: list[str]) -> dict:
 
 def cmd_mpc(args) -> int:
     bc, limits, world, weights, m, seed = load_experiment(args, "mpc", MPC_KEYS)
-    config = MpcConfig(weights=weights, seed=seed, **typed_fields(m, MPC_FIELDS))
+    with config_values():
+        config = MpcConfig(weights=weights, seed=seed, **typed_fields(m, MPC_FIELDS))
+        disturbances = parse_disturb(args.disturb) if args.disturb else None
+    if any(dq.shape != bc.q0.shape for dq in (disturbances or {}).values()):
+        raise ConfigError("--disturb dq needs one value per DoF")
+    if m.get("plant", "exact") not in ("exact", "lag"):
+        raise ConfigError(f"unknown key 'mpc.plant' value '{m['plant']}'")
     max_steps = int(m.get("max_steps", 150))
-    disturbances = parse_disturb(args.disturb) if args.disturb else None
     plant = None
     if m.get("plant", "exact") == "lag":
         plant = LagPlant(bc.q0, bc.qd0,

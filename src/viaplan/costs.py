@@ -5,7 +5,9 @@ task-specific collision count and box-pushing progress.  `evaluate_total`
 scores a whole generation at once: one pass packing the (M, N+4, D)
 parameters (`SplineBasis.pack_stack`), one stacked position pass on the phase
 grid, one collision query over every grid point, one joint-limit mask and one
-smoothness quadratic form; only the push rollout runs per trajectory.
+smoothness quadratic form give one column per term, and the totals, validity
+flags and violation counts are sums over those columns; only the push
+rollout runs per trajectory.
 Invalid candidates (joint-limit hit, collision, or non-improving push) are
 not discarded; they receive a large penalty plus their violation count so the
 evolution strategy can still rank them.
@@ -56,10 +58,6 @@ class PushContext:
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
 
 
-def cost_duration(traj: Trajectory) -> float:
-    return traj.duration
-
-
 def cost_jla(q: np.ndarray, limits: KinodynamicLimits) -> tuple[np.ndarray, np.ndarray]:
     """Discontinuous joint-limit metric of stacked grid positions (M, K+1, D):
     per trajectory, 1 + overshoot summed over its (K+1, D) block with zeros
@@ -105,14 +103,17 @@ def evaluate_total(trajs, weights: CostWeights, limits: KinodynamicLimits,
                    push_ctx: PushContext | None = None) -> list[CostReport]:
     """One CostReport per trajectory of a population (sharing n_via and dof).
 
-    Positions, joint limits, collisions and smoothness are evaluated for the
-    whole population at once; the push rollout runs per trajectory.
+    Every term is a column over the population; only the push rollout runs
+    per trajectory.  The total adds the weighted terms that are present in
+    the order duration, smooth, jla, collision, push, and an invalid
+    trajectory gets invalid_penalty plus its violation count on top.
     """
     if not trajs:
         return []
     basis = trajs[0].basis
+    durations = [t.duration for t in trajs]
     u = basis.pack_stack([t.q_via for t in trajs], [t.bc for t in trajs],
-                         [t.duration for t in trajs])
+                         durations)
     q = np.matmul(basis.grid_matrices(grid.n_points)[0], u)
     smooth = stacked_smoothness(basis, u)
     for m, traj in enumerate(trajs):
@@ -120,33 +121,21 @@ def evaluate_total(trajs, weights: CostWeights, limits: KinodynamicLimits,
             # Zero duration: the trajectory rests at q0.
             q[m] = traj.bc.q0
             smooth[m] = 0.0
-    jla, jla_counts = (x.tolist() for x in cost_jla(q, limits))
-    hits = cost_collision(q, checker).tolist() if checker is not None else None
-    smooth = smooth.tolist()
-    reports = []
-    for m, traj in enumerate(trajs):
-        per_term: dict[str, float] = {"duration": cost_duration(traj),
-                                      "smooth": smooth[m], "jla": jla[m]}
-        violations = jla_counts[m]
-        valid = violations == 0
-        if hits is not None:
-            per_term["collision"] = float(hits[m])
-            violations += hits[m]
-            valid &= hits[m] == 0
-        if push_ctx is not None:
-            push, push_valid = cost_push(traj, push_ctx)
-            per_term["push"] = push
-            if not push_valid:
-                violations += 1
-            valid &= push_valid
-
-        total = (weights.duration * per_term["duration"]
-                 + weights.smooth * per_term["smooth"]
-                 + weights.jla * per_term["jla"]
-                 + weights.collision * per_term.get("collision", 0.0)
-                 + weights.push * per_term.get("push", 0.0))
-        if not valid:
-            total += weights.invalid_penalty + violations
-        reports.append(CostReport(total=float(total), per_term=per_term,
-                                  valid=bool(valid), violation_count=violations))
-    return reports
+    jla, violations = cost_jla(q, limits)
+    terms = {"duration": np.array(durations), "smooth": smooth, "jla": jla}
+    if checker is not None:
+        hits = cost_collision(q, checker)
+        terms["collision"] = hits.astype(float)
+        violations = violations + hits
+    if push_ctx is not None:
+        push, push_valid = zip(*(cost_push(t, push_ctx) for t in trajs))
+        terms["push"] = np.array(push)
+        violations = violations + np.logical_not(push_valid)
+    weighted = [getattr(weights, name) * col for name, col in terms.items()]
+    total = sum(weighted[1:], weighted[0])
+    valid = violations == 0
+    total = np.where(valid, total, total + (weights.invalid_penalty + violations))
+    rows = zip(*(col.tolist() for col in terms.values()))
+    return [CostReport(t, dict(zip(terms, row)), ok, n)
+            for t, row, ok, n in zip(total.tolist(), rows, valid.tolist(),
+                                     violations.tolist())]

@@ -3,8 +3,8 @@
 Candidates are sampled as x = mean + step * L @ (sqrt(sigma_diag) * z) with z
 standard normal.  L is the Cholesky factor of the smoothness covariance (the
 inverse Gram matrix of second phase-derivatives), so with unit diagonal scale
-the very first population is distributed like the smoothness prior conditioned
-on the boundary parameters.  The diagonal scale is adapted by sep-CMA-ES; a
+the very first population is spread like the smoothness prior, which depends
+on the basis alone.  The diagonal scale is adapted by sep-CMA-ES; a
 full-covariance mode is kept for ablations.  All randomness comes from one
 seeded generator, and updates depend on cost ranks only: `update(costs)` ranks
 the standard-normal z that the last `sample()` drew (as CMA-ES does), so no
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spline import BoundaryConditions, SplineBasis, smoothness_gram
+from .spline import SplineBasis, smoothness_gram
 
 SIGMA_FLOOR = 1e-12
 
@@ -28,7 +28,6 @@ class SmoothnessPrior:
 
     sigma: np.ndarray       # (ND, ND) covariance = G_via^-1
     chol: np.ndarray        # lower-triangular L with sigma = L L^T
-    mean_via: np.ndarray    # conditioned mean given the boundary parameters
 
     @property
     def scale(self) -> float:
@@ -37,16 +36,11 @@ class SmoothnessPrior:
         return float(np.sqrt(np.max(np.diag(self.sigma))))
 
 
-def build_prior(basis: SplineBasis, bc: BoundaryConditions,
-                duration: float = 1.0) -> SmoothnessPrior:
-    """Invert the via-point Gram matrix and condition the mean on the bc."""
-    gram_via, gram_cross = smoothness_gram(basis)
-    sigma = np.linalg.inv(gram_via)
+def build_prior(basis: SplineBasis) -> SmoothnessPrior:
+    """Invert the via-point Gram matrix and factor the covariance."""
+    sigma = np.linalg.inv(smoothness_gram(basis)[0])
     sigma = 0.5 * (sigma + sigma.T)
-    chol = np.linalg.cholesky(sigma)
-    w_bc = np.concatenate([bc.q0, duration * bc.qd0, bc.qT, duration * bc.qdT])
-    mean_via = np.linalg.solve(gram_via, -gram_cross @ w_bc)
-    return SmoothnessPrior(sigma=sigma, chol=chol, mean_via=mean_via)
+    return SmoothnessPrior(sigma=sigma, chol=np.linalg.cholesky(sigma))
 
 
 class EvolutionStrategy:

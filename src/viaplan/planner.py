@@ -2,7 +2,8 @@
 
 `make_es` sets up the evolution strategy, `generations` runs sample ->
 evaluate -> update for as long as its caller iterates, and `score`
-synthesizes and scores one via-point vector.  `evaluate_candidates`
+synthesizes and scores one via-point vector.  `evaluate_candidates` builds
+the generation's shared boundary half once (`timing.boundary_half`),
 synthesizes each candidate's minimal duration on its own and scores the
 feasible ones together in one `costs.evaluate_total` call.  `solve` stops
 when the best cost stalls or the iteration budget runs out (`mpc.mpc_step`
@@ -21,7 +22,7 @@ from .costs import CostReport, CostWeights, PushContext, evaluate_total
 from .optimizer import EvolutionStrategy, build_prior, converged
 from .spline import BoundaryConditions, SplineBasis, build_basis, via_timings
 from .timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
-                     synthesize)
+                     boundary_half, synthesize)
 
 
 @dataclass
@@ -47,6 +48,8 @@ class PlanningProblem:
             raise ValueError("population size must be at least 4")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.mode not in ("sep", "full"):
+            raise ValueError("mode must be 'sep' or 'full'")
 
 
 @dataclass
@@ -73,7 +76,7 @@ def make_es(problem: PlanningProblem, basis: SplineBasis, mean,
             sigma_scale: float) -> EvolutionStrategy:
     """ES over basis's via-points, behind the smoothness Cholesky factor unless
     problem.use_chol is off; sigma_scale is in configuration units."""
-    prior = build_prior(basis, problem.bc)
+    prior = build_prior(basis)
     transform = prior.chol if problem.use_chol else None
     scale = prior.scale if problem.use_chol else 1.0
     mean = np.asarray(mean, dtype=float).reshape(basis.n_via * problem.bc.dof)
@@ -85,7 +88,8 @@ def make_es(problem: PlanningProblem, basis: SplineBasis, mean,
 def score(basis: SplineBasis, q_via, problem: PlanningProblem):
     """(Trajectory, CostReport) of one via-point vector; raises
     InfeasibleError when no finite duration meets the limits."""
-    traj = synthesize(basis, q_via, problem.bc, problem.limits, problem.grid)
+    boundary = boundary_half(basis, problem.bc, problem.limits, problem.grid)
+    traj = synthesize(boundary, q_via)
     return traj, _evaluate([traj], problem)[0]
 
 
@@ -96,11 +100,11 @@ def _evaluate(trajs: list, problem: PlanningProblem) -> list:
 
 def evaluate_candidates(basis, candidates: np.ndarray, problem: PlanningProblem):
     """Synthesize and score a population; infeasible candidates rank last."""
+    boundary = boundary_half(basis, problem.bc, problem.limits, problem.grid)
     trajs: list[Trajectory | None] = []
     for x in candidates:
         try:
-            trajs.append(synthesize(basis, x, problem.bc, problem.limits,
-                                    problem.grid))
+            trajs.append(synthesize(boundary, x))
         except InfeasibleError:
             trajs.append(None)
     scored = iter(_evaluate([t for t in trajs if t is not None], problem))

@@ -35,7 +35,7 @@ class BoundaryConditions:
     Velocities are stored in the time domain; they map to phase derivatives by
     multiplication with the total duration T at evaluation time.  The arrays
     are read-only copies, so a BoundaryConditions never changes after it is
-    built and work derived from it can be memoized by identity.
+    built.
     """
 
     q0: np.ndarray
@@ -78,8 +78,6 @@ class SplineBasis:
         self._coeffs = self._build_coeffs(n_via)
         self._gram = self._build_gram()
         self._grid_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        # timing.boundary_half's one entry: (bc, limits, grid, *its result).
-        self.boundary_memo: tuple | None = None
 
     @staticmethod
     def _build_coeffs(n: int) -> np.ndarray:

@@ -7,10 +7,11 @@ uniform phase grid each evaluation point admits a closed-form minimal duration
 (linear inequalities in 1/T for velocities, quadratics for accelerations); the
 synthesized duration is the most conservative of these, which saturates at
 least one bound at one grid point.  The kernel comes in two halves: the
-boundary half (`BoundaryLanes`, from b and d) is built once per generation by
-`boundary_half` and memoized on the basis; the candidate half
-(`BoundaryLanes.duration`) takes a and c and solves the upper and lower
-acceleration quadratics together on a leading axis.  Durations are
+boundary half (`Boundary`, from b and d) is built by `boundary_half` from
+exactly what a whole ES generation shares, the basis, boundary conditions,
+limits and grid, and is passed to every `synthesize` of that generation; the
+candidate half (`BoundaryLanes.duration`) takes a and c and solves the upper
+and lower acceleration quadratics together on a leading axis.  Durations are
 synthesized one candidate per `synthesize` call; costs are scored per
 population in `costs.evaluate_total`.
 """
@@ -192,49 +193,48 @@ class BoundaryLanes:
         return 1.0 / float(x_min)
 
 
+@dataclass(frozen=True)
+class Boundary:
+    """What every candidate of one (basis, bc, limits, grid) shares: the
+    boundary rows of U_a, the grid matrices E1 and E2, and the
+    BoundaryLanes of the boundary parts b = E1 U_b and d = E2 U_b."""
+
+    basis: SplineBasis
+    bc: BoundaryConditions
+    tail: np.ndarray         # rows N.. of U_a: q0, 0, qT, 0
+    e1: np.ndarray
+    e2: np.ndarray
+    lanes: BoundaryLanes
+
+
 def boundary_half(basis: SplineBasis, bc: BoundaryConditions,
-                  limits: KinodynamicLimits, grid: PhaseGrid):
-    """(boundary rows of U_a, BoundaryLanes) shared by every candidate of
-    (basis, bc, limits, grid).
-
-    Built once and kept in basis.boundary_memo, which is reused while the
-    same three objects (`is`) come back, as they do for a whole generation.
-    Their arrays are read-only, so an object never changes under the memo,
-    and the memo holds them, so their ids are not reused while it lives.
-    """
-    memo = basis.boundary_memo
-    if memo is None or memo[0] is not bc or memo[1] is not limits or memo[2] is not grid:
-        _, e1, e2 = basis.grid_matrices(grid.n_points)
-        u_a, u_b = basis.pack_split(np.zeros((basis.n_via, basis.dof)), bc)
-        memo = (bc, limits, grid, u_a[basis.n_via:],
-                BoundaryLanes.from_splits(e1 @ u_b, e2 @ u_b, limits))
-        basis.boundary_memo = memo
-    return memo[3:]
+                  limits: KinodynamicLimits, grid: PhaseGrid) -> Boundary:
+    """The boundary half of the duration kernel, built once per generation."""
+    _, e1, e2 = basis.grid_matrices(grid.n_points)
+    u_a, u_b = basis.pack_split(np.zeros((basis.n_via, basis.dof)), bc)
+    return Boundary(basis, bc, u_a[basis.n_via:], e1, e2,
+                    BoundaryLanes.from_splits(e1 @ u_b, e2 @ u_b, limits))
 
 
-def min_duration(basis: SplineBasis, q_via, bc: BoundaryConditions,
-                 limits: KinodynamicLimits, grid: PhaseGrid) -> float:
+def min_duration(boundary: Boundary, q_via) -> float:
     """Most conservative per-point minimal duration over the phase grid.
 
     Per call only the via-points are packed into U_a = [q_via; boundary rows]
     and a = E1 U_a, c = E2 U_a are formed; the rest is the boundary half.
     """
-    tail, lanes = boundary_half(basis, bc, limits, grid)
-    _, e1, e2 = basis.grid_matrices(grid.n_points)
-    u_a = np.concatenate((basis.via_matrix(q_via), tail))
-    return lanes.duration(e1 @ u_a, e2 @ u_a)
+    u_a = np.concatenate((boundary.basis.via_matrix(q_via), boundary.tail))
+    return boundary.lanes.duration(boundary.e1 @ u_a, boundary.e2 @ u_a)
 
 
-def synthesize(basis: SplineBasis, q_via, bc: BoundaryConditions,
-               limits: KinodynamicLimits, grid: PhaseGrid) -> Trajectory:
+def synthesize(boundary: Boundary, q_via) -> Trajectory:
     """Build the kinodynamically admissible trajectory of minimal duration."""
-    pts = basis.via_matrix(q_via)
-    duration = min_duration(basis, pts, bc, limits, grid)
-    return Trajectory(basis, pts, bc, duration, degenerate=(duration == 0.0))
+    pts = boundary.basis.via_matrix(q_via)
+    duration = min_duration(boundary, pts)
+    return Trajectory(boundary.basis, pts, boundary.bc, duration,
+                      degenerate=(duration == 0.0))
 
 
 def synthesize_direct(bc: BoundaryConditions, limits: KinodynamicLimits,
                       grid: PhaseGrid) -> Trajectory:
     """No-via-point trajectory: the unique clamped cubic between the states."""
-    basis = build_basis(0, bc.dof)
-    return synthesize(basis, None, bc, limits, grid)
+    return synthesize(boundary_half(build_basis(0, bc.dof), bc, limits, grid), None)

@@ -73,9 +73,6 @@ class World2D:
                         & (y > obs.lo[1]) & (y < obs.hi[1]))
         return out
 
-    def is_colliding(self, q: np.ndarray) -> bool:
-        return bool(self.colliding_mask(np.asarray(q, dtype=float)[None, :])[0])
-
 
 @dataclass(frozen=True)
 class PushWorld:

@@ -17,7 +17,7 @@ from viaplan.mpc import MpcConfig, greedy_step, run_closed_loop
 from viaplan.optimizer import EvolutionStrategy, build_prior
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis, evaluate
-from viaplan.timing import KinodynamicLimits, PhaseGrid, synthesize
+from viaplan.timing import KinodynamicLimits, PhaseGrid, boundary_half, synthesize
 from viaplan.worlds import (ablation_world_1d, bundled_cluttered_world,
                             bundled_start_goal, path_winding,
                             single_obstacle_world)
@@ -142,8 +142,8 @@ def test_criterion_4_limit_exploitation(offline_2d_runs):
                                 rng.uniform(-0.5, 0.5, dof) * lim.qd_max,
                                 rng.standard_normal(dof),
                                 rng.uniform(-0.5, 0.5, dof) * lim.qd_max)
-        traj = synthesize(build_basis(n_via, dof),
-                          rng.standard_normal((n_via, dof)), bc, lim, grid)
+        traj = synthesize(boundary_half(build_basis(n_via, dof), bc, lim, grid),
+                          rng.standard_normal((n_via, dof)))
         random_ok += traj.degenerate or check(traj, lim)
     report(4, saturated == len(results) and random_ok == n_random,
            f"2D runs saturating={saturated}/{len(results)}, "
@@ -240,11 +240,12 @@ def test_criterion_8_smoothness_prior_sampling():
     rng = np.random.default_rng(21)
     basis = build_basis(4, 2)
     bc = BoundaryConditions(*rng.standard_normal((4, 2)))
-    prior = build_prior(basis, bc)
+    prior = build_prior(basis)
     sigma_diag = rng.uniform(0.5, 2.0, 8)
     step = 0.7
-    es = EvolutionStrategy(prior.mean_via, sigma_diag, pop_size=100_000,
-                           transform=prior.chol, step_size=step, seed=0)
+    es = EvolutionStrategy(conftest.conditioned_mean(basis, bc), sigma_diag,
+                           pop_size=100_000, transform=prior.chol,
+                           step_size=step, seed=0)
     samples = es.sample()
     empirical = np.cov(samples.T)
     theory = step**2 * prior.chol @ np.diag(sigma_diag) @ prior.chol.T

@@ -1,5 +1,6 @@
 """CLI config validation, artifact layout, exit codes and determinism."""
 
+import copy
 import json
 import os
 import subprocess
@@ -59,6 +60,68 @@ def test_missing_required_key(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == 2
     assert "problem.qdd_max" in capsys.readouterr().err
+
+
+def with_value(base, section, key, value):
+    cfg = copy.deepcopy(base)
+    cfg[section][key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command, section, key, value, says", [
+    ("plan", "problem", "qd_max", -0.1, "velocity bounds must straddle zero"),
+    ("plan", "problem", "q_min", 0.0, "q_min and q_max must be given together"),
+    ("plan", "problem", "qdd_max", [0.2, 0.2], "one value per DoF"),
+    ("plan", "costs", "smooth", -1, "cost weights"),
+    ("plan", "optimizer", "mode", "diag", "mode must be 'sep' or 'full'"),
+    ("plan", "optimizer", "grid_k", 1, "K >= 2"),
+    ("plan", "world", "type", "cluttered2d", "2-DoF"),
+    ("mpc", "mpc", "dt_mpc", 0, "dt_mpc"),
+    ("mpc", "mpc", "plant", "lagged", "mpc.plant"),
+    ("mpc", "world", "disks", [[0.5, 0.5]], "world.disks"),
+])
+def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
+                                        value, says):
+    base = PLAN_1D if command == "plan" else dict(MPC_FREE, world={"type": "custom"})
+    cfg = with_value(base, section, key, value)
+    code = main([command, write_config(tmp_path / "c.json", cfg),
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and says in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("optimizer", "use_chol", "false"), ("optimizer", "use_chol", 0),
+    ("optimizer", "pop_size", 8.9), ("optimizer", "runs", True),
+    ("optimizer", "n_via", "2"), ("optimizer", "seed", 0.0),
+    ("optimizer", "tol", "1e-6"), ("optimizer", "mode", 1),
+    ("costs", "smooth", "0.1"), ("problem", "qd_max", "0.1"),
+    ("problem", "q0", [True]),
+])
+def test_config_types_are_strict(tmp_path, capsys, section, key, value):
+    cfg = with_value(PLAN_1D, section, key, value)
+    code = main(["plan", write_config(tmp_path / "c.json", cfg),
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert f"'{section}.{key}'" in capsys.readouterr().err
+
+
+def test_float_keys_take_integers_and_null_is_the_default(tmp_path):
+    # 1 and 1.0 are the same float; a null optimizer key keeps its default.
+    loose = copy.deepcopy(PLAN_1D)
+    loose["costs"] = {"duration": 1, "jla": 1}
+    loose["optimizer"].update(tol=0, runs=None)
+    strict = copy.deepcopy(PLAN_1D)
+    strict["costs"] = {"duration": 1.0, "jla": 1.0}
+    strict["optimizer"].update(tol=0.0, runs=1)
+    blobs = []
+    for name, cfg in (("loose", loose), ("strict", strict)):
+        out = tmp_path / name
+        assert main(["plan", write_config(tmp_path / f"{name}.json", cfg),
+                     "--out-dir", str(out), "--quiet"]) == 0
+        blobs.append((out / "plan_runs.csv").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_malformed_json(tmp_path):

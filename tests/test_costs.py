@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import viaplan.costs as costs_mod
-from viaplan.costs import (CostWeights, cost_collision, cost_duration, cost_jla,
-                           cost_push, evaluate_total, PushContext)
+from viaplan.costs import (CostWeights, cost_collision, cost_jla, cost_push,
+                           evaluate_total, PushContext)
 from viaplan.spline import BoundaryConditions, build_basis, smoothness_cost
-from viaplan.timing import KinodynamicLimits, PhaseGrid, synthesize
+from viaplan.timing import (KinodynamicLimits, PhaseGrid, boundary_half, synthesize,
+                            synthesize_direct)
 from viaplan.worlds import Disk, PushWorld, World2D
 
 
@@ -31,8 +32,13 @@ def test_weights_validation():
 
 
 def test_cost_duration_identity():
-    traj = StubTrajectory(duration=15.0)
-    assert cost_duration(traj) == 15.0
+    # The duration term is the trajectory's duration, before its weight.
+    bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
+    lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
+    traj = synthesize_direct(bc, lim, PhaseGrid(50))
+    report, = evaluate_total([traj], CostWeights(duration=2.0), lim, PhaseGrid(50))
+    assert report.per_term["duration"] == traj.duration
+    assert abs(traj.duration - 15.0) < 1e-9
 
 
 def stacked(*grids):
@@ -98,7 +104,7 @@ def test_collision_count_refines_with_grid():
     basis = build_basis(0, 2)
 
     def hits(k):
-        traj = synthesize(basis, None, bc, lim, PhaseGrid(k))
+        traj = synthesize(boundary_half(basis, bc, lim, PhaseGrid(k)), None)
         q, _, _ = traj.sample_grid(PhaseGrid(k))
         return int(cost_collision(q[None], world)[0])
 
@@ -132,7 +138,7 @@ def test_push_no_progress_invalid():
     ctx = PushContext(world=world, target=np.array([0.9, 0.9]))
     bc = BoundaryConditions([0.1, 0.1], [0.0, 0.0], [0.2, 0.1], [0.0, 0.0])
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
-    traj = synthesize(build_basis(0, 2), None, bc, lim, PhaseGrid(20))
+    traj = synthesize_direct(bc, lim, PhaseGrid(20))
     cost, valid = cost_push(traj, ctx)
     # Robot never touches the box: e_T = e_0, exp(0) = 1, no progress.
     assert abs(cost - 1.0) < 1e-12
@@ -143,7 +149,7 @@ def test_total_weighted_sum_for_valid():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     grid = PhaseGrid(50)
-    traj = synthesize(build_basis(0, 1), None, bc, lim, grid)
+    traj = synthesize_direct(bc, lim, grid)
     weights = CostWeights(duration=1.0, smooth=0.01, jla=1.0, collision=1.0,
                           push=0.0)
     report, = evaluate_total([traj], weights, lim, grid)
@@ -158,7 +164,7 @@ def test_invalid_gets_penalty():
     bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
     grid = PhaseGrid(50)
-    traj = synthesize(build_basis(0, 2), None, bc, lim, grid)
+    traj = synthesize_direct(bc, lim, grid)
     report, = evaluate_total([traj], CostWeights(), lim, grid, checker=world)
     assert not report.valid
     assert report.total >= CostWeights().invalid_penalty
@@ -171,9 +177,9 @@ def test_invalid_dominance_over_population():
     bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
     grid = PhaseGrid(50)
-    basis = build_basis(3, 2)
-    trajs = [synthesize(basis, bc.q0 + np.outer([0.25, 0.5, 0.75], bc.qT - bc.q0)
-                        + rng.normal(scale=0.3, size=(3, 2)), bc, lim, grid)
+    boundary = boundary_half(build_basis(3, 2), bc, lim, grid)
+    trajs = [synthesize(boundary, bc.q0 + np.outer([0.25, 0.5, 0.75], bc.qT - bc.q0)
+                        + rng.normal(scale=0.3, size=(3, 2)))
              for _ in range(60)]
     valid_totals, invalid_totals = [], []
     for report in evaluate_total(trajs, CostWeights(), lim, grid, checker=world):
@@ -186,7 +192,7 @@ def test_report_deterministic():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     grid = PhaseGrid(50)
-    traj = synthesize(build_basis(2, 1), [[0.3], [0.7]], bc, lim, grid)
+    traj = synthesize(boundary_half(build_basis(2, 1), bc, lim, grid), [[0.3], [0.7]])
     r1, = evaluate_total([traj], CostWeights(), lim, grid)
     r2, = evaluate_total([traj], CostWeights(), lim, grid)
     assert r1.total == r2.total and r1.per_term == r2.per_term

@@ -18,13 +18,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viaplan import planner
-from viaplan.costs import CostWeights, cost_duration, evaluate_total
+from viaplan.costs import CostWeights, PushContext, cost_push, evaluate_total
 from viaplan.mpc import extract_reference
 from viaplan.planner import PlanningProblem, evaluate_candidates
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
-                            PhaseGrid, min_duration, synthesize)
-from viaplan.worlds import Disk, Rect, World2D
+                            PhaseGrid, boundary_half, min_duration, synthesize)
+from viaplan.worlds import Disk, PushWorld, Rect, World2D
+
+from conftest import is_colliding
 
 
 def lanes_min_duration(a, b, c, d, limits):
@@ -60,8 +62,9 @@ def ref_collision(traj, checker, grid):
     return float(hits), hits
 
 
-def ref_evaluate(traj, weights, limits, grid, checker=None):
-    per_term = {"duration": cost_duration(traj),
+def ref_evaluate(traj, weights, limits, grid, checker=None, push_ctx=None):
+    """The per-report loop: one trajectory's terms, then its total."""
+    per_term = {"duration": traj.duration,
                 "smooth": 0.0 if traj.degenerate else ref_smoothness(traj)}
     violations = 0
     valid = True
@@ -74,6 +77,10 @@ def ref_evaluate(traj, weights, limits, grid, checker=None):
         per_term["collision"] = coll
         violations += hits
         valid &= hits == 0
+    if push_ctx is not None:
+        per_term["push"], push_valid = cost_push(traj, push_ctx)
+        violations += not push_valid
+        valid &= push_valid
     total = (weights.duration * per_term["duration"]
              + weights.smooth * per_term["smooth"]
              + weights.jla * per_term["jla"]
@@ -88,14 +95,17 @@ def ref_evaluate_candidates(basis, candidates, problem):
     out = []
     for x in candidates:
         try:
-            traj = planner.synthesize(basis, x, problem.bc, problem.limits,
-                                      problem.grid)
+            traj = planner.synthesize(boundary_of(basis, problem), x)
         except InfeasibleError:
             out.append(None)
             continue
         out.append(ref_evaluate(traj, problem.weights, problem.limits,
                                 problem.grid, problem.checker))
     return out
+
+
+def boundary_of(basis, problem):
+    return boundary_half(basis, problem.bc, problem.limits, problem.grid)
 
 
 def assert_same_report(report, ref):
@@ -291,8 +301,8 @@ def test_population_scoring_matches_per_trajectory(params, spread):
                              with_checker, pop_size=int(rng.integers(4, 24)))
     basis = build_basis(n_via, dof)
     cands = random_candidates(rng, problem, basis, spread)
-    trajs = [synthesize(basis, x, problem.bc, problem.limits, problem.grid)
-             for x in cands]
+    boundary = boundary_of(basis, problem)
+    trajs = [synthesize(boundary, x) for x in cands]
     # Zero-duration trajectories whose via-points are off q0: their grid rows
     # must be the rest state q0, not the spline through the via-points.
     for m in np.flatnonzero(rng.random(len(trajs)) < 0.2):
@@ -335,6 +345,33 @@ def test_evaluate_candidates_matches_per_candidate(params, infeasible):
         else:
             assert_same_report(report, ref)
             assert costs[i] == ref[0]
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans())
+def test_population_scoring_with_push_matches_per_trajectory(seed, n_via,
+                                                             with_checker):
+    """The push column, and the validity and violation counts it feeds,
+    against the per-report loop, with and without the collision term."""
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, 2, n_via, False, rng.random() < 0.5,
+                             with_checker, pop_size=int(rng.integers(4, 12)))
+    box = rng.uniform(0.3, 0.7, 2)
+    push_ctx = PushContext(PushWorld(box, 0.05, 0.03),
+                           target=box + rng.uniform(-0.2, 0.2, 2),
+                           step_dt=float(rng.choice([0.02, 0.1])))
+    basis = build_basis(n_via, 2)
+    boundary = boundary_of(basis, problem)
+    trajs = [synthesize(boundary, x)
+             for x in random_candidates(rng, problem, basis, 0.3)]
+    trajs[0] = dataclasses.replace(trajs[0], duration=0.0, degenerate=True)
+    reports = evaluate_total(trajs, problem.weights, problem.limits,
+                             problem.grid, problem.checker, push_ctx)
+    for traj, report in zip(trajs, reports):
+        assert_same_report(report, ref_evaluate(traj, problem.weights,
+                                                problem.limits, problem.grid,
+                                                problem.checker, push_ctx))
+    assert not reports[0].valid
 
 
 def test_evaluate_total_empty_population():
@@ -401,10 +438,11 @@ def random_bc(rng, dof, qd_max, speed):
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 3))
 def test_min_duration_matches_per_candidate_splits(seed, n_via, dof):
-    """The boundary half, memoized on the basis, and the candidate half give
-    what computing all of (a, b, c, d) per candidate gave.  Two boundary
-    conditions, limits and grids take turns on one basis, changing one of
-    the three at a time, so a memo entry served for the wrong key would show."""
+    """The boundary half and the candidate half give what computing all of
+    (a, b, c, d) per candidate gave.  Boundaries for two boundary
+    conditions, limits and grids on one basis, differing in one of the three
+    at a time, take turns, so a boundary that kept another's parts would
+    show."""
     rng = np.random.default_rng(seed)
     basis = build_basis(n_via, dof)
     bcs, lims, grids = [], [], []
@@ -417,21 +455,23 @@ def test_min_duration_matches_per_candidate_splits(seed, n_via, dof):
     setups = [(bcs[0], lims[0], grids[0]), (bcs[0], lims[1], grids[0]),
               (bcs[0], lims[1], grids[1]), (bcs[1], lims[1], grids[1]),
               (bcs[1], lims[1], PhaseGrid(grids[1].k)), (bcs[1], lims[0], grids[0])]
+    boundaries = [boundary_half(basis, *setup) for setup in setups]
     cands = rng.uniform(0.0, 1.0, (5, n_via, dof))
     for i in range(18):
         bc, limits, grid = setups[i % len(setups)]
+        boundary = boundaries[i % len(setups)]
         x = None if n_via == 0 and i % 2 else cands[i % len(cands)]
         try:
             ref = ref_min_duration(basis, x, bc, limits, grid)
         except InfeasibleError as err:
             with pytest.raises(InfeasibleError, match=str(err)):
-                min_duration(basis, x, bc, limits, grid)
+                min_duration(boundary, x)
             with pytest.raises(InfeasibleError, match=str(err)):
-                synthesize(basis, x, bc, limits, grid)
+                synthesize(boundary, x)
         else:
-            got = min_duration(basis, x, bc, limits, grid)
+            got = min_duration(boundary, x)
             assert got == ref and type(got) is float
-            traj = synthesize(basis, x, bc, limits, grid)
+            traj = synthesize(boundary, x)
             assert traj.duration == ref and traj.degenerate is (ref == 0.0)
 
 
@@ -455,7 +495,8 @@ def test_population_with_differing_boundary_conditions(params):
             # At rest at q0 == qT: zero duration.
             bc = BoundaryConditions(bc.q0, np.zeros(dof), bc.q0, np.zeros(dof))
             x = np.tile(bc.q0, (n_via, 1))
-        trajs.append(synthesize(basis, x, bc, problem.limits, problem.grid))
+        trajs.append(synthesize(boundary_half(basis, bc, problem.limits,
+                                              problem.grid), x))
     assert len({id(t.bc) for t in trajs}) > 1
     reports = evaluate_total(trajs, problem.weights, problem.limits,
                              problem.grid, problem.checker)
@@ -504,7 +545,7 @@ def test_colliding_mask_matches_obstacle_loop(seed, robot_radius):
     assert got.dtype == bool and got.shape == (len(points),)
     np.testing.assert_array_equal(got, ref_colliding_mask(world, points))
     for p in points[-8:]:
-        assert world.is_colliding(p) == ref_colliding_mask(world, p[None])[0]
+        assert is_colliding(world, p) == ref_colliding_mask(world, p[None])[0]
 
 
 @SETTINGS
@@ -517,7 +558,7 @@ def test_extract_reference_matches_at_time(params, t0_frac, plant_dt, horizon):
                              pop_size=4)
     basis = build_basis(problem.n_via, dof)
     x = random_candidates(rng, problem, basis, 0.2)[0]
-    traj = synthesize(basis, x, problem.bc, problem.limits, problem.grid)
+    traj = synthesize(boundary_of(basis, problem), x)
     t0 = t0_frac * traj.duration
     ref = ref_extract_reference(traj, t0, horizon, plant_dt)
     got = extract_reference(traj, t0, horizon, plant_dt)

@@ -8,7 +8,8 @@ from viaplan.mpc import (ExactPlant, ExpiredError, LagPlant, MpcConfig,
                          mpc_step, run_closed_loop, select_n_via, warm_start)
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis
-from viaplan.timing import KinodynamicLimits, PhaseGrid, synthesize
+from viaplan.timing import (KinodynamicLimits, PhaseGrid, boundary_half, synthesize,
+                            synthesize_direct)
 from viaplan.worlds import bundled_cluttered_world, bundled_start_goal
 
 
@@ -78,8 +79,8 @@ def test_warm_start_zero_elapsed_preserves_cost():
                                     warmstart_sigma=0.05)
     assert sigma == 0.05
     assert n_via == select_n_via(prev.duration, 0.5, 4)
-    resampled = synthesize(build_basis(n_via, 1), mean.reshape(-1, 1), bc, lim,
-                           PhaseGrid(50))
+    resampled = synthesize(boundary_half(build_basis(n_via, 1), bc, lim, PhaseGrid(50)),
+                           mean.reshape(-1, 1))
     assert abs(resampled.duration - prev.duration) / prev.duration < 0.05
 
 
@@ -113,7 +114,7 @@ def test_explore_variance_exceeds_warmstart():
 def test_extract_short_horizon_sampling():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
-    traj = synthesize(build_basis(0, 1), None, bc, lim, PhaseGrid(50))
+    traj = synthesize_direct(bc, lim, PhaseGrid(50))
     horizon = extract_short_horizon(traj, dt_mpc=0.08, plant_dt=1e-3)
     assert horizon.times.shape[0] == 81
     np.testing.assert_allclose(horizon.times[-1], 0.08)
@@ -125,7 +126,7 @@ def test_extract_short_horizon_sampling():
 def test_extract_short_horizon_truncates_at_duration():
     bc = BoundaryConditions([0.0], [0.0], [0.001], [0.0])
     lim = KinodynamicLimits.symmetric(1.0, 50.0, 1)
-    traj = synthesize(build_basis(0, 1), None, bc, lim, PhaseGrid(50))
+    traj = synthesize_direct(bc, lim, PhaseGrid(50))
     assert traj.duration < 0.08
     horizon = extract_short_horizon(traj, 0.08, 1e-3)
     np.testing.assert_allclose(horizon.times[-1], traj.duration)

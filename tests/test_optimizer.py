@@ -4,45 +4,16 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from viaplan.optimizer import (EvolutionStrategy, SmoothnessPrior, build_prior,
-                               converged)
-from viaplan.spline import BoundaryConditions, build_basis, smoothness_cost
+from viaplan.optimizer import EvolutionStrategy, build_prior, converged
+from viaplan.spline import BoundaryConditions, build_basis
+
+from conftest import conditioned_mean
 
 
 def test_prior_single_via_value():
-    basis = build_basis(1, 1)
-    bc = BoundaryConditions([0.0], [0.0], [0.0], [0.0])
-    prior = build_prior(basis, bc)
+    prior = build_prior(build_basis(1, 1))
     assert abs(prior.sigma[0, 0] - 1.0 / 192.0) < 1e-10
     np.testing.assert_allclose(prior.chol @ prior.chol.T, prior.sigma, atol=1e-8)
-    np.testing.assert_allclose(prior.mean_via, [0.0], atol=1e-12)
-
-
-def test_prior_mean_minimizes_smoothness():
-    rng = np.random.default_rng(4)
-    basis = build_basis(4, 2)
-    bc = BoundaryConditions(*rng.standard_normal((4, 2)))
-    prior = build_prior(basis, bc)
-    base = smoothness_cost(basis, prior.mean_via.reshape(4, 2), bc)
-    for _ in range(30):
-        delta = rng.normal(scale=0.1, size=prior.mean_via.shape)
-        perturbed = smoothness_cost(basis, (prior.mean_via + delta).reshape(4, 2), bc)
-        assert perturbed > base
-
-
-def test_prior_conditioned_mean_scales_with_duration():
-    basis = build_basis(2, 1)
-    bc = BoundaryConditions([0.0], [0.3], [1.0], [-0.1])
-    mean_t1 = build_prior(basis, bc).mean_via
-    mean_t2 = build_prior(basis, bc, duration=2.0).mean_via
-    np.testing.assert_allclose(mean_t1, build_prior(basis, bc, duration=1.0).mean_via,
-                               atol=1e-12)
-    assert not np.allclose(mean_t1, mean_t2)
-    # Only the boundary slopes scale with the duration: without them the
-    # conditioned mean does not depend on it.
-    rest = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
-    np.testing.assert_allclose(build_prior(basis, rest, duration=2.0).mean_via,
-                               build_prior(basis, rest).mean_via, atol=1e-12)
 
 
 def test_sampling_deterministic():
@@ -118,11 +89,12 @@ def test_update_from_drawn_z_matches_whitened_update():
     rng = np.random.default_rng(8)
     basis = build_basis(3, 2)
     bc = BoundaryConditions(*rng.standard_normal((4, 2)))
-    prior = build_prior(basis, bc)
+    prior = build_prior(basis)
+    mean = conditioned_mean(basis, bc)
     target = rng.standard_normal(6)
     sigma_diag = rng.uniform(0.5, 2.0, 6)
     for mode in ("sep", "full"):
-        args = dict(mean=prior.mean_via, sigma_diag=sigma_diag, pop_size=8,
+        args = dict(mean=mean, sigma_diag=sigma_diag, pop_size=8,
                     transform=prior.chol, mode=mode, step_size=0.7, seed=1)
         es, ref = EvolutionStrategy(**args), WhitenUpdateES(**args)
         for _ in range(12):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from viaplan import planner
 from viaplan.planner import (PlanningProblem, evaluate_candidates, solve,
                              straight_line_init)
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
@@ -50,6 +51,8 @@ def test_problem_validation():
     # candidate admitted a finite duration"), having run no generation.
     with pytest.raises(ValueError, match="max_iterations"):
         PlanningProblem(bc, lim, n_via=2, max_iterations=0)
+    with pytest.raises(ValueError, match="mode"):
+        PlanningProblem(bc, lim, n_via=2, mode="diag")
     assert solve(PlanningProblem(bc, lim, n_via=2, max_iterations=1)).iterations == 1
 
 
@@ -115,3 +118,22 @@ def test_solve_respects_iteration_budget():
     res = solve(make_1d_problem(seed=1, max_iterations=7, tol=0.0))
     assert res.iterations == 7
     assert not res.converged
+
+
+def test_boundary_built_once_per_generation(monkeypatch):
+    # Each generation builds its boundary half once for all its candidates,
+    # and the final mean's score builds one more.
+    built = []
+    real = planner.boundary_half
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(planner, "boundary_half", counting)
+    problem = make_1d_problem(n_via=3, pop_size=8, max_iterations=6, tol=0.0)
+    res = solve(problem)
+    assert res.iterations == 6
+    assert len(built) == res.iterations + 1
+    for _, bc, limits, grid in built:
+        assert bc is problem.bc and limits is problem.limits and grid is problem.grid

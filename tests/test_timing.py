@@ -11,6 +11,11 @@ from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
                             synthesize_direct)
 
 
+def duration_of(basis, q_via, bc, limits, grid):
+    """min_duration through a boundary half built for this call alone."""
+    return min_duration(boundary_half(basis, bc, limits, grid), q_via)
+
+
 def min_duration_at_point(a, b, c, d, limits):
     """The two halves of the duration kernel on one evaluation point of a
     1-DoF trajectory."""
@@ -87,7 +92,7 @@ def test_direct_1d_velocity_limited():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     basis = build_basis(0, 1)
-    t = min_duration(basis, None, bc, lim, PhaseGrid(100))
+    t = duration_of(basis, None, bc, lim, PhaseGrid(100))
     # Velocity binds at s = 1/2 (peak slope 1.5); acceleration alone would
     # allow sqrt(30).
     assert abs(t - 15.0) < 1e-9
@@ -126,7 +131,7 @@ def test_admissibility_and_saturation(seed, n_via, dof):
     q_via = rng.standard_normal((n_via, dof))
     lim = KinodynamicLimits.symmetric(0.5, 2.0, dof)
     grid = PhaseGrid(50)
-    traj = synthesize(basis, q_via, bc, lim, grid)
+    traj = synthesize(boundary_half(basis, bc, lim, grid), q_via)
     if traj.degenerate:
         return
     _, qd, qdd = traj.sample_grid(grid)
@@ -152,7 +157,7 @@ def test_bisection_oracle_agreement():
                                 rng.uniform(-0.9, 0.9, dof) * qd_lim)
         q_via = rng.standard_normal((n_via, dof))
         lim = KinodynamicLimits.symmetric(qd_lim, float(rng.uniform(0.5, 4.0)), dof)
-        t = min_duration(basis, q_via, bc, lim, grid)
+        t = duration_of(basis, q_via, bc, lim, grid)
         oracle = bisect_duration(basis, q_via, bc, lim, grid)
         assert abs(t - oracle) < 1e-6 * max(1.0, oracle)
 
@@ -163,8 +168,8 @@ def test_velocity_limited_scaling():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     basis = build_basis(0, 1)
     grid = PhaseGrid(100)
-    t1 = min_duration(basis, None, bc, KinodynamicLimits.symmetric(0.1, 0.2, 1), grid)
-    t2 = min_duration(basis, None, bc, KinodynamicLimits.symmetric(0.2, 0.4, 1), grid)
+    t1 = duration_of(basis, None, bc, KinodynamicLimits.symmetric(0.1, 0.2, 1), grid)
+    t2 = duration_of(basis, None, bc, KinodynamicLimits.symmetric(0.2, 0.4, 1), grid)
     assert abs(t1 - 2.0 * t2) < 1e-9
 
 
@@ -175,10 +180,10 @@ def test_bang_bang_lower_bound():
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     grid = PhaseGrid(50)
     for n_via in (1, 3, 8):
-        basis = build_basis(n_via, 1)
+        boundary = boundary_half(build_basis(n_via, 1), bc, lim, grid)
         for _ in range(20):
             q_via = np.sort(rng.uniform(-0.2, 1.2, (n_via, 1)), axis=0)
-            traj = synthesize(basis, q_via, bc, lim, grid)
+            traj = synthesize(boundary, q_via)
             assert traj.duration >= 10.5 - 1e-9
 
 
@@ -192,17 +197,19 @@ def test_duration_splits_consistency():
     q_via = rng.standard_normal((3, 2))
     grid = PhaseGrid(20)
     lim = KinodynamicLimits.symmetric(5.0, 5.0, 2)
-    tail, lanes = boundary_half(basis, bc, lim, grid)
+    boundary = boundary_half(basis, bc, lim, grid)
+    lanes = boundary.lanes
     u_a, _ = basis.pack_split(q_via, bc)
-    np.testing.assert_array_equal(tail, u_a[3:])
+    np.testing.assert_array_equal(boundary.tail, u_a[3:])
     _, e1, e2 = basis.grid_matrices(grid.n_points)
+    assert boundary.e1 is e1 and boundary.e2 is e2 and boundary.bc is bc
     a, c = e1 @ u_a, e2 @ u_a
     duration = 3.7
     u = basis.pack(q_via, bc, duration)
     np.testing.assert_allclose(a / duration + lanes.b, e1 @ u / duration, atol=1e-9)
     np.testing.assert_allclose(c / duration**2 + lanes.d / duration,
                                e2 @ u / duration**2, atol=1e-9)
-    assert min_duration(basis, q_via, bc, lim, grid) == lanes.duration(a, c)
+    assert min_duration(boundary, q_via) == lanes.duration(a, c)
 
 
 def test_limits_are_read_only_copies():
@@ -215,18 +222,22 @@ def test_limits_are_read_only_copies():
             getattr(lim, name)[0] = 0.5
 
 
-def test_boundary_half_memo_follows_its_key():
-    # One entry per basis, keyed by the identity of bc, limits and grid: a
-    # new object is a miss even when equal, and the old entry is not served
-    # after another key has replaced it.
+def test_boundaries_on_one_basis_keep_their_own_durations():
+    # Boundaries for two bcs, two limits and two grids on one basis, used
+    # interleaved, each give the durations of a boundary built alone.
+    rng = np.random.default_rng(11)
     basis = build_basis(2, 1)
-    bc = BoundaryConditions([0.0], [0.1], [1.0], [0.0])
-    lim = KinodynamicLimits.symmetric(0.5, 1.0, 1)
-    grid = PhaseGrid(10)
-    _, first = boundary_half(basis, bc, lim, grid)
-    assert boundary_half(basis, bc, lim, grid)[1] is first
-    other_bc = BoundaryConditions([0.0], [0.2], [1.0], [0.0])
-    _, second = boundary_half(basis, other_bc, lim, grid)
-    assert second is not first and second.b[0, 0] != first.b[0, 0]
-    assert boundary_half(basis, bc, lim, PhaseGrid(10))[1] is not first
-    assert boundary_half(basis, bc, lim, grid)[1] is not first
+    bcs = [BoundaryConditions([0.0], [0.1], [1.0], [0.0]),
+           BoundaryConditions([0.0], [0.2], [1.0], [0.0])]
+    lims = [KinodynamicLimits.symmetric(0.5, 1.0, 1),
+            KinodynamicLimits.symmetric(0.7, 0.8, 1)]
+    grids = [PhaseGrid(10), PhaseGrid(17)]
+    keys = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    boundaries = [boundary_half(basis, bcs[i], lims[j], grids[k]) for i, j, k in keys]
+    cands = rng.uniform(0.0, 1.0, (6, 2, 1))
+    got = [[min_duration(b, x) for b in boundaries] for x in cands]
+    for row, x in zip(got, cands):
+        alone = [duration_of(basis, x, bcs[i], lims[j], grids[k]) for i, j, k in keys]
+        assert row == alone
+    # No two of the boundaries give the same durations.
+    assert len({tuple(col) for col in zip(*got)}) == len(keys)

@@ -9,32 +9,34 @@ from viaplan.worlds import (Disk, PushWorld, Rect, World2D, ablation_world_1d,
                             bundled_cluttered_world, bundled_start_goal,
                             path_winding, simulate_push, single_obstacle_world)
 
+from conftest import is_colliding
+
 
 def test_disk_collision_basics():
     world = World2D(obstacles=(Disk([0.5, 0.5], 0.1),))
-    assert world.is_colliding([0.5, 0.5])
-    assert not world.is_colliding([0.9, 0.9])
+    assert is_colliding(world, [0.5, 0.5])
+    assert not is_colliding(world, [0.9, 0.9])
 
 
 def test_disk_tangency_is_free():
     world = World2D(obstacles=(Disk([0.5, 0.5], 0.1),), robot_radius=0.05)
-    assert not world.is_colliding([0.5 + 0.15, 0.5])
-    assert world.is_colliding([0.5 + 0.15 - 1e-9, 0.5])
+    assert not is_colliding(world, [0.5 + 0.15, 0.5])
+    assert is_colliding(world, [0.5 + 0.15 - 1e-9, 0.5])
 
 
 def test_rect_collision_with_inflation():
     world = World2D(obstacles=(Rect([0.4, 0.4], [0.6, 0.6]),), robot_radius=0.05)
-    assert world.is_colliding([0.5, 0.5])
-    assert world.is_colliding([0.35 + 1e-9, 0.5])
-    assert not world.is_colliding([0.35, 0.5])       # tangent to inflated face
-    assert not world.is_colliding([0.3, 0.3])
+    assert is_colliding(world, [0.5, 0.5])
+    assert is_colliding(world, [0.35 + 1e-9, 0.5])
+    assert not is_colliding(world, [0.35, 0.5])       # tangent to inflated face
+    assert not is_colliding(world, [0.3, 0.3])
 
 
 def test_bounds_collision():
     world = World2D(obstacles=(), robot_radius=0.05)
-    assert world.is_colliding([0.01, 0.5])
-    assert not world.is_colliding([0.05, 0.5])
-    assert world.is_colliding([0.5, 1.0])
+    assert is_colliding(world, [0.01, 0.5])
+    assert not is_colliding(world, [0.05, 0.5])
+    assert is_colliding(world, [0.5, 1.0])
 
 
 def test_batch_mask_matches_pointwise():
@@ -42,7 +44,7 @@ def test_batch_mask_matches_pointwise():
     world = bundled_cluttered_world()
     pts = rng.uniform(-0.1, 1.1, (300, 2))
     mask = world.colliding_mask(pts)
-    loop = np.array([world.is_colliding(p) for p in pts])
+    loop = np.array([is_colliding(world, p) for p in pts])
     np.testing.assert_array_equal(mask, loop)
 
 
@@ -107,8 +109,8 @@ def test_ablation_world_1d():
 def test_bundled_world_start_goal_free_line_blocked():
     world = bundled_cluttered_world()
     q0, qT = bundled_start_goal()
-    assert not world.is_colliding(q0)
-    assert not world.is_colliding(qT)
+    assert not is_colliding(world, q0)
+    assert not is_colliding(world, qT)
     line = q0 + np.linspace(0.0, 1.0, 101)[:, None] * (qT - q0)
     assert np.any(world.colliding_mask(line))
 
@@ -123,8 +125,8 @@ def test_bundled_world_has_passages():
 
 def test_single_obstacle_world_blocks_center():
     world = single_obstacle_world()
-    assert world.is_colliding([0.5, 0.5])
-    assert not world.is_colliding([0.1, 0.5])
+    assert is_colliding(world, [0.5, 0.5])
+    assert not is_colliding(world, [0.1, 0.5])
 
 
 def test_path_winding_classes():
