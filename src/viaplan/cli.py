@@ -2,6 +2,9 @@
 ablation studies (via-point count, covariance factorization), all driven by a
 JSON config and emitting CSV artifacts.
 
+Each config section has one schema, a `*_KEYS` pair (key -> JSON kind,
+required keys), that `load_config` applies; a null keeps the key's default.
+
 Exit codes: 0 success, 1 experiment-level failure, 2 usage/config error.
 Identical config + seed reproduces byte-identical CSV; for the mpc command
 this requires the fixed `iterations_per_step` budget (wall-clock budgets make
@@ -55,11 +58,43 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def load_config(path: str, sections: dict) -> dict:
-    """Parse and strictly validate the JSON config.
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    sections maps section name -> (allowed keys, required keys); unknown keys
-    anywhere are errors naming the offending key.
+
+def _rows(width: int):
+    return lambda value: isinstance(value, list) and all(
+        isinstance(row, list) and len(row) == width and all(map(_number, row))
+        for row in value)
+
+
+# The JSON kinds of config values, named as the error messages name them, and
+# the test that a value of each kind passes: bool keys take only true or
+# false, int keys only integers, float keys any number.
+BOOL, INT, FLOAT, STR = "true or false", "an integer", "a number", "a string"
+VECTOR, INTS = "a number or a list of numbers", "a list of integers"
+DISKS = "a list of [x, y, radius] disks"
+RECTS = "a list of [x_lo, y_lo, x_hi, y_hi] rectangles"
+ACCEPTS = {
+    BOOL: lambda value: isinstance(value, bool),
+    INT: lambda value: isinstance(value, int) and not isinstance(value, bool),
+    FLOAT: _number,
+    STR: lambda value: isinstance(value, str),
+    VECTOR: lambda value: _number(value) or (isinstance(value, list)
+                                             and all(map(_number, value))),
+    INTS: lambda value: isinstance(value, list) and all(map(ACCEPTS[INT], value)),
+    DISKS: _rows(3),
+    RECTS: _rows(4),
+}
+
+
+def load_config(path: str, sections: dict) -> dict:
+    """Parse the JSON config and check it against the schemas in `sections`,
+    which maps section name -> (key -> JSON kind, required keys).
+
+    Unknown sections and keys, missing required keys and values not of their
+    key's kind are ConfigErrors naming the key.  A null counts as absent, so
+    the key's default applies; float-kind values come back as floats.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -73,45 +108,47 @@ def load_config(path: str, sections: dict) -> dict:
         if name not in sections:
             raise ConfigError(f"unknown section '{name}'")
     out = {}
-    for name, (allowed, required) in sections.items():
+    for name, (kinds, required) in sections.items():
         sec = raw.get(name, {})
         if not isinstance(sec, dict):
             raise ConfigError(f"section '{name}' must be a JSON object")
         for key in sec:
-            if key not in allowed:
+            if key not in kinds:
                 raise ConfigError(f"unknown key '{name}.{key}'")
-        for key in required:
-            if key not in sec:
+        sec = {key: value for key, value in sec.items() if value is not None}
+        for key, kind in kinds.items():
+            if key in sec and not ACCEPTS[kind](sec[key]):
+                raise ConfigError(f"key '{name}.{key}' must be {kind}, "
+                                  f"not {json.dumps(sec[key])}")
+            if key in required and key not in sec:
                 raise ConfigError(f"missing key '{name}.{key}'")
-        out[name] = sec
+        out[name] = {key: float(value) if kinds[key] == FLOAT else value
+                     for key, value in sec.items()}
     return out
 
 
-PROBLEM_KEYS = ({"q0", "qd0", "qT", "qdT", "qd_max", "qdd_max", "q_min", "q_max"},
+PROBLEM_KEYS = (dict.fromkeys(("q0", "qd0", "qT", "qdT", "qd_max", "qdd_max",
+                               "q_min", "q_max"), VECTOR),
                 {"q0", "qT", "qd_max", "qdd_max"})
-COSTS_KEYS = ({"duration", "smooth", "jla", "collision", "push", "invalid_penalty"},
-              set())
-WORLD_KEYS = ({"type", "disks", "rects", "robot_radius", "bounds_lo", "bounds_hi"},
-              set())
+COSTS_KEYS = (dict.fromkeys(("duration", "smooth", "jla", "collision", "push",
+                             "invalid_penalty"), FLOAT), set())
+WORLD_KEYS = ({"type": STR, "disks": DISKS, "rects": RECTS, "robot_radius": FLOAT,
+               "bounds_lo": VECTOR, "bounds_hi": VECTOR}, set())
 
 
 def _per_dof(value, dof: int):
     """A config scalar broadcast to every DoF, or a per-DoF list as given."""
-    if value is None:
-        return None
     arr = np.asarray(value, dtype=float)
     return arr * np.ones(dof) if arr.ndim == 0 else arr
 
 
 def build_problem(sec: dict) -> tuple[BoundaryConditions, KinodynamicLimits]:
-    q0 = np.asarray(sec["q0"], dtype=float)
-    qT = np.asarray(sec["qT"], dtype=float)
-    qd0 = np.asarray(sec.get("qd0", np.zeros_like(q0)), dtype=float)
-    qdT = np.asarray(sec.get("qdT", np.zeros_like(qT)), dtype=float)
-    qd_max, qdd_max, q_min, q_max = (_per_dof(sec.get(key), q0.shape[0])
+    q0, qT = (np.asarray(sec[key], dtype=float) for key in ("q0", "qT"))
+    bc = BoundaryConditions(q0, sec.get("qd0", np.zeros_like(q0)),
+                            qT, sec.get("qdT", np.zeros_like(qT)))
+    qd_max, qdd_max, q_min, q_max = (_per_dof(sec[key], bc.dof) if key in sec else None
                                      for key in ("qd_max", "qdd_max", "q_min", "q_max"))
-    limits = KinodynamicLimits(-qd_max, qd_max, -qdd_max, qdd_max, q_min, q_max)
-    return BoundaryConditions(q0, qd0, qT, qdT), limits
+    return bc, KinodynamicLimits(-qd_max, qd_max, -qdd_max, qdd_max, q_min, q_max)
 
 
 def build_world(sec: dict):
@@ -125,81 +162,28 @@ def build_world(sec: dict):
     if kind == "custom":
         obstacles = [Disk(np.array(d[:2]), d[2]) for d in sec.get("disks", [])]
         obstacles += [Rect(np.array(r[:2]), np.array(r[2:])) for r in sec.get("rects", [])]
-        return World2D(obstacles=tuple(obstacles),
-                       bounds_lo=np.asarray(sec.get("bounds_lo", [0.0, 0.0]), dtype=float),
-                       bounds_hi=np.asarray(sec.get("bounds_hi", [1.0, 1.0]), dtype=float),
-                       robot_radius=float(sec.get("robot_radius", 0.0)))
+        given = {key: sec[key] for key in ("bounds_lo", "bounds_hi", "robot_radius") if key in sec}
+        return World2D(obstacles=tuple(obstacles), **given)
     raise ConfigError(f"unknown key 'world.type' value '{kind}'")
 
 
 def build_weights(sec: dict) -> CostWeights:
-    return CostWeights(**{k: float(v) for k, v in sec.items()})
+    return CostWeights(**sec)
 
 
-PROBLEM_FIELDS = {"n_via": int, "pop_size": int, "max_iterations": int,
-                  "tol": float, "mode": str, "use_chol": bool}
-MPC_FIELDS = {"dt_mpc": float, "t_stop": float, "n_max": int, "alpha": float,
-              "pop_size": int, "grid_k": int, "explore_sigma": float,
-              "warmstart_sigma": float, "plant_dt": float,
-              "iterations_per_step": int, "goal_tol": float, "vel_tol": float}
+# The kind of every optimizer key; each command's section takes all but a few.
+OPTIMIZER_KINDS = {"n_via": INT, "n_list": INTS, "runs": INT, "seeds": INT,
+                   "pop_size": INT, "max_iterations": INT, "tol": FLOAT,
+                   "init_sigma": FLOAT, "grid_k": INT, "mode": STR,
+                   "use_chol": BOOL, "seed": INT}
 
 
-VECTOR = "a number or a list of numbers"
-INTS = "a list of integers"
-DISKS = "a list of [x, y, radius] disks"
-RECTS = "a list of [x_lo, y_lo, x_hi, y_hi] rectangles"
-TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-              str: "a string"}
-
-# The JSON type of every key a command reads.
-KEY_TYPES = {
-    **PROBLEM_FIELDS, **MPC_FIELDS,
-    **dict.fromkeys(("runs", "seeds", "seed", "max_steps"), int),
-    **dict.fromkeys(("init_sigma", "lag_time_constant", "robot_radius",
-                     *COSTS_KEYS[0]), float),
-    **dict.fromkeys((*PROBLEM_KEYS[0], "bounds_lo", "bounds_hi"), VECTOR),
-    "type": str, "plant": str, "n_list": INTS, "disks": DISKS, "rects": RECTS,
-}
+def optimizer_kinds(*excluded: str) -> dict:
+    return {key: kind for key, kind in OPTIMIZER_KINDS.items() if key not in excluded}
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def has_type(value, kind) -> bool:
-    """Whether a JSON value is of kind: bool keys take only true or false,
-    int keys only integers, float keys any number."""
-    if kind in TYPE_NAMES:
-        if kind is float:
-            return _number(value)
-        return isinstance(value, bool) == (kind is bool) and isinstance(value, kind)
-    if not isinstance(value, list):
-        return kind == VECTOR and _number(value)
-    if kind == INTS:
-        return all(has_type(v, int) for v in value)
-    if kind == VECTOR:
-        return all(map(_number, value))
-    width = 3 if kind == DISKS else 4
-    return all(isinstance(row, list) and len(row) == width and all(map(_number, row))
-               for row in value)
-
-
-def check_types(cfg: dict) -> None:
-    """Raise a ConfigError naming the first key whose value is not of its
-    KEY_TYPES kind.  Null passes here; load_experiment drops it from the
-    command's own section, so the command's default applies."""
-    for name, sec in cfg.items():
-        for key, value in sec.items():
-            kind = KEY_TYPES[key]
-            if value is not None and not has_type(value, kind):
-                raise ConfigError(f"key '{name}.{key}' must be "
-                                  f"{TYPE_NAMES.get(kind, kind)}, not {json.dumps(value)}")
-
-
-def typed_fields(sec: dict, fields: dict) -> dict:
-    """The section's values for the given dataclass fields, cast to their
-    types; absent or null keys are left to the dataclass defaults."""
-    return {k: cast(sec[k]) for k, cast in fields.items() if sec.get(k) is not None}
+# The optimizer keys that are PlanningProblem fields of the same name.
+PROBLEM_FIELDS = ("n_via", "pop_size", "max_iterations", "tol", "mode", "use_chol")
 
 
 def planning_problem(opt: dict, bc, limits, weights, checker, seed: int,
@@ -207,25 +191,20 @@ def planning_problem(opt: dict, bc, limits, weights, checker, seed: int,
     """PlanningProblem from an optimizer section.  `defaults` are the command's
     own values for keys the section leaves out (ablate-chol's 150 iterations)
     or that its schema does not accept (ablate-nvia's n_via)."""
+    opt = {**defaults, **opt}
     with config_values():
-        return PlanningProblem(bc, limits, grid=PhaseGrid(int(opt.get("grid_k", 50))),
+        return PlanningProblem(bc, limits, grid=PhaseGrid(opt.get("grid_k", 50)),
                                weights=weights, checker=checker, seed=seed,
-                               **typed_fields({**defaults, **opt}, PROBLEM_FIELDS))
-
-
-def init_sigma(opt: dict) -> float | None:
-    sigma = opt.get("init_sigma")
-    return None if sigma is None else float(sigma)
+                               **{key: opt[key] for key in PROBLEM_FIELDS if key in opt})
 
 
 def load_experiment(args, section: str, keys, world: bool = True):
     """Read and build the parts every command shares: (bc, limits, world or
-    None, weights, the command's own section, base seed)."""
+    None, weights, the command's own section without its seed, the seed)."""
     sections = {"problem": PROBLEM_KEYS, section: keys, "costs": COSTS_KEYS}
     if world:
         sections["world"] = WORLD_KEYS
     cfg = load_config(args.config, sections)
-    check_types(cfg)
     with config_values():
         bc, limits = build_problem(cfg["problem"])
         checker = build_world(cfg.get("world", {}))
@@ -234,9 +213,9 @@ def load_experiment(args, section: str, keys, world: bool = True):
         raise ConfigError("every limit needs one value per DoF of q0")
     if checker is not None and bc.dof != 2:
         raise ConfigError("a world needs a 2-DoF problem")
-    sec = {key: value for key, value in cfg[section].items() if value is not None}
-    seed = args.seed if args.seed is not None else sec.get("seed", 0)
-    return bc, limits, checker, weights, sec, seed
+    seed = cfg[section].pop("seed", 0)
+    return (bc, limits, checker, weights, cfg[section],
+            seed if args.seed is None else args.seed)
 
 
 def out_dir(args) -> Path:
@@ -248,24 +227,22 @@ def out_dir(args) -> Path:
 # -- plan ------------------------------------------------------------------
 
 
-PLAN_OPT_KEYS = ({"n_via", "pop_size", "runs", "max_iterations", "tol",
-                  "init_sigma", "grid_k", "mode", "use_chol", "seed"}, {"n_via"})
+PLAN_OPT_KEYS = (optimizer_kinds("n_list", "seeds"), {"n_via"})
 
 
 def cmd_plan(args) -> int:
     bc, limits, world, weights, opt, base_seed = load_experiment(
         args, "optimizer", PLAN_OPT_KEYS)
-    runs = int(opt.get("runs", 1))
+    runs = opt.get("runs", 1)
     out = out_dir(args)
 
-    dof = bc.dof
     rows = []
     n_valid = 0
     for i in range(runs):
         seed = base_seed + i
         problem = planning_problem(opt, bc, limits, weights, world, seed)
         try:
-            res = solve(problem, init_sigma_scale=init_sigma(opt))
+            res = solve(problem, init_sigma_scale=opt.get("init_sigma"))
         except InfeasibleError:
             rows.append([seed, float("nan"), float("nan"), False,
                          problem.max_iterations])
@@ -282,9 +259,7 @@ def cmd_plan(args) -> int:
         qdd = traj.acceleration(s)
         traj_rows = [[s_k * traj.duration, *q[k], *qd[k], *qdd[k]]
                      for k, s_k in enumerate(s)]
-        header = (["t"] + [f"q{d}" for d in range(dof)]
-                  + [f"qd{d}" for d in range(dof)]
-                  + [f"qdd{d}" for d in range(dof)])
+        header = ["t"] + [f"{v}{d}" for v in ("q", "qd", "qdd") for d in range(bc.dof)]
         write_csv(out / f"trajectory_{seed}.csv", header, traj_rows)
         if not args.quiet:
             print(f"seed {seed}: T={traj.duration:.4f} valid={report.valid} "
@@ -301,10 +276,12 @@ def cmd_plan(args) -> int:
 # -- mpc -------------------------------------------------------------------
 
 
-MPC_KEYS = ({"dt_mpc", "t_stop", "alpha", "n_max", "pop_size", "grid_k",
-             "explore_sigma", "warmstart_sigma", "plant_dt",
-             "iterations_per_step", "max_steps", "goal_tol", "vel_tol", "seed",
-             "plant", "lag_time_constant"}, set())
+MPC_KEYS = ({**dict.fromkeys(("dt_mpc", "t_stop", "alpha", "explore_sigma",
+                               "warmstart_sigma", "plant_dt", "goal_tol", "vel_tol",
+                               "lag_time_constant"), FLOAT),
+             **dict.fromkeys(("n_max", "pop_size", "grid_k", "iterations_per_step",
+                              "max_steps", "seed"), INT),
+             "plant": STR}, set())
 
 
 def parse_disturb(tokens: list[str]) -> dict:
@@ -326,18 +303,20 @@ def parse_disturb(tokens: list[str]) -> dict:
 
 def cmd_mpc(args) -> int:
     bc, limits, world, weights, m, seed = load_experiment(args, "mpc", MPC_KEYS)
+    # The keys of the closed loop itself; the rest are MpcConfig fields.
+    max_steps = m.pop("max_steps", 150)
+    plant_kind = m.pop("plant", "exact")
+    time_constant = m.pop("lag_time_constant", 0.05)
     with config_values():
-        config = MpcConfig(weights=weights, seed=seed, **typed_fields(m, MPC_FIELDS))
+        config = MpcConfig(weights=weights, seed=seed, **m)
         disturbances = parse_disturb(args.disturb) if args.disturb else None
     if any(dq.shape != bc.q0.shape for dq in (disturbances or {}).values()):
         raise ConfigError("--disturb dq needs one value per DoF")
-    if m.get("plant", "exact") not in ("exact", "lag"):
-        raise ConfigError(f"unknown key 'mpc.plant' value '{m['plant']}'")
-    max_steps = int(m.get("max_steps", 150))
+    if plant_kind not in ("exact", "lag"):
+        raise ConfigError(f"unknown key 'mpc.plant' value '{plant_kind}'")
     plant = None
-    if m.get("plant", "exact") == "lag":
-        plant = LagPlant(bc.q0, bc.qd0,
-                         time_constant=float(m.get("lag_time_constant", 0.05)))
+    if plant_kind == "lag":
+        plant = LagPlant(bc.q0, bc.qd0, time_constant=time_constant)
 
     step = greedy_step if args.baseline == "greedy" else None
     log = run_closed_loop(bc.q0, bc.qd0, bc.qT, bc.qdT, limits, config,
@@ -345,13 +324,11 @@ def cmd_mpc(args) -> int:
                           disturbances=disturbances, step=step)
 
     out = out_dir(args)
-    dof = bc.dof
     deterministic = config.iterations_per_step is not None
     ep_rows = [[r["step"], r["t"], *r["q"], *r["qd"], r["mode"], r["step_cost"],
                 0.0 if deterministic else 1e3 * r["step_seconds"], r["valid"]]
                for r in log.rows]
-    header = (["step", "t"] + [f"q{d}" for d in range(dof)]
-              + [f"qd{d}" for d in range(dof)]
+    header = (["step", "t"] + [f"{v}{d}" for v in ("q", "qd") for d in range(bc.dof)]
               + ["mode", "step_cost", "step_ms", "valid"])
     write_csv(out / "episode.csv", header, ep_rows)
     write_csv(out / "summary.csv",
@@ -368,21 +345,20 @@ def cmd_mpc(args) -> int:
 # -- ablations -------------------------------------------------------------
 
 
-NVIA_OPT_KEYS = ({"n_list", "seeds", "pop_size", "max_iterations", "tol",
-                  "grid_k", "seed", "init_sigma"}, set())
+NVIA_OPT_KEYS = (optimizer_kinds("n_via", "runs", "mode", "use_chol"), set())
 
 
 def cmd_ablate_nvia(args) -> int:
     bc, limits, _, weights, opt, base_seed = load_experiment(
         args, "optimizer", NVIA_OPT_KEYS, world=False)
-    n_list = [int(n) for n in opt.get("n_list", list(range(1, 17)))]
-    seeds = int(opt.get("seeds", 5))
+    n_list = opt.get("n_list", list(range(1, 17)))
+    seeds = opt.get("seeds", 5)
     rows = []
     for n_via in n_list:
         for i in range(seeds):
             problem = planning_problem(opt, bc, limits, weights, None,
                                        base_seed + i, n_via=n_via)
-            res = solve(problem, init_sigma_scale=init_sigma(opt))
+            res = solve(problem, init_sigma_scale=opt.get("init_sigma"))
             rows.append([n_via, res.trajectory.duration, res.iterations])
             if not args.quiet:
                 print(f"N={n_via} seed={base_seed + i}: "
@@ -391,8 +367,7 @@ def cmd_ablate_nvia(args) -> int:
     return 0
 
 
-CHOL_OPT_KEYS = ({"n_via", "seeds", "pop_size", "max_iterations", "tol",
-                  "grid_k", "seed", "init_sigma"}, set())
+CHOL_OPT_KEYS = (optimizer_kinds("n_list", "runs", "mode", "use_chol"), set())
 
 CHOL_SETUPS = (("sep_chol", "sep", True), ("sep_plain", "sep", False),
                ("full_chol", "full", True), ("full_plain", "full", False))
@@ -401,7 +376,7 @@ CHOL_SETUPS = (("sep_chol", "sep", True), ("sep_plain", "sep", False),
 def cmd_ablate_chol(args) -> int:
     bc, limits, world, weights, opt, base_seed = load_experiment(
         args, "optimizer", CHOL_OPT_KEYS)
-    seeds = int(opt.get("seeds", 20))
+    seeds = opt.get("seeds", 20)
     rows = []
     for name, mode, use_chol in CHOL_SETUPS:
         for i in range(seeds):
@@ -409,7 +384,7 @@ def cmd_ablate_chol(args) -> int:
                                        base_seed + i, n_via=6, max_iterations=150,
                                        mode=mode, use_chol=use_chol)
             try:
-                res = solve(problem, init_sigma_scale=init_sigma(opt))
+                res = solve(problem, init_sigma_scale=opt.get("init_sigma"))
             except InfeasibleError:
                 continue
             first_valid = -1 if res.first_valid_iter is None else res.first_valid_iter

@@ -53,6 +53,8 @@ class MpcConfig:
     def __post_init__(self):
         if self.dt_mpc <= 0.0 or self.t_stop <= 0.0 or self.alpha <= 0.0:
             raise ValueError("dt_mpc, t_stop and alpha must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if self.pop_size < 4:

@@ -48,6 +48,8 @@ class PlanningProblem:
             raise ValueError("population size must be at least 4")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.mode not in ("sep", "full"):
             raise ValueError("mode must be 'sep' or 'full'")
 

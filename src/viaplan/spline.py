@@ -49,6 +49,8 @@ class BoundaryConditions:
         shapes = {self.q0.shape, self.qd0.shape, self.qT.shape, self.qdT.shape}
         if len(shapes) != 1 or self.q0.ndim != 1:
             raise ValueError("boundary vectors must share one dimension D")
+        if self.dof == 0:
+            raise ValueError("boundary vectors need at least one DoF")
         if not all(np.all(np.isfinite(v)) for v in (self.q0, self.qd0, self.qT, self.qdT)):
             raise ValueError("boundary conditions must be finite")
 

@@ -48,6 +48,8 @@ class World2D:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "bounds_lo", np.asarray(self.bounds_lo, dtype=float))
         object.__setattr__(self, "bounds_hi", np.asarray(self.bounds_hi, dtype=float))
+        if self.bounds_lo.shape != (2,) or self.bounds_hi.shape != (2,):
+            raise ValueError("bounds_lo and bounds_hi must be [x, y] pairs")
         if self.robot_radius < 0.0:
             raise ValueError("robot_radius must be non-negative")
 

@@ -5,29 +5,48 @@ table, and its self-test expects one `timing.synthesize` call per candidate
 of every generation (plus one for the final mean of `planner.solve`).  A
 refactor that renames a traced function or batches duration synthesis would
 break `viabench/run.py --trace 1`; these tests say so first.
+
+`viabench/workloads.py` builds its problems from the repository's configs
+through `cli.load_config`, the `cli.*_KEYS` schemas and the `cli.build_*`
+functions, so a change to the CLI's schemas breaks the benchmark too.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from viaplan.costs import CostWeights
+from viaplan.mpc import MpcConfig
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions
 from viaplan.timing import KinodynamicLimits, PhaseGrid
 from viaplan.worlds import bundled_cluttered_world, bundled_start_goal
 
-TRACING = Path(__file__).resolve().parent.parent / "viabench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_viabench(name):
+    path = ROOT / "viabench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"viabench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # Registered first, as an import would, for the dataclasses in workloads.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("viabench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_viabench("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_viabench("workloads")
 
 
 def cluttered_problem(pop_size, max_iterations):
@@ -59,3 +78,48 @@ def test_one_synthesize_call_per_candidate(tracing):
     assert tracer.calls("planner.evaluate_candidates") == result.iterations == 4
     assert tracer.calls("timing.synthesize") == result.iterations * problem.pop_size + 1
     assert tracer.calls("timing.min_duration") == tracer.calls("timing.synthesize")
+
+
+def assert_same_fields(actual, expected):
+    """Field-by-field equality of dataclasses that hold arrays or tuples of
+    such dataclasses (limits, worlds, obstacles)."""
+    assert type(actual) is type(expected)
+    for name, value in vars(expected).items():
+        got = getattr(actual, name)
+        if isinstance(value, tuple):
+            assert len(got) == len(value), name
+            for a, b in zip(got, value):
+                assert_same_fields(a, b)
+        else:
+            np.testing.assert_array_equal(got, value, err_msg=name)
+
+
+def test_workloads_build_from_the_configs(workloads):
+    limits_2d = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
+
+    offline = workloads.Offline2D(ROOT)
+    offline.build()
+    assert (offline.n_via_cycle, offline.pop_size, offline.grid_k,
+            offline.max_iterations, offline.tol, offline.init_sigma) == (
+        (6,), 32, 50, 500, 1e-6, 0.4)
+    assert offline.weights == CostWeights()
+    np.testing.assert_array_equal(offline.bc.q0, [0.1, 0.5])
+    np.testing.assert_array_equal(offline.bc.qT, [0.9, 0.5])
+    assert_same_fields(offline.limits, limits_2d)
+    assert_same_fields(offline.world, bundled_cluttered_world())
+
+    timeopt = workloads.TimeOpt1D(ROOT)
+    timeopt.build()
+    assert (timeopt.pop_size, timeopt.grid_k, timeopt.max_iterations,
+            timeopt.tol) == (16, 50, 500, 1e-6)
+    assert timeopt.weights == CostWeights()
+    assert timeopt.world is None
+
+    mpc = workloads.Mpc2D(ROOT)
+    mpc.build()
+    assert mpc.config == MpcConfig(dt_mpc=0.08, t_stop=1.0, n_max=4, alpha=2.0,
+                                   pop_size=32, grid_k=20, plant_dt=1e-3, seed=0,
+                                   iterations_per_step=12)
+    assert mpc.max_steps == 150
+    assert_same_fields(mpc.limits, limits_2d)
+    assert_same_fields(mpc.world, bundled_cluttered_world())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import viaplan
-from viaplan.cli import ConfigError, main, parse_disturb
+from viaplan.cli import COSTS_KEYS, ConfigError, load_config, main, parse_disturb
 
 
 def write_config(path, data):
@@ -62,9 +62,10 @@ def test_missing_required_key(tmp_path, capsys):
     assert "problem.qdd_max" in capsys.readouterr().err
 
 
-def with_value(base, section, key, value):
+def with_value(base, section, keys, value):
+    """A copy of base with value at each of the space-separated keys."""
     cfg = copy.deepcopy(base)
-    cfg[section][key] = value
+    cfg[section].update(dict.fromkeys(keys.split(), value))
     return cfg
 
 
@@ -79,12 +80,20 @@ def with_value(base, section, key, value):
     ("mpc", "mpc", "dt_mpc", 0, "dt_mpc"),
     ("mpc", "mpc", "plant", "lagged", "mpc.plant"),
     ("mpc", "world", "disks", [[0.5, 0.5]], "world.disks"),
+    ("plan", "problem", "q0 qT", [], "at least one DoF"),
+    ("mpc", "world", "bounds_lo", [0.0], "bounds_lo and bounds_hi"),
+    ("mpc", "world", "bounds_hi", 0.0, "bounds_lo and bounds_hi"),
+    ("plan", "optimizer", "seed", -3, "seed must be non-negative"),
+    ("mpc", "mpc", "seed", -1, "seed must be non-negative"),
+    # The --seed flag overrides the config's seed of 0.
+    ("plan --seed -1", "optimizer", "seed", 0, "seed must be non-negative"),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):
+    command, *flags = command.split()
     base = PLAN_1D if command == "plan" else dict(MPC_FREE, world={"type": "custom"})
     cfg = with_value(base, section, key, value)
-    code = main([command, write_config(tmp_path / "c.json", cfg),
+    code = main([command, write_config(tmp_path / "c.json", cfg), *flags,
                  "--out-dir", str(tmp_path / "o"), "--quiet"])
     err = capsys.readouterr().err
     assert code == 2
@@ -122,6 +131,40 @@ def test_float_keys_take_integers_and_null_is_the_default(tmp_path):
                      "--out-dir", str(out), "--quiet"]) == 0
         blobs.append((out / "plan_runs.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def plan_csvs(tmp_path, name, cfg):
+    """The bytes of every CSV that `plan` writes for cfg."""
+    out = tmp_path / name
+    assert main(["plan", write_config(tmp_path / f"{name}.json", cfg),
+                 "--out-dir", str(out), "--quiet"]) == 0
+    return {path.name: path.read_bytes() for path in out.glob("*.csv")}
+
+
+def test_null_keeps_the_default_in_every_section(tmp_path, capsys):
+    nulls = copy.deepcopy(PLAN_1D)
+    nulls["costs"]["smooth"] = None
+    nulls["world"]["type"] = None
+    nulls["problem"].update(qd0=None, q_min=None, q_max=None)
+    nulls["optimizer"]["tol"] = None
+    assert plan_csvs(tmp_path, "nulls", nulls) == plan_csvs(tmp_path, "omitted", PLAN_1D)
+    # A null required key is a missing one.
+    cfg = with_value(PLAN_1D, "problem", "qdd_max", None)
+    assert main(["plan", write_config(tmp_path / "c.json", cfg),
+                 "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "missing key 'problem.qdd_max'" in capsys.readouterr().err
+
+
+def test_load_config_returns_float_keys_as_floats(tmp_path):
+    path = write_config(tmp_path / "c.json", {"costs": {"smooth": 1, "jla": None}})
+    costs = load_config(path, {"costs": COSTS_KEYS})["costs"]
+    assert costs == {"smooth": 1.0} and type(costs["smooth"]) is float
+
+
+def test_scalar_boundary_is_one_dof(tmp_path):
+    # q0 and qT are per-DoF keys like the limits: a number is one DoF.
+    scalar = with_value(with_value(PLAN_1D, "problem", "q0", 0.0), "problem", "qT", 1.0)
+    assert plan_csvs(tmp_path, "scalar", scalar) == plan_csvs(tmp_path, "list", PLAN_1D)
 
 
 def test_malformed_json(tmp_path):
