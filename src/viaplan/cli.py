@@ -254,9 +254,7 @@ def cmd_plan(args) -> int:
         rows.append([seed, report.total, traj.duration, report.valid,
                      res.iterations])
         s = np.linspace(0.0, 1.0, 101)
-        q = traj.position(s)
-        qd = traj.velocity(s)
-        qdd = traj.acceleration(s)
+        q, qd, qdd = (traj.evaluate(s, order) for order in range(3))
         traj_rows = [[s_k * traj.duration, *q[k], *qd[k], *qdd[k]]
                      for k, s_k in enumerate(s)]
         header = ["t"] + [f"{v}{d}" for v in ("q", "qd", "qdd") for d in range(bc.dof)]

@@ -91,7 +91,7 @@ def cost_push(traj: Trajectory, push_ctx: PushContext) -> tuple[float, bool]:
         return 1.0, False
     n_steps = max(2, int(np.ceil(traj.duration / push_ctx.step_dt)) + 1)
     s = np.linspace(0.0, 1.0, n_steps)
-    robot = traj.position(s)
+    robot = traj.evaluate(s)
     box = simulate_push(push_ctx.world, robot)
     e0 = float(np.sum((box[0] - push_ctx.target) ** 2))
     eT = float(np.sum((box[-1] - push_ctx.target) ** 2))

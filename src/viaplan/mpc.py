@@ -1,14 +1,16 @@
 """Online re-optimization: full-horizon MPC steps under a wall-clock budget.
 
 Each step first tries the deterministic no-via-point trajectory (stopping
-primitive); otherwise it initializes the evolution strategy by warm-starting
-from the time-shifted previous solution or by exploring from a straight-line
-guess, runs the planner's shared generation loop (always sep-CMA-ES behind
-the smoothness Cholesky factor) until the step budget expires, and extracts
-a finely sampled short-horizon reference for the tracking plant, evaluated
-at all plant sample times in one pass.  The greedy baseline is another step
-function for the same closed loop; it scores all its endpoints in one
-`costs.evaluate_total` call.
+primitive); when that fails the gate, it initializes the evolution strategy
+by warm-starting from the time-shifted previous solution or by exploring
+from a straight-line guess, and runs the planner's shared generation loop
+(always sep-CMA-ES behind the smoothness Cholesky factor) until the step
+budget expires.  Either way the step ends in one place, which extracts the
+plant-rate reference over the first dt_mpc of the solution
+(`extract_reference(solution, 0.0, dt_mpc, plant_dt)`).  The greedy baseline
+is another step function for the same closed loop; it scores all its
+endpoints in one `costs.evaluate_total` call and extracts its reference the
+same way.
 """
 
 from __future__ import annotations
@@ -97,11 +99,11 @@ def select_n_via(t_prev: float, alpha: float, n_max: int) -> int:
 
 
 def warm_start(prev_solution: Trajectory, elapsed: float, alpha: float,
-               n_max: int, warmstart_sigma: float):
+               n_max: int):
     """Time-shifted previous solution as the next initial mean.
 
-    Returns (mean, sigma_scale, n_via); raises ExpiredError when the previous
-    solution has no remaining tail.
+    Returns (mean, n_via); raises ExpiredError when the previous solution has
+    no remaining tail.
     """
     t_rem = prev_solution.duration - elapsed
     if t_rem <= 0.0:
@@ -109,20 +111,7 @@ def warm_start(prev_solution: Trajectory, elapsed: float, alpha: float,
     n_via = select_n_via(t_rem, alpha, n_max)
     t_via = elapsed + via_timings(n_via) * t_rem
     mean = np.stack([prev_solution.at_time(t) for t in t_via]).reshape(-1)
-    return mean, warmstart_sigma, n_via
-
-
-def explore_init(bc: BoundaryConditions, n_max: int, explore_sigma: float):
-    """Straight-line mean with high variance and the maximal via count."""
-    return straight_line_init(bc, n_max), explore_sigma, n_max
-
-
-def extract_short_horizon(traj: Trajectory, dt_mpc: float,
-                          plant_dt: float) -> ShortHorizon:
-    """Sample q, qd, qdd at plant resolution over min(dt_mpc, T)."""
-    if plant_dt > dt_mpc:
-        raise ValueError("plant_dt must not exceed dt_mpc")
-    return extract_reference(traj, 0.0, dt_mpc, plant_dt)
+    return mean, n_via
 
 
 def extract_reference(traj: Trajectory, t0: float, duration: float,
@@ -151,68 +140,54 @@ def extract_reference(traj: Trajectory, t0: float, duration: float,
     return ShortHorizon(times=times - t0, q=q, qd=qd, qdd=qdd)
 
 
-def _sigma_defaults(config: MpcConfig, bc: BoundaryConditions):
-    dist = float(np.linalg.norm(bc.qT - bc.q0)) or 1.0
-    explore = config.explore_sigma if config.explore_sigma is not None else 0.5 * dist
-    warm = config.warmstart_sigma if config.warmstart_sigma is not None else 0.05 * dist
-    return explore, warm
-
-
 def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
              checker=None, push_ctx=None, prev_result: MpcStepResult | None = None,
              seed: int = 0) -> MpcStepResult:
-    """One full-horizon MPC step (direct gate, then budgeted optimization)."""
+    """One full-horizon MPC step: the direct trajectory when it passes the
+    gate, else a budgeted optimization from a warm start or an exploration."""
     t_start = time.monotonic()
     bc = BoundaryConditions(q, qd, qT, qdT)
-    explore_sigma, warmstart_sigma = _sigma_defaults(config, bc)
     problem = PlanningProblem(bc, limits, n_via=config.n_max,
                               pop_size=config.pop_size,
                               grid=PhaseGrid(config.grid_k),
                               weights=config.weights, checker=checker,
                               push_ctx=push_ctx, seed=seed)
-
     try:
-        direct, direct_report = score(build_basis(0, bc.dof), None, problem)
-        if direct_report.valid and direct.duration <= config.t_stop:
-            horizon = extract_short_horizon(direct, config.dt_mpc, config.plant_dt)
-            return MpcStepResult(solution=direct, report=direct_report,
-                                 valid=True, mode="direct", iterations_run=0,
-                                 short_horizon=horizon,
-                                 step_seconds=time.monotonic() - t_start)
+        solution, report = score(build_basis(0, bc.dof), None, problem)
     except InfeasibleError:
-        pass
+        solution = report = None
 
-    mode = "explore"
-    init = None
-    if prev_result is not None and prev_result.valid and prev_result.solution is not None:
-        try:
-            init = warm_start(prev_result.solution, config.dt_mpc,
-                              config.alpha, config.n_max, warmstart_sigma)
-            mode = "warmstart"
-        except ExpiredError:
-            pass
-    if init is None:
-        init = explore_init(bc, config.n_max, explore_sigma)
-    mean, sigma_scale, n_via = init
-
-    problem = replace(problem, n_via=n_via)
-    basis = build_basis(n_via, bc.dof)
-    es = make_es(problem, basis, mean, sigma_scale)
-    iterations = 0
-    for _ in generations(es, basis, problem):
-        iterations += 1
-        if config.iterations_per_step is not None:
-            if iterations >= config.iterations_per_step:
+    mode, iterations = "direct", 0
+    if report is None or not (report.valid and solution.duration <= config.t_stop):
+        mode, mean, n_via = "explore", straight_line_init(bc, config.n_max), config.n_max
+        if prev_result is not None and prev_result.valid and prev_result.solution is not None:
+            try:
+                mean, n_via = warm_start(prev_result.solution, config.dt_mpc,
+                                         config.alpha, config.n_max)
+                mode = "warmstart"
+            except ExpiredError:
+                pass
+        sigma, fraction = ((config.warmstart_sigma, 0.05) if mode == "warmstart"
+                           else (config.explore_sigma, 0.5))
+        if sigma is None:
+            sigma = fraction * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0)
+        problem = replace(problem, n_via=n_via)
+        basis = build_basis(n_via, bc.dof)
+        es = make_es(problem, basis, mean, sigma)
+        for _ in generations(es, basis, problem):
+            iterations += 1
+            if config.iterations_per_step is not None:
+                if iterations >= config.iterations_per_step:
+                    break
+            elif time.monotonic() - t_start >= config.dt_mpc:
                 break
-        elif time.monotonic() - t_start >= config.dt_mpc:
-            break
+        try:
+            solution, report = score(basis, es.mean, problem)
+        except InfeasibleError:
+            solution = report = None
 
-    try:
-        solution, report = score(basis, es.mean, problem)
-    except InfeasibleError:
-        solution = report = horizon = None
-    else:
-        horizon = extract_short_horizon(solution, config.dt_mpc, config.plant_dt)
+    horizon = (None if solution is None
+               else extract_reference(solution, 0.0, config.dt_mpc, config.plant_dt))
     return MpcStepResult(solution=solution, report=report,
                          valid=report is not None and report.valid,
                          mode=mode, iterations_run=iterations,
@@ -269,7 +244,15 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
                     disturbances: dict | None = None,
                     step=None) -> EpisodeLog:
     """Call step (mpc_step when None, or greedy_step) at 1/dt_mpc until the
-    goal state is reached or max_steps have run."""
+    goal state is reached or max_steps have run.
+
+    The plant runs each valid step's reference.  After an invalid step it
+    replays the rest of the last valid plan, one dt_mpc window per step from
+    one step on, and holds with zero velocity once that plan has run out.
+    When there is no valid plan to replay (no valid step yet, or none since
+    a disturbance), the plant runs the invalid step's own reference, and
+    holds only when the step has no solution at all.
+    """
     step = step or mpc_step   # looked up per call, so a patched mpc_step runs
     qT = np.asarray(qT, dtype=float)
     qdT = np.asarray(qdT, dtype=float)
@@ -366,7 +349,7 @@ def greedy_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
             best_cost = cost
             best = traj
     horizon = (None if best is None
-               else extract_short_horizon(best, config.dt_mpc, config.plant_dt))
+               else extract_reference(best, 0.0, config.dt_mpc, config.plant_dt))
     return MpcStepResult(solution=best, report=None, valid=best is not None,
                          mode="greedy", iterations_run=0, short_horizon=horizon,
                          step_seconds=time.monotonic() - t_start)

@@ -5,7 +5,9 @@ uniform phase timings s_n = n/(N+1) plus boundary positions and velocities.
 The curve is the clamped C^2 cubic spline through these constraints, which is
 the unique minimizer of the integrated squared second phase-derivative among
 all C^2 interpolants.  Everything is linear in the stacked parameter vector,
-so evaluation and the smoothness Gram matrices reduce to precomputed matrices.
+so evaluation (`SplineBasis.eval_matrix`, applied by `timing.Trajectory.evaluate`)
+and the smoothness Gram matrix (`SplineBasis.gram`) reduce to precomputed
+matrices.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class SplineBasis:
         self.n_segments = n_via + 1
         self.h = 1.0 / (n_via + 1)
         self._coeffs = self._build_coeffs(n_via)
-        self._gram = self._build_gram()
+        self.gram = self._build_gram()   # (N+4, N+4), of the scalar vector
         self._grid_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @staticmethod
@@ -209,45 +211,11 @@ class SplineBasis:
         u_b[:, n + 3] = [bc.qdT for bc in bcs]
         return u_a + np.asarray(durations, dtype=float)[:, None, None] * u_b
 
-    # -- smoothness -------------------------------------------------------
-
-    @property
-    def gram_full(self) -> np.ndarray:
-        return self._gram
-
-    @property
-    def gram_via_scalar(self) -> np.ndarray:
-        return self._gram[:self.n_via, :self.n_via]
-
-    @property
-    def gram_cross_scalar(self) -> np.ndarray:
-        return self._gram[:self.n_via, self.n_via:]
-
 
 @lru_cache(maxsize=None)
 def build_basis(n_via: int, dof: int) -> SplineBasis:
     """Construct (and cache) the spline basis for a given via count and DoF."""
     return SplineBasis(n_via, dof)
-
-
-def evaluate(basis: SplineBasis, q_via, bc: BoundaryConditions,
-             duration: float, s, order: int = 0) -> np.ndarray:
-    """Evaluate q, q-dot or q-ddot of the synthesized trajectory at phase s.
-
-    Order 1 and 2 return time-domain derivatives, i.e. the phase derivatives
-    divided by T and T^2 respectively.
-    """
-    if order >= 1 and duration <= 0.0:
-        raise ValueError("time-domain derivatives need a positive duration")
-    u = basis.pack(q_via, bc, duration)
-    values = basis.eval_matrix(s, order) @ u
-    if order == 1:
-        values = values / duration
-    elif order == 2:
-        values = values / duration**2
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return values[0]
-    return values
 
 
 def smoothness_gram(basis: SplineBasis):
@@ -256,9 +224,8 @@ def smoothness_gram(basis: SplineBasis):
     Stacking is via-major / DoF-minor, i.e. an (N, D) via-point matrix
     flattened row by row, and the boundary parameter order [q0, q'0, qT, q'T].
     """
-    eye = np.eye(basis.dof)
-    return (np.kron(basis.gram_via_scalar, eye),
-            np.kron(basis.gram_cross_scalar, eye))
+    n, eye = basis.n_via, np.eye(basis.dof)
+    return np.kron(basis.gram[:n, :n], eye), np.kron(basis.gram[:n, n:], eye)
 
 
 def smoothness_cost(basis: SplineBasis, q_via, bc: BoundaryConditions,
@@ -274,4 +241,4 @@ def smoothness_cost(basis: SplineBasis, q_via, bc: BoundaryConditions,
 
 def stacked_smoothness(basis: SplineBasis, u: np.ndarray) -> np.ndarray:
     """smoothness_cost of each packed parameter matrix in u, shape (M, N+4, D)."""
-    return 0.5 * np.einsum("mid,ij,mjd->m", u, basis.gram_full, u)
+    return 0.5 * np.einsum("mid,ij,mjd->m", u, basis.gram, u)

@@ -13,7 +13,9 @@ limits and grid, and is passed to every `synthesize` of that generation; the
 candidate half (`BoundaryLanes.duration`) takes a and c and solves the upper
 and lower acceleration quadratics together on a leading axis.  Durations are
 synthesized one candidate per `synthesize` call; costs are scored per
-population in `costs.evaluate_total`.
+population in `costs.evaluate_total`.  The resulting `Trajectory` has one
+evaluator, `Trajectory.evaluate(s, order)`, which `at_time` and `sample_grid`
+call; a zero duration is degenerate and rests at q0.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spline import (BoundaryConditions, SplineBasis, build_basis, evaluate,
-                     frozen_array)
+from .spline import BoundaryConditions, SplineBasis, build_basis, frozen_array
 
 
 class InfeasibleError(Exception):
@@ -87,44 +88,41 @@ class PhaseGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A synthesized trajectory: spline shape plus total duration."""
+    """A synthesized trajectory: spline shape plus total duration.  A zero
+    duration is a degenerate trajectory, which rests at q0."""
 
     basis: SplineBasis
     q_via: np.ndarray  # (N, D)
     bc: BoundaryConditions
     duration: float
-    degenerate: bool = False
 
-    def position(self, s) -> np.ndarray:
-        return self._evaluate(s, 0)
+    @property
+    def degenerate(self) -> bool:
+        return self.duration == 0.0
 
-    def velocity(self, s) -> np.ndarray:
-        return self._evaluate(s, 1)
+    def evaluate(self, s, order: int = 0) -> np.ndarray:
+        """q, q-dot or q-ddot at phase s, one row per phase of an array s.
 
-    def acceleration(self, s) -> np.ndarray:
-        return self._evaluate(s, 2)
-
-    def _evaluate(self, s, order: int) -> np.ndarray:
-        if not self.degenerate:
-            return evaluate(self.basis, self.q_via, self.bc, self.duration, s, order)
-        # Zero duration: the trajectory rests at q0.
-        rest = self.bc.q0 if order == 0 else np.zeros(self.bc.dof)
-        if np.ndim(s) == 0:
-            return rest.copy()
-        return np.tile(rest, (np.size(s), 1))
+        Order 1 and 2 return time-domain derivatives, i.e. the phase
+        derivatives divided by T and T^2 respectively.
+        """
+        if self.degenerate:
+            rest = self.bc.q0 if order == 0 else np.zeros(self.bc.dof)
+            return rest.copy() if np.ndim(s) == 0 else np.tile(rest, (np.size(s), 1))
+        if order >= 1 and self.duration < 0.0:
+            raise ValueError("time-domain derivatives need a positive duration")
+        u = self.basis.pack(self.q_via, self.bc, self.duration)
+        values = self.basis.eval_matrix(s, order) @ u / self.duration**order
+        return values[0] if np.ndim(s) == 0 else values
 
     def at_time(self, t: float, order: int = 0) -> np.ndarray:
         """Evaluate at absolute time t in [0, T] (clamped)."""
         s = 0.0 if self.degenerate else min(max(t / self.duration, 0.0), 1.0)
-        return self._evaluate(s, order)
+        return self.evaluate(s, order)
 
     def sample_grid(self, grid: PhaseGrid):
         """(positions, velocities, accelerations) on the phase grid."""
-        if self.degenerate:
-            return tuple(self._evaluate(grid.points, order) for order in range(3))
-        e0, e1, e2 = self.basis.grid_matrices(grid.n_points)
-        u = self.basis.pack(self.q_via, self.bc, self.duration)
-        return (e0 @ u, e1 @ u / self.duration, e2 @ u / self.duration**2)
+        return tuple(self.evaluate(grid.points, k) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -136,14 +134,14 @@ class BoundaryLanes:
     velocity bounds are linear in x and the acceleration bounds are the
     quadratics c x^2 + d x = r, for r = qdd_max and r = qdd_min on a leading
     axis.  From the boundary parts b and d, shape (..., D), this holds
-    everything that does not involve a or c: the velocity check on b,
-    qd_max - b, qd_min - b, the positive part of r/d (the root of the linear
-    lanes, c == 0), sign(d), d^2, r and -r.  `duration(a, c)` is the other
-    half.
+    everything that does not involve a or c: qd_max - b, qd_min - b, the
+    positive part of r/d (the root of the linear lanes, c == 0), sign(d), d^2,
+    r and -r.  `duration(a, c)` is the other half.  b exceeds a velocity limit
+    iff qd_max - b < 0 or qd_min - b > 0: a float difference has the sign of
+    the exact one, and an infinite limit gives an infinity of its own sign.
     """
 
     feasible: bool           # b within the velocity limits
-    b: np.ndarray
     d: np.ndarray
     vel_hi: np.ndarray       # qd_max - b
     vel_lo: np.ndarray       # qd_min - b
@@ -155,13 +153,13 @@ class BoundaryLanes:
 
     @classmethod
     def from_splits(cls, b, d, limits: KinodynamicLimits) -> "BoundaryLanes":
-        feasible = not ((b > limits.qd_max).any() or (b < limits.qd_min).any())
+        vel_hi, vel_lo = limits.qd_max - b, limits.qd_min - b
         r = np.array([limits.qdd_max, limits.qdd_min])
         r = r.reshape((2,) + (1,) * (np.ndim(d) - 1) + r.shape[1:])
         with np.errstate(divide="ignore", invalid="ignore"):
             x_lin = r / d
-        return cls(feasible, b, d, limits.qd_max - b, limits.qd_min - b,
-                   np.where(x_lin > 0.0, x_lin, np.inf),
+        return cls(not ((vel_hi < 0.0).any() or (vel_lo > 0.0).any()), d,
+                   vel_hi, vel_lo, np.where(x_lin > 0.0, x_lin, np.inf),
                    np.where(d >= 0.0, 1.0, -1.0), d**2, r, -r)
 
     def duration(self, a, c) -> float:
@@ -229,9 +227,7 @@ def min_duration(boundary: Boundary, q_via) -> float:
 def synthesize(boundary: Boundary, q_via) -> Trajectory:
     """Build the kinodynamically admissible trajectory of minimal duration."""
     pts = boundary.basis.via_matrix(q_via)
-    duration = min_duration(boundary, pts)
-    return Trajectory(boundary.basis, pts, boundary.bc, duration,
-                      degenerate=(duration == 0.0))
+    return Trajectory(boundary.basis, pts, boundary.bc, min_duration(boundary, pts))
 
 
 def synthesize_direct(bc: BoundaryConditions, limits: KinodynamicLimits,

@@ -23,6 +23,10 @@ class Disk:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if self.center.shape != (2,):
+            raise ValueError("a disk center must be an [x, y] pair")
+        if not 0.0 <= self.radius < np.inf:
+            raise ValueError("a disk radius must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,10 @@ class Rect:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
+        if self.lo.shape != (2,) or self.hi.shape != (2,):
+            raise ValueError("rect corners must be [x, y] pairs")
+        if not np.all(self.lo < self.hi):
+            raise ValueError("a rect's lower corner must be below its upper corner")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ from viaplan.cli import main as cli_main
 from viaplan.mpc import MpcConfig, greedy_step, run_closed_loop
 from viaplan.optimizer import EvolutionStrategy, build_prior
 from viaplan.planner import PlanningProblem, solve
-from viaplan.spline import BoundaryConditions, build_basis, evaluate
-from viaplan.timing import KinodynamicLimits, PhaseGrid, boundary_half, synthesize
+from viaplan.spline import BoundaryConditions, build_basis
+from viaplan.timing import (KinodynamicLimits, PhaseGrid, Trajectory, boundary_half,
+                            synthesize)
 from viaplan.worlds import (ablation_world_1d, bundled_cluttered_world,
                             bundled_start_goal, path_winding,
                             single_obstacle_world)
@@ -107,7 +108,7 @@ def test_criterion_3_offline_success_rate(offline_2d_runs):
     classes = set()
     for valid, traj in results:
         if valid:
-            path = traj.position(np.linspace(0.0, 1.0, 200))
+            path = traj.evaluate(np.linspace(0.0, 1.0, 200))
             classes.add(path_winding(path, ref))
     report(3, n_valid >= 95 and len(classes) >= 2,
            f"valid={n_valid}/100, homotopy classes={sorted(classes)}")
@@ -160,7 +161,7 @@ def test_criterion_5_spline_qp_oracle():
         bc = BoundaryConditions([q0], [m0], [qT], [mT])
         y_ref = qp_reference(n_via, q0, m0, qT, mT, q_via)
         s = np.linspace(0.0, 1.0, y_ref.shape[0])
-        q = evaluate(build_basis(n_via, 1), q_via[:, None], bc, 1.0, s)[:, 0]
+        q = Trajectory(build_basis(n_via, 1), q_via[:, None], bc, 1.0).evaluate(s)[:, 0]
         worst = max(worst, float(np.max(np.abs(q - y_ref))))
 
     import sympy as sp
@@ -172,7 +173,7 @@ def test_criterion_5_spline_qp_oracle():
         p = y0 * (1 - 3 * tau**2 + 2 * tau**3) + y1 * (3 * tau**2 - 2 * tau**3)
         energy += sp.integrate(sp.diff(p, s_sym, 2)**2, (s_sym, s0, s0 + h))
     gram_sym = float(sp.simplify(energy / v**2))
-    gram_err = abs(build_basis(1, 1).gram_via_scalar[0, 0] - gram_sym)
+    gram_err = abs(build_basis(1, 1).gram[0, 0] - gram_sym)
     report(5, worst < 1e-3 and gram_err < 1e-8,
            f"max QP deviation={worst:.2e}, |G - {gram_sym:g}|={gram_err:.2e}")
 

@@ -8,9 +8,12 @@ break `viabench/run.py --trace 1`; these tests say so first.
 
 `viabench/workloads.py` builds its problems from the repository's configs
 through `cli.load_config`, the `cli.*_KEYS` schemas and the `cli.build_*`
-functions, so a change to the CLI's schemas breaks the benchmark too.
+functions, so a change to the CLI's schemas breaks the benchmark too.  Its
+output check, `check_plan`, reads a plan's `sample_grid`, `degenerate` and
+`duration`.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from viaplan.costs import CostWeights
-from viaplan.mpc import MpcConfig
+from viaplan.mpc import MpcConfig, mpc_step
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions
 from viaplan.timing import KinodynamicLimits, PhaseGrid
@@ -123,3 +126,26 @@ def test_workloads_build_from_the_configs(workloads):
     assert mpc.max_steps == 150
     assert_same_fields(mpc.limits, limits_2d)
     assert_same_fields(mpc.world, bundled_cluttered_world())
+
+
+def test_check_plan_passes_valid_plans(workloads):
+    # A short solve's plan, chosen as the offline workloads choose it.
+    problem = cluttered_problem(pop_size=16, max_iterations=30)
+    result = solve(problem)
+    traj, report = result.trajectory, result.report
+    if not report.valid:
+        traj, report = result.best_trajectory, result.best_report
+    assert report.valid and not traj.degenerate
+    assert workloads.check_plan(traj, problem.limits, problem.grid,
+                                problem.checker) == []
+    # A direct mpc_step plan, and the same plan at duration 0.0, which rests.
+    limits = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
+    world = bundled_cluttered_world()
+    step = mpc_step([0.88, 0.5], np.zeros(2), [0.9, 0.5], np.zeros(2), limits,
+                    MpcConfig(), checker=world)
+    assert step.mode == "direct" and step.valid
+    rest = dataclasses.replace(step.solution, duration=0.0)
+    assert not step.solution.degenerate and rest.degenerate
+    for plan in (step.solution, rest):
+        assert workloads.check_plan(plan, limits, PhaseGrid(MpcConfig().grid_k),
+                                    world) == []

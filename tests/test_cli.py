@@ -83,6 +83,8 @@ def with_value(base, section, keys, value):
     ("plan", "problem", "q0 qT", [], "at least one DoF"),
     ("mpc", "world", "bounds_lo", [0.0], "bounds_lo and bounds_hi"),
     ("mpc", "world", "bounds_hi", 0.0, "bounds_lo and bounds_hi"),
+    ("mpc", "world", "disks", [[0.5, 0.5, -0.1]], "disk radius"),
+    ("mpc", "world", "rects", [[0.62, 0.34, 0.55, 0.66]], "lower corner"),
     ("plan", "optimizer", "seed", -3, "seed must be non-negative"),
     ("mpc", "mpc", "seed", -1, "seed must be non-negative"),
     # The --seed flag overrides the config's seed of 0.

@@ -127,7 +127,7 @@ def test_push_formula(monkeypatch):
     world = PushWorld(box_position=box0, box_radius=0.05, robot_radius=0.05)
     ctx = PushContext(world=world, target=target)
     traj = StubTrajectory(duration=1.0)
-    traj.position = lambda s: np.zeros((np.atleast_1d(s).shape[0], 2))
+    traj.evaluate = lambda s: np.zeros((np.atleast_1d(s).shape[0], 2))
     cost, valid = cost_push(traj, ctx)
     assert abs(cost - np.exp(0.04 - 0.25)) < 1e-12
     assert valid

@@ -41,7 +41,7 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 def ref_smoothness(traj):
     u = traj.basis.pack(traj.q_via, traj.bc, traj.duration)
-    return 0.5 * float(np.einsum("id,ij,jd->", u, traj.basis.gram_full, u))
+    return 0.5 * float(np.einsum("id,ij,jd->", u, traj.basis.gram, u))
 
 
 def ref_jla(traj, limits, grid):
@@ -306,7 +306,7 @@ def test_population_scoring_matches_per_trajectory(params, spread):
     # Zero-duration trajectories whose via-points are off q0: their grid rows
     # must be the rest state q0, not the spline through the via-points.
     for m in np.flatnonzero(rng.random(len(trajs)) < 0.2):
-        trajs[m] = dataclasses.replace(trajs[m], duration=0.0, degenerate=True)
+        trajs[m] = dataclasses.replace(trajs[m], duration=0.0)
     reports = evaluate_total(trajs, problem.weights, problem.limits,
                              problem.grid, problem.checker)
     assert len(reports) == len(trajs)
@@ -364,7 +364,7 @@ def test_population_scoring_with_push_matches_per_trajectory(seed, n_via,
     boundary = boundary_of(basis, problem)
     trajs = [synthesize(boundary, x)
              for x in random_candidates(rng, problem, basis, 0.3)]
-    trajs[0] = dataclasses.replace(trajs[0], duration=0.0, degenerate=True)
+    trajs[0] = dataclasses.replace(trajs[0], duration=0.0)
     reports = evaluate_total(trajs, problem.weights, problem.limits,
                              problem.grid, problem.checker, push_ctx)
     for traj, report in zip(trajs, reports):
@@ -390,8 +390,9 @@ def special_lanes(rng, shape):
 
 
 @SETTINGS
-@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 3))
-def test_min_duration_arrays_matches_two_root_calls(seed, n_points, dof):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 3),
+       st.sampled_from(["on", "ulp", "inf"]))
+def test_min_duration_arrays_matches_two_root_calls(seed, n_points, dof, edges):
     rng = np.random.default_rng(seed)
     a, c, d = (special_lanes(rng, (n_points, dof)) for _ in range(3))
     b = np.clip(special_lanes(rng, (n_points, dof)), -0.6, 0.6)
@@ -401,6 +402,25 @@ def test_min_duration_arrays_matches_two_root_calls(seed, n_points, dof):
     # there, (limit - b) / a is 0/0.
     edge = rng.random((n_points, dof))
     b = np.where(edge < 0.1, limits.qd_max, np.where(edge < 0.2, limits.qd_min, b))
+    hi, lo = limits.qd_max, limits.qd_min
+    if edges == "ulp":
+        # Lanes one ulp inside a limit, and in one case of two lanes one ulp
+        # outside it, in place of half the lanes on it.
+        inside = np.nextafter(hi, -np.inf), np.nextafter(lo, np.inf)
+        outside = np.nextafter(hi, np.inf), np.nextafter(lo, -np.inf)
+        near_hi, near_lo = outside if rng.random() < 0.5 else inside
+        b = np.where(edge < 0.05, near_hi, np.where(edge < 0.1, near_lo, b))
+        b = np.where((edge >= 0.2) & (edge < 0.25), inside[0], b)
+        b = np.where((edge >= 0.25) & (edge < 0.3), inside[1], b)
+    elif edges == "inf":
+        # Unbounded velocity on some DoFs: qd_max - b and qd_min - b are
+        # infinities of the limit's sign, whatever (finite) b is.
+        free = rng.random((2, dof)) < 0.5
+        limits = dataclasses.replace(limits, qd_max=np.where(free[0], np.inf, hi),
+                                     qd_min=np.where(free[1], -np.inf, lo))
+    # The feasibility test of the b-based kernel.
+    b_feasible = not ((b > limits.qd_max).any() or (b < limits.qd_min).any())
+    assert BoundaryLanes.from_splits(b, d, limits).feasible == b_feasible
     try:
         ref = ref_min_duration_arrays(a, b, c, d, limits)
     except InfeasibleError as err:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import viaplan.mpc as mpc
 from viaplan.mpc import (ExactPlant, ExpiredError, LagPlant, MpcConfig,
-                         explore_init, extract_short_horizon, greedy_step,
-                         mpc_step, run_closed_loop, select_n_via, warm_start)
+                         extract_reference, greedy_step, mpc_step,
+                         run_closed_loop, select_n_via, warm_start)
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import (KinodynamicLimits, PhaseGrid, boundary_half, synthesize,
@@ -75,9 +76,7 @@ def test_warm_start_zero_elapsed_preserves_cost():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     prev = solve(PlanningProblem(bc, lim, n_via=4, pop_size=16, seed=0)).trajectory
-    mean, sigma, n_via = warm_start(prev, 0.0, alpha=0.5, n_max=4,
-                                    warmstart_sigma=0.05)
-    assert sigma == 0.05
+    mean, n_via = warm_start(prev, 0.0, alpha=0.5, n_max=4)
     assert n_via == select_n_via(prev.duration, 0.5, 4)
     resampled = synthesize(boundary_half(build_basis(n_via, 1), bc, lim, PhaseGrid(50)),
                            mean.reshape(-1, 1))
@@ -89,14 +88,48 @@ def test_warm_start_expired():
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     prev = solve(PlanningProblem(bc, lim, n_via=2, pop_size=16, seed=0)).trajectory
     with pytest.raises(ExpiredError):
-        warm_start(prev, prev.duration + 1.0, 2.0, 4, 0.05)
+        warm_start(prev, prev.duration + 1.0, 2.0, 4)
 
 
-def test_explore_init_straight_line():
-    bc = BoundaryConditions([0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
-    mean, sigma, n_via = explore_init(bc, 4, 0.5)
-    assert n_via == 4 and sigma == 0.5
+def record_es_inits(monkeypatch):
+    """(mean, sigma_scale) of every ES that mpc_step builds from now on."""
+    inits = []
+
+    def recording_make_es(problem, basis, mean, sigma_scale):
+        inits.append((np.array(mean), sigma_scale))
+        return make_es(problem, basis, mean, sigma_scale)
+
+    make_es = mpc.make_es
+    monkeypatch.setattr(mpc, "make_es", recording_make_es)
+    return inits
+
+
+def test_explore_init_straight_line(monkeypatch):
+    # An explore step starts from the straight line with n_max via-points and
+    # explore_sigma; a warm-start step from the shifted previous solution with
+    # warmstart_sigma.
+    inits = record_es_inits(monkeypatch)
+    lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
+    config = MpcConfig(iterations_per_step=1, pop_size=8, explore_sigma=0.5,
+                       warmstart_sigma=0.05)
+    first = mpc_step([0.0, 0.0], np.zeros(2), [1.0, 1.0], np.zeros(2), lim, config)
+    assert first.mode == "explore" and first.valid
+    (mean, sigma), = inits
+    assert mean.shape == (8,) and sigma == 0.5
     np.testing.assert_allclose(mean.reshape(4, 2)[1], [0.4, 0.4], atol=1e-12)
+    second = mpc_step([0.0, 0.0], np.zeros(2), [1.0, 1.0], np.zeros(2), lim, config,
+                      prev_result=first)
+    assert second.mode == "warmstart"
+    mean, sigma = inits[1]
+    expected, _ = warm_start(first.solution, config.dt_mpc, config.alpha, config.n_max)
+    assert sigma == 0.05 and np.array_equal(mean, expected)
+    # Without explicit sigmas: half and a twentieth of the start-goal distance.
+    config = MpcConfig(iterations_per_step=1, pop_size=8)
+    for prev, mode, fraction in ((None, "explore", 0.5), (first, "warmstart", 0.05)):
+        step = mpc_step([0.0, 0.0], np.zeros(2), [1.0, 1.0], np.zeros(2), lim,
+                        config, prev_result=prev)
+        assert step.mode == mode
+        assert inits[-1][1] == fraction * float(np.linalg.norm([1.0, 1.0]))
 
 
 def test_explore_variance_exceeds_warmstart():
@@ -115,12 +148,13 @@ def test_extract_short_horizon_sampling():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     traj = synthesize_direct(bc, lim, PhaseGrid(50))
-    horizon = extract_short_horizon(traj, dt_mpc=0.08, plant_dt=1e-3)
+    horizon = extract_reference(traj, 0.0, 0.08, plant_dt=1e-3)
     assert horizon.times.shape[0] == 81
     np.testing.assert_allclose(horizon.times[-1], 0.08)
     np.testing.assert_allclose(horizon.q[0], [0.0], atol=1e-12)
+    # A plant step longer than the MPC step is a config error.
     with pytest.raises(ValueError):
-        extract_short_horizon(traj, dt_mpc=0.01, plant_dt=0.02)
+        MpcConfig(dt_mpc=0.01, plant_dt=0.02)
 
 
 def test_extract_short_horizon_truncates_at_duration():
@@ -128,7 +162,7 @@ def test_extract_short_horizon_truncates_at_duration():
     lim = KinodynamicLimits.symmetric(1.0, 50.0, 1)
     traj = synthesize_direct(bc, lim, PhaseGrid(50))
     assert traj.duration < 0.08
-    horizon = extract_short_horizon(traj, 0.08, 1e-3)
+    horizon = extract_reference(traj, 0.0, 0.08, 1e-3)
     np.testing.assert_allclose(horizon.times[-1], traj.duration)
     np.testing.assert_allclose(horizon.q[-1], [0.001], atol=1e-12)
 
@@ -249,6 +283,37 @@ def test_failed_greedy_step_holds_or_replays():
                 held += 1
         prev_q = row["q"]
     assert replayed > 0 and held > 0
+
+
+def test_invalid_step_with_nothing_to_replay_runs_its_own_reference():
+    # With no valid plan to replay, the plant runs the invalid step's own
+    # reference, and holds at zero velocity only when the step has no
+    # solution.  Pinned: holding instead would change the episode CSVs.
+    config = MpcConfig(iterations_per_step=2, pop_size=8, seed=0)
+    results = []
+
+    def invalid_step(*args, **kwargs):
+        result = mpc_step(*args, **kwargs)
+        result.valid = False
+        if len(results) % 2:
+            result.solution = result.report = result.short_horizon = None
+        results.append(result)
+        return result
+
+    log = run_closed_loop([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2),
+                          LIMITS_2D, config, max_steps=4, step=invalid_step)
+    assert len(results) == len(log.rows) == 4
+    prev_q = np.array([0.1, 0.1])
+    for row, result in zip(log.rows, results):
+        assert not row["valid"]
+        if result.short_horizon is None:
+            np.testing.assert_array_equal(row["q"], prev_q)
+            assert np.all(row["qd"] == 0.0)
+        else:
+            np.testing.assert_array_equal(row["q"], result.short_horizon.q[-1])
+            np.testing.assert_array_equal(row["qd"], result.short_horizon.qd[-1])
+            assert not np.array_equal(row["q"], prev_q)
+        prev_q = row["q"]
 
 
 def test_exact_plant_advances_to_horizon_end():

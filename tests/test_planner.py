@@ -7,7 +7,7 @@ from viaplan import planner
 from viaplan.planner import (PlanningProblem, evaluate_candidates, solve,
                              straight_line_init)
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
-from viaplan.timing import InfeasibleError, KinodynamicLimits, PhaseGrid
+from viaplan.timing import InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory
 from viaplan.worlds import Disk, World2D
 
 
@@ -34,8 +34,7 @@ def test_straight_line_init_interpolates():
     n_via = 4
     mean = straight_line_init(bc, n_via).reshape(n_via, 2)
     basis = build_basis(n_via, 2)
-    from viaplan.spline import evaluate
-    vals = evaluate(basis, mean, bc, 1.0, via_timings(n_via))
+    vals = Trajectory(basis, mean, bc, 1.0).evaluate(via_timings(n_via))
     segment = bc.q0 + np.outer(via_timings(n_via), bc.qT - bc.q0)
     np.testing.assert_allclose(vals, segment, atol=1e-9)
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viaplan.spline import (BoundaryConditions, build_basis, evaluate,
-                            smoothness_cost, smoothness_gram, via_timings)
+from viaplan.spline import (BoundaryConditions, build_basis, smoothness_cost,
+                            smoothness_gram, via_timings)
+from viaplan.timing import Trajectory
 
 
 def qp_reference(n_via, q0, m0, qT, mT, q_via, n_grid=200):
@@ -98,9 +99,9 @@ def test_direct_cubic_is_smoothstep():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     basis = build_basis(0, 1)
     s = np.linspace(0.0, 1.0, 101)
-    q = evaluate(basis, None, bc, 1.0, s)
+    q = Trajectory(basis, None, bc, 1.0).evaluate(s)
     np.testing.assert_allclose(q[:, 0], 3 * s**2 - 2 * s**3, atol=1e-12)
-    qd = evaluate(basis, None, bc, 15.0, 0.5, order=1)
+    qd = Trajectory(basis, None, bc, 15.0).evaluate(0.5, 1)
     np.testing.assert_allclose(qd, [0.1], atol=1e-12)
 
 
@@ -108,11 +109,9 @@ def test_single_via_symmetry():
     bc = BoundaryConditions([0.0], [0.0], [0.0], [0.0])
     basis = build_basis(1, 1)
     s = np.linspace(0.0, 0.5, 40)
-    left = evaluate(basis, [[1.0]], bc, 1.0, s)
-    right = evaluate(basis, [[1.0]], bc, 1.0, 1.0 - s)
-    np.testing.assert_allclose(left, right, atol=1e-12)
-    np.testing.assert_allclose(evaluate(basis, [[1.0]], bc, 1.0, 0.5), [1.0],
-                               atol=1e-12)
+    traj = Trajectory(basis, [[1.0]], bc, 1.0)
+    np.testing.assert_allclose(traj.evaluate(s), traj.evaluate(1.0 - s), atol=1e-12)
+    np.testing.assert_allclose(traj.evaluate(0.5), [1.0], atol=1e-12)
 
 
 @settings(deadline=None, max_examples=30)
@@ -122,7 +121,7 @@ def test_interpolation_exactness(n_via, dof, seed):
     basis = build_basis(n_via, dof)
     bc = BoundaryConditions(*rng.standard_normal((4, dof)))
     q_via = rng.standard_normal((n_via, dof))
-    vals = evaluate(basis, q_via, bc, 1.0, via_timings(n_via))
+    vals = Trajectory(basis, q_via, bc, 1.0).evaluate(via_timings(n_via))
     np.testing.assert_allclose(vals, q_via, atol=1e-9)
 
 
@@ -134,14 +133,11 @@ def test_boundary_exactness():
         basis = build_basis(int(n_via), int(dof))
         bc = BoundaryConditions(*rng.standard_normal((4, dof)))
         q_via = rng.standard_normal((n_via, dof))
-        np.testing.assert_allclose(evaluate(basis, q_via, bc, duration, 0.0),
-                                   bc.q0, atol=1e-9)
-        np.testing.assert_allclose(evaluate(basis, q_via, bc, duration, 1.0),
-                                   bc.qT, atol=1e-9)
-        np.testing.assert_allclose(
-            evaluate(basis, q_via, bc, duration, 0.0, order=1), bc.qd0, atol=1e-9)
-        np.testing.assert_allclose(
-            evaluate(basis, q_via, bc, duration, 1.0, order=1), bc.qdT, atol=1e-9)
+        traj = Trajectory(basis, q_via, bc, duration)
+        np.testing.assert_allclose(traj.evaluate(0.0), bc.q0, atol=1e-9)
+        np.testing.assert_allclose(traj.evaluate(1.0), bc.qT, atol=1e-9)
+        np.testing.assert_allclose(traj.evaluate(0.0, 1), bc.qd0, atol=1e-9)
+        np.testing.assert_allclose(traj.evaluate(1.0, 1), bc.qdT, atol=1e-9)
 
 
 def test_c2_continuity_at_knots():
@@ -150,10 +146,11 @@ def test_c2_continuity_at_knots():
         basis = build_basis(n_via, 2)
         bc = BoundaryConditions(*rng.standard_normal((4, 2)))
         q_via = rng.standard_normal((n_via, 2))
+        traj = Trajectory(basis, q_via, bc, 1.0)
         eps = 1e-9
         for s_n in via_timings(n_via):
-            left = evaluate(basis, q_via, bc, 1.0, s_n - eps, order=2)
-            right = evaluate(basis, q_via, bc, 1.0, s_n + eps, order=2)
+            left = traj.evaluate(s_n - eps, 2)
+            right = traj.evaluate(s_n + eps, 2)
             np.testing.assert_allclose(left, right, atol=1e-5)
 
 
@@ -204,7 +201,7 @@ def test_gram_symbolic_quadrature():
         energy += sp.integrate(sp.diff(p, s, 2)**2, (s, s0, s1))
     coeff = sp.simplify(energy / v**2)
     basis = build_basis(1, 1)
-    assert abs(float(coeff) - basis.gram_via_scalar[0, 0]) < 1e-8
+    assert abs(float(coeff) - basis.gram[0, 0]) < 1e-8
 
 
 def test_gram_matches_numeric_quadrature():
@@ -220,7 +217,7 @@ def test_gram_matches_numeric_quadrature():
         s = np.linspace(0.0, 1.0, n + 1)
         qpp = (basis.eval_matrix(s, 2) @ u)[:, 0]
         energy = simpson(qpp**2, x=s)
-        quad_form = float(u[:, 0] @ basis.gram_full @ u[:, 0])
+        quad_form = float(u[:, 0] @ basis.gram @ u[:, 0])
         np.testing.assert_allclose(quad_form, energy, rtol=1e-9, atol=1e-9)
 
 
@@ -234,7 +231,7 @@ def test_spline_matches_discretized_qp():
         bc = BoundaryConditions([q0], [m0], [qT], [mT])
         y_ref = qp_reference(n_via, q0, m0, qT, mT, q_via)
         s = np.linspace(0.0, 1.0, y_ref.shape[0])
-        q = evaluate(basis, q_via[:, None], bc, 1.0, s)[:, 0]
+        q = Trajectory(basis, q_via[:, None], bc, 1.0).evaluate(s)[:, 0]
         np.testing.assert_allclose(q, y_ref, atol=1e-3)
 
 
@@ -247,21 +244,24 @@ def test_evaluation_linearity(n_via, alpha, beta, seed):
     bc0 = BoundaryConditions(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
     v1, v2 = rng.standard_normal((2, n_via, 2))
     s = rng.uniform(0.0, 1.0, 9)
-    combined = evaluate(basis, alpha * v1 + beta * v2, bc0, 1.0, s)
-    parts = (alpha * evaluate(basis, v1, bc0, 1.0, s)
-             + beta * evaluate(basis, v2, bc0, 1.0, s))
+    combined = Trajectory(basis, alpha * v1 + beta * v2, bc0, 1.0).evaluate(s)
+    parts = (alpha * Trajectory(basis, v1, bc0, 1.0).evaluate(s)
+             + beta * Trajectory(basis, v2, bc0, 1.0).evaluate(s))
     np.testing.assert_allclose(combined, parts, atol=1e-9)
 
 
 def test_evaluate_rejects_bad_inputs():
     basis = build_basis(1, 1)
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
+    traj = Trajectory(basis, [[0.5]], bc, 1.0)
     with pytest.raises(ValueError):
-        evaluate(basis, [[0.5]], bc, 1.0, 1.5)
+        traj.evaluate(1.5)
     with pytest.raises(ValueError):
-        evaluate(basis, [[0.5]], bc, 1.0, 0.5, order=3)
+        traj.evaluate(0.5, 3)
+    # A zero duration rests at q0 (see test_timing); a negative one has no
+    # time-domain derivatives.
     with pytest.raises(ValueError):
-        evaluate(basis, [[0.5]], bc, 0.0, 0.5, order=1)
+        Trajectory(basis, [[0.5]], bc, -1.0).evaluate(0.5, 1)
 
 
 def test_build_basis_cached():

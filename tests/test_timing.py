@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viaplan.mpc import extract_reference
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
-                            PhaseGrid, boundary_half, min_duration, synthesize,
-                            synthesize_direct)
+                            PhaseGrid, Trajectory, boundary_half, min_duration,
+                            synthesize, synthesize_direct)
 
 
 def duration_of(basis, q_via, bc, limits, grid):
@@ -110,6 +111,28 @@ def test_direct_rest_degenerate():
     np.testing.assert_allclose(traj.at_time(1.0, order=1), [0.0])
 
 
+def test_zero_duration_rests_at_q0():
+    # Duration 0.0 alone makes a trajectory degenerate, however it was built:
+    # every evaluator gives q0 at rest and none divides by the duration.
+    rng = np.random.default_rng(5)
+    bc = BoundaryConditions(*rng.standard_normal((4, 2)))
+    traj = Trajectory(build_basis(2, 2), rng.standard_normal((2, 2)), bc, 0.0)
+    assert traj.degenerate
+    rest = (bc.q0, np.zeros(2), np.zeros(2))
+    s = np.linspace(0.0, 1.0, 7)
+    for order in range(3):
+        assert np.array_equal(traj.evaluate(0.4, order), rest[order])
+        assert np.array_equal(traj.evaluate(s, order), np.tile(rest[order], (7, 1)))
+        assert np.array_equal(traj.at_time(0.5, order), rest[order])
+    for order, values in enumerate(traj.sample_grid(PhaseGrid(4))):
+        assert np.array_equal(values, np.tile(rest[order], (5, 1)))
+    horizon = extract_reference(traj, 0.0, 0.08, 1e-3)
+    assert np.array_equal(horizon.times, [0.0])
+    assert np.array_equal(horizon.q, [bc.q0])
+    assert np.array_equal(horizon.qd, np.zeros((1, 2)))
+    assert np.array_equal(horizon.qdd, np.zeros((1, 2)))
+
+
 def test_synthesized_profile_matches_cubic():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
@@ -199,14 +222,16 @@ def test_duration_splits_consistency():
     lim = KinodynamicLimits.symmetric(5.0, 5.0, 2)
     boundary = boundary_half(basis, bc, lim, grid)
     lanes = boundary.lanes
-    u_a, _ = basis.pack_split(q_via, bc)
+    u_a, u_b = basis.pack_split(q_via, bc)
     np.testing.assert_array_equal(boundary.tail, u_a[3:])
     _, e1, e2 = basis.grid_matrices(grid.n_points)
     assert boundary.e1 is e1 and boundary.e2 is e2 and boundary.bc is bc
-    a, c = e1 @ u_a, e2 @ u_a
+    a, b, c = e1 @ u_a, e1 @ u_b, e2 @ u_a
+    np.testing.assert_array_equal(lanes.vel_hi, lim.qd_max - b)
+    np.testing.assert_array_equal(lanes.vel_lo, lim.qd_min - b)
     duration = 3.7
     u = basis.pack(q_via, bc, duration)
-    np.testing.assert_allclose(a / duration + lanes.b, e1 @ u / duration, atol=1e-9)
+    np.testing.assert_allclose(a / duration + b, e1 @ u / duration, atol=1e-9)
     np.testing.assert_allclose(c / duration**2 + lanes.d / duration,
                                e2 @ u / duration**2, atol=1e-9)
     assert min_duration(boundary, q_via) == lanes.duration(a, c)

@@ -53,6 +53,30 @@ def test_robot_radius_validation():
         World2D(obstacles=(), robot_radius=-0.1)
 
 
+@pytest.mark.parametrize("cls, args", [
+    # Collided like a disk of radius 0.1.
+    pytest.param(Disk, ([0.5, 0.5], -0.1), id="disk-negative-radius"),
+    pytest.param(Disk, ([0.5, 0.5], float("nan")), id="disk-nan-radius"),
+    pytest.param(Disk, ([0.5, 0.5], float("inf")), id="disk-inf-radius"),
+    pytest.param(Disk, ([0.5, 0.5, 0.5], 0.1), id="disk-3d-center"),
+    pytest.param(Disk, (0.5, 0.1), id="disk-scalar-center"),
+    # Swapped corners never collided.
+    pytest.param(Rect, ([0.6, 0.6], [0.4, 0.4]), id="rect-swapped"),
+    pytest.param(Rect, ([0.4, 0.6], [0.6, 0.6]), id="rect-zero-height"),
+    pytest.param(Rect, ([0.4, 0.4, 0.4], [0.6, 0.6, 0.6]), id="rect-3d"),
+    pytest.param(Rect, ([0.4, 0.4], 0.6), id="rect-scalar-corner"),
+])
+def test_malformed_obstacles_rejected(cls, args):
+    with pytest.raises(ValueError):
+        cls(*args)
+
+
+def test_zero_radius_disk_allowed():
+    world = World2D(obstacles=(Disk([0.5, 0.5], 0.0),), robot_radius=0.05)
+    assert is_colliding(world, [0.52, 0.5])
+    assert not is_colliding(world, [0.55, 0.5])
+
+
 def test_push_no_contact_box_stays():
     world = PushWorld(box_position=[0.8, 0.8], box_radius=0.05, robot_radius=0.05)
     path = np.stack([np.linspace(0.1, 0.3, 20), np.full(20, 0.1)], axis=1)
