@@ -3,11 +3,12 @@
 Task-agnostic terms (duration, smoothness, joint-limit avoidance) plus the
 task-specific collision count and box-pushing progress.  `evaluate_total`
 scores a whole generation at once: one pass packing the (M, N+4, D)
-parameters (`SplineBasis.pack_stack`), one stacked position pass on the phase
-grid, one collision query over every grid point, one joint-limit mask and one
-smoothness quadratic form give one column per term, and the totals, validity
-flags and violation counts are sums over those columns; only the push
-rollout runs per trajectory.
+parameters (`SplineBasis.pack_stack`, which broadcasts the boundary rows
+when the population shares one BoundaryConditions, as every ES population
+does), one stacked position pass on the phase grid, one collision query over
+every grid point, one joint-limit mask and one smoothness quadratic form give
+one column per term, and the totals, validity flags and violation counts are
+sums over those columns; only the push rollout runs per trajectory.
 Invalid candidates (joint-limit hit, collision, or non-improving push) are
 not discarded; they receive a large penalty plus their violation count so the
 evolution strategy can still rank them.
@@ -106,23 +107,24 @@ def evaluate_total(trajs, weights: CostWeights, limits: KinodynamicLimits,
     Every term is a column over the population; only the push rollout runs
     per trajectory.  The total adds the weighted terms that are present in
     the order duration, smooth, jla, collision, push, and an invalid
-    trajectory gets invalid_penalty plus its violation count on top.
+    trajectory gets invalid_penalty plus its violation count on top.  A
+    zero duration, found by a mask over the durations, rests at its q0.
     """
     if not trajs:
         return []
     basis = trajs[0].basis
-    durations = [t.duration for t in trajs]
+    durations = np.array([t.duration for t in trajs])
     u = basis.pack_stack([t.q_via for t in trajs], [t.bc for t in trajs],
                          durations)
     q = np.matmul(basis.grid_matrices(grid.n_points)[0], u)
     smooth = stacked_smoothness(basis, u)
-    for m, traj in enumerate(trajs):
-        if traj.degenerate:
-            # Zero duration: the trajectory rests at q0.
-            q[m] = traj.bc.q0
-            smooth[m] = 0.0
+    rest = durations == 0.0
+    if rest.any():
+        # Zero duration: the trajectory rests at q0.
+        q[rest] = np.array([t.bc.q0 for t in trajs])[rest, None]
+        smooth[rest] = 0.0
     jla, violations = cost_jla(q, limits)
-    terms = {"duration": np.array(durations), "smooth": smooth, "jla": jla}
+    terms = {"duration": durations, "smooth": smooth, "jla": jla}
     if checker is not None:
         hits = cost_collision(q, checker)
         terms["collision"] = hits.astype(float)

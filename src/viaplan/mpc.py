@@ -5,7 +5,7 @@ primitive); when that fails the gate, it initializes the evolution strategy
 by warm-starting from the time-shifted previous solution or by exploring
 from a straight-line guess, and runs the planner's shared generation loop
 (always sep-CMA-ES behind the smoothness Cholesky factor) until the step
-budget expires.  Either way the step ends in one place, which extracts the
+budget expires, over one `timing.Boundary` built for the step.  Either way the step ends in one place, which extracts the
 plant-rate reference over the first dt_mpc of the solution
 (`extract_reference(solution, 0.0, dt_mpc, plant_dt)`).  The greedy baseline
 is another step function for the same closed loop; it scores all its
@@ -25,7 +25,7 @@ from .planner import (PlanningProblem, generations, make_es, score,
                       straight_line_init)
 from .spline import BoundaryConditions, build_basis, via_timings
 from .timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
-                     synthesize_direct)
+                     boundary_half, synthesize_direct)
 
 GREEDY_HORIZON = 0.15   # greedy baseline: reach of one step's endpoint
 GREEDY_SAMPLES = 32     # greedy baseline: endpoints tried per step
@@ -153,7 +153,8 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
                               weights=config.weights, checker=checker,
                               push_ctx=push_ctx, seed=seed)
     try:
-        solution, report = score(build_basis(0, bc.dof), None, problem)
+        direct = boundary_half(build_basis(0, bc.dof), bc, limits, problem.grid)
+        solution, report = score(direct, None, problem)
     except InfeasibleError:
         solution = report = None
 
@@ -174,7 +175,8 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
         problem = replace(problem, n_via=n_via)
         basis = build_basis(n_via, bc.dof)
         es = make_es(problem, basis, mean, sigma)
-        for _ in generations(es, basis, problem):
+        boundary = boundary_half(basis, bc, limits, problem.grid)
+        for _ in generations(es, boundary, problem):
             iterations += 1
             if config.iterations_per_step is not None:
                 if iterations >= config.iterations_per_step:
@@ -182,7 +184,7 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
             elif time.monotonic() - t_start >= config.dt_mpc:
                 break
         try:
-            solution, report = score(basis, es.mean, problem)
+            solution, report = score(boundary, es.mean, problem)
         except InfeasibleError:
             solution = report = None
 

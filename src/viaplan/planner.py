@@ -2,13 +2,15 @@
 
 `make_es` sets up the evolution strategy, `generations` runs sample ->
 evaluate -> update for as long as its caller iterates, and `score`
-synthesizes and scores one via-point vector.  `evaluate_candidates` builds
-the generation's shared boundary half once (`timing.boundary_half`),
-synthesizes each candidate's minimal duration on its own and scores the
-feasible ones together in one `costs.evaluate_total` call.  `solve` stops
-when the best cost stalls or the iteration budget runs out (`mpc.mpc_step`
-at its step budget) and reports the final mean's trajectory and the best
-evaluated one.
+synthesizes and scores one via-point vector.  The boundary half of the
+duration kernel (`timing.boundary_half`) depends only on the problem and the
+basis, so `solve` builds it once per solve (`mpc.mpc_step` once per ES step)
+and passes it as a value to `generations`, `evaluate_candidates` and the
+final `score`.  `evaluate_candidates` synthesizes each candidate's minimal
+duration on its own and scores the feasible ones together in one
+`costs.evaluate_total` call.  `solve` stops when the best cost stalls or the
+iteration budget runs out (`mpc.mpc_step` at its step budget) and reports
+the final mean's trajectory and the best evaluated one.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 from .costs import CostReport, CostWeights, PushContext, evaluate_total
 from .optimizer import EvolutionStrategy, build_prior, converged
 from .spline import BoundaryConditions, SplineBasis, build_basis, via_timings
-from .timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
-                     boundary_half, synthesize)
+from .timing import (Boundary, InfeasibleError, KinodynamicLimits, PhaseGrid,
+                     Trajectory, boundary_half, synthesize)
 
 
 @dataclass
@@ -87,10 +89,9 @@ def make_es(problem: PlanningProblem, basis: SplineBasis, mean,
                              mode=problem.mode, seed=problem.seed)
 
 
-def score(basis: SplineBasis, q_via, problem: PlanningProblem):
+def score(boundary: Boundary, q_via, problem: PlanningProblem):
     """(Trajectory, CostReport) of one via-point vector; raises
     InfeasibleError when no finite duration meets the limits."""
-    boundary = boundary_half(basis, problem.bc, problem.limits, problem.grid)
     traj = synthesize(boundary, q_via)
     return traj, _evaluate([traj], problem)[0]
 
@@ -100,9 +101,9 @@ def _evaluate(trajs: list, problem: PlanningProblem) -> list:
                           problem.checker, problem.push_ctx)
 
 
-def evaluate_candidates(basis, candidates: np.ndarray, problem: PlanningProblem):
+def evaluate_candidates(boundary: Boundary, candidates: np.ndarray,
+                        problem: PlanningProblem):
     """Synthesize and score a population; infeasible candidates rank last."""
-    boundary = boundary_half(basis, problem.bc, problem.limits, problem.grid)
     trajs: list[Trajectory | None] = []
     for x in candidates:
         try:
@@ -116,12 +117,13 @@ def evaluate_candidates(basis, candidates: np.ndarray, problem: PlanningProblem)
     return trajs, reports, costs
 
 
-def generations(es: EvolutionStrategy, basis, problem: PlanningProblem):
+def generations(es: EvolutionStrategy, boundary: Boundary,
+                problem: PlanningProblem):
     """Sample, evaluate and update without end; yields each generation's
     (trajectories, reports, costs) after its update."""
     while True:
         candidates = es.sample()
-        trajs, reports, costs = evaluate_candidates(basis, candidates, problem)
+        trajs, reports, costs = evaluate_candidates(boundary, candidates, problem)
         es.update(costs)
         yield trajs, reports, costs
 
@@ -136,6 +138,7 @@ def solve(problem: PlanningProblem, init_mean: np.ndarray | None = None,
     if init_sigma_scale is None:
         init_sigma_scale = 0.5 * float(np.linalg.norm(bc.qT - bc.q0)) or 0.5
     es = make_es(problem, basis, init_mean, init_sigma_scale)
+    boundary = boundary_half(basis, bc, problem.limits, problem.grid)
 
     history: list[float] = []
     history_best: list[float] = []
@@ -144,7 +147,7 @@ def solve(problem: PlanningProblem, init_mean: np.ndarray | None = None,
     iterations = 0
     did_converge = False
     first_valid: int | None = None
-    loop = islice(generations(es, basis, problem), problem.max_iterations)
+    loop = islice(generations(es, boundary, problem), problem.max_iterations)
     for iterations, (trajs, reports, costs) in enumerate(loop, start=1):
         if first_valid is None and any(r is not None and r.valid for r in reports):
             first_valid = iterations
@@ -164,7 +167,7 @@ def solve(problem: PlanningProblem, init_mean: np.ndarray | None = None,
         raise InfeasibleError("no candidate admitted a finite duration")
 
     try:
-        mean_traj, mean_report = score(basis, es.mean, problem)
+        mean_traj, mean_report = score(boundary, es.mean, problem)
     except InfeasibleError:
         mean_traj, mean_report = best
 

@@ -197,18 +197,24 @@ class SplineBasis:
         """pack of M trajectories at once, shape (M, N+4, D).
 
         q_vias holds M (N, D) via-point arrays, bcs M boundary conditions and
-        durations M floats.  Slice m is the same U_a + T * U_b, element by
-        element, as pack(q_vias[m], bcs[m], durations[m]), so the two agree
-        bit for bit, signed zeros included.
+        durations M floats.  When all M are one BoundaryConditions object, as
+        in every ES population, its rows are broadcast.  Slice m is the same
+        U_a + T * U_b, element by element, as pack(q_vias[m], bcs[m],
+        durations[m]), so the two agree bit for bit, signed zeros included.
         """
         n = self.n_via
         u_a = np.zeros((len(bcs), self.n_coef, self.dof))
         u_b = np.zeros_like(u_a)
         u_a[:, :n] = q_vias
-        u_a[:, n] = [bc.q0 for bc in bcs]
-        u_a[:, n + 2] = [bc.qT for bc in bcs]
-        u_b[:, n + 1] = [bc.qd0 for bc in bcs]
-        u_b[:, n + 3] = [bc.qdT for bc in bcs]
+        bc = bcs[0]
+        if all(b is bc for b in bcs):
+            u_a[:, n], u_a[:, n + 2] = bc.q0, bc.qT
+            u_b[:, n + 1], u_b[:, n + 3] = bc.qd0, bc.qdT
+        else:
+            u_a[:, n] = [b.q0 for b in bcs]
+            u_a[:, n + 2] = [b.qT for b in bcs]
+            u_b[:, n + 1] = [b.qd0 for b in bcs]
+            u_b[:, n + 3] = [b.qdT for b in bcs]
         return u_a + np.asarray(durations, dtype=float)[:, None, None] * u_b
 
 

@@ -8,14 +8,17 @@ uniform phase grid each evaluation point admits a closed-form minimal duration
 synthesized duration is the most conservative of these, which saturates at
 least one bound at one grid point.  The kernel comes in two halves: the
 boundary half (`Boundary`, from b and d) is built by `boundary_half` from
-exactly what a whole ES generation shares, the basis, boundary conditions,
-limits and grid, and is passed to every `synthesize` of that generation; the
-candidate half (`BoundaryLanes.duration`) takes a and c and solves the upper
-and lower acceleration quadratics together on a leading axis.  Durations are
-synthesized one candidate per `synthesize` call; costs are scored per
-population in `costs.evaluate_total`.  The resulting `Trajectory` has one
-evaluator, `Trajectory.evaluate(s, order)`, which `at_time` and `sample_grid`
-call; a zero duration is degenerate and rests at q0.
+exactly what a whole solve or MPC step shares, the basis, boundary
+conditions, limits and grid, once per solve or MPC step, and is passed to
+every `synthesize` of it; the candidate half (`BoundaryLanes.duration`) takes
+a and c and solves the upper and lower acceleration quadratics together on a
+leading axis.  A move that stays at one rest state (q0 == qT, zero boundary
+velocities, every via-point at q0) has duration 0.0 exactly, whatever the
+rounding of a and c.  Durations are synthesized one candidate per
+`synthesize` call; costs are scored per population in
+`costs.evaluate_total`.  The resulting `Trajectory` has one evaluator,
+`Trajectory.evaluate(s, order)`, which `at_time` and `sample_grid` call; a
+zero duration is degenerate and rests at q0.
 """
 
 from __future__ import annotations
@@ -194,8 +197,9 @@ class BoundaryLanes:
 @dataclass(frozen=True)
 class Boundary:
     """What every candidate of one (basis, bc, limits, grid) shares: the
-    boundary rows of U_a, the grid matrices E1 and E2, and the
-    BoundaryLanes of the boundary parts b = E1 U_b and d = E2 U_b."""
+    boundary rows of U_a, the grid matrices E1 and E2, the BoundaryLanes of
+    the boundary parts b = E1 U_b and d = E2 U_b, and whether bc is one rest
+    state (q0 == qT with zero velocities)."""
 
     basis: SplineBasis
     bc: BoundaryConditions
@@ -203,15 +207,18 @@ class Boundary:
     e1: np.ndarray
     e2: np.ndarray
     lanes: BoundaryLanes
+    rest: bool
 
 
 def boundary_half(basis: SplineBasis, bc: BoundaryConditions,
                   limits: KinodynamicLimits, grid: PhaseGrid) -> Boundary:
-    """The boundary half of the duration kernel, built once per generation."""
+    """The boundary half of the duration kernel, built once per solve or
+    MPC step and shared by all its candidates."""
     _, e1, e2 = basis.grid_matrices(grid.n_points)
     u_a, u_b = basis.pack_split(np.zeros((basis.n_via, basis.dof)), bc)
+    rest = bool((bc.q0 == bc.qT).all() and not (bc.qd0.any() or bc.qdT.any()))
     return Boundary(basis, bc, u_a[basis.n_via:], e1, e2,
-                    BoundaryLanes.from_splits(e1 @ u_b, e2 @ u_b, limits))
+                    BoundaryLanes.from_splits(e1 @ u_b, e2 @ u_b, limits), rest)
 
 
 def min_duration(boundary: Boundary, q_via) -> float:
@@ -219,8 +226,14 @@ def min_duration(boundary: Boundary, q_via) -> float:
 
     Per call only the via-points are packed into U_a = [q_via; boundary rows]
     and a = E1 U_a, c = E2 U_a are formed; the rest is the boundary half.
+    A trajectory that never leaves its rest state takes 0.0: exactly, a and c
+    are zero, but E1 U_a and E2 U_a round to about 1e-16, which would give a
+    duration of about 1e-8 s.
     """
-    u_a = np.concatenate((boundary.basis.via_matrix(q_via), boundary.tail))
+    pts = boundary.basis.via_matrix(q_via)
+    if boundary.rest and (pts == boundary.bc.q0).all():
+        return 0.0
+    u_a = np.concatenate((pts, boundary.tail))
     return boundary.lanes.duration(boundary.e1 @ u_a, boundary.e2 @ u_a)
 
 

@@ -51,6 +51,10 @@ class World2D:
     bounds_lo: np.ndarray = field(default_factory=lambda: np.zeros(2))
     bounds_hi: np.ndarray = field(default_factory=lambda: np.ones(2))
     robot_radius: float = 0.0
+    # The K disks as (K, 1) columns: center x, center y, (radius + robot_radius)^2.
+    disk_x: np.ndarray = field(init=False, repr=False, compare=False)
+    disk_y: np.ndarray = field(init=False, repr=False, compare=False)
+    disk_r2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -60,20 +64,26 @@ class World2D:
             raise ValueError("bounds_lo and bounds_hi must be [x, y] pairs")
         if self.robot_radius < 0.0:
             raise ValueError("robot_radius must be non-negative")
+        disks = [obs for obs in self.obstacles if isinstance(obs, Disk)]
+        centers = np.array([obs.center for obs in disks]).reshape(-1, 2)
+        radii = np.array([obs.radius for obs in disks], dtype=float)
+        object.__setattr__(self, "disk_x", centers[:, :1].copy())
+        object.__setattr__(self, "disk_y", centers[:, 1:].copy())
+        object.__setattr__(self, "disk_r2", ((radii + self.robot_radius) ** 2)[:, None])
 
     def colliding_mask(self, points: np.ndarray) -> np.ndarray:
-        """Collision flags of (P, 2) points, one pass per obstacle over the
-        contiguous x and y columns."""
+        """Collision flags of (P, 2) points over the contiguous x and y
+        columns: all disks in one (K, P) pass, then one pass per rectangle."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x, y = np.ascontiguousarray(pts.T)
         rr = self.robot_radius
         (x_lo, y_lo), (x_hi, y_hi) = self.bounds_lo, self.bounds_hi
         out = (x - rr < x_lo) | (y - rr < y_lo) | (x + rr > x_hi) | (y + rr > y_hi)
+        out |= ((x - self.disk_x) ** 2 + (y - self.disk_y) ** 2 < self.disk_r2).any(axis=0)
         for obs in self.obstacles:
             if isinstance(obs, Disk):
-                cx, cy = obs.center
-                out |= (x - cx) ** 2 + (y - cy) ** 2 < (obs.radius + rr) ** 2
-            elif rr > 0.0:
+                continue
+            if rr > 0.0:
                 # Distance from point to the rectangle, inflated by rr.
                 dx = np.maximum(np.maximum(obs.lo[0] - x, x - obs.hi[0]), 0.0)
                 dy = np.maximum(np.maximum(obs.lo[1] - y, y - obs.hi[1]), 0.0)

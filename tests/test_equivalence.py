@@ -336,7 +336,9 @@ def test_evaluate_candidates_matches_per_candidate(params, infeasible):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(planner, "synthesize", flaky)
-        trajs, reports, costs = evaluate_candidates(basis, cands, problem)
+        # One boundary for the whole population, against one per candidate.
+        trajs, reports, costs = evaluate_candidates(boundary_of(basis, problem),
+                                                    cands, problem)
         refs = ref_evaluate_candidates(basis, cands, problem)
     for i, (traj, report, ref) in enumerate(zip(trajs, reports, refs)):
         if i in infeasible:

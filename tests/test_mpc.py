@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import viaplan.mpc as mpc
+import viaplan.planner as planner
 from viaplan.mpc import (ExactPlant, ExpiredError, LagPlant, MpcConfig,
                          extract_reference, greedy_step, mpc_step,
                          run_closed_loop, select_n_via, warm_start)
@@ -58,6 +59,49 @@ def test_explore_on_first_step():
                       checker=bundled_cluttered_world())
     assert result.mode == "explore"
     assert result.iterations_run == 2
+
+
+def test_es_step_builds_one_boundary(monkeypatch):
+    # An ES step builds the direct trajectory's boundary half and one for
+    # its own basis, which every generation and the final mean share.
+    built = []
+
+    def spying(real):
+        def spy(*args):
+            built.append(args)
+            return real(*args)
+        return spy
+
+    # Both modules that hold boundary_half, so a build inside the planner's
+    # generation loop would count too.
+    for module in (mpc, planner):
+        monkeypatch.setattr(module, "boundary_half", spying(module.boundary_half))
+    q0, goal = bundled_start_goal()
+    config = MpcConfig(iterations_per_step=5)
+    result = mpc_step(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
+                      checker=bundled_cluttered_world())
+    assert result.mode == "explore" and result.iterations_run == 5
+    bases = [args[0] for args in built]
+    assert bases == [build_basis(0, 2), build_basis(config.n_max, 2)]
+    for _, bc, limits, grid in built:
+        assert np.array_equal(bc.q0, q0) and np.array_equal(bc.qT, goal)
+        assert limits is LIMITS_2D and grid.k == config.grid_k
+
+
+def test_direct_step_at_its_goal_emits_rest_reference():
+    # At rest on its own goal, the direct trajectory is degenerate and the
+    # reference holds the state with zero velocity and acceleration.
+    for goal in ([0.9, 0.5], [0.3, 0.7, 0.1]):
+        goal = np.array(goal)
+        dof = goal.size
+        lim = KinodynamicLimits.symmetric(0.5, 2.0, dof, q_range=(0.0, 1.0))
+        result = mpc_step(goal, np.zeros(dof), goal, np.zeros(dof), lim, MpcConfig())
+        assert result.mode == "direct" and result.valid
+        assert result.solution.duration == 0.0 and result.solution.degenerate
+        ref = result.short_horizon
+        assert np.array_equal(ref.times, [0.0])
+        assert np.array_equal(ref.q, goal[None, :])
+        assert not ref.qd.any() and not ref.qdd.any()
 
 
 def test_explore_after_invalid_step():

@@ -7,7 +7,8 @@ from viaplan import planner
 from viaplan.planner import (PlanningProblem, evaluate_candidates, solve,
                              straight_line_init)
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
-from viaplan.timing import InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory
+from viaplan.timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
+                            boundary_half)
 from viaplan.worlds import Disk, World2D
 
 
@@ -107,8 +108,9 @@ def test_evaluate_candidates_penalizes_infeasible():
     problem = make_1d_problem(n_via=1, pop_size=4)
     basis = build_basis(1, 1)
     # One candidate fine, nothing infeasible here; check the cost path shape.
+    boundary = boundary_half(basis, problem.bc, problem.limits, problem.grid)
     trajs, reports, costs = evaluate_candidates(
-        basis, np.array([[0.5], [0.2], [0.9], [0.4]]), problem)
+        boundary, np.array([[0.5], [0.2], [0.9], [0.4]]), problem)
     assert len(trajs) == 4 and costs.shape == (4,)
     assert all(r is not None for r in reports)
 
@@ -119,9 +121,9 @@ def test_solve_respects_iteration_budget():
     assert not res.converged
 
 
-def test_boundary_built_once_per_generation(monkeypatch):
-    # Each generation builds its boundary half once for all its candidates,
-    # and the final mean's score builds one more.
+def test_boundary_built_once_per_solve(monkeypatch):
+    # A solve builds its boundary half once, for every candidate of every
+    # generation and for the final mean's score.
     built = []
     real = planner.boundary_half
 
@@ -129,10 +131,22 @@ def test_boundary_built_once_per_generation(monkeypatch):
         built.append(args)
         return real(*args)
 
+    used = []
+    real_synthesize = planner.synthesize
+
+    def recording(boundary, q_via):
+        used.append(boundary)
+        return real_synthesize(boundary, q_via)
+
     monkeypatch.setattr(planner, "boundary_half", counting)
+    monkeypatch.setattr(planner, "synthesize", recording)
     problem = make_1d_problem(n_via=3, pop_size=8, max_iterations=6, tol=0.0)
     res = solve(problem)
     assert res.iterations == 6
-    assert len(built) == res.iterations + 1
-    for _, bc, limits, grid in built:
-        assert bc is problem.bc and limits is problem.limits and grid is problem.grid
+    assert len(built) == 1
+    basis, bc, limits, grid = built[0]
+    assert basis is build_basis(problem.n_via, 1)
+    assert bc is problem.bc and limits is problem.limits and grid is problem.grid
+    # Every candidate and the final mean are synthesized from that one value.
+    assert len(used) == res.iterations * problem.pop_size + 1
+    assert len({id(b) for b in used}) == 1

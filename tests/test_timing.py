@@ -111,6 +111,37 @@ def test_direct_rest_degenerate():
     np.testing.assert_allclose(traj.at_time(1.0, order=1), [0.0])
 
 
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 60))
+def test_move_at_rest_is_degenerate(seed, dof, k):
+    # q0 == qT with zero boundary velocities: the clamped cubic stands still,
+    # so its duration is 0.0 exactly, although E1 U_a and E2 U_a round to
+    # about 1e-16 and gave about 1.5e-8 s for every 2-DoF point.  Via-points
+    # at q0 stand still too; one via-point off q0, or a boundary velocity,
+    # moves.
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-2.0, 2.0, dof)
+    if rng.random() < 0.2:
+        q[rng.random(dof) < 0.5] = -0.0
+    rest = np.zeros(dof)
+    bc = BoundaryConditions(q, rest, q.copy(), rest)
+    lim = KinodynamicLimits.symmetric(rng.uniform(0.1, 2.0), rng.uniform(0.1, 4.0), dof)
+    grid = PhaseGrid(k)
+    traj = synthesize_direct(bc, lim, grid)
+    assert traj.duration == 0.0 and traj.degenerate
+    n_via = int(rng.integers(1, 5))
+    boundary = boundary_half(build_basis(n_via, dof), bc, lim, grid)
+    assert synthesize(boundary, np.tile(q, (n_via, 1))).duration == 0.0
+    off = np.tile(q, (n_via, 1))
+    off[rng.integers(n_via), rng.integers(dof)] += 0.1
+    assert synthesize(boundary, off).duration > 0.0
+    moving = rest.copy()
+    moving[rng.integers(dof)] = 0.5 * lim.qd_max[0]
+    for vels in ((moving, rest), (rest, moving)):
+        assert synthesize_direct(BoundaryConditions(q, vels[0], q, vels[1]),
+                                 lim, grid).duration > 0.0
+
+
 def test_zero_duration_rests_at_q0():
     # Duration 0.0 alone makes a trajectory degenerate, however it was built:
     # every evaluator gives q0 at rest and none divides by the duration.
