@@ -1,7 +1,7 @@
 """Via-point trajectory optimization: time-optimal cubic splines, a
 smoothness-shaped evolution strategy, and full-horizon MPC on toy worlds."""
 
-from .costs import CostReport, CostWeights, PushContext, evaluate_total
+from .costs import CostReport, CostWeights, evaluate_total
 from .mpc import (ExactPlant, LagPlant, MpcConfig, MpcStepResult, greedy_step,
                   mpc_step, run_closed_loop, select_n_via)
 from .optimizer import EvolutionStrategy, SmoothnessPrior, build_prior, converged
@@ -10,8 +10,8 @@ from .spline import (BoundaryConditions, SplineBasis, build_basis, smoothness_co
                      smoothness_gram, via_timings)
 from .timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
                      boundary_half, min_duration, synthesize, synthesize_direct)
-from .worlds import (Disk, PushWorld, Rect, World2D, ablation_world_1d,
+from .worlds import (Disk, Rect, World2D, ablation_world_1d,
                      bundled_cluttered_world, bundled_start_goal, path_winding,
-                     simulate_push, single_obstacle_world)
+                     single_obstacle_world)
 
 __version__ = "0.1.0"

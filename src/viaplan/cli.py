@@ -130,7 +130,7 @@ def load_config(path: str, sections: dict) -> dict:
 PROBLEM_KEYS = (dict.fromkeys(("q0", "qd0", "qT", "qdT", "qd_max", "qdd_max",
                                "q_min", "q_max"), VECTOR),
                 {"q0", "qT", "qd_max", "qdd_max"})
-COSTS_KEYS = (dict.fromkeys(("duration", "smooth", "jla", "collision", "push",
+COSTS_KEYS = (dict.fromkeys(("duration", "smooth", "jla", "collision",
                              "invalid_penalty"), FLOAT), set())
 WORLD_KEYS = ({"type": STR, "disks": DISKS, "rects": RECTS, "robot_radius": FLOAT,
                "bounds_lo": VECTOR, "bounds_hi": VECTOR}, set())
@@ -305,16 +305,15 @@ def cmd_mpc(args) -> int:
     max_steps = m.pop("max_steps", 150)
     plant_kind = m.pop("plant", "exact")
     time_constant = m.pop("lag_time_constant", 0.05)
+    if plant_kind not in ("exact", "lag"):
+        raise ConfigError(f"unknown key 'mpc.plant' value '{plant_kind}'")
     with config_values():
         config = MpcConfig(weights=weights, seed=seed, **m)
         disturbances = parse_disturb(args.disturb) if args.disturb else None
+        plant = (LagPlant(bc.q0, bc.qd0, time_constant=time_constant)
+                 if plant_kind == "lag" else None)
     if any(dq.shape != bc.q0.shape for dq in (disturbances or {}).values()):
         raise ConfigError("--disturb dq needs one value per DoF")
-    if plant_kind not in ("exact", "lag"):
-        raise ConfigError(f"unknown key 'mpc.plant' value '{plant_kind}'")
-    plant = None
-    if plant_kind == "lag":
-        plant = LagPlant(bc.q0, bc.qd0, time_constant=time_constant)
 
     step = greedy_step if args.baseline == "greedy" else None
     log = run_closed_loop(bc.q0, bc.qd0, bc.qT, bc.qdT, limits, config,

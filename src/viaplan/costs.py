@@ -1,17 +1,16 @@
 """Phase-grid cost evaluation of a population of trajectories.
 
 Task-agnostic terms (duration, smoothness, joint-limit avoidance) plus the
-task-specific collision count and box-pushing progress.  `evaluate_total`
-scores a whole generation at once: one pass packing the (M, N+4, D)
-parameters (`SplineBasis.pack_stack`, which broadcasts the boundary rows
-when the population shares one BoundaryConditions, as every ES population
-does), one stacked position pass on the phase grid, one collision query over
-every grid point, one joint-limit mask and one smoothness quadratic form give
-one column per term, and the totals, validity flags and violation counts are
-sums over those columns; only the push rollout runs per trajectory.
-Invalid candidates (joint-limit hit, collision, or non-improving push) are
-not discarded; they receive a large penalty plus their violation count so the
-evolution strategy can still rank them.
+task-specific collision count.  `evaluate_total` scores a whole generation
+at once: one pass packing the (M, N+4, D) parameters
+(`SplineBasis.pack_stack`, which broadcasts the boundary rows when the
+population shares one BoundaryConditions, as every ES population does), one
+stacked position pass on the phase grid, one collision query over every
+grid point, one joint-limit mask and one smoothness quadratic form give one
+column per term, and the totals, validity flags and violation counts are
+sums over those columns.  Invalid candidates (joint-limit hit or collision)
+are not discarded; they receive a large penalty plus their violation count
+so the evolution strategy can still rank them.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spline import stacked_smoothness
-from .timing import KinodynamicLimits, PhaseGrid, Trajectory
+from .timing import KinodynamicLimits, PhaseGrid
 
 
 @dataclass(frozen=True)
@@ -30,13 +29,14 @@ class CostWeights:
     smooth: float = 0.02
     jla: float = 1.0
     collision: float = 1.0
-    push: float = 10.0
     invalid_penalty: float = 1e6
 
     def __post_init__(self):
-        vals = (self.duration, self.smooth, self.jla, self.collision, self.push)
+        vals = (self.duration, self.smooth, self.jla, self.collision)
         if not all(np.isfinite(v) and v >= 0.0 for v in vals):
             raise ValueError("cost weights must be finite and non-negative")
+        if not 0.0 < self.invalid_penalty < np.inf:
+            raise ValueError("invalid_penalty must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,6 @@ class CostReport:
     per_term: dict
     valid: bool
     violation_count: int
-
-
-@dataclass(frozen=True)
-class PushContext:
-    """Hooks for the box-pushing progress term."""
-
-    world: "object"          # worlds.PushWorld
-    target: np.ndarray       # desired box position
-    step_dt: float = 0.02    # rollout resolution in seconds
-
-    def __post_init__(self):
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
 
 
 def cost_jla(q: np.ndarray, limits: KinodynamicLimits) -> tuple[np.ndarray, np.ndarray]:
@@ -84,31 +72,15 @@ def cost_collision(q: np.ndarray, checker) -> np.ndarray:
     return np.count_nonzero(mask.reshape(q.shape[:2]), axis=1)
 
 
-def cost_push(traj: Trajectory, push_ctx: PushContext) -> tuple[float, bool]:
-    """exp(e_T - e_0) of squared box-target errors; valid iff the box got closer."""
-    from .worlds import simulate_push
-
-    if traj.degenerate:
-        return 1.0, False
-    n_steps = max(2, int(np.ceil(traj.duration / push_ctx.step_dt)) + 1)
-    s = np.linspace(0.0, 1.0, n_steps)
-    robot = traj.evaluate(s)
-    box = simulate_push(push_ctx.world, robot)
-    e0 = float(np.sum((box[0] - push_ctx.target) ** 2))
-    eT = float(np.sum((box[-1] - push_ctx.target) ** 2))
-    return float(np.exp(eT - e0)), eT < e0
-
-
 def evaluate_total(trajs, weights: CostWeights, limits: KinodynamicLimits,
-                   grid: PhaseGrid, checker=None,
-                   push_ctx: PushContext | None = None) -> list[CostReport]:
+                   grid: PhaseGrid, checker=None) -> list[CostReport]:
     """One CostReport per trajectory of a population (sharing n_via and dof).
 
-    Every term is a column over the population; only the push rollout runs
-    per trajectory.  The total adds the weighted terms that are present in
-    the order duration, smooth, jla, collision, push, and an invalid
-    trajectory gets invalid_penalty plus its violation count on top.  A
-    zero duration, found by a mask over the durations, rests at its q0.
+    Every term is a column over the population.  The total adds the weighted
+    terms that are present in the order duration, smooth, jla, collision,
+    and an invalid trajectory gets invalid_penalty plus its violation count
+    on top.  A zero duration, found by a mask over the durations, rests at
+    its q0.
     """
     if not trajs:
         return []
@@ -129,10 +101,6 @@ def evaluate_total(trajs, weights: CostWeights, limits: KinodynamicLimits,
         hits = cost_collision(q, checker)
         terms["collision"] = hits.astype(float)
         violations = violations + hits
-    if push_ctx is not None:
-        push, push_valid = zip(*(cost_push(t, push_ctx) for t in trajs))
-        terms["push"] = np.array(push)
-        violations = violations + np.logical_not(push_valid)
     weighted = [getattr(weights, name) * col for name, col in terms.items()]
     total = sum(weighted[1:], weighted[0])
     valid = violations == 0

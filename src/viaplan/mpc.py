@@ -55,6 +55,8 @@ class MpcConfig:
     def __post_init__(self):
         if self.dt_mpc <= 0.0 or self.t_stop <= 0.0 or self.alpha <= 0.0:
             raise ValueError("dt_mpc, t_stop and alpha must be positive")
+        if not (self.goal_tol > 0.0 and self.vel_tol > 0.0):
+            raise ValueError("goal_tol and vel_tol must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n_max < 1:
@@ -141,7 +143,7 @@ def extract_reference(traj: Trajectory, t0: float, duration: float,
 
 
 def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
-             checker=None, push_ctx=None, prev_result: MpcStepResult | None = None,
+             checker=None, prev_result: MpcStepResult | None = None,
              seed: int = 0) -> MpcStepResult:
     """One full-horizon MPC step: the direct trajectory when it passes the
     gate, else a budgeted optimization from a warm start or an exploration."""
@@ -151,7 +153,7 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
                               pop_size=config.pop_size,
                               grid=PhaseGrid(config.grid_k),
                               weights=config.weights, checker=checker,
-                              push_ctx=push_ctx, seed=seed)
+                              seed=seed)
     try:
         direct = boundary_half(build_basis(0, bc.dof), bc, limits, problem.grid)
         solution, report = score(direct, None, problem)
@@ -217,6 +219,8 @@ class LagPlant(ExactPlant):
 
     def __init__(self, q, qd=None, time_constant: float = 0.05):
         super().__init__(q, qd)
+        if not time_constant > 0.0:
+            raise ValueError("lag_time_constant must be positive")
         self.time_constant = time_constant
 
     def advance(self, horizon: ShortHorizon) -> None:
@@ -241,9 +245,8 @@ def _at_goal(plant, qT, qdT, config: MpcConfig) -> bool:
 
 
 def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
-                    config: MpcConfig, checker=None, push_ctx=None,
-                    max_steps: int = 200, plant=None,
-                    disturbances: dict | None = None,
+                    config: MpcConfig, checker=None, max_steps: int = 200,
+                    plant=None, disturbances: dict | None = None,
                     step=None) -> EpisodeLog:
     """Call step (mpc_step when None, or greedy_step) at 1/dt_mpc until the
     goal state is reached or max_steps have run.
@@ -273,7 +276,7 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
         if _at_goal(plant, qT, qdT, config):
             break
         result = step(plant.q, plant.qd, qT, qdT, limits, config,
-                      checker=checker, push_ctx=push_ctx, prev_result=prev,
+                      checker=checker, prev_result=prev,
                       seed=config.seed + k)
         horizon = result.short_horizon
         if result.valid:
@@ -311,13 +314,11 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
 
 
 def greedy_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
-                checker=None, push_ctx=None,
-                prev_result: MpcStepResult | None = None,
+                checker=None, prev_result: MpcStepResult | None = None,
                 seed: int = 0) -> MpcStepResult:
     """Short-horizon baseline with mpc_step's signature: sample nearby
     endpoints, each reached at rest, and move to the valid one closest to the
-    goal; invalid when none is valid.  qdT, push_ctx and prev_result are
-    unused."""
+    goal; invalid when none is valid.  qdT and prev_result are unused."""
     t_start = time.monotonic()
     rng = np.random.default_rng(seed)
     grid = PhaseGrid(config.grid_k)

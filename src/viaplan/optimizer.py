@@ -22,7 +22,7 @@ from .spline import SplineBasis, smoothness_gram
 SIGMA_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothnessPrior:
     """Gaussian over via-points induced by the smoothness quadratic form."""
 

@@ -20,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .costs import CostReport, CostWeights, PushContext, evaluate_total
+from .costs import CostReport, CostWeights, evaluate_total
 from .optimizer import EvolutionStrategy, build_prior, converged
 from .spline import BoundaryConditions, SplineBasis, build_basis, via_timings
 from .timing import (Boundary, InfeasibleError, KinodynamicLimits, PhaseGrid,
@@ -36,7 +36,6 @@ class PlanningProblem:
     grid: PhaseGrid = field(default_factory=lambda: PhaseGrid(50))
     weights: CostWeights = field(default_factory=CostWeights)
     checker: object | None = None
-    push_ctx: PushContext | None = None
     max_iterations: int = 500
     tol: float = 1e-6
     seed: int = 0
@@ -98,7 +97,7 @@ def score(boundary: Boundary, q_via, problem: PlanningProblem):
 
 def _evaluate(trajs: list, problem: PlanningProblem) -> list:
     return evaluate_total(trajs, problem.weights, problem.limits, problem.grid,
-                          problem.checker, problem.push_ctx)
+                          problem.checker)
 
 
 def evaluate_candidates(boundary: Boundary, candidates: np.ndarray,

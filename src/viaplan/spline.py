@@ -30,7 +30,7 @@ def frozen_array(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryConditions:
     """Boundary positions and velocities (velocities in units per second).
 

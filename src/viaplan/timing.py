@@ -34,7 +34,7 @@ class InfeasibleError(Exception):
     """No finite duration can satisfy the kinodynamic limits."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KinodynamicLimits:
     """Per-DoF box bounds on velocity, acceleration and (optionally) position,
     held as read-only copies like BoundaryConditions."""
@@ -89,7 +89,7 @@ class PhaseGrid:
         return np.linspace(0.0, 1.0, self.k + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A synthesized trajectory: spline shape plus total duration.  A zero
     duration is a degenerate trajectory, which rests at q0."""
@@ -128,7 +128,7 @@ class Trajectory:
         return tuple(self.evaluate(grid.points, k) for k in range(3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryLanes:
     """The half of the duration closed form that depends only on the boundary
     conditions, the limits and the grid, which a whole ES generation shares.
@@ -194,7 +194,7 @@ class BoundaryLanes:
         return 1.0 / float(x_min)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Boundary:
     """What every candidate of one (basis, bc, limits, grid) shares: the
     boundary rows of U_a, the grid matrices E1 and E2, the BoundaryLanes of

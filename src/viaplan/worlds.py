@@ -1,5 +1,5 @@
-"""Desk-scale task environments: 2D cluttered world, 1D time-optimal problem,
-and a quasi-static box-pushing toy.
+"""Desk-scale task environments: the 2D cluttered world and the 1D
+time-optimal problem.
 
 Collision convention: a configuration collides iff the robot disk strictly
 overlaps an obstacle or strictly exits the workspace bounds; exact tangency is
@@ -16,7 +16,7 @@ from .spline import BoundaryConditions
 from .timing import KinodynamicLimits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Disk:
     center: np.ndarray
     radius: float
@@ -29,7 +29,7 @@ class Disk:
             raise ValueError("a disk radius must be finite and non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rect:
     """Axis-aligned rectangle given by its lower and upper corners."""
 
@@ -45,16 +45,16 @@ class Rect:
             raise ValueError("a rect's lower corner must be below its upper corner")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class World2D:
     obstacles: tuple
     bounds_lo: np.ndarray = field(default_factory=lambda: np.zeros(2))
     bounds_hi: np.ndarray = field(default_factory=lambda: np.ones(2))
     robot_radius: float = 0.0
     # The K disks as (K, 1) columns: center x, center y, (radius + robot_radius)^2.
-    disk_x: np.ndarray = field(init=False, repr=False, compare=False)
-    disk_y: np.ndarray = field(init=False, repr=False, compare=False)
-    disk_r2: np.ndarray = field(init=False, repr=False, compare=False)
+    disk_x: np.ndarray = field(init=False, repr=False)
+    disk_y: np.ndarray = field(init=False, repr=False)
+    disk_r2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -92,46 +92,6 @@ class World2D:
                 out |= ((x > obs.lo[0]) & (x < obs.hi[0])
                         & (y > obs.lo[1]) & (y < obs.hi[1]))
         return out
-
-
-@dataclass(frozen=True)
-class PushWorld:
-    """Disk robot pushing a disk box on a plane, quasi-statically."""
-
-    box_position: np.ndarray
-    box_radius: float
-    robot_radius: float
-    bounds_lo: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    bounds_hi: np.ndarray = field(default_factory=lambda: np.ones(2))
-
-    def __post_init__(self):
-        object.__setattr__(self, "box_position", np.asarray(self.box_position, dtype=float))
-        object.__setattr__(self, "bounds_lo", np.asarray(self.bounds_lo, dtype=float))
-        object.__setattr__(self, "bounds_hi", np.asarray(self.bounds_hi, dtype=float))
-
-
-def simulate_push(world: PushWorld, robot_points: np.ndarray) -> np.ndarray:
-    """Quasi-static box rollout along a sampled robot path.
-
-    At each step the box is translated along the center-to-center direction by
-    the minimal separating distance if the robot disk overlaps it; otherwise
-    it stays put (no momentum).
-    """
-    robot_points = np.atleast_2d(np.asarray(robot_points, dtype=float))
-    contact = world.box_radius + world.robot_radius
-    box = np.empty_like(robot_points)
-    pos = world.box_position.copy()
-    for i, robot in enumerate(robot_points):
-        delta = pos - robot
-        dist = float(np.hypot(*delta))
-        if dist < contact:
-            if dist < 1e-12:
-                # Robot exactly at the box center: push along +x by convention.
-                delta = np.array([1.0, 0.0])
-                dist = 1.0
-            pos = robot + delta / dist * contact
-        box[i] = pos
-    return box
 
 
 def ablation_world_1d():

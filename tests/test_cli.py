@@ -89,11 +89,18 @@ def with_value(base, section, keys, value):
     ("mpc", "mpc", "seed", -1, "seed must be non-negative"),
     # The --seed flag overrides the config's seed of 0.
     ("plan --seed -1", "optimizer", "seed", 0, "seed must be non-negative"),
+    ("plan", "costs", "push", 10, "costs.push"),
+    ("plan", "costs", "invalid_penalty", -1, "invalid_penalty"),
+    ("plan", "costs", "invalid_penalty", 0, "invalid_penalty"),
+    ("mpc", "mpc", "goal_tol", 0, "goal_tol"),
+    ("mpc", "mpc", "lag_time_constant", -0.05, "lag_time_constant"),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):
     command, *flags = command.split()
-    base = PLAN_1D if command == "plan" else dict(MPC_FREE, world={"type": "custom"})
+    # The mpc runs use the lag plant, whose time constant is checked too.
+    base = PLAN_1D if command == "plan" else dict(
+        MPC_FREE, world={"type": "custom"}, mpc=dict(MPC_FREE["mpc"], plant="lag"))
     cfg = with_value(base, section, key, value)
     code = main([command, write_config(tmp_path / "c.json", cfg), *flags,
                  "--out-dir", str(tmp_path / "o"), "--quiet"])

@@ -3,21 +3,11 @@
 import numpy as np
 import pytest
 
-import viaplan.costs as costs_mod
-from viaplan.costs import (CostWeights, cost_collision, cost_jla, cost_push,
-                           evaluate_total, PushContext)
+from viaplan.costs import CostWeights, cost_collision, cost_jla, evaluate_total
 from viaplan.spline import BoundaryConditions, build_basis, smoothness_cost
 from viaplan.timing import (KinodynamicLimits, PhaseGrid, boundary_half, synthesize,
                             synthesize_direct)
-from viaplan.worlds import Disk, PushWorld, World2D
-
-
-class StubTrajectory:
-    """A bare duration, for exercising per-trajectory cost formulas."""
-
-    def __init__(self, duration=1.0):
-        self.duration = duration
-        self.degenerate = False
+from viaplan.worlds import Disk, World2D
 
 
 def make_limits(q_min, q_max, dof=1):
@@ -29,6 +19,9 @@ def test_weights_validation():
         CostWeights(duration=-1.0)
     with pytest.raises(ValueError):
         CostWeights(smooth=float("nan"))
+    for penalty in (0.0, -1e6, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="invalid_penalty"):
+            CostWeights(invalid_penalty=penalty)
 
 
 def test_cost_duration_identity():
@@ -113,45 +106,12 @@ def test_collision_count_refines_with_grid():
     assert abs(fine - 2 * coarse) <= 2
 
 
-def test_push_formula(monkeypatch):
-    target = np.array([1.0, 0.0])
-    box0 = np.array([0.5, 0.0])      # e_0 = 0.25
-    boxT = np.array([0.8, 0.0])      # e_T = 0.04
-
-    def fake_push(world, robot):
-        out = np.tile(box0, (robot.shape[0], 1))
-        out[-1] = boxT
-        return out
-
-    monkeypatch.setattr("viaplan.worlds.simulate_push", fake_push)
-    world = PushWorld(box_position=box0, box_radius=0.05, robot_radius=0.05)
-    ctx = PushContext(world=world, target=target)
-    traj = StubTrajectory(duration=1.0)
-    traj.evaluate = lambda s: np.zeros((np.atleast_1d(s).shape[0], 2))
-    cost, valid = cost_push(traj, ctx)
-    assert abs(cost - np.exp(0.04 - 0.25)) < 1e-12
-    assert valid
-
-
-def test_push_no_progress_invalid():
-    world = PushWorld(box_position=[0.8, 0.8], box_radius=0.05, robot_radius=0.05)
-    ctx = PushContext(world=world, target=np.array([0.9, 0.9]))
-    bc = BoundaryConditions([0.1, 0.1], [0.0, 0.0], [0.2, 0.1], [0.0, 0.0])
-    lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
-    traj = synthesize_direct(bc, lim, PhaseGrid(20))
-    cost, valid = cost_push(traj, ctx)
-    # Robot never touches the box: e_T = e_0, exp(0) = 1, no progress.
-    assert abs(cost - 1.0) < 1e-12
-    assert not valid
-
-
 def test_total_weighted_sum_for_valid():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     grid = PhaseGrid(50)
     traj = synthesize_direct(bc, lim, grid)
-    weights = CostWeights(duration=1.0, smooth=0.01, jla=1.0, collision=1.0,
-                          push=0.0)
+    weights = CostWeights(duration=1.0, smooth=0.01, jla=1.0, collision=1.0)
     report, = evaluate_total([traj], weights, lim, grid)
     expected = traj.duration + 0.01 * smoothness_cost(traj.basis, traj.q_via,
                                                       bc, traj.duration)

@@ -18,13 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viaplan import planner
-from viaplan.costs import CostWeights, PushContext, cost_push, evaluate_total
+from viaplan.costs import CostWeights, evaluate_total
 from viaplan.mpc import extract_reference
 from viaplan.planner import PlanningProblem, evaluate_candidates
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
                             PhaseGrid, boundary_half, min_duration, synthesize)
-from viaplan.worlds import Disk, PushWorld, Rect, World2D
+from viaplan.worlds import Disk, Rect, World2D
 
 from conftest import is_colliding
 
@@ -62,7 +62,7 @@ def ref_collision(traj, checker, grid):
     return float(hits), hits
 
 
-def ref_evaluate(traj, weights, limits, grid, checker=None, push_ctx=None):
+def ref_evaluate(traj, weights, limits, grid, checker=None):
     """The per-report loop: one trajectory's terms, then its total."""
     per_term = {"duration": traj.duration,
                 "smooth": 0.0 if traj.degenerate else ref_smoothness(traj)}
@@ -77,15 +77,10 @@ def ref_evaluate(traj, weights, limits, grid, checker=None, push_ctx=None):
         per_term["collision"] = coll
         violations += hits
         valid &= hits == 0
-    if push_ctx is not None:
-        per_term["push"], push_valid = cost_push(traj, push_ctx)
-        violations += not push_valid
-        valid &= push_valid
     total = (weights.duration * per_term["duration"]
              + weights.smooth * per_term["smooth"]
              + weights.jla * per_term["jla"]
-             + weights.collision * per_term.get("collision", 0.0)
-             + weights.push * per_term.get("push", 0.0))
+             + weights.collision * per_term.get("collision", 0.0))
     if not valid:
         total += weights.invalid_penalty + violations
     return float(total), per_term, bool(valid), violations
@@ -347,33 +342,6 @@ def test_evaluate_candidates_matches_per_candidate(params, infeasible):
         else:
             assert_same_report(report, ref)
             assert costs[i] == ref[0]
-
-
-@SETTINGS
-@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans())
-def test_population_scoring_with_push_matches_per_trajectory(seed, n_via,
-                                                             with_checker):
-    """The push column, and the validity and violation counts it feeds,
-    against the per-report loop, with and without the collision term."""
-    rng = np.random.default_rng(seed)
-    problem = random_problem(rng, 2, n_via, False, rng.random() < 0.5,
-                             with_checker, pop_size=int(rng.integers(4, 12)))
-    box = rng.uniform(0.3, 0.7, 2)
-    push_ctx = PushContext(PushWorld(box, 0.05, 0.03),
-                           target=box + rng.uniform(-0.2, 0.2, 2),
-                           step_dt=float(rng.choice([0.02, 0.1])))
-    basis = build_basis(n_via, 2)
-    boundary = boundary_of(basis, problem)
-    trajs = [synthesize(boundary, x)
-             for x in random_candidates(rng, problem, basis, 0.3)]
-    trajs[0] = dataclasses.replace(trajs[0], duration=0.0)
-    reports = evaluate_total(trajs, problem.weights, problem.limits,
-                             problem.grid, problem.checker, push_ctx)
-    for traj, report in zip(trajs, reports):
-        assert_same_report(report, ref_evaluate(traj, problem.weights,
-                                                problem.limits, problem.grid,
-                                                problem.checker, push_ctx))
-    assert not reports[0].valid
 
 
 def test_evaluate_total_empty_population():

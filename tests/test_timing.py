@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viaplan.mpc import extract_reference
+from viaplan.optimizer import build_prior
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
                             PhaseGrid, Trajectory, boundary_half, min_duration,
                             synthesize, synthesize_direct)
+from viaplan.worlds import Disk, Rect, bundled_cluttered_world
 
 
 def duration_of(basis, q_via, bc, limits, grid):
@@ -297,3 +299,29 @@ def test_boundaries_on_one_basis_keep_their_own_durations():
         assert row == alone
     # No two of the boundaries give the same durations.
     assert len({tuple(col) for col in zip(*got)}) == len(keys)
+
+
+def _boundary():
+    bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
+    return boundary_half(build_basis(2, 2), bc, KinodynamicLimits.symmetric(0.5, 2.0, 2),
+                         PhaseGrid(10))
+
+
+@pytest.mark.parametrize("make", [
+    bundled_cluttered_world,
+    lambda: Disk([0.5, 0.5], 0.1),
+    lambda: Rect([0.2, 0.2], [0.4, 0.6]),
+    lambda: BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0]),
+    lambda: KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0)),
+    lambda: synthesize(_boundary(), np.full((2, 2), 0.5)),
+    _boundary,
+    lambda: _boundary().lanes,
+    lambda: build_prior(build_basis(3, 2)),
+], ids=["World2D", "Disk", "Rect", "BoundaryConditions", "KinodynamicLimits",
+        "Trajectory", "Boundary", "BoundaryLanes", "SmoothnessPrior"])
+def test_array_dataclasses_compare_and_hash_by_identity(make):
+    # Frozen dataclasses with array fields: an equal copy is another object.
+    a, b = make(), make()
+    assert a == a and a != b
+    keys = {a: "a", b: "b"}
+    assert keys[a] == "a" and keys[b] == "b"

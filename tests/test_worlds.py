@@ -1,13 +1,13 @@
-"""World geometry, collision conventions and the quasi-static push model."""
+"""World geometry and collision conventions."""
 
 import numpy as np
 import pytest
 
 from viaplan.spline import BoundaryConditions
 from viaplan.timing import KinodynamicLimits
-from viaplan.worlds import (Disk, PushWorld, Rect, World2D, ablation_world_1d,
+from viaplan.worlds import (Disk, Rect, World2D, ablation_world_1d,
                             bundled_cluttered_world, bundled_start_goal,
-                            path_winding, simulate_push, single_obstacle_world)
+                            path_winding, single_obstacle_world)
 
 from conftest import is_colliding
 
@@ -75,51 +75,6 @@ def test_zero_radius_disk_allowed():
     world = World2D(obstacles=(Disk([0.5, 0.5], 0.0),), robot_radius=0.05)
     assert is_colliding(world, [0.52, 0.5])
     assert not is_colliding(world, [0.55, 0.5])
-
-
-def test_push_no_contact_box_stays():
-    world = PushWorld(box_position=[0.8, 0.8], box_radius=0.05, robot_radius=0.05)
-    path = np.stack([np.linspace(0.1, 0.3, 20), np.full(20, 0.1)], axis=1)
-    box = simulate_push(world, path)
-    np.testing.assert_allclose(box, np.tile([0.8, 0.8], (20, 1)), atol=1e-12)
-
-
-def test_push_head_on_displacement():
-    # Push straight through the box center: the box ends up displaced by the
-    # robot's overshoot along the push direction; a 10x finer rollout agrees
-    # within one coarse step of robot motion.
-    world = PushWorld(box_position=[0.5, 0.5], box_radius=0.05, robot_radius=0.05)
-    n = 50
-    xs = np.linspace(0.2, 0.6, n + 1)
-    path = np.stack([xs, np.full(n + 1, 0.5)], axis=1)
-    box = simulate_push(world, path)
-    np.testing.assert_allclose(box[-1], [0.7, 0.5], atol=1e-9)
-    fine_xs = np.linspace(0.2, 0.6, 10 * n + 1)
-    fine = simulate_push(world, np.stack([fine_xs, np.full(10 * n + 1, 0.5)], axis=1))
-    step = xs[1] - xs[0]
-    assert np.linalg.norm(box[-1] - fine[-1]) <= step
-
-
-def test_push_grazing_contact_smaller_displacement():
-    world = PushWorld(box_position=[0.5, 0.5], box_radius=0.05, robot_radius=0.05)
-    n = 400
-    xs = np.linspace(0.2, 0.8, n + 1)
-    path = np.stack([xs, np.full(n + 1, 0.5 - 0.095)], axis=1)
-    box = simulate_push(world, path)
-    moved = np.linalg.norm(box[-1] - box[0])
-    assert 0.0 < moved < 0.6
-    # Mostly pushed away perpendicular to the (horizontal) robot motion.
-    assert abs(box[-1][1] - box[0][1]) > abs(box[-1][0] - box[0][0])
-
-
-def test_push_step_displacement_bounded_by_robot_step():
-    rng = np.random.default_rng(2)
-    world = PushWorld(box_position=[0.5, 0.5], box_radius=0.06, robot_radius=0.04)
-    path = np.cumsum(rng.normal(scale=0.01, size=(200, 2)), axis=0) + [0.3, 0.5]
-    box = simulate_push(world, path)
-    robot_steps = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    box_steps = np.linalg.norm(np.diff(box, axis=0), axis=1)
-    assert np.all(box_steps <= robot_steps + 1e-9)
 
 
 def test_ablation_world_1d():
