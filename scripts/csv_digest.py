@@ -7,8 +7,9 @@ runs. Compare a change against its parent with
     python3 scripts/csv_digest.py --against <parent checkout>/src
 
 which runs both trees in subprocesses, prints this tree's lines, then every
-line that differs and the line counts of both trees' `viaplan/*.py` (with
-and without `cli.py`), and exits 1 when any digest line differs.
+line that differs, the line counts of both trees' `viaplan/*.py` (with and
+without `cli.py`) and the number of config keys each of their commands
+accepts, and exits 1 when any digest line differs.
 
 The short configs are the bundled ones in `configs/` with fewer runs,
 iterations and steps; the whole set takes about ten seconds on two cores.
@@ -51,6 +52,15 @@ RUNS = (
 )
 
 
+# The config schemas each command reads, by their names in viaplan.cli.
+SCHEMAS = {
+    "plan": ("PROBLEM_KEYS", "PLAN_OPT_KEYS", "COSTS_KEYS", "WORLD_KEYS"),
+    "mpc": ("PROBLEM_KEYS", "MPC_KEYS", "COSTS_KEYS", "WORLD_KEYS"),
+    "ablate-nvia": ("PROBLEM_KEYS", "NVIA_OPT_KEYS", "COSTS_KEYS"),
+    "ablate-chol": ("PROBLEM_KEYS", "CHOL_OPT_KEYS", "COSTS_KEYS", "WORLD_KEYS"),
+}
+
+
 def short_config(name: str, overrides: dict) -> dict:
     cfg = json.loads((ROOT / "configs" / name).read_text())
     for section, values in overrides.items():
@@ -59,7 +69,8 @@ def short_config(name: str, overrides: dict) -> dict:
 
 
 def digests(src: str) -> list[str]:
-    """This script's output for the viaplan package in src, from a subprocess."""
+    """This script's output for the viaplan package in src, from a subprocess:
+    its config-key line, then its digest lines."""
     out = subprocess.run([sys.executable, __file__, "--src", src],
                          capture_output=True, text=True, check=True)
     return out.stdout.splitlines()
@@ -74,7 +85,7 @@ def line_counts(src: str) -> str:
 
 
 def compare(src: str, other: str) -> int:
-    mine, theirs = digests(src), digests(other)
+    (my_keys, *mine), (their_keys, *theirs) = digests(src), digests(other)
     print("\n".join(mine))
     differ = [(a, b) for a, b in zip(mine, theirs) if a != b]
     if len(mine) != len(theirs):
@@ -82,6 +93,7 @@ def compare(src: str, other: str) -> int:
     for a, b in differ:
         print(f"differs: {a}\n against: {b}")
     print(f"viaplan/*.py lines: {line_counts(src)}, against {line_counts(other)}")
+    print(f"{my_keys}, against {their_keys.partition(': ')[2]}")
     print("every CSV identical" if not differ else f"{len(differ)} lines differ")
     return 1 if differ else 0
 
@@ -97,15 +109,18 @@ def main() -> int:
     if args.against:
         return compare(args.src, args.against)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from viaplan.cli import main as cli_main
+    from viaplan import cli
 
+    print("config keys: " + ", ".join(
+        f"{command} {sum(len(getattr(cli, name)[0]) for name in names)}"
+        for command, names in SCHEMAS.items()))
     with tempfile.TemporaryDirectory() as tmp:
         for name, command, config, overrides, extra in RUNS:
             run_dir = Path(tmp) / name
             run_dir.mkdir()
             cfg_path = run_dir / "config.json"
             cfg_path.write_text(json.dumps(short_config(config, overrides)))
-            code = cli_main([command, str(cfg_path), "--out-dir",
+            code = cli.main([command, str(cfg_path), "--out-dir",
                              str(run_dir / "out"), "--quiet", *extra])
             print(f"{name} exit={code}")
             for csv in sorted((run_dir / "out").glob("*.csv")):

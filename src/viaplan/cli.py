@@ -69,14 +69,13 @@ def _rows(width: int):
 
 
 # The JSON kinds of config values, named as the error messages name them, and
-# the test that a value of each kind passes: bool keys take only true or
-# false, int keys only integers, float keys any number.
-BOOL, INT, FLOAT, STR = "true or false", "an integer", "a number", "a string"
+# the test that a value of each kind passes: int keys take only integers,
+# float keys any number.
+INT, FLOAT, STR = "an integer", "a number", "a string"
 VECTOR, INTS = "a number or a list of numbers", "a list of integers"
 DISKS = "a list of [x, y, radius] disks"
 RECTS = "a list of [x_lo, y_lo, x_hi, y_hi] rectangles"
 ACCEPTS = {
-    BOOL: lambda value: isinstance(value, bool),
     INT: lambda value: isinstance(value, int) and not isinstance(value, bool),
     FLOAT: _number,
     STR: lambda value: isinstance(value, str),
@@ -174,15 +173,14 @@ def build_weights(sec: dict) -> CostWeights:
 # The kind of every optimizer key; each command's section takes all but a few.
 OPTIMIZER_KINDS = {"n_via": INT, "n_list": INTS, "runs": INT, "seeds": INT,
                    "pop_size": INT, "max_iterations": INT, "tol": FLOAT,
-                   "init_sigma": FLOAT, "grid_k": INT, "mode": STR,
-                   "use_chol": BOOL, "seed": INT}
+                   "init_sigma": FLOAT, "grid_k": INT, "seed": INT}
 
 
 def optimizer_kinds(*excluded: str) -> dict:
     return {key: kind for key, kind in OPTIMIZER_KINDS.items() if key not in excluded}
 
 
-# The optimizer keys that are PlanningProblem fields of the same name.
+# The optimizer keys and command defaults that are PlanningProblem fields.
 PROBLEM_FIELDS = ("n_via", "pop_size", "max_iterations", "tol", "mode", "use_chol")
 
 
@@ -190,7 +188,7 @@ def planning_problem(opt: dict, bc, limits, weights, checker, seed: int,
                      **defaults) -> PlanningProblem:
     """PlanningProblem from an optimizer section.  `defaults` are the command's
     own values for keys the section leaves out (ablate-chol's 150 iterations)
-    or that its schema does not accept (ablate-nvia's n_via)."""
+    or its schema lacks (ablate-nvia's n_via, ablate-chol's mode and use_chol)."""
     opt = {**defaults, **opt}
     with config_values():
         return PlanningProblem(bc, limits, grid=PhaseGrid(opt.get("grid_k", 50)),
@@ -274,29 +272,26 @@ def cmd_plan(args) -> int:
 # -- mpc -------------------------------------------------------------------
 
 
-MPC_KEYS = ({**dict.fromkeys(("dt_mpc", "t_stop", "alpha", "explore_sigma",
-                               "warmstart_sigma", "plant_dt", "goal_tol", "vel_tol",
-                               "lag_time_constant"), FLOAT),
+MPC_KEYS = ({**dict.fromkeys(("dt_mpc", "t_stop", "alpha", "plant_dt", "goal_tol",
+                               "vel_tol", "lag_time_constant"), FLOAT),
              **dict.fromkeys(("n_max", "pop_size", "grid_k", "iterations_per_step",
                               "max_steps", "seed"), INT),
              "plant": STR}, set())
 
 
 def parse_disturb(tokens: list[str]) -> dict:
-    """Parse `step=40 dq=(0.3,0)` style tokens into {step: dq}."""
-    step = None
-    dq = None
+    """Parse `step=40 dq=(0.3,0)` style tokens into {step: dq}: one
+    disturbance, at a non-negative step."""
+    given = {}
     for tok in tokens:
         key, _, val = tok.partition("=")
-        if key == "step":
-            step = int(val)
-        elif key == "dq":
-            dq = [float(v) for v in val.strip("()").split(",")]
-        else:
-            raise ConfigError(f"unknown --disturb key '{key}'")
-    if step is None or dq is None:
-        raise ConfigError("--disturb needs step=<int> and dq=(..)")
-    return {step: np.asarray(dq)}
+        if key not in ("step", "dq") or key in given:
+            raise ConfigError(f"--disturb takes step= and dq= once each, not '{tok}'")
+        given[key] = val
+    if given.keys() != {"step", "dq"} or int(given["step"]) < 0:
+        raise ConfigError("--disturb needs step=<int >= 0> and dq=(..)")
+    return {int(given["step"]): np.asarray([float(v) for v in
+                                            given["dq"].strip("()").split(",")])}
 
 
 def cmd_mpc(args) -> int:
@@ -304,9 +299,11 @@ def cmd_mpc(args) -> int:
     # The keys of the closed loop itself; the rest are MpcConfig fields.
     max_steps = m.pop("max_steps", 150)
     plant_kind = m.pop("plant", "exact")
-    time_constant = m.pop("lag_time_constant", 0.05)
     if plant_kind not in ("exact", "lag"):
         raise ConfigError(f"unknown key 'mpc.plant' value '{plant_kind}'")
+    if plant_kind == "exact" and "lag_time_constant" in m:
+        raise ConfigError("key 'mpc.lag_time_constant' needs mpc.plant \"lag\"")
+    time_constant = m.pop("lag_time_constant", 0.05)
     with config_values():
         config = MpcConfig(weights=weights, seed=seed, **m)
         disturbances = parse_disturb(args.disturb) if args.disturb else None
@@ -342,7 +339,7 @@ def cmd_mpc(args) -> int:
 # -- ablations -------------------------------------------------------------
 
 
-NVIA_OPT_KEYS = (optimizer_kinds("n_via", "runs", "mode", "use_chol"), set())
+NVIA_OPT_KEYS = (optimizer_kinds("n_via", "runs"), set())
 
 
 def cmd_ablate_nvia(args) -> int:
@@ -355,16 +352,23 @@ def cmd_ablate_nvia(args) -> int:
         for i in range(seeds):
             problem = planning_problem(opt, bc, limits, weights, None,
                                        base_seed + i, n_via=n_via)
-            res = solve(problem, init_sigma_scale=opt.get("init_sigma"))
+            try:
+                res = solve(problem, init_sigma_scale=opt.get("init_sigma"))
+            except InfeasibleError:
+                rows.append([n_via, float("nan"), problem.max_iterations])
+                continue
             rows.append([n_via, res.trajectory.duration, res.iterations])
             if not args.quiet:
                 print(f"N={n_via} seed={base_seed + i}: "
                       f"T={res.trajectory.duration:.4f} iters={res.iterations}")
     write_csv(out_dir(args) / "ablate_nvia.csv", ["N", "T_final", "iterations"], rows)
+    if all(np.isnan(t_final) for _, t_final, _ in rows):
+        print("no feasible run", file=sys.stderr)
+        return 1
     return 0
 
 
-CHOL_OPT_KEYS = (optimizer_kinds("n_list", "runs", "mode", "use_chol"), set())
+CHOL_OPT_KEYS = (optimizer_kinds("n_list", "runs"), set())
 
 CHOL_SETUPS = (("sep_chol", "sep", True), ("sep_plain", "sep", False),
                ("full_chol", "full", True), ("full_plain", "full", False))

@@ -37,14 +37,14 @@ class ExpiredError(Exception):
 
 @dataclass
 class MpcConfig:
+    """Closed-loop settings; `mpc_step` derives its ES sampling scale."""
+
     dt_mpc: float = 0.08
     t_stop: float = 1.0
     n_max: int = 4
     alpha: float = 2.0
     pop_size: int = 32
     grid_k: int = 20
-    explore_sigma: float | None = None     # None: 0.5 * |goal - start|
-    warmstart_sigma: float | None = None   # None: 0.05 * |goal - start|
     weights: CostWeights = field(default_factory=CostWeights)
     plant_dt: float = 1e-3
     seed: int = 0
@@ -69,9 +69,6 @@ class MpcConfig:
             raise ValueError("need 0 < plant_dt <= dt_mpc")
         if self.iterations_per_step is not None and self.iterations_per_step < 1:
             raise ValueError("iterations_per_step must be at least 1 (or None)")
-        if (self.explore_sigma is not None and self.warmstart_sigma is not None
-                and not self.explore_sigma > self.warmstart_sigma > 0.0):
-            raise ValueError("need explore_sigma > warmstart_sigma > 0")
 
 
 @dataclass
@@ -146,7 +143,8 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
              checker=None, prev_result: MpcStepResult | None = None,
              seed: int = 0) -> MpcStepResult:
     """One full-horizon MPC step: the direct trajectory when it passes the
-    gate, else a budgeted optimization from a warm start or an exploration."""
+    gate, else a budgeted optimization from a warm start or an exploration,
+    sampled at 0.05 or 0.5 times |qT - q| (or times 1 when that is 0)."""
     t_start = time.monotonic()
     bc = BoundaryConditions(q, qd, qT, qdT)
     problem = PlanningProblem(bc, limits, n_via=config.n_max,
@@ -170,10 +168,8 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
                 mode = "warmstart"
             except ExpiredError:
                 pass
-        sigma, fraction = ((config.warmstart_sigma, 0.05) if mode == "warmstart"
-                           else (config.explore_sigma, 0.5))
-        if sigma is None:
-            sigma = fraction * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0)
+        sigma = ((0.05 if mode == "warmstart" else 0.5)
+                 * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0))
         problem = replace(problem, n_via=n_via)
         basis = build_basis(n_via, bc.dof)
         es = make_es(problem, basis, mean, sigma)

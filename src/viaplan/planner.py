@@ -127,16 +127,16 @@ def generations(es: EvolutionStrategy, boundary: Boundary,
         yield trajs, reports, costs
 
 
-def solve(problem: PlanningProblem, init_mean: np.ndarray | None = None,
+def solve(problem: PlanningProblem,
           init_sigma_scale: float | None = None) -> SolveResult:
-    """Run the optimization loop and return mean and best-ever solutions."""
+    """Run the optimization loop from the straight line q0 -> qT and return
+    the mean and best-ever solutions."""
     bc = problem.bc
     basis = build_basis(problem.n_via, bc.dof)
-    if init_mean is None:
-        init_mean = straight_line_init(bc, problem.n_via)
     if init_sigma_scale is None:
         init_sigma_scale = 0.5 * float(np.linalg.norm(bc.qT - bc.q0)) or 0.5
-    es = make_es(problem, basis, init_mean, init_sigma_scale)
+    es = make_es(problem, basis, straight_line_init(bc, problem.n_via),
+                 init_sigma_scale)
     boundary = boundary_half(basis, bc, problem.limits, problem.grid)
 
     history: list[float] = []

@@ -187,8 +187,6 @@ class BoundaryLanes:
         np.copyto(x_acc[1], self.x_lin, where=c == 0.0)
         x_min = min(np.fmin.reduce(x_vel, axis=None, initial=np.inf),
                     np.where(x_acc > 0.0, x_acc, np.inf).min())
-        if x_min == np.inf:
-            return 0.0
         if x_min <= 0.0:
             raise InfeasibleError("a kinodynamic limit is active at infinite duration")
         return 1.0 / float(x_min)

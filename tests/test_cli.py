@@ -74,7 +74,7 @@ def with_value(base, section, keys, value):
     ("plan", "problem", "q_min", 0.0, "q_min and q_max must be given together"),
     ("plan", "problem", "qdd_max", [0.2, 0.2], "one value per DoF"),
     ("plan", "costs", "smooth", -1, "cost weights"),
-    ("plan", "optimizer", "mode", "diag", "mode must be 'sep' or 'full'"),
+    ("plan", "optimizer", "mode", "diag", "unknown key 'optimizer.mode'"),
     ("plan", "optimizer", "grid_k", 1, "K >= 2"),
     ("plan", "world", "type", "cluttered2d", "2-DoF"),
     ("mpc", "mpc", "dt_mpc", 0, "dt_mpc"),
@@ -94,13 +94,20 @@ def with_value(base, section, keys, value):
     ("plan", "costs", "invalid_penalty", 0, "invalid_penalty"),
     ("mpc", "mpc", "goal_tol", 0, "goal_tol"),
     ("mpc", "mpc", "lag_time_constant", -0.05, "lag_time_constant"),
+    ("plan", "optimizer", "use_chol", False, "unknown key 'optimizer.use_chol'"),
+    ("mpc", "mpc", "explore_sigma", 0.5, "unknown key 'mpc.explore_sigma'"),
+    ("mpc", "mpc", "warmstart_sigma", 0.05, "unknown key 'mpc.warmstart_sigma'"),
+    # The exact plant, named or by default, has no time constant to set.
+    ("mpc", "mpc", "plant", "exact", "mpc.lag_time_constant"),
+    ("mpc", "mpc", "plant", None, "mpc.lag_time_constant"),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):
     command, *flags = command.split()
     # The mpc runs use the lag plant, whose time constant is checked too.
     base = PLAN_1D if command == "plan" else dict(
-        MPC_FREE, world={"type": "custom"}, mpc=dict(MPC_FREE["mpc"], plant="lag"))
+        MPC_FREE, world={"type": "custom"},
+        mpc=dict(MPC_FREE["mpc"], plant="lag", lag_time_constant=0.05))
     cfg = with_value(base, section, key, value)
     code = main([command, write_config(tmp_path / "c.json", cfg), *flags,
                  "--out-dir", str(tmp_path / "o"), "--quiet"])
@@ -110,10 +117,10 @@ def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("optimizer", "use_chol", "false"), ("optimizer", "use_chol", 0),
+    ("world", "type", False), ("world", "type", ["none"]),
     ("optimizer", "pop_size", 8.9), ("optimizer", "runs", True),
     ("optimizer", "n_via", "2"), ("optimizer", "seed", 0.0),
-    ("optimizer", "tol", "1e-6"), ("optimizer", "mode", 1),
+    ("optimizer", "tol", "1e-6"), ("world", "type", 1),
     ("costs", "smooth", "0.1"), ("problem", "qd_max", "0.1"),
     ("problem", "q0", [True]),
 ])
@@ -262,6 +269,22 @@ def test_parse_disturb():
         parse_disturb(["when=40", "dq=(0.3,0)"])
 
 
+@pytest.mark.parametrize("tokens", [
+    # A second disturbance used to replace the first without a word.
+    ["step=5", "dq=(0.1,0)", "step=10", "dq=(0.2,0)"],
+    ["step=5", "dq=(0.1,0)", "dq=(0.2,0)"],
+    # A negative step used to be accepted and never fire.
+    ["step=-3", "dq=(0.1,0)"],
+])
+def test_disturb_rejects_repeated_keys_and_negative_steps(tmp_path, capsys, tokens):
+    with pytest.raises(ConfigError):
+        parse_disturb(tokens)
+    code = main(["mpc", write_config(tmp_path / "c.json", MPC_FREE),
+                 "--out-dir", str(tmp_path / "o"), "--quiet", "--disturb", *tokens])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: --disturb")
+
+
 def test_ablate_nvia_artifacts(tmp_path):
     cfg = {
         "problem": {"q0": [0.0], "qT": [1.0], "qd_max": 0.1, "qdd_max": 0.2},
@@ -275,6 +298,23 @@ def test_ablate_nvia_artifacts(tmp_path):
     lines = (out / "ablate_nvia.csv").read_text().splitlines()
     assert lines[0] == "N,T_final,iterations"
     assert len(lines) == 5
+
+
+def test_ablate_nvia_infeasible_runs_are_nan_rows(tmp_path, capsys):
+    # The start velocity exceeds qd_max, so no candidate has a duration.
+    cfg = {
+        "problem": {"q0": [0.0], "qd0": [0.5], "qT": [1.0], "qd_max": 0.1,
+                    "qdd_max": 0.2},
+        "optimizer": {"n_list": [1, 2], "seeds": 1, "pop_size": 8,
+                      "max_iterations": 3, "seed": 0},
+        "costs": {},
+    }
+    out = tmp_path / "out"
+    assert main(["ablate-nvia", write_config(tmp_path / "c.json", cfg),
+                 "--out-dir", str(out), "--quiet"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    lines = (out / "ablate_nvia.csv").read_text().splitlines()
+    assert lines == ["N,T_final,iterations", "1,nan,3", "2,nan,3"]
 
 
 def test_ablate_chol_artifacts(tmp_path):

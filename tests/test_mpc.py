@@ -23,8 +23,6 @@ def test_config_validation():
         MpcConfig(dt_mpc=0.0)
     with pytest.raises(ValueError):
         MpcConfig(n_max=0)
-    with pytest.raises(ValueError):
-        MpcConfig(explore_sigma=0.01, warmstart_sigma=0.1)
     # Each of these used to be accepted, and then either ran one generation
     # anyway (iterations_per_step=0) or failed inside the first mpc_step.
     for bad in ({"iterations_per_step": 0}, {"iterations_per_step": -1},
@@ -149,31 +147,24 @@ def record_es_inits(monkeypatch):
 
 
 def test_explore_init_straight_line(monkeypatch):
-    # An explore step starts from the straight line with n_max via-points and
-    # explore_sigma; a warm-start step from the shifted previous solution with
-    # warmstart_sigma.
+    # An explore step starts from the straight line with n_max via-points; a
+    # warm-start step from the shifted previous solution.  They sample at half
+    # and a twentieth of the start-goal distance.
     inits = record_es_inits(monkeypatch)
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
-    config = MpcConfig(iterations_per_step=1, pop_size=8, explore_sigma=0.5,
-                       warmstart_sigma=0.05)
+    config = MpcConfig(iterations_per_step=1, pop_size=8)
+    distance = float(np.linalg.norm([1.0, 1.0]))
     first = mpc_step([0.0, 0.0], np.zeros(2), [1.0, 1.0], np.zeros(2), lim, config)
     assert first.mode == "explore" and first.valid
     (mean, sigma), = inits
-    assert mean.shape == (8,) and sigma == 0.5
+    assert mean.shape == (8,) and sigma == 0.5 * distance
     np.testing.assert_allclose(mean.reshape(4, 2)[1], [0.4, 0.4], atol=1e-12)
     second = mpc_step([0.0, 0.0], np.zeros(2), [1.0, 1.0], np.zeros(2), lim, config,
                       prev_result=first)
     assert second.mode == "warmstart"
     mean, sigma = inits[1]
     expected, _ = warm_start(first.solution, config.dt_mpc, config.alpha, config.n_max)
-    assert sigma == 0.05 and np.array_equal(mean, expected)
-    # Without explicit sigmas: half and a twentieth of the start-goal distance.
-    config = MpcConfig(iterations_per_step=1, pop_size=8)
-    for prev, mode, fraction in ((None, "explore", 0.5), (first, "warmstart", 0.05)):
-        step = mpc_step([0.0, 0.0], np.zeros(2), [1.0, 1.0], np.zeros(2), lim,
-                        config, prev_result=prev)
-        assert step.mode == mode
-        assert inits[-1][1] == fraction * float(np.linalg.norm([1.0, 1.0]))
+    assert sigma == 0.05 * distance and np.array_equal(mean, expected)
 
 
 def test_explore_variance_exceeds_warmstart():
