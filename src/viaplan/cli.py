@@ -70,18 +70,22 @@ def _rows(width: int):
 
 # The JSON kinds of config values, named as the error messages name them, and
 # the test that a value of each kind passes: int keys take only integers,
-# float keys any number.
+# float keys any number; counts and the ES's initial spread must be positive.
 INT, FLOAT, STR = "an integer", "a number", "a string"
-VECTOR, INTS = "a number or a list of numbers", "a list of integers"
+COUNT, POSITIVE = "a positive integer", "a finite positive number"
+VECTOR, COUNTS = "a number or a list of numbers", "a non-empty list of positive integers"
 DISKS = "a list of [x, y, radius] disks"
 RECTS = "a list of [x_lo, y_lo, x_hi, y_hi] rectangles"
 ACCEPTS = {
     INT: lambda value: isinstance(value, int) and not isinstance(value, bool),
     FLOAT: _number,
+    COUNT: lambda value: ACCEPTS[INT](value) and value >= 1,
+    POSITIVE: lambda value: _number(value) and 0.0 < value < np.inf,
     STR: lambda value: isinstance(value, str),
     VECTOR: lambda value: _number(value) or (isinstance(value, list)
                                              and all(map(_number, value))),
-    INTS: lambda value: isinstance(value, list) and all(map(ACCEPTS[INT], value)),
+    COUNTS: lambda value: isinstance(value, list) and value != [] and all(
+        map(ACCEPTS[COUNT], value)),
     DISKS: _rows(3),
     RECTS: _rows(4),
 }
@@ -121,7 +125,7 @@ def load_config(path: str, sections: dict) -> dict:
                                   f"not {json.dumps(sec[key])}")
             if key in required and key not in sec:
                 raise ConfigError(f"missing key '{name}.{key}'")
-        out[name] = {key: float(value) if kinds[key] == FLOAT else value
+        out[name] = {key: float(value) if kinds[key] in (FLOAT, POSITIVE) else value
                      for key, value in sec.items()}
     return out
 
@@ -171,9 +175,9 @@ def build_weights(sec: dict) -> CostWeights:
 
 
 # The kind of every optimizer key; each command's section takes all but a few.
-OPTIMIZER_KINDS = {"n_via": INT, "n_list": INTS, "runs": INT, "seeds": INT,
+OPTIMIZER_KINDS = {"n_via": INT, "n_list": COUNTS, "runs": COUNT, "seeds": COUNT,
                    "pop_size": INT, "max_iterations": INT, "tol": FLOAT,
-                   "init_sigma": FLOAT, "grid_k": INT, "seed": INT}
+                   "init_sigma": POSITIVE, "grid_k": INT, "seed": INT}
 
 
 def optimizer_kinds(*excluded: str) -> dict:
@@ -275,7 +279,8 @@ def cmd_plan(args) -> int:
 MPC_KEYS = ({**dict.fromkeys(("dt_mpc", "t_stop", "alpha", "plant_dt", "goal_tol",
                                "vel_tol", "lag_time_constant"), FLOAT),
              **dict.fromkeys(("n_max", "pop_size", "grid_k", "iterations_per_step",
-                              "max_steps", "seed"), INT),
+                              "seed"), INT),
+             "max_steps": COUNT,
              "plant": STR}, set())
 
 
@@ -387,6 +392,8 @@ def cmd_ablate_chol(args) -> int:
             try:
                 res = solve(problem, init_sigma_scale=opt.get("init_sigma"))
             except InfeasibleError:
+                rows.append([name, base_seed + i, problem.max_iterations,
+                             float("nan"), -1])
                 continue
             first_valid = -1 if res.first_valid_iter is None else res.first_valid_iter
             for it, cost in enumerate(res.history_best, start=1):
@@ -397,6 +404,9 @@ def cmd_ablate_chol(args) -> int:
     write_csv(out_dir(args) / "ablate_chol.csv",
               ["setup", "seed", "iteration", "best_cost", "first_valid_iter"],
               rows)
+    if all(np.isnan(row[3]) for row in rows):
+        print("no feasible run", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,16 +1,16 @@
 """Phase-grid cost evaluation of a population of trajectories.
 
 Task-agnostic terms (duration, smoothness, joint-limit avoidance) plus the
-task-specific collision count.  `evaluate_total` scores a whole generation
-at once: one pass packing the (M, N+4, D) parameters
-(`SplineBasis.pack_stack`, which broadcasts the boundary rows when the
-population shares one BoundaryConditions, as every ES population does), one
-stacked position pass on the phase grid, one collision query over every
-grid point, one joint-limit mask and one smoothness quadratic form give one
-column per term, and the totals, validity flags and violation counts are
-sums over those columns.  Invalid candidates (joint-limit hit or collision)
-are not discarded; they receive a large penalty plus their violation count
-so the evolution strategy can still rank them.
+task-specific collision count.  `evaluate_total` scores a population that
+shares one BoundaryConditions object, as every ES population and every
+scored trajectory does, at once: one `SplineBasis.pack` of the stacked
+(M, N+4, D) parameters, one stacked position pass on the phase grid, one
+collision query over every grid point, one joint-limit mask and one
+smoothness quadratic form give one column per term, and the totals,
+validity flags and violation counts are sums over those columns.  Invalid
+candidates (joint-limit hit or collision) are not discarded; they receive a
+large penalty plus their violation count so the evolution strategy can
+still rank them.
 """
 
 from __future__ import annotations
@@ -74,26 +74,28 @@ def cost_collision(q: np.ndarray, checker) -> np.ndarray:
 
 def evaluate_total(trajs, weights: CostWeights, limits: KinodynamicLimits,
                    grid: PhaseGrid, checker=None) -> list[CostReport]:
-    """One CostReport per trajectory of a population (sharing n_via and dof).
+    """One CostReport per trajectory of a population, which shares n_via,
+    dof and one BoundaryConditions object; a population with two raises
+    ValueError.
 
     Every term is a column over the population.  The total adds the weighted
     terms that are present in the order duration, smooth, jla, collision,
     and an invalid trajectory gets invalid_penalty plus its violation count
     on top.  A zero duration, found by a mask over the durations, rests at
-    its q0.
+    bc.q0.
     """
     if not trajs:
         return []
-    basis = trajs[0].basis
+    basis, bc = trajs[0].basis, trajs[0].bc
+    if any(t.bc is not bc for t in trajs):
+        raise ValueError("a scored population shares one BoundaryConditions")
     durations = np.array([t.duration for t in trajs])
-    u = basis.pack_stack([t.q_via for t in trajs], [t.bc for t in trajs],
-                         durations)
+    u = basis.pack(np.array([t.q_via for t in trajs]), bc, durations)
     q = np.matmul(basis.grid_matrices(grid.n_points)[0], u)
     smooth = stacked_smoothness(basis, u)
     rest = durations == 0.0
     if rest.any():
-        # Zero duration: the trajectory rests at q0.
-        q[rest] = np.array([t.bc.q0 for t in trajs])[rest, None]
+        q[rest] = bc.q0
         smooth[rest] = 0.0
     jla, violations = cost_jla(q, limits)
     terms = {"duration": durations, "smooth": smooth, "jla": jla}

@@ -5,12 +5,15 @@ primitive); when that fails the gate, it initializes the evolution strategy
 by warm-starting from the time-shifted previous solution or by exploring
 from a straight-line guess, and runs the planner's shared generation loop
 (always sep-CMA-ES behind the smoothness Cholesky factor) until the step
-budget expires, over one `timing.Boundary` built for the step.  Either way the step ends in one place, which extracts the
-plant-rate reference over the first dt_mpc of the solution
-(`extract_reference(solution, 0.0, dt_mpc, plant_dt)`).  The greedy baseline
-is another step function for the same closed loop; it scores all its
-endpoints in one `costs.evaluate_total` call and extracts its reference the
-same way.
+budget expires, over one `timing.Boundary` built for the step.  Both the
+direct trajectory and the final mean are scored by `planner.score`, which
+gives (None, None) when no finite duration meets the limits.  Either way the
+step ends in one place, which extracts the plant-rate reference over the
+first dt_mpc of the solution (`extract_reference(solution, 0.0, dt_mpc,
+plant_dt)`).  The greedy baseline is another step function for the same
+closed loop; each of its endpoints is its own boundary, so it scores each
+one alone with `costs.evaluate_total` as it synthesizes it, and extracts
+its reference the same way.
 """
 
 from __future__ import annotations
@@ -152,11 +155,8 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
                               grid=PhaseGrid(config.grid_k),
                               weights=config.weights, checker=checker,
                               seed=seed)
-    try:
-        direct = boundary_half(build_basis(0, bc.dof), bc, limits, problem.grid)
-        solution, report = score(direct, None, problem)
-    except InfeasibleError:
-        solution = report = None
+    direct = boundary_half(build_basis(0, bc.dof), bc, limits, problem.grid)
+    solution, report = score(direct, None, problem)
 
     mode, iterations = "direct", 0
     if report is None or not (report.valid and solution.duration <= config.t_stop):
@@ -181,10 +181,7 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
                     break
             elif time.monotonic() - t_start >= config.dt_mpc:
                 break
-        try:
-            solution, report = score(boundary, es.mean, problem)
-        except InfeasibleError:
-            solution = report = None
+        solution, report = score(boundary, es.mean, problem)
 
     horizon = (None if solution is None
                else extract_reference(solution, 0.0, config.dt_mpc, config.plant_dt))
@@ -326,7 +323,8 @@ def greedy_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
     endpoints = [local_goal]
     endpoints.extend(local_goal + (GREEDY_HORIZON / 2.0)
                      * rng.standard_normal((GREEDY_SAMPLES - 1, q.shape[0])))
-    reachable = []
+    best = None
+    best_cost = np.inf
     for end in endpoints:
         if float(np.linalg.norm(end - q)) > GREEDY_HORIZON:
             continue
@@ -335,16 +333,9 @@ def greedy_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
                                      limits, grid)
         except InfeasibleError:
             continue
-        reachable.append((end, traj))
-    reports = evaluate_total([traj for _, traj in reachable], config.weights,
-                             limits, grid, checker)
-    best = None
-    best_cost = np.inf
-    for (end, traj), report in zip(reachable, reports):
-        if not report.valid:
-            continue
+        report, = evaluate_total([traj], config.weights, limits, grid, checker)
         cost = float(np.sum((end - qT) ** 2))
-        if cost < best_cost:
+        if report.valid and cost < best_cost:
             best_cost = cost
             best = traj
     horizon = (None if best is None

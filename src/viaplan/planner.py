@@ -2,7 +2,10 @@
 
 `make_es` sets up the evolution strategy, `generations` runs sample ->
 evaluate -> update for as long as its caller iterates, and `score`
-synthesizes and scores one via-point vector.  The boundary half of the
+synthesizes and scores one via-point vector.  Scoring has one contract: a
+scored population is the candidates of one boundary, and a candidate with
+no finite duration scores as (None, None) in `score` and as a None
+trajectory and report in `evaluate_candidates`.  The boundary half of the
 duration kernel (`timing.boundary_half`) depends only on the problem and the
 basis, so `solve` builds it once per solve (`mpc.mpc_step` once per ES step)
 and passes it as a value to `generations`, `evaluate_candidates` and the
@@ -78,7 +81,10 @@ def straight_line_init(bc: BoundaryConditions, n_via: int) -> np.ndarray:
 def make_es(problem: PlanningProblem, basis: SplineBasis, mean,
             sigma_scale: float) -> EvolutionStrategy:
     """ES over basis's via-points, behind the smoothness Cholesky factor unless
-    problem.use_chol is off; sigma_scale is in configuration units."""
+    problem.use_chol is off; sigma_scale, in configuration units, must be
+    finite and positive."""
+    if not 0.0 < sigma_scale < np.inf:
+        raise ValueError("sigma_scale must be finite and positive")
     prior = build_prior(basis)
     transform = prior.chol if problem.use_chol else None
     scale = prior.scale if problem.use_chol else 1.0
@@ -88,11 +94,19 @@ def make_es(problem: PlanningProblem, basis: SplineBasis, mean,
                              mode=problem.mode, seed=problem.seed)
 
 
+def _synthesized(boundary: Boundary, q_via) -> Trajectory | None:
+    """synthesize, or None when no finite duration meets the limits."""
+    try:
+        return synthesize(boundary, q_via)
+    except InfeasibleError:
+        return None
+
+
 def score(boundary: Boundary, q_via, problem: PlanningProblem):
-    """(Trajectory, CostReport) of one via-point vector; raises
-    InfeasibleError when no finite duration meets the limits."""
-    traj = synthesize(boundary, q_via)
-    return traj, _evaluate([traj], problem)[0]
+    """(Trajectory, CostReport) of one via-point vector, or (None, None) when
+    no finite duration meets the limits."""
+    traj = _synthesized(boundary, q_via)
+    return (None, None) if traj is None else (traj, _evaluate([traj], problem)[0])
 
 
 def _evaluate(trajs: list, problem: PlanningProblem) -> list:
@@ -103,12 +117,7 @@ def _evaluate(trajs: list, problem: PlanningProblem) -> list:
 def evaluate_candidates(boundary: Boundary, candidates: np.ndarray,
                         problem: PlanningProblem):
     """Synthesize and score a population; infeasible candidates rank last."""
-    trajs: list[Trajectory | None] = []
-    for x in candidates:
-        try:
-            trajs.append(synthesize(boundary, x))
-        except InfeasibleError:
-            trajs.append(None)
+    trajs = [_synthesized(boundary, x) for x in candidates]
     scored = iter(_evaluate([t for t in trajs if t is not None], problem))
     reports = [None if t is None else next(scored) for t in trajs]
     costs = np.array([10.0 * problem.weights.invalid_penalty if r is None
@@ -165,9 +174,8 @@ def solve(problem: PlanningProblem,
     if best is None:
         raise InfeasibleError("no candidate admitted a finite duration")
 
-    try:
-        mean_traj, mean_report = score(boundary, es.mean, problem)
-    except InfeasibleError:
+    mean_traj, mean_report = score(boundary, es.mean, problem)
+    if mean_traj is None:
         mean_traj, mean_report = best
 
     return SolveResult(trajectory=mean_traj, report=mean_report,

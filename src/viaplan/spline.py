@@ -168,54 +168,39 @@ class SplineBasis:
     # -- parameter packing ------------------------------------------------
 
     def via_matrix(self, q_via) -> np.ndarray:
-        """Via-points as an (N, D) float array; None stands for no via-points."""
+        """Via-points as an (N, D) float array, or (..., N, D) for a stack of
+        them; None stands for no via-points."""
         pts = np.zeros((0, self.dof)) if q_via is None else np.asarray(q_via, dtype=float)
-        return pts.reshape(self.n_via, self.dof)
+        lead = pts.shape[:-2] if pts.ndim > 2 else ()
+        return pts.reshape(lead + (self.n_via, self.dof))
 
     def pack_split(self, q_via, bc: BoundaryConditions):
         """Split parameter matrices (U_a, U_b) with U = U_a + T * U_b.
 
-        U_a carries via-points and boundary positions; U_b carries boundary
+        U_a carries via-points and boundary positions, with the leading axes
+        of a stack of via-points; U_b, shape (N+4, D), carries boundary
         velocities in the phase-slope slots (their phase derivatives scale
         with the duration T).
         """
         n = self.n_via
-        u_a = np.zeros((self.n_coef, self.dof))
+        pts = self.via_matrix(q_via)
+        u_a = np.zeros(pts.shape[:-2] + (self.n_coef, self.dof))
         u_b = np.zeros((self.n_coef, self.dof))
-        u_a[:n] = self.via_matrix(q_via)
-        u_a[n] = bc.q0
-        u_a[n + 2] = bc.qT
+        u_a[..., :n, :] = pts
+        u_a[..., n, :] = bc.q0
+        u_a[..., n + 2, :] = bc.qT
         u_b[n + 1] = bc.qd0
         u_b[n + 3] = bc.qdT
         return u_a, u_b
 
-    def pack(self, q_via, bc: BoundaryConditions, duration: float) -> np.ndarray:
+    def pack(self, q_via, bc: BoundaryConditions, duration) -> np.ndarray:
+        """U = U_a + T * U_b: (N+4, D) for (N, D) via-points and a float
+        duration, or (M, N+4, D) for (M, N, D) via-points and M durations, all
+        with the one bc.  Slice m of a stack is the same U_a + T * U_b, element
+        by element, as pack of via-point matrix m and duration m alone, so the
+        two agree bit for bit, signed zeros included."""
         u_a, u_b = self.pack_split(q_via, bc)
-        return u_a + duration * u_b
-
-    def pack_stack(self, q_vias, bcs, durations) -> np.ndarray:
-        """pack of M trajectories at once, shape (M, N+4, D).
-
-        q_vias holds M (N, D) via-point arrays, bcs M boundary conditions and
-        durations M floats.  When all M are one BoundaryConditions object, as
-        in every ES population, its rows are broadcast.  Slice m is the same
-        U_a + T * U_b, element by element, as pack(q_vias[m], bcs[m],
-        durations[m]), so the two agree bit for bit, signed zeros included.
-        """
-        n = self.n_via
-        u_a = np.zeros((len(bcs), self.n_coef, self.dof))
-        u_b = np.zeros_like(u_a)
-        u_a[:, :n] = q_vias
-        bc = bcs[0]
-        if all(b is bc for b in bcs):
-            u_a[:, n], u_a[:, n + 2] = bc.q0, bc.qT
-            u_b[:, n + 1], u_b[:, n + 3] = bc.qd0, bc.qdT
-        else:
-            u_a[:, n] = [b.q0 for b in bcs]
-            u_a[:, n + 2] = [b.qT for b in bcs]
-            u_b[:, n + 1] = [b.qd0 for b in bcs]
-            u_b[:, n + 3] = [b.qdT for b in bcs]
-        return u_a + np.asarray(durations, dtype=float)[:, None, None] * u_b
+        return u_a + np.asarray(duration, dtype=float)[..., None, None] * u_b
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,13 @@ MPC_FREE = {
     "mpc": {"iterations_per_step": 6, "max_steps": 80, "pop_size": 16, "seed": 0},
 }
 
+# The optimizer keys that both ablations accept.
+ABLATE_1D = {
+    "problem": PLAN_1D["problem"],
+    "optimizer": {"seeds": 1, "pop_size": 8, "max_iterations": 3, "seed": 0},
+    "costs": {},
+}
+
 
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = {"problem": PLAN_1D["problem"], "optimizer": {"n_via": 2, "bogus": 1},
@@ -100,12 +107,24 @@ def with_value(base, section, keys, value):
     # The exact plant, named or by default, has no time constant to set.
     ("mpc", "mpc", "plant", "exact", "mpc.lag_time_constant"),
     ("mpc", "mpc", "plant", None, "mpc.lag_time_constant"),
+    # The ES's initial spread is finite and positive, and every count is at
+    # least 1; each is rejected before any run starts.
+    ("plan", "optimizer", "init_sigma", 0, "optimizer.init_sigma"),
+    ("plan", "optimizer", "init_sigma", -0.4, "optimizer.init_sigma"),
+    ("plan", "optimizer", "init_sigma", float("inf"), "optimizer.init_sigma"),
+    ("plan", "optimizer", "runs", 0, "optimizer.runs"),
+    ("ablate-nvia", "optimizer", "seeds", 0, "optimizer.seeds"),
+    ("ablate-nvia", "optimizer", "n_list", [], "optimizer.n_list"),
+    ("ablate-chol", "optimizer", "seeds", 0, "optimizer.seeds"),
+    ("mpc", "mpc", "max_steps", 0, "mpc.max_steps"),
+    ("mpc", "mpc", "max_steps", -5, "mpc.max_steps"),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):
     command, *flags = command.split()
     # The mpc runs use the lag plant, whose time constant is checked too.
-    base = PLAN_1D if command == "plan" else dict(
+    base = {"plan": PLAN_1D, "ablate-nvia": ABLATE_1D,
+            "ablate-chol": ABLATE_1D}.get(command) or dict(
         MPC_FREE, world={"type": "custom"},
         mpc=dict(MPC_FREE["mpc"], plant="lag", lag_time_constant=0.05))
     cfg = with_value(base, section, key, value)
@@ -315,6 +334,20 @@ def test_ablate_nvia_infeasible_runs_are_nan_rows(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     lines = (out / "ablate_nvia.csv").read_text().splitlines()
     assert lines == ["N,T_final,iterations", "1,nan,3", "2,nan,3"]
+
+
+def test_ablate_chol_infeasible_runs_are_nan_rows(tmp_path, capsys):
+    # The start velocity exceeds qd_max, so no candidate has a duration.
+    cfg = with_value(ABLATE_1D, "problem", "qd0", [0.5])
+    out = tmp_path / "out"
+    assert main(["ablate-chol", write_config(tmp_path / "c.json", cfg),
+                 "--out-dir", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "no feasible run" in err and "Traceback" not in err
+    lines = (out / "ablate_chol.csv").read_text().splitlines()
+    assert lines == ["setup,seed,iteration,best_cost,first_valid_iter",
+                     "sep_chol,0,3,nan,-1", "sep_plain,0,3,nan,-1",
+                     "full_chol,0,3,nan,-1", "full_plain,0,3,nan,-1"]
 
 
 def test_ablate_chol_artifacts(tmp_path):

@@ -349,6 +349,18 @@ def test_evaluate_total_empty_population():
     assert evaluate_total([], CostWeights(), lim, PhaseGrid(4)) == []
 
 
+def test_evaluate_total_rejects_two_boundary_conditions():
+    # A scored population shares one BoundaryConditions object; equal values
+    # in a second object do not make it the same boundary.
+    lim = KinodynamicLimits.symmetric(1.0, 1.0, 1)
+    grid = PhaseGrid(4)
+    basis = build_basis(1, 1)
+    bcs = [BoundaryConditions([0.0], [0.0], [1.0], [0.0]) for _ in range(2)]
+    trajs = [synthesize(boundary_half(basis, bc, lim, grid), [[0.5]]) for bc in bcs]
+    with pytest.raises(ValueError, match="one BoundaryConditions"):
+        evaluate_total(trajs, CostWeights(), lim, grid)
+
+
 def special_lanes(rng, shape):
     """Random values with exact zeros, negative zeros and tiny values mixed in."""
     x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape)
@@ -463,41 +475,6 @@ def test_min_duration_matches_per_candidate_splits(seed, n_via, dof):
             assert got == ref and type(got) is float
             traj = synthesize(boundary, x)
             assert traj.duration == ref and traj.degenerate is (ref == 0.0)
-
-
-@SETTINGS
-@given(problems)
-def test_population_with_differing_boundary_conditions(params):
-    """A population whose trajectories have different boundary conditions,
-    as mpc.greedy_step builds it, scores as each trajectory does alone."""
-    seed, dof, n_via, degenerate, with_bounds, with_checker = params
-    rng = np.random.default_rng(seed)
-    problem = random_problem(rng, dof, max(n_via, 1), degenerate, with_bounds,
-                             with_checker, pop_size=int(rng.integers(4, 16)))
-    basis = build_basis(n_via, dof)
-    qd_max = problem.limits.qd_max
-    trajs = []
-    for m in range(problem.pop_size):
-        bc = (problem.bc if m % 4 == 0
-              else random_bc(rng, dof, qd_max, rng.choice([0.0, 0.5])))
-        x = rng.uniform(0.2, 0.8, (n_via, dof))
-        if m % 5 == 1:
-            # At rest at q0 == qT: zero duration.
-            bc = BoundaryConditions(bc.q0, np.zeros(dof), bc.q0, np.zeros(dof))
-            x = np.tile(bc.q0, (n_via, 1))
-        trajs.append(synthesize(boundary_half(basis, bc, problem.limits,
-                                              problem.grid), x))
-    assert len({id(t.bc) for t in trajs}) > 1
-    reports = evaluate_total(trajs, problem.weights, problem.limits,
-                             problem.grid, problem.checker)
-    for traj, report in zip(trajs, reports):
-        alone = evaluate_total([traj], problem.weights, problem.limits,
-                               problem.grid, problem.checker)[0]
-        assert_same_report(report, (alone.total, alone.per_term, alone.valid,
-                                    alone.violation_count))
-        assert_same_report(report, ref_evaluate(traj, problem.weights,
-                                                problem.limits, problem.grid,
-                                                problem.checker))
 
 
 @SETTINGS

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from viaplan import planner
-from viaplan.planner import (PlanningProblem, evaluate_candidates, solve,
-                             straight_line_init)
+from viaplan.planner import (PlanningProblem, evaluate_candidates, make_es, score,
+                             solve, straight_line_init)
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
 from viaplan.timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
                             boundary_half)
@@ -91,6 +91,27 @@ def test_infeasible_boundary_velocity_raises():
     problem = PlanningProblem(bc, lim, n_via=2, pop_size=8, max_iterations=5)
     with pytest.raises(InfeasibleError):
         solve(problem)
+
+
+def test_score_of_infeasible_boundary_is_none():
+    # The start velocity exceeds qd_max: score says so with (None, None), as
+    # evaluate_candidates does for each candidate, and raises nothing.
+    bc = BoundaryConditions([0.0], [5.0], [1.0], [0.0])
+    lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
+    problem = PlanningProblem(bc, lim, n_via=2, pop_size=8, max_iterations=5)
+    boundary = boundary_half(build_basis(2, 1), bc, lim, problem.grid)
+    assert score(boundary, [[0.3], [0.6]], problem) == (None, None)
+    trajs, reports, _ = evaluate_candidates(boundary, np.array([[0.3, 0.6]]), problem)
+    assert trajs == [None] and reports == [None]
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.4, np.inf, np.nan])
+def test_make_es_rejects_a_sigma_scale_that_is_not_finite_and_positive(sigma):
+    problem = make_1d_problem(n_via=2)
+    with pytest.raises(ValueError, match="sigma_scale"):
+        make_es(problem, build_basis(2, 1), straight_line_init(problem.bc, 2), sigma)
+    with pytest.raises(ValueError, match="sigma_scale"):
+        solve(problem, init_sigma_scale=sigma)
 
 
 def test_first_valid_iter_with_world():

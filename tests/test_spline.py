@@ -271,11 +271,10 @@ def test_build_basis_cached():
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(1, 3),
        st.integers(1, 12))
-def test_pack_stack_broadcast_matches_per_row(seed, n_via, dof, m):
-    # One BoundaryConditions object for every row, broadcast, against equal
-    # but distinct objects, stacked row by row, and against pack per
-    # trajectory: the same bytes, with -0.0 in q0, qd0 and the via-points and
-    # durations of 0.0 (where T * qd0 is -0.0 for qd0 < 0) among the inputs.
+def test_pack_of_a_stack_matches_each_slice(seed, n_via, dof, m):
+    # pack over a leading population axis against pack of each slice alone:
+    # the same bytes, with -0.0 in q0, qd0 and the via-points and durations
+    # of 0.0 (where T * qd0 is -0.0 for qd0 < 0) among the inputs.
     rng = np.random.default_rng(seed)
     basis = build_basis(n_via, dof)
     q0, qd0, qT, qdT = rng.uniform(-1.0, 1.0, (4, dof))
@@ -286,10 +285,11 @@ def test_pack_stack_broadcast_matches_per_row(seed, n_via, dof, m):
     q_vias[rng.random(q_vias.shape) < 0.2] = -0.0
     durations = rng.uniform(0.0, 3.0, m)
     durations[rng.random(m) < 0.3] = 0.0
-    shared = basis.pack_stack(q_vias, [bc] * m, durations)
-    copies = [BoundaryConditions(q0, qd0, qT, qdT) for _ in range(m)]
-    per_row = basis.pack_stack(list(q_vias), copies, list(durations))
-    assert shared.shape == (m, n_via + 4, dof)
-    assert shared.tobytes() == per_row.tobytes()
+    stacked = basis.pack(q_vias, bc, durations)
+    assert stacked.shape == (m, n_via + 4, dof)
     for k in range(m):
-        assert shared[k].tobytes() == basis.pack(q_vias[k], bc, durations[k]).tobytes()
+        alone = basis.pack(q_vias[k], bc, float(durations[k]))
+        assert alone.shape == (n_via + 4, dof)
+        assert stacked[k].tobytes() == alone.tobytes()
+    u_a, u_b = basis.pack_split(q_vias, bc)
+    assert u_a.shape == (m, n_via + 4, dof) and u_b.shape == (n_via + 4, dof)
