@@ -7,7 +7,9 @@ scored trajectory does, at once: one `SplineBasis.pack` of the stacked
 (M, N+4, D) parameters, one stacked position pass on the phase grid, one
 collision query over every grid point, one joint-limit mask and one
 smoothness quadratic form give one column per term, and the totals,
-validity flags and violation counts are sums over those columns.  Invalid
+validity flags and violation counts are sums over those columns.  Most
+populations touch no joint limit at any grid point; for them `cost_jla`
+returns its zero columns straight after the masks.  Invalid
 candidates (joint-limit hit or collision) are not discarded; they receive a
 large penalty plus their violation count so the evolution strategy can
 still rank them.
@@ -16,6 +18,7 @@ still rank them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +42,10 @@ class CostWeights:
             raise ValueError("invalid_penalty must be finite and positive")
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
+    """One trajectory's score: a tuple, since evaluate_total builds one per
+    candidate of every generation."""
+
     total: float
     per_term: dict
     valid: bool
@@ -50,15 +55,19 @@ class CostReport:
 def cost_jla(q: np.ndarray, limits: KinodynamicLimits) -> tuple[np.ndarray, np.ndarray]:
     """Discontinuous joint-limit metric of stacked grid positions (M, K+1, D):
     per trajectory, 1 + overshoot summed over its (K+1, D) block with zeros
-    where no limit is hit, and the number of violations."""
-    if limits.q_min is None:
-        return np.zeros(q.shape[0]), np.zeros(q.shape[0], dtype=int)
-    over = q >= limits.q_max
-    under = q <= limits.q_min
-    counts = np.count_nonzero(over, axis=(1, 2)) + np.count_nonzero(under, axis=(1, 2))
-    costs = (np.where(over, 1.0 + q - limits.q_max, 0.0).sum(axis=(1, 2))
-             + np.where(under, 1.0 + limits.q_min - q, 0.0).sum(axis=(1, 2)))
-    return costs, counts
+    where no limit is hit, and the number of violations.  A population with
+    no grid point on or beyond a limit, as most are, gets the zero columns
+    that the sums would give, without them."""
+    if limits.q_min is not None:
+        over = q >= limits.q_max
+        under = q <= limits.q_min
+        if over.any() or under.any():
+            counts = (np.count_nonzero(over, axis=(1, 2))
+                      + np.count_nonzero(under, axis=(1, 2)))
+            costs = (np.where(over, 1.0 + q - limits.q_max, 0.0).sum(axis=(1, 2))
+                     + np.where(under, 1.0 + limits.q_min - q, 0.0).sum(axis=(1, 2)))
+            return costs, counts
+    return np.zeros(q.shape[0]), np.zeros(q.shape[0], dtype=int)
 
 
 def cost_collision(q: np.ndarray, checker) -> np.ndarray:

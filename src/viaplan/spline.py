@@ -157,11 +157,13 @@ class SplineBasis:
         raise ValueError("order must be 0, 1 or 2")
 
     def grid_matrices(self, n_points: int):
-        """Cached (E0, E1, E2) evaluation matrices on a uniform phase grid."""
+        """Cached (E0, E1, E2) evaluation matrices on a uniform phase grid,
+        read-only since every caller on this basis shares them."""
         cached = self._grid_cache.get(n_points)
         if cached is None:
             s = np.linspace(0.0, 1.0, n_points)
-            cached = tuple(self.eval_matrix(s, order) for order in range(3))
+            cached = tuple(frozen_array(self.eval_matrix(s, order))
+                           for order in range(3))
             self._grid_cache[n_points] = cached
         return cached
 

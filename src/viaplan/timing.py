@@ -8,14 +8,17 @@ uniform phase grid each evaluation point admits a closed-form minimal duration
 synthesized duration is the most conservative of these, which saturates at
 least one bound at one grid point.  The kernel comes in two halves: the
 boundary half (`Boundary`, from b and d) is built by `boundary_half` from
-exactly what a whole solve or MPC step shares, the basis, boundary
-conditions, limits and grid, once per solve or MPC step, and is passed to
-every `synthesize` of it; the candidate half (`BoundaryLanes.duration`) takes
-a and c and solves the upper and lower acceleration quadratics together on a
-leading axis.  A move that stays at one rest state (q0 == qT, zero boundary
-velocities, every via-point at q0) has duration 0.0 exactly, whatever the
-rounding of a and c.  Durations are synthesized one candidate per
-`synthesize` call; costs are scored per population in
+exactly what a whole solve or MPC step shares, the basis, boundary conditions,
+limits and grid, once per solve or MPC step, and is passed to every
+`synthesize` of it.  The boundary half holds its lanes read-only and already
+in the shape of the acceleration roots, so the candidate half
+(`BoundaryLanes.duration`), which takes a and c, writes the velocity lane and
+the roots of the upper and lower acceleration quadratics into one buffer in
+about fifteen numpy calls that broadcast nothing.  A move that stays at one
+rest state (q0 == qT, zero boundary velocities, every via-point at q0) has
+duration 0.0 exactly, whatever the rounding of a and c; via-points with a
+non-finite entry have no duration.  Durations are synthesized one candidate
+per `synthesize` call; costs are scored per population in
 `costs.evaluate_total`.  The resulting `Trajectory` has one evaluator,
 `Trajectory.evaluate(s, order)`, which `at_time` and `sample_grid` call; a
 zero duration is degenerate and rests at q0.
@@ -137,56 +140,87 @@ class BoundaryLanes:
     velocity bounds are linear in x and the acceleration bounds are the
     quadratics c x^2 + d x = r, for r = qdd_max and r = qdd_min on a leading
     axis.  From the boundary parts b and d, shape (..., D), this holds
-    everything that does not involve a or c: qd_max - b, qd_min - b, the
-    positive part of r/d (the root of the linear lanes, c == 0), sign(d), d^2,
-    r and -r.  `duration(a, c)` is the other half.  b exceeds a velocity limit
-    iff qd_max - b < 0 or qd_min - b > 0: a float difference has the sign of
-    the exact one, and an infinite limit gives an infinity of its own sign.
+    everything that does not involve a or c: qd_max - b and qd_min - b in b's
+    shape, and the acceleration lanes 4r, -d/2, -sign(d)/2, -r, d^2 and the
+    positive part of r/d (the root of the linear lanes, c == 0), each a
+    contiguous array of the roots' shape (2, ..., D), where sign(d) is 1 for
+    d >= 0, else -1.  Every array is read-only.  `duration(a, c)` is the other
+    half.
+
+    b exceeds a velocity limit iff qd_max - b < 0 or qd_min - b > 0: a float
+    difference has the sign of the exact one, and an infinite limit gives an
+    infinity of its own sign.  `lin_exact` says that sqrt(d^2) == |d| on every
+    lane (d^2 neither overflows nor underflows), so that at c == 0 the second
+    root, -r / -(d + sign(d) |d|)/2 = r/d, already is the linear lane's root.
     """
 
-    feasible: bool           # b within the velocity limits
-    d: np.ndarray
-    vel_hi: np.ndarray       # qd_max - b
-    vel_lo: np.ndarray       # qd_min - b
-    x_lin: np.ndarray        # r/d where positive, else inf
-    sign_d: np.ndarray       # 1 where d >= 0, else -1
-    d2: np.ndarray           # d^2
-    r: np.ndarray            # (qdd_max, qdd_min), shape (2, 1.., D)
-    neg_r: np.ndarray        # -r
+    feasible: bool             # b within the velocity limits
+    vel_hi: np.ndarray         # qd_max - b
+    vel_lo: np.ndarray         # qd_min - b
+    r4: np.ndarray             # 4r, r = (qdd_max, qdd_min) on the leading axis
+    neg_half_d: np.ndarray     # -d/2
+    neg_half_sign: np.ndarray  # -sign(d)/2
+    neg_r: np.ndarray          # -r
+    d2: np.ndarray             # d^2
+    x_lin: np.ndarray          # r/d where positive, else inf
+    lin_exact: bool            # sqrt(d^2) == |d| on every lane
 
     @classmethod
     def from_splits(cls, b, d, limits: KinodynamicLimits) -> "BoundaryLanes":
-        vel_hi, vel_lo = limits.qd_max - b, limits.qd_min - b
-        r = np.array([limits.qdd_max, limits.qdd_min])
-        r = r.reshape((2,) + (1,) * (np.ndim(d) - 1) + r.shape[1:])
+        # r and d as new C-ordered arrays of the roots' shape, so that every
+        # lane computed from them is one too.
+        r, d_ = np.empty((2, 2) + np.shape(d))
+        r[0], r[1], d_[...] = limits.qdd_max, limits.qdd_min, d
+        d2 = d_**2
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_lin = r / d
-        return cls(not ((vel_hi < 0.0).any() or (vel_lo > 0.0).any()), d,
-                   vel_hi, vel_lo, np.where(x_lin > 0.0, x_lin, np.inf),
-                   np.where(d >= 0.0, 1.0, -1.0), d**2, r, -r)
+            x_lin = r / d_
+        lanes = (np.subtract(limits.qd_max, b), np.subtract(limits.qd_min, b),
+                 4.0 * r, -0.5 * d_, np.where(d_ >= 0.0, -0.5, 0.5), -r, d2,
+                 np.where(x_lin > 0.0, x_lin, np.inf))
+        for lane in lanes:
+            lane.flags.writeable = False
+        vel_hi, vel_lo = lanes[:2]
+        return cls(not ((vel_hi < 0.0).any() or (vel_lo > 0.0).any()), *lanes,
+                   bool((np.sqrt(d2) == np.abs(d_)).all()))
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def duration(self, a, c) -> float:
-        """Minimal duration given the position parts a and c, shape (..., D):
-        1/x for the smallest admissible x > 0 over every point and DoF."""
+        """Minimal duration given the position parts a, shape (..., D), and c,
+        of that shape or stacked twice on a leading axis: 1/x for the smallest
+        admissible x > 0 over every point and DoF.
+
+        One (5, ..., D) buffer takes the velocity lane and the four
+        acceleration roots, both roots of each quadratic in the
+        cancellation-free form qv/c and -r/qv with
+        qv = -(d + sign(d) sqrt(d^2 + 4cr))/2.  qv is computed as
+        (-d/2) + (-sign(d)/2) sqrt(c (4r) + d^2): scaling by 4 and by 1/2 is
+        exact unless a value overflows or is subnormal, so every root is the
+        float that -0.5 * (d + sign(d) * sqrt(d^2 + 4.0 * c * r)) gives.
+        """
         if not self.feasible:
             raise InfeasibleError("boundary velocities exceed the velocity limits")
-        # Root lanes that divide by zero or take the root of a negative
-        # discriminant give inf, NaN or a negative x, which the `> 0` test
-        # drops.  Velocity lanes with a == +-0 divide the limit that the sign
-        # bit picks, which is never of the opposite sign, so they give +inf,
-        # or NaN when b sits on that limit, which fmin skips.  Each lane's
-        # smallest positive x is the one the formulas give where they apply.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_vel = np.where(np.signbit(a), self.vel_lo, self.vel_hi) / a
-            # Quadratic lanes (c != 0): both roots in the cancellation-free
-            # form; linear lanes (c == 0) take r/d in place of the second.
-            qv = -0.5 * (self.d + self.sign_d * np.sqrt(self.d2 + 4.0 * c * self.r))
-            x_acc = np.empty((2,) + qv.shape)
-            np.divide(qv, c, out=x_acc[0])
-            np.divide(self.neg_r, qv, out=x_acc[1])
-        np.copyto(x_acc[1], self.x_lin, where=c == 0.0)
-        x_min = min(np.fmin.reduce(x_vel, axis=None, initial=np.inf),
-                    np.where(x_acc > 0.0, x_acc, np.inf).min())
+        # Velocity lanes with a == +-0 divide the limit that the sign bit
+        # picks, which is never of the opposite sign, so they give +inf, or
+        # NaN when b sits on that limit, which fmin skips; a velocity lane of
+        # 0 makes the move infeasible.  Root lanes that divide by zero or take
+        # the root of a negative discriminant give inf, NaN or a negative x:
+        # roots <= 0 become inf and fmin skips NaN.  Each lane's smallest
+        # positive x is the one the formulas give where they apply.
+        x = np.empty((5,) + a.shape)
+        np.divide(np.where(np.signbit(a), self.vel_lo, self.vel_hi), a, out=x[0])
+        qv = np.multiply(c, self.r4)
+        qv += self.d2
+        np.sqrt(qv, out=qv)
+        qv *= self.neg_half_sign
+        qv += self.neg_half_d
+        np.divide(qv, c, out=x[1:3])
+        np.divide(self.neg_r, qv, out=x[3:])
+        if not self.lin_exact:
+            # Linear lanes (c == 0) take r/d in place of the second root.
+            np.copyto(x[3:], self.x_lin, where=c == 0.0)
+        roots = x[1:]
+        np.putmask(roots, roots <= 0.0, np.inf)
+        x_min = np.fmin.reduce(x, axis=None, initial=np.inf)
         if x_min <= 0.0:
             raise InfeasibleError("a kinodynamic limit is active at infinite duration")
         return 1.0 / float(x_min)
@@ -195,15 +229,16 @@ class BoundaryLanes:
 @dataclass(frozen=True, eq=False)
 class Boundary:
     """What every candidate of one (basis, bc, limits, grid) shares: the
-    boundary rows of U_a, the grid matrices E1 and E2, the BoundaryLanes of
-    the boundary parts b = E1 U_b and d = E2 U_b, and whether bc is one rest
-    state (q0 == qT with zero velocities)."""
+    boundary rows of U_a, the grid matrices E1 and E2 stacked as (E1, E2, E2),
+    so that one matmul gives a = E1 U_a and c = E2 U_a twice, in the roots'
+    shape, the BoundaryLanes of the boundary parts b = E1 U_b and d = E2 U_b,
+    and whether bc is one rest state (q0 == qT with zero velocities).  Its
+    arrays are read-only, so no candidate can change what the next sees."""
 
     basis: SplineBasis
     bc: BoundaryConditions
     tail: np.ndarray         # rows N.. of U_a: q0, 0, qT, 0
-    e1: np.ndarray
-    e2: np.ndarray
+    e_stack: np.ndarray      # (E1, E2, E2) on a leading axis
     lanes: BoundaryLanes
     rest: bool
 
@@ -215,7 +250,9 @@ def boundary_half(basis: SplineBasis, bc: BoundaryConditions,
     _, e1, e2 = basis.grid_matrices(grid.n_points)
     u_a, u_b = basis.pack_split(np.zeros((basis.n_via, basis.dof)), bc)
     rest = bool((bc.q0 == bc.qT).all() and not (bc.qd0.any() or bc.qdT.any()))
-    return Boundary(basis, bc, u_a[basis.n_via:], e1, e2,
+    e_stack = np.stack((e1, e2, e2))
+    e_stack.flags.writeable = False
+    return Boundary(basis, bc, frozen_array(u_a[basis.n_via:]), e_stack,
                     BoundaryLanes.from_splits(e1 @ u_b, e2 @ u_b, limits), rest)
 
 
@@ -223,16 +260,22 @@ def min_duration(boundary: Boundary, q_via) -> float:
     """Most conservative per-point minimal duration over the phase grid.
 
     Per call only the via-points are packed into U_a = [q_via; boundary rows]
-    and a = E1 U_a, c = E2 U_a are formed; the rest is the boundary half.
-    A trajectory that never leaves its rest state takes 0.0: exactly, a and c
-    are zero, but E1 U_a and E2 U_a round to about 1e-16, which would give a
-    duration of about 1e-8 s.
+    and a = E1 U_a, c = E2 U_a are formed, in one stacked matmul whose slices
+    are the products E1 U_a and E2 U_a bit for bit; the rest is the boundary
+    half.  A trajectory that never leaves its rest state takes 0.0: exactly,
+    a and c are zero, but E1 U_a and E2 U_a round to about 1e-16, which would
+    give a duration of about 1e-8 s.  Via-points with a non-finite entry raise
+    InfeasibleError: the lanes they reach are NaN, which the kernel skips, so
+    the others would give a finite duration (0.0 when all are NaN).
     """
     pts = boundary.basis.via_matrix(q_via)
+    if not np.isfinite(pts).all():
+        raise InfeasibleError("via-points must be finite")
     if boundary.rest and (pts == boundary.bc.q0).all():
         return 0.0
     u_a = np.concatenate((pts, boundary.tail))
-    return boundary.lanes.duration(boundary.e1 @ u_a, boundary.e2 @ u_a)
+    ac = boundary.e_stack @ u_a
+    return boundary.lanes.duration(ac[0], ac[1:])
 
 
 def synthesize(boundary: Boundary, q_via) -> Trajectory:

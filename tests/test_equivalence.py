@@ -8,7 +8,11 @@ for every candidate, the obstacle loop of `World2D.colliding_mask` over
 (P, 2) temporaries, and `Trajectory.at_time` per reference sample.  The new
 paths must reproduce them exactly (`==`, not a tolerance), because any
 rounding difference in a cost can change the ES ranking and hence every
-CSV written downstream.
+CSV written downstream.  The pre-scaled lanes of the duration kernel, the
+joint-limit pass that stops at its masks when no grid point touches a limit,
+and the tuple `CostReport` are held to copies of the code they replaced
+(the broadcast kernel with separate E1 and E2 products, the two-pass
+`cost_jla` and the frozen-dataclass report), on the bits of every float.
 """
 
 import dataclasses
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viaplan import planner
-from viaplan.costs import CostWeights, evaluate_total
+from viaplan.costs import CostReport, CostWeights, cost_jla, evaluate_total
 from viaplan.mpc import extract_reference
 from viaplan.planner import PlanningProblem, evaluate_candidates
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
@@ -105,7 +109,8 @@ def boundary_of(basis, problem):
 
 def assert_same_report(report, ref):
     total, per_term, valid, violations = ref
-    assert report.total == total
+    assert report.total == total and type(report.total) is float
+    assert type(report.violation_count) is int
     assert list(report.per_term) == list(per_term)
     for key, value in per_term.items():
         assert report.per_term[key] == value, key
@@ -533,3 +538,224 @@ def test_extract_reference_matches_at_time(params, t0_frac, plant_dt, horizon):
         value = getattr(got, name)
         assert value.shape == want.shape, name
         assert np.array_equal(value, want), name
+
+
+# -- reference: the broadcast duration kernel and the two-pass cost_jla -------
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class RefLanes:
+    """BoundaryLanes before its lanes were pre-scaled and pre-broadcast."""
+
+    feasible: bool
+    d: np.ndarray
+    vel_hi: np.ndarray
+    vel_lo: np.ndarray
+    x_lin: np.ndarray
+    sign_d: np.ndarray
+    d2: np.ndarray
+    r: np.ndarray
+    neg_r: np.ndarray
+
+    @classmethod
+    def from_splits(cls, b, d, limits):
+        vel_hi, vel_lo = limits.qd_max - b, limits.qd_min - b
+        r = np.array([limits.qdd_max, limits.qdd_min])
+        r = r.reshape((2,) + (1,) * (np.ndim(d) - 1) + r.shape[1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_lin = r / d
+        return cls(not ((vel_hi < 0.0).any() or (vel_lo > 0.0).any()), d,
+                   vel_hi, vel_lo, np.where(x_lin > 0.0, x_lin, np.inf),
+                   np.where(d >= 0.0, 1.0, -1.0), d**2, r, -r)
+
+    def duration(self, a, c):
+        if not self.feasible:
+            raise InfeasibleError("boundary velocities exceed the velocity limits")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_vel = np.where(np.signbit(a), self.vel_lo, self.vel_hi) / a
+            qv = -0.5 * (self.d + self.sign_d * np.sqrt(self.d2 + 4.0 * c * self.r))
+            x_acc = np.empty((2,) + qv.shape)
+            np.divide(qv, c, out=x_acc[0])
+            np.divide(self.neg_r, qv, out=x_acc[1])
+        np.copyto(x_acc[1], self.x_lin, where=c == 0.0)
+        x_min = min(np.fmin.reduce(x_vel, axis=None, initial=np.inf),
+                    np.where(x_acc > 0.0, x_acc, np.inf).min())
+        if x_min <= 0.0:
+            raise InfeasibleError("a kinodynamic limit is active at infinite duration")
+        return 1.0 / float(x_min)
+
+
+def ref_kernel_min_duration(basis, q_via, bc, limits, grid):
+    """boundary_half and min_duration with separate E1 and E2 products."""
+    _, e1, e2 = basis.grid_matrices(grid.n_points)
+    u_a0, u_b = basis.pack_split(np.zeros((basis.n_via, basis.dof)), bc)
+    lanes = RefLanes.from_splits(e1 @ u_b, e2 @ u_b, limits)
+    rest = bool((bc.q0 == bc.qT).all() and not (bc.qd0.any() or bc.qdT.any()))
+    pts = basis.via_matrix(q_via)
+    if rest and (pts == bc.q0).all():
+        return 0.0
+    u_a = np.concatenate((pts, u_a0[basis.n_via:]))
+    return lanes.duration(e1 @ u_a, e2 @ u_a)
+
+
+def ref_cost_jla(q, limits):
+    """cost_jla with both passes over every population."""
+    if limits.q_min is None:
+        return np.zeros(q.shape[0]), np.zeros(q.shape[0], dtype=int)
+    over = q >= limits.q_max
+    under = q <= limits.q_min
+    counts = np.count_nonzero(over, axis=(1, 2)) + np.count_nonzero(under, axis=(1, 2))
+    costs = (np.where(over, 1.0 + q - limits.q_max, 0.0).sum(axis=(1, 2))
+             + np.where(under, 1.0 + limits.q_min - q, 0.0).sum(axis=(1, 2)))
+    return costs, counts
+
+
+def outcome(f, *args):
+    """A float's hex, or the type and message of the error it raised."""
+    try:
+        value = f(*args)
+    except InfeasibleError as err:
+        return "InfeasibleError", str(err)
+    assert type(value) is float
+    return value.hex()
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(0, 6),
+       st.sampled_from(["rest", "moving", "on_limit", "tiny", "beyond"]))
+def test_min_duration_matches_broadcast_kernel(seed, dof, n_via, boundary):
+    """The pre-scaled kernel against the broadcast one, on the bits of the
+    duration or the error raised: rest-to-rest moves and moves with
+    boundary velocities, a boundary velocity at +-qd_max (its velocity lane
+    at s = 0 is 0/0), velocities so small that d^2 underflows (the linear
+    lanes take r/d), velocities beyond the limits, DoFs that stay at 0 (their
+    c lanes are exactly zero), candidates at rest and infeasible ones."""
+    rng = np.random.default_rng(seed)
+    qd_max = rng.uniform(0.3, 1.5, dof)
+    limits = KinodynamicLimits(-rng.uniform(0.3, 1.5, dof), qd_max,
+                               -rng.uniform(0.5, 3.0, dof), rng.uniform(0.5, 3.0, dof))
+    q0, qT = rng.uniform(0.2, 0.8, (2, dof))
+    speed = {"rest": 0.0, "moving": rng.uniform(0.0, 0.9), "on_limit": 1.0,
+             "tiny": 1e-170, "beyond": rng.uniform(1.01, 2.0)}[boundary]
+    qd0 = rng.choice([-1.0, 1.0], dof) * speed * np.where(rng.random(dof) < 0.5,
+                                                         qd_max, -limits.qd_min)
+    qdT = np.where(rng.random(dof) < 0.5, 0.0, -qd0)
+    if boundary == "rest":
+        qT = np.where(rng.random(dof) < 0.3, q0, qT)
+    still = rng.random(dof) < 0.3
+    q0, qT = np.where(still, 0.0, q0), np.where(still, 0.0, qT)
+    bc = BoundaryConditions(q0, qd0, qT, qdT)
+    basis = build_basis(n_via, dof)
+    grid = PhaseGrid(int(rng.integers(2, 60)))
+    boundary_ = boundary_half(basis, bc, limits, grid)
+    line = q0 + np.outer(via_timings(n_via), qT - q0)
+    for spread in (0.0, 0.01, 0.3, 3.0):
+        x = line + spread * rng.standard_normal((n_via, dof))
+        x[:, still] = 0.0
+        assert (outcome(min_duration, boundary_, x)
+                == outcome(ref_kernel_min_duration, basis, x, bc, limits, grid))
+    at_q0 = np.tile(q0, (n_via, 1))
+    assert (outcome(min_duration, boundary_, at_q0)
+            == outcome(ref_kernel_min_duration, basis, at_q0, bc, limits, grid))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square")
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 7),
+       st.sampled_from(["c_zero", "d_zero", "d_tiny", "d_huge", "special"]))
+def test_duration_lanes_match_broadcast_kernel(seed, n_points, dof, kind):
+    """BoundaryLanes.duration against the broadcast kernel on raw lanes, with
+    exact zeros, negative zeros and 1e-300 mixed in, c given plain or
+    stacked twice, and b on, inside and beyond the velocity limits.  d^2
+    underflows at d = 1e-170 (the linear lanes must take r/d), and overflows
+    at d = 1e200, where the second roots are exactly +-0 and must be
+    dropped."""
+    rng = np.random.default_rng(seed)
+    a, b, c, d = (special_lanes(rng, (n_points, dof)) for _ in range(4))
+    if kind == "c_zero":
+        c[rng.random(c.shape) < 0.5] = 0.0
+    elif kind == "d_zero":
+        d[...] = 0.0
+    elif kind == "d_tiny":
+        d = np.where(rng.random(d.shape) < 0.5, 1e-170, d)
+    elif kind == "d_huge":
+        d = np.where(rng.random(d.shape) < 0.3, rng.choice([-1e200, 1e200], d.shape), d)
+    limits = KinodynamicLimits(-rng.uniform(0.5, 2.0, dof), rng.uniform(0.5, 2.0, dof),
+                               -rng.uniform(0.5, 2.0, dof), rng.uniform(0.5, 2.0, dof))
+    edge = rng.random((n_points, dof))
+    b = np.clip(b, -0.4, 0.4)
+    if kind != "d_huge":
+        # With b inside the limits, the +-0 roots decide the duration.
+        b = np.where(edge < 0.05, limits.qd_max, np.where(edge < 0.1, limits.qd_min, b))
+    if rng.random() < 0.2:
+        b = np.where(edge > 0.95, 2.0 * limits.qd_max, b)
+    lanes = BoundaryLanes.from_splits(b, d, limits)
+    want = outcome(RefLanes.from_splits(b, d, limits).duration, a, c)
+    assert outcome(lanes.duration, a, c) == want
+    assert outcome(lanes.duration, a, np.stack((c, c))) == want
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(2, 40),
+       st.integers(1, 7), st.sampled_from(["inside", "touch", "beyond", "none"]))
+def test_cost_jla_matches_two_passes(seed, pop, n_points, dof, where):
+    """cost_jla, which returns at its masks when no grid point is on or
+    beyond a limit, against the two passes over every population."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.1, 0.9, (pop, n_points, dof))
+    q_range = None if where == "none" else (0.0, 1.0)
+    limits = KinodynamicLimits.symmetric(1.0, 1.0, dof, q_range=q_range)
+    if where == "touch":
+        # Exactly on a limit counts as a hit.
+        q.flat[rng.integers(q.size)] = rng.choice([0.0, 1.0])
+    elif where == "beyond":
+        hits = rng.random(q.shape) < 0.05
+        hits.flat[rng.integers(q.size)] = True
+        q[hits] = rng.choice([-0.3, 1.2], hits.sum())
+    got, want = cost_jla(q, limits), ref_cost_jla(q, limits)
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+    if where in ("inside", "none"):
+        assert not got[0].any() and not got[1].any()
+    else:
+        assert got[1].any()
+
+
+@dataclasses.dataclass(frozen=True)
+class RefCostReport:
+    total: float
+    per_term: dict
+    valid: bool
+    violation_count: int
+
+
+def test_cost_report_fields_and_types():
+    # The tuple report has the dataclass's fields, in order, with the same
+    # values and types, and cannot be changed.
+    lim = KinodynamicLimits.symmetric(1.0, 2.0, 1, q_range=(0.0, 0.5))
+    grid = PhaseGrid(10)
+    basis = build_basis(1, 1)
+    bc = BoundaryConditions([0.1], [0.0], [0.4], [0.0])
+    boundary = boundary_half(basis, bc, lim, grid)
+    trajs = [synthesize(boundary, x) for x in ([[0.25]], [[0.9]])]
+    reports = evaluate_total(trajs, CostWeights(), lim, grid)
+    assert [r.valid for r in reports] == [True, False]
+    names = [f.name for f in dataclasses.fields(RefCostReport)]
+    assert list(CostReport._fields) == names
+    for report in reports:
+        assert type(report) is CostReport
+        ref = RefCostReport(*report)
+        for name in names:
+            got, want = getattr(report, name), getattr(ref, name)
+            assert got == want and type(got) is type(want)
+        assert type(report.total) is float and type(report.valid) is bool
+        assert type(report.violation_count) is int
+        assert all(type(v) is float for v in report.per_term.values())
+        with pytest.raises(AttributeError):
+            report.total = 0.0
+

@@ -105,6 +105,23 @@ def test_score_of_infeasible_boundary_is_none():
     assert trajs == [None] and reports == [None]
 
 
+def test_score_of_non_finite_via_points_is_none():
+    # NaN via-points used to score as valid, with totals 0.0 and nan.
+    bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
+    lim = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
+    problem = PlanningProblem(bc, lim, n_via=2, pop_size=4, grid=PhaseGrid(20))
+    boundary = boundary_half(build_basis(2, 2), bc, lim, problem.grid)
+    line = straight_line_init(bc, 2)
+    one_nan = line.copy()
+    one_nan[0] = np.nan
+    for x in (np.full_like(line, np.nan), one_nan):
+        assert score(boundary, x, problem) == (None, None)
+    trajs, reports, costs = evaluate_candidates(
+        boundary, np.array([line, one_nan, np.full_like(line, np.nan)]), problem)
+    assert trajs[0] is not None and reports[0].valid
+    assert trajs[1:] == [None, None] and reports[1:] == [None, None]
+    assert (costs[1:] == 10.0 * problem.weights.invalid_penalty).all()
+
 @pytest.mark.parametrize("sigma", [0.0, -0.4, np.inf, np.nan])
 def test_make_es_rejects_a_sigma_scale_that_is_not_finite_and_positive(sigma):
     problem = make_1d_problem(n_via=2)

@@ -244,7 +244,7 @@ def test_bang_bang_lower_bound():
 
 
 def test_duration_splits_consistency():
-    # b and d from the boundary half, with a and c from U_a, give the
+    # b and d = E2 U_b of the boundary half, with a and c from U_a, give the
     # time-domain velocity and acceleration at any duration, and min_duration
     # is the candidate half applied to them.
     rng = np.random.default_rng(2)
@@ -258,14 +258,15 @@ def test_duration_splits_consistency():
     u_a, u_b = basis.pack_split(q_via, bc)
     np.testing.assert_array_equal(boundary.tail, u_a[3:])
     _, e1, e2 = basis.grid_matrices(grid.n_points)
-    assert boundary.e1 is e1 and boundary.e2 is e2 and boundary.bc is bc
-    a, b, c = e1 @ u_a, e1 @ u_b, e2 @ u_a
+    np.testing.assert_array_equal(boundary.e_stack, [e1, e2, e2])
+    assert boundary.bc is bc
+    a, b, c, d = e1 @ u_a, e1 @ u_b, e2 @ u_a, e2 @ u_b
     np.testing.assert_array_equal(lanes.vel_hi, lim.qd_max - b)
     np.testing.assert_array_equal(lanes.vel_lo, lim.qd_min - b)
     duration = 3.7
     u = basis.pack(q_via, bc, duration)
     np.testing.assert_allclose(a / duration + b, e1 @ u / duration, atol=1e-9)
-    np.testing.assert_allclose(c / duration**2 + lanes.d / duration,
+    np.testing.assert_allclose(c / duration**2 + d / duration,
                                e2 @ u / duration**2, atol=1e-9)
     assert min_duration(boundary, q_via) == lanes.duration(a, c)
 
@@ -278,6 +279,50 @@ def test_limits_are_read_only_copies():
     for name in ("qd_min", "qd_max", "qdd_min", "qdd_max", "q_min", "q_max"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(lim, name)[0] = 0.5
+
+
+@pytest.mark.parametrize("make", [
+    lambda line: np.full_like(line, np.nan),
+    lambda line: np.where([[True, False], [False, False]], np.nan, line),
+    lambda line: np.where([[False, True], [False, False]], np.nan, line),
+    lambda line: np.where([[False, False], [True, False]], np.inf, line),
+    lambda line: np.where([[False, False], [False, True]], -np.inf, line),
+], ids=["all_nan", "nan_x", "nan_y", "inf_x", "minus_inf_y"])
+def test_non_finite_via_points_have_no_duration(make):
+    # All-NaN via-points used to take 0.0 s and a NaN x coordinate 5.2e-8 s,
+    # because the kernel skips the NaN lanes they reach.
+    bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
+    lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
+    boundary = boundary_half(build_basis(2, 2), bc, lim, PhaseGrid(20))
+    line = bc.q0 + np.outer([1.0 / 3.0, 2.0 / 3.0], bc.qT - bc.q0)
+    assert min_duration(boundary, line) > 0.0
+    for call in (min_duration, synthesize):
+        with pytest.raises(InfeasibleError, match="via-points must be finite"):
+            call(boundary, make(line))
+
+def test_boundary_arrays_are_read_only():
+    # A slip that writes into a shared array raises instead of changing what
+    # every later candidate of the boundary sees.
+    bc = BoundaryConditions([0.1, 0.5], [0.2, 0.0], [0.9, 0.5], [0.0, -0.1])
+    basis = build_basis(3, 2)
+    lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
+    boundary = boundary_half(basis, bc, lim, PhaseGrid(12))
+    lanes = boundary.lanes
+    arrays = {name: value for name, value in vars(lanes).items()
+              if isinstance(value, np.ndarray)}
+    assert len(arrays) == 8
+    arrays["tail"] = boundary.tail
+    arrays["e_stack"] = boundary.e_stack
+    for k, matrix in enumerate(basis.grid_matrices(13)):
+        arrays[f"E{k}"] = matrix
+    for name, arr in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1.0
+    for name in ("r4", "neg_half_d", "neg_half_sign", "neg_r", "d2", "x_lin"):
+        assert arrays[name].shape == (2, 13, 2), name
+        assert arrays[name].flags.c_contiguous, name
 
 
 def test_boundaries_on_one_basis_keep_their_own_durations():
