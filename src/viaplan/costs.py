@@ -6,8 +6,8 @@ shares one BoundaryConditions object, as every ES population and every
 scored trajectory does, at once: one `SplineBasis.pack` of the stacked
 (M, N+4, D) parameters, one stacked position pass on the phase grid, one
 collision query over every grid point, one joint-limit mask and one
-smoothness quadratic form give one column per term, and the totals,
-validity flags and violation counts are sums over those columns.  Most
+smoothness quadratic form give one column per term, and the totals and
+validity flags are sums over those columns.  Most
 populations touch no joint limit at any grid point; for them `cost_jla`
 returns its zero columns straight after the masks.  Invalid
 candidates (joint-limit hit or collision) are not discarded; they receive a
@@ -43,13 +43,12 @@ class CostWeights:
 
 
 class CostReport(NamedTuple):
-    """One trajectory's score: a tuple, since evaluate_total builds one per
-    candidate of every generation."""
+    """One trajectory's score: its total, penalty included, and whether it is
+    valid.  A tuple, since evaluate_total builds one per candidate of every
+    generation."""
 
     total: float
-    per_term: dict
     valid: bool
-    violation_count: int
 
 
 def cost_jla(q: np.ndarray, limits: KinodynamicLimits) -> tuple[np.ndarray, np.ndarray]:
@@ -107,16 +106,11 @@ def evaluate_total(trajs, weights: CostWeights, limits: KinodynamicLimits,
         q[rest] = bc.q0
         smooth[rest] = 0.0
     jla, violations = cost_jla(q, limits)
-    terms = {"duration": durations, "smooth": smooth, "jla": jla}
+    total = weights.duration * durations + weights.smooth * smooth + weights.jla * jla
     if checker is not None:
         hits = cost_collision(q, checker)
-        terms["collision"] = hits.astype(float)
+        total = total + weights.collision * hits
         violations = violations + hits
-    weighted = [getattr(weights, name) * col for name, col in terms.items()]
-    total = sum(weighted[1:], weighted[0])
     valid = violations == 0
     total = np.where(valid, total, total + (weights.invalid_penalty + violations))
-    rows = zip(*(col.tolist() for col in terms.values()))
-    return [CostReport(t, dict(zip(terms, row)), ok, n)
-            for t, row, ok, n in zip(total.tolist(), rows, valid.tolist(),
-                                     violations.tolist())]
+    return [CostReport(t, ok) for t, ok in zip(total.tolist(), valid.tolist())]

@@ -56,8 +56,8 @@ class MpcConfig:
     vel_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.dt_mpc <= 0.0 or self.t_stop <= 0.0 or self.alpha <= 0.0:
-            raise ValueError("dt_mpc, t_stop and alpha must be positive")
+        if not all(0.0 < v < np.inf for v in (self.dt_mpc, self.t_stop, self.alpha)):
+            raise ValueError("dt_mpc, t_stop and alpha must be finite and positive")
         if not (self.goal_tol > 0.0 and self.vel_tol > 0.0):
             raise ValueError("goal_tol and vel_tol must be positive")
         if self.seed < 0:
@@ -79,7 +79,6 @@ class ShortHorizon:
     times: np.ndarray
     q: np.ndarray
     qd: np.ndarray
-    qdd: np.ndarray
 
 
 @dataclass
@@ -118,7 +117,8 @@ def warm_start(prev_solution: Trajectory, elapsed: float, alpha: float,
 
 def extract_reference(traj: Trajectory, t0: float, duration: float,
                       plant_dt: float) -> ShortHorizon:
-    """Reference series from traj over [t0, min(t0 + duration, T)].
+    """Reference positions and velocities from traj over
+    [t0, min(t0 + duration, T)].
 
     Each sample equals traj.at_time(t, order) bit for bit: every time gets its
     own (1, N+4) @ (N+4, D) product, which a single (S, N+4) @ (N+4, D)
@@ -131,15 +131,14 @@ def extract_reference(traj: Trajectory, t0: float, duration: float,
         times = np.append(times, t_end)
     if traj.degenerate:
         q = np.tile(traj.bc.q0, (times.size, 1))
-        qd, qdd = np.zeros_like(q), np.zeros_like(q)
+        qd = np.zeros_like(q)
     else:
         s = np.clip(times / traj.duration, 0.0, 1.0)
         u = traj.basis.pack(traj.q_via, traj.bc, traj.duration)
-        q, qd, qdd = (np.matmul(traj.basis.eval_matrix(s, order)[:, None, :], u)[:, 0]
-                      for order in range(3))
+        q, qd = (np.matmul(traj.basis.eval_matrix(s, order)[:, None, :], u)[:, 0]
+                 for order in range(2))
         qd = qd / traj.duration
-        qdd = qdd / traj.duration**2
-    return ShortHorizon(times=times - t0, q=q, qd=qd, qdd=qdd)
+    return ShortHorizon(times=times - t0, q=q, qd=qd)
 
 
 def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
@@ -287,8 +286,7 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
             # Hold position with zero velocity.
             horizon = ShortHorizon(times=np.array([0.0, config.dt_mpc]),
                                    q=np.stack([plant.q, plant.q]),
-                                   qd=np.zeros((2, plant.q.shape[0])),
-                                   qdd=np.zeros((2, plant.q.shape[0])))
+                                   qd=np.zeros((2, plant.q.shape[0])))
         plant.advance(horizon)
         cost = result.report.total if result.report else float("nan")
         rows.append({"step": k, "t": t_sim, "q": plant.q.copy(),

@@ -64,10 +64,8 @@ class SolveResult:
     report: CostReport
     best_trajectory: Trajectory
     best_report: CostReport
-    history: list            # per-generation best cost
     history_best: list       # best-so-far cost (non-increasing)
     iterations: int
-    converged: bool
     first_valid_iter: int | None = None
 
 
@@ -153,7 +151,6 @@ def solve(problem: PlanningProblem,
     best_cost = np.inf
     best: tuple[Trajectory, CostReport] | None = None
     iterations = 0
-    did_converge = False
     first_valid: int | None = None
     loop = islice(generations(es, boundary, problem), problem.max_iterations)
     for iterations, (trajs, reports, costs) in enumerate(loop, start=1):
@@ -168,7 +165,6 @@ def solve(problem: PlanningProblem,
         history.append(float(costs[i_best]))
         history_best.append(float(best_cost))
         if converged(history, problem.tol):
-            did_converge = True
             break
 
     if best is None:
@@ -180,6 +176,5 @@ def solve(problem: PlanningProblem,
 
     return SolveResult(trajectory=mean_traj, report=mean_report,
                        best_trajectory=best[0], best_report=best[1],
-                       history=history, history_best=history_best,
-                       iterations=iterations, converged=did_converge,
+                       history_best=history_best, iterations=iterations,
                        first_valid_iter=first_valid)

@@ -25,6 +25,8 @@ class Disk:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if self.center.shape != (2,):
             raise ValueError("a disk center must be an [x, y] pair")
+        if not np.isfinite(self.center).all():
+            raise ValueError("a disk center must be finite")
         if not 0.0 <= self.radius < np.inf:
             raise ValueError("a disk radius must be finite and non-negative")
 
@@ -62,8 +64,12 @@ class World2D:
         object.__setattr__(self, "bounds_hi", np.asarray(self.bounds_hi, dtype=float))
         if self.bounds_lo.shape != (2,) or self.bounds_hi.shape != (2,):
             raise ValueError("bounds_lo and bounds_hi must be [x, y] pairs")
-        if self.robot_radius < 0.0:
-            raise ValueError("robot_radius must be non-negative")
+        lo, hi = self.bounds_lo, self.bounds_hi
+        if not (np.isfinite([lo, hi]).all() and np.all(lo < hi)):
+            raise ValueError("bounds_lo and bounds_hi must be finite, with "
+                             "bounds_lo below bounds_hi on both axes")
+        if not 0.0 <= self.robot_radius < np.inf:
+            raise ValueError("robot_radius must be finite and non-negative")
         disks = [obs for obs in self.obstacles if isinstance(obs, Disk)]
         centers = np.array([obs.center for obs in disks]).reshape(-1, 2)
         radii = np.array([obs.radius for obs in disks], dtype=float)

@@ -118,6 +118,20 @@ def with_value(base, section, keys, value):
     ("ablate-chol", "optimizer", "seeds", 0, "optimizer.seeds"),
     ("mpc", "mpc", "max_steps", 0, "mpc.max_steps"),
     ("mpc", "mpc", "max_steps", -5, "mpc.max_steps"),
+    # JSON's NaN and Infinity, and inverted bounds: a NaN robot radius would
+    # turn collision checking off, a NaN disk center or bound would drop that
+    # obstacle or bound, inverted bounds would make every point collide, and a
+    # NaN t_stop would turn the direct gate off.
+    ("mpc", "world", "robot_radius", float("nan"), "robot_radius"),
+    ("mpc", "world", "robot_radius", float("inf"), "robot_radius"),
+    ("mpc", "world", "disks", [[float("nan"), 0.5, 0.2]], "disk center"),
+    ("mpc", "world", "bounds_lo", [float("nan"), 0.0], "bounds_lo"),
+    ("mpc", "world", "bounds_hi", [1.0, float("nan")], "bounds_lo"),
+    ("mpc", "world", "bounds_lo", [1.5, 0.0], "bounds_lo below bounds_hi"),
+    ("mpc", "mpc", "dt_mpc", float("nan"), "dt_mpc"),
+    ("mpc", "mpc", "t_stop", float("nan"), "t_stop"),
+    ("mpc", "mpc", "alpha", float("nan"), "alpha"),
+    ("mpc", "mpc", "alpha", float("inf"), "alpha"),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):

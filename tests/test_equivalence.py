@@ -67,27 +67,20 @@ def ref_collision(traj, checker, grid):
 
 
 def ref_evaluate(traj, weights, limits, grid, checker=None):
-    """The per-report loop: one trajectory's terms, then its total."""
-    per_term = {"duration": traj.duration,
-                "smooth": 0.0 if traj.degenerate else ref_smoothness(traj)}
-    violations = 0
-    valid = True
-    jla, jla_count = ref_jla(traj, limits, grid)
-    per_term["jla"] = jla
-    violations += jla_count
-    valid &= jla_count == 0
+    """The per-report loop: one trajectory's terms, then its total and
+    validity."""
+    smooth = 0.0 if traj.degenerate else ref_smoothness(traj)
+    jla, violations = ref_jla(traj, limits, grid)
+    coll = 0.0
     if checker is not None:
         coll, hits = ref_collision(traj, checker, grid)
-        per_term["collision"] = coll
         violations += hits
-        valid &= hits == 0
-    total = (weights.duration * per_term["duration"]
-             + weights.smooth * per_term["smooth"]
-             + weights.jla * per_term["jla"]
-             + weights.collision * per_term.get("collision", 0.0))
+    total = (weights.duration * traj.duration + weights.smooth * smooth
+             + weights.jla * jla + weights.collision * coll)
+    valid = violations == 0
     if not valid:
         total += weights.invalid_penalty + violations
-    return float(total), per_term, bool(valid), violations
+    return float(total), valid
 
 
 def ref_evaluate_candidates(basis, candidates, problem):
@@ -108,15 +101,9 @@ def boundary_of(basis, problem):
 
 
 def assert_same_report(report, ref):
-    total, per_term, valid, violations = ref
+    total, valid = ref
     assert report.total == total and type(report.total) is float
-    assert type(report.violation_count) is int
-    assert list(report.per_term) == list(per_term)
-    for key, value in per_term.items():
-        assert report.per_term[key] == value, key
-        assert type(report.per_term[key]) is type(value), key
     assert report.valid is valid
-    assert report.violation_count == violations
 
 
 # -- reference: two-call acceleration roots ----------------------------------
@@ -228,8 +215,7 @@ def ref_extract_reference(traj, t0, duration, plant_dt):
         times = np.append(times, t_end)
     q = np.stack([traj.at_time(t, 0) for t in times])
     qd = np.stack([traj.at_time(t, 1) for t in times])
-    qdd = np.stack([traj.at_time(t, 2) for t in times])
-    return times - t0, q, qd, qdd
+    return times - t0, q, qd
 
 
 # -- random problems ---------------------------------------------------------
@@ -534,7 +520,7 @@ def test_extract_reference_matches_at_time(params, t0_frac, plant_dt, horizon):
     t0 = t0_frac * traj.duration
     ref = ref_extract_reference(traj, t0, horizon, plant_dt)
     got = extract_reference(traj, t0, horizon, plant_dt)
-    for name, want in zip(("times", "q", "qd", "qdd"), ref):
+    for name, want in zip(("times", "q", "qd"), ref):
         value = getattr(got, name)
         assert value.shape == want.shape, name
         assert np.array_equal(value, want), name
@@ -729,9 +715,7 @@ def test_cost_jla_matches_two_passes(seed, pop, n_points, dof, where):
 @dataclasses.dataclass(frozen=True)
 class RefCostReport:
     total: float
-    per_term: dict
     valid: bool
-    violation_count: int
 
 
 def test_cost_report_fields_and_types():
@@ -754,8 +738,6 @@ def test_cost_report_fields_and_types():
             got, want = getattr(report, name), getattr(ref, name)
             assert got == want and type(got) is type(want)
         assert type(report.total) is float and type(report.valid) is bool
-        assert type(report.violation_count) is int
-        assert all(type(v) is float for v in report.per_term.values())
         with pytest.raises(AttributeError):
             report.total = 0.0
 

@@ -1,5 +1,7 @@
 """MPC step logic: direct gate, warm-start shift, budgets, closed loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,12 @@ LIMITS_2D = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
 def test_config_validation():
     with pytest.raises(ValueError):
         MpcConfig(dt_mpc=0.0)
+    # A NaN alpha would fail in select_n_via and a NaN t_stop would turn the
+    # direct gate off.
+    for key in ("dt_mpc", "t_stop", "alpha"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                MpcConfig(**{key: value})
     with pytest.raises(ValueError):
         MpcConfig(n_max=0)
     # Each of these used to be accepted, and then either ran one generation
@@ -88,7 +96,7 @@ def test_es_step_builds_one_boundary(monkeypatch):
 
 def test_direct_step_at_its_goal_emits_rest_reference():
     # At rest on its own goal, the direct trajectory is degenerate and the
-    # reference holds the state with zero velocity and acceleration.
+    # reference holds the state with zero velocity.
     for goal in ([0.9, 0.5], [0.3, 0.7, 0.1]):
         goal = np.array(goal)
         dof = goal.size
@@ -99,7 +107,7 @@ def test_direct_step_at_its_goal_emits_rest_reference():
         ref = result.short_horizon
         assert np.array_equal(ref.times, [0.0])
         assert np.array_equal(ref.q, goal[None, :])
-        assert not ref.qd.any() and not ref.qdd.any()
+        assert not ref.qd.any()
 
 
 def test_explore_after_invalid_step():
@@ -190,6 +198,34 @@ def test_extract_short_horizon_sampling():
     # A plant step longer than the MPC step is a config error.
     with pytest.raises(ValueError):
         MpcConfig(dt_mpc=0.01, plant_dt=0.02)
+
+
+def test_extract_reference_samples_equal_at_time():
+    # Sample k of the reference is traj.at_time(t0 + times[k], order) bit for
+    # bit, for positions and velocities, from the start of a plan and from
+    # inside it (a replayed window), rest-to-rest or with boundary velocities,
+    # and for a degenerate trajectory.
+    rng = np.random.default_rng(21)
+    grid = PhaseGrid(20)
+    basis = build_basis(3, 2)
+    trajs = []
+    for qd_scale in (0.0, 0.2):
+        for _ in range(5):
+            q0, qT, qd0, qdT = rng.uniform(0.1, 0.9, (4, 2))
+            bc = BoundaryConditions(q0, qd_scale * qd0, qT, qd_scale * qdT)
+            x = (q0 + np.outer([0.25, 0.5, 0.75], qT - q0)
+                 + rng.normal(scale=0.05, size=(3, 2)))
+            trajs.append(synthesize(boundary_half(basis, bc, LIMITS_2D, grid), x))
+    rest = BoundaryConditions(q0, np.zeros(2), q0, np.zeros(2))
+    trajs.append(synthesize_direct(rest, LIMITS_2D, grid))
+    assert trajs[-1].degenerate
+    for traj in trajs:
+        for t0, plant_dt in ((0.0, 1e-3), (0.37 * traj.duration, 1e-3),
+                             (0.61 * traj.duration, 7e-3)):
+            horizon = extract_reference(traj, t0, 0.08, plant_dt)
+            for order, rows in enumerate((horizon.q, horizon.qd)):
+                want = np.stack([traj.at_time(t0 + t, order) for t in horizon.times])
+                assert np.array_equal(rows, want), (t0, order)
 
 
 def test_extract_short_horizon_truncates_at_duration():
@@ -351,13 +387,17 @@ def test_invalid_step_with_nothing_to_replay_runs_its_own_reference():
         prev_q = row["q"]
 
 
+def test_short_horizon_fields():
+    # A reference holds what the plants read: times, positions, velocities.
+    assert [f.name for f in dataclasses.fields(mpc.ShortHorizon)] == ["times", "q", "qd"]
+
+
 def test_exact_plant_advances_to_horizon_end():
     plant = ExactPlant([0.0, 0.0])
     from viaplan.mpc import ShortHorizon
     horizon = ShortHorizon(times=np.array([0.0, 0.01]),
                            q=np.array([[0.0, 0.0], [0.1, 0.2]]),
-                           qd=np.array([[0.0, 0.0], [0.3, 0.0]]),
-                           qdd=np.zeros((2, 2)))
+                           qd=np.array([[0.0, 0.0], [0.3, 0.0]]))
     plant.advance(horizon)
     np.testing.assert_allclose(plant.q, [0.1, 0.2])
     np.testing.assert_allclose(plant.qd, [0.3, 0.0])

@@ -163,7 +163,6 @@ def test_zero_duration_rests_at_q0():
     assert np.array_equal(horizon.times, [0.0])
     assert np.array_equal(horizon.q, [bc.q0])
     assert np.array_equal(horizon.qd, np.zeros((1, 2)))
-    assert np.array_equal(horizon.qdd, np.zeros((1, 2)))
 
 
 def test_synthesized_profile_matches_cubic():

@@ -53,6 +53,24 @@ def test_robot_radius_validation():
         World2D(obstacles=(), robot_radius=-0.1)
 
 
+def test_non_finite_geometry_rejected():
+    # A NaN robot radius would turn collision checking off, a NaN disk center
+    # or bound would drop that obstacle or bound, and inverted bounds would
+    # make every point collide.
+    nan, inf = float("nan"), float("inf")
+    for radius in (nan, inf):
+        with pytest.raises(ValueError, match="robot_radius"):
+            World2D(obstacles=(Disk([0.5, 0.5], 0.2),), robot_radius=radius)
+    for center in ([nan, 0.5], [0.5, inf]):
+        with pytest.raises(ValueError, match="disk center"):
+            Disk(center, 0.1)
+    for lo, hi in (([nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, nan]),
+                   ([-inf, 0.0], [1.0, 1.0]), ([0.0, 1.0], [1.0, 0.5]),
+                   ([0.0, 0.0], [0.0, 1.0])):
+        with pytest.raises(ValueError, match="bounds_lo"):
+            World2D(obstacles=(), bounds_lo=lo, bounds_hi=hi)
+
+
 @pytest.mark.parametrize("cls, args", [
     # Collided like a disk of radius 0.1.
     pytest.param(Disk, ([0.5, 0.5], -0.1), id="disk-negative-radius"),
