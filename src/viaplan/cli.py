@@ -146,6 +146,9 @@ def _per_dof(value, dof: int):
 
 
 def build_problem(sec: dict) -> tuple[BoundaryConditions, KinodynamicLimits]:
+    for key in ("qd_max", "qdd_max"):
+        if not np.isfinite(sec[key]).all():
+            raise ConfigError(f"key 'problem.{key}' must be finite")
     q0, qT = (np.asarray(sec[key], dtype=float) for key in ("q0", "qT"))
     bc = BoundaryConditions(q0, sec.get("qd0", np.zeros_like(q0)),
                             qT, sec.get("qdT", np.zeros_like(qT)))

@@ -5,15 +5,14 @@ primitive); when that fails the gate, it initializes the evolution strategy
 by warm-starting from the time-shifted previous solution or by exploring
 from a straight-line guess, and runs the planner's shared generation loop
 (always sep-CMA-ES behind the smoothness Cholesky factor) until the step
-budget expires, over one `timing.Boundary` built for the step.  Both the
-direct trajectory and the final mean are scored by `planner.score`, which
-gives (None, None) when no finite duration meets the limits.  Either way the
-step ends in one place, which extracts the plant-rate reference over the
-first dt_mpc of the solution (`extract_reference(solution, 0.0, dt_mpc,
-plant_dt)`).  The greedy baseline is another step function for the same
-closed loop; each of its endpoints is its own boundary, so it scores each
-one alone with `costs.evaluate_total` as it synthesizes it, and extracts
-its reference the same way.
+budget expires, over the boundary that `planner.make_es` returns with the
+ES.  The direct trajectory is scored by `planner.score_direct` and the final
+mean by `planner.score`, which give (None, None) when no finite duration
+meets the limits.  Either way the step ends in `extract_reference`, which
+samples the first dt_mpc of the solution at the plant rate with
+`Trajectory.at_time`.  The greedy baseline is another step function for the
+same closed loop and `step_problem`: it scores each endpoint alone as a
+no-via-point plan with `score_direct`, and extracts its reference the same way.
 """
 
 from __future__ import annotations
@@ -23,12 +22,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .costs import CostReport, CostWeights, evaluate_total
-from .planner import (PlanningProblem, generations, make_es, score,
+from .costs import CostReport, CostWeights
+from .planner import (PlanningProblem, generations, make_es, score, score_direct,
                       straight_line_init)
-from .spline import BoundaryConditions, build_basis, via_timings
-from .timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
-                     boundary_half, synthesize_direct)
+from .spline import BoundaryConditions, via_timings
+from .timing import KinodynamicLimits, PhaseGrid, Trajectory
 
 GREEDY_HORIZON = 0.15   # greedy baseline: reach of one step's endpoint
 GREEDY_SAMPLES = 32     # greedy baseline: endpoints tried per step
@@ -111,34 +109,29 @@ def warm_start(prev_solution: Trajectory, elapsed: float, alpha: float,
         raise ExpiredError("previous solution expired")
     n_via = select_n_via(t_rem, alpha, n_max)
     t_via = elapsed + via_timings(n_via) * t_rem
-    mean = np.stack([prev_solution.at_time(t) for t in t_via]).reshape(-1)
-    return mean, n_via
+    return prev_solution.at_time(t_via).reshape(-1), n_via
 
 
 def extract_reference(traj: Trajectory, t0: float, duration: float,
                       plant_dt: float) -> ShortHorizon:
     """Reference positions and velocities from traj over
-    [t0, min(t0 + duration, T)].
-
-    Each sample equals traj.at_time(t, order) bit for bit: every time gets its
-    own (1, N+4) @ (N+4, D) product, which a single (S, N+4) @ (N+4, D)
-    product would round differently.
-    """
+    [t0, min(t0 + duration, T)], each sample traj.at_time of its time."""
     t_end = min(t0 + duration, traj.duration)
     n_whole = int(np.floor((t_end - t0) / plant_dt + 1e-12))
     times = t0 + plant_dt * np.arange(n_whole + 1)
     if times[-1] < t_end - 1e-12:
         times = np.append(times, t_end)
-    if traj.degenerate:
-        q = np.tile(traj.bc.q0, (times.size, 1))
-        qd = np.zeros_like(q)
-    else:
-        s = np.clip(times / traj.duration, 0.0, 1.0)
-        u = traj.basis.pack(traj.q_via, traj.bc, traj.duration)
-        q, qd = (np.matmul(traj.basis.eval_matrix(s, order)[:, None, :], u)[:, 0]
-                 for order in range(2))
-        qd = qd / traj.duration
-    return ShortHorizon(times=times - t0, q=q, qd=qd)
+    return ShortHorizon(times=times - t0, q=traj.at_time(times, 0),
+                        qd=traj.at_time(times, 1))
+
+
+def step_problem(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
+                 checker, seed: int) -> PlanningProblem:
+    """The PlanningProblem of one step from (q, qd) to (qT, qdT), n_max via-points."""
+    return PlanningProblem(BoundaryConditions(q, qd, qT, qdT), limits,
+                           n_via=config.n_max, pop_size=config.pop_size,
+                           grid=PhaseGrid(config.grid_k), weights=config.weights,
+                           checker=checker, seed=seed)
 
 
 def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
@@ -148,14 +141,9 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
     gate, else a budgeted optimization from a warm start or an exploration,
     sampled at 0.05 or 0.5 times |qT - q| (or times 1 when that is 0)."""
     t_start = time.monotonic()
-    bc = BoundaryConditions(q, qd, qT, qdT)
-    problem = PlanningProblem(bc, limits, n_via=config.n_max,
-                              pop_size=config.pop_size,
-                              grid=PhaseGrid(config.grid_k),
-                              weights=config.weights, checker=checker,
-                              seed=seed)
-    direct = boundary_half(build_basis(0, bc.dof), bc, limits, problem.grid)
-    solution, report = score(direct, None, problem)
+    problem = step_problem(q, qd, qT, qdT, limits, config, checker, seed)
+    bc = problem.bc
+    solution, report = score_direct(bc, problem)
 
     mode, iterations = "direct", 0
     if report is None or not (report.valid and solution.duration <= config.t_stop):
@@ -170,9 +158,7 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
         sigma = ((0.05 if mode == "warmstart" else 0.5)
                  * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0))
         problem = replace(problem, n_via=n_via)
-        basis = build_basis(n_via, bc.dof)
-        es = make_es(problem, basis, mean, sigma)
-        boundary = boundary_half(basis, bc, limits, problem.grid)
+        es, boundary = make_es(problem, mean, sigma)
         for _ in generations(es, boundary, problem):
             iterations += 1
             if config.iterations_per_step is not None:
@@ -312,9 +298,8 @@ def greedy_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
     goal; invalid when none is valid.  qdT and prev_result are unused."""
     t_start = time.monotonic()
     rng = np.random.default_rng(seed)
-    grid = PhaseGrid(config.grid_k)
-    q = np.asarray(q, dtype=float)
-    qT = np.asarray(qT, dtype=float)
+    problem = step_problem(q, qd, qT, qdT, limits, config, checker, seed)
+    q, qT = problem.bc.q0, problem.bc.qT
     to_goal = qT - q
     dist = float(np.linalg.norm(to_goal))
     local_goal = qT if dist <= GREEDY_HORIZON else q + to_goal / dist * GREEDY_HORIZON
@@ -326,14 +311,10 @@ def greedy_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
     for end in endpoints:
         if float(np.linalg.norm(end - q)) > GREEDY_HORIZON:
             continue
-        try:
-            traj = synthesize_direct(BoundaryConditions(q, qd, end, np.zeros_like(q)),
-                                     limits, grid)
-        except InfeasibleError:
-            continue
-        report, = evaluate_total([traj], config.weights, limits, grid, checker)
+        traj, report = score_direct(
+            BoundaryConditions(q, problem.bc.qd0, end, np.zeros_like(q)), problem)
         cost = float(np.sum((end - qT) ** 2))
-        if report.valid and cost < best_cost:
+        if report is not None and report.valid and cost < best_cost:
             best_cost = cost
             best = traj
     horizon = (None if best is None

@@ -1,19 +1,20 @@
 """Stochastic trajectory optimization, shared by offline planning and MPC.
 
-`make_es` sets up the evolution strategy, `generations` runs sample ->
-evaluate -> update for as long as its caller iterates, and `score`
-synthesizes and scores one via-point vector.  Scoring has one contract: a
-scored population is the candidates of one boundary, and a candidate with
-no finite duration scores as (None, None) in `score` and as a None
-trajectory and report in `evaluate_candidates`.  The boundary half of the
-duration kernel (`timing.boundary_half`) depends only on the problem and the
-basis, so `solve` builds it once per solve (`mpc.mpc_step` once per ES step)
-and passes it as a value to `generations`, `evaluate_candidates` and the
-final `score`.  `evaluate_candidates` synthesizes each candidate's minimal
-duration on its own and scores the feasible ones together in one
-`costs.evaluate_total` call.  `solve` stops when the best cost stalls or the
-iteration budget runs out (`mpc.mpc_step` at its step budget) and reports
-the final mean's trajectory and the best evaluated one.
+`make_es` sets up the evolution strategy and the boundary half of the
+duration kernel (`timing.boundary_half`), which depends only on the problem,
+so `solve` gets both from one call per solve and `mpc.mpc_step` from one
+call per ES step.  `generations` runs sample -> evaluate -> update for as
+long as its caller iterates.  `score` synthesizes and scores one via-point
+vector, and `score_direct` scores the no-via-point plan between the states
+of a `BoundaryConditions` through it: the MPC direct gate and each endpoint
+of the greedy baseline are such plans.  Scoring has one contract: a scored
+population is the candidates of one boundary, and a candidate with no
+finite duration scores as (None, None) in `score` and as a None trajectory
+and report in `evaluate_candidates`.  `evaluate_candidates` synthesizes
+each candidate's minimal duration on its own and scores the feasible ones
+together in one `costs.evaluate_total` call.  `solve` stops when the best
+cost stalls or the iteration budget runs out (`mpc.mpc_step` at its step
+budget) and reports the final mean's trajectory and the best evaluated one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .costs import CostReport, CostWeights, evaluate_total
 from .optimizer import EvolutionStrategy, build_prior, converged
-from .spline import BoundaryConditions, SplineBasis, build_basis, via_timings
+from .spline import BoundaryConditions, build_basis, via_timings
 from .timing import (Boundary, InfeasibleError, KinodynamicLimits, PhaseGrid,
                      Trajectory, boundary_half, synthesize)
 
@@ -54,6 +55,8 @@ class PlanningProblem:
             raise ValueError("max_iterations must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError("tol must be finite and non-negative")
         if self.mode not in ("sep", "full"):
             raise ValueError("mode must be 'sep' or 'full'")
 
@@ -76,20 +79,22 @@ def straight_line_init(bc: BoundaryConditions, n_via: int) -> np.ndarray:
     return pts.reshape(-1)
 
 
-def make_es(problem: PlanningProblem, basis: SplineBasis, mean,
-            sigma_scale: float) -> EvolutionStrategy:
-    """ES over basis's via-points, behind the smoothness Cholesky factor unless
-    problem.use_chol is off; sigma_scale, in configuration units, must be
-    finite and positive."""
+def make_es(problem: PlanningProblem, mean, sigma_scale: float):
+    """(ES, Boundary) over problem's n_via via-points: the ES starts at mean
+    behind the smoothness Cholesky factor unless problem.use_chol is off, and
+    the boundary half serves all it samples; sigma_scale, in configuration
+    units, must be finite and positive."""
     if not 0.0 < sigma_scale < np.inf:
         raise ValueError("sigma_scale must be finite and positive")
+    basis = build_basis(problem.n_via, problem.bc.dof)
     prior = build_prior(basis)
     transform = prior.chol if problem.use_chol else None
     scale = prior.scale if problem.use_chol else 1.0
     mean = np.asarray(mean, dtype=float).reshape(basis.n_via * problem.bc.dof)
-    return EvolutionStrategy(mean=mean, sigma_diag=(sigma_scale / scale) ** 2,
-                             pop_size=problem.pop_size, transform=transform,
-                             mode=problem.mode, seed=problem.seed)
+    es = EvolutionStrategy(mean=mean, sigma_diag=(sigma_scale / scale) ** 2,
+                           pop_size=problem.pop_size, transform=transform,
+                           mode=problem.mode, seed=problem.seed)
+    return es, boundary_half(basis, problem.bc, problem.limits, problem.grid)
 
 
 def _synthesized(boundary: Boundary, q_via) -> Trajectory | None:
@@ -105,6 +110,12 @@ def score(boundary: Boundary, q_via, problem: PlanningProblem):
     no finite duration meets the limits."""
     traj = _synthesized(boundary, q_via)
     return (None, None) if traj is None else (traj, _evaluate([traj], problem)[0])
+
+
+def score_direct(bc: BoundaryConditions, problem: PlanningProblem):
+    """score of the no-via-point plan between bc's states, under problem's limits and costs."""
+    boundary = boundary_half(build_basis(0, bc.dof), bc, problem.limits, problem.grid)
+    return score(boundary, None, problem)
 
 
 def _evaluate(trajs: list, problem: PlanningProblem) -> list:
@@ -139,12 +150,10 @@ def solve(problem: PlanningProblem,
     """Run the optimization loop from the straight line q0 -> qT and return
     the mean and best-ever solutions."""
     bc = problem.bc
-    basis = build_basis(problem.n_via, bc.dof)
     if init_sigma_scale is None:
         init_sigma_scale = 0.5 * float(np.linalg.norm(bc.qT - bc.q0)) or 0.5
-    es = make_es(problem, basis, straight_line_init(bc, problem.n_via),
-                 init_sigma_scale)
-    boundary = boundary_half(basis, bc, problem.limits, problem.grid)
+    es, boundary = make_es(problem, straight_line_init(bc, problem.n_via),
+                           init_sigma_scale)
 
     history: list[float] = []
     history_best: list[float] = []

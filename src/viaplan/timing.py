@@ -19,9 +19,9 @@ rest state (q0 == qT, zero boundary velocities, every via-point at q0) has
 duration 0.0 exactly, whatever the rounding of a and c; via-points with a
 non-finite entry have no duration.  Durations are synthesized one candidate
 per `synthesize` call; costs are scored per population in
-`costs.evaluate_total`.  The resulting `Trajectory` has one evaluator,
-`Trajectory.evaluate(s, order)`, which `at_time` and `sample_grid` call; a
-zero duration is degenerate and rests at q0.
+`costs.evaluate_total`.  A `Trajectory` evaluates at phases (`evaluate`, as
+`sample_grid` does) and at one time or an array of times (`at_time`, each
+time as if alone); a zero duration is degenerate and rests at q0.
 """
 
 from __future__ import annotations
@@ -121,10 +121,17 @@ class Trajectory:
         values = self.basis.eval_matrix(s, order) @ u / self.duration**order
         return values[0] if np.ndim(s) == 0 else values
 
-    def at_time(self, t: float, order: int = 0) -> np.ndarray:
-        """Evaluate at absolute time t in [0, T] (clamped)."""
-        s = 0.0 if self.degenerate else min(max(t / self.duration, 0.0), 1.0)
-        return self.evaluate(s, order)
+    def at_time(self, t, order: int = 0) -> np.ndarray:
+        """Evaluate at absolute time t in [0, T] (clamped), one row per time
+        of an array t.  Each row is its own (1, N+4) @ (N+4, D) product, as
+        for that time alone; one (S, N+4) product would round differently."""
+        if self.degenerate:
+            return self.evaluate(np.zeros(np.shape(t)), order)
+        s = np.clip(np.divide(t, self.duration), 0.0, 1.0)
+        u = self.basis.pack(self.q_via, self.bc, self.duration)
+        rows = np.matmul(self.basis.eval_matrix(s, order)[:, None, :], u)[:, 0]
+        rows /= self.duration**order
+        return rows[0] if np.ndim(t) == 0 else rows
 
     def sample_grid(self, grid: PhaseGrid):
         """(positions, velocities, accelerations) on the phase grid."""

@@ -132,6 +132,16 @@ def with_value(base, section, keys, value):
     ("mpc", "mpc", "t_stop", float("nan"), "t_stop"),
     ("mpc", "mpc", "alpha", float("nan"), "alpha"),
     ("mpc", "mpc", "alpha", float("inf"), "alpha"),
+    # A NaN or negative tol would never pass the stall test, an infinite one
+    # always.
+    *((command, "optimizer", "tol", value, "tol must be finite and non-negative")
+      for command in ("plan", "ablate-nvia", "ablate-chol")
+      for value in (float("nan"), -1e-6, float("inf"))),
+    # An infinite limit, for every DoF or for one, would give a T=0 plan.
+    ("plan", "problem", "qd_max", float("inf"), "problem.qd_max"),
+    ("plan", "problem", "qdd_max", float("inf"), "problem.qdd_max"),
+    ("mpc", "problem", "qd_max", [0.5, float("inf")], "problem.qd_max"),
+    ("mpc", "problem", "qdd_max", [float("inf"), 2.0], "problem.qdd_max"),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):

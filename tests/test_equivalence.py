@@ -5,14 +5,20 @@ scoring through `Trajectory.sample_grid` (its joint-limit term summed over
 each trajectory's padded (K+1, D) block), the two-call acceleration root
 finder, the per-candidate duration path that recomputed the boundary parts
 for every candidate, the obstacle loop of `World2D.colliding_mask` over
-(P, 2) temporaries, and `Trajectory.at_time` per reference sample.  The new
-paths must reproduce them exactly (`==`, not a tolerance), because any
+(P, 2) temporaries, and `Trajectory.at_time` per reference sample, through
+the phase evaluator as it was before `at_time` took arrays.  The new paths
+must reproduce them exactly (`==`, not a tolerance), because any
 rounding difference in a cost can change the ES ranking and hence every
 CSV written downstream.  The pre-scaled lanes of the duration kernel, the
 joint-limit pass that stops at its masks when no grid point touches a limit,
 and the tuple `CostReport` are held to copies of the code they replaced
 (the broadcast kernel with separate E1 and E2 products, the two-pass
 `cost_jla` and the frozen-dataclass report), on the bits of every float.
+So are the MPC step functions, to copies of the steps that built their own
+bases, boundary halves and ES, scored each greedy endpoint through their own
+`synthesize_direct` and `evaluate_total` calls, warm-started with one
+`at_time` call per via-point and extracted references with their own
+(S, 1, N+4) @ (N+4, D) product.
 """
 
 import dataclasses
@@ -23,12 +29,17 @@ from hypothesis import given, settings, strategies as st
 
 from viaplan import planner
 from viaplan.costs import CostReport, CostWeights, cost_jla, evaluate_total
-from viaplan.mpc import extract_reference
+from viaplan.mpc import (GREEDY_HORIZON, GREEDY_SAMPLES, ExpiredError, MpcConfig,
+                         MpcStepResult, ShortHorizon, extract_reference,
+                         greedy_step, mpc_step, select_n_via, warm_start)
+from viaplan.optimizer import EvolutionStrategy, build_prior
 from viaplan.planner import PlanningProblem, evaluate_candidates
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
-                            PhaseGrid, boundary_half, min_duration, synthesize)
-from viaplan.worlds import Disk, Rect, World2D
+                            PhaseGrid, boundary_half, min_duration, synthesize,
+                            synthesize_direct)
+from viaplan.worlds import (Disk, Rect, World2D, bundled_cluttered_world,
+                            bundled_start_goal)
 
 from conftest import is_colliding
 
@@ -204,18 +215,129 @@ def ref_colliding_mask(world, points):
     return out
 
 
-# -- reference: per-sample reference extraction ------------------------------
+# -- reference: per-sample reference extraction and the step functions -------
+
+
+def ref_at_time(traj, t, order=0):
+    """Trajectory.at_time of one time, through the phase evaluator."""
+    s = 0.0 if traj.degenerate else min(max(t / traj.duration, 0.0), 1.0)
+    return traj.evaluate(s, order)
+
+
+def ref_times(t0, duration, plant_dt, t_end):
+    n_whole = int(np.floor((t_end - t0) / plant_dt + 1e-12))
+    times = t0 + plant_dt * np.arange(n_whole + 1)
+    return np.append(times, t_end) if times[-1] < t_end - 1e-12 else times
 
 
 def ref_extract_reference(traj, t0, duration, plant_dt):
-    t_end = min(t0 + duration, traj.duration)
-    n_whole = int(np.floor((t_end - t0) / plant_dt + 1e-12))
-    times = t0 + plant_dt * np.arange(n_whole + 1)
-    if times[-1] < t_end - 1e-12:
-        times = np.append(times, t_end)
-    q = np.stack([traj.at_time(t, 0) for t in times])
-    qd = np.stack([traj.at_time(t, 1) for t in times])
+    times = ref_times(t0, duration, plant_dt, min(t0 + duration, traj.duration))
+    q = np.stack([ref_at_time(traj, t, 0) for t in times])
+    qd = np.stack([ref_at_time(traj, t, 1) for t in times])
     return times - t0, q, qd
+
+
+def ref_batched_extract_reference(traj, t0, duration, plant_dt):
+    """extract_reference with its own pack and per-row product."""
+    times = ref_times(t0, duration, plant_dt, min(t0 + duration, traj.duration))
+    if traj.degenerate:
+        q = np.tile(traj.bc.q0, (times.size, 1))
+        qd = np.zeros_like(q)
+    else:
+        s = np.clip(times / traj.duration, 0.0, 1.0)
+        u = traj.basis.pack(traj.q_via, traj.bc, traj.duration)
+        q, qd = (np.matmul(traj.basis.eval_matrix(s, order)[:, None, :], u)[:, 0]
+                 for order in range(2))
+        qd = qd / traj.duration
+    return ShortHorizon(times=times - t0, q=q, qd=qd)
+
+
+def ref_warm_start(prev, elapsed, alpha, n_max):
+    """warm_start with one at_time call per via-point."""
+    t_rem = prev.duration - elapsed
+    if t_rem <= 0.0:
+        raise ExpiredError("previous solution expired")
+    n_via = select_n_via(t_rem, alpha, n_max)
+    t_via = elapsed + via_timings(n_via) * t_rem
+    return np.stack([ref_at_time(prev, t) for t in t_via]).reshape(-1), n_via
+
+
+def ref_mpc_step(q, qd, qT, qdT, limits, config, checker=None, prev_result=None,
+                 seed=0):
+    """mpc_step at a fixed iteration budget, with its own bases, boundary
+    halves and ES set-up."""
+    bc = BoundaryConditions(q, qd, qT, qdT)
+    problem = PlanningProblem(bc, limits, n_via=config.n_max,
+                              pop_size=config.pop_size,
+                              grid=PhaseGrid(config.grid_k),
+                              weights=config.weights, checker=checker,
+                              seed=seed)
+    direct = boundary_half(build_basis(0, bc.dof), bc, limits, problem.grid)
+    solution, report = planner.score(direct, None, problem)
+    mode, iterations = "direct", 0
+    if report is None or not (report.valid and solution.duration <= config.t_stop):
+        mode, n_via = "explore", config.n_max
+        mean = planner.straight_line_init(bc, config.n_max)
+        if prev_result is not None and prev_result.valid and prev_result.solution is not None:
+            try:
+                mean, n_via = ref_warm_start(prev_result.solution, config.dt_mpc,
+                                             config.alpha, config.n_max)
+                mode = "warmstart"
+            except ExpiredError:
+                pass
+        sigma = ((0.05 if mode == "warmstart" else 0.5)
+                 * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0))
+        problem = dataclasses.replace(problem, n_via=n_via)
+        basis = build_basis(n_via, bc.dof)
+        prior = build_prior(basis)
+        es = EvolutionStrategy(mean=np.asarray(mean, dtype=float).reshape(-1),
+                               sigma_diag=(sigma / prior.scale) ** 2,
+                               pop_size=problem.pop_size, transform=prior.chol,
+                               mode=problem.mode, seed=problem.seed)
+        boundary = boundary_half(basis, bc, limits, problem.grid)
+        for iterations, _ in enumerate(planner.generations(es, boundary, problem),
+                                       start=1):
+            if iterations >= config.iterations_per_step:
+                break
+        solution, report = planner.score(boundary, es.mean, problem)
+    horizon = (None if solution is None else ref_batched_extract_reference(
+        solution, 0.0, config.dt_mpc, config.plant_dt))
+    return MpcStepResult(solution, report, report is not None and report.valid,
+                         mode, iterations, horizon, 0.0)
+
+
+def ref_greedy_step(q, qd, qT, qdT, limits, config, checker=None,
+                    prev_result=None, seed=0):
+    """greedy_step with its own synthesize_direct, InfeasibleError handler and
+    evaluate_total call per endpoint."""
+    rng = np.random.default_rng(seed)
+    grid = PhaseGrid(config.grid_k)
+    q = np.asarray(q, dtype=float)
+    qT = np.asarray(qT, dtype=float)
+    to_goal = qT - q
+    dist = float(np.linalg.norm(to_goal))
+    local_goal = qT if dist <= GREEDY_HORIZON else q + to_goal / dist * GREEDY_HORIZON
+    endpoints = [local_goal]
+    endpoints.extend(local_goal + (GREEDY_HORIZON / 2.0)
+                     * rng.standard_normal((GREEDY_SAMPLES - 1, q.shape[0])))
+    best = None
+    best_cost = np.inf
+    for end in endpoints:
+        if float(np.linalg.norm(end - q)) > GREEDY_HORIZON:
+            continue
+        try:
+            traj = synthesize_direct(BoundaryConditions(q, qd, end, np.zeros_like(q)),
+                                     limits, grid)
+        except InfeasibleError:
+            continue
+        report, = evaluate_total([traj], config.weights, limits, grid, checker)
+        cost = float(np.sum((end - qT) ** 2))
+        if report.valid and cost < best_cost:
+            best_cost = cost
+            best = traj
+    horizon = (None if best is None else ref_batched_extract_reference(
+        best, 0.0, config.dt_mpc, config.plant_dt))
+    return MpcStepResult(best, None, best is not None, "greedy", 0, horizon, 0.0)
 
 
 # -- random problems ---------------------------------------------------------
@@ -519,11 +641,118 @@ def test_extract_reference_matches_at_time(params, t0_frac, plant_dt, horizon):
     traj = synthesize(boundary_of(basis, problem), x)
     t0 = t0_frac * traj.duration
     ref = ref_extract_reference(traj, t0, horizon, plant_dt)
+    batched = ref_batched_extract_reference(traj, t0, horizon, plant_dt)
     got = extract_reference(traj, t0, horizon, plant_dt)
     for name, want in zip(("times", "q", "qd"), ref):
         value = getattr(got, name)
         assert value.shape == want.shape, name
         assert np.array_equal(value, want), name
+        assert value.tobytes() == getattr(batched, name).tobytes(), name
+
+
+def random_trajectory(params):
+    """A synthesized trajectory of a random problem, with 0 to 6 via-points;
+    on a resting problem it has zero duration when it sits on the line."""
+    seed, dof, n_via, degenerate, _, _ = params
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, dof, max(n_via, 1), degenerate, False, False,
+                             pop_size=4)
+    basis = build_basis(n_via, dof)
+    return rng, synthesize(boundary_of(basis, problem),
+                           random_candidates(rng, problem, basis, 0.2)[0])
+
+
+@SETTINGS
+@given(problems)
+def test_at_time_rows_match_single_times(params):
+    rng, traj = random_trajectory(params)
+    # Times inside [0, T], on its ends and outside it, where they clamp.
+    times = np.concatenate([[-0.5, 0.0], rng.uniform(0.0, 1.0, 7) * traj.duration,
+                            [traj.duration, traj.duration + 1.0]])
+    for order in range(3):
+        rows = traj.at_time(times, order)
+        assert rows.shape == (times.size, traj.bc.dof)
+        for t, row in zip(times, rows):
+            assert row.tobytes() == traj.at_time(t, order).tobytes(), (t, order)
+            assert row.tobytes() == ref_at_time(traj, t, order).tobytes(), (t, order)
+
+
+@SETTINGS
+@given(problems, st.floats(0.0, 1.2), st.integers(1, 6))
+def test_warm_start_matches_per_via_point_at_time(params, elapsed_frac, n_max):
+    _, traj = random_trajectory(params)
+    elapsed = elapsed_frac * traj.duration
+    if elapsed >= traj.duration:
+        with pytest.raises(ExpiredError):
+            warm_start(traj, elapsed, 2.0, n_max)
+        return
+    mean, n_via = warm_start(traj, elapsed, 2.0, n_max)
+    want, want_n_via = ref_warm_start(traj, elapsed, 2.0, n_max)
+    assert n_via == want_n_via
+    assert mean.shape == want.shape and mean.tobytes() == want.tobytes()
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_step(got, want):
+    assert (got.mode, got.valid, got.iterations_run) == \
+        (want.mode, want.valid, want.iterations_run)
+    assert (got.report is None) == (want.report is None)
+    if want.report is not None:
+        assert same_bits(got.report.total, want.report.total)
+    if want.solution is None:
+        assert got.solution is None and got.short_horizon is None
+        return
+    assert same_bits(got.solution.duration, want.solution.duration)
+    assert same_bits(got.solution.q_via, want.solution.q_via)
+    for name in ("times", "q", "qd"):
+        assert same_bits(getattr(got.short_horizon, name),
+                         getattr(want.short_horizon, name)), name
+
+
+@pytest.mark.parametrize("step, ref", [(mpc_step, ref_mpc_step),
+                                       (greedy_step, ref_greedy_step)])
+def test_step_matches_its_reference(step, ref):
+    # Three steps from each start, the state advancing along each step's
+    # reference as the exact plant would and the previous step passed on, so
+    # that mpc_step also warm-starts.  The starts: among obstacles (explore),
+    # in free space, with boundary velocities, next to the goal (direct), at
+    # rest on the goal (a zero-duration plan), and moving faster than qd_max
+    # (every endpoint and candidate infeasible).
+    limits = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
+    config = MpcConfig(iterations_per_step=3, pop_size=8)
+    world = bundled_cluttered_world()
+    q0, goal = bundled_start_goal()
+    zero = np.zeros(2)
+    starts = [(q0, zero, goal, zero, world),
+              ([0.1, 0.1], zero, [0.9, 0.9], zero, None),
+              ([0.2, 0.3], [0.2, -0.1], [0.8, 0.6], [0.1, 0.0], None),
+              (goal - [0.03, 0.0], zero, goal, zero, world),
+              (goal, zero, goal, zero, world),
+              (q0, [0.8, 0.0], goal, zero, world)]
+    seen = set()
+    for q, qd, qT, qdT, checker in starts:
+        prev = None
+        for k in range(3):
+            got = step(q, qd, qT, qdT, limits, config, checker=checker,
+                       prev_result=prev, seed=k)
+            want = ref(q, qd, qT, qdT, limits, config, checker=checker,
+                       prev_result=prev, seed=k)
+            assert_same_step(got, want)
+            seen.add((got.mode, got.valid, got.solution is not None
+                      and got.solution.degenerate))
+            if got.short_horizon is not None:
+                q, qd = got.short_horizon.q[-1], got.short_horizon.qd[-1]
+            prev = got if got.valid else None
+    if step is mpc_step:
+        assert {("explore", True, False), ("warmstart", True, False),
+                ("direct", True, True), ("explore", False, False)} <= seen
+    else:
+        assert {("greedy", True, False), ("greedy", True, True),
+                ("greedy", False, False)} <= seen
 
 
 # -- reference: the broadcast duration kernel and the two-pass cost_jla -------

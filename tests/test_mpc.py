@@ -78,10 +78,10 @@ def test_es_step_builds_one_boundary(monkeypatch):
             return real(*args)
         return spy
 
-    # Both modules that hold boundary_half, so a build inside the planner's
-    # generation loop would count too.
-    for module in (mpc, planner):
-        monkeypatch.setattr(module, "boundary_half", spying(module.boundary_half))
+    # The planner is the only module that builds one, for the direct gate and
+    # for the ES alike; mpc holds no boundary_half of its own.
+    assert not hasattr(mpc, "boundary_half")
+    monkeypatch.setattr(planner, "boundary_half", spying(planner.boundary_half))
     q0, goal = bundled_start_goal()
     config = MpcConfig(iterations_per_step=5)
     result = mpc_step(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
@@ -145,9 +145,9 @@ def record_es_inits(monkeypatch):
     """(mean, sigma_scale) of every ES that mpc_step builds from now on."""
     inits = []
 
-    def recording_make_es(problem, basis, mean, sigma_scale):
+    def recording_make_es(problem, mean, sigma_scale):
         inits.append((np.array(mean), sigma_scale))
-        return make_es(problem, basis, mean, sigma_scale)
+        return make_es(problem, mean, sigma_scale)
 
     make_es = mpc.make_es
     monkeypatch.setattr(mpc, "make_es", recording_make_es)

@@ -55,6 +55,13 @@ def test_problem_validation():
         PlanningProblem(bc, lim, n_via=2, max_iterations=0)
     with pytest.raises(ValueError, match="mode"):
         PlanningProblem(bc, lim, n_via=2, mode="diag")
+    # A NaN or negative tol never passes the stall test, so the solve would
+    # silently run every iteration, and an infinite one always does, so it
+    # would stop after two; 0 runs every iteration by request.
+    for tol in (np.nan, -1e-6, np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            PlanningProblem(bc, lim, n_via=2, tol=tol)
+    assert PlanningProblem(bc, lim, n_via=2, tol=0.0).tol == 0.0
     assert solve(PlanningProblem(bc, lim, n_via=2, max_iterations=1)).iterations == 1
 
 
@@ -136,7 +143,7 @@ def test_score_of_non_finite_via_points_is_none():
 def test_make_es_rejects_a_sigma_scale_that_is_not_finite_and_positive(sigma):
     problem = make_1d_problem(n_via=2)
     with pytest.raises(ValueError, match="sigma_scale"):
-        make_es(problem, build_basis(2, 1), straight_line_init(problem.bc, 2), sigma)
+        make_es(problem, straight_line_init(problem.bc, 2), sigma)
     with pytest.raises(ValueError, match="sigma_scale"):
         solve(problem, init_sigma_scale=sigma)
 
