@@ -1,6 +1,8 @@
 """Command-line harness: offline planning, closed-loop MPC, and the two
 ablation studies (via-point count, covariance factorization), all driven by a
-JSON config and emitting CSV artifacts.
+JSON config and emitting CSV artifacts.  The three offline commands are
+sweeps of one solve loop, `offline_runs`: it builds one PlanningProblem per
+(setup, seed) and solves it, and each command turns what it yields into rows.
 
 Each config section has one schema, a `*_KEYS` pair (key -> JSON kind,
 required keys), that `load_config` applies; a null keeps the key's default.
@@ -146,9 +148,6 @@ def _per_dof(value, dof: int):
 
 
 def build_problem(sec: dict) -> tuple[BoundaryConditions, KinodynamicLimits]:
-    for key in ("qd_max", "qdd_max"):
-        if not np.isfinite(sec[key]).all():
-            raise ConfigError(f"key 'problem.{key}' must be finite")
     q0, qT = (np.asarray(sec[key], dtype=float) for key in ("q0", "qT"))
     bc = BoundaryConditions(q0, sec.get("qd0", np.zeros_like(q0)),
                             qT, sec.get("qdT", np.zeros_like(qT)))
@@ -187,22 +186,6 @@ def optimizer_kinds(*excluded: str) -> dict:
     return {key: kind for key, kind in OPTIMIZER_KINDS.items() if key not in excluded}
 
 
-# The optimizer keys and command defaults that are PlanningProblem fields.
-PROBLEM_FIELDS = ("n_via", "pop_size", "max_iterations", "tol", "mode", "use_chol")
-
-
-def planning_problem(opt: dict, bc, limits, weights, checker, seed: int,
-                     **defaults) -> PlanningProblem:
-    """PlanningProblem from an optimizer section.  `defaults` are the command's
-    own values for keys the section leaves out (ablate-chol's 150 iterations)
-    or its schema lacks (ablate-nvia's n_via, ablate-chol's mode and use_chol)."""
-    opt = {**defaults, **opt}
-    with config_values():
-        return PlanningProblem(bc, limits, grid=PhaseGrid(opt.get("grid_k", 50)),
-                               weights=weights, checker=checker, seed=seed,
-                               **{key: opt[key] for key in PROBLEM_FIELDS if key in opt})
-
-
 def load_experiment(args, section: str, keys, world: bool = True):
     """Read and build the parts every command shares: (bc, limits, world or
     None, weights, the command's own section without its seed, the seed)."""
@@ -229,6 +212,32 @@ def out_dir(args) -> Path:
     return path
 
 
+def offline_runs(args, keys, setups, world: bool = True):
+    """The solves of an offline command, in CSV order.
+
+    `setups(opt)` takes the optimizer section's keys that are not
+    PlanningProblem fields out of it and returns the number of seeds and the
+    command's (name, fields) setups.  Each setup solves one PlanningProblem
+    of its fields, overridden by the section's own keys, per seed from the
+    section's seed on.  Yields (name, problem, result), the result None when
+    no candidate admitted a finite duration.
+    """
+    bc, limits, checker, weights, opt, base_seed = load_experiment(
+        args, "optimizer", keys, world)
+    init_sigma, grid_k = opt.pop("init_sigma", None), opt.pop("grid_k", 50)
+    seeds, named = setups(opt)
+    for name, fields in named:
+        for seed in range(base_seed, base_seed + seeds):
+            with config_values():
+                problem = PlanningProblem(bc, limits, grid=PhaseGrid(grid_k), weights=weights,
+                                          checker=checker, seed=seed, **{**fields, **opt})
+            try:
+                result = solve(problem, init_sigma_scale=init_sigma)
+            except InfeasibleError:
+                result = None
+            yield name, problem, result
+
+
 # -- plan ------------------------------------------------------------------
 
 
@@ -236,41 +245,32 @@ PLAN_OPT_KEYS = (optimizer_kinds("n_list", "seeds"), {"n_via"})
 
 
 def cmd_plan(args) -> int:
-    bc, limits, world, weights, opt, base_seed = load_experiment(
-        args, "optimizer", PLAN_OPT_KEYS)
-    runs = opt.get("runs", 1)
-    out = out_dir(args)
-
     rows = []
-    n_valid = 0
-    for i in range(runs):
-        seed = base_seed + i
-        problem = planning_problem(opt, bc, limits, weights, world, seed)
-        try:
-            res = solve(problem, init_sigma_scale=opt.get("init_sigma"))
-        except InfeasibleError:
-            rows.append([seed, float("nan"), float("nan"), False,
-                         problem.max_iterations])
+    for _, problem, res in offline_runs(args, PLAN_OPT_KEYS,
+                                        lambda opt: (opt.pop("runs", 1), [(None, {})])):
+        seed = problem.seed
+        if res is None:
+            rows.append([seed, float("nan"), float("nan"), False, problem.max_iterations])
             continue
         traj, report = res.trajectory, res.report
         if not report.valid and res.best_report.valid:
             traj, report = res.best_trajectory, res.best_report
-        n_valid += report.valid
         rows.append([seed, report.total, traj.duration, report.valid,
                      res.iterations])
         s = np.linspace(0.0, 1.0, 101)
         q, qd, qdd = (traj.evaluate(s, order) for order in range(3))
         traj_rows = [[s_k * traj.duration, *q[k], *qd[k], *qdd[k]]
                      for k, s_k in enumerate(s)]
-        header = ["t"] + [f"{v}{d}" for v in ("q", "qd", "qdd") for d in range(bc.dof)]
-        write_csv(out / f"trajectory_{seed}.csv", header, traj_rows)
+        header = ["t"] + [f"{v}{d}" for v in ("q", "qd", "qdd")
+                          for d in range(problem.bc.dof)]
+        write_csv(out_dir(args) / f"trajectory_{seed}.csv", header, traj_rows)
         if not args.quiet:
             print(f"seed {seed}: T={traj.duration:.4f} valid={report.valid} "
                   f"iters={res.iterations}")
 
-    write_csv(out / "plan_runs.csv",
+    write_csv(out_dir(args) / "plan_runs.csv",
               ["seed", "final_cost", "T", "valid", "iterations"], rows)
-    if n_valid == 0:
+    if not any(valid for _, _, _, valid, _ in rows):
         print("no valid run", file=sys.stderr)
         return 1
     return 0
@@ -351,24 +351,18 @@ NVIA_OPT_KEYS = (optimizer_kinds("n_via", "runs"), set())
 
 
 def cmd_ablate_nvia(args) -> int:
-    bc, limits, _, weights, opt, base_seed = load_experiment(
-        args, "optimizer", NVIA_OPT_KEYS, world=False)
-    n_list = opt.get("n_list", list(range(1, 17)))
-    seeds = opt.get("seeds", 5)
     rows = []
-    for n_via in n_list:
-        for i in range(seeds):
-            problem = planning_problem(opt, bc, limits, weights, None,
-                                       base_seed + i, n_via=n_via)
-            try:
-                res = solve(problem, init_sigma_scale=opt.get("init_sigma"))
-            except InfeasibleError:
-                rows.append([n_via, float("nan"), problem.max_iterations])
-                continue
-            rows.append([n_via, res.trajectory.duration, res.iterations])
-            if not args.quiet:
-                print(f"N={n_via} seed={base_seed + i}: "
-                      f"T={res.trajectory.duration:.4f} iters={res.iterations}")
+    for n_via, problem, res in offline_runs(
+            args, NVIA_OPT_KEYS, lambda opt: (opt.pop("seeds", 5), [
+                (n, {"n_via": n}) for n in opt.pop("n_list", range(1, 17))]),
+            world=False):
+        if res is None:
+            rows.append([n_via, float("nan"), problem.max_iterations])
+            continue
+        rows.append([n_via, res.trajectory.duration, res.iterations])
+        if not args.quiet:
+            print(f"N={n_via} seed={problem.seed}: "
+                  f"T={res.trajectory.duration:.4f} iters={res.iterations}")
     write_csv(out_dir(args) / "ablate_nvia.csv", ["N", "T_final", "iterations"], rows)
     if all(np.isnan(t_final) for _, t_final, _ in rows):
         print("no feasible run", file=sys.stderr)
@@ -378,32 +372,27 @@ def cmd_ablate_nvia(args) -> int:
 
 CHOL_OPT_KEYS = (optimizer_kinds("n_list", "runs"), set())
 
-CHOL_SETUPS = (("sep_chol", "sep", True), ("sep_plain", "sep", False),
-               ("full_chol", "full", True), ("full_plain", "full", False))
+# Each setup's name and ES variant, with 6 via-points and 150 iterations
+# unless the section sets them.
+CHOL_SETUPS = tuple((name, dict(mode=mode, use_chol=chol, n_via=6, max_iterations=150))
+                    for name, mode, chol in (
+                        ("sep_chol", "sep", True), ("sep_plain", "sep", False),
+                        ("full_chol", "full", True), ("full_plain", "full", False)))
 
 
 def cmd_ablate_chol(args) -> int:
-    bc, limits, world, weights, opt, base_seed = load_experiment(
-        args, "optimizer", CHOL_OPT_KEYS)
-    seeds = opt.get("seeds", 20)
     rows = []
-    for name, mode, use_chol in CHOL_SETUPS:
-        for i in range(seeds):
-            problem = planning_problem(opt, bc, limits, weights, world,
-                                       base_seed + i, n_via=6, max_iterations=150,
-                                       mode=mode, use_chol=use_chol)
-            try:
-                res = solve(problem, init_sigma_scale=opt.get("init_sigma"))
-            except InfeasibleError:
-                rows.append([name, base_seed + i, problem.max_iterations,
-                             float("nan"), -1])
-                continue
-            first_valid = -1 if res.first_valid_iter is None else res.first_valid_iter
-            for it, cost in enumerate(res.history_best, start=1):
-                rows.append([name, base_seed + i, it, cost, first_valid])
-            if not args.quiet:
-                print(f"{name} seed={base_seed + i}: first_valid={first_valid} "
-                      f"best={res.history_best[-1]:.4f}")
+    for name, problem, res in offline_runs(
+            args, CHOL_OPT_KEYS, lambda opt: (opt.pop("seeds", 20), CHOL_SETUPS)):
+        if res is None:
+            rows.append([name, problem.seed, problem.max_iterations, float("nan"), -1])
+            continue
+        first_valid = -1 if res.first_valid_iter is None else res.first_valid_iter
+        for it, cost in enumerate(res.history_best, start=1):
+            rows.append([name, problem.seed, it, cost, first_valid])
+        if not args.quiet:
+            print(f"{name} seed={problem.seed}: first_valid={first_valid} "
+                  f"best={res.history_best[-1]:.4f}")
     write_csv(out_dir(args) / "ablate_chol.csv",
               ["setup", "seed", "iteration", "best_cost", "first_valid_iter"],
               rows)

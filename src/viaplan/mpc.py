@@ -6,9 +6,10 @@ by warm-starting from the time-shifted previous solution or by exploring
 from a straight-line guess, and runs the planner's shared generation loop
 (always sep-CMA-ES behind the smoothness Cholesky factor) until the step
 budget expires, over the boundary that `planner.make_es` returns with the
-ES.  The direct trajectory is scored by `planner.score_direct` and the final
-mean by `planner.score`, which give (None, None) when no finite duration
-meets the limits.  Either way the step ends in `extract_reference`, which
+ES; over a boundary that breaks the velocity limits, where no candidate has
+a duration, it runs no generation.  The direct trajectory is scored by
+`planner.score_direct` and the final mean by `planner.score`, which give
+(None, None) when no finite duration meets the limits.  Either way the step ends in `extract_reference`, which
 samples the first dt_mpc of the solution at the plant rate with
 `Trajectory.at_time`.  The greedy baseline is another step function for the
 same closed loop and `step_problem`: it scores each endpoint alone as a
@@ -159,7 +160,9 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
                  * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0))
         problem = replace(problem, n_via=n_via)
         es, boundary = make_es(problem, mean, sigma)
-        for _ in generations(es, boundary, problem):
+        # Over a boundary that breaks the velocity limits no candidate has a
+        # duration, so no generation runs and the mean scores (None, None).
+        for _ in generations(es, boundary, problem) if boundary.lanes.feasible else ():
             iterations += 1
             if config.iterations_per_step is not None:
                 if iterations >= config.iterations_per_step:

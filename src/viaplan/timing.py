@@ -40,7 +40,9 @@ class InfeasibleError(Exception):
 @dataclass(frozen=True, eq=False)
 class KinodynamicLimits:
     """Per-DoF box bounds on velocity, acceleration and (optionally) position,
-    held as read-only copies like BoundaryConditions."""
+    held as read-only copies like BoundaryConditions.  Velocity and
+    acceleration bounds are finite: an unbounded one would let every move
+    take zero time.  Position bounds may be infinite."""
 
     qd_min: np.ndarray
     qd_max: np.ndarray
@@ -58,6 +60,9 @@ class KinodynamicLimits:
             raise ValueError("velocity bounds must straddle zero")
         if not (np.all(self.qdd_min < 0.0) and np.all(self.qdd_max > 0.0)):
             raise ValueError("acceleration bounds must straddle zero")
+        if not all(np.isfinite(v).all() for v in (self.qd_min, self.qd_max,
+                                                  self.qdd_min, self.qdd_max)):
+            raise ValueError("velocity and acceleration bounds must be finite")
         if (self.q_min is None) != (self.q_max is None):
             raise ValueError("q_min and q_max must be given together")
         if self.q_min is not None and not np.all(self.q_min < self.q_max):

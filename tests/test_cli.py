@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import viaplan
+from viaplan import cli
 from viaplan.cli import COSTS_KEYS, ConfigError, load_config, main, parse_disturb
+from viaplan.timing import InfeasibleError
 
 
 def write_config(path, data):
@@ -137,11 +139,13 @@ def with_value(base, section, keys, value):
     *((command, "optimizer", "tol", value, "tol must be finite and non-negative")
       for command in ("plan", "ablate-nvia", "ablate-chol")
       for value in (float("nan"), -1e-6, float("inf"))),
-    # An infinite limit, for every DoF or for one, would give a T=0 plan.
-    ("plan", "problem", "qd_max", float("inf"), "problem.qd_max"),
-    ("plan", "problem", "qdd_max", float("inf"), "problem.qdd_max"),
-    ("mpc", "problem", "qd_max", [0.5, float("inf")], "problem.qd_max"),
-    ("mpc", "problem", "qdd_max", [float("inf"), 2.0], "problem.qdd_max"),
+    # An infinite limit, for every DoF or for one, would give a T=0 plan;
+    # KinodynamicLimits rejects it.
+    *((command, "problem", key, value, "velocity and acceleration bounds must be finite")
+      for command, key, value in (("plan", "qd_max", float("inf")),
+                                  ("plan", "qdd_max", float("inf")),
+                                  ("mpc", "qd_max", [0.5, float("inf")]),
+                                  ("mpc", "qdd_max", [float("inf"), 2.0]))),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):
@@ -343,35 +347,64 @@ def test_ablate_nvia_artifacts(tmp_path):
     assert len(lines) == 5
 
 
-def test_ablate_nvia_infeasible_runs_are_nan_rows(tmp_path, capsys):
-    # The start velocity exceeds qd_max, so no candidate has a duration.
-    cfg = {
-        "problem": {"q0": [0.0], "qd0": [0.5], "qT": [1.0], "qd_max": 0.1,
-                    "qdd_max": 0.2},
-        "optimizer": {"n_list": [1, 2], "seeds": 1, "pop_size": 8,
-                      "max_iterations": 3, "seed": 0},
-        "costs": {},
-    }
+def assert_nan_rows(tmp_path, capsys, command, cfg, lines, says):
+    """command on cfg exits 1 with says on stderr, writing only its CSV of lines."""
     out = tmp_path / "out"
-    assert main(["ablate-nvia", write_config(tmp_path / "c.json", cfg),
+    assert main([command, write_config(tmp_path / "c.json", cfg),
                  "--out-dir", str(out), "--quiet"]) == 1
-    assert "Traceback" not in capsys.readouterr().err
-    lines = (out / "ablate_nvia.csv").read_text().splitlines()
-    assert lines == ["N,T_final,iterations", "1,nan,3", "2,nan,3"]
+    err = capsys.readouterr().err
+    assert says in err and "Traceback" not in err
+    csv, = out.iterdir()
+    assert csv.read_text().splitlines() == lines
+
+
+def test_plan_infeasible_run_is_a_nan_row(tmp_path, capsys):
+    # The start velocity exceeds qd_max, so no candidate has a duration.
+    cfg = with_value(PLAN_1D, "problem", "qd0", [0.5])
+    cfg["optimizer"].update(runs=1, max_iterations=3)
+    assert_nan_rows(tmp_path, capsys, "plan", cfg, [
+        "seed,final_cost,T,valid,iterations", "0,nan,nan,false,3"], "no valid run")
+
+
+def test_ablate_nvia_infeasible_runs_are_nan_rows(tmp_path, capsys):
+    cfg = with_value(ABLATE_1D, "problem", "qd0", [0.5])
+    cfg["optimizer"]["n_list"] = [1, 2]
+    assert_nan_rows(tmp_path, capsys, "ablate-nvia", cfg, [
+        "N,T_final,iterations", "1,nan,3", "2,nan,3"], "no feasible run")
 
 
 def test_ablate_chol_infeasible_runs_are_nan_rows(tmp_path, capsys):
-    # The start velocity exceeds qd_max, so no candidate has a duration.
     cfg = with_value(ABLATE_1D, "problem", "qd0", [0.5])
-    out = tmp_path / "out"
-    assert main(["ablate-chol", write_config(tmp_path / "c.json", cfg),
-                 "--out-dir", str(out), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert "no feasible run" in err and "Traceback" not in err
-    lines = (out / "ablate_chol.csv").read_text().splitlines()
-    assert lines == ["setup,seed,iteration,best_cost,first_valid_iter",
-                     "sep_chol,0,3,nan,-1", "sep_plain,0,3,nan,-1",
-                     "full_chol,0,3,nan,-1", "full_plain,0,3,nan,-1"]
+    assert_nan_rows(tmp_path, capsys, "ablate-chol", cfg, [
+        "setup,seed,iteration,best_cost,first_valid_iter",
+        "sep_chol,0,3,nan,-1", "sep_plain,0,3,nan,-1",
+        "full_chol,0,3,nan,-1", "full_plain,0,3,nan,-1"], "no feasible run")
+
+
+def test_ablate_chol_section_overrides_its_setups(tmp_path, monkeypatch):
+    # Each of the four setups solves one problem per seed from the section's
+    # seed on, with 6 via-points and 150 iterations unless the section sets
+    # them.
+    solved = []
+
+    def spy(problem, init_sigma_scale=None):
+        solved.append(problem)
+        raise InfeasibleError("spy")
+
+    monkeypatch.setattr(cli, "solve", spy)
+    setups = [(mode, use_chol) for mode in ("sep", "full") for use_chol in (True, False)]
+    for overrides, n_via, max_iterations in (({}, 6, 150),
+                                             ({"n_via": 2, "max_iterations": 7}, 2, 7)):
+        solved.clear()
+        cfg = copy.deepcopy(ABLATE_1D)
+        del cfg["optimizer"]["max_iterations"]
+        cfg["optimizer"].update(seeds=3, seed=4, **overrides)
+        assert main(["ablate-chol", write_config(tmp_path / "c.json", cfg),
+                     "--out-dir", str(tmp_path / "o"), "--quiet"]) == 1
+        assert [(p.mode, p.use_chol, p.seed) for p in solved] == [
+            (mode, use_chol, seed) for mode, use_chol in setups for seed in (4, 5, 6)]
+        assert {(p.n_via, p.max_iterations, p.pop_size) for p in solved} == {
+            (n_via, max_iterations, 8)}
 
 
 def test_ablate_chol_artifacts(tmp_path):

@@ -22,6 +22,7 @@ bases, boundary halves and ES, scored each greedy endpoint through their own
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -510,9 +511,12 @@ def test_min_duration_arrays_matches_two_root_calls(seed, n_points, dof, edges):
     elif edges == "inf":
         # Unbounded velocity on some DoFs: qd_max - b and qd_min - b are
         # infinities of the limit's sign, whatever (finite) b is.
+        # KinodynamicLimits rejects infinite bounds, so the kernel and the
+        # reference take them from a plain holder.
         free = rng.random((2, dof)) < 0.5
-        limits = dataclasses.replace(limits, qd_max=np.where(free[0], np.inf, hi),
-                                     qd_min=np.where(free[1], -np.inf, lo))
+        limits = SimpleNamespace(qd_max=np.where(free[0], np.inf, hi),
+                                 qd_min=np.where(free[1], -np.inf, lo),
+                                 qdd_max=limits.qdd_max, qdd_min=limits.qdd_min)
     # The feasibility test of the b-based kernel.
     b_feasible = not ((b > limits.qd_max).any() or (b < limits.qd_min).any())
     assert BoundaryLanes.from_splits(b, d, limits).feasible == b_feasible
@@ -741,6 +745,10 @@ def test_step_matches_its_reference(step, ref):
                        prev_result=prev, seed=k)
             want = ref(q, qd, qT, qdT, limits, config, checker=checker,
                        prev_result=prev, seed=k)
+            if step is mpc_step and np.any(np.abs(qd) > 0.5):
+                # Above qd_max the step runs no generation; the reference runs
+                # its budget of infeasible ones to the same result.
+                want = dataclasses.replace(want, iterations_run=0)
             assert_same_step(got, want)
             seen.add((got.mode, got.valid, got.solution is not None
                       and got.solution.degenerate))

@@ -94,6 +94,31 @@ def test_es_step_builds_one_boundary(monkeypatch):
         assert limits is LIMITS_2D and grid.k == config.grid_k
 
 
+def test_step_above_qd_max_runs_no_generation(monkeypatch):
+    # A start beyond qd_max leaves no candidate a duration, so the step runs
+    # no generation: it synthesizes the direct plan and the mean, both
+    # infeasible, and scores no population.
+    calls = {"synthesize": 0, "evaluate_candidates": 0}
+
+    def counting(name):
+        real = getattr(planner, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(planner, name, counting(name))
+    q0, goal = bundled_start_goal()
+    result = mpc_step(q0, np.array([0.8, 0.0]), goal, np.zeros(2), LIMITS_2D,
+                      MpcConfig(iterations_per_step=5),
+                      checker=bundled_cluttered_world())
+    assert result.mode == "explore" and result.iterations_run == 0
+    assert result.solution is None and result.report is None and not result.valid
+    assert calls == {"synthesize": 2, "evaluate_candidates": 0}
+
+
 def test_direct_step_at_its_goal_emits_rest_reference():
     # At rest on its own goal, the direct trajectory is degenerate and the
     # reference holds the state with zero velocity.

@@ -56,6 +56,18 @@ def test_limits_validation():
         KinodynamicLimits([0.1], [0.2], [-1.0], [1.0])
     with pytest.raises(ValueError):
         KinodynamicLimits([-0.1], [0.1], [-1.0], [1.0], q_min=[0.0], q_max=None)
+    # An unbounded velocity or acceleration bound, on either side, would let
+    # every move take zero time; unbounded positions are fine.
+    for i in range(4):
+        for inf in (-np.inf, np.inf):
+            bounds = [[-0.1], [0.1], [-1.0], [1.0]]
+            bounds[i] = [inf]
+            with pytest.raises(ValueError):
+                KinodynamicLimits(*bounds)
+    with pytest.raises(ValueError, match="must be finite"):
+        KinodynamicLimits.symmetric(np.inf, np.inf, 2)
+    lim = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(-np.inf, np.inf))
+    assert np.all(np.isinf(lim.q_max))
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 3, q_range=(-1.0, 1.0))
     np.testing.assert_allclose(lim.qd_min, [-0.5] * 3)
     np.testing.assert_allclose(lim.q_max, [1.0] * 3)
