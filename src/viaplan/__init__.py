@@ -9,9 +9,9 @@ from .planner import PlanningProblem, SolveResult, solve
 from .spline import (BoundaryConditions, SplineBasis, build_basis, smoothness_cost,
                      smoothness_gram, via_timings)
 from .timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
-                     boundary_half, min_duration, synthesize, synthesize_direct)
+                     boundary_half, min_duration, synthesize)
 from .worlds import (Disk, Rect, World2D, ablation_world_1d,
-                     bundled_cluttered_world, bundled_start_goal, path_winding,
+                     bundled_cluttered_world, bundled_start_goal,
                      single_obstacle_world)
 
 __version__ = "0.1.0"

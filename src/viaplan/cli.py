@@ -257,10 +257,9 @@ def cmd_plan(args) -> int:
             traj, report = res.best_trajectory, res.best_report
         rows.append([seed, report.total, traj.duration, report.valid,
                      res.iterations])
-        s = np.linspace(0.0, 1.0, 101)
-        q, qd, qdd = (traj.evaluate(s, order) for order in range(3))
-        traj_rows = [[s_k * traj.duration, *q[k], *qd[k], *qdd[k]]
-                     for k, s_k in enumerate(s)]
+        grid = PhaseGrid(100)
+        traj_rows = [[t, *q, *qd, *qdd] for t, q, qd, qdd in
+                     zip(grid.points * traj.duration, *traj.sample_grid(grid))]
         header = ["t"] + [f"{v}{d}" for v in ("q", "qd", "qdd")
                           for d in range(problem.bc.dof)]
         write_csv(out_dir(args) / f"trajectory_{seed}.csv", header, traj_rows)

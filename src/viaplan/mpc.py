@@ -1,19 +1,18 @@
 """Online re-optimization: full-horizon MPC steps under a wall-clock budget.
 
 Each step first tries the deterministic no-via-point trajectory (stopping
-primitive); when that fails the gate, it initializes the evolution strategy
-by warm-starting from the time-shifted previous solution or by exploring
-from a straight-line guess, and runs the planner's shared generation loop
-(always sep-CMA-ES behind the smoothness Cholesky factor) until the step
-budget expires, over the boundary that `planner.make_es` returns with the
-ES; over a boundary that breaks the velocity limits, where no candidate has
-a duration, it runs no generation.  The direct trajectory is scored by
-`planner.score_direct` and the final mean by `planner.score`, which give
-(None, None) when no finite duration meets the limits.  Either way the step ends in `extract_reference`, which
-samples the first dt_mpc of the solution at the plant rate with
-`Trajectory.at_time`.  The greedy baseline is another step function for the
-same closed loop and `step_problem`: it scores each endpoint alone as a
-no-via-point plan with `score_direct`, and extracts its reference the same way.
+primitive), scored by `planner.score_direct`.  When that fails the gate, it
+starts the evolution strategy from the time-shifted previous solution
+(`warm_start`, None once that has expired) or from a straight-line guess,
+runs the planner's generation loop (always sep-CMA-ES behind the smoothness
+Cholesky factor) over the boundary that `planner.make_es` returns until the
+step budget expires, and scores the final mean with `planner.score`.  Both
+scores are (None, None) when no finite duration meets the limits.  Either
+way the step ends in `extract_reference`, which samples the first dt_mpc of
+the solution at the plant rate with `Trajectory.at_time`.  The greedy
+baseline is another step function for the same closed loop and
+`step_problem`: it scores each endpoint alone as a no-via-point plan with
+`score_direct`, and extracts its reference the same way.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ from .timing import KinodynamicLimits, PhaseGrid, Trajectory
 
 GREEDY_HORIZON = 0.15   # greedy baseline: reach of one step's endpoint
 GREEDY_SAMPLES = 32     # greedy baseline: endpoints tried per step
-
-
-class ExpiredError(Exception):
-    """The previous solution is shorter than the elapsed time."""
 
 
 @dataclass
@@ -55,10 +50,10 @@ class MpcConfig:
     vel_tol: float = 1e-3
 
     def __post_init__(self):
-        if not all(0.0 < v < np.inf for v in (self.dt_mpc, self.t_stop, self.alpha)):
-            raise ValueError("dt_mpc, t_stop and alpha must be finite and positive")
-        if not (self.goal_tol > 0.0 and self.vel_tol > 0.0):
-            raise ValueError("goal_tol and vel_tol must be positive")
+        if not all(0.0 < v < np.inf for v in (self.dt_mpc, self.t_stop, self.alpha,
+                                              self.goal_tol, self.vel_tol)):
+            raise ValueError("dt_mpc, t_stop, alpha, goal_tol and vel_tol must be "
+                             "finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n_max < 1:
@@ -100,14 +95,11 @@ def select_n_via(t_prev: float, alpha: float, n_max: int) -> int:
 
 def warm_start(prev_solution: Trajectory, elapsed: float, alpha: float,
                n_max: int):
-    """Time-shifted previous solution as the next initial mean.
-
-    Returns (mean, n_via); raises ExpiredError when the previous solution has
-    no remaining tail.
-    """
+    """Time-shifted previous solution as the next initial mean: (mean, n_via),
+    or None when the previous solution has no remaining tail."""
     t_rem = prev_solution.duration - elapsed
     if t_rem <= 0.0:
-        raise ExpiredError("previous solution expired")
+        return None
     n_via = select_n_via(t_rem, alpha, n_max)
     t_via = elapsed + via_timings(n_via) * t_rem
     return prev_solution.at_time(t_via).reshape(-1), n_via
@@ -148,21 +140,17 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
 
     mode, iterations = "direct", 0
     if report is None or not (report.valid and solution.duration <= config.t_stop):
-        mode, mean, n_via = "explore", straight_line_init(bc, config.n_max), config.n_max
+        shifted = None
         if prev_result is not None and prev_result.valid and prev_result.solution is not None:
-            try:
-                mean, n_via = warm_start(prev_result.solution, config.dt_mpc,
-                                         config.alpha, config.n_max)
-                mode = "warmstart"
-            except ExpiredError:
-                pass
+            shifted = warm_start(prev_result.solution, config.dt_mpc, config.alpha,
+                                 config.n_max)
+        mode = "explore" if shifted is None else "warmstart"
+        mean, n_via = shifted or (straight_line_init(bc, config.n_max), config.n_max)
         sigma = ((0.05 if mode == "warmstart" else 0.5)
                  * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0))
         problem = replace(problem, n_via=n_via)
         es, boundary = make_es(problem, mean, sigma)
-        # Over a boundary that breaks the velocity limits no candidate has a
-        # duration, so no generation runs and the mean scores (None, None).
-        for _ in generations(es, boundary, problem) if boundary.lanes.feasible else ():
+        for _ in generations(es, boundary, problem):
             iterations += 1
             if config.iterations_per_step is not None:
                 if iterations >= config.iterations_per_step:
@@ -200,8 +188,8 @@ class LagPlant(ExactPlant):
 
     def __init__(self, q, qd=None, time_constant: float = 0.05):
         super().__init__(q, qd)
-        if not time_constant > 0.0:
-            raise ValueError("lag_time_constant must be positive")
+        if not 0.0 < time_constant < np.inf:
+            raise ValueError("lag_time_constant must be finite and positive")
         self.time_constant = time_constant
 
     def advance(self, horizon: ShortHorizon) -> None:

@@ -38,7 +38,7 @@ class SmoothnessPrior:
 
 def build_prior(basis: SplineBasis) -> SmoothnessPrior:
     """Invert the via-point Gram matrix and factor the covariance."""
-    sigma = np.linalg.inv(smoothness_gram(basis)[0])
+    sigma = np.linalg.inv(smoothness_gram(basis))
     sigma = 0.5 * (sigma + sigma.T)
     return SmoothnessPrior(sigma=sigma, chol=np.linalg.cholesky(sigma))
 
@@ -48,7 +48,7 @@ class EvolutionStrategy:
 
     def __init__(self, mean: np.ndarray, sigma_diag: float | np.ndarray,
                  pop_size: int, transform: np.ndarray | None = None,
-                 mode: str = "sep", step_size: float = 1.0, seed: int = 0):
+                 mode: str = "sep", seed: int = 0):
         if mode not in ("sep", "full"):
             raise ValueError("mode must be 'sep' or 'full'")
         self.mean = np.asarray(mean, dtype=float).copy()
@@ -62,7 +62,7 @@ class EvolutionStrategy:
             if np.ndim(sigma_diag) == 0 else np.asarray(sigma_diag, dtype=float).copy()
         if np.any(self.sigma_diag <= 0.0):
             raise ValueError("sigma_diag must be positive")
-        self.step_size = float(step_size)
+        self.step_size = 1.0
         self.rng = np.random.default_rng(seed)
         self.iteration = 0
 

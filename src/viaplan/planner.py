@@ -4,12 +4,14 @@
 duration kernel (`timing.boundary_half`), which depends only on the problem,
 so `solve` gets both from one call per solve and `mpc.mpc_step` from one
 call per ES step.  `generations` runs sample -> evaluate -> update for as
-long as its caller iterates.  `score` synthesizes and scores one via-point
-vector, and `score_direct` scores the no-via-point plan between the states
-of a `BoundaryConditions` through it: the MPC direct gate and each endpoint
-of the greedy baseline are such plans.  Scoring has one contract: a scored
-population is the candidates of one boundary, and a candidate with no
-finite duration scores as (None, None) in `score` and as a None trajectory
+long as its caller iterates, and owns the infeasible-boundary rule: over a
+boundary whose velocities break the limits it runs no generation, so
+`solve` raises InfeasibleError there and an MPC step scores only its mean.
+`score` synthesizes and scores one via-point vector, and `score_direct`
+scores the no-via-point plan between the states of a `BoundaryConditions`
+through it: the MPC direct gate and each endpoint of the greedy baseline are
+such plans.  Scoring has one contract: a scored population is the
+candidates of one boundary, and a candidate with no finite duration scores as (None, None) in `score` and as a None trajectory
 and report in `evaluate_candidates`.  `evaluate_candidates` synthesizes
 each candidate's minimal duration on its own and scores the feasible ones
 together in one `costs.evaluate_total` call.  `solve` stops when the best
@@ -136,9 +138,11 @@ def evaluate_candidates(boundary: Boundary, candidates: np.ndarray,
 
 def generations(es: EvolutionStrategy, boundary: Boundary,
                 problem: PlanningProblem):
-    """Sample, evaluate and update without end; yields each generation's
-    (trajectories, reports, costs) after its update."""
-    while True:
+    """Sample, evaluate and update for as long as the caller iterates; yields
+    each generation's (trajectories, reports, costs) after its update.  Over
+    a boundary whose velocities break the limits no candidate has a
+    duration, so it yields nothing."""
+    while boundary.lanes.feasible:
         candidates = es.sample()
         trajs, reports, costs = evaluate_candidates(boundary, candidates, problem)
         es.update(costs)
@@ -148,7 +152,8 @@ def generations(es: EvolutionStrategy, boundary: Boundary,
 def solve(problem: PlanningProblem,
           init_sigma_scale: float | None = None) -> SolveResult:
     """Run the optimization loop from the straight line q0 -> qT and return
-    the mean and best-ever solutions."""
+    the mean and best-ever solutions; raises InfeasibleError when no
+    candidate admitted a finite duration."""
     bc = problem.bc
     if init_sigma_scale is None:
         init_sigma_scale = 0.5 * float(np.linalg.norm(bc.qT - bc.q0)) or 0.5

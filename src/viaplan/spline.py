@@ -81,7 +81,7 @@ class SplineBasis:
         self.h = 1.0 / (n_via + 1)
         self._coeffs = self._build_coeffs(n_via)
         self.gram = self._build_gram()   # (N+4, N+4), of the scalar vector
-        self._grid_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._grid_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @staticmethod
     def _build_coeffs(n: int) -> np.ndarray:
@@ -157,13 +157,16 @@ class SplineBasis:
         raise ValueError("order must be 0, 1 or 2")
 
     def grid_matrices(self, n_points: int):
-        """Cached (E0, E1, E2) evaluation matrices on a uniform phase grid,
-        read-only since every caller on this basis shares them."""
+        """Cached evaluation matrices on a uniform phase grid: E0, and E1 and
+        E2 stacked as (E1, E2, E2) on a leading axis, the shape the duration
+        kernel multiplies by.  Read-only, since every caller on this basis
+        shares them."""
         cached = self._grid_cache.get(n_points)
         if cached is None:
             s = np.linspace(0.0, 1.0, n_points)
-            cached = tuple(frozen_array(self.eval_matrix(s, order))
-                           for order in range(3))
+            e1, e2 = (self.eval_matrix(s, order) for order in (1, 2))
+            cached = (frozen_array(self.eval_matrix(s, 0)),
+                      frozen_array(np.stack((e1, e2, e2))))
             self._grid_cache[n_points] = cached
         return cached
 
@@ -211,14 +214,11 @@ def build_basis(n_via: int, dof: int) -> SplineBasis:
     return SplineBasis(n_via, dof)
 
 
-def smoothness_gram(basis: SplineBasis):
-    """Stacked-vector Gram blocks (G_via: ND x ND, G_cross: ND x 4D).
-
-    Stacking is via-major / DoF-minor, i.e. an (N, D) via-point matrix
-    flattened row by row, and the boundary parameter order [q0, q'0, qT, q'T].
-    """
-    n, eye = basis.n_via, np.eye(basis.dof)
-    return np.kron(basis.gram[:n, :n], eye), np.kron(basis.gram[:n, n:], eye)
+def smoothness_gram(basis: SplineBasis) -> np.ndarray:
+    """The ND x ND Gram block of the stacked via-points, stacked via-major /
+    DoF-minor, i.e. an (N, D) via-point matrix flattened row by row."""
+    n = basis.n_via
+    return np.kron(basis.gram[:n, :n], np.eye(basis.dof))
 
 
 def smoothness_cost(basis: SplineBasis, q_via, bc: BoundaryConditions,

@@ -9,17 +9,20 @@ synthesized duration is the most conservative of these, which saturates at
 least one bound at one grid point.  The kernel comes in two halves: the
 boundary half (`Boundary`, from b and d) is built by `boundary_half` from
 exactly what a whole solve or MPC step shares, the basis, boundary conditions,
-limits and grid, once per solve or MPC step, and is passed to every
-`synthesize` of it.  The boundary half holds its lanes read-only and already
+limits and grid, once per solve or MPC step, with the stacked grid matrices
+that `SplineBasis.grid_matrices` caches, and is passed to every `synthesize`
+of it.  The boundary half holds its lanes read-only and already
 in the shape of the acceleration roots, so the candidate half
 (`BoundaryLanes.duration`), which takes a and c, writes the velocity lane and
 the roots of the upper and lower acceleration quadratics into one buffer in
 about fifteen numpy calls that broadcast nothing.  A move that stays at one
 rest state (q0 == qT, zero boundary velocities, every via-point at q0) has
 duration 0.0 exactly, whatever the rounding of a and c; via-points with a
-non-finite entry have no duration.  Durations are synthesized one candidate
-per `synthesize` call; costs are scored per population in
-`costs.evaluate_total`.  A `Trajectory` evaluates at phases (`evaluate`, as
+non-finite entry have no duration.  The no-via-point plan between two
+states is `synthesize` over the boundary half of `build_basis(0, D)` with
+None for its via-points, as `planner.score_direct` builds it.  Durations
+are synthesized one candidate per `synthesize` call; costs are scored per
+population in `costs.evaluate_total`.  A `Trajectory` evaluates at phases (`evaluate`, as
 `sample_grid` does) and at one time or an array of times (`at_time`, each
 time as if alone); a zero duration is degenerate and rests at q0.
 """
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spline import BoundaryConditions, SplineBasis, build_basis, frozen_array
+from .spline import BoundaryConditions, SplineBasis, frozen_array
 
 
 class InfeasibleError(Exception):
@@ -259,11 +262,10 @@ def boundary_half(basis: SplineBasis, bc: BoundaryConditions,
                   limits: KinodynamicLimits, grid: PhaseGrid) -> Boundary:
     """The boundary half of the duration kernel, built once per solve or
     MPC step and shared by all its candidates."""
-    _, e1, e2 = basis.grid_matrices(grid.n_points)
+    _, e_stack = basis.grid_matrices(grid.n_points)
+    e1, e2, _ = e_stack
     u_a, u_b = basis.pack_split(np.zeros((basis.n_via, basis.dof)), bc)
     rest = bool((bc.q0 == bc.qT).all() and not (bc.qd0.any() or bc.qdT.any()))
-    e_stack = np.stack((e1, e2, e2))
-    e_stack.flags.writeable = False
     return Boundary(basis, bc, frozen_array(u_a[basis.n_via:]), e_stack,
                     BoundaryLanes.from_splits(e1 @ u_b, e2 @ u_b, limits), rest)
 
@@ -294,9 +296,3 @@ def synthesize(boundary: Boundary, q_via) -> Trajectory:
     """Build the kinodynamically admissible trajectory of minimal duration."""
     pts = boundary.basis.via_matrix(q_via)
     return Trajectory(boundary.basis, pts, boundary.bc, min_duration(boundary, pts))
-
-
-def synthesize_direct(bc: BoundaryConditions, limits: KinodynamicLimits,
-                      grid: PhaseGrid) -> Trajectory:
-    """No-via-point trajectory: the unique clamped cubic between the states."""
-    return synthesize(boundary_half(build_basis(0, bc.dof), bc, limits, grid), None)

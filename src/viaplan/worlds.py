@@ -133,14 +133,3 @@ def bundled_start_goal() -> tuple[np.ndarray, np.ndarray]:
 def single_obstacle_world() -> World2D:
     """One large disk blocking the straight start-goal line (ablation setup)."""
     return World2D(obstacles=(Disk([0.5, 0.5], 0.18),), robot_radius=0.02)
-
-
-def path_winding(points: np.ndarray, reference: np.ndarray) -> int:
-    """Net half-turns of a path around a reference point, rounded.
-
-    Paths in different homotopy classes relative to a single blocking region
-    get different values (e.g. passing above vs. below it).
-    """
-    pts = np.asarray(points, dtype=float) - np.asarray(reference, dtype=float)
-    ang = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
-    return int(np.round((ang[-1] - ang[0]) / np.pi))

@@ -20,8 +20,7 @@ from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import (KinodynamicLimits, PhaseGrid, Trajectory, boundary_half,
                             synthesize)
 from viaplan.worlds import (ablation_world_1d, bundled_cluttered_world,
-                            bundled_start_goal, path_winding,
-                            single_obstacle_world)
+                            bundled_start_goal, single_obstacle_world)
 
 import conftest
 from test_spline import qp_reference
@@ -109,7 +108,7 @@ def test_criterion_3_offline_success_rate(offline_2d_runs):
     for valid, traj in results:
         if valid:
             path = traj.evaluate(np.linspace(0.0, 1.0, 200))
-            classes.add(path_winding(path, ref))
+            classes.add(conftest.path_winding(path, ref))
     report(3, n_valid >= 95 and len(classes) >= 2,
            f"valid={n_valid}/100, homotopy classes={sorted(classes)}")
 
@@ -246,7 +245,8 @@ def test_criterion_8_smoothness_prior_sampling():
     step = 0.7
     es = EvolutionStrategy(conftest.conditioned_mean(basis, bc), sigma_diag,
                            pop_size=100_000, transform=prior.chol,
-                           step_size=step, seed=0)
+                           seed=0)
+    es.step_size = step
     samples = es.sample()
     empirical = np.cov(samples.T)
     theory = step**2 * prior.chol @ np.diag(sigma_diag) @ prior.chol.T

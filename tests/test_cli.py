@@ -146,6 +146,12 @@ def with_value(base, section, keys, value):
                                   ("plan", "qdd_max", float("inf")),
                                   ("mpc", "qd_max", [0.5, float("inf")]),
                                   ("mpc", "qdd_max", [float("inf"), 2.0]))),
+    # An infinite goal_tol or vel_tol would end the episode at step 0 with the
+    # goal "reached", and an infinite lag time constant would never move the
+    # plant.
+    ("mpc", "mpc", "goal_tol", float("inf"), "goal_tol"),
+    ("mpc", "mpc", "vel_tol", float("inf"), "vel_tol"),
+    ("mpc", "mpc", "lag_time_constant", float("inf"), "lag_time_constant"),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):

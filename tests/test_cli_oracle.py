@@ -1,0 +1,306 @@
+"""A validity oracle at the CLI boundary.
+
+Hypothesis draws configs for every command: DoF 1-3, with a world that only
+a 2-DoF problem may have, boundary velocities at rest, inside, on and beyond
+qd_max, and in about half the examples one entry replaced by 0, -1, NaN or
+an infinity: a velocity, acceleration or position limit, a cost weight, a
+tolerance or a closed-loop setting.  Every run must end in one of two ways:
+
+- exit 2 with `config error: ` and no traceback, which every NaN and every
+  infinity outside the position limits must give; or
+- exit 0 or 1, with an exit code that agrees with the rows, and every valid
+  plan's `trajectory_<seed>.csv` passing a check that shares no code with the
+  planner: it starts at q0, ends at qT, and stays within the velocity,
+  acceleration and position limits plus 1e-9 and out of every obstacle at
+  all of its 101 samples.
+
+The plan configs use grid_k 100 or 200, whose phase grids hold the CSV's 101
+phases: the planner validates a plan at its grid points only, and between
+them a plan can exceed qd_max by about 0.1% (ROADMAP item 4).  The mpc and
+ablation commands write no plan, so for them the oracle checks the exit code
+and the rows.
+"""
+
+import contextlib
+import copy
+import csv
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from viaplan.cli import main
+from viaplan.worlds import Disk, bundled_cluttered_world, single_obstacle_world
+
+SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
+
+SLACK = 1e-9
+EDGES = (0.0, -1.0, math.nan, math.inf, -math.inf)
+# Entries that may be infinite: an unbounded position range.
+UNBOUNDED_OK = {("problem", "q_min"), ("problem", "q_max")}
+
+PROBLEM_TARGETS = [("problem", key) for key in ("qd_max", "qdd_max", "q_min", "q_max")]
+COST_TARGETS = [("costs", key) for key in ("duration", "smooth", "collision",
+                                           "invalid_penalty")]
+TARGETS = {
+    "plan": PROBLEM_TARGETS + COST_TARGETS + [("optimizer", "tol"),
+                                              ("optimizer", "init_sigma")],
+    "ablate-nvia": PROBLEM_TARGETS + COST_TARGETS + [("optimizer", "tol")],
+    "ablate-chol": PROBLEM_TARGETS + COST_TARGETS + [("optimizer", "tol")],
+    "mpc": PROBLEM_TARGETS + COST_TARGETS + [
+        ("mpc", key) for key in ("dt_mpc", "t_stop", "alpha", "goal_tol", "vel_tol",
+                                 "plant_dt", "lag_time_constant")],
+}
+WORLD_TYPES = ("none", "cluttered2d", "single_obstacle", "custom")
+
+
+@st.composite
+def problems(draw):
+    """(problem section, world section) with boundary velocities at rest,
+    inside, on or beyond qd_max, and a world of any type for any DoF."""
+    dof = draw(st.integers(1, 3))
+    position = st.floats(0.15, 0.85)
+    qd_max = draw(st.floats(0.2, 1.0))
+    speed = st.sampled_from([0.0, 0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 1.5])
+    problem = {"q0": [draw(position) for _ in range(dof)],
+               "qT": [draw(position) for _ in range(dof)],
+               "qd0": [draw(speed) * qd_max for _ in range(dof)],
+               "qdT": [draw(speed) * qd_max for _ in range(dof)],
+               "qd_max": qd_max, "qdd_max": draw(st.floats(0.5, 4.0))}
+    if draw(st.booleans()):
+        problem.update(q_min=0.0, q_max=1.0)
+    world = {"type": draw(st.sampled_from(WORLD_TYPES if dof == 2 else
+                                          ("none", "none", "none", "cluttered2d")))}
+    if world["type"] == "custom":
+        world.update(disks=[[draw(position), draw(position), draw(st.floats(0.0, 0.2))]],
+                     robot_radius=draw(st.sampled_from([0.0, 0.02])))
+    return problem, world
+
+
+def corrupt(cfg: dict, target, value) -> None:
+    """Put value at target, in one DoF's entry of a per-DoF key."""
+    section, key = target
+    sec = cfg.setdefault(section, {})
+    dof = len(cfg["problem"]["q0"])
+    if section == "problem" and dof > 1:
+        given_value = sec.get(key, {"q_min": 0.0, "q_max": 1.0}.get(key))
+        entries = [given_value] * dof
+        entries[-1] = value
+        sec[key] = entries
+    else:
+        sec[key] = value
+
+
+def must_reject(cfg: dict) -> bool:
+    """Whether cfg holds a NaN, or an infinity where none is meaningful."""
+    for section, values in cfg.items():
+        for key, value in values.items():
+            numbers = value if isinstance(value, list) else [value]
+            for x in numbers:
+                if isinstance(x, float) and (math.isnan(x) or (
+                        math.isinf(x) and (section, key) not in UNBOUNDED_OK)):
+                    return True
+    return False
+
+
+@st.composite
+def configs(draw, command):
+    problem, world = draw(problems())
+    tol = st.sampled_from([0.0, 1e-6, 1e-3])
+    cfg = {"problem": problem,
+           "costs": {"smooth": draw(st.sampled_from([0.0, 0.02, 1.0]))}}
+    if command != "ablate-nvia":
+        cfg["world"] = world
+    if command == "plan":
+        cfg["optimizer"] = {"n_via": draw(st.integers(1, 3)),
+                            "pop_size": draw(st.integers(4, 8)),
+                            "max_iterations": draw(st.integers(1, 8)),
+                            "runs": draw(st.integers(1, 2)),
+                            "grid_k": draw(st.sampled_from([100, 200])),
+                            "tol": draw(tol), "seed": draw(st.integers(0, 3))}
+    elif command == "ablate-nvia":
+        cfg["optimizer"] = {"n_list": draw(st.lists(st.integers(1, 3), min_size=1,
+                                                    max_size=2)),
+                            "seeds": 1, "pop_size": draw(st.integers(4, 8)),
+                            "max_iterations": draw(st.integers(1, 3)),
+                            "tol": draw(tol), "seed": draw(st.integers(0, 3))}
+    elif command == "ablate-chol":
+        cfg["optimizer"] = {"n_via": draw(st.integers(1, 3)), "seeds": 1,
+                            "pop_size": draw(st.integers(4, 8)),
+                            "max_iterations": draw(st.integers(1, 3)),
+                            "grid_k": 20, "tol": draw(tol),
+                            "seed": draw(st.integers(0, 3))}
+    else:
+        cfg["mpc"] = {"n_max": draw(st.integers(1, 2)),
+                      "pop_size": draw(st.integers(4, 8)),
+                      "grid_k": draw(st.integers(10, 20)),
+                      "iterations_per_step": draw(st.integers(1, 2)),
+                      "max_steps": draw(st.integers(1, 3)),
+                      "goal_tol": draw(st.sampled_from([1e-3, 0.05])),
+                      "seed": draw(st.integers(0, 3))}
+        if draw(st.booleans()):
+            cfg["mpc"].update(plant="lag", lag_time_constant=0.05)
+    target = draw(st.none() | st.sampled_from(TARGETS[command]))
+    if target is not None and not (target == ("mpc", "lag_time_constant")
+                                   and "plant" not in cfg["mpc"]):
+        corrupt(cfg, target, draw(st.sampled_from(EDGES)))
+    return cfg
+
+
+def read_rows(path: Path) -> list[dict]:
+    with path.open() as fh:
+        return list(csv.DictReader(fh))
+
+
+def per_dof(value, dof):
+    return np.broadcast_to(np.asarray(value, dtype=float), (dof,))
+
+
+def collides(world: dict, q: np.ndarray) -> np.ndarray:
+    """Per-row collision of 2-D positions q, written out from the geometry."""
+    kind = world.get("type", "none")
+    if kind == "none":
+        return np.zeros(len(q), dtype=bool)
+    if kind == "custom":
+        obstacles = [Disk(d[:2], d[2]) for d in world["disks"]]
+        rr, lo, hi = world.get("robot_radius", 0.0), np.zeros(2), np.ones(2)
+    else:
+        bundled = (bundled_cluttered_world() if kind == "cluttered2d"
+                   else single_obstacle_world())
+        obstacles, rr = bundled.obstacles, bundled.robot_radius
+        lo, hi = bundled.bounds_lo, bundled.bounds_hi
+    hit = np.any((q - rr < lo) | (q + rr > hi), axis=1)
+    for obs in obstacles:
+        if isinstance(obs, Disk):
+            hit |= np.hypot(*(q - obs.center).T) < obs.radius + rr
+        else:
+            gap = np.maximum(np.maximum(obs.lo - q, q - obs.hi), 0.0)
+            inside = np.all((q > obs.lo) & (q < obs.hi), axis=1)
+            hit |= inside if rr == 0.0 else np.hypot(*gap.T) < rr
+    return hit
+
+
+def check_trajectory(path: Path, cfg: dict, duration: float) -> None:
+    """The independent check of one valid plan's trajectory CSV."""
+    problem = cfg["problem"]
+    dof = len(problem["q0"])
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert data.shape == (101, 1 + 3 * dof)
+    t, q, qd, qdd = data[:, 0], *np.split(data[:, 1:], 3, axis=1)
+    assert t[0] == 0.0 and np.all(np.diff(t) >= 0.0)
+    assert abs(t[-1] - duration) <= SLACK * max(1.0, duration)
+    assert np.all(np.abs(q[0] - problem["q0"]) <= SLACK)
+    assert np.all(np.abs(q[-1] - problem["qT"]) <= SLACK)
+    assert np.all(np.abs(qd) <= per_dof(problem["qd_max"], dof) + SLACK)
+    assert np.all(np.abs(qdd) <= per_dof(problem["qdd_max"], dof) + SLACK)
+    if "q_min" in problem:
+        assert np.all(q >= per_dof(problem["q_min"], dof) - SLACK)
+        assert np.all(q <= per_dof(problem["q_max"], dof) + SLACK)
+    if dof == 2:
+        assert not collides(cfg.get("world", {}), q).any()
+
+
+def check_run(command: str, cfg: dict) -> None:
+    """Run the CLI on cfg in a fresh directory and check what it wrote."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        path = out / "config.json"
+        path.write_text(json.dumps(cfg))   # NaN and Infinity as JSON's extensions
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--out-dir", str(out), "--quiet"])
+        check_outputs(command, cfg, code, err.getvalue(), out)
+
+
+def check_outputs(command: str, cfg: dict, code: int, err: str, out: Path) -> None:
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("config error: "), err
+        return
+    assert not must_reject(cfg), f"exit {code} on {json.dumps(cfg)}"
+    assert code in (0, 1), (code, err)
+    if command == "plan":
+        rows = read_rows(out / "plan_runs.csv")
+        assert len(rows) == cfg["optimizer"].get("runs", 1)
+        valid = [row for row in rows if row["valid"] == "true"]
+        for row in valid:
+            check_trajectory(out / f"trajectory_{row['seed']}.csv", cfg, float(row["T"]))
+        assert code == (0 if valid else 1)
+    elif command == "mpc":
+        summary, = read_rows(out / "summary.csv")
+        assert len(read_rows(out / "episode.csv")) == int(summary["steps"])
+        reached = summary["goal_reached"] == "true"
+        assert code == (0 if reached else 1)
+        if reached:
+            assert float(summary["final_distance"]) < cfg["mpc"]["goal_tol"]
+    else:
+        name, column = (("ablate_nvia.csv", "T_final") if command == "ablate-nvia"
+                        else ("ablate_chol.csv", "best_cost"))
+        values = np.array([float(row[column]) for row in read_rows(out / name)])
+        assert values.size and np.all(np.isnan(values) | (values >= 0.0))
+        assert code == (1 if np.isnan(values).all() else 0)
+
+
+@SETTINGS
+@given(configs("plan"))
+def test_plan_oracle(cfg):
+    check_run("plan", cfg)
+
+
+@SETTINGS
+@given(configs("mpc"))
+def test_mpc_oracle(cfg):
+    check_run("mpc", cfg)
+
+
+@SETTINGS
+@given(configs("ablate-nvia"))
+def test_ablate_nvia_oracle(cfg):
+    check_run("ablate-nvia", cfg)
+
+
+@SETTINGS
+@given(configs("ablate-chol"))
+def test_ablate_chol_oracle(cfg):
+    check_run("ablate-chol", cfg)
+
+
+# One valid config per command, for the test of every edge value at every
+# target.
+BASE = {
+    "plan": {"problem": {"q0": [0.1, 0.5], "qT": [0.3, 0.5], "qd_max": 0.5,
+                         "qdd_max": 2.0, "q_min": 0.0, "q_max": 1.0},
+             "costs": {}, "world": {"type": "cluttered2d"},
+             "optimizer": {"n_via": 1, "pop_size": 4, "max_iterations": 2,
+                           "grid_k": 100}},
+    "ablate-nvia": {"problem": {"q0": [0.0], "qT": [1.0], "qd_max": 0.1,
+                                "qdd_max": 0.2, "q_min": -1.0, "q_max": 2.0},
+                    "costs": {},
+                    "optimizer": {"n_list": [1], "seeds": 1, "pop_size": 4,
+                                  "max_iterations": 2}},
+    "ablate-chol": {"problem": {"q0": [0.0], "qT": [1.0], "qd_max": 0.1,
+                                "qdd_max": 0.2, "q_min": -1.0, "q_max": 2.0},
+                    "costs": {},
+                    "optimizer": {"n_via": 1, "seeds": 1, "pop_size": 4,
+                                  "max_iterations": 2, "grid_k": 20}},
+    "mpc": {"problem": {"q0": [0.85, 0.5], "qT": [0.9, 0.5], "qd_max": 0.5,
+                        "qdd_max": 2.0, "q_min": 0.0, "q_max": 1.0},
+            "costs": {}, "world": {"type": "cluttered2d"},
+            "mpc": {"n_max": 1, "pop_size": 4, "grid_k": 20,
+                    "iterations_per_step": 1, "max_steps": 3, "plant": "lag",
+                    "lag_time_constant": 0.05}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(BASE))
+def test_every_edge_value_at_every_target(command):
+    for target in TARGETS[command]:
+        for value in EDGES:
+            cfg = copy.deepcopy(BASE[command])
+            corrupt(cfg, target, value)
+            check_run(command, cfg)

@@ -5,9 +5,10 @@ import pytest
 
 from viaplan.costs import CostWeights, cost_collision, cost_jla, evaluate_total
 from viaplan.spline import BoundaryConditions, build_basis, smoothness_cost
-from viaplan.timing import (KinodynamicLimits, PhaseGrid, boundary_half, synthesize,
-                            synthesize_direct)
+from viaplan.timing import KinodynamicLimits, PhaseGrid, boundary_half, synthesize
 from viaplan.worlds import Disk, World2D
+
+from conftest import direct_plan
 
 
 def make_limits(q_min, q_max, dof=1):
@@ -30,7 +31,7 @@ def test_cost_duration_identity():
     # the weighted duration.
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
-    traj = synthesize_direct(bc, lim, PhaseGrid(50))
+    traj = direct_plan(bc, lim, PhaseGrid(50))
     report, = evaluate_total([traj], CostWeights(duration=2.0, smooth=0.0),
                              lim, PhaseGrid(50))
     assert report.total == 2.0 * traj.duration
@@ -113,7 +114,7 @@ def test_total_weighted_sum_for_valid():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     grid = PhaseGrid(50)
-    traj = synthesize_direct(bc, lim, grid)
+    traj = direct_plan(bc, lim, grid)
     weights = CostWeights(duration=1.0, smooth=0.01, jla=1.0, collision=1.0)
     report, = evaluate_total([traj], weights, lim, grid)
     expected = traj.duration + 0.01 * smoothness_cost(traj.basis, traj.q_via,
@@ -127,7 +128,7 @@ def test_invalid_gets_penalty():
     bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
     grid = PhaseGrid(50)
-    traj = synthesize_direct(bc, lim, grid)
+    traj = direct_plan(bc, lim, grid)
     report, = evaluate_total([traj], CostWeights(), lim, grid, checker=world)
     assert not report.valid
     assert report.total >= CostWeights().invalid_penalty

@@ -15,9 +15,9 @@ and the tuple `CostReport` are held to copies of the code they replaced
 (the broadcast kernel with separate E1 and E2 products, the two-pass
 `cost_jla` and the frozen-dataclass report), on the bits of every float.
 So are the MPC step functions, to copies of the steps that built their own
-bases, boundary halves and ES, scored each greedy endpoint through their own
-`synthesize_direct` and `evaluate_total` calls, warm-started with one
-`at_time` call per via-point and extracted references with their own
+bases, boundary halves, ES and generation loop, scored each greedy endpoint
+through their own direct-plan and `evaluate_total` calls, warm-started with
+one `at_time` call per via-point and extracted references with their own
 (S, 1, N+4) @ (N+4, D) product.
 """
 
@@ -30,19 +30,18 @@ from hypothesis import given, settings, strategies as st
 
 from viaplan import planner
 from viaplan.costs import CostReport, CostWeights, cost_jla, evaluate_total
-from viaplan.mpc import (GREEDY_HORIZON, GREEDY_SAMPLES, ExpiredError, MpcConfig,
+from viaplan.mpc import (GREEDY_HORIZON, GREEDY_SAMPLES, MpcConfig,
                          MpcStepResult, ShortHorizon, extract_reference,
                          greedy_step, mpc_step, select_n_via, warm_start)
 from viaplan.optimizer import EvolutionStrategy, build_prior
 from viaplan.planner import PlanningProblem, evaluate_candidates
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
-                            PhaseGrid, boundary_half, min_duration, synthesize,
-                            synthesize_direct)
+                            PhaseGrid, boundary_half, min_duration, synthesize)
 from viaplan.worlds import (Disk, Rect, World2D, bundled_cluttered_world,
                             bundled_start_goal)
 
-from conftest import is_colliding
+from conftest import direct_plan, is_colliding
 
 
 def lanes_min_duration(a, b, c, d, limits):
@@ -162,8 +161,15 @@ def ref_min_duration_arrays(a, b, c, d, limits):
 # -- reference: per-candidate duration with its own boundary parts -----------
 
 
+def ref_grid_matrices(basis, grid):
+    """E1 and E2 on the grid, straight from eval_matrix rather than from the
+    basis's cached stack."""
+    s = np.linspace(0.0, 1.0, grid.n_points)
+    return basis.eval_matrix(s, 1), basis.eval_matrix(s, 2)
+
+
 def ref_duration_splits(basis, q_via, bc, grid):
-    _, e1, e2 = basis.grid_matrices(grid.n_points)
+    e1, e2 = ref_grid_matrices(basis, grid)
     u_a, u_b = basis.pack_split(q_via, bc)
     return e1 @ u_a, e1 @ u_b, e2 @ u_a, e2 @ u_b
 
@@ -257,7 +263,7 @@ def ref_warm_start(prev, elapsed, alpha, n_max):
     """warm_start with one at_time call per via-point."""
     t_rem = prev.duration - elapsed
     if t_rem <= 0.0:
-        raise ExpiredError("previous solution expired")
+        return None
     n_via = select_n_via(t_rem, alpha, n_max)
     t_via = elapsed + via_timings(n_via) * t_rem
     return np.stack([ref_at_time(prev, t) for t in t_via]).reshape(-1), n_via
@@ -266,7 +272,8 @@ def ref_warm_start(prev, elapsed, alpha, n_max):
 def ref_mpc_step(q, qd, qT, qdT, limits, config, checker=None, prev_result=None,
                  seed=0):
     """mpc_step at a fixed iteration budget, with its own bases, boundary
-    halves and ES set-up."""
+    halves, ES set-up and generation loop, which runs the whole budget even
+    over a boundary that breaks the velocity limits."""
     bc = BoundaryConditions(q, qd, qT, qdT)
     problem = PlanningProblem(bc, limits, n_via=config.n_max,
                               pop_size=config.pop_size,
@@ -280,12 +287,10 @@ def ref_mpc_step(q, qd, qT, qdT, limits, config, checker=None, prev_result=None,
         mode, n_via = "explore", config.n_max
         mean = planner.straight_line_init(bc, config.n_max)
         if prev_result is not None and prev_result.valid and prev_result.solution is not None:
-            try:
-                mean, n_via = ref_warm_start(prev_result.solution, config.dt_mpc,
-                                             config.alpha, config.n_max)
-                mode = "warmstart"
-            except ExpiredError:
-                pass
+            shifted = ref_warm_start(prev_result.solution, config.dt_mpc,
+                                     config.alpha, config.n_max)
+            if shifted is not None:
+                (mean, n_via), mode = shifted, "warmstart"
         sigma = ((0.05 if mode == "warmstart" else 0.5)
                  * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0))
         problem = dataclasses.replace(problem, n_via=n_via)
@@ -296,10 +301,8 @@ def ref_mpc_step(q, qd, qT, qdT, limits, config, checker=None, prev_result=None,
                                pop_size=problem.pop_size, transform=prior.chol,
                                mode=problem.mode, seed=problem.seed)
         boundary = boundary_half(basis, bc, limits, problem.grid)
-        for iterations, _ in enumerate(planner.generations(es, boundary, problem),
-                                       start=1):
-            if iterations >= config.iterations_per_step:
-                break
+        for iterations in range(1, config.iterations_per_step + 1):
+            es.update(evaluate_candidates(boundary, es.sample(), problem)[2])
         solution, report = planner.score(boundary, es.mean, problem)
     horizon = (None if solution is None else ref_batched_extract_reference(
         solution, 0.0, config.dt_mpc, config.plant_dt))
@@ -309,7 +312,7 @@ def ref_mpc_step(q, qd, qT, qdT, limits, config, checker=None, prev_result=None,
 
 def ref_greedy_step(q, qd, qT, qdT, limits, config, checker=None,
                     prev_result=None, seed=0):
-    """greedy_step with its own synthesize_direct, InfeasibleError handler and
+    """greedy_step with its own direct_plan, InfeasibleError handler and
     evaluate_total call per endpoint."""
     rng = np.random.default_rng(seed)
     grid = PhaseGrid(config.grid_k)
@@ -327,8 +330,8 @@ def ref_greedy_step(q, qd, qT, qdT, limits, config, checker=None,
         if float(np.linalg.norm(end - q)) > GREEDY_HORIZON:
             continue
         try:
-            traj = synthesize_direct(BoundaryConditions(q, qd, end, np.zeros_like(q)),
-                                     limits, grid)
+            traj = direct_plan(BoundaryConditions(q, qd, end, np.zeros_like(q)),
+                               limits, grid)
         except InfeasibleError:
             continue
         report, = evaluate_total([traj], config.weights, limits, grid, checker)
@@ -687,8 +690,7 @@ def test_warm_start_matches_per_via_point_at_time(params, elapsed_frac, n_max):
     _, traj = random_trajectory(params)
     elapsed = elapsed_frac * traj.duration
     if elapsed >= traj.duration:
-        with pytest.raises(ExpiredError):
-            warm_start(traj, elapsed, 2.0, n_max)
+        assert warm_start(traj, elapsed, 2.0, n_max) is None
         return
     mean, n_via = warm_start(traj, elapsed, 2.0, n_max)
     want, want_n_via = ref_warm_start(traj, elapsed, 2.0, n_max)
@@ -748,6 +750,7 @@ def test_step_matches_its_reference(step, ref):
             if step is mpc_step and np.any(np.abs(qd) > 0.5):
                 # Above qd_max the step runs no generation; the reference runs
                 # its budget of infeasible ones to the same result.
+                assert want.iterations_run == config.iterations_per_step
                 want = dataclasses.replace(want, iterations_run=0)
             assert_same_step(got, want)
             seen.add((got.mode, got.valid, got.solution is not None
@@ -810,7 +813,7 @@ class RefLanes:
 
 def ref_kernel_min_duration(basis, q_via, bc, limits, grid):
     """boundary_half and min_duration with separate E1 and E2 products."""
-    _, e1, e2 = basis.grid_matrices(grid.n_points)
+    e1, e2 = ref_grid_matrices(basis, grid)
     u_a0, u_b = basis.pack_split(np.zeros((basis.n_via, basis.dof)), bc)
     lanes = RefLanes.from_splits(e1 @ u_b, e2 @ u_b, limits)
     rest = bool((bc.q0 == bc.qT).all() and not (bc.qd0.any() or bc.qdT.any()))

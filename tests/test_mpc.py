@@ -7,14 +7,15 @@ import pytest
 
 import viaplan.mpc as mpc
 import viaplan.planner as planner
-from viaplan.mpc import (ExactPlant, ExpiredError, LagPlant, MpcConfig,
+from viaplan.mpc import (ExactPlant, LagPlant, MpcConfig,
                          extract_reference, greedy_step, mpc_step,
                          run_closed_loop, select_n_via, warm_start)
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis
-from viaplan.timing import (KinodynamicLimits, PhaseGrid, boundary_half, synthesize,
-                            synthesize_direct)
+from viaplan.timing import KinodynamicLimits, PhaseGrid, boundary_half, synthesize
 from viaplan.worlds import bundled_cluttered_world, bundled_start_goal
+
+from conftest import direct_plan
 
 
 LIMITS_2D = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
@@ -23,9 +24,10 @@ LIMITS_2D = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
 def test_config_validation():
     with pytest.raises(ValueError):
         MpcConfig(dt_mpc=0.0)
-    # A NaN alpha would fail in select_n_via and a NaN t_stop would turn the
-    # direct gate off.
-    for key in ("dt_mpc", "t_stop", "alpha"):
+    # A NaN alpha would fail in select_n_via, a NaN t_stop would turn the
+    # direct gate off, and an infinite goal_tol or vel_tol would count any
+    # state as the goal.
+    for key in ("dt_mpc", "t_stop", "alpha", "goal_tol", "vel_tol"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite and positive"):
                 MpcConfig(**{key: value})
@@ -119,6 +121,23 @@ def test_step_above_qd_max_runs_no_generation(monkeypatch):
     assert calls == {"synthesize": 2, "evaluate_candidates": 0}
 
 
+def test_step_above_qd_max_takes_the_rule_from_generations(monkeypatch):
+    # mpc_step has no infeasible-boundary guard of its own: it enters the
+    # planner's generation loop, which yields nothing over such a boundary.
+    entered = []
+
+    def spy(es, boundary, problem):
+        entered.append(boundary.lanes.feasible)
+        yield from planner.generations(es, boundary, problem)
+
+    monkeypatch.setattr(mpc, "generations", spy)
+    q0, goal = bundled_start_goal()
+    result = mpc_step(q0, np.array([0.8, 0.0]), goal, np.zeros(2), LIMITS_2D,
+                      MpcConfig(iterations_per_step=5),
+                      checker=bundled_cluttered_world())
+    assert entered == [False] and result.iterations_run == 0
+
+
 def test_direct_step_at_its_goal_emits_rest_reference():
     # At rest on its own goal, the direct trajectory is degenerate and the
     # reference holds the state with zero velocity.
@@ -159,11 +178,27 @@ def test_warm_start_zero_elapsed_preserves_cost():
 
 
 def test_warm_start_expired():
+    # A plan with no remaining tail gives no warm start, from its very end on.
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     prev = solve(PlanningProblem(bc, lim, n_via=2, pop_size=16, seed=0)).trajectory
-    with pytest.raises(ExpiredError):
-        warm_start(prev, prev.duration + 1.0, 2.0, 4)
+    for elapsed in (prev.duration, prev.duration + 1.0):
+        assert warm_start(prev, elapsed, 2.0, 4) is None
+    assert warm_start(prev, 0.5 * prev.duration, 2.0, 4) is not None
+
+
+def test_step_after_an_expired_plan_explores():
+    # The previous step was valid, but its plan ends within dt_mpc, so the
+    # next step that fails the direct gate explores instead of warm-starting.
+    q0, goal = bundled_start_goal()
+    short = direct_plan(BoundaryConditions(q0, np.zeros(2), q0 + [0.001, 0.0],
+                                           np.zeros(2)), LIMITS_2D, PhaseGrid(20))
+    config = MpcConfig(iterations_per_step=2)
+    assert 0.0 < short.duration < config.dt_mpc
+    prev = mpc.MpcStepResult(short, None, True, "direct", 0, None, 0.0)
+    result = mpc_step(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
+                      checker=bundled_cluttered_world(), prev_result=prev)
+    assert result.mode == "explore" and result.iterations_run == 2
 
 
 def record_es_inits(monkeypatch):
@@ -215,7 +250,7 @@ def test_explore_variance_exceeds_warmstart():
 def test_extract_short_horizon_sampling():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
-    traj = synthesize_direct(bc, lim, PhaseGrid(50))
+    traj = direct_plan(bc, lim, PhaseGrid(50))
     horizon = extract_reference(traj, 0.0, 0.08, plant_dt=1e-3)
     assert horizon.times.shape[0] == 81
     np.testing.assert_allclose(horizon.times[-1], 0.08)
@@ -242,7 +277,7 @@ def test_extract_reference_samples_equal_at_time():
                  + rng.normal(scale=0.05, size=(3, 2)))
             trajs.append(synthesize(boundary_half(basis, bc, LIMITS_2D, grid), x))
     rest = BoundaryConditions(q0, np.zeros(2), q0, np.zeros(2))
-    trajs.append(synthesize_direct(rest, LIMITS_2D, grid))
+    trajs.append(direct_plan(rest, LIMITS_2D, grid))
     assert trajs[-1].degenerate
     for traj in trajs:
         for t0, plant_dt in ((0.0, 1e-3), (0.37 * traj.duration, 1e-3),
@@ -256,7 +291,7 @@ def test_extract_reference_samples_equal_at_time():
 def test_extract_short_horizon_truncates_at_duration():
     bc = BoundaryConditions([0.0], [0.0], [0.001], [0.0])
     lim = KinodynamicLimits.symmetric(1.0, 50.0, 1)
-    traj = synthesize_direct(bc, lim, PhaseGrid(50))
+    traj = direct_plan(bc, lim, PhaseGrid(50))
     assert traj.duration < 0.08
     horizon = extract_reference(traj, 0.0, 0.08, 1e-3)
     np.testing.assert_allclose(horizon.times[-1], traj.duration)

@@ -24,7 +24,9 @@ def test_sampling_deterministic():
 
 def test_sampling_collapses_with_step_size():
     mean = np.array([1.0, -2.0, 0.5])
-    es = EvolutionStrategy(mean, 1.0, pop_size=6, step_size=1e-200, seed=0)
+    es = EvolutionStrategy(mean, 1.0, pop_size=6, seed=0)
+    assert es.step_size == 1.0
+    es.step_size = 1e-200
     np.testing.assert_allclose(es.sample(), np.tile(mean, (6, 1)), atol=1e-12)
 
 
@@ -95,8 +97,9 @@ def test_update_from_drawn_z_matches_whitened_update():
     sigma_diag = rng.uniform(0.5, 2.0, 6)
     for mode in ("sep", "full"):
         args = dict(mean=mean, sigma_diag=sigma_diag, pop_size=8,
-                    transform=prior.chol, mode=mode, step_size=0.7, seed=1)
+                    transform=prior.chol, mode=mode, seed=1)
         es, ref = EvolutionStrategy(**args), WhitenUpdateES(**args)
+        es.step_size = ref.step_size = 0.7
         for _ in range(12):
             x, x_ref = es.sample(), ref.sample()
             np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-12)

@@ -110,6 +110,33 @@ def test_infeasible_boundary_velocity_raises():
         solve(problem)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+def test_solve_over_infeasible_boundary_runs_no_generation(monkeypatch, tol):
+    # A start above qd_max leaves no candidate a duration, so solve raises
+    # before its first generation whatever its tol; a stall test over
+    # all-infeasible generations would stop after 2 at tol 1e-6 and run all
+    # 500 at tol 0.
+    calls = {"evaluate_candidates": 0, "synthesize": 0}
+
+    def counting(name):
+        real = getattr(planner, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(planner, name, counting(name))
+    bc = BoundaryConditions([0.1, 0.5], [0.8, 0.0], [0.9, 0.5], [0.0, 0.0])
+    problem = PlanningProblem(bc, KinodynamicLimits.symmetric(0.5, 2.0, 2), n_via=3,
+                              grid=PhaseGrid(20), tol=tol)
+    assert problem.pop_size == 16 and problem.max_iterations == 500
+    with pytest.raises(InfeasibleError, match="no candidate"):
+        solve(problem)
+    assert calls == {"evaluate_candidates": 0, "synthesize": 0}
+
+
 def test_score_of_infeasible_boundary_is_none():
     # The start velocity exceeds qd_max: score says so with (None, None), as
     # evaluate_candidates does for each candidate, and raises nothing.

@@ -10,8 +10,10 @@ from viaplan.optimizer import build_prior
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
                             PhaseGrid, Trajectory, boundary_half, min_duration,
-                            synthesize, synthesize_direct)
+                            synthesize)
 from viaplan.worlds import Disk, Rect, bundled_cluttered_world
+
+from conftest import direct_plan
 
 
 def duration_of(basis, q_via, bc, limits, grid):
@@ -28,7 +30,7 @@ def min_duration_at_point(a, b, c, d, limits):
 
 def admissible(basis, q_via, bc, limits, grid, duration, slack=1e-9):
     """Check grid-point velocity and acceleration bounds for a trial duration."""
-    _, e1, e2 = basis.grid_matrices(grid.n_points)
+    _, (e1, e2, _) = basis.grid_matrices(grid.n_points)
     u = basis.pack(q_via, bc, duration)
     qd = e1 @ u / duration
     qdd = e2 @ u / duration**2
@@ -118,7 +120,7 @@ def test_direct_1d_velocity_limited():
 def test_direct_rest_degenerate():
     bc = BoundaryConditions([0.3], [0.0], [0.3], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
-    traj = synthesize_direct(bc, lim, PhaseGrid(50))
+    traj = direct_plan(bc, lim, PhaseGrid(50))
     assert traj.duration == 0.0
     assert traj.degenerate
     np.testing.assert_allclose(traj.at_time(0.0), [0.3])
@@ -141,7 +143,7 @@ def test_move_at_rest_is_degenerate(seed, dof, k):
     bc = BoundaryConditions(q, rest, q.copy(), rest)
     lim = KinodynamicLimits.symmetric(rng.uniform(0.1, 2.0), rng.uniform(0.1, 4.0), dof)
     grid = PhaseGrid(k)
-    traj = synthesize_direct(bc, lim, grid)
+    traj = direct_plan(bc, lim, grid)
     assert traj.duration == 0.0 and traj.degenerate
     n_via = int(rng.integers(1, 5))
     boundary = boundary_half(build_basis(n_via, dof), bc, lim, grid)
@@ -152,7 +154,7 @@ def test_move_at_rest_is_degenerate(seed, dof, k):
     moving = rest.copy()
     moving[rng.integers(dof)] = 0.5 * lim.qd_max[0]
     for vels in ((moving, rest), (rest, moving)):
-        assert synthesize_direct(BoundaryConditions(q, vels[0], q, vels[1]),
+        assert direct_plan(BoundaryConditions(q, vels[0], q, vels[1]),
                                  lim, grid).duration > 0.0
 
 
@@ -180,7 +182,7 @@ def test_zero_duration_rests_at_q0():
 def test_synthesized_profile_matches_cubic():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
-    traj = synthesize_direct(bc, lim, PhaseGrid(100))
+    traj = direct_plan(bc, lim, PhaseGrid(100))
     t = np.linspace(0.0, traj.duration, 31)
     for t_k in t:
         s = t_k / traj.duration
@@ -268,8 +270,10 @@ def test_duration_splits_consistency():
     lanes = boundary.lanes
     u_a, u_b = basis.pack_split(q_via, bc)
     np.testing.assert_array_equal(boundary.tail, u_a[3:])
-    _, e1, e2 = basis.grid_matrices(grid.n_points)
+    _, (e1, e2, _) = basis.grid_matrices(grid.n_points)
     np.testing.assert_array_equal(boundary.e_stack, [e1, e2, e2])
+    # The stack is the basis's cached one, not a copy per boundary.
+    assert boundary.e_stack is basis.grid_matrices(grid.n_points)[1]
     assert boundary.bc is bc
     a, b, c, d = e1 @ u_a, e1 @ u_b, e2 @ u_a, e2 @ u_b
     np.testing.assert_array_equal(lanes.vel_hi, lim.qd_max - b)
@@ -324,8 +328,7 @@ def test_boundary_arrays_are_read_only():
     assert len(arrays) == 8
     arrays["tail"] = boundary.tail
     arrays["e_stack"] = boundary.e_stack
-    for k, matrix in enumerate(basis.grid_matrices(13)):
-        arrays[f"E{k}"] = matrix
+    arrays["E0"], arrays["E1_E2_E2"] = basis.grid_matrices(13)
     for name, arr in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0.5

@@ -7,9 +7,9 @@ from viaplan.spline import BoundaryConditions
 from viaplan.timing import KinodynamicLimits
 from viaplan.worlds import (Disk, Rect, World2D, ablation_world_1d,
                             bundled_cluttered_world, bundled_start_goal,
-                            path_winding, single_obstacle_world)
+                            single_obstacle_world)
 
-from conftest import is_colliding
+from conftest import is_colliding, path_winding
 
 
 def test_disk_collision_basics():
