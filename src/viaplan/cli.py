@@ -253,8 +253,6 @@ def cmd_plan(args) -> int:
             rows.append([seed, float("nan"), float("nan"), False, problem.max_iterations])
             continue
         traj, report = res.trajectory, res.report
-        if not report.valid and res.best_report.valid:
-            traj, report = res.best_trajectory, res.best_report
         rows.append([seed, report.total, traj.duration, report.valid,
                      res.iterations])
         grid = PhaseGrid(100)
@@ -288,7 +286,7 @@ MPC_KEYS = ({**dict.fromkeys(("dt_mpc", "t_stop", "alpha", "plant_dt", "goal_tol
 
 def parse_disturb(tokens: list[str]) -> dict:
     """Parse `step=40 dq=(0.3,0)` style tokens into {step: dq}: one
-    disturbance, at a non-negative step."""
+    disturbance, at a non-negative step, by a finite dq."""
     given = {}
     for tok in tokens:
         key, _, val = tok.partition("=")
@@ -297,8 +295,10 @@ def parse_disturb(tokens: list[str]) -> dict:
         given[key] = val
     if given.keys() != {"step", "dq"} or int(given["step"]) < 0:
         raise ConfigError("--disturb needs step=<int >= 0> and dq=(..)")
-    return {int(given["step"]): np.asarray([float(v) for v in
-                                            given["dq"].strip("()").split(",")])}
+    dq = np.asarray([float(v) for v in given["dq"].strip("()").split(",")])
+    if not np.isfinite(dq).all():
+        raise ConfigError("--disturb dq must be finite")
+    return {int(given["step"]): dq}
 
 
 def cmd_mpc(args) -> int:

@@ -1,18 +1,15 @@
-"""Phase-grid cost evaluation of a population of trajectories.
+"""Phase-grid cost evaluation of a population, and the rank it induces.
 
 Task-agnostic terms (duration, smoothness, joint-limit avoidance) plus the
-task-specific collision count.  `evaluate_total` scores a population that
-shares one BoundaryConditions object, as every ES population and every
-scored trajectory does, at once: one `SplineBasis.pack` of the stacked
-(M, N+4, D) parameters, one stacked position pass on the phase grid, one
+task-specific collision count.  `evaluate_total` scores a sampled
+population of one `timing.Boundary` at once: one `SplineBasis.pack` of the
+candidates with a duration, one stacked position pass on the phase grid, one
 collision query over every grid point, one joint-limit mask and one
 smoothness quadratic form give one column per term, and the totals and
-validity flags are sums over those columns.  Most
-populations touch no joint limit at any grid point; for them `cost_jla`
-returns its zero columns straight after the masks.  Invalid
-candidates (joint-limit hit or collision) are not discarded; they receive a
-large penalty plus their violation count so the evolution strategy can
-still rank them.
+validity flags are sums over those columns.  Most populations touch no
+joint limit at any grid point; for them `cost_jla` returns its zero columns
+straight after the masks.  Its cost column is the whole rank rule, since the
+evolution strategy uses nothing of a cost but its rank.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .spline import stacked_smoothness
-from .timing import KinodynamicLimits, PhaseGrid
+from .timing import Boundary, KinodynamicLimits, PhaseGrid
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,7 @@ class CostWeights:
 
 
 class CostReport(NamedTuple):
-    """One trajectory's score: its total, penalty included, and whether it is
+    """One candidate's score: its total, penalty included, and whether it is
     valid.  A tuple, since evaluate_total builds one per candidate of every
     generation."""
 
@@ -80,25 +77,26 @@ def cost_collision(q: np.ndarray, checker) -> np.ndarray:
     return np.count_nonzero(mask.reshape(q.shape[:2]), axis=1)
 
 
-def evaluate_total(trajs, weights: CostWeights, limits: KinodynamicLimits,
-                   grid: PhaseGrid, checker=None) -> list[CostReport]:
-    """One CostReport per trajectory of a population, which shares n_via,
-    dof and one BoundaryConditions object; a population with two raises
-    ValueError.
-
-    Every term is a column over the population.  The total adds the weighted
-    terms that are present in the order duration, smooth, jla, collision,
-    and an invalid trajectory gets invalid_penalty plus its violation count
-    on top.  A zero duration, found by a mask over the durations, rests at
-    bc.q0.
+def evaluate_total(boundary: Boundary, q_via, durations, weights: CostWeights,
+                   limits: KinodynamicLimits, grid: PhaseGrid,
+                   checker=None) -> tuple[list, np.ndarray]:
+    """(reports, costs) of a sampled population of boundary, given its
+    (M, N, D) via-point stack, or M rows of N*D, and its M durations, NaN
+    where a candidate has none.  The total adds the weighted terms that are
+    present in the order duration, smooth, jla, collision; a zero duration
+    rests at bc.q0.  The cost is the total of a valid candidate; an invalid
+    one (joint-limit hit or collision) is kept, at its total plus
+    invalid_penalty plus its violation count; a candidate with no duration
+    has no report and costs np.finfo(float).max, after every finite total.
     """
-    if not trajs:
-        return []
-    basis, bc = trajs[0].basis, trajs[0].bc
-    if any(t.bc is not bc for t in trajs):
-        raise ValueError("a scored population shares one BoundaryConditions")
-    durations = np.array([t.duration for t in trajs])
-    u = basis.pack(np.array([t.q_via for t in trajs]), bc, durations)
+    durations = np.asarray(durations, dtype=float)
+    timed = ~np.isnan(durations)
+    costs = np.full(durations.shape, np.finfo(float).max)
+    if not timed.any():
+        return [None] * len(durations), costs
+    basis, bc, durations = boundary.basis, boundary.bc, durations[timed]
+    pts = np.reshape(q_via, (len(timed), basis.n_via, basis.dof))[timed]
+    u = basis.pack(pts, bc, durations)
     q = np.matmul(basis.grid_matrices(grid.n_points)[0], u)
     smooth = stacked_smoothness(basis, u)
     rest = durations == 0.0
@@ -112,5 +110,6 @@ def evaluate_total(trajs, weights: CostWeights, limits: KinodynamicLimits,
         total = total + weights.collision * hits
         violations = violations + hits
     valid = violations == 0
-    total = np.where(valid, total, total + (weights.invalid_penalty + violations))
-    return [CostReport(t, ok) for t, ok in zip(total.tolist(), valid.tolist())]
+    costs[timed] = np.where(valid, total, total + (weights.invalid_penalty + violations))
+    scored = map(CostReport, costs[timed].tolist(), valid.tolist())
+    return [next(scored) if t else None for t in timed.tolist()], costs

@@ -7,16 +7,13 @@ call per ES step.  `generations` runs sample -> evaluate -> update for as
 long as its caller iterates, and owns the infeasible-boundary rule: over a
 boundary whose velocities break the limits it runs no generation, so
 `solve` raises InfeasibleError there and an MPC step scores only its mean.
-`score` synthesizes and scores one via-point vector, and `score_direct`
-scores the no-via-point plan between the states of a `BoundaryConditions`
-through it: the MPC direct gate and each endpoint of the greedy baseline are
-such plans.  Scoring has one contract: a scored population is the
-candidates of one boundary, and a candidate with no finite duration scores as (None, None) in `score` and as a None trajectory
-and report in `evaluate_candidates`.  `evaluate_candidates` synthesizes
-each candidate's minimal duration on its own and scores the feasible ones
-together in one `costs.evaluate_total` call.  `solve` stops when the best
-cost stalls or the iteration budget runs out (`mpc.mpc_step` at its step
-budget) and reports the final mean's trajectory and the best evaluated one.
+`evaluate_candidates` synthesizes each candidate on its own and prices the
+population in one `costs.evaluate_total` call, which owns the rank rule;
+`score` prices one via-point vector through that call with one row, and
+`score_direct` the no-via-point plan between two states, as the MPC direct
+gate and the greedy baseline's endpoints are.  A candidate with no finite
+duration has a None trajectory and report.  `solve` owns the reported-plan
+rule.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ class PlanningProblem:
 
 @dataclass
 class SolveResult:
-    trajectory: Trajectory
+    trajectory: Trajectory   # the reported plan, as solve picks it
     report: CostReport
     best_trajectory: Trajectory
     best_report: CostReport
@@ -111,7 +108,12 @@ def score(boundary: Boundary, q_via, problem: PlanningProblem):
     """(Trajectory, CostReport) of one via-point vector, or (None, None) when
     no finite duration meets the limits."""
     traj = _synthesized(boundary, q_via)
-    return (None, None) if traj is None else (traj, _evaluate([traj], problem)[0])
+    if traj is None:
+        return None, None
+    (report,), _ = evaluate_total(boundary, traj.q_via[None], [traj.duration],
+                                  problem.weights, problem.limits, problem.grid,
+                                  problem.checker)
+    return traj, report
 
 
 def score_direct(bc: BoundaryConditions, problem: PlanningProblem):
@@ -120,19 +122,14 @@ def score_direct(bc: BoundaryConditions, problem: PlanningProblem):
     return score(boundary, None, problem)
 
 
-def _evaluate(trajs: list, problem: PlanningProblem) -> list:
-    return evaluate_total(trajs, problem.weights, problem.limits, problem.grid,
-                          problem.checker)
-
-
 def evaluate_candidates(boundary: Boundary, candidates: np.ndarray,
                         problem: PlanningProblem):
-    """Synthesize and score a population; infeasible candidates rank last."""
+    """(trajectories, reports, costs) of a sampled population, one
+    synthesize per candidate; None where a candidate has no duration."""
     trajs = [_synthesized(boundary, x) for x in candidates]
-    scored = iter(_evaluate([t for t in trajs if t is not None], problem))
-    reports = [None if t is None else next(scored) for t in trajs]
-    costs = np.array([10.0 * problem.weights.invalid_penalty if r is None
-                      else r.total for r in reports])
+    durations = [np.nan if t is None else t.duration for t in trajs]
+    reports, costs = evaluate_total(boundary, candidates, durations, problem.weights,
+                                    problem.limits, problem.grid, problem.checker)
     return trajs, reports, costs
 
 
@@ -151,9 +148,12 @@ def generations(es: EvolutionStrategy, boundary: Boundary,
 
 def solve(problem: PlanningProblem,
           init_sigma_scale: float | None = None) -> SolveResult:
-    """Run the optimization loop from the straight line q0 -> qT and return
-    the mean and best-ever solutions; raises InfeasibleError when no
-    candidate admitted a finite duration."""
+    """Run the optimization loop from the straight line q0 -> qT until the
+    best cost stalls or the iteration budget runs out, and return the
+    reported plan and the best-ever candidate; raises InfeasibleError when no
+    candidate admitted a finite duration.  The reported plan is the final
+    mean, or the best-ever candidate when the mean has no duration, or is
+    invalid while the best-ever candidate is valid."""
     bc = problem.bc
     if init_sigma_scale is None:
         init_sigma_scale = 0.5 * float(np.linalg.norm(bc.qT - bc.q0)) or 0.5
@@ -184,11 +184,11 @@ def solve(problem: PlanningProblem,
     if best is None:
         raise InfeasibleError("no candidate admitted a finite duration")
 
-    mean_traj, mean_report = score(boundary, es.mean, problem)
-    if mean_traj is None:
-        mean_traj, mean_report = best
+    traj, report = score(boundary, es.mean, problem)
+    if report is None or (best[1].valid and not report.valid):
+        traj, report = best
 
-    return SolveResult(trajectory=mean_traj, report=mean_report,
+    return SolveResult(trajectory=traj, report=report,
                        best_trajectory=best[0], best_report=best[1],
                        history_best=history_best, iterations=iterations,
                        first_valid_iter=first_valid)

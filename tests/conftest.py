@@ -1,10 +1,11 @@
 """Shared pytest hooks and helpers: surface acceptance-criterion lines in the
 summary, test one configuration for collision, build the no-via-point plan,
-count a path's half-turns around a point, and condition the smoothness
-prior's mean on boundary conditions."""
+price synthesized trajectories, count a path's half-turns around a point,
+and condition the smoothness prior's mean on boundary conditions."""
 
 import numpy as np
 
+from viaplan.costs import evaluate_total
 from viaplan.spline import build_basis, smoothness_gram
 from viaplan.timing import boundary_half, synthesize
 
@@ -27,6 +28,15 @@ def direct_plan(bc, limits, grid):
     """The no-via-point trajectory: the unique clamped cubic between bc's
     states, of minimal duration."""
     return synthesize(boundary_half(build_basis(0, bc.dof), bc, limits, grid), None)
+
+
+def evaluate_trajectories(trajs, weights, limits, grid, checker=None):
+    """evaluate_total's reports of trajectories that share a basis and bc,
+    priced as one population of their boundary."""
+    boundary = boundary_half(trajs[0].basis, trajs[0].bc, limits, grid)
+    return evaluate_total(boundary, np.array([t.q_via for t in trajs]),
+                          [t.duration for t in trajs], weights, limits, grid,
+                          checker)[0]
 
 
 def path_winding(points, reference) -> int:

@@ -328,6 +328,10 @@ def test_parse_disturb():
     ["step=5", "dq=(0.1,0)", "dq=(0.2,0)"],
     # A negative step used to be accepted and never fire.
     ["step=-3", "dq=(0.1,0)"],
+    # A non-finite dq used to end in a traceback from BoundaryConditions.
+    ["step=1", "dq=(nan,0)"],
+    ["step=1", "dq=(0,inf)"],
+    ["step=1", "dq=(-inf,0)"],
 ])
 def test_disturb_rejects_repeated_keys_and_negative_steps(tmp_path, capsys, tokens):
     with pytest.raises(ConfigError):

@@ -4,10 +4,12 @@ Hypothesis draws configs for every command: DoF 1-3, with a world that only
 a 2-DoF problem may have, boundary velocities at rest, inside, on and beyond
 qd_max, and in about half the examples one entry replaced by 0, -1, NaN or
 an infinity: a velocity, acceleration or position limit, a cost weight, a
-tolerance or a closed-loop setting.  Every run must end in one of two ways:
+tolerance or a closed-loop setting.  In about half the mpc examples the
+run also takes `--disturb` at a step within max_steps, by a dq whose entries
+are each finite, NaN or an infinity.  Every run must end in one of two ways:
 
 - exit 2 with `config error: ` and no traceback, which every NaN and every
-  infinity outside the position limits must give; or
+  infinity outside the position limits, and in a dq, must give; or
 - exit 0 or 1, with an exit code that agrees with the rows, and every valid
   plan's `trajectory_<seed>.csv` passing a check that shares no code with the
   planner: it starts at q0, ends at qT, and stays within the velocity,
@@ -96,8 +98,11 @@ def corrupt(cfg: dict, target, value) -> None:
         sec[key] = value
 
 
-def must_reject(cfg: dict) -> bool:
-    """Whether cfg holds a NaN, or an infinity where none is meaningful."""
+def must_reject(cfg: dict, dq=()) -> bool:
+    """Whether cfg holds a NaN, or an infinity where none is meaningful, or
+    the disturbance dq any entry that is not finite."""
+    if not all(map(math.isfinite, dq)):
+        return True
     for section, values in cfg.items():
         for key, value in values.items():
             numbers = value if isinstance(value, list) else [value]
@@ -150,6 +155,18 @@ def configs(draw, command):
                                    and "plant" not in cfg["mpc"]):
         corrupt(cfg, target, draw(st.sampled_from(EDGES)))
     return cfg
+
+
+@st.composite
+def mpc_runs(draw):
+    """(mpc config, disturbance): None, or (step, dq) with a step within
+    max_steps and one dq entry per DoF, each finite, NaN or an infinity."""
+    cfg = draw(configs("mpc"))
+    if draw(st.booleans()):
+        return cfg, None
+    entry = st.sampled_from([0.05, -0.05, 0.0, math.nan, math.inf, -math.inf])
+    return cfg, (draw(st.integers(0, cfg["mpc"]["max_steps"] - 1)),
+                 [draw(entry) for _ in cfg["problem"]["q0"]])
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -205,24 +222,30 @@ def check_trajectory(path: Path, cfg: dict, duration: float) -> None:
         assert not collides(cfg.get("world", {}), q).any()
 
 
-def check_run(command: str, cfg: dict) -> None:
-    """Run the CLI on cfg in a fresh directory and check what it wrote."""
+def check_run(command: str, cfg: dict, disturb=None) -> None:
+    """Run the CLI on cfg, with disturb's (step, dq) as --disturb unless it
+    is None, in a fresh directory and check what it wrote."""
+    args, dq = [], ()
+    if disturb is not None:
+        step, dq = disturb
+        args = ["--disturb", f"step={step}", f"dq=({','.join(map(str, dq))})"]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         path = out / "config.json"
         path.write_text(json.dumps(cfg))   # NaN and Infinity as JSON's extensions
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main([command, str(path), "--out-dir", str(out), "--quiet"])
-        check_outputs(command, cfg, code, err.getvalue(), out)
+            code = main([command, str(path), "--out-dir", str(out), "--quiet", *args])
+        check_outputs(command, cfg, code, err.getvalue(), out, dq)
 
 
-def check_outputs(command: str, cfg: dict, code: int, err: str, out: Path) -> None:
+def check_outputs(command: str, cfg: dict, code: int, err: str, out: Path,
+                  dq=()) -> None:
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("config error: "), err
         return
-    assert not must_reject(cfg), f"exit {code} on {json.dumps(cfg)}"
+    assert not must_reject(cfg, dq), f"exit {code} on {json.dumps(cfg)}, dq {dq}"
     assert code in (0, 1), (code, err)
     if command == "plan":
         rows = read_rows(out / "plan_runs.csv")
@@ -253,9 +276,9 @@ def test_plan_oracle(cfg):
 
 
 @SETTINGS
-@given(configs("mpc"))
-def test_mpc_oracle(cfg):
-    check_run("mpc", cfg)
+@given(mpc_runs())
+def test_mpc_oracle(run):
+    check_run("mpc", *run)
 
 
 @SETTINGS

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from viaplan.costs import CostWeights, cost_collision, cost_jla, evaluate_total
+from viaplan.costs import CostWeights, cost_collision, cost_jla
 from viaplan.spline import BoundaryConditions, build_basis, smoothness_cost
 from viaplan.timing import KinodynamicLimits, PhaseGrid, boundary_half, synthesize
 from viaplan.worlds import Disk, World2D
 
-from conftest import direct_plan
+from conftest import direct_plan, evaluate_trajectories
 
 
 def make_limits(q_min, q_max, dof=1):
@@ -32,8 +32,8 @@ def test_cost_duration_identity():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     traj = direct_plan(bc, lim, PhaseGrid(50))
-    report, = evaluate_total([traj], CostWeights(duration=2.0, smooth=0.0),
-                             lim, PhaseGrid(50))
+    report, = evaluate_trajectories([traj], CostWeights(duration=2.0, smooth=0.0),
+                                    lim, PhaseGrid(50))
     assert report.total == 2.0 * traj.duration
     assert abs(traj.duration - 15.0) < 1e-9
 
@@ -116,7 +116,7 @@ def test_total_weighted_sum_for_valid():
     grid = PhaseGrid(50)
     traj = direct_plan(bc, lim, grid)
     weights = CostWeights(duration=1.0, smooth=0.01, jla=1.0, collision=1.0)
-    report, = evaluate_total([traj], weights, lim, grid)
+    report, = evaluate_trajectories([traj], weights, lim, grid)
     expected = traj.duration + 0.01 * smoothness_cost(traj.basis, traj.q_via,
                                                       bc, traj.duration)
     assert report.valid
@@ -129,14 +129,14 @@ def test_invalid_gets_penalty():
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
     grid = PhaseGrid(50)
     traj = direct_plan(bc, lim, grid)
-    report, = evaluate_total([traj], CostWeights(), lim, grid, checker=world)
+    report, = evaluate_trajectories([traj], CostWeights(), lim, grid, checker=world)
     assert not report.valid
     assert report.total >= CostWeights().invalid_penalty
     # With every term weighted 0, the total is the penalty plus the number of
     # colliding grid points.
     hits = np.count_nonzero(world.colliding_mask(traj.sample_grid(grid)[0]))
     zero = CostWeights(duration=0.0, smooth=0.0, jla=0.0, collision=0.0)
-    report, = evaluate_total([traj], zero, lim, grid, checker=world)
+    report, = evaluate_trajectories([traj], zero, lim, grid, checker=world)
     assert hits > 0 and report.total == zero.invalid_penalty + hits
 
 
@@ -151,7 +151,7 @@ def test_invalid_dominance_over_population():
                         + rng.normal(scale=0.3, size=(3, 2)))
              for _ in range(60)]
     valid_totals, invalid_totals = [], []
-    for report in evaluate_total(trajs, CostWeights(), lim, grid, checker=world):
+    for report in evaluate_trajectories(trajs, CostWeights(), lim, grid, checker=world):
         (valid_totals if report.valid else invalid_totals).append(report.total)
     assert valid_totals and invalid_totals
     assert max(valid_totals) < min(invalid_totals)
@@ -162,6 +162,6 @@ def test_report_deterministic():
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     grid = PhaseGrid(50)
     traj = synthesize(boundary_half(build_basis(2, 1), bc, lim, grid), [[0.3], [0.7]])
-    r1, = evaluate_total([traj], CostWeights(), lim, grid)
-    r2, = evaluate_total([traj], CostWeights(), lim, grid)
+    r1, = evaluate_trajectories([traj], CostWeights(), lim, grid)
+    r2, = evaluate_trajectories([traj], CostWeights(), lim, grid)
     assert r1 == r2

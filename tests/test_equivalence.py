@@ -41,7 +41,7 @@ from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
 from viaplan.worlds import (Disk, Rect, World2D, bundled_cluttered_world,
                             bundled_start_goal)
 
-from conftest import direct_plan, is_colliding
+from conftest import direct_plan, evaluate_trajectories, is_colliding
 
 
 def lanes_min_duration(a, b, c, d, limits):
@@ -334,7 +334,7 @@ def ref_greedy_step(q, qd, qT, qdT, limits, config, checker=None,
                                limits, grid)
         except InfeasibleError:
             continue
-        report, = evaluate_total([traj], config.weights, limits, grid, checker)
+        report, = evaluate_trajectories([traj], config.weights, limits, grid, checker)
         cost = float(np.sum((end - qT) ** 2))
         if report.valid and cost < best_cost:
             best_cost = cost
@@ -419,13 +419,20 @@ def test_population_scoring_matches_per_trajectory(params, spread):
     # must be the rest state q0, not the spline through the via-points.
     for m in np.flatnonzero(rng.random(len(trajs)) < 0.2):
         trajs[m] = dataclasses.replace(trajs[m], duration=0.0)
-    reports = evaluate_total(trajs, problem.weights, problem.limits,
-                             problem.grid, problem.checker)
-    assert len(reports) == len(trajs)
-    for traj, report in zip(trajs, reports):
+    # Candidates with no duration are skipped, and rank after every total.
+    untimed = rng.random(len(trajs)) < 0.2
+    durations = np.where(untimed, np.nan, [t.duration for t in trajs])
+    reports, costs = evaluate_total(boundary, cands, durations, problem.weights,
+                                    problem.limits, problem.grid, problem.checker)
+    assert len(reports) == len(trajs) and costs.shape == (len(trajs),)
+    for traj, report, cost, none in zip(trajs, reports, costs, untimed):
+        if none:
+            assert report is None and cost == np.finfo(float).max
+            continue
         assert_same_report(report, ref_evaluate(traj, problem.weights,
                                                 problem.limits, problem.grid,
                                                 problem.checker))
+        assert cost == report.total
 
 
 @SETTINGS
@@ -455,7 +462,7 @@ def test_evaluate_candidates_matches_per_candidate(params, infeasible):
     for i, (traj, report, ref) in enumerate(zip(trajs, reports, refs)):
         if i in infeasible:
             assert traj is None and report is None and ref is None
-            assert costs[i] == 10.0 * problem.weights.invalid_penalty
+            assert costs[i] == np.finfo(float).max
         else:
             assert_same_report(report, ref)
             assert costs[i] == ref[0]
@@ -463,19 +470,12 @@ def test_evaluate_candidates_matches_per_candidate(params, infeasible):
 
 def test_evaluate_total_empty_population():
     lim = KinodynamicLimits.symmetric(1.0, 1.0, 1)
-    assert evaluate_total([], CostWeights(), lim, PhaseGrid(4)) == []
-
-
-def test_evaluate_total_rejects_two_boundary_conditions():
-    # A scored population shares one BoundaryConditions object; equal values
-    # in a second object do not make it the same boundary.
-    lim = KinodynamicLimits.symmetric(1.0, 1.0, 1)
     grid = PhaseGrid(4)
-    basis = build_basis(1, 1)
-    bcs = [BoundaryConditions([0.0], [0.0], [1.0], [0.0]) for _ in range(2)]
-    trajs = [synthesize(boundary_half(basis, bc, lim, grid), [[0.5]]) for bc in bcs]
-    with pytest.raises(ValueError, match="one BoundaryConditions"):
-        evaluate_total(trajs, CostWeights(), lim, grid)
+    bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
+    boundary = boundary_half(build_basis(1, 1), bc, lim, grid)
+    reports, costs = evaluate_total(boundary, np.zeros((0, 1)), [], CostWeights(),
+                                    lim, grid)
+    assert reports == [] and costs.shape == (0,)
 
 
 def special_lanes(rng, shape):
@@ -967,7 +967,7 @@ def test_cost_report_fields_and_types():
     bc = BoundaryConditions([0.1], [0.0], [0.4], [0.0])
     boundary = boundary_half(basis, bc, lim, grid)
     trajs = [synthesize(boundary, x) for x in ([[0.25]], [[0.9]])]
-    reports = evaluate_total(trajs, CostWeights(), lim, grid)
+    reports = evaluate_trajectories(trajs, CostWeights(), lim, grid)
     assert [r.valid for r in reports] == [True, False]
     names = [f.name for f in dataclasses.fields(RefCostReport)]
     assert list(CostReport._fields) == names

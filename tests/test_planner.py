@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from viaplan import planner
+from viaplan.costs import CostWeights
 from viaplan.planner import (PlanningProblem, evaluate_candidates, make_es, score,
                              solve, straight_line_init)
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
 from viaplan.timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
                             boundary_half)
-from viaplan.worlds import Disk, World2D
+from viaplan.worlds import Disk, World2D, bundled_cluttered_world, bundled_start_goal
 
 
 def make_1d_problem(n_via=5, pop_size=16, seed=0, **kw):
@@ -164,7 +165,8 @@ def test_score_of_non_finite_via_points_is_none():
         boundary, np.array([line, one_nan, np.full_like(line, np.nan)]), problem)
     assert trajs[0] is not None and reports[0].valid
     assert trajs[1:] == [None, None] and reports[1:] == [None, None]
-    assert (costs[1:] == 10.0 * problem.weights.invalid_penalty).all()
+    assert (costs[1:] == np.finfo(float).max).all()
+
 
 @pytest.mark.parametrize("sigma", [0.0, -0.4, np.inf, np.nan])
 def test_make_es_rejects_a_sigma_scale_that_is_not_finite_and_positive(sigma):
@@ -195,6 +197,53 @@ def test_evaluate_candidates_penalizes_infeasible():
         boundary, np.array([[0.5], [0.2], [0.9], [0.4]]), problem)
     assert len(trajs) == 4 and costs.shape == (4,)
     assert all(r is not None for r in reports)
+
+
+def cluttered_problem(**kw):
+    q0, qT = bundled_start_goal()
+    bc = BoundaryConditions(q0, [0.0, 0.0], qT, [0.0, 0.0])
+    lim = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
+    return PlanningProblem(bc, lim, grid=PhaseGrid(20),
+                           checker=bundled_cluttered_world(), **kw)
+
+
+@pytest.mark.parametrize("penalty", [1.0, 1e6, 1e308])
+def test_candidate_with_no_duration_ranks_last(penalty):
+    # At invalid_penalty 1 the candidate with no duration used to cost
+    # 10 x invalid_penalty = 10, below the colliding candidate's 18.67, and
+    # rank third of four.
+    problem = cluttered_problem(n_via=2, weights=CostWeights(invalid_penalty=penalty))
+    boundary = boundary_half(build_basis(2, 2), problem.bc, problem.limits, problem.grid)
+    cands = np.array([[0.5, 0.5, 0.6, 0.5], [np.nan, 0.5, 0.6, 0.5],
+                      [0.3, 0.8, 0.7, 0.8], [0.3, 0.2, 0.7, 0.2]])
+    _, reports, costs = evaluate_candidates(boundary, cands, problem)
+    assert reports[1] is None
+    assert [r.valid for r in reports[::2]] == [False, True]
+    assert costs[1] == np.finfo(float).max > costs[0]
+    assert np.argsort(costs, kind="stable")[-1] == 1
+
+
+def test_solve_reports_the_best_ever_candidate_when_only_it_is_valid(monkeypatch):
+    # Seed 0 at 5 iterations ends on a colliding mean while its best-ever
+    # candidate is valid: the solve reports the best-ever candidate, which
+    # the plan command used to pick for itself.  A valid mean is reported.
+    means = []
+    real = planner.score
+
+    def recording(*args):
+        means.append(real(*args))
+        return means[-1]
+
+    monkeypatch.setattr(planner, "score", recording)
+    res = solve(cluttered_problem(n_via=3, pop_size=16, max_iterations=5),
+                init_sigma_scale=0.4)
+    (_, mean_report), = means
+    assert not mean_report.valid and res.best_report.valid
+    assert res.trajectory is res.best_trajectory and res.report is res.best_report
+    res = solve(make_1d_problem(n_via=2, max_iterations=20))
+    mean_traj, mean_report = means[-1]
+    assert mean_report.valid
+    assert res.trajectory is mean_traj and res.report is mean_report
 
 
 def test_solve_respects_iteration_budget():
