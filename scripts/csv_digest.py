@@ -9,10 +9,16 @@ runs. Compare a change against its parent with
 which runs both trees in subprocesses, prints this tree's lines, then every
 line that differs, the line counts of both trees' `viaplan/*.py` (with and
 without `cli.py`) and the number of config keys each of their commands
-accepts, and exits 1 when any digest line differs.
+accepts, and exits 1 when any digest line differs.  With --against, each
+tree's lines also hold the exit code and `digest` lines of
+
+    python3 viabench/run.py --workload <w> --seed 1 --seconds 1 --trace 1
+
+for every workload, run from the checkout that holds that tree's src.
 
 The short configs are the bundled ones in `configs/` with fewer runs,
-iterations and steps; the whole set takes about ten seconds on two cores.
+iterations and steps; the whole set takes about ten seconds on two cores,
+and the viabench runs about twenty seconds per tree.
 """
 
 import argparse
@@ -52,6 +58,10 @@ RUNS = (
 )
 
 
+# The viabench workloads whose traced digests --against compares.
+WORKLOADS = ("offline_2d", "timeopt_1d", "mpc_2d")
+
+
 # The config schemas each command reads, by their names in viaplan.cli.
 SCHEMAS = {
     "plan": ("PROBLEM_KEYS", "PLAN_OPT_KEYS", "COSTS_KEYS", "WORLD_KEYS"),
@@ -76,6 +86,19 @@ def digests(src: str) -> list[str]:
     return out.stdout.splitlines()
 
 
+def bench_digests(src: str) -> list[str]:
+    """The exit code and `digest` lines of a traced viabench run of each
+    workload, from the checkout that holds src."""
+    lines = []
+    for workload in WORKLOADS:
+        out = subprocess.run([sys.executable, "viabench/run.py", "--workload", workload,
+                              "--seed", "1", "--seconds", "1", "--trace", "1"],
+                             cwd=Path(src).resolve().parent, capture_output=True, text=True)
+        lines.append(f"viabench {workload} exit={out.returncode}")
+        lines.extend(line for line in out.stdout.splitlines() if line.startswith("digest "))
+    return lines
+
+
 def line_counts(src: str) -> str:
     """Lines of the viaplan package in src, in total and without cli.py."""
     counts = {f.name: len(f.read_text().splitlines())
@@ -85,7 +108,8 @@ def line_counts(src: str) -> str:
 
 
 def compare(src: str, other: str) -> int:
-    (my_keys, *mine), (their_keys, *theirs) = digests(src), digests(other)
+    (my_keys, *mine), (their_keys, *theirs) = (digests(tree) + bench_digests(tree)
+                                               for tree in (src, other))
     print("\n".join(mine))
     differ = [(a, b) for a, b in zip(mine, theirs) if a != b]
     if len(mine) != len(theirs):

@@ -197,8 +197,7 @@ def load_experiment(args, section: str, keys, world: bool = True):
         bc, limits = build_problem(cfg["problem"])
         checker = build_world(cfg.get("world", {}))
         weights = build_weights(cfg["costs"])
-    if any(v is not None and v.shape != bc.q0.shape for v in vars(limits).values()):
-        raise ConfigError("every limit needs one value per DoF of q0")
+        limits.check_dof(bc.dof)
     if checker is not None and bc.dof != 2:
         raise ConfigError("a world needs a 2-DoF problem")
     seed = cfg[section].pop("seed", 0)
@@ -224,13 +223,16 @@ def offline_runs(args, keys, setups, world: bool = True):
     """
     bc, limits, checker, weights, opt, base_seed = load_experiment(
         args, "optimizer", keys, world)
-    init_sigma, grid_k = opt.pop("init_sigma", None), opt.pop("grid_k", 50)
+    init_sigma = opt.pop("init_sigma", None)
+    if "grid_k" in opt:
+        with config_values():
+            opt["grid"] = PhaseGrid(opt.pop("grid_k"))
     seeds, named = setups(opt)
     for name, fields in named:
         for seed in range(base_seed, base_seed + seeds):
             with config_values():
-                problem = PlanningProblem(bc, limits, grid=PhaseGrid(grid_k), weights=weights,
-                                          checker=checker, seed=seed, **{**fields, **opt})
+                problem = PlanningProblem(bc, limits, weights=weights, checker=checker,
+                                          seed=seed, **{**fields, **opt})
             try:
                 result = solve(problem, init_sigma_scale=init_sigma)
             except InfeasibleError:
@@ -303,26 +305,27 @@ def parse_disturb(tokens: list[str]) -> dict:
 
 def cmd_mpc(args) -> int:
     bc, limits, world, weights, m, seed = load_experiment(args, "mpc", MPC_KEYS)
-    # The keys of the closed loop itself; the rest are MpcConfig fields.
-    max_steps = m.pop("max_steps", 150)
+    # The keys of the closed loop itself; the rest are MpcConfig fields.  A
+    # key left out keeps the default of run_closed_loop or LagPlant.
+    steps = {"max_steps": m.pop("max_steps")} if "max_steps" in m else {}
     plant_kind = m.pop("plant", "exact")
     if plant_kind not in ("exact", "lag"):
         raise ConfigError(f"unknown key 'mpc.plant' value '{plant_kind}'")
     if plant_kind == "exact" and "lag_time_constant" in m:
         raise ConfigError("key 'mpc.lag_time_constant' needs mpc.plant \"lag\"")
-    time_constant = m.pop("lag_time_constant", 0.05)
+    lag = ({"time_constant": m.pop("lag_time_constant")}
+           if "lag_time_constant" in m else {})
     with config_values():
         config = MpcConfig(weights=weights, seed=seed, **m)
         disturbances = parse_disturb(args.disturb) if args.disturb else None
-        plant = (LagPlant(bc.q0, bc.qd0, time_constant=time_constant)
-                 if plant_kind == "lag" else None)
+        plant = LagPlant(bc.q0, bc.qd0, **lag) if plant_kind == "lag" else None
     if any(dq.shape != bc.q0.shape for dq in (disturbances or {}).values()):
         raise ConfigError("--disturb dq needs one value per DoF")
 
     step = greedy_step if args.baseline == "greedy" else None
     log = run_closed_loop(bc.q0, bc.qd0, bc.qT, bc.qdT, limits, config,
-                          checker=world, max_steps=max_steps, plant=plant,
-                          disturbances=disturbances, step=step)
+                          checker=world, plant=plant, disturbances=disturbances,
+                          step=step, **steps)
 
     out = out_dir(args)
     deterministic = config.iterations_per_step is not None

@@ -3,16 +3,17 @@
 Each step first tries the deterministic no-via-point trajectory (stopping
 primitive), scored by `planner.score_direct`.  When that fails the gate, it
 starts the evolution strategy from the time-shifted previous solution
-(`warm_start`, None once that has expired) or from a straight-line guess,
-runs the planner's generation loop (always sep-CMA-ES behind the smoothness
-Cholesky factor) over the boundary that `planner.make_es` returns until the
-step budget expires, and scores the final mean with `planner.score`.  Both
-scores are (None, None) when no finite duration meets the limits.  Either
-way the step ends in `extract_reference`, which samples the first dt_mpc of
-the solution at the plant rate with `Trajectory.at_time`.  The greedy
-baseline is another step function for the same closed loop and
+(`warm_start`, None once that has expired), sampled at 0.05 times the
+distance left, or else from the cold start of `planner.make_es`.  It runs
+the planner's generation loop (always sep-CMA-ES behind the smoothness
+Cholesky factor) over the boundary that `make_es` returns until the step
+budget expires, and scores the final mean with `planner.score`.  Both
+scores are (None, None) when no finite duration meets the limits.  The
+greedy baseline is another step function for the same closed loop and
 `step_problem`: it scores each endpoint alone as a no-via-point plan with
-`score_direct`, and extracts its reference the same way.
+`score_direct`.  Both step functions end in `_step_result`, which samples
+the first dt_mpc of the solution at the plant rate (`extract_reference`,
+through `Trajectory.at_time`) and times the step.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .costs import CostReport, CostWeights
-from .planner import (PlanningProblem, generations, make_es, score, score_direct,
-                      straight_line_init)
+from .planner import PlanningProblem, generations, make_es, score, score_direct
 from .spline import BoundaryConditions, via_timings
 from .timing import KinodynamicLimits, PhaseGrid, Trajectory
 
@@ -32,9 +32,10 @@ GREEDY_HORIZON = 0.15   # greedy baseline: reach of one step's endpoint
 GREEDY_SAMPLES = 32     # greedy baseline: endpoints tried per step
 
 
-@dataclass
+@dataclass(frozen=True)
 class MpcConfig:
-    """Closed-loop settings; `mpc_step` derives its ES sampling scale."""
+    """Closed-loop settings, fixed once built; `mpc_step` derives its ES
+    sampling scale."""
 
     dt_mpc: float = 0.08
     t_stop: float = 1.0
@@ -48,6 +49,7 @@ class MpcConfig:
     iterations_per_step: int | None = None  # None: wall-clock budget
     goal_tol: float = 1e-3
     vel_tol: float = 1e-3
+    grid: PhaseGrid = field(init=False, repr=False, compare=False)  # of grid_k
 
     def __post_init__(self):
         if not all(0.0 < v < np.inf for v in (self.dt_mpc, self.t_stop, self.alpha,
@@ -60,8 +62,7 @@ class MpcConfig:
             raise ValueError("n_max must be at least 1")
         if self.pop_size < 4:
             raise ValueError("population size must be at least 4")
-        if self.grid_k < 2:
-            raise ValueError("phase grid needs grid_k >= 2")
+        object.__setattr__(self, "grid", PhaseGrid(self.grid_k))
         if not 0.0 < self.plant_dt <= self.dt_mpc:
             raise ValueError("need 0 < plant_dt <= dt_mpc")
         if self.iterations_per_step is not None and self.iterations_per_step < 1:
@@ -123,7 +124,7 @@ def step_problem(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
     """The PlanningProblem of one step from (q, qd) to (qT, qdT), n_max via-points."""
     return PlanningProblem(BoundaryConditions(q, qd, qT, qdT), limits,
                            n_via=config.n_max, pop_size=config.pop_size,
-                           grid=PhaseGrid(config.grid_k), weights=config.weights,
+                           grid=config.grid, weights=config.weights,
                            checker=checker, seed=seed)
 
 
@@ -131,8 +132,9 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
              checker=None, prev_result: MpcStepResult | None = None,
              seed: int = 0) -> MpcStepResult:
     """One full-horizon MPC step: the direct trajectory when it passes the
-    gate, else a budgeted optimization from a warm start or an exploration,
-    sampled at 0.05 or 0.5 times |qT - q| (or times 1 when that is 0)."""
+    gate, else a budgeted optimization from a warm start, sampled at 0.05
+    times |qT - q| (or at 0.05 when that is 0), or from make_es's cold
+    start."""
     t_start = time.monotonic()
     problem = step_problem(q, qd, qT, qdT, limits, config, checker, seed)
     bc = problem.bc
@@ -144,12 +146,13 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
         if prev_result is not None and prev_result.valid and prev_result.solution is not None:
             shifted = warm_start(prev_result.solution, config.dt_mpc, config.alpha,
                                  config.n_max)
-        mode = "explore" if shifted is None else "warmstart"
-        mean, n_via = shifted or (straight_line_init(bc, config.n_max), config.n_max)
-        sigma = ((0.05 if mode == "warmstart" else 0.5)
-                 * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0))
-        problem = replace(problem, n_via=n_via)
-        es, boundary = make_es(problem, mean, sigma)
+        if shifted is None:
+            mode, (es, boundary) = "explore", make_es(problem)
+        else:
+            mode, (mean, n_via) = "warmstart", shifted
+            problem = replace(problem, n_via=n_via)
+            spread = 0.05 * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0)
+            es, boundary = make_es(problem, mean, spread)
         for _ in generations(es, boundary, problem):
             iterations += 1
             if config.iterations_per_step is not None:
@@ -158,13 +161,18 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
             elif time.monotonic() - t_start >= config.dt_mpc:
                 break
         solution, report = score(boundary, es.mean, problem)
+    return _step_result(solution, report, report is not None and report.valid,
+                        mode, iterations, config, t_start)
 
+
+def _step_result(solution, report, valid: bool, mode: str, iterations: int,
+                 config: MpcConfig, t_start: float) -> MpcStepResult:
+    """The MpcStepResult of a step begun at t_start, with the first dt_mpc of
+    its solution as the reference; the step's time includes that extraction."""
     horizon = (None if solution is None
                else extract_reference(solution, 0.0, config.dt_mpc, config.plant_dt))
-    return MpcStepResult(solution=solution, report=report,
-                         valid=report is not None and report.valid,
-                         mode=mode, iterations_run=iterations,
-                         short_horizon=horizon,
+    return MpcStepResult(solution=solution, report=report, valid=valid, mode=mode,
+                         iterations_run=iterations, short_horizon=horizon,
                          step_seconds=time.monotonic() - t_start)
 
 
@@ -214,11 +222,13 @@ def _at_goal(plant, qT, qdT, config: MpcConfig) -> bool:
 
 
 def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
-                    config: MpcConfig, checker=None, max_steps: int = 200,
+                    config: MpcConfig, checker=None, max_steps: int = 150,
                     plant=None, disturbances: dict | None = None,
                     step=None) -> EpisodeLog:
     """Call step (mpc_step when None, or greedy_step) at 1/dt_mpc until the
-    goal state is reached or max_steps have run.
+    goal state is reached or max_steps have run.  Each disturbance, a dq
+    added to the plant's position at its step, must hold one finite value
+    per DoF; ValueError before the first step otherwise.
 
     The plant runs each valid step's reference.  After an invalid step it
     replays the rest of the last valid plan, one dt_mpc window per step from
@@ -230,16 +240,20 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
     step = step or mpc_step   # looked up per call, so a patched mpc_step runs
     qT = np.asarray(qT, dtype=float)
     qdT = np.asarray(qdT, dtype=float)
+    disturbances = {k: np.asarray(dq, dtype=float)
+                    for k, dq in (disturbances or {}).items()}
+    if any(dq.shape != qT.shape or not np.isfinite(dq).all()
+           for dq in disturbances.values()):
+        raise ValueError("every disturbance dq needs one finite value per DoF")
     if plant is None:
         plant = ExactPlant(q0, qd0)
-    disturbances = disturbances or {}
     rows = []
     prev: MpcStepResult | None = None
     fallback: tuple[Trajectory, float] | None = None
     t_sim = 0.0
     for k in range(max_steps):
         if k in disturbances:
-            plant.q = plant.q + np.asarray(disturbances[k], dtype=float)
+            plant.q = plant.q + disturbances[k]
             prev = None  # stale plan; force explore / direct re-entry
             fallback = None
         if _at_goal(plant, qT, qdT, config):
@@ -308,8 +322,4 @@ def greedy_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
         if report is not None and report.valid and cost < best_cost:
             best_cost = cost
             best = traj
-    horizon = (None if best is None
-               else extract_reference(best, 0.0, config.dt_mpc, config.plant_dt))
-    return MpcStepResult(solution=best, report=None, valid=best is not None,
-                         mode="greedy", iterations_run=0, short_horizon=horizon,
-                         step_seconds=time.monotonic() - t_start)
+    return _step_result(best, None, best is not None, "greedy", 0, config, t_start)

@@ -3,10 +3,11 @@
 `make_es` sets up the evolution strategy and the boundary half of the
 duration kernel (`timing.boundary_half`), which depends only on the problem,
 so `solve` gets both from one call per solve and `mpc.mpc_step` from one
-call per ES step.  `generations` runs sample -> evaluate -> update for as
-long as its caller iterates, and owns the infeasible-boundary rule: over a
-boundary whose velocities break the limits it runs no generation, so
-`solve` raises InfeasibleError there and an MPC step scores only its mean.
+call per ES step; it also owns the ES cold start that both take.
+`generations` runs sample -> evaluate -> update for as long as its caller
+iterates, and owns the infeasible-boundary rule: over a boundary whose
+velocities break the limits it runs no generation, so `solve` raises
+InfeasibleError there and an MPC step scores only its mean.
 `evaluate_candidates` synthesizes each candidate on its own and prices the
 population in one `costs.evaluate_total` call, which owns the rank rule;
 `score` prices one via-point vector through that call with one row, and
@@ -46,6 +47,7 @@ class PlanningProblem:
     use_chol: bool = True
 
     def __post_init__(self):
+        self.limits.check_dof(self.bc.dof)
         if self.n_via < 1:
             raise ValueError("the stochastic loop needs n_via >= 1")
         if self.pop_size < 4:
@@ -78,22 +80,27 @@ def straight_line_init(bc: BoundaryConditions, n_via: int) -> np.ndarray:
     return pts.reshape(-1)
 
 
-def make_es(problem: PlanningProblem, mean, sigma_scale: float):
+def make_es(problem: PlanningProblem, mean=None, sigma_scale: float | None = None):
     """(ES, Boundary) over problem's n_via via-points: the ES starts at mean
     behind the smoothness Cholesky factor unless problem.use_chol is off, and
     the boundary half serves all it samples; sigma_scale, in configuration
-    units, must be finite and positive."""
+    units, must be finite and positive.  The cold start is their default:
+    the straight line q0 -> qT at half its length, or at 0.5 when q0 == qT."""
+    bc = problem.bc
+    mean = straight_line_init(bc, problem.n_via) if mean is None else mean
+    if sigma_scale is None:
+        sigma_scale = 0.5 * float(np.linalg.norm(bc.qT - bc.q0)) or 0.5
     if not 0.0 < sigma_scale < np.inf:
         raise ValueError("sigma_scale must be finite and positive")
-    basis = build_basis(problem.n_via, problem.bc.dof)
+    basis = build_basis(problem.n_via, bc.dof)
     prior = build_prior(basis)
     transform = prior.chol if problem.use_chol else None
     scale = prior.scale if problem.use_chol else 1.0
-    mean = np.asarray(mean, dtype=float).reshape(basis.n_via * problem.bc.dof)
+    mean = np.asarray(mean, dtype=float).reshape(basis.n_via * bc.dof)
     es = EvolutionStrategy(mean=mean, sigma_diag=(sigma_scale / scale) ** 2,
                            pop_size=problem.pop_size, transform=transform,
                            mode=problem.mode, seed=problem.seed)
-    return es, boundary_half(basis, problem.bc, problem.limits, problem.grid)
+    return es, boundary_half(basis, bc, problem.limits, problem.grid)
 
 
 def _synthesized(boundary: Boundary, q_via) -> Trajectory | None:
@@ -148,17 +155,14 @@ def generations(es: EvolutionStrategy, boundary: Boundary,
 
 def solve(problem: PlanningProblem,
           init_sigma_scale: float | None = None) -> SolveResult:
-    """Run the optimization loop from the straight line q0 -> qT until the
-    best cost stalls or the iteration budget runs out, and return the
-    reported plan and the best-ever candidate; raises InfeasibleError when no
-    candidate admitted a finite duration.  The reported plan is the final
-    mean, or the best-ever candidate when the mean has no duration, or is
-    invalid while the best-ever candidate is valid."""
-    bc = problem.bc
-    if init_sigma_scale is None:
-        init_sigma_scale = 0.5 * float(np.linalg.norm(bc.qT - bc.q0)) or 0.5
-    es, boundary = make_es(problem, straight_line_init(bc, problem.n_via),
-                           init_sigma_scale)
+    """Run the optimization loop from make_es's cold start (at
+    init_sigma_scale when given) until the best cost stalls or the iteration
+    budget runs out, and return the reported plan and the best-ever
+    candidate; raises InfeasibleError when no candidate admitted a finite
+    duration.  The reported plan is the final mean, or the best-ever
+    candidate when the mean has no duration, or is invalid while the
+    best-ever candidate is valid."""
+    es, boundary = make_es(problem, sigma_scale=init_sigma_scale)
 
     history: list[float] = []
     history_best: list[float] = []

@@ -18,6 +18,14 @@ from functools import lru_cache
 import numpy as np
 
 
+# d^k/dtau^k of (1, tau, tau^2, tau^3) for k = 0, 1, 2, each term as
+# (coefficient, exponent) of tau.  The exponents stay Python ints, so tau**2
+# is a square and tau**3 a power, as numpy rounds them.
+_DERIVATIVES = (((1, 0), (1, 1), (1, 2), (1, 3)),
+               ((0, 0), (1, 0), (2, 1), (3, 2)),
+               ((0, 0), (0, 0), (2, 0), (6, 1)))
+
+
 def via_timings(n_via: int) -> np.ndarray:
     """Uniform via-point phase timings s_n = n/(N+1), n = 1..N."""
     return np.arange(1, n_via + 1) / (n_via + 1)
@@ -142,19 +150,10 @@ class SplineBasis:
             raise ValueError("phase values must lie in [0, 1]")
         seg = np.minimum((s * self.n_segments).astype(int), self.n_segments - 1)
         tau = s * self.n_segments - seg
-        c = self._coeffs[seg]  # (S, 4, n_coef)
-        if order == 0:
-            powers = np.stack([np.ones_like(tau), tau, tau**2, tau**3], axis=1)
-            return np.einsum("sk,skc->sc", powers, c)
-        if order == 1:
-            powers = np.stack([np.zeros_like(tau), np.ones_like(tau),
-                               2.0 * tau, 3.0 * tau**2], axis=1)
-            return np.einsum("sk,skc->sc", powers, c) / self.h
-        if order == 2:
-            powers = np.stack([np.zeros_like(tau), np.zeros_like(tau),
-                               2.0 * np.ones_like(tau), 6.0 * tau], axis=1)
-            return np.einsum("sk,skc->sc", powers, c) / self.h**2
-        raise ValueError("order must be 0, 1 or 2")
+        if order not in (0, 1, 2):
+            raise ValueError("order must be 0, 1 or 2")
+        powers = np.stack([coef * tau**exp for coef, exp in _DERIVATIVES[order]], axis=1)
+        return np.einsum("sk,skc->sc", powers, self._coeffs[seg]) / self.h**order
 
     def grid_matrices(self, n_points: int):
         """Cached evaluation matrices on a uniform phase grid: E0, and E1 and

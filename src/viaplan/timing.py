@@ -71,6 +71,11 @@ class KinodynamicLimits:
         if self.q_min is not None and not np.all(self.q_min < self.q_max):
             raise ValueError("q_min must be below q_max")
 
+    def check_dof(self, dof: int) -> None:
+        """Raise ValueError unless every limit holds one value per DoF."""
+        if any(v is not None and v.shape != (dof,) for v in vars(self).values()):
+            raise ValueError("every limit needs one value per DoF of q0")
+
     @classmethod
     def symmetric(cls, qd: float, qdd: float, dof: int,
                   q_range: tuple[float, float] | None = None) -> "KinodynamicLimits":

@@ -18,7 +18,9 @@ So are the MPC step functions, to copies of the steps that built their own
 bases, boundary halves, ES and generation loop, scored each greedy endpoint
 through their own direct-plan and `evaluate_total` calls, warm-started with
 one `at_time` call per via-point and extracted references with their own
-(S, 1, N+4) @ (N+4, D) product.
+(S, 1, N+4) @ (N+4, D) product.  `SplineBasis.eval_matrix` is held to its
+one branch per derivative order, and the cold start of `planner.make_es` to
+the two starts that `solve` and the MPC explore branch each wrote out.
 """
 
 import dataclasses
@@ -981,3 +983,72 @@ def test_cost_report_fields_and_types():
         with pytest.raises(AttributeError):
             report.total = 0.0
 
+
+
+# -- reference: the three-branch eval_matrix and the written-out ES starts ----
+
+
+def ref_eval_matrix(basis, s, order):
+    """eval_matrix with one branch, and one einsum, per order."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    seg = np.minimum((s * basis.n_segments).astype(int), basis.n_segments - 1)
+    tau = s * basis.n_segments - seg
+    c = basis._coeffs[seg]
+    if order == 0:
+        powers = np.stack([np.ones_like(tau), tau, tau**2, tau**3], axis=1)
+        return np.einsum("sk,skc->sc", powers, c)
+    if order == 1:
+        powers = np.stack([np.zeros_like(tau), np.ones_like(tau),
+                           2.0 * tau, 3.0 * tau**2], axis=1)
+        return np.einsum("sk,skc->sc", powers, c) / basis.h
+    powers = np.stack([np.zeros_like(tau), np.zeros_like(tau),
+                       2.0 * np.ones_like(tau), 6.0 * tau], axis=1)
+    return np.einsum("sk,skc->sc", powers, c) / basis.h**2
+
+
+def test_eval_matrix_matches_three_branches():
+    rng = np.random.default_rng(20)
+    for n_via in range(17):
+        basis = build_basis(n_via, 1)
+        knots = np.arange(n_via + 2) / (n_via + 1)
+        for s in (np.linspace(0.0, 1.0, 51), np.linspace(0.0, 1.0, 201), knots,
+                  rng.uniform(0.0, 1.0, 300), np.array([0.0, 1.0]), 0.0, 1.0):
+            for order in range(3):
+                assert same_bits(basis.eval_matrix(s, order),
+                                 ref_eval_matrix(basis, s, order)), (n_via, order)
+
+
+def ref_es_start(problem, spread):
+    """The ES of a cold start written out as solve (spread "solve") or the
+    MPC explore branch (spread "explore") wrote it: the straight line at
+    0.5 * |qT - q0|, the zero distance read as 0.5 and as 1.0 respectively."""
+    bc = problem.bc
+    distance = float(np.linalg.norm(bc.qT - bc.q0))
+    sigma = (0.5 * distance or 0.5) if spread == "solve" else 0.5 * (distance or 1.0)
+    mean = bc.q0 + np.outer(via_timings(problem.n_via), bc.qT - bc.q0)
+    prior = build_prior(build_basis(problem.n_via, bc.dof))
+    transform, scale = (prior.chol, prior.scale) if problem.use_chol else (None, 1.0)
+    return EvolutionStrategy(mean=mean.reshape(-1), sigma_diag=(sigma / scale) ** 2,
+                             pop_size=problem.pop_size, transform=transform,
+                             mode=problem.mode, seed=problem.seed)
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 6),
+       st.booleans(), st.sampled_from(["sep", "full"]), st.booleans())
+def test_make_es_cold_start_matches_written_out_starts(seed, dof, n_via, at_rest,
+                                                       mode, use_chol):
+    rng = np.random.default_rng(seed)
+    q0 = rng.uniform(-1.0, 1.0, dof)
+    qT = q0 if at_rest else rng.uniform(-1.0, 1.0, dof)
+    problem = PlanningProblem(BoundaryConditions(q0, np.zeros(dof), qT, np.zeros(dof)),
+                              KinodynamicLimits.symmetric(0.5, 2.0, dof), n_via=n_via,
+                              pop_size=int(rng.integers(4, 12)), mode=mode,
+                              use_chol=use_chol, seed=int(rng.integers(0, 1000)))
+    for spread in ("solve", "explore"):
+        es, _ = planner.make_es(problem)
+        want = ref_es_start(problem, spread)
+        assert same_bits(es.mean, want.mean)
+        assert same_bits(es.sigma_diag, want.sigma_diag)
+        assert es.step_size == want.step_size
+        assert same_bits(es.sample(), want.sample())

@@ -1,6 +1,7 @@
 """MPC step logic: direct gate, warm-start shift, budgets, closed loop."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -41,6 +42,33 @@ def test_config_validation():
         with pytest.raises(ValueError):
             MpcConfig(**bad)
     MpcConfig(iterations_per_step=1, pop_size=4, grid_k=2, plant_dt=0.08)
+
+
+def test_config_builds_its_grid_once():
+    # Every step shares the config's one grid, which only grid_k sets.
+    config = MpcConfig(grid_k=30)
+    assert config.grid == PhaseGrid(30)
+    assert dataclasses.replace(config, grid_k=12).grid == PhaseGrid(12)
+    with pytest.raises(TypeError):
+        MpcConfig(grid=PhaseGrid(30))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.grid_k = 12
+    with pytest.raises(ValueError, match="K >= 2"):
+        MpcConfig(grid_k=1)
+    problem = mpc.step_problem([0.0], [0.0], [1.0], [0.0],
+                               KinodynamicLimits.symmetric(0.5, 2.0, 1), config, None, 0)
+    assert problem.grid is config.grid
+
+
+@pytest.mark.parametrize("step", [mpc_step, greedy_step])
+@pytest.mark.parametrize("dof", [1, 3])
+def test_step_rejects_limits_of_another_dof(step, dof):
+    # One limit per axis used to be broadcast over the 2-DoF move; three
+    # failed with a numpy broadcast error.
+    with pytest.raises(ValueError, match="one value per DoF"):
+        step([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2),
+             KinodynamicLimits.symmetric(0.5, 2.0, dof),
+             MpcConfig(iterations_per_step=1, pop_size=8))
 
 
 def test_select_n_via_formula():
@@ -201,13 +229,20 @@ def test_step_after_an_expired_plan_explores():
     assert result.mode == "explore" and result.iterations_run == 2
 
 
+def es_start(es):
+    """The state an ES starts from: its mean, sigma_diag and step size."""
+    return es.mean.copy(), np.array(es.sigma_diag), es.step_size
+
+
 def record_es_inits(monkeypatch):
-    """(mean, sigma_scale) of every ES that mpc_step builds from now on."""
+    """(problem, mean, sigma_scale, es_start) of every ES that mpc_step
+    builds from now on, with mean and sigma_scale as the step passed them."""
     inits = []
 
-    def recording_make_es(problem, mean, sigma_scale):
-        inits.append((np.array(mean), sigma_scale))
-        return make_es(problem, mean, sigma_scale)
+    def recording_make_es(problem, mean=None, sigma_scale=None):
+        es, boundary = make_es(problem, mean, sigma_scale)
+        inits.append((problem, mean, sigma_scale, es_start(es)))
+        return es, boundary
 
     make_es = mpc.make_es
     monkeypatch.setattr(mpc, "make_es", recording_make_es)
@@ -215,22 +250,26 @@ def record_es_inits(monkeypatch):
 
 
 def test_explore_init_straight_line(monkeypatch):
-    # An explore step starts from the straight line with n_max via-points; a
-    # warm-start step from the shifted previous solution.  They sample at half
-    # and a twentieth of the start-goal distance.
+    # An explore step takes make_es's cold start: the straight line with n_max
+    # via-points at half the start-goal distance.  A warm-start step starts
+    # from the shifted previous solution at a twentieth of that distance.
     inits = record_es_inits(monkeypatch)
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
     config = MpcConfig(iterations_per_step=1, pop_size=8)
     distance = float(np.linalg.norm([1.0, 1.0]))
     first = mpc_step([0.0, 0.0], np.zeros(2), [1.0, 1.0], np.zeros(2), lim, config)
     assert first.mode == "explore" and first.valid
-    (mean, sigma), = inits
-    assert mean.shape == (8,) and sigma == 0.5 * distance
-    np.testing.assert_allclose(mean.reshape(4, 2)[1], [0.4, 0.4], atol=1e-12)
+    (problem, mean, sigma, start), = inits
+    assert mean is None and sigma is None and problem.n_via == config.n_max
+    line = planner.straight_line_init(problem.bc, config.n_max)
+    expected = es_start(planner.make_es(problem, line, 0.5 * distance)[0])
+    assert all(np.array_equal(a, b) for a, b in zip(start, expected))
+    assert start[0].shape == (8,)
+    np.testing.assert_allclose(start[0].reshape(4, 2)[1], [0.4, 0.4], atol=1e-12)
     second = mpc_step([0.0, 0.0], np.zeros(2), [1.0, 1.0], np.zeros(2), lim, config,
                       prev_result=first)
     assert second.mode == "warmstart"
-    mean, sigma = inits[1]
+    _, mean, sigma, _ = inits[1]
     expected, _ = warm_start(first.solution, config.dt_mpc, config.alpha, config.n_max)
     assert sigma == 0.05 * distance and np.array_equal(mean, expected)
 
@@ -323,6 +362,29 @@ def test_closed_loop_disturbance_recovery():
                           LIMITS_2D, config, max_steps=150,
                           disturbances={8: np.array([-0.05, 0.2])})
     assert log.goal_reached
+
+
+@pytest.mark.parametrize("dq", [[0.05], [0.05, 0.0, 0.0], [np.nan, 0.0], [0.0, -np.inf]])
+def test_closed_loop_rejects_bad_disturbances_before_any_step(dq):
+    # A (1,) dq used to be broadcast over both axes, and a NaN one to fail
+    # mid-episode, in the step after it, once earlier steps had run.
+    steps = []
+
+    def recording_step(*args, **kwargs):
+        steps.append(args)
+        return greedy_step(*args, **kwargs)
+
+    with pytest.raises(ValueError, match="disturbance"):
+        run_closed_loop([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2), LIMITS_2D,
+                        MpcConfig(), max_steps=3, disturbances={1: np.array(dq)},
+                        step=recording_step)
+    assert steps == []
+
+
+def test_closed_loop_defaults():
+    # The CLI leaves max_steps and the lag time constant to these defaults.
+    assert inspect.signature(run_closed_loop).parameters["max_steps"].default == 150
+    assert LagPlant([0.0]).time_constant == 0.05
 
 
 def test_closed_loop_lag_plant():

@@ -280,3 +280,18 @@ def test_boundary_built_once_per_solve(monkeypatch):
     # Every candidate and the final mean are synthesized from that one value.
     assert len(used) == res.iterations * problem.pop_size + 1
     assert len({id(b) for b in used}) == 1
+
+
+def test_problem_rejects_limits_of_another_dof():
+    # One limit per axis used to be broadcast over a 2-DoF move, which then
+    # solved and reported valid; three failed inside boundary_half with a
+    # numpy broadcast error.
+    q0, goal = bundled_start_goal()
+    bc = BoundaryConditions(q0, np.zeros(2), goal, np.zeros(2))
+    two = KinodynamicLimits.symmetric(0.5, 2.0, 2)
+    for limits in (KinodynamicLimits.symmetric(0.5, 2.0, 1),
+                   KinodynamicLimits.symmetric(0.5, 2.0, 3),
+                   dataclasses.replace(two, q_min=np.zeros(1), q_max=np.ones(1))):
+        with pytest.raises(ValueError, match="one value per DoF"):
+            PlanningProblem(bc, limits, n_via=3, pop_size=8)
+    PlanningProblem(bc, two, n_via=3, pop_size=8)
