@@ -9,8 +9,14 @@ runs. Compare a change against its parent with
 which runs both trees in subprocesses, prints this tree's lines, then every
 line that differs, the line counts of both trees' `viaplan/*.py` (with and
 without `cli.py`) and the number of config keys each of their commands
-accepts, and exits 1 when any digest line differs.  With --against, each
-tree's lines also hold the exit code and `digest` lines of
+accepts, and exits 1 when any line differs.  A planned output change is
+listed in `scripts/digest_changes.json` as {line name: {"from": base digest,
+"to": new digest}}, where a line's name is the CSV path or the `digest` line
+without its digest; a differing line that an entry matches on both digests
+is printed as accepted and does not fail the comparison.  An entry whose
+`from` is not the base's digest matches nothing, so once the change is in
+the base the list has no effect.  With --against, each tree's lines also
+hold the exit code and `digest` lines of
 
     python3 viabench/run.py --workload <w> --seed 1 --seconds 1 --trace 1
 
@@ -57,6 +63,9 @@ RUNS = (
      {"optimizer": {"seeds": 2, "max_iterations": 30}}, []),
 )
 
+
+# The planned digest changes that --against accepts.
+CHANGES = ROOT / "scripts" / "digest_changes.json"
 
 # The viabench workloads whose traced digests --against compares.
 WORKLOADS = ("offline_2d", "timeopt_1d", "mpc_2d")
@@ -107,18 +116,46 @@ def line_counts(src: str) -> str:
     return f"{total} ({total - counts.get('cli.py', 0)} without cli.py)"
 
 
+def named_digest(line: str):
+    """(name, digest) of a CSV digest line or a viabench `digest` line, or
+    None for any other line."""
+    if line.startswith("digest "):
+        name, _, digest = line.rpartition(" ")
+        return name, digest
+    digest, sep, name = line.partition("  ")
+    return (name, digest) if sep else None
+
+
+def accepted(mine: str, theirs: str, changes: dict) -> bool:
+    """Whether this tree's line differs from the base's line exactly as an
+    entry of changes lists: same name, the base's digest as `from` and this
+    tree's as `to`."""
+    new, base = named_digest(mine), named_digest(theirs)
+    if new is None or base is None or new[0] != base[0]:
+        return False
+    entry = changes.get(new[0], {})
+    return (entry.get("from"), entry.get("to")) == (base[1], new[1])
+
+
 def compare(src: str, other: str) -> int:
     (my_keys, *mine), (their_keys, *theirs) = (digests(tree) + bench_digests(tree)
                                                for tree in (src, other))
     print("\n".join(mine))
+    changes = json.loads(CHANGES.read_text())
     differ = [(a, b) for a, b in zip(mine, theirs) if a != b]
+    listed = [(a, b) for a, b in differ if accepted(a, b, changes)]
+    differ = [pair for pair in differ if pair not in listed]
     if len(mine) != len(theirs):
         differ.append((f"{len(mine)} lines", f"{len(theirs)} lines"))
+    for a, b in listed:
+        print(f"accepted: {a}\n    from: {b}")
     for a, b in differ:
         print(f"differs: {a}\n against: {b}")
     print(f"viaplan/*.py lines: {line_counts(src)}, against {line_counts(other)}")
     print(f"{my_keys}, against {their_keys.partition(': ')[2]}")
-    print("every CSV identical" if not differ else f"{len(differ)} lines differ")
+    print(f"{len(differ)} lines differ" if differ else
+          f"every CSV identical but {len(listed)} listed changes" if listed else
+          "every CSV identical")
     return 1 if differ else 0
 
 
@@ -128,7 +165,8 @@ def main() -> int:
                         help="directory holding the viaplan package to run")
     parser.add_argument("--against", metavar="OTHER_SRC",
                         help="also run the viaplan package in OTHER_SRC and "
-                             "exit 1 if any line differs")
+                             "exit 1 if any line differs but those listed in "
+                             "scripts/digest_changes.json")
     args = parser.parse_args()
     if args.against:
         return compare(args.src, args.against)

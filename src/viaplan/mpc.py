@@ -5,15 +5,16 @@ primitive), scored by `planner.score_direct`.  When that fails the gate, it
 starts the evolution strategy from the time-shifted previous solution
 (`warm_start`, None once that has expired), sampled at 0.05 times the
 distance left, or else from the cold start of `planner.make_es`.  It runs
-the planner's generation loop (always sep-CMA-ES behind the smoothness
-Cholesky factor) over the boundary that `make_es` returns until the step
-budget expires, and scores the final mean with `planner.score`.  Both
-scores are (None, None) when no finite duration meets the limits.  The
-greedy baseline is another step function for the same closed loop and
-`step_problem`: it scores each endpoint alone as a no-via-point plan with
-`score_direct`.  Both step functions end in `_step_result`, which samples
-the first dt_mpc of the solution at the plant rate (`extract_reference`,
-through `Trajectory.at_time`) and times the step.
+`planner.optimize`, the loop of offline solves (always sep-CMA-ES behind
+the smoothness Cholesky factor), over the boundary that `make_es` returns
+until the step budget expires, and reports the plan that the planner's
+reported-plan rule picks from the final mean and the step's best-ever
+candidate.  A plan is (None, None) when no finite duration meets the
+limits.  The greedy baseline is another step function for the same closed
+loop and `step_problem`: it scores each endpoint alone as a no-via-point
+plan with `score_direct`.  Both step functions end in `_step_result`, which
+samples the first dt_mpc of the solution at the plant rate
+(`extract_reference`, through `Trajectory.at_time`) and times the step.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .costs import CostReport, CostWeights
-from .planner import PlanningProblem, generations, make_es, score, score_direct
+from .planner import PlanningProblem, make_es, optimize, score_direct
 from .spline import BoundaryConditions, via_timings
 from .timing import KinodynamicLimits, PhaseGrid, Trajectory
 
@@ -153,14 +154,13 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
             problem = replace(problem, n_via=n_via)
             spread = 0.05 * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0)
             es, boundary = make_es(problem, mean, spread)
-        for _ in generations(es, boundary, problem):
-            iterations += 1
+
+        def stop(iterations, _history):
             if config.iterations_per_step is not None:
-                if iterations >= config.iterations_per_step:
-                    break
-            elif time.monotonic() - t_start >= config.dt_mpc:
-                break
-        solution, report = score(boundary, es.mean, problem)
+                return iterations >= config.iterations_per_step
+            return time.monotonic() - t_start >= config.dt_mpc
+        res = optimize(es, boundary, problem, stop, raise_infeasible=False)
+        solution, report, iterations = res.trajectory, res.report, res.iterations
     return _step_result(solution, report, report is not None and report.valid,
                         mode, iterations, config, t_start)
 

@@ -4,23 +4,25 @@
 duration kernel (`timing.boundary_half`), which depends only on the problem,
 so `solve` gets both from one call per solve and `mpc.mpc_step` from one
 call per ES step; it also owns the ES cold start that both take.
+`optimize` is the one optimization loop of both, each with its own stop
+rule; it tracks the best-ever candidate and owns the reported-plan rule:
+the reported plan is the final mean, or the best-ever candidate when the
+mean has no duration, or is invalid while the best-ever candidate is valid.
 `generations` runs sample -> evaluate -> update for as long as its caller
 iterates, and owns the infeasible-boundary rule: over a boundary whose
 velocities break the limits it runs no generation, so `solve` raises
-InfeasibleError there and an MPC step scores only its mean.
+InfeasibleError there and an MPC step reports its mean's (None, None).
 `evaluate_candidates` synthesizes each candidate on its own and prices the
 population in one `costs.evaluate_total` call, which owns the rank rule;
 `score` prices one via-point vector through that call with one row, and
 `score_direct` the no-via-point plan between two states, as the MPC direct
 gate and the greedy baseline's endpoints are.  A candidate with no finite
-duration has a None trajectory and report.  `solve` owns the reported-plan
-rule.
+duration has a None trajectory and report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -64,10 +66,10 @@ class PlanningProblem:
 
 @dataclass
 class SolveResult:
-    trajectory: Trajectory   # the reported plan, as solve picks it
-    report: CostReport
-    best_trajectory: Trajectory
-    best_report: CostReport
+    trajectory: Trajectory | None   # the reported plan, as optimize picks it
+    report: CostReport | None
+    best_trajectory: Trajectory | None   # None when no candidate had a duration
+    best_report: CostReport | None
     history_best: list       # best-so-far cost (non-increasing)
     iterations: int
     first_valid_iter: int | None = None
@@ -153,46 +155,43 @@ def generations(es: EvolutionStrategy, boundary: Boundary,
         yield trajs, reports, costs
 
 
-def solve(problem: PlanningProblem,
-          init_sigma_scale: float | None = None) -> SolveResult:
-    """Run the optimization loop from make_es's cold start (at
-    init_sigma_scale when given) until the best cost stalls or the iteration
-    budget runs out, and return the reported plan and the best-ever
-    candidate; raises InfeasibleError when no candidate admitted a finite
-    duration.  The reported plan is the final mean, or the best-ever
-    candidate when the mean has no duration, or is invalid while the
-    best-ever candidate is valid."""
-    es, boundary = make_es(problem, sigma_scale=init_sigma_scale)
-
+def optimize(es: EvolutionStrategy, boundary: Boundary, problem: PlanningProblem,
+             stop, raise_infeasible: bool = True) -> SolveResult:
+    """Run generations until stop(iterations, history), asked after each
+    with the per-generation best costs so far, is true, and return the
+    reported plan and the best-ever candidate.  When no candidate admitted a
+    finite duration it raises InfeasibleError before scoring the mean, or,
+    with raise_infeasible off, reports the mean and no best-ever candidate."""
     history: list[float] = []
     history_best: list[float] = []
-    best_cost = np.inf
-    best: tuple[Trajectory, CostReport] | None = None
-    iterations = 0
-    first_valid: int | None = None
-    loop = islice(generations(es, boundary, problem), problem.max_iterations)
-    for iterations, (trajs, reports, costs) in enumerate(loop, start=1):
+    best_cost, best = np.inf, (None, None)
+    iterations, first_valid = 0, None
+    for iterations, (trajs, reports, costs) in enumerate(
+            generations(es, boundary, problem), start=1):
         if first_valid is None and any(r is not None and r.valid for r in reports):
             first_valid = iterations
         i_best = int(np.argmin(costs))
         if trajs[i_best] is not None and costs[i_best] < best_cost:
-            best_cost = costs[i_best]
-            best = (trajs[i_best], reports[i_best])
-        # Convergence watches the per-generation best: it only stalls once the
-        # sampling distribution has collapsed onto a local optimum.
+            best_cost, best = costs[i_best], (trajs[i_best], reports[i_best])
         history.append(float(costs[i_best]))
         history_best.append(float(best_cost))
-        if converged(history, problem.tol):
+        if stop(iterations, history):
             break
 
-    if best is None:
+    if best[0] is None and raise_infeasible:
         raise InfeasibleError("no candidate admitted a finite duration")
-
     traj, report = score(boundary, es.mean, problem)
-    if report is None or (best[1].valid and not report.valid):
+    if report is None or (best[1] is not None and best[1].valid and not report.valid):
         traj, report = best
+    return SolveResult(traj, report, *best, history_best, iterations, first_valid)
 
-    return SolveResult(trajectory=traj, report=report,
-                       best_trajectory=best[0], best_report=best[1],
-                       history_best=history_best, iterations=iterations,
-                       first_valid_iter=first_valid)
+
+def solve(problem: PlanningProblem,
+          init_sigma_scale: float | None = None) -> SolveResult:
+    """optimize from make_es's cold start (at init_sigma_scale when given)
+    until the per-generation best cost stalls or max_iterations have run.
+    Convergence watches the per-generation best: it only stalls once the
+    sampling distribution has collapsed onto a local optimum."""
+    es, boundary = make_es(problem, sigma_scale=init_sigma_scale)
+    return optimize(es, boundary, problem, lambda iterations, history: (
+        iterations >= problem.max_iterations or converged(history, problem.tol)))

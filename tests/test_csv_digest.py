@@ -1,0 +1,60 @@
+"""The planned-change list of `scripts/csv_digest.py --against`: a differing
+line passes only when an entry names it with the base's digest as `from`
+and this tree's as `to`."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def csv_digest():
+    spec = importlib.util.spec_from_file_location(
+        "csv_digest", ROOT / "scripts" / "csv_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHANGES = {"mpc/episode.csv": {"from": "aa11", "to": "bb22"},
+           "digest mpc_2d first 6 inputs": {"from": "cc33", "to": "dd44"}}
+
+
+def test_a_listed_change_is_accepted(csv_digest):
+    assert csv_digest.accepted("bb22  mpc/episode.csv", "aa11  mpc/episode.csv", CHANGES)
+    assert csv_digest.accepted("digest mpc_2d first 6 inputs dd44",
+                               "digest mpc_2d first 6 inputs cc33", CHANGES)
+
+
+def test_an_unlisted_change_fails(csv_digest):
+    assert not csv_digest.accepted("bb22  mpc/summary.csv", "aa11  mpc/summary.csv",
+                                   CHANGES)
+    # A listed digest pair on another line, an exit code or a line count.
+    assert not csv_digest.accepted("bb22  mpc_lag/episode.csv",
+                                   "aa11  mpc/episode.csv", CHANGES)
+    assert not csv_digest.accepted("mpc exit=1", "mpc exit=0", CHANGES)
+    assert not csv_digest.accepted("digest mpc_2d first 7 inputs dd44",
+                                   "digest mpc_2d first 6 inputs cc33", CHANGES)
+
+
+def test_a_wrong_digest_fails(csv_digest):
+    # A wrong `to`, and a `from` that is not the base's: once the change is
+    # in the base, the entry matches nothing and identity is strict again.
+    assert not csv_digest.accepted("ee55  mpc/episode.csv", "aa11  mpc/episode.csv",
+                                   CHANGES)
+    assert not csv_digest.accepted("ff66  mpc/episode.csv", "bb22  mpc/episode.csv",
+                                   CHANGES)
+
+
+def test_the_committed_list_names_digest_lines(csv_digest):
+    changes = json.loads(csv_digest.CHANGES.read_text())
+    for name, entry in changes.items():
+        assert set(entry) == {"from", "to"} and entry["from"] != entry["to"]
+        for digest in entry.values():
+            assert csv_digest.named_digest(f"{digest}  {name}"
+                                           if "/" in name else f"{name} {digest}") == (
+                name, digest)

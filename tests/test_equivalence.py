@@ -19,11 +19,13 @@ bases, boundary halves, ES and generation loop, scored each greedy endpoint
 through their own direct-plan and `evaluate_total` calls, warm-started with
 one `at_time` call per via-point and extracted references with their own
 (S, 1, N+4) @ (N+4, D) product.  `SplineBasis.eval_matrix` is held to its
-one branch per derivative order, and the cold start of `planner.make_es` to
-the two starts that `solve` and the MPC explore branch each wrote out.
+one branch per derivative order, the cold start of `planner.make_es` to
+the two starts that `solve` and the MPC explore branch each wrote out, and
+`planner.solve` to its own generation loop from before `planner.optimize`.
 """
 
 import dataclasses
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,7 +37,7 @@ from viaplan.costs import CostReport, CostWeights, cost_jla, evaluate_total
 from viaplan.mpc import (GREEDY_HORIZON, GREEDY_SAMPLES, MpcConfig,
                          MpcStepResult, ShortHorizon, extract_reference,
                          greedy_step, mpc_step, select_n_via, warm_start)
-from viaplan.optimizer import EvolutionStrategy, build_prior
+from viaplan.optimizer import EvolutionStrategy, build_prior, converged
 from viaplan.planner import PlanningProblem, evaluate_candidates
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
@@ -275,7 +277,8 @@ def ref_mpc_step(q, qd, qT, qdT, limits, config, checker=None, prev_result=None,
                  seed=0):
     """mpc_step at a fixed iteration budget, with its own bases, boundary
     halves, ES set-up and generation loop, which runs the whole budget even
-    over a boundary that breaks the velocity limits."""
+    over a boundary that breaks the velocity limits, and its own best-ever
+    candidate and reported-plan rule."""
     bc = BoundaryConditions(q, qd, qT, qdT)
     problem = PlanningProblem(bc, limits, n_via=config.n_max,
                               pop_size=config.pop_size,
@@ -303,9 +306,16 @@ def ref_mpc_step(q, qd, qT, qdT, limits, config, checker=None, prev_result=None,
                                pop_size=problem.pop_size, transform=prior.chol,
                                mode=problem.mode, seed=problem.seed)
         boundary = boundary_half(basis, bc, limits, problem.grid)
+        best, best_cost = None, np.inf
         for iterations in range(1, config.iterations_per_step + 1):
-            es.update(evaluate_candidates(boundary, es.sample(), problem)[2])
+            trajs, reports, costs = evaluate_candidates(boundary, es.sample(), problem)
+            es.update(costs)
+            i = int(np.argmin(costs))
+            if trajs[i] is not None and costs[i] < best_cost:
+                best, best_cost = (trajs[i], reports[i]), costs[i]
         solution, report = planner.score(boundary, es.mean, problem)
+        if best is not None and (report is None or (best[1].valid and not report.valid)):
+            solution, report = best
     horizon = (None if solution is None else ref_batched_extract_reference(
         solution, 0.0, config.dt_mpc, config.plant_dt))
     return MpcStepResult(solution, report, report is not None and report.valid,
@@ -766,6 +776,82 @@ def test_step_matches_its_reference(step, ref):
     else:
         assert {("greedy", True, False), ("greedy", True, True),
                 ("greedy", False, False)} <= seen
+
+
+def ref_solve(problem, init_sigma_scale=None):
+    """solve as it was before planner.optimize: its own loop over
+    generations, cut at max_iterations by islice, with its own best-ever
+    tracking, stall test and reported-plan rule."""
+    es, boundary = planner.make_es(problem, sigma_scale=init_sigma_scale)
+    history, history_best = [], []
+    best_cost, best, iterations, first_valid = np.inf, None, 0, None
+    loop = islice(planner.generations(es, boundary, problem), problem.max_iterations)
+    for iterations, (trajs, reports, costs) in enumerate(loop, start=1):
+        if first_valid is None and any(r is not None and r.valid for r in reports):
+            first_valid = iterations
+        i_best = int(np.argmin(costs))
+        if trajs[i_best] is not None and costs[i_best] < best_cost:
+            best_cost = costs[i_best]
+            best = (trajs[i_best], reports[i_best])
+        history.append(float(costs[i_best]))
+        history_best.append(float(best_cost))
+        if converged(history, problem.tol):
+            break
+    if best is None:
+        raise InfeasibleError("no candidate admitted a finite duration")
+    traj, report = planner.score(boundary, es.mean, problem)
+    if report is None or (best[1].valid and not report.valid):
+        traj, report = best
+    return planner.SolveResult(trajectory=traj, report=report,
+                               best_trajectory=best[0], best_report=best[1],
+                               history_best=history_best, iterations=iterations,
+                               first_valid_iter=first_valid)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6, 1e-2])
+@pytest.mark.parametrize("max_iterations", [1, 2, 5, 12])
+def test_solve_matches_its_own_loop(tol, max_iterations):
+    # Both worlds, a goal inside a disk (every plan collides) and a start
+    # above qd_max, at seeds where the reported plan is the final mean and
+    # where it is the best-ever candidate.
+    q0, goal = bundled_start_goal()
+    zero = np.zeros(2)
+    limits = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
+    cases = [(BoundaryConditions(q0, zero, goal, zero), bundled_cluttered_world(), 3, 0.4),
+             (BoundaryConditions(q0, zero, goal, zero), bundled_cluttered_world(), 2, None),
+             (BoundaryConditions([0.2, 0.3], [0.2, -0.1], [0.8, 0.6], [0.1, 0.0]),
+              None, 4, None),
+             (BoundaryConditions(q0, zero, goal, zero),
+              World2D(obstacles=(Disk(goal, 0.05),), robot_radius=0.02), 2, None),
+             (BoundaryConditions(q0, [0.8, 0.0], goal, zero), bundled_cluttered_world(),
+              3, None)]
+    picked_best = mean_invalid = 0
+    for bc, checker, n_via, sigma in cases:
+        for seed in range(3):
+            problem = PlanningProblem(bc, limits, n_via=n_via, pop_size=8,
+                                      grid=PhaseGrid(20), checker=checker, seed=seed,
+                                      max_iterations=max_iterations, tol=tol)
+            if not bc.qd0[0] <= 0.5:
+                for f in (planner.solve, ref_solve):
+                    with pytest.raises(InfeasibleError, match="no candidate"):
+                        f(problem, sigma)
+                continue
+            got, want = planner.solve(problem, sigma), ref_solve(problem, sigma)
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if field.name in ("trajectory", "best_trajectory"):
+                    assert same_bits(a.duration, b.duration)
+                    assert same_bits(a.q_via, b.q_via), field.name
+                elif field.name in ("report", "best_report"):
+                    assert same_bits(a.total, b.total) and a.valid == b.valid
+                elif field.name == "history_best":
+                    assert same_bits(a, b)
+                else:
+                    assert a == b, field.name
+            picked_best += want.trajectory is want.best_trajectory
+            mean_invalid += not want.report.valid and want.trajectory is not \
+                want.best_trajectory
+    assert picked_best > 0 and mean_invalid > 0
 
 
 # -- reference: the broadcast duration kernel and the two-pass cost_jla -------

@@ -152,18 +152,46 @@ def test_step_above_qd_max_runs_no_generation(monkeypatch):
 def test_step_above_qd_max_takes_the_rule_from_generations(monkeypatch):
     # mpc_step has no infeasible-boundary guard of its own: it enters the
     # planner's generation loop, which yields nothing over such a boundary.
+    # mpc holds no generation loop of its own; planner.optimize runs it.
+    assert not hasattr(mpc, "generations") and not hasattr(mpc, "score")
     entered = []
+    real = planner.generations
 
     def spy(es, boundary, problem):
         entered.append(boundary.lanes.feasible)
-        yield from planner.generations(es, boundary, problem)
+        yield from real(es, boundary, problem)
 
-    monkeypatch.setattr(mpc, "generations", spy)
+    monkeypatch.setattr(planner, "generations", spy)
     q0, goal = bundled_start_goal()
     result = mpc_step(q0, np.array([0.8, 0.0]), goal, np.zeros(2), LIMITS_2D,
                       MpcConfig(iterations_per_step=5),
                       checker=bundled_cluttered_world())
     assert entered == [False] and result.iterations_run == 0
+
+
+def test_step_reports_the_best_ever_candidate_when_only_it_is_valid(monkeypatch):
+    # The first step of configs/mpc2d.json at 4 iterations of 16 candidates
+    # ends on a colliding mean (total 1000006.53) while one of its
+    # generations held a valid candidate: the step reports that candidate by
+    # solve's rule, where it used to report the mean and be invalid.
+    returned = []
+    real = planner.generations
+
+    def spy(es, boundary, problem):
+        for trajs, reports, costs in real(es, boundary, problem):
+            returned.extend(trajs)
+            yield trajs, reports, costs
+
+    monkeypatch.setattr(planner, "generations", spy)
+    q0, goal = bundled_start_goal()
+    result = mpc_step(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D,
+                      MpcConfig(iterations_per_step=4, pop_size=16),
+                      checker=bundled_cluttered_world(), seed=0)
+    assert result.mode == "explore" and result.iterations_run == 4
+    assert result.valid and result.report.valid
+    assert result.report.total == pytest.approx(3.656, abs=1e-3)
+    assert len(returned) == 4 * 16
+    assert any(result.solution is t for t in returned)
 
 
 def test_direct_step_at_its_goal_emits_rest_reference():
