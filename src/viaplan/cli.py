@@ -25,7 +25,7 @@ import numpy as np
 
 from .costs import CostWeights
 from .mpc import LagPlant, MpcConfig, greedy_step, run_closed_loop
-from .planner import PlanningProblem, solve
+from .planner import PlanningProblem, make_es, solve
 from .spline import BoundaryConditions
 from .timing import InfeasibleError, KinodynamicLimits, PhaseGrid
 from .worlds import (Disk, Rect, World2D, bundled_cluttered_world,
@@ -218,8 +218,10 @@ def offline_runs(args, keys, setups, world: bool = True):
     PlanningProblem fields out of it and returns the number of seeds and the
     command's (name, fields) setups.  Each setup solves one PlanningProblem
     of its fields, overridden by the section's own keys, per seed from the
-    section's seed on.  Yields (name, problem, result), the result None when
-    no candidate admitted a finite duration.
+    section's seed on; fields that PlanningProblem rejects, and an initial
+    spread that gives the ES no finite positive variance, are ConfigErrors.
+    Yields (name, problem, result), the result None when no candidate
+    admitted a finite duration.
     """
     bc, limits, checker, weights, opt, base_seed = load_experiment(
         args, "optimizer", keys, world)
@@ -233,6 +235,8 @@ def offline_runs(args, keys, setups, world: bool = True):
             with config_values():
                 problem = PlanningProblem(bc, limits, weights=weights, checker=checker,
                                           seed=seed, **{**fields, **opt})
+                # solve's ES start, so that a spread it cannot hold is a config error.
+                make_es(problem, sigma_scale=init_sigma)
             try:
                 result = solve(problem, init_sigma_scale=init_sigma)
             except InfeasibleError:

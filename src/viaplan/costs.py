@@ -2,14 +2,14 @@
 
 Task-agnostic terms (duration, smoothness, joint-limit avoidance) plus the
 task-specific collision count.  `evaluate_total` scores a sampled
-population of one `timing.Boundary` at once: one `SplineBasis.pack` of the
-candidates with a duration, one stacked position pass on the phase grid, one
-collision query over every grid point, one joint-limit mask and one
-smoothness quadratic form give one column per term, and the totals and
-validity flags are sums over those columns.  Most populations touch no
-joint limit at any grid point; for them `cost_jla` returns its zero columns
-straight after the masks.  Its cost column is the whole rank rule, since the
-evolution strategy uses nothing of a cost but its rank.
+population of one `timing.Boundary` at once, on its limits and grid: one
+`SplineBasis.pack` of the candidates with a duration, one stacked position
+pass through its E0, one collision query over every grid point, one
+joint-limit mask and one smoothness quadratic form give one column per
+term, and the totals and validity flags are sums over those columns.  Most
+populations touch no for them `cost_jla` returns its zero columns straight after the masks.  Its
+cost column is the whole rank rule, since the evolution strategy uses
+nothing of a cost but its rank.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .spline import stacked_smoothness
-from .timing import Boundary, KinodynamicLimits, PhaseGrid
+from .timing import Boundary, KinodynamicLimits
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,14 @@ def cost_collision(q: np.ndarray, checker) -> np.ndarray:
 
 
 def evaluate_total(boundary: Boundary, q_via, durations, weights: CostWeights,
-                   limits: KinodynamicLimits, grid: PhaseGrid,
                    checker=None) -> tuple[list, np.ndarray]:
     """(reports, costs) of a sampled population of boundary, given its
     (M, N, D) via-point stack, or M rows of N*D, and its M durations, NaN
-    where a candidate has none.  The total adds the weighted terms that are
-    present in the order duration, smooth, jla, collision; a zero duration
-    rests at bc.q0.  The cost is the total of a valid candidate; an invalid
-    one (joint-limit hit or collision) is kept, at its total plus
+    where a candidate has none, priced on the grid and limits that the
+    durations were synthesized under.  The total adds the weighted terms
+    that are present in the order duration, smooth, jla, collision; a zero
+    duration rests at bc.q0.  The cost is the total of a valid candidate; an
+    invalid one (joint-limit hit or collision) is kept, at its total plus
     invalid_penalty plus its violation count; a candidate with no duration
     has no report and costs np.finfo(float).max, after every finite total.
     """
@@ -97,13 +97,13 @@ def evaluate_total(boundary: Boundary, q_via, durations, weights: CostWeights,
     basis, bc, durations = boundary.basis, boundary.bc, durations[timed]
     pts = np.reshape(q_via, (len(timed), basis.n_via, basis.dof))[timed]
     u = basis.pack(pts, bc, durations)
-    q = np.matmul(basis.grid_matrices(grid.n_points)[0], u)
+    q = np.matmul(boundary.e0, u)
     smooth = stacked_smoothness(basis, u)
     rest = durations == 0.0
     if rest.any():
         q[rest] = bc.q0
         smooth[rest] = 0.0
-    jla, violations = cost_jla(q, limits)
+    jla, violations = cost_jla(q, boundary.limits)
     total = weights.duration * durations + weights.smooth * smooth + weights.jla * jla
     if checker is not None:
         hits = cost_collision(q, checker)

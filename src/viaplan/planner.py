@@ -4,20 +4,22 @@
 duration kernel (`timing.boundary_half`), which depends only on the problem,
 so `solve` gets both from one call per solve and `mpc.mpc_step` from one
 call per ES step; it also owns the ES cold start that both take.
-`optimize` is the one optimization loop of both, each with its own stop
-rule; it tracks the best-ever candidate and owns the reported-plan rule:
-the reported plan is the final mean, or the best-ever candidate when the
-mean has no duration, or is invalid while the best-ever candidate is valid.
-`generations` runs sample -> evaluate -> update for as long as its caller
-iterates, and owns the infeasible-boundary rule: over a boundary whose
-velocities break the limits it runs no generation, so `solve` raises
-InfeasibleError there and an MPC step reports its mean's (None, None).
-`evaluate_candidates` synthesizes each candidate on its own and prices the
-population in one `costs.evaluate_total` call, which owns the rank rule;
-`score` prices one via-point vector through that call with one row, and
-`score_direct` the no-via-point plan between two states, as the MPC direct
-gate and the greedy baseline's endpoints are.  A candidate with no finite
-duration has a None trajectory and report.
+`optimize` is the one generation loop of both, sample -> evaluate ->
+update, each with its own stop rule; it tracks the best-ever candidate and
+owns the reported-plan rule: the reported plan is the final mean, or the
+best-ever candidate when the mean has no duration, or is invalid while the
+best-ever candidate is valid.  It also owns the infeasible-boundary rule:
+over a boundary whose velocities break the limits it runs no generation, so
+`solve` raises InfeasibleError there and an MPC step reports its mean's
+(None, None).  `evaluate_candidates` synthesizes each candidate on its own
+and prices the population in one `costs.evaluate_total` call, which owns
+the rank rule; `score` prices one via-point vector through that call with
+one row, and `score_direct` the no-via-point plan between two states, as
+the MPC direct gate and the greedy baseline's endpoints are.  Every price is
+taken on the `Boundary` that the durations were synthesized on:
+`make_es` and `score_direct` build it from the problem's limits and grid,
+and the rest of the loop reads them only through it.  A candidate with no
+finite duration has a None trajectory and report.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .costs import CostReport, CostWeights, evaluate_total
 from .optimizer import EvolutionStrategy, build_prior, converged
 from .spline import BoundaryConditions, build_basis, via_timings
 from .timing import (Boundary, InfeasibleError, KinodynamicLimits, PhaseGrid,
-                     Trajectory, boundary_half, synthesize)
+                     Trajectory, boundary_half, power_or_inf, synthesize)
 
 
 @dataclass
@@ -86,20 +88,23 @@ def make_es(problem: PlanningProblem, mean=None, sigma_scale: float | None = Non
     """(ES, Boundary) over problem's n_via via-points: the ES starts at mean
     behind the smoothness Cholesky factor unless problem.use_chol is off, and
     the boundary half serves all it samples; sigma_scale, in configuration
-    units, must be finite and positive.  The cold start is their default:
-    the straight line q0 -> qT at half its length, or at 0.5 when q0 == qT."""
+    units, and the ES variance it gives must be finite and positive.  The
+    cold start is their default: the straight line q0 -> qT at half its
+    length, or at 0.5 when q0 == qT."""
     bc = problem.bc
     mean = straight_line_init(bc, problem.n_via) if mean is None else mean
     if sigma_scale is None:
         sigma_scale = 0.5 * float(np.linalg.norm(bc.qT - bc.q0)) or 0.5
-    if not 0.0 < sigma_scale < np.inf:
-        raise ValueError("sigma_scale must be finite and positive")
     basis = build_basis(problem.n_via, bc.dof)
     prior = build_prior(basis)
     transform = prior.chol if problem.use_chol else None
     scale = prior.scale if problem.use_chol else 1.0
     mean = np.asarray(mean, dtype=float).reshape(basis.n_via * bc.dof)
-    es = EvolutionStrategy(mean=mean, sigma_diag=(sigma_scale / scale) ** 2,
+    variance = power_or_inf(sigma_scale / scale, 2)
+    if not (sigma_scale > 0.0 and 0.0 < variance < np.inf):
+        raise ValueError("sigma_scale must be finite and positive, with a finite "
+                         f"positive ES variance, not {sigma_scale:g}")
+    es = EvolutionStrategy(mean=mean, sigma_diag=variance,
                            pop_size=problem.pop_size, transform=transform,
                            mode=problem.mode, seed=problem.seed)
     return es, boundary_half(basis, bc, problem.limits, problem.grid)
@@ -120,8 +125,7 @@ def score(boundary: Boundary, q_via, problem: PlanningProblem):
     if traj is None:
         return None, None
     (report,), _ = evaluate_total(boundary, traj.q_via[None], [traj.duration],
-                                  problem.weights, problem.limits, problem.grid,
-                                  problem.checker)
+                                  problem.weights, problem.checker)
     return traj, report
 
 
@@ -138,36 +142,27 @@ def evaluate_candidates(boundary: Boundary, candidates: np.ndarray,
     trajs = [_synthesized(boundary, x) for x in candidates]
     durations = [np.nan if t is None else t.duration for t in trajs]
     reports, costs = evaluate_total(boundary, candidates, durations, problem.weights,
-                                    problem.limits, problem.grid, problem.checker)
+                                    problem.checker)
     return trajs, reports, costs
-
-
-def generations(es: EvolutionStrategy, boundary: Boundary,
-                problem: PlanningProblem):
-    """Sample, evaluate and update for as long as the caller iterates; yields
-    each generation's (trajectories, reports, costs) after its update.  Over
-    a boundary whose velocities break the limits no candidate has a
-    duration, so it yields nothing."""
-    while boundary.lanes.feasible:
-        candidates = es.sample()
-        trajs, reports, costs = evaluate_candidates(boundary, candidates, problem)
-        es.update(costs)
-        yield trajs, reports, costs
 
 
 def optimize(es: EvolutionStrategy, boundary: Boundary, problem: PlanningProblem,
              stop, raise_infeasible: bool = True) -> SolveResult:
-    """Run generations until stop(iterations, history), asked after each
-    with the per-generation best costs so far, is true, and return the
-    reported plan and the best-ever candidate.  When no candidate admitted a
-    finite duration it raises InfeasibleError before scoring the mean, or,
-    with raise_infeasible off, reports the mean and no best-ever candidate."""
+    """Sample, evaluate and update until stop(iterations, history), asked
+    after each generation with the per-generation best costs so far, is
+    true, and return the reported plan and the best-ever candidate.  Over a
+    boundary whose velocities break the limits no candidate has a duration,
+    so it runs no generation.  When no candidate admitted a finite duration
+    it raises InfeasibleError before scoring the mean, or, with
+    raise_infeasible off, reports the mean and no best-ever candidate."""
     history: list[float] = []
     history_best: list[float] = []
     best_cost, best = np.inf, (None, None)
     iterations, first_valid = 0, None
-    for iterations, (trajs, reports, costs) in enumerate(
-            generations(es, boundary, problem), start=1):
+    while boundary.lanes.feasible:
+        trajs, reports, costs = evaluate_candidates(boundary, es.sample(), problem)
+        es.update(costs)
+        iterations += 1
         if first_valid is None and any(r is not None and r.valid for r in reports):
             first_valid = iterations
         i_best = int(np.argmin(costs))

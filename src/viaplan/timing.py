@@ -9,9 +9,10 @@ synthesized duration is the most conservative of these, which saturates at
 least one bound at one grid point.  The kernel comes in two halves: the
 boundary half (`Boundary`, from b and d) is built by `boundary_half` from
 exactly what a whole solve or MPC step shares, the basis, boundary conditions,
-limits and grid, once per solve or MPC step, with the stacked grid matrices
-that `SplineBasis.grid_matrices` caches, and is passed to every `synthesize`
-of it.  The boundary half holds its lanes read-only and already
+limits and grid, once per solve or MPC step, with the grid matrices that
+`SplineBasis.grid_matrices` caches, and is passed to every `synthesize` of it
+and to `costs.evaluate_total`, which prices its candidates on the same limits
+and grid.  The boundary half holds its lanes read-only and already
 in the shape of the acceleration roots, so the candidate half
 (`BoundaryLanes.duration`), which takes a and c, writes the velocity lane and
 the roots of the upper and lower acceleration quadratics into one buffer in
@@ -20,11 +21,10 @@ rest state (q0 == qT, zero boundary velocities, every via-point at q0) has
 duration 0.0 exactly, whatever the rounding of a and c; via-points with a
 non-finite entry have no duration.  The no-via-point plan between two
 states is `synthesize` over the boundary half of `build_basis(0, D)` with
-None for its via-points, as `planner.score_direct` builds it.  Durations
-are synthesized one candidate per `synthesize` call; costs are scored per
-population in `costs.evaluate_total`.  A `Trajectory` evaluates at phases (`evaluate`, as
-`sample_grid` does) and at one time or an array of times (`at_time`, each
-time as if alone); a zero duration is degenerate and rests at q0.
+None for its via-points, as `planner.score_direct` builds it.  A `Trajectory`
+evaluates at phases (`evaluate`, as `sample_grid` does) and at one time or
+an array of times (`at_time`, each time as if alone); a zero duration is
+degenerate and rests at q0, and one whose T^2 overflows divides by inf.
 """
 
 from __future__ import annotations
@@ -86,6 +86,14 @@ class KinodynamicLimits:
         return cls(-qd * ones, qd * ones, -qdd * ones, qdd * ones, q_min, q_max)
 
 
+def power_or_inf(x: float, n: int) -> float:
+    """x**n, or inf where that float power overflows and would raise."""
+    try:
+        return x**n
+    except OverflowError:
+        return np.inf
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform evaluation grid s_k = k/K, k = 0..K."""
@@ -131,7 +139,8 @@ class Trajectory:
         if order >= 1 and self.duration < 0.0:
             raise ValueError("time-domain derivatives need a positive duration")
         u = self.basis.pack(self.q_via, self.bc, self.duration)
-        values = self.basis.eval_matrix(s, order) @ u / self.duration**order
+        values = (self.basis.eval_matrix(s, order) @ u
+                  / power_or_inf(self.duration, order))
         return values[0] if np.ndim(s) == 0 else values
 
     def at_time(self, t, order: int = 0) -> np.ndarray:
@@ -143,7 +152,7 @@ class Trajectory:
         s = np.clip(np.divide(t, self.duration), 0.0, 1.0)
         u = self.basis.pack(self.q_via, self.bc, self.duration)
         rows = np.matmul(self.basis.eval_matrix(s, order)[:, None, :], u)[:, 0]
-        rows /= self.duration**order
+        rows /= power_or_inf(self.duration, order)
         return rows[0] if np.ndim(t) == 0 else rows
 
     def sample_grid(self, grid: PhaseGrid):
@@ -249,15 +258,18 @@ class BoundaryLanes:
 @dataclass(frozen=True, eq=False)
 class Boundary:
     """What every candidate of one (basis, bc, limits, grid) shares: the
-    boundary rows of U_a, the grid matrices E1 and E2 stacked as (E1, E2, E2),
-    so that one matmul gives a = E1 U_a and c = E2 U_a twice, in the roots'
-    shape, the BoundaryLanes of the boundary parts b = E1 U_b and d = E2 U_b,
-    and whether bc is one rest state (q0 == qT with zero velocities).  Its
-    arrays are read-only, so no candidate can change what the next sees."""
+    limits, the boundary rows of U_a, the grid matrix E0 that costs are
+    priced with, E1 and E2 stacked as (E1, E2, E2), so that one matmul gives
+    a = E1 U_a and c = E2 U_a twice, in the roots' shape, the BoundaryLanes
+    of the boundary parts b = E1 U_b and d = E2 U_b, and whether bc is one
+    rest state (q0 == qT with zero velocities).  Its arrays are read-only,
+    so no candidate can change what the next sees."""
 
     basis: SplineBasis
     bc: BoundaryConditions
+    limits: KinodynamicLimits
     tail: np.ndarray         # rows N.. of U_a: q0, 0, qT, 0
+    e0: np.ndarray           # E0, the grid positions of U
     e_stack: np.ndarray      # (E1, E2, E2) on a leading axis
     lanes: BoundaryLanes
     rest: bool
@@ -267,11 +279,11 @@ def boundary_half(basis: SplineBasis, bc: BoundaryConditions,
                   limits: KinodynamicLimits, grid: PhaseGrid) -> Boundary:
     """The boundary half of the duration kernel, built once per solve or
     MPC step and shared by all its candidates."""
-    _, e_stack = basis.grid_matrices(grid.n_points)
+    e0, e_stack = basis.grid_matrices(grid.n_points)
     e1, e2, _ = e_stack
     u_a, u_b = basis.pack_split(np.zeros((basis.n_via, basis.dof)), bc)
     rest = bool((bc.q0 == bc.qT).all() and not (bc.qd0.any() or bc.qdT.any()))
-    return Boundary(basis, bc, frozen_array(u_a[basis.n_via:]), e_stack,
+    return Boundary(basis, bc, limits, frozen_array(u_a[basis.n_via:]), e0, e_stack,
                     BoundaryLanes.from_splits(e1 @ u_b, e2 @ u_b, limits), rest)
 
 

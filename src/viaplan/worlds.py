@@ -43,6 +43,8 @@ class Rect:
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
         if self.lo.shape != (2,) or self.hi.shape != (2,):
             raise ValueError("rect corners must be [x, y] pairs")
+        if not np.isfinite([self.lo, self.hi]).all():
+            raise ValueError("rect corners must be finite")
         if not np.all(self.lo < self.hi):
             raise ValueError("a rect's lower corner must be below its upper corner")
 

@@ -32,11 +32,10 @@ def direct_plan(bc, limits, grid):
 
 def evaluate_trajectories(trajs, weights, limits, grid, checker=None):
     """evaluate_total's reports of trajectories that share a basis and bc,
-    priced as one population of their boundary."""
+    priced as one population of their boundary under limits and grid."""
     boundary = boundary_half(trajs[0].basis, trajs[0].bc, limits, grid)
     return evaluate_total(boundary, np.array([t.q_via for t in trajs]),
-                          [t.duration for t in trajs], weights, limits, grid,
-                          checker)[0]
+                          [t.duration for t in trajs], weights, checker)[0]
 
 
 def path_winding(points, reference) -> int:

@@ -152,6 +152,13 @@ def with_value(base, section, keys, value):
     ("mpc", "mpc", "goal_tol", float("inf"), "goal_tol"),
     ("mpc", "mpc", "vel_tol", float("inf"), "vel_tol"),
     ("mpc", "mpc", "lag_time_constant", float("inf"), "lag_time_constant"),
+    # A finite initial spread whose ES variance overflows or rounds to zero,
+    # and an infinite rect corner (JSON reads -1e400 as -inf).
+    ("plan", "optimizer", "init_sigma", 1e300, "ES variance"),
+    ("ablate-nvia", "optimizer", "init_sigma", 1e200, "ES variance"),
+    ("ablate-chol", "optimizer", "init_sigma", 1e-300, "ES variance"),
+    ("mpc", "world", "rects", [[0.4, float("-inf"), 0.6, 0.3]],
+     "rect corners must be finite"),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):

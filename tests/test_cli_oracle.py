@@ -4,12 +4,16 @@ Hypothesis draws configs for every command: DoF 1-3, with a world that only
 a 2-DoF problem may have, boundary velocities at rest, inside, on and beyond
 qd_max, and in about half the examples one entry replaced by 0, -1, NaN or
 an infinity: a velocity, acceleration or position limit, a cost weight, a
-tolerance or a closed-loop setting.  In about half the mpc examples the
-run also takes `--disturb` at a step within max_steps, by a dq whose entries
-are each finite, NaN or an infinity.  Every run must end in one of two ways:
+tolerance, the ES's initial spread or a closed-loop setting.  A limit or the
+initial spread may also be 1e-300 or 1e300, which gives durations or an ES
+variance whose float powers overflow or round to zero.  In about half the
+mpc examples the run also takes `--disturb` at a step within max_steps, by a
+dq whose entries are each finite, NaN or an infinity.  Every run must end in
+one of two ways:
 
 - exit 2 with `config error: ` and no traceback, which every NaN and every
-  infinity outside the position limits, and in a dq, must give; or
+  infinity outside the position limits, and in a dq, must give, and so must
+  an initial spread whose square is not a finite positive float; or
 - exit 0 or 1, with an exit code that agrees with the rows, and every valid
   plan's `trajectory_<seed>.csv` passing a check that shares no code with the
   planner: it starts at q0, ends at qT, and stays within the velocity,
@@ -43,21 +47,24 @@ SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
 SLACK = 1e-9
 EDGES = (0.0, -1.0, math.nan, math.inf, -math.inf)
+EXTREMES = (1e-300, 1e300)
 # Entries that may be infinite: an unbounded position range.
 UNBOUNDED_OK = {("problem", "q_min"), ("problem", "q_max")}
 
 PROBLEM_TARGETS = [("problem", key) for key in ("qd_max", "qdd_max", "q_min", "q_max")]
 COST_TARGETS = [("costs", key) for key in ("duration", "smooth", "collision",
                                            "invalid_penalty")]
+OPTIMIZER_TARGETS = [("optimizer", "tol"), ("optimizer", "init_sigma")]
 TARGETS = {
-    "plan": PROBLEM_TARGETS + COST_TARGETS + [("optimizer", "tol"),
-                                              ("optimizer", "init_sigma")],
-    "ablate-nvia": PROBLEM_TARGETS + COST_TARGETS + [("optimizer", "tol")],
-    "ablate-chol": PROBLEM_TARGETS + COST_TARGETS + [("optimizer", "tol")],
+    "plan": PROBLEM_TARGETS + COST_TARGETS + OPTIMIZER_TARGETS,
+    "ablate-nvia": PROBLEM_TARGETS + COST_TARGETS + OPTIMIZER_TARGETS,
+    "ablate-chol": PROBLEM_TARGETS + COST_TARGETS + OPTIMIZER_TARGETS,
     "mpc": PROBLEM_TARGETS + COST_TARGETS + [
         ("mpc", key) for key in ("dt_mpc", "t_stop", "alpha", "goal_tol", "vel_tol",
                                  "plant_dt", "lag_time_constant")],
 }
+# The targets that also take EXTREMES.
+EXTREME_TARGETS = set(PROBLEM_TARGETS) | {("optimizer", "init_sigma")}
 WORLD_TYPES = ("none", "cluttered2d", "single_obstacle", "custom")
 
 
@@ -98,10 +105,22 @@ def corrupt(cfg: dict, target, value) -> None:
         sec[key] = value
 
 
+def values_at(target) -> tuple:
+    """The edge values, and the extremes where target takes them."""
+    return EDGES + EXTREMES if target in EXTREME_TARGETS else EDGES
+
+
 def must_reject(cfg: dict, dq=()) -> bool:
     """Whether cfg holds a NaN, or an infinity where none is meaningful, or
-    the disturbance dq any entry that is not finite."""
+    an initial spread whose square is not a finite positive float, or the
+    disturbance dq any entry that is not finite.  The ES variance is
+    (init_sigma / scale)**2 with a scale between about 0.06 and 1, so it is
+    a finite positive float at every value drawn here exactly when
+    init_sigma**2 is."""
     if not all(map(math.isfinite, dq)):
+        return True
+    sigma = cfg.get("optimizer", {}).get("init_sigma")
+    if sigma is not None and not 0.0 < sigma * sigma < math.inf:
         return True
     for section, values in cfg.items():
         for key, value in values.items():
@@ -153,7 +172,7 @@ def configs(draw, command):
     target = draw(st.none() | st.sampled_from(TARGETS[command]))
     if target is not None and not (target == ("mpc", "lag_time_constant")
                                    and "plant" not in cfg["mpc"]):
-        corrupt(cfg, target, draw(st.sampled_from(EDGES)))
+        corrupt(cfg, target, draw(st.sampled_from(values_at(target))))
     return cfg
 
 
@@ -323,7 +342,7 @@ BASE = {
 @pytest.mark.parametrize("command", sorted(BASE))
 def test_every_edge_value_at_every_target(command):
     for target in TARGETS[command]:
-        for value in EDGES:
+        for value in values_at(target):
             cfg = copy.deepcopy(BASE[command])
             corrupt(cfg, target, value)
             check_run(command, cfg)

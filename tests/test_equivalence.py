@@ -435,7 +435,7 @@ def test_population_scoring_matches_per_trajectory(params, spread):
     untimed = rng.random(len(trajs)) < 0.2
     durations = np.where(untimed, np.nan, [t.duration for t in trajs])
     reports, costs = evaluate_total(boundary, cands, durations, problem.weights,
-                                    problem.limits, problem.grid, problem.checker)
+                                    problem.checker)
     assert len(reports) == len(trajs) and costs.shape == (len(trajs),)
     for traj, report, cost, none in zip(trajs, reports, costs, untimed):
         if none:
@@ -485,8 +485,7 @@ def test_evaluate_total_empty_population():
     grid = PhaseGrid(4)
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     boundary = boundary_half(build_basis(1, 1), bc, lim, grid)
-    reports, costs = evaluate_total(boundary, np.zeros((0, 1)), [], CostWeights(),
-                                    lim, grid)
+    reports, costs = evaluate_total(boundary, np.zeros((0, 1)), [], CostWeights())
     assert reports == [] and costs.shape == (0,)
 
 
@@ -778,14 +777,25 @@ def test_step_matches_its_reference(step, ref):
                 ("greedy", False, False)} <= seen
 
 
+def ref_generations(es, boundary, problem):
+    """The generation generator that solve iterated: sample, evaluate and
+    update while the caller iterates, and nothing over a boundary whose
+    velocities break the limits."""
+    while boundary.lanes.feasible:
+        candidates = es.sample()
+        trajs, reports, costs = evaluate_candidates(boundary, candidates, problem)
+        es.update(costs)
+        yield trajs, reports, costs
+
+
 def ref_solve(problem, init_sigma_scale=None):
     """solve as it was before planner.optimize: its own loop over
-    generations, cut at max_iterations by islice, with its own best-ever
+    ref_generations, cut at max_iterations by islice, with its own best-ever
     tracking, stall test and reported-plan rule."""
     es, boundary = planner.make_es(problem, sigma_scale=init_sigma_scale)
     history, history_best = [], []
     best_cost, best, iterations, first_valid = np.inf, None, 0, None
-    loop = islice(planner.generations(es, boundary, problem), problem.max_iterations)
+    loop = islice(ref_generations(es, boundary, problem), problem.max_iterations)
     for iterations, (trajs, reports, costs) in enumerate(loop, start=1):
         if first_valid is None and any(r is not None and r.valid for r in reports):
             first_valid = iterations

@@ -149,24 +149,29 @@ def test_step_above_qd_max_runs_no_generation(monkeypatch):
     assert calls == {"synthesize": 2, "evaluate_candidates": 0}
 
 
-def test_step_above_qd_max_takes_the_rule_from_generations(monkeypatch):
-    # mpc_step has no infeasible-boundary guard of its own: it enters the
-    # planner's generation loop, which yields nothing over such a boundary.
-    # mpc holds no generation loop of its own; planner.optimize runs it.
-    assert not hasattr(mpc, "generations") and not hasattr(mpc, "score")
-    entered = []
-    real = planner.generations
+def test_step_above_qd_max_takes_the_rule_from_optimize(monkeypatch):
+    # mpc_step has no infeasible-boundary guard of its own: it enters
+    # planner.optimize, the one generation loop, which runs no generation
+    # over such a boundary.  mpc holds no generation loop of its own.
+    assert not hasattr(mpc, "score") and not hasattr(planner, "generations")
+    entered, evaluated = [], []
+    real_optimize, real_evaluate = mpc.optimize, planner.evaluate_candidates
 
-    def spy(es, boundary, problem):
+    def optimize_spy(es, boundary, *args, **kwargs):
         entered.append(boundary.lanes.feasible)
-        yield from real(es, boundary, problem)
+        return real_optimize(es, boundary, *args, **kwargs)
 
-    monkeypatch.setattr(planner, "generations", spy)
+    def evaluate_spy(*args):
+        evaluated.append(args)
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(mpc, "optimize", optimize_spy)
+    monkeypatch.setattr(planner, "evaluate_candidates", evaluate_spy)
     q0, goal = bundled_start_goal()
     result = mpc_step(q0, np.array([0.8, 0.0]), goal, np.zeros(2), LIMITS_2D,
                       MpcConfig(iterations_per_step=5),
                       checker=bundled_cluttered_world())
-    assert entered == [False] and result.iterations_run == 0
+    assert entered == [False] and evaluated == [] and result.iterations_run == 0
 
 
 def test_step_reports_the_best_ever_candidate_when_only_it_is_valid(monkeypatch):
@@ -175,14 +180,14 @@ def test_step_reports_the_best_ever_candidate_when_only_it_is_valid(monkeypatch)
     # generations held a valid candidate: the step reports that candidate by
     # solve's rule, where it used to report the mean and be invalid.
     returned = []
-    real = planner.generations
+    real = planner.evaluate_candidates
 
-    def spy(es, boundary, problem):
-        for trajs, reports, costs in real(es, boundary, problem):
-            returned.extend(trajs)
-            yield trajs, reports, costs
+    def spy(boundary, candidates, problem):
+        trajs, reports, costs = real(boundary, candidates, problem)
+        returned.extend(trajs)
+        return trajs, reports, costs
 
-    monkeypatch.setattr(planner, "generations", spy)
+    monkeypatch.setattr(planner, "evaluate_candidates", spy)
     q0, goal = bundled_start_goal()
     result = mpc_step(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D,
                       MpcConfig(iterations_per_step=4, pop_size=16),

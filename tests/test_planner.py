@@ -168,7 +168,9 @@ def test_score_of_non_finite_via_points_is_none():
     assert (costs[1:] == np.finfo(float).max).all()
 
 
-@pytest.mark.parametrize("sigma", [0.0, -0.4, np.inf, np.nan])
+# (sigma / prior.scale)**2 of the last three overflows or rounds to zero: no
+# finite positive ES variance.
+@pytest.mark.parametrize("sigma", [0.0, -0.4, np.inf, np.nan, 1e200, 1e300, 1e-300])
 def test_make_es_rejects_a_sigma_scale_that_is_not_finite_and_positive(sigma):
     problem = make_1d_problem(n_via=2)
     with pytest.raises(ValueError, match="sigma_scale"):

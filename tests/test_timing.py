@@ -272,9 +272,10 @@ def test_duration_splits_consistency():
     np.testing.assert_array_equal(boundary.tail, u_a[3:])
     _, (e1, e2, _) = basis.grid_matrices(grid.n_points)
     np.testing.assert_array_equal(boundary.e_stack, [e1, e2, e2])
-    # The stack is the basis's cached one, not a copy per boundary.
-    assert boundary.e_stack is basis.grid_matrices(grid.n_points)[1]
-    assert boundary.bc is bc
+    # E0 and the stack are the basis's cached ones, not copies per boundary.
+    e0, e_stack = basis.grid_matrices(grid.n_points)
+    assert boundary.e0 is e0 and boundary.e_stack is e_stack
+    assert boundary.bc is bc and boundary.limits is lim
     a, b, c, d = e1 @ u_a, e1 @ u_b, e2 @ u_a, e2 @ u_b
     np.testing.assert_array_equal(lanes.vel_hi, lim.qd_max - b)
     np.testing.assert_array_equal(lanes.vel_lo, lim.qd_min - b)
@@ -284,6 +285,27 @@ def test_duration_splits_consistency():
     np.testing.assert_allclose(c / duration**2 + d / duration,
                                e2 @ u / duration**2, atol=1e-9)
     assert min_duration(boundary, q_via) == lanes.duration(a, c)
+
+
+def test_a_duration_whose_square_overflows_evaluates():
+    # qd_max = 1e-300 synthesizes T of about 8e299 s, and T**2 of a duration
+    # of 1e200 already overflows a float: evaluate and at_time divide by inf
+    # there, so accelerations come out zero, and positions and velocities
+    # stay those of the spline.
+    bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
+    basis = build_basis(2, 2)
+    q_via = np.array([[0.3, 0.6], [0.6, 0.4]])
+    traj = Trajectory(basis, q_via, bc, 1e200)
+    grid = PhaseGrid(10)
+    q, qd, qdd = traj.sample_grid(grid)
+    u = basis.pack(q_via, bc, 1e200)
+    np.testing.assert_array_equal(q, basis.eval_matrix(grid.points, 0) @ u)
+    np.testing.assert_array_equal(qd, basis.eval_matrix(grid.points, 1) @ u / 1e200)
+    assert (qdd == 0.0).all()
+    for order, values in enumerate((q, qd, qdd)):
+        at = traj.at_time(grid.points * 1e200, order)
+        np.testing.assert_allclose(at, values, rtol=1e-12, atol=0.0)
+        assert traj.at_time(5e199, order).shape == (2,)
 
 
 def test_limits_are_read_only_copies():

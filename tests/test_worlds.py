@@ -83,6 +83,9 @@ def test_non_finite_geometry_rejected():
     pytest.param(Rect, ([0.4, 0.6], [0.6, 0.6]), id="rect-zero-height"),
     pytest.param(Rect, ([0.4, 0.4, 0.4], [0.6, 0.6, 0.6]), id="rect-3d"),
     pytest.param(Rect, ([0.4, 0.4], 0.6), id="rect-scalar-corner"),
+    # An infinite corner, as JSON reads -1e400, would make a half-plane.
+    pytest.param(Rect, ([0.4, -np.inf], [0.6, 0.3]), id="rect-inf-lower-corner"),
+    pytest.param(Rect, ([0.4, 0.2], [np.inf, 0.3]), id="rect-inf-upper-corner"),
 ])
 def test_malformed_obstacles_rejected(cls, args):
     with pytest.raises(ValueError):
