@@ -7,9 +7,10 @@ population of one `timing.Boundary` at once, on its limits and grid: one
 pass through its E0, one collision query over every grid point, one
 joint-limit mask and one smoothness quadratic form give one column per
 term, and the totals and validity flags are sums over those columns.  Most
-populations touch no for them `cost_jla` returns its zero columns straight after the masks.  Its
-cost column is the whole rank rule, since the evolution strategy uses
-nothing of a cost but its rank.
+populations touch no joint limit, so for them `cost_jla` returns its zero
+columns straight after the masks.  Its cost column is the whole rank rule,
+since the evolution strategy uses nothing of a cost but its rank; a
+candidate with no duration, even in a population with none, ranks last.
 """
 
 from __future__ import annotations
@@ -92,8 +93,6 @@ def evaluate_total(boundary: Boundary, q_via, durations, weights: CostWeights,
     durations = np.asarray(durations, dtype=float)
     timed = ~np.isnan(durations)
     costs = np.full(durations.shape, np.finfo(float).max)
-    if not timed.any():
-        return [None] * len(durations), costs
     basis, bc, durations = boundary.basis, boundary.bc, durations[timed]
     pts = np.reshape(q_via, (len(timed), basis.n_via, basis.dof))[timed]
     u = basis.pack(pts, bc, durations)

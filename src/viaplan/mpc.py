@@ -7,14 +7,16 @@ starts the evolution strategy from the time-shifted previous solution
 distance left, or else from the cold start of `planner.make_es`.  It runs
 `planner.optimize`, the loop of offline solves (always sep-CMA-ES behind
 the smoothness Cholesky factor), over the boundary that `make_es` returns
-until the step budget expires, and reports the plan that the planner's
-reported-plan rule picks from the final mean and the step's best-ever
-candidate.  A plan is (None, None) when no finite duration meets the
-limits.  The greedy baseline is another step function for the same closed
-loop and `step_problem`: it scores each endpoint alone as a no-via-point
-plan with `score_direct`.  Both step functions end in `_step_result`, which
-samples the first dt_mpc of the solution at the plant rate
-(`extract_reference`, through `Trajectory.at_time`) and times the step.
+until the step budget expires, with the same call as `solve`, and reports
+the plan that the planner's reported-plan rule picks from the final mean
+and the step's best-ever candidate.  `optimize` raises nothing where
+`solve` raises InfeasibleError: a plan is (None, None) when no finite
+duration meets the limits.  The greedy baseline is another step function
+for the same closed loop and `step_problem`: it scores each endpoint alone
+as a no-via-point plan with `score_direct`.  Both step functions end in
+`_step_result`, which samples the first dt_mpc of the solution at the
+plant rate (`extract_reference`, through `Trajectory.at_time`) and times
+the step; MpcConfig caps that sampling at MAX_REFERENCE_SAMPLES per step.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .timing import KinodynamicLimits, PhaseGrid, Trajectory
 
 GREEDY_HORIZON = 0.15   # greedy baseline: reach of one step's endpoint
 GREEDY_SAMPLES = 32     # greedy baseline: endpoints tried per step
+MAX_REFERENCE_SAMPLES = 100_000   # dt_mpc / plant_dt: reference samples per step
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,9 @@ class MpcConfig:
         object.__setattr__(self, "grid", PhaseGrid(self.grid_k))
         if not 0.0 < self.plant_dt <= self.dt_mpc:
             raise ValueError("need 0 < plant_dt <= dt_mpc")
+        if self.dt_mpc / self.plant_dt > MAX_REFERENCE_SAMPLES:
+            raise ValueError(f"dt_mpc / plant_dt must be at most {MAX_REFERENCE_SAMPLES}, "
+                             "the reference samples of one step")
         if self.iterations_per_step is not None and self.iterations_per_step < 1:
             raise ValueError("iterations_per_step must be at least 1 (or None)")
 
@@ -159,7 +165,7 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
             if config.iterations_per_step is not None:
                 return iterations >= config.iterations_per_step
             return time.monotonic() - t_start >= config.dt_mpc
-        res = optimize(es, boundary, problem, stop, raise_infeasible=False)
+        res = optimize(es, boundary, problem, stop)
         solution, report, iterations = res.trajectory, res.report, res.iterations
     return _step_result(solution, report, report is not None and report.valid,
                         mode, iterations, config, t_start)

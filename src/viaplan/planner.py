@@ -8,18 +8,19 @@ call per ES step; it also owns the ES cold start that both take.
 update, each with its own stop rule; it tracks the best-ever candidate and
 owns the reported-plan rule: the reported plan is the final mean, or the
 best-ever candidate when the mean has no duration, or is invalid while the
-best-ever candidate is valid.  It also owns the infeasible-boundary rule:
-over a boundary whose velocities break the limits it runs no generation, so
-`solve` raises InfeasibleError there and an MPC step reports its mean's
-(None, None).  `evaluate_candidates` synthesizes each candidate on its own
-and prices the population in one `costs.evaluate_total` call, which owns
-the rank rule; `score` prices one via-point vector through that call with
-one row, and `score_direct` the no-via-point plan between two states, as
-the MPC direct gate and the greedy baseline's endpoints are.  Every price is
-taken on the `Boundary` that the durations were synthesized on:
-`make_es` and `score_direct` build it from the problem's limits and grid,
-and the rest of the loop reads them only through it.  A candidate with no
-finite duration has a None trajectory and report.
+best-ever candidate is valid.  It also owns the infeasible-boundary rule,
+running no generation over a boundary whose velocities break the limits,
+and raises nothing: when no candidate had a duration, `solve` raises
+InfeasibleError and an MPC step reports the mean's score.
+`evaluate_candidates` synthesizes each candidate on its own and prices the
+population in one `costs.evaluate_total` call, which owns the rank rule and
+the no-duration rule: a candidate with no finite duration has a None
+trajectory and report.  `score` prices one via-point vector through that
+call with one row, and `score_direct` the no-via-point plan between two
+states, as the MPC direct gate and the greedy baseline's endpoints are.
+Every price is taken on the `Boundary` that the durations were synthesized
+on: `make_es` and `score_direct` build it from the problem's limits and
+grid, and the rest of the loop reads them only through it.
 """
 
 from __future__ import annotations
@@ -122,9 +123,8 @@ def score(boundary: Boundary, q_via, problem: PlanningProblem):
     """(Trajectory, CostReport) of one via-point vector, or (None, None) when
     no finite duration meets the limits."""
     traj = _synthesized(boundary, q_via)
-    if traj is None:
-        return None, None
-    (report,), _ = evaluate_total(boundary, traj.q_via[None], [traj.duration],
+    (report,), _ = evaluate_total(boundary, boundary.basis.via_matrix(q_via)[None],
+                                  [np.nan if traj is None else traj.duration],
                                   problem.weights, problem.checker)
     return traj, report
 
@@ -147,14 +147,14 @@ def evaluate_candidates(boundary: Boundary, candidates: np.ndarray,
 
 
 def optimize(es: EvolutionStrategy, boundary: Boundary, problem: PlanningProblem,
-             stop, raise_infeasible: bool = True) -> SolveResult:
+             stop) -> SolveResult:
     """Sample, evaluate and update until stop(iterations, history), asked
     after each generation with the per-generation best costs so far, is
     true, and return the reported plan and the best-ever candidate.  Over a
     boundary whose velocities break the limits no candidate has a duration,
     so it runs no generation.  When no candidate admitted a finite duration
-    it raises InfeasibleError before scoring the mean, or, with
-    raise_infeasible off, reports the mean and no best-ever candidate."""
+    the best-ever candidate is (None, None) and the reported plan is the
+    mean's score."""
     history: list[float] = []
     history_best: list[float] = []
     best_cost, best = np.inf, (None, None)
@@ -173,8 +173,6 @@ def optimize(es: EvolutionStrategy, boundary: Boundary, problem: PlanningProblem
         if stop(iterations, history):
             break
 
-    if best[0] is None and raise_infeasible:
-        raise InfeasibleError("no candidate admitted a finite duration")
     traj, report = score(boundary, es.mean, problem)
     if report is None or (best[1] is not None and best[1].valid and not report.valid):
         traj, report = best
@@ -188,5 +186,8 @@ def solve(problem: PlanningProblem,
     Convergence watches the per-generation best: it only stalls once the
     sampling distribution has collapsed onto a local optimum."""
     es, boundary = make_es(problem, sigma_scale=init_sigma_scale)
-    return optimize(es, boundary, problem, lambda iterations, history: (
+    res = optimize(es, boundary, problem, lambda iterations, history: (
         iterations >= problem.max_iterations or converged(history, problem.tol)))
+    if res.best_trajectory is None:
+        raise InfeasibleError("no candidate admitted a finite duration")
+    return res

@@ -115,13 +115,19 @@ class PhaseGrid:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A synthesized trajectory: spline shape plus total duration.  A zero
-    duration is a degenerate trajectory, which rests at q0."""
+    """A synthesized trajectory: spline shape plus total duration, finite
+    and non-negative.  A zero duration is a degenerate trajectory, which
+    rests at q0."""
 
     basis: SplineBasis
     q_via: np.ndarray  # (N, D)
     bc: BoundaryConditions
     duration: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.duration < np.inf:
+            raise ValueError(f"a trajectory needs a finite non-negative duration, "
+                             f"not {self.duration:g}")
 
     @property
     def degenerate(self) -> bool:
@@ -136,8 +142,6 @@ class Trajectory:
         if self.degenerate:
             rest = self.bc.q0 if order == 0 else np.zeros(self.bc.dof)
             return rest.copy() if np.ndim(s) == 0 else np.tile(rest, (np.size(s), 1))
-        if order >= 1 and self.duration < 0.0:
-            raise ValueError("time-domain derivatives need a positive duration")
         u = self.basis.pack(self.q_via, self.bc, self.duration)
         values = (self.basis.eval_matrix(s, order) @ u
                   / power_or_inf(self.duration, order))
@@ -178,9 +182,10 @@ class BoundaryLanes:
 
     b exceeds a velocity limit iff qd_max - b < 0 or qd_min - b > 0: a float
     difference has the sign of the exact one, and an infinite limit gives an
-    infinity of its own sign.  `lin_exact` says that sqrt(d^2) == |d| on every
-    lane (d^2 neither overflows nor underflows), so that at c == 0 the second
-    root, -r / -(d + sign(d) |d|)/2 = r/d, already is the linear lane's root.
+    infinity of its own sign.  `exact` says that 4r is finite and that
+    sqrt(d^2) == |d| on every lane (d^2 neither overflows nor underflows), so
+    that at c == 0 the second root, -r / -(d + sign(d) |d|)/2 = r/d, already
+    is the linear lane's root.
     """
 
     feasible: bool             # b within the velocity limits
@@ -192,7 +197,7 @@ class BoundaryLanes:
     neg_r: np.ndarray          # -r
     d2: np.ndarray             # d^2
     x_lin: np.ndarray          # r/d where positive, else inf
-    lin_exact: bool            # sqrt(d^2) == |d| on every lane
+    exact: bool                # 4r finite and sqrt(d^2) == |d| on every lane
 
     @classmethod
     def from_splits(cls, b, d, limits: KinodynamicLimits) -> "BoundaryLanes":
@@ -201,22 +206,25 @@ class BoundaryLanes:
         r, d_ = np.empty((2, 2) + np.shape(d))
         r[0], r[1], d_[...] = limits.qdd_max, limits.qdd_min, d
         d2 = d_**2
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # An infinite 4r or r/d, or qd_max - b, is the correctly rounded value.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_lin = r / d_
-        lanes = (np.subtract(limits.qd_max, b), np.subtract(limits.qd_min, b),
-                 4.0 * r, -0.5 * d_, np.where(d_ >= 0.0, -0.5, 0.5), -r, d2,
-                 np.where(x_lin > 0.0, x_lin, np.inf))
+            lanes = (np.subtract(limits.qd_max, b), np.subtract(limits.qd_min, b),
+                     4.0 * r, -0.5 * d_, np.where(d_ >= 0.0, -0.5, 0.5), -r, d2,
+                     np.where(x_lin > 0.0, x_lin, np.inf))
         for lane in lanes:
             lane.flags.writeable = False
-        vel_hi, vel_lo = lanes[:2]
+        vel_hi, vel_lo, r4 = lanes[:3]
         return cls(not ((vel_hi < 0.0).any() or (vel_lo > 0.0).any()), *lanes,
-                   bool((np.sqrt(d2) == np.abs(d_)).all()))
+                   bool(np.isfinite(r4).all() and (np.sqrt(d2) == np.abs(d_)).all()))
 
-    @np.errstate(divide="ignore", invalid="ignore")
+    @np.errstate(divide="ignore", invalid="ignore", over="raise")
     def duration(self, a, c) -> float:
         """Minimal duration given the position parts a, shape (..., D), and c,
         of that shape or stacked twice on a leading axis: 1/x for the smallest
-        admissible x > 0 over every point and DoF.
+        admissible x > 0 over every point and DoF.  InfeasibleError when the
+        boundary breaks the velocity limits, when a limit is active at
+        infinite duration, or when 1/x overflows.
 
         One (5, ..., D) buffer takes the velocity lane and the four
         acceleration roots, both roots of each quadratic in the
@@ -225,9 +233,33 @@ class BoundaryLanes:
         (-d/2) + (-sign(d)/2) sqrt(c (4r) + d^2): scaling by 4 and by 1/2 is
         exact unless a value overflows or is subnormal, so every root is the
         float that -0.5 * (d + sign(d) * sqrt(d^2 + 4.0 * c * r)) gives.
+        Where the boundary is `exact` and no step overflows, as on every
+        candidate of a usual problem, that is all; otherwise the candidate is
+        recomputed by `_roots(a, c, wide=True)`, with overflows ignored.
         """
         if not self.feasible:
             raise InfeasibleError("boundary velocities exceed the velocity limits")
+        try:
+            x = self._roots(a, c) if self.exact else None
+        except FloatingPointError:
+            x = None
+        if x is None:
+            with np.errstate(over="ignore"):
+                x = self._roots(a, c, wide=True)
+        x_min = np.fmin.reduce(x, axis=None, initial=np.inf)
+        if x_min <= 0.0:
+            raise InfeasibleError("a kinodynamic limit is active at infinite duration")
+        duration = 1.0 / float(x_min)
+        if duration == np.inf:
+            raise InfeasibleError(f"the minimal duration 1/{x_min:g} overflows")
+        return duration
+
+    def _roots(self, a, c, wide: bool = False) -> np.ndarray:
+        """The (5, ..., D) buffer of admissible x per lane, inf where a lane
+        sets no bound.  wide also gives the linear lanes r/d, and takes qv
+        from `_wide_qv` where d^2 is finite but d^2 + 4cr is not, the lanes
+        whose roots an overflow on the way would lose; an overflowed
+        quotient is the inf it rounds to."""
         # Velocity lanes with a == +-0 divide the limit that the sign bit
         # picks, which is never of the opposite sign, so they give +inf, or
         # NaN when b sits on that limit, which fmin skips; a velocity lane of
@@ -239,20 +271,31 @@ class BoundaryLanes:
         np.divide(np.where(np.signbit(a), self.vel_lo, self.vel_hi), a, out=x[0])
         qv = np.multiply(c, self.r4)
         qv += self.d2
+        lost = wide and ~np.isfinite(qv) & np.isfinite(self.d2)
         np.sqrt(qv, out=qv)
         qv *= self.neg_half_sign
         qv += self.neg_half_d
+        if wide and lost.any():
+            np.copyto(qv, self._wide_qv(c), where=lost)
         np.divide(qv, c, out=x[1:3])
         np.divide(self.neg_r, qv, out=x[3:])
-        if not self.lin_exact:
+        if wide:
             # Linear lanes (c == 0) take r/d in place of the second root.
             np.copyto(x[3:], self.x_lin, where=c == 0.0)
         roots = x[1:]
         np.putmask(roots, roots <= 0.0, np.inf)
-        x_min = np.fmin.reduce(x, axis=None, initial=np.inf)
-        if x_min <= 0.0:
-            raise InfeasibleError("a kinodynamic limit is active at infinite duration")
-        return 1.0 / float(x_min)
+        return x
+
+    def _wide_qv(self, c) -> np.ndarray:
+        """qv = -(h + sign(d) sqrt(h^2 + c r)), h = d/2, on every lane, with
+        the square root taken as m sqrt((h/m)^2 +- (g/m)^2) for
+        g = sqrt|c| sqrt|r| and m = max(|h|, g): no step overflows unless
+        |c r| is near the square of the largest float."""
+        h = -self.neg_half_d
+        g = np.sqrt(np.abs(c)) * np.sqrt(np.abs(self.neg_r))
+        m = np.maximum(np.abs(h), g)
+        root = m * np.sqrt((h / m)**2 - np.sign(c) * np.sign(self.neg_r) * (g / m)**2)
+        return self.neg_half_d + 2.0 * self.neg_half_sign * root
 
 
 @dataclass(frozen=True, eq=False)

@@ -159,6 +159,9 @@ def with_value(base, section, keys, value):
     ("ablate-chol", "optimizer", "init_sigma", 1e-300, "ES variance"),
     ("mpc", "world", "rects", [[0.4, float("-inf"), 0.6, 0.3]],
      "rect corners must be finite"),
+    # A plant_dt that gives one step more reference samples than the cap.
+    ("mpc", "mpc", "plant_dt", 1e-300, "dt_mpc / plant_dt"),
+    ("mpc", "mpc", "plant_dt", 1e-7, "dt_mpc / plant_dt"),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):
@@ -381,6 +384,31 @@ def test_plan_infeasible_run_is_a_nan_row(tmp_path, capsys):
     cfg["optimizer"].update(runs=1, max_iterations=3)
     assert_nan_rows(tmp_path, capsys, "plan", cfg, [
         "seed,final_cost,T,valid,iterations", "0,nan,nan,false,3"], "no valid run")
+
+
+def test_plan_whose_duration_overflows_is_a_nan_row(tmp_path, capsys):
+    # At qd_max 1e-310 every candidate's 1/x overflows: synthesize used to
+    # return T = inf, which priced as a NaN total that was still valid.
+    cfg = with_value(PLAN_1D, "problem", "qd_max", 1e-310)
+    cfg["optimizer"].update(runs=1, max_iterations=3)
+    assert_nan_rows(tmp_path, capsys, "plan", cfg, [
+        "seed,final_cost,T,valid,iterations", "0,nan,nan,false,3"], "no valid run")
+
+
+def test_plan_with_overflowing_acceleration_lanes_keeps_its_limits(tmp_path):
+    # At qdd_max 1e307, c * 4 qdd_max overflows on every acceleration lane.
+    # Those lanes used to be dropped, and the plan came out valid at
+    # T = 6.5e-154 s with accelerations 2.8 times qdd_max.
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "cluttered2d.json")
+                     .read_text())
+    cfg["problem"].update(qd_max=1e300, qdd_max=1e307)
+    cfg["optimizer"].update(runs=1, max_iterations=5)
+    out = tmp_path / "out"
+    assert main(["plan", write_config(tmp_path / "c.json", cfg),
+                 "--out-dir", str(out), "--quiet"]) == 0
+    data = np.loadtxt(out / "trajectory_0.csv", delimiter=",", skiprows=1)
+    qdd = data[::2, 5:7]   # the 51 points of the planner's grid_k 50
+    assert 0.99e307 < np.abs(qdd).max() <= 1e307
 
 
 def test_ablate_nvia_infeasible_runs_are_nan_rows(tmp_path, capsys):

@@ -4,16 +4,20 @@ Hypothesis draws configs for every command: DoF 1-3, with a world that only
 a 2-DoF problem may have, boundary velocities at rest, inside, on and beyond
 qd_max, and in about half the examples one entry replaced by 0, -1, NaN or
 an infinity: a velocity, acceleration or position limit, a cost weight, a
-tolerance, the ES's initial spread or a closed-loop setting.  A limit or the
-initial spread may also be 1e-300 or 1e300, which gives durations or an ES
-variance whose float powers overflow or round to zero.  In about half the
-mpc examples the run also takes `--disturb` at a step within max_steps, by a
-dq whose entries are each finite, NaN or an infinity.  Every run must end in
-one of two ways:
+tolerance, the ES's initial spread or a closed-loop setting.  A limit, the
+initial spread or the plant step may also be 1e-310, 1e-300, 1e300 or
+1e307, which gives durations or an ES variance whose float powers overflow
+or round to zero, duration lanes that overflow on the way, or more
+reference samples per MPC step than the closed loop allows; in about a
+fifth of the examples both qd_max and qdd_max are drawn from those four
+values.  In about half the mpc examples the run also takes `--disturb` at a
+step within max_steps, by a dq whose entries are each finite, NaN or an
+infinity.  Every run must end in one of two ways:
 
 - exit 2 with `config error: ` and no traceback, which every NaN and every
   infinity outside the position limits, and in a dq, must give, and so must
-  an initial spread whose square is not a finite positive float; or
+  an initial spread whose square is not a finite positive float and a
+  plant_dt below dt_mpc / 100,000; or
 - exit 0 or 1, with an exit code that agrees with the rows, and every valid
   plan's `trajectory_<seed>.csv` passing a check that shares no code with the
   planner: it starts at q0, ends at qT, and stays within the velocity,
@@ -47,7 +51,8 @@ SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
 SLACK = 1e-9
 EDGES = (0.0, -1.0, math.nan, math.inf, -math.inf)
-EXTREMES = (1e-300, 1e300)
+EXTREMES = (1e-310, 1e-300, 1e300, 1e307)
+MAX_REFERENCE_SAMPLES = 100_000   # dt_mpc / plant_dt of one MPC step
 # Entries that may be infinite: an unbounded position range.
 UNBOUNDED_OK = {("problem", "q_min"), ("problem", "q_max")}
 
@@ -64,7 +69,8 @@ TARGETS = {
                                  "plant_dt", "lag_time_constant")],
 }
 # The targets that also take EXTREMES.
-EXTREME_TARGETS = set(PROBLEM_TARGETS) | {("optimizer", "init_sigma")}
+EXTREME_TARGETS = set(PROBLEM_TARGETS) | {("optimizer", "init_sigma"),
+                                          ("mpc", "plant_dt")}
 WORLD_TYPES = ("none", "cluttered2d", "single_obstacle", "custom")
 
 
@@ -81,6 +87,9 @@ def problems(draw):
                "qd0": [draw(speed) * qd_max for _ in range(dof)],
                "qdT": [draw(speed) * qd_max for _ in range(dof)],
                "qd_max": qd_max, "qdd_max": draw(st.floats(0.5, 4.0))}
+    if draw(st.integers(0, 4)) == 0:
+        problem.update(qd_max=draw(st.sampled_from(EXTREMES)),
+                       qdd_max=draw(st.sampled_from(EXTREMES)))
     if draw(st.booleans()):
         problem.update(q_min=0.0, q_max=1.0)
     world = {"type": draw(st.sampled_from(WORLD_TYPES if dof == 2 else
@@ -112,7 +121,8 @@ def values_at(target) -> tuple:
 
 def must_reject(cfg: dict, dq=()) -> bool:
     """Whether cfg holds a NaN, or an infinity where none is meaningful, or
-    an initial spread whose square is not a finite positive float, or the
+    an initial spread whose square is not a finite positive float, or a
+    plant_dt that gives one MPC step more than MAX_REFERENCE_SAMPLES, or the
     disturbance dq any entry that is not finite.  The ES variance is
     (init_sigma / scale)**2 with a scale between about 0.06 and 1, so it is
     a finite positive float at every value drawn here exactly when
@@ -121,6 +131,10 @@ def must_reject(cfg: dict, dq=()) -> bool:
         return True
     sigma = cfg.get("optimizer", {}).get("init_sigma")
     if sigma is not None and not 0.0 < sigma * sigma < math.inf:
+        return True
+    mpc = cfg.get("mpc", {})
+    dt_mpc, plant_dt = mpc.get("dt_mpc", 0.08), mpc.get("plant_dt", 1e-3)
+    if 0.0 < plant_dt <= dt_mpc < math.inf and dt_mpc / plant_dt > MAX_REFERENCE_SAMPLES:
         return True
     for section, values in cfg.items():
         for key, value in values.items():

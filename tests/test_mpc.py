@@ -8,7 +8,7 @@ import pytest
 
 import viaplan.mpc as mpc
 import viaplan.planner as planner
-from viaplan.mpc import (ExactPlant, LagPlant, MpcConfig,
+from viaplan.mpc import (MAX_REFERENCE_SAMPLES, ExactPlant, LagPlant, MpcConfig,
                          extract_reference, greedy_step, mpc_step,
                          run_closed_loop, select_n_via, warm_start)
 from viaplan.planner import PlanningProblem, solve
@@ -42,6 +42,16 @@ def test_config_validation():
         with pytest.raises(ValueError):
             MpcConfig(**bad)
     MpcConfig(iterations_per_step=1, pop_size=4, grid_k=2, plant_dt=0.08)
+    # More reference samples per step than MAX_REFERENCE_SAMPLES: a plant_dt
+    # of 1e-300 used to ask np.arange for about 8e298 samples in the first
+    # step's extract_reference.
+    assert MAX_REFERENCE_SAMPLES == 100_000
+    for bad in ({"plant_dt": 1e-300}, {"plant_dt": 5e-324},
+                {"dt_mpc": 1.0, "plant_dt": 2.0**-17}):
+        with pytest.raises(ValueError, match="dt_mpc / plant_dt"):
+            MpcConfig(**bad)
+    MpcConfig(dt_mpc=1.0, plant_dt=1e-5)
+    MpcConfig(dt_mpc=1.0, plant_dt=2.0**-16)
 
 
 def test_config_builds_its_grid_once():

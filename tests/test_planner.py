@@ -113,8 +113,9 @@ def test_infeasible_boundary_velocity_raises():
 
 @pytest.mark.parametrize("tol", [0.0, 1e-6])
 def test_solve_over_infeasible_boundary_runs_no_generation(monkeypatch, tol):
-    # A start above qd_max leaves no candidate a duration, so solve raises
-    # before its first generation whatever its tol; a stall test over
+    # A start above qd_max leaves no candidate a duration, so solve runs no
+    # generation whatever its tol and raises after the mean's one synthesis,
+    # which raises at once over that boundary; a stall test over
     # all-infeasible generations would stop after 2 at tol 1e-6 and run all
     # 500 at tol 0.
     calls = {"evaluate_candidates": 0, "synthesize": 0}
@@ -135,7 +136,7 @@ def test_solve_over_infeasible_boundary_runs_no_generation(monkeypatch, tol):
     assert problem.pop_size == 16 and problem.max_iterations == 500
     with pytest.raises(InfeasibleError, match="no candidate"):
         solve(problem)
-    assert calls == {"evaluate_candidates": 0, "synthesize": 0}
+    assert calls == {"evaluate_candidates": 0, "synthesize": 1}
 
 
 def test_score_of_infeasible_boundary_is_none():

@@ -1,5 +1,7 @@
 """Minimal-duration synthesis: closed forms, saturation, and a bisection oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,6 +308,95 @@ def test_a_duration_whose_square_overflows_evaluates():
         at = traj.at_time(grid.points * 1e200, order)
         np.testing.assert_allclose(at, values, rtol=1e-12, atol=0.0)
         assert traj.at_time(5e199, order).shape == (2,)
+
+
+EXTREME_BC = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
+EXTREME_VIA = np.array([[0.3, 0.6], [0.6, 0.4]])
+
+
+@pytest.mark.parametrize("qdd_max", [1e300, 1e307, 1e308])
+def test_an_overflowing_discriminant_keeps_its_acceleration_roots(qdd_max):
+    # With qd_max 1e300 only the acceleration lanes bound this rest-to-rest
+    # move, whose duration then scales as 1/sqrt(qdd_max).  At 1e307
+    # c * 4 qdd_max overflows, and at 1e308 4 qdd_max itself: those lanes
+    # used to be dropped, for a duration that broke qdd_max.
+    basis, grid = build_basis(2, 2), PhaseGrid(20)
+    unit = duration_of(basis, EXTREME_VIA, EXTREME_BC,
+                       KinodynamicLimits.symmetric(1e300, 1.0, 2), grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = synthesize(boundary_half(basis, EXTREME_BC,
+                                        KinodynamicLimits.symmetric(1e300, qdd_max, 2),
+                                        grid), EXTREME_VIA)
+    assert traj.duration == pytest.approx(unit / np.sqrt(qdd_max), rel=1e-12)
+    _, _, qdd = traj.sample_grid(grid)
+    assert 0.99 * qdd_max < np.abs(qdd).max() <= qdd_max * (1.0 + 1e-12)
+
+
+def test_an_overflowing_velocity_lane_gives_the_duration_of_one_that_does_not():
+    # At qd_max 1e300 a velocity lane's quotient overflows to the correctly
+    # rounded inf.  The candidate is recomputed with overflows ignored, so
+    # it warns of nothing and gets the duration that a lower qd_max, whose
+    # lanes stay finite and which the velocity lanes do not bound either,
+    # gives.
+    basis, grid = build_basis(2, 2), PhaseGrid(20)
+    boundary = boundary_half(basis, EXTREME_BC, KinodynamicLimits.symmetric(1e300, 2.0, 2),
+                             grid)
+    ac = boundary.e_stack @ np.concatenate((EXTREME_VIA, boundary.tail))
+    with np.errstate(over="raise", divide="ignore"), pytest.raises(FloatingPointError):
+        boundary.lanes.vel_hi / ac[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        duration = min_duration(boundary, EXTREME_VIA)
+    assert duration == duration_of(basis, EXTREME_VIA, EXTREME_BC,
+                                   KinodynamicLimits.symmetric(1e3, 2.0, 2), grid)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(1, 3),
+       st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300]))
+def test_wide_roots_are_the_plain_roots_where_nothing_overflows(seed, n_via, dof, qdd):
+    # The path an overflowing candidate takes gives the bits of the plain
+    # path on every lane of a candidate that does not overflow.
+    rng = np.random.default_rng(seed)
+    basis = build_basis(n_via, dof)
+    bc = BoundaryConditions(rng.uniform(0.0, 1.0, dof), rng.uniform(-0.2, 0.2, dof),
+                            rng.uniform(0.0, 1.0, dof), rng.uniform(-0.2, 0.2, dof))
+    boundary = boundary_half(basis, bc, KinodynamicLimits.symmetric(1.0, qdd, dof),
+                             PhaseGrid(int(rng.integers(2, 40))))
+    pts = rng.uniform(0.0, 1.0, (n_via, dof))
+    ac = boundary.e_stack @ np.concatenate((pts, boundary.tail))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            with np.errstate(over="raise"):
+                plain = boundary.lanes._roots(ac[0], ac[1:], wide=False)
+        except FloatingPointError:
+            return
+        wide = boundary.lanes._roots(ac[0], ac[1:], wide=True)
+    np.testing.assert_array_equal(wide.view(np.int64), plain.view(np.int64))
+
+
+def test_a_duration_whose_reciprocal_overflows_is_infeasible():
+    # At qd_max 1e-310 the smallest x is about 1e-311, whose reciprocal
+    # overflows: synthesize used to return T = inf.  At 1e-300 T is finite.
+    basis, grid = build_basis(2, 2), PhaseGrid(20)
+    for qd_max in (1e-310, 5e-324):
+        boundary = boundary_half(basis, EXTREME_BC,
+                                 KinodynamicLimits.symmetric(qd_max, 2.0, 2), grid)
+        with pytest.raises(InfeasibleError, match="overflows"):
+            synthesize(boundary, EXTREME_VIA)
+    assert 1e299 < duration_of(basis, EXTREME_VIA, EXTREME_BC,
+                               KinodynamicLimits.symmetric(1e-300, 2.0, 2), grid) < np.inf
+
+
+@pytest.mark.parametrize("duration", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_trajectory_takes_only_a_finite_non_negative_duration(duration):
+    # Only evaluate used to reject a negative duration, and only for orders
+    # 1 and 2: at_time(0.5, 1) of T = -1 returned [-0.], and a NaN duration
+    # ended in an IndexError inside eval_matrix.
+    bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
+    with pytest.raises(ValueError, match="finite non-negative duration"):
+        Trajectory(build_basis(1, 1), [[0.5]], bc, duration)
 
 
 def test_limits_are_read_only_copies():
