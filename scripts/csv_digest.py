@@ -8,7 +8,8 @@ runs. Compare a change against its parent with
 
 which runs both trees in subprocesses, prints this tree's lines, then every
 line that differs, the line counts of both trees' `viaplan/*.py` (with and
-without `cli.py`) and the number of config keys each of their commands
+without `cli.py`, then per module as `timing.py 358 -> 332`, the other
+tree's count first) and the number of config keys each of their commands
 accepts, and exits 1 when any line differs.  A planned output change is
 listed in `scripts/digest_changes.json` as {line name: {"from": base digest,
 "to": new digest}}, where a line's name is the CSV path or the `digest` line
@@ -108,12 +109,23 @@ def bench_digests(src: str) -> list[str]:
     return lines
 
 
-def line_counts(src: str) -> str:
-    """Lines of the viaplan package in src, in total and without cli.py."""
-    counts = {f.name: len(f.read_text().splitlines())
-              for f in Path(src, "viaplan").glob("*.py")}
+def module_lines(src: str) -> dict[str, int]:
+    """Lines of each module of the viaplan package in src, by file name."""
+    return {f.name: len(f.read_text().splitlines())
+            for f in Path(src, "viaplan").glob("*.py")}
+
+
+def line_counts(counts: dict[str, int]) -> str:
+    """The total of module_lines' counts, and the total without cli.py."""
     total = sum(counts.values())
     return f"{total} ({total - counts.get('cli.py', 0)} without cli.py)"
+
+
+def per_module(mine: dict[str, int], theirs: dict[str, int]) -> str:
+    """Each module's line count in the other tree, then in this one; 0 for a
+    module that a tree does not have."""
+    return ", ".join(f"{name} {theirs.get(name, 0)} -> {mine.get(name, 0)}"
+                     for name in sorted(mine.keys() | theirs.keys()))
 
 
 def named_digest(line: str):
@@ -151,7 +163,9 @@ def compare(src: str, other: str) -> int:
         print(f"accepted: {a}\n    from: {b}")
     for a, b in differ:
         print(f"differs: {a}\n against: {b}")
-    print(f"viaplan/*.py lines: {line_counts(src)}, against {line_counts(other)}")
+    lines, their_lines = module_lines(src), module_lines(other)
+    print(f"viaplan/*.py lines: {line_counts(lines)}, against {line_counts(their_lines)}")
+    print(f"viaplan/*.py lines per module: {per_module(lines, their_lines)}")
     print(f"{my_keys}, against {their_keys.partition(': ')[2]}")
     print(f"{len(differ)} lines differ" if differ else
           f"every CSV identical but {len(listed)} listed changes" if listed else

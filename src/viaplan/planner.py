@@ -9,8 +9,9 @@ update, each with its own stop rule; it tracks the best-ever candidate and
 owns the reported-plan rule: the reported plan is the final mean, or the
 best-ever candidate when the mean has no duration, or is invalid while the
 best-ever candidate is valid.  It also owns the infeasible-boundary rule,
-running no generation over a boundary whose velocities break the limits,
-and raises nothing: when no candidate had a duration, `solve` raises
+running no generation over a boundary that `timing.BoundaryLanes` refuses
+(beyond the velocity limits or the closed form's float range), and raises
+nothing: when no candidate had a duration, `solve` raises
 InfeasibleError and an MPC step reports the mean's score.
 `evaluate_candidates` synthesizes each candidate on its own and prices the
 population in one `costs.evaluate_total` call, which owns the rank rule and
@@ -151,8 +152,8 @@ def optimize(es: EvolutionStrategy, boundary: Boundary, problem: PlanningProblem
     """Sample, evaluate and update until stop(iterations, history), asked
     after each generation with the per-generation best costs so far, is
     true, and return the reported plan and the best-ever candidate.  Over a
-    boundary whose velocities break the limits no candidate has a duration,
-    so it runs no generation.  When no candidate admitted a finite duration
+    boundary that is not `feasible` no candidate has a duration, so it runs
+    no generation.  When no candidate admitted a finite duration
     the best-ever candidate is (None, None) and the reported plan is the
     mean's score."""
     history: list[float] = []

@@ -173,22 +173,20 @@ class BoundaryLanes:
     velocity bounds are linear in x and the acceleration bounds are the
     quadratics c x^2 + d x = r, for r = qdd_max and r = qdd_min on a leading
     axis.  From the boundary parts b and d, shape (..., D), this holds
-    everything that does not involve a or c: qd_max - b and qd_min - b in b's
-    shape, and the acceleration lanes 4r, -d/2, -sign(d)/2, -r, d^2 and the
-    positive part of r/d (the root of the linear lanes, c == 0), each a
-    contiguous array of the roots' shape (2, ..., D), where sign(d) is 1 for
-    d >= 0, else -1.  Every array is read-only.  `duration(a, c)` is the other
-    half.
+    everything that does not involve a or c, read-only: qd_max - b and
+    qd_min - b in b's shape, and the acceleration lanes 4r, -d/2, -sign(d)/2,
+    -r and d^2, each a contiguous array of the roots' shape (2, ..., D),
+    where sign(d) is 1 for d >= 0, else -1.  `duration(a, c)` is the other half.
 
-    b exceeds a velocity limit iff qd_max - b < 0 or qd_min - b > 0: a float
-    difference has the sign of the exact one, and an infinite limit gives an
-    infinity of its own sign.  `exact` says that 4r is finite and that
-    sqrt(d^2) == |d| on every lane (d^2 neither overflows nor underflows), so
-    that at c == 0 the second root, -r / -(d + sign(d) |d|)/2 = r/d, already
-    is the linear lane's root.
+    `feasible` is the one rule for a boundary no candidate can be timed on:
+    b within the velocity limits, qd_max - b >= 0 and qd_min - b <= 0 (a float
+    difference has the sign of the exact one, an infinite limit gives an
+    infinity of its sign), and the closed form holding on every lane: 4r
+    finite and sqrt(d^2) == |d| (a boundary velocity of 1e160 or 1e-160
+    breaks it), so at c == 0 the second root, -r/qv = r/d, is the linear lane's.
     """
 
-    feasible: bool             # b within the velocity limits
+    feasible: bool             # b within the velocity limits, closed form holds
     vel_hi: np.ndarray         # qd_max - b
     vel_lo: np.ndarray         # qd_min - b
     r4: np.ndarray             # 4r, r = (qdd_max, qdd_min) on the leading axis
@@ -196,8 +194,6 @@ class BoundaryLanes:
     neg_half_sign: np.ndarray  # -sign(d)/2
     neg_r: np.ndarray          # -r
     d2: np.ndarray             # d^2
-    x_lin: np.ndarray          # r/d where positive, else inf
-    exact: bool                # 4r finite and sqrt(d^2) == |d| on every lane
 
     @classmethod
     def from_splits(cls, b, d, limits: KinodynamicLimits) -> "BoundaryLanes":
@@ -205,47 +201,41 @@ class BoundaryLanes:
         # lane computed from them is one too.
         r, d_ = np.empty((2, 2) + np.shape(d))
         r[0], r[1], d_[...] = limits.qdd_max, limits.qdd_min, d
-        d2 = d_**2
-        # An infinite 4r or r/d, or qd_max - b, is the correctly rounded value.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x_lin = r / d_
+        # An infinite 4r, d^2 or qd_max - b is the correctly rounded value.
+        with np.errstate(over="ignore"):
             lanes = (np.subtract(limits.qd_max, b), np.subtract(limits.qd_min, b),
-                     4.0 * r, -0.5 * d_, np.where(d_ >= 0.0, -0.5, 0.5), -r, d2,
-                     np.where(x_lin > 0.0, x_lin, np.inf))
+                     4.0 * r, -0.5 * d_, np.where(d_ >= 0.0, -0.5, 0.5), -r, d_**2)
         for lane in lanes:
             lane.flags.writeable = False
-        vel_hi, vel_lo, r4 = lanes[:3]
-        return cls(not ((vel_hi < 0.0).any() or (vel_lo > 0.0).any()), *lanes,
-                   bool(np.isfinite(r4).all() and (np.sqrt(d2) == np.abs(d_)).all()))
+        vel_hi, vel_lo, r4, *_, d2 = lanes
+        within = not ((vel_hi < 0.0).any() or (vel_lo > 0.0).any())
+        closed = np.isfinite(r4).all() and (np.sqrt(d2) == np.abs(d_)).all()
+        return cls(bool(within and closed), *lanes)
 
     @np.errstate(divide="ignore", invalid="ignore", over="raise")
     def duration(self, a, c) -> float:
         """Minimal duration given the position parts a, shape (..., D), and c,
         of that shape or stacked twice on a leading axis: 1/x for the smallest
         admissible x > 0 over every point and DoF.  InfeasibleError when the
-        boundary breaks the velocity limits, when a limit is active at
-        infinite duration, or when 1/x overflows.
+        boundary is not `feasible`, when a lane's discriminant c (4r) + d^2 or
+        root overflows, when a limit is active at infinite duration, or when
+        1/x overflows: what the closed form cannot represent in floats has no
+        duration, rather than one that breaks the limits.
 
         One (5, ..., D) buffer takes the velocity lane and the four
-        acceleration roots, both roots of each quadratic in the
-        cancellation-free form qv/c and -r/qv with
-        qv = -(d + sign(d) sqrt(d^2 + 4cr))/2.  qv is computed as
+        acceleration roots, each quadratic's in the cancellation-free form
+        qv/c and -r/qv, qv = -(d + sign(d) sqrt(d^2 + 4cr))/2, computed as
         (-d/2) + (-sign(d)/2) sqrt(c (4r) + d^2): scaling by 4 and by 1/2 is
         exact unless a value overflows or is subnormal, so every root is the
         float that -0.5 * (d + sign(d) * sqrt(d^2 + 4.0 * c * r)) gives.
-        Where the boundary is `exact` and no step overflows, as on every
-        candidate of a usual problem, that is all; otherwise the candidate is
-        recomputed by `_roots(a, c, wide=True)`, with overflows ignored.
         """
         if not self.feasible:
-            raise InfeasibleError("boundary velocities exceed the velocity limits")
+            raise InfeasibleError("boundary velocities exceed the velocity limits or "
+                                  "the float range of the closed form")
         try:
-            x = self._roots(a, c) if self.exact else None
+            x = self._roots(a, c)
         except FloatingPointError:
-            x = None
-        if x is None:
-            with np.errstate(over="ignore"):
-                x = self._roots(a, c, wide=True)
+            raise InfeasibleError("the acceleration closed form overflows") from None
         x_min = np.fmin.reduce(x, axis=None, initial=np.inf)
         if x_min <= 0.0:
             raise InfeasibleError("a kinodynamic limit is active at infinite duration")
@@ -254,12 +244,10 @@ class BoundaryLanes:
             raise InfeasibleError(f"the minimal duration 1/{x_min:g} overflows")
         return duration
 
-    def _roots(self, a, c, wide: bool = False) -> np.ndarray:
+    def _roots(self, a, c) -> np.ndarray:
         """The (5, ..., D) buffer of admissible x per lane, inf where a lane
-        sets no bound.  wide also gives the linear lanes r/d, and takes qv
-        from `_wide_qv` where d^2 is finite but d^2 + 4cr is not, the lanes
-        whose roots an overflow on the way would lose; an overflowed
-        quotient is the inf it rounds to."""
+        sets no bound.  An overflowing velocity quotient is recomputed as the
+        inf it rounds to, no bound; any other overflow raises FloatingPointError."""
         # Velocity lanes with a == +-0 divide the limit that the sign bit
         # picks, which is never of the opposite sign, so they give +inf, or
         # NaN when b sits on that limit, which fmin skips; a velocity lane of
@@ -268,34 +256,22 @@ class BoundaryLanes:
         # roots <= 0 become inf and fmin skips NaN.  Each lane's smallest
         # positive x is the one the formulas give where they apply.
         x = np.empty((5,) + a.shape)
-        np.divide(np.where(np.signbit(a), self.vel_lo, self.vel_hi), a, out=x[0])
+        vel = np.where(np.signbit(a), self.vel_lo, self.vel_hi)
+        try:
+            np.divide(vel, a, out=x[0])
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                np.divide(vel, a, out=x[0])
         qv = np.multiply(c, self.r4)
         qv += self.d2
-        lost = wide and ~np.isfinite(qv) & np.isfinite(self.d2)
         np.sqrt(qv, out=qv)
         qv *= self.neg_half_sign
         qv += self.neg_half_d
-        if wide and lost.any():
-            np.copyto(qv, self._wide_qv(c), where=lost)
         np.divide(qv, c, out=x[1:3])
         np.divide(self.neg_r, qv, out=x[3:])
-        if wide:
-            # Linear lanes (c == 0) take r/d in place of the second root.
-            np.copyto(x[3:], self.x_lin, where=c == 0.0)
         roots = x[1:]
         np.putmask(roots, roots <= 0.0, np.inf)
         return x
-
-    def _wide_qv(self, c) -> np.ndarray:
-        """qv = -(h + sign(d) sqrt(h^2 + c r)), h = d/2, on every lane, with
-        the square root taken as m sqrt((h/m)^2 +- (g/m)^2) for
-        g = sqrt|c| sqrt|r| and m = max(|h|, g): no step overflows unless
-        |c r| is near the square of the largest float."""
-        h = -self.neg_half_d
-        g = np.sqrt(np.abs(c)) * np.sqrt(np.abs(self.neg_r))
-        m = np.maximum(np.abs(h), g)
-        root = m * np.sqrt((h / m)**2 - np.sign(c) * np.sign(self.neg_r) * (g / m)**2)
-        return self.neg_half_d + 2.0 * self.neg_half_sign * root
 
 
 @dataclass(frozen=True, eq=False)

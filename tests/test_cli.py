@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 import viaplan
 from viaplan import cli
 from viaplan.cli import COSTS_KEYS, ConfigError, load_config, main, parse_disturb
-from viaplan.timing import InfeasibleError
+from viaplan.timing import BoundaryLanes, InfeasibleError
 
 
 def write_config(path, data):
@@ -395,20 +396,72 @@ def test_plan_whose_duration_overflows_is_a_nan_row(tmp_path, capsys):
         "seed,final_cost,T,valid,iterations", "0,nan,nan,false,3"], "no valid run")
 
 
-def test_plan_with_overflowing_acceleration_lanes_keeps_its_limits(tmp_path):
-    # At qdd_max 1e307, c * 4 qdd_max overflows on every acceleration lane.
-    # Those lanes used to be dropped, and the plan came out valid at
-    # T = 6.5e-154 s with accelerations 2.8 times qdd_max.
-    cfg = json.loads((Path(__file__).parents[1] / "configs" / "cluttered2d.json")
-                     .read_text())
-    cfg["problem"].update(qd_max=1e300, qdd_max=1e307)
+def bundled(name, **problem):
+    """The bundled config name with problem's entries."""
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / name).read_text())
+    cfg["problem"].update(problem)
+    return cfg
+
+
+def test_plan_with_overflowing_acceleration_lanes_keeps_its_limits(tmp_path, capsys):
+    # At qdd_max 1e307, c * 4 qdd_max overflows on every acceleration lane,
+    # which the closed form cannot represent, so no candidate has a
+    # duration and no plan beyond qdd_max is reported valid.  Those lanes
+    # were once dropped, for a valid plan of T = 6.5e-154 s with
+    # accelerations 2.8 times qdd_max; a scaled second pass then timed it at
+    # 1.46e-153 s, a pass that no real plan needs.
+    cfg = bundled("cluttered2d.json", qd_max=1e300, qdd_max=1e307)
     cfg["optimizer"].update(runs=1, max_iterations=5)
-    out = tmp_path / "out"
-    assert main(["plan", write_config(tmp_path / "c.json", cfg),
-                 "--out-dir", str(out), "--quiet"]) == 0
-    data = np.loadtxt(out / "trajectory_0.csv", delimiter=",", skiprows=1)
-    qdd = data[::2, 5:7]   # the 51 points of the planner's grid_k 50
-    assert 0.99e307 < np.abs(qdd).max() <= 1e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_nan_rows(tmp_path, capsys, "plan", cfg, [
+            "seed,final_cost,T,valid,iterations", "0,nan,nan,false,5"], "no valid run")
+
+
+def test_plan_with_a_huge_boundary_velocity_is_a_nan_row(tmp_path, capsys):
+    # qd0 1e160 is within qd_max 1e300, but its d^2 overflows, so the
+    # boundary is beyond the closed form's float range.  The plan used to
+    # come out valid at T = 1.68e-300 s, with qdd0 = inf in its trajectory
+    # and a RuntimeWarning from Trajectory.evaluate.
+    cfg = bundled("timeopt1d.json", qd_max=1e300, qd0=[1e160])
+    cfg["optimizer"].update(runs=1, max_iterations=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_nan_rows(tmp_path, capsys, "plan", cfg, [
+            "seed,final_cost,T,valid,iterations", "0,nan,nan,false,5"], "no valid run")
+
+
+def test_bundled_runs_stay_inside_the_closed_form(tmp_path, monkeypatch):
+    # The refusal of what the closed form cannot represent costs no real
+    # plan: short runs of the bundled configs build only boundaries on which
+    # 4r is finite and sqrt(d^2) == |d|, and no candidate's discriminant
+    # c 4r + d^2 overflows.
+    seen = {"boundaries": 0, "candidates": 0}
+    from_splits, duration = BoundaryLanes.from_splits.__func__, BoundaryLanes.duration
+
+    def spy_from_splits(cls, b, d, limits):
+        r = np.array([limits.qdd_max, limits.qdd_min])
+        assert np.isfinite(4.0 * r).all() and (np.sqrt(d * d) == np.abs(d)).all()
+        seen["boundaries"] += 1
+        return from_splits(cls, b, d, limits)
+
+    def spy_duration(lanes, a, c):
+        with np.errstate(over="raise"):
+            np.multiply(c, lanes.r4) + lanes.d2
+        seen["candidates"] += 1
+        return duration(lanes, a, c)
+
+    monkeypatch.setattr(BoundaryLanes, "from_splits", classmethod(spy_from_splits))
+    monkeypatch.setattr(BoundaryLanes, "duration", spy_duration)
+    for command, name, section, values in [
+            ("plan", "cluttered2d.json", "optimizer", {"runs": 2, "max_iterations": 60}),
+            ("plan", "timeopt1d.json", "optimizer", {"runs": 2, "max_iterations": 60}),
+            ("mpc", "mpc2d.json", "mpc", {"iterations_per_step": 4})]:
+        cfg = bundled(name)
+        cfg[section].update(values)
+        assert main([command, write_config(tmp_path / name, cfg),
+                     "--out-dir", str(tmp_path / name[:-5]), "--quiet"]) == 0
+    assert seen["boundaries"] > 20 and seen["candidates"] > 5000, seen
 
 
 def test_ablate_nvia_infeasible_runs_are_nan_rows(tmp_path, capsys):

@@ -10,9 +10,12 @@ initial spread or the plant step may also be 1e-310, 1e-300, 1e300 or
 or round to zero, duration lanes that overflow on the way, or more
 reference samples per MPC step than the closed loop allows; in about a
 fifth of the examples both qd_max and qdd_max are drawn from those four
-values.  In about half the mpc examples the run also takes `--disturb` at a
-step within max_steps, by a dq whose entries are each finite, NaN or an
-infinity.  Every run must end in one of two ways:
+values.  In about a quarter of the examples one qd0 or qdT entry is
++-1e-160 or +-1e160, whose square underflows or overflows a float, and in
+about half of those both limits are drawn from the four values.  In about
+half the mpc examples the run also takes `--disturb` at a step within
+max_steps, by a dq whose entries are each finite, NaN or an infinity.
+Every run must end in one of two ways:
 
 - exit 2 with `config error: ` and no traceback, which every NaN and every
   infinity outside the position limits, and in a dq, must give, and so must
@@ -42,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from viaplan.cli import main
 from viaplan.worlds import Disk, bundled_cluttered_world, single_obstacle_world
@@ -52,6 +55,8 @@ SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 SLACK = 1e-9
 EDGES = (0.0, -1.0, math.nan, math.inf, -math.inf)
 EXTREMES = (1e-310, 1e-300, 1e300, 1e307)
+# Boundary velocities whose squares overflow or underflow a float.
+FAR_VELOCITIES = (1e-160, -1e-160, 1e160, -1e160)
 MAX_REFERENCE_SAMPLES = 100_000   # dt_mpc / plant_dt of one MPC step
 # Entries that may be infinite: an unbounded position range.
 UNBOUNDED_OK = {("problem", "q_min"), ("problem", "q_max")}
@@ -87,7 +92,11 @@ def problems(draw):
                "qd0": [draw(speed) * qd_max for _ in range(dof)],
                "qdT": [draw(speed) * qd_max for _ in range(dof)],
                "qd_max": qd_max, "qdd_max": draw(st.floats(0.5, 4.0))}
-    if draw(st.integers(0, 4)) == 0:
+    far = draw(st.integers(0, 3)) == 0
+    if far:
+        problem[draw(st.sampled_from(["qd0", "qdT"]))][draw(st.integers(0, dof - 1))] = (
+            draw(st.sampled_from(FAR_VELOCITIES)))
+    if draw(st.integers(0, 1 if far else 4)) == 0:
         problem.update(qd_max=draw(st.sampled_from(EXTREMES)),
                        qdd_max=draw(st.sampled_from(EXTREMES)))
     if draw(st.booleans()):
@@ -304,6 +313,13 @@ def check_outputs(command: str, cfg: dict, code: int, err: str, out: Path,
 
 @SETTINGS
 @given(configs("plan"))
+# A boundary velocity within qd_max whose d^2 overflows: the plan used to be
+# valid at T = 1.7e-300 s with infinite accelerations.
+@example({"problem": {"q0": [0.0], "qT": [1.0], "qd0": [1e160], "qdT": [0.0],
+                      "qd_max": 1e300, "qdd_max": 1.0},
+          "costs": {}, "world": {"type": "none"},
+          "optimizer": {"n_via": 2, "pop_size": 4, "max_iterations": 2, "runs": 1,
+                        "grid_k": 100}})
 def test_plan_oracle(cfg):
     check_run("plan", cfg)
 

@@ -1,6 +1,6 @@
 """The planned-change list of `scripts/csv_digest.py --against`: a differing
 line passes only when an entry names it with the base's digest as `from`
-and this tree's as `to`."""
+and this tree's as `to`.  Also the line counts it prints for both trees."""
 
 import importlib.util
 import json
@@ -58,3 +58,20 @@ def test_the_committed_list_names_digest_lines(csv_digest):
             assert csv_digest.named_digest(f"{digest}  {name}"
                                            if "/" in name else f"{name} {digest}") == (
                 name, digest)
+
+
+def test_line_counts_per_module(csv_digest, tmp_path):
+    # The totals, and each module's count in the other tree, then in this
+    # one; a module that only one tree has counts 0 in the other.
+    trees = {"mine": {"timing.py": 3, "cli.py": 2, "new.py": 4},
+             "theirs": {"timing.py": 5, "cli.py": 2, "old.py": 1}}
+    for tree, files in trees.items():
+        package = tmp_path / tree / "viaplan"
+        package.mkdir(parents=True)
+        for name, lines in files.items():
+            (package / name).write_text("x = 1\n" * lines)
+    mine, theirs = (csv_digest.module_lines(str(tmp_path / tree)) for tree in trees)
+    assert mine == trees["mine"] and theirs == trees["theirs"]
+    assert csv_digest.line_counts(mine) == "9 (7 without cli.py)"
+    assert csv_digest.per_module(mine, theirs) == (
+        "cli.py 2 -> 2, new.py 0 -> 4, old.py 1 -> 0, timing.py 5 -> 3")

@@ -52,6 +52,20 @@ def lanes_min_duration(a, b, c, d, limits):
     """Minimal duration over lane arrays through the two halves of the kernel."""
     return BoundaryLanes.from_splits(b, d, limits).duration(a, c)
 
+
+# What the kernel refuses: a boundary beyond the velocity limits or the
+# closed form's float range, and a candidate whose discriminant overflows.
+REFUSED = ("boundary velocities exceed the velocity limits or the float range of "
+           "the closed form")
+OVERFLOW = "the acceleration closed form overflows"
+
+
+def ref_closed_form(d, limits):
+    """Whether 4r is finite and d^2 neither overflows nor underflows on any lane."""
+    r = np.array([limits.qdd_max, limits.qdd_min])
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(4.0 * r).all() and (np.sqrt(d * d) == np.abs(d)).all())
+
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
@@ -146,14 +160,19 @@ def ref_roots(c, d, r):
 
 
 def ref_min_duration_arrays(a, b, c, d, limits):
-    if np.any(b > limits.qd_max) or np.any(b < limits.qd_min):
-        raise InfeasibleError("boundary velocities exceed the velocity limits")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if (np.any(b > limits.qd_max) or np.any(b < limits.qd_min)
+            or not ref_closed_form(d, limits)):
+        raise InfeasibleError(REFUSED)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         safe_a = np.where(a == 0.0, 1.0, a)
         x_vel = np.where(a > 0.0, (limits.qd_max - b) / safe_a,
                          np.where(a < 0.0, (limits.qd_min - b) / safe_a, np.inf))
-    x_hi = ref_roots(c, d, np.broadcast_to(limits.qdd_max, c.shape))
-    x_lo = ref_roots(c, d, np.broadcast_to(limits.qdd_min, c.shape))
+    try:
+        with np.errstate(over="raise"):
+            x_hi = ref_roots(c, d, np.broadcast_to(limits.qdd_max, c.shape))
+            x_lo = ref_roots(c, d, np.broadcast_to(limits.qdd_min, c.shape))
+    except FloatingPointError:
+        raise InfeasibleError(OVERFLOW) from None
     x_min = float(np.min(np.minimum(np.minimum(x_vel, x_hi), x_lo)))
     if np.isinf(x_min):
         return 0.0
@@ -531,9 +550,11 @@ def test_min_duration_arrays_matches_two_root_calls(seed, n_points, dof, edges):
         limits = SimpleNamespace(qd_max=np.where(free[0], np.inf, hi),
                                  qd_min=np.where(free[1], -np.inf, lo),
                                  qdd_max=limits.qdd_max, qdd_min=limits.qdd_min)
-    # The feasibility test of the b-based kernel.
-    b_feasible = not ((b > limits.qd_max).any() or (b < limits.qd_min).any())
-    assert BoundaryLanes.from_splits(b, d, limits).feasible == b_feasible
+    # The feasibility test of the b-based kernel: b within the limits and the
+    # closed form holding on d.
+    feasible = (not ((b > limits.qd_max).any() or (b < limits.qd_min).any())
+                and ref_closed_form(d, limits))
+    assert BoundaryLanes.from_splits(b, d, limits).feasible == feasible
     try:
         ref = ref_min_duration_arrays(a, b, c, d, limits)
     except InfeasibleError as err:
@@ -544,18 +565,23 @@ def test_min_duration_arrays_matches_two_root_calls(seed, n_points, dof, edges):
         assert got == ref and type(got) is float
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in square")
 def test_min_duration_arrays_branch_lanes():
-    # One lane per branch: c == 0 (linear), d == 0, d == -0.0, disc < 0, and
-    # linear lanes whose d^2 overflows, where only r/d gives the root.
+    # One lane per branch: c == 0 (linear), d == 0, d == -0.0, disc < 0,
+    # linear lanes whose d^2 overflows, which the closed form cannot
+    # represent, and a lane whose d^2 is finite but c 4r + d^2 overflows.
     lim = KinodynamicLimits.symmetric(1.0, 1.0, 1)
-    c = np.array([[0.0], [2.0], [-2.0], [-3.0], [0.0], [0.0], [0.0], [0.0]])
-    d = np.array([[0.5], [0.0], [-0.0], [0.1], [-0.0], [0.0], [1e200], [-1e200]])
-    a = np.array([[0.3], [0.0], [-0.2], [0.0], [0.0], [1e-3], [0.0], [0.0]])
+    c = np.array([[0.0], [2.0], [-2.0], [-3.0], [0.0], [0.0], [0.0], [0.0], [1e307]])
+    d = np.array([[0.5], [0.0], [-0.0], [0.1], [-0.0], [0.0], [1e200], [-1e200],
+                  [1.3e154]])
+    a = np.array([[0.3], [0.0], [-0.2], [0.0], [0.0], [1e-3], [0.0], [0.0], [0.0]])
     b = np.zeros_like(a)
-    for rows in ([0], [1], [2], [3], [4], [5], [6], [7], list(range(8))):
+    for rows in ([0], [1], [2], [3], [4], [5], [6], [7], [8], list(range(8)),
+                 list(range(6)) + [8]):
         args = [x[rows] for x in (a, b, c, d)]
-        assert lanes_min_duration(*args, lim) == ref_min_duration_arrays(*args, lim)
+        assert (outcome(lanes_min_duration, *args, lim)
+                == outcome(ref_min_duration_arrays, *args, lim))
+    assert outcome(lanes_min_duration, *(x[[8]] for x in (a, b, c, d)), lim) == (
+        "InfeasibleError", OVERFLOW)
 
 
 def random_bc(rng, dof, qd_max, speed):
@@ -886,21 +912,29 @@ class RefLanes:
         vel_hi, vel_lo = limits.qd_max - b, limits.qd_min - b
         r = np.array([limits.qdd_max, limits.qdd_min])
         r = r.reshape((2,) + (1,) * (np.ndim(d) - 1) + r.shape[1:])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_lin = r / d
-        return cls(not ((vel_hi < 0.0).any() or (vel_lo > 0.0).any()), d,
+            d2 = d**2
+        feasible = not ((vel_hi < 0.0).any() or (vel_lo > 0.0).any())
+        return cls(feasible and ref_closed_form(d, limits), d,
                    vel_hi, vel_lo, np.where(x_lin > 0.0, x_lin, np.inf),
-                   np.where(d >= 0.0, 1.0, -1.0), d**2, r, -r)
+                   np.where(d >= 0.0, 1.0, -1.0), d2, r, -r)
 
     def duration(self, a, c):
         if not self.feasible:
-            raise InfeasibleError("boundary velocities exceed the velocity limits")
+            raise InfeasibleError(REFUSED)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_vel = np.where(np.signbit(a), self.vel_lo, self.vel_hi) / a
-            qv = -0.5 * (self.d + self.sign_d * np.sqrt(self.d2 + 4.0 * c * self.r))
-            x_acc = np.empty((2,) + qv.shape)
-            np.divide(qv, c, out=x_acc[0])
-            np.divide(self.neg_r, qv, out=x_acc[1])
+            with np.errstate(over="ignore"):
+                x_vel = np.where(np.signbit(a), self.vel_lo, self.vel_hi) / a
+            try:
+                with np.errstate(over="raise"):
+                    qv = -0.5 * (self.d + self.sign_d
+                                 * np.sqrt(self.d2 + 4.0 * c * self.r))
+                    x_acc = np.empty((2,) + qv.shape)
+                    np.divide(qv, c, out=x_acc[0])
+                    np.divide(self.neg_r, qv, out=x_acc[1])
+            except FloatingPointError:
+                raise InfeasibleError(OVERFLOW) from None
         np.copyto(x_acc[1], self.x_lin, where=c == 0.0)
         x_min = min(np.fmin.reduce(x_vel, axis=None, initial=np.inf),
                     np.where(x_acc > 0.0, x_acc, np.inf).min())
@@ -956,9 +990,10 @@ def test_min_duration_matches_broadcast_kernel(seed, dof, n_via, boundary):
     """The pre-scaled kernel against the broadcast one, on the bits of the
     duration or the error raised: rest-to-rest moves and moves with
     boundary velocities, a boundary velocity at +-qd_max (its velocity lane
-    at s = 0 is 0/0), velocities so small that d^2 underflows (the linear
-    lanes take r/d), velocities beyond the limits, DoFs that stay at 0 (their
-    c lanes are exactly zero), candidates at rest and infeasible ones."""
+    at s = 0 is 0/0), velocities so small that d^2 underflows (beyond the
+    closed form's float range), velocities beyond the limits, DoFs that stay
+    at 0 (their c lanes are exactly zero), candidates at rest and infeasible
+    ones."""
     rng = np.random.default_rng(seed)
     qd_max = rng.uniform(0.3, 1.5, dof)
     limits = KinodynamicLimits(-rng.uniform(0.3, 1.5, dof), qd_max,
@@ -988,7 +1023,6 @@ def test_min_duration_matches_broadcast_kernel(seed, dof, n_via, boundary):
             == outcome(ref_kernel_min_duration, basis, at_q0, bc, limits, grid))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in square")
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 7),
        st.sampled_from(["c_zero", "d_zero", "d_tiny", "d_huge", "special"]))
@@ -996,9 +1030,8 @@ def test_duration_lanes_match_broadcast_kernel(seed, n_points, dof, kind):
     """BoundaryLanes.duration against the broadcast kernel on raw lanes, with
     exact zeros, negative zeros and 1e-300 mixed in, c given plain or
     stacked twice, and b on, inside and beyond the velocity limits.  d^2
-    underflows at d = 1e-170 (the linear lanes must take r/d), and overflows
-    at d = 1e200, where the second roots are exactly +-0 and must be
-    dropped."""
+    underflows at d = 1e-300 and 1e-170 and overflows at d = 1e200, where
+    the closed form does not hold and both kernels refuse the boundary."""
     rng = np.random.default_rng(seed)
     a, b, c, d = (special_lanes(rng, (n_points, dof)) for _ in range(4))
     if kind == "c_zero":
@@ -1014,7 +1047,8 @@ def test_duration_lanes_match_broadcast_kernel(seed, n_points, dof, kind):
     edge = rng.random((n_points, dof))
     b = np.clip(b, -0.4, 0.4)
     if kind != "d_huge":
-        # With b inside the limits, the +-0 roots decide the duration.
+        # d_huge keeps b inside the limits, so that only the closed form's
+        # float range refuses its boundary.
         b = np.where(edge < 0.05, limits.qd_max, np.where(edge < 0.1, limits.qd_min, b))
     if rng.random() < 0.2:
         b = np.where(edge > 0.95, 2.0 * limits.qd_max, b)
