@@ -9,7 +9,8 @@ runs. Compare a change against its parent with
 which runs both trees in subprocesses, prints this tree's lines, then every
 line that differs, the line counts of both trees' `viaplan/*.py` (with and
 without `cli.py`, then per module as `timing.py 358 -> 332`, the other
-tree's count first) and the number of config keys each of their commands
+tree's count first), the number of public names each tree's `viaplan`
+package exports and the number of config keys each of their commands
 accepts, and exits 1 when any line differs.  A planned output change is
 listed in `scripts/digest_changes.json` as {line name: {"from": base digest,
 "to": new digest}}, where a line's name is the CSV path or the `digest` line
@@ -29,6 +30,7 @@ and the viabench runs about twenty seconds per tree.
 """
 
 import argparse
+import ast
 import hashlib
 import json
 import subprocess
@@ -115,6 +117,15 @@ def module_lines(src: str) -> dict[str, int]:
             for f in Path(src, "viaplan").glob("*.py")}
 
 
+def exports(src: str) -> int:
+    """The public names that the `from . import` lines of the viaplan
+    package's `__init__.py` in src bind."""
+    tree = ast.parse(Path(src, "viaplan", "__init__.py").read_text())
+    return sum(not (alias.asname or alias.name).startswith("_")
+               for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names)
+
+
 def line_counts(counts: dict[str, int]) -> str:
     """The total of module_lines' counts, and the total without cli.py."""
     total = sum(counts.values())
@@ -166,6 +177,7 @@ def compare(src: str, other: str) -> int:
     lines, their_lines = module_lines(src), module_lines(other)
     print(f"viaplan/*.py lines: {line_counts(lines)}, against {line_counts(their_lines)}")
     print(f"viaplan/*.py lines per module: {per_module(lines, their_lines)}")
+    print(f"viaplan exports: {exports(src)} names, against {exports(other)}")
     print(f"{my_keys}, against {their_keys.partition(': ')[2]}")
     print(f"{len(differ)} lines differ" if differ else
           f"every CSV identical but {len(listed)} listed changes" if listed else

@@ -10,8 +10,7 @@ from .spline import (BoundaryConditions, SplineBasis, build_basis, smoothness_co
                      smoothness_gram, via_timings)
 from .timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
                      boundary_half, min_duration, synthesize)
-from .worlds import (Disk, Rect, World2D, ablation_world_1d,
-                     bundled_cluttered_world, bundled_start_goal,
-                     single_obstacle_world)
+from .worlds import (World2D, ablation_world_1d, bundled_cluttered_world,
+                     bundled_start_goal, single_obstacle_world)
 
 __version__ = "0.1.0"

@@ -28,8 +28,7 @@ from .mpc import LagPlant, MpcConfig, greedy_step, run_closed_loop
 from .planner import PlanningProblem, make_es, solve
 from .spline import BoundaryConditions
 from .timing import InfeasibleError, KinodynamicLimits, PhaseGrid
-from .worlds import (Disk, Rect, World2D, bundled_cluttered_world,
-                     single_obstacle_world)
+from .worlds import World2D, bundled_cluttered_world, single_obstacle_world
 
 
 class ConfigError(Exception):
@@ -165,10 +164,7 @@ def build_world(sec: dict):
     if kind == "single_obstacle":
         return single_obstacle_world()
     if kind == "custom":
-        obstacles = [Disk(np.array(d[:2]), d[2]) for d in sec.get("disks", [])]
-        obstacles += [Rect(np.array(r[:2]), np.array(r[2:])) for r in sec.get("rects", [])]
-        given = {key: sec[key] for key in ("bounds_lo", "bounds_hi", "robot_radius") if key in sec}
-        return World2D(obstacles=tuple(obstacles), **given)
+        return World2D(**{key: value for key, value in sec.items() if key != "type"})
     raise ConfigError(f"unknown key 'world.type' value '{kind}'")
 
 

@@ -15,8 +15,10 @@ duration meets the limits.  The greedy baseline is another step function
 for the same closed loop and `step_problem`: it scores each endpoint alone
 as a no-via-point plan with `score_direct`.  Both step functions end in
 `_step_result`, which samples the first dt_mpc of the solution at the
-plant rate (`extract_reference`, through `Trajectory.at_time`) and times
-the step; MpcConfig caps that sampling at MAX_REFERENCE_SAMPLES per step.
+plant rate (`extract_reference`, through `Trajectory.at_time`, which holds
+the solution's end state past its end) and times the step; MpcConfig caps
+that sampling at MAX_REFERENCE_SAMPLES per step.  Every reference that the
+closed loop hands its plant spans one whole dt_mpc.
 """
 
 from __future__ import annotations
@@ -115,15 +117,16 @@ def warm_start(prev_solution: Trajectory, elapsed: float, alpha: float,
 
 def extract_reference(traj: Trajectory, t0: float, duration: float,
                       plant_dt: float) -> ShortHorizon:
-    """Reference positions and velocities from traj over
-    [t0, min(t0 + duration, T)], each sample traj.at_time of its time."""
-    t_end = min(t0 + duration, traj.duration)
-    n_whole = int(np.floor((t_end - t0) / plant_dt + 1e-12))
-    times = t0 + plant_dt * np.arange(n_whole + 1)
-    if times[-1] < t_end - 1e-12:
-        times = np.append(times, t_end)
-    return ShortHorizon(times=times - t0, q=traj.at_time(times, 0),
-                        qd=traj.at_time(times, 1))
+    """Reference positions and velocities from traj over [t0, t0 + duration],
+    one sample every plant_dt and one at the window's end, each
+    traj.at_time of its time: past T a sample holds traj's end state.  The
+    times are relative to t0, so the last one is duration."""
+    n_whole = int(np.floor(duration / plant_dt + 1e-12))
+    times = plant_dt * np.arange(n_whole + 1)
+    if times[-1] < duration - 1e-12:
+        times = np.append(times, duration)
+    return ShortHorizon(times=times, q=traj.at_time(t0 + times, 0),
+                        qd=traj.at_time(t0 + times, 1))
 
 
 def step_problem(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
@@ -238,7 +241,8 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
 
     The plant runs each valid step's reference.  After an invalid step it
     replays the rest of the last valid plan, one dt_mpc window per step from
-    one step on, and holds with zero velocity once that plan has run out.
+    one step on, and holds with zero velocity once that plan has run out;
+    every reference and hold spans dt_mpc.
     When there is no valid plan to replay (no valid step yet, or none since
     a disturbance), the plant runs the invalid step's own reference, and
     holds only when the step has no solution at all.

@@ -84,17 +84,11 @@ def test_one_synthesize_call_per_candidate(tracing):
 
 
 def assert_same_fields(actual, expected):
-    """Field-by-field equality of dataclasses that hold arrays or tuples of
-    such dataclasses (limits, worlds, obstacles)."""
+    """Field-by-field equality of dataclasses that hold arrays (limits,
+    worlds)."""
     assert type(actual) is type(expected)
     for name, value in vars(expected).items():
-        got = getattr(actual, name)
-        if isinstance(value, tuple):
-            assert len(got) == len(value), name
-            for a, b in zip(got, value):
-                assert_same_fields(a, b)
-        else:
-            np.testing.assert_array_equal(got, value, err_msg=name)
+        np.testing.assert_array_equal(getattr(actual, name), value, err_msg=name)
 
 
 def test_workloads_build_from_the_configs(workloads):

@@ -1,7 +1,8 @@
 """A validity oracle at the CLI boundary.
 
 Hypothesis draws configs for every command: DoF 1-3, with a world that only
-a 2-DoF problem may have, boundary velocities at rest, inside, on and beyond
+a 2-DoF problem may have (a custom one holds 0-2 disks and 0-2 rectangles,
+at robot_radius 0 or 0.02), boundary velocities at rest, inside, on and beyond
 qd_max, and in about half the examples one entry replaced by 0, -1, NaN or
 an infinity: a velocity, acceleration or position limit, a cost weight, a
 tolerance, the ES's initial spread or a closed-loop setting.  A limit, the
@@ -15,6 +16,9 @@ values.  In about a quarter of the examples one qd0 or qdT entry is
 about half of those both limits are drawn from the four values.  In about
 half the mpc examples the run also takes `--disturb` at a step within
 max_steps, by a dq whose entries are each finite, NaN or an infinity.
+Those draws repeat near-identical configs, so `test_custom_world_oracle`
+also runs plan and mpc in custom worlds drawn anew from one seed each, with
+no edge value.
 Every run must end in one of two ways:
 
 - exit 2 with `config error: ` and no traceback, which every NaN and every
@@ -48,7 +52,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from viaplan.cli import main
-from viaplan.worlds import Disk, bundled_cluttered_world, single_obstacle_world
+from viaplan.worlds import bundled_cluttered_world, single_obstacle_world
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -104,7 +108,14 @@ def problems(draw):
     world = {"type": draw(st.sampled_from(WORLD_TYPES if dof == 2 else
                                           ("none", "none", "none", "cluttered2d")))}
     if world["type"] == "custom":
-        world.update(disks=[[draw(position), draw(position), draw(st.floats(0.0, 0.2))]],
+        disks = [[draw(position), draw(position), draw(st.floats(0.0, 0.2))]
+                 for _ in range(draw(st.integers(0, 2)))]
+        rects = []
+        for _ in range(draw(st.integers(0, 2))):
+            x, y = draw(position), draw(position)
+            side = st.floats(0.01, 0.3)
+            rects.append([x, y, x + draw(side), y + draw(side)])
+        world.update(disks=disks, rects=rects,
                      robot_radius=draw(st.sampled_from([0.0, 0.02])))
     return problem, world
 
@@ -226,21 +237,21 @@ def collides(world: dict, q: np.ndarray) -> np.ndarray:
     if kind == "none":
         return np.zeros(len(q), dtype=bool)
     if kind == "custom":
-        obstacles = [Disk(d[:2], d[2]) for d in world["disks"]]
+        disks, rects = world.get("disks", []), world.get("rects", [])
         rr, lo, hi = world.get("robot_radius", 0.0), np.zeros(2), np.ones(2)
     else:
         bundled = (bundled_cluttered_world() if kind == "cluttered2d"
                    else single_obstacle_world())
-        obstacles, rr = bundled.obstacles, bundled.robot_radius
+        disks, rects, rr = bundled.disks, bundled.rects, bundled.robot_radius
         lo, hi = bundled.bounds_lo, bundled.bounds_hi
     hit = np.any((q - rr < lo) | (q + rr > hi), axis=1)
-    for obs in obstacles:
-        if isinstance(obs, Disk):
-            hit |= np.hypot(*(q - obs.center).T) < obs.radius + rr
-        else:
-            gap = np.maximum(np.maximum(obs.lo - q, q - obs.hi), 0.0)
-            inside = np.all((q > obs.lo) & (q < obs.hi), axis=1)
-            hit |= inside if rr == 0.0 else np.hypot(*gap.T) < rr
+    for x, y, radius in disks:
+        hit |= np.hypot(q[:, 0] - x, q[:, 1] - y) < radius + rr
+    for x_lo, y_lo, x_hi, y_hi in rects:
+        corner_lo, corner_hi = np.array([x_lo, y_lo]), np.array([x_hi, y_hi])
+        gap = np.maximum(np.maximum(corner_lo - q, q - corner_hi), 0.0)
+        inside = np.all((q > corner_lo) & (q < corner_hi), axis=1)
+        hit |= inside if rr == 0.0 else np.hypot(*gap.T) < rr
     return hit
 
 
@@ -328,6 +339,50 @@ def test_plan_oracle(cfg):
 @given(mpc_runs())
 def test_mpc_oracle(run):
     check_run("mpc", *run)
+
+
+def custom_world_config(command: str, seed: int) -> dict:
+    """A plan or mpc config of a 2-DoF problem, at rest or with boundary
+    velocities within qd_max, in a custom world of 0-2 disks and 0-2
+    rectangles at robot_radius 0 or 0.02, all drawn from one seed."""
+    rng = np.random.default_rng(seed)
+    qd_max = rng.uniform(0.2, 1.0)
+    problem = {"q0": rng.uniform(0.05, 0.95, 2).tolist(),
+               "qT": rng.uniform(0.05, 0.95, 2).tolist(),
+               "qd0": (rng.choice([0.0, 0.0, 0.5, -0.5], 2) * qd_max).tolist(),
+               "qdT": (rng.choice([0.0, 0.0, 0.5, -0.5], 2) * qd_max).tolist(),
+               "qd_max": qd_max, "qdd_max": rng.uniform(0.5, 4.0)}
+    if rng.integers(2):
+        problem.update(q_min=0.0, q_max=1.0)
+    disks = rng.uniform(0.0, 1.0, (rng.integers(3), 3)) * [1.0, 1.0, 0.2]
+    corners = rng.uniform(0.0, 0.9, (rng.integers(3), 2))
+    sides = rng.uniform(0.01, 0.3, corners.shape)
+    world = {"type": "custom", "disks": disks.tolist(),
+             "rects": np.hstack([corners, corners + sides]).tolist(),
+             "robot_radius": float(rng.choice([0.0, 0.02]))}
+    cfg = {"problem": problem, "costs": {}, "world": world}
+    if command == "plan":
+        cfg["optimizer"] = {"n_via": int(rng.integers(1, 4)), "pop_size": 8,
+                            "max_iterations": int(rng.integers(1, 30)),
+                            "runs": int(rng.integers(1, 3)),
+                            "grid_k": int(rng.choice([100, 200])),
+                            "seed": int(rng.integers(4))}
+    else:
+        cfg["mpc"] = {"n_max": int(rng.integers(1, 3)), "pop_size": 8,
+                      "grid_k": int(rng.integers(10, 21)),
+                      "iterations_per_step": int(rng.integers(1, 5)),
+                      "max_steps": int(rng.integers(1, 6)), "goal_tol": 0.05,
+                      "seed": int(rng.integers(4))}
+    return cfg
+
+
+@SETTINGS
+@given(st.sampled_from(["plan", "mpc"]), st.integers(0, 2**32 - 1))
+def test_custom_world_oracle(command, seed):
+    # The draws of `configs` repeat near-identical custom worlds, and hardly
+    # one of them with a rectangle gives a valid plan; here one seed draws
+    # each world anew.
+    check_run(command, custom_world_config(command, seed))
 
 
 @SETTINGS

@@ -6,7 +6,7 @@ import pytest
 from viaplan.costs import CostWeights, cost_collision, cost_jla
 from viaplan.spline import BoundaryConditions, build_basis, smoothness_cost
 from viaplan.timing import KinodynamicLimits, PhaseGrid, boundary_half, synthesize
-from viaplan.worlds import Disk, World2D
+from viaplan.worlds import World2D
 
 from conftest import direct_plan, evaluate_trajectories
 
@@ -88,7 +88,7 @@ def test_jla_no_position_bounds():
 
 
 def test_collision_count():
-    world = World2D(obstacles=(Disk([0.5, 0.5], 0.1),))
+    world = World2D(disks=[[0.5, 0.5, 0.1]])
     q = np.array([[0.1, 0.1], [0.5, 0.5], [0.52, 0.5], [0.9, 0.9]])
     free = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3], [0.9, 0.9]])
     assert cost_collision(stacked(q, free, q[::-1]), world).tolist() == [2, 0, 2]
@@ -97,7 +97,7 @@ def test_collision_count():
 def test_collision_count_refines_with_grid():
     bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
-    world = World2D(obstacles=(Disk([0.5, 0.5], 0.15),))
+    world = World2D(disks=[[0.5, 0.5, 0.15]])
     basis = build_basis(0, 2)
 
     def hits(k):
@@ -124,7 +124,7 @@ def test_total_weighted_sum_for_valid():
 
 
 def test_invalid_gets_penalty():
-    world = World2D(obstacles=(Disk([0.5, 0.5], 0.2),))
+    world = World2D(disks=[[0.5, 0.5, 0.2]])
     bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
     grid = PhaseGrid(50)
@@ -142,7 +142,7 @@ def test_invalid_gets_penalty():
 
 def test_invalid_dominance_over_population():
     rng = np.random.default_rng(13)
-    world = World2D(obstacles=(Disk([0.5, 0.5], 0.12),))
+    world = World2D(disks=[[0.5, 0.5, 0.12]])
     bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
     grid = PhaseGrid(50)

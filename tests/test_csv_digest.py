@@ -1,6 +1,7 @@
 """The planned-change list of `scripts/csv_digest.py --against`: a differing
 line passes only when an entry names it with the base's digest as `from`
-and this tree's as `to`.  Also the line counts it prints for both trees."""
+and this tree's as `to`.  Also the line and export counts it prints for
+both trees."""
 
 import importlib.util
 import json
@@ -75,3 +76,28 @@ def test_line_counts_per_module(csv_digest, tmp_path):
     assert csv_digest.line_counts(mine) == "9 (7 without cli.py)"
     assert csv_digest.per_module(mine, theirs) == (
         "cli.py 2 -> 2, new.py 0 -> 4, old.py 1 -> 0, timing.py 5 -> 3")
+
+
+def test_exports_count_public_package_names(csv_digest, tmp_path):
+    # Every name that __init__.py imports from the package's own modules,
+    # under its bound name, but not private names or outside imports.
+    package = tmp_path / "viaplan"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        '"""Doc."""\n'
+        "import numpy as np\n"
+        "from typing import Any\n"
+        "from .worlds import World2D, bundled_start_goal\n"
+        "from .mpc import (LagPlant, _step_result,\n"
+        "                  run_closed_loop as run)\n"
+        "from .spline import _private as public\n"
+        '__version__ = "0.1.0"\n')
+    assert csv_digest.exports(str(tmp_path)) == 5
+    # On this tree: the package's public attributes that are not modules.
+    import types
+
+    import viaplan
+
+    public = [name for name, value in vars(viaplan).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert csv_digest.exports(str(ROOT / "src")) == len(public) > 0

@@ -42,7 +42,7 @@ from viaplan.planner import PlanningProblem, evaluate_candidates
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
                             PhaseGrid, boundary_half, min_duration, synthesize)
-from viaplan.worlds import (Disk, Rect, World2D, bundled_cluttered_world,
+from viaplan.worlds import (World2D, bundled_cluttered_world,
                             bundled_start_goal)
 
 from conftest import direct_plan, evaluate_trajectories, is_colliding
@@ -234,14 +234,13 @@ def ref_colliding_mask(world, points):
     rr = world.robot_radius
     out = np.any(pts - rr < world.bounds_lo, axis=1)
     out |= np.any(pts + rr > world.bounds_hi, axis=1)
-    for obs in world.obstacles:
-        if isinstance(obs, Disk):
-            d2 = np.sum((pts - obs.center) ** 2, axis=1)
-            out |= d2 < (obs.radius + rr) ** 2
-        else:
-            delta = np.maximum(np.maximum(obs.lo - pts, pts - obs.hi), 0.0)
-            out |= np.sum(delta**2, axis=1) < rr**2 if rr > 0.0 else \
-                np.all((pts > obs.lo) & (pts < obs.hi), axis=1)
+    for disk in world.disks:
+        d2 = np.sum((pts - disk[:2]) ** 2, axis=1)
+        out |= d2 < (disk[2] + rr) ** 2
+    for lo, hi in zip(world.rects[:, :2], world.rects[:, 2:]):
+        delta = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
+        out |= np.sum(delta**2, axis=1) < rr**2 if rr > 0.0 else \
+            np.all((pts > lo) & (pts < hi), axis=1)
     return out
 
 
@@ -254,32 +253,33 @@ def ref_at_time(traj, t, order=0):
     return traj.evaluate(s, order)
 
 
-def ref_times(t0, duration, plant_dt, t_end):
-    n_whole = int(np.floor((t_end - t0) / plant_dt + 1e-12))
-    times = t0 + plant_dt * np.arange(n_whole + 1)
-    return np.append(times, t_end) if times[-1] < t_end - 1e-12 else times
+def ref_times(duration, plant_dt):
+    """The window's times relative to its start: every plant_dt, then its end."""
+    n_whole = int(np.floor(duration / plant_dt + 1e-12))
+    times = plant_dt * np.arange(n_whole + 1)
+    return np.append(times, duration) if times[-1] < duration - 1e-12 else times
 
 
 def ref_extract_reference(traj, t0, duration, plant_dt):
-    times = ref_times(t0, duration, plant_dt, min(t0 + duration, traj.duration))
-    q = np.stack([ref_at_time(traj, t, 0) for t in times])
-    qd = np.stack([ref_at_time(traj, t, 1) for t in times])
-    return times - t0, q, qd
+    times = ref_times(duration, plant_dt)
+    q = np.stack([ref_at_time(traj, t0 + t, 0) for t in times])
+    qd = np.stack([ref_at_time(traj, t0 + t, 1) for t in times])
+    return times, q, qd
 
 
 def ref_batched_extract_reference(traj, t0, duration, plant_dt):
     """extract_reference with its own pack and per-row product."""
-    times = ref_times(t0, duration, plant_dt, min(t0 + duration, traj.duration))
+    times = ref_times(duration, plant_dt)
     if traj.degenerate:
         q = np.tile(traj.bc.q0, (times.size, 1))
         qd = np.zeros_like(q)
     else:
-        s = np.clip(times / traj.duration, 0.0, 1.0)
+        s = np.clip((t0 + times) / traj.duration, 0.0, 1.0)
         u = traj.basis.pack(traj.q_via, traj.bc, traj.duration)
         q, qd = (np.matmul(traj.basis.eval_matrix(s, order)[:, None, :], u)[:, 0]
                  for order in range(2))
         qd = qd / traj.duration
-    return ShortHorizon(times=times - t0, q=q, qd=qd)
+    return ShortHorizon(times=times, q=q, qd=qd)
 
 
 def ref_warm_start(prev, elapsed, alpha, n_max):
@@ -408,8 +408,8 @@ def random_problem(rng, dof, n_via, degenerate, with_bounds, with_checker,
     limits = KinodynamicLimits.symmetric(qd_max, qdd_max, dof, q_range=q_range)
     checker = None
     if with_checker:
-        checker = (World2D(obstacles=(Disk(rng.uniform(0.3, 0.7, 2), 0.12),
-                                      Rect([0.45, 0.1], [0.55, 0.35])),
+        checker = (World2D(disks=[[*rng.uniform(0.3, 0.7, 2), 0.12]],
+                           rects=[[0.45, 0.1, 0.55, 0.35]],
                            robot_radius=rng.choice([0.0, 0.02]))
                    if dof == 2 else Band1D(0.45, 0.55))
     return PlanningProblem(bc, limits, n_via=n_via, pop_size=pop_size,
@@ -644,26 +644,25 @@ def test_colliding_mask_matches_obstacle_loop(seed, robot_radius):
     rr = robot_radius
     # Dyadic centers, corners and radii: the edge points below are exact.
     ticks = np.arange(1, 16) / 16.0
-    obstacles = []
+    disks, rects = [], []
     probes = [rng.uniform(-0.1, 1.1, (200, 2)), [[rr, rr], [1.0 - rr, 1.0 - rr]]]
     for _ in range(rng.integers(0, 4)):
         center = rng.choice(ticks, 2)
         radius = float(rng.choice([0.0625, 0.125, 0.1]))
-        obstacles.append(Disk(center, radius))
+        disks.append([*center, radius])
         reach = radius + rr
         probes.append(center + [[reach, 0.0], [-reach, 0.0], [0.0, reach],
                                 [0.0, -reach]])
     for _ in range(rng.integers(0, 4)):
         lo = rng.choice(ticks, 2)
         hi = lo + rng.choice([0.0625, 0.125, 0.25], 2)
-        obstacles.append(Rect(lo, hi))
+        rects.append([*lo, *hi])
         mid = 0.5 * (lo + hi)
         probes.append([lo, hi, [lo[0], hi[1]], [hi[0], lo[1]],
                        [lo[0], mid[1]], [hi[0], mid[1]], [mid[0], lo[1]],
                        [mid[0], hi[1]], [lo[0] - rr, mid[1]], [hi[0] + rr, mid[1]],
                        [mid[0], lo[1] - rr], [mid[0], hi[1] + rr], mid])
-    rng.shuffle(obstacles)
-    world = World2D(obstacles=tuple(obstacles), robot_radius=rr)
+    world = World2D(disks=disks, rects=rects, robot_radius=rr)
     points = np.concatenate([np.asarray(p, dtype=float) for p in probes])
     got = world.colliding_mask(points)
     assert got.dtype == bool and got.shape == (len(points),)
@@ -858,7 +857,7 @@ def test_solve_matches_its_own_loop(tol, max_iterations):
              (BoundaryConditions([0.2, 0.3], [0.2, -0.1], [0.8, 0.6], [0.1, 0.0]),
               None, 4, None),
              (BoundaryConditions(q0, zero, goal, zero),
-              World2D(obstacles=(Disk(goal, 0.05),), robot_radius=0.02), 2, None),
+              World2D(disks=[[*goal, 0.05]], robot_radius=0.02), 2, None),
              (BoundaryConditions(q0, [0.8, 0.0], goal, zero), bundled_cluttered_world(),
               3, None)]
     picked_best = mean_invalid = 0

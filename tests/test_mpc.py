@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ def test_step_reports_the_best_ever_candidate_when_only_it_is_valid(monkeypatch)
 
 def test_direct_step_at_its_goal_emits_rest_reference():
     # At rest on its own goal, the direct trajectory is degenerate and the
-    # reference holds the state with zero velocity.
+    # reference holds the state with zero velocity for the whole step.
     for goal in ([0.9, 0.5], [0.3, 0.7, 0.1]):
         goal = np.array(goal)
         dof = goal.size
@@ -220,8 +221,8 @@ def test_direct_step_at_its_goal_emits_rest_reference():
         assert result.mode == "direct" and result.valid
         assert result.solution.duration == 0.0 and result.solution.degenerate
         ref = result.short_horizon
-        assert np.array_equal(ref.times, [0.0])
-        assert np.array_equal(ref.q, goal[None, :])
+        assert np.array_equal(ref.times, 1e-3 * np.arange(81))
+        assert np.array_equal(ref.q, np.tile(goal, (81, 1)))
         assert not ref.qd.any()
 
 
@@ -370,13 +371,19 @@ def test_extract_reference_samples_equal_at_time():
                 assert np.array_equal(rows, want), (t0, order)
 
 
-def test_extract_short_horizon_truncates_at_duration():
+def test_extract_short_horizon_holds_the_end_past_duration():
+    # A plan shorter than the window: the reference still spans the whole
+    # window, and every sample past T is the plan's end state.
     bc = BoundaryConditions([0.0], [0.0], [0.001], [0.0])
     lim = KinodynamicLimits.symmetric(1.0, 50.0, 1)
     traj = direct_plan(bc, lim, PhaseGrid(50))
     assert traj.duration < 0.08
     horizon = extract_reference(traj, 0.0, 0.08, 1e-3)
-    np.testing.assert_allclose(horizon.times[-1], traj.duration)
+    assert horizon.times.shape == (81,) and horizon.times[-1] == 0.08
+    past = horizon.times > traj.duration
+    assert past.sum() > 40
+    assert np.all(horizon.q[past] == traj.at_time(traj.duration))
+    assert np.all(horizon.qd[past] == traj.at_time(traj.duration, 1))
     np.testing.assert_allclose(horizon.q[-1], [0.001], atol=1e-12)
 
 
@@ -550,6 +557,68 @@ def test_invalid_step_with_nothing_to_replay_runs_its_own_reference():
             np.testing.assert_array_equal(row["qd"], result.short_horizon.qd[-1])
             assert not np.array_equal(row["q"], prev_q)
         prev_q = row["q"]
+
+
+def test_every_plant_horizon_spans_one_step():
+    # The plant advances by exactly dt_mpc on a valid step's reference, on
+    # each replayed window of the last valid plan (the last one reaching past
+    # the plan's end), on a hold, and on an invalid step's own reference.
+    # A window used to end at the plan's end, so a lag plant near the goal
+    # ran a few ms per 80 ms step.
+    config = MpcConfig(iterations_per_step=2, pop_size=8, seed=0)
+    spans, results = [], []
+
+    class SpyPlant(ExactPlant):
+        def advance(self, horizon):
+            spans.append(horizon.times[-1])
+            super().advance(horizon)
+
+    disturb_at = 16
+    q0, qT, waypoint = np.array([0.1, 0.5]), np.array([0.9, 0.5]), np.array([0.3, 0.5])
+
+    def step(q, qd, _qT, qdT, *args, **kwargs):
+        # Plans end at the waypoint, short of the goal, so the episode runs on.
+        result = mpc_step(q, qd, waypoint, qdT, *args, **kwargs)
+        if results:
+            # Invalid from here on: the first plan is replayed, then held;
+            # after the disturbance the step runs its own reference once.
+            result.valid = False
+            if len(results) != disturb_at:
+                result.solution = result.report = result.short_horizon = None
+        results.append(result)
+        return result
+
+    log = run_closed_loop(q0, np.zeros(2), qT, np.zeros(2), LIMITS_2D, config,
+                          max_steps=disturb_at + 2, plant=SpyPlant(q0),
+                          disturbances={disturb_at: np.zeros(2)}, step=step)
+    plan = results[0].solution
+    replays = int(np.ceil(plan.duration / config.dt_mpc)) - 1
+    assert 0 < plan.duration % config.dt_mpc < config.dt_mpc
+    assert 2 <= replays < disturb_at - 2
+    assert log.steps == len(spans) == disturb_at + 2
+    assert spans == [config.dt_mpc] * len(spans)
+    np.testing.assert_array_equal(log.rows[replays]["q"], plan.at_time(plan.duration))
+    for row in log.rows[replays + 1:disturb_at]:
+        np.testing.assert_array_equal(row["q"], log.rows[replays]["q"])
+        assert np.all(row["qd"] == 0.0)
+    assert results[disturb_at].short_horizon is not None
+
+
+def test_lag_episode_reaches_the_goal(tmp_path):
+    # The bundled MPC episode with the lag plant settles at the goal.  Its
+    # references used to end at the plan's end, so near the goal the plant
+    # ran about 1 ms per step and the episode ran out its 150 steps at exit 1.
+    import json
+
+    from viaplan.cli import main
+
+    cfg = json.loads((Path(__file__).parent.parent / "configs" / "mpc2d.json").read_text())
+    cfg["mpc"]["plant"] = "lag"
+    path = tmp_path / "lag.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["mpc", str(path), "--out-dir", str(tmp_path), "--quiet"]) == 0
+    summary = (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")
+    assert summary[0] == "true" and int(summary[1]) < 150
 
 
 def test_short_horizon_fields():

@@ -12,7 +12,7 @@ from viaplan.planner import (PlanningProblem, evaluate_candidates, make_es, scor
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
 from viaplan.timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
                             boundary_half)
-from viaplan.worlds import Disk, World2D, bundled_cluttered_world, bundled_start_goal
+from viaplan.worlds import World2D, bundled_cluttered_world, bundled_start_goal
 
 
 def make_1d_problem(n_via=5, pop_size=16, seed=0, **kw):
@@ -181,7 +181,7 @@ def test_make_es_rejects_a_sigma_scale_that_is_not_finite_and_positive(sigma):
 
 
 def test_first_valid_iter_with_world():
-    world = World2D(obstacles=(Disk([0.5, 0.5], 0.18),), robot_radius=0.02)
+    world = World2D(disks=[[0.5, 0.5, 0.18]], robot_radius=0.02)
     bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
     problem = PlanningProblem(bc, lim, n_via=6, pop_size=16, seed=0,

@@ -13,7 +13,7 @@ from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
                             PhaseGrid, Trajectory, boundary_half, min_duration,
                             synthesize)
-from viaplan.worlds import Disk, Rect, bundled_cluttered_world
+from viaplan.worlds import bundled_cluttered_world
 
 from conftest import direct_plan
 
@@ -176,9 +176,9 @@ def test_zero_duration_rests_at_q0():
     for order, values in enumerate(traj.sample_grid(PhaseGrid(4))):
         assert np.array_equal(values, np.tile(rest[order], (5, 1)))
     horizon = extract_reference(traj, 0.0, 0.08, 1e-3)
-    assert np.array_equal(horizon.times, [0.0])
-    assert np.array_equal(horizon.q, [bc.q0])
-    assert np.array_equal(horizon.qd, np.zeros((1, 2)))
+    assert np.array_equal(horizon.times, 1e-3 * np.arange(81))
+    assert np.array_equal(horizon.q, np.tile(bc.q0, (81, 1)))
+    assert np.array_equal(horizon.qd, np.zeros((81, 2)))
 
 
 def test_synthesized_profile_matches_cubic():
@@ -483,15 +483,13 @@ def _boundary():
 
 @pytest.mark.parametrize("make", [
     bundled_cluttered_world,
-    lambda: Disk([0.5, 0.5], 0.1),
-    lambda: Rect([0.2, 0.2], [0.4, 0.6]),
     lambda: BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0]),
     lambda: KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0)),
     lambda: synthesize(_boundary(), np.full((2, 2), 0.5)),
     _boundary,
     lambda: _boundary().lanes,
     lambda: build_prior(build_basis(3, 2)),
-], ids=["World2D", "Disk", "Rect", "BoundaryConditions", "KinodynamicLimits",
+], ids=["World2D", "BoundaryConditions", "KinodynamicLimits",
         "Trajectory", "Boundary", "BoundaryLanes", "SmoothnessPrior"])
 def test_array_dataclasses_compare_and_hash_by_identity(make):
     # Frozen dataclasses with array fields: an equal copy is another object.
