@@ -14,10 +14,14 @@ package exports and the number of config keys each of their commands
 accepts, and exits 1 when any line differs.  A planned output change is
 listed in `scripts/digest_changes.json` as {line name: {"from": base digest,
 "to": new digest}}, where a line's name is the CSV path or the `digest` line
-without its digest; a differing line that an entry matches on both digests
-is printed as accepted and does not fail the comparison.  An entry whose
-`from` is not the base's digest matches nothing, so once the change is in
-the base the list has no effect.  With --against, each tree's lines also
+without its digest; an exit line `<run> exit=<code>` or
+`viabench <workload> exit=<code>` is named without its `=<code>`, and its
+codes stand for the digests.  A differing line that an entry matches on
+both digests is printed as accepted and does not fail the comparison.  An
+entry whose `from` is not the base's digest matches nothing, so once the
+change is in the base the list has no effect.  Both trees run this
+script's own short configs, so a change to them alone differs from no
+line of the base.  With --against, each tree's lines also
 hold the exit code and `digest` lines of
 
     python3 viabench/run.py --workload <w> --seed 1 --seconds 1 --trace 1
@@ -56,7 +60,7 @@ RUNS = (
      {"mpc": {"iterations_per_step": 4, "pop_size": 16, "max_steps": 60}},
      ["--disturb", "step=5", "dq=(0.05,0)"]),
     ("mpc_lag", "mpc", "mpc2d.json",
-     {"mpc": {"iterations_per_step": 4, "pop_size": 16, "max_steps": 30,
+     {"mpc": {"iterations_per_step": 4, "pop_size": 16, "max_steps": 60,
               "plant": "lag"}}, []),
     ("mpc_greedy", "mpc", "mpc2d.json", {"mpc": {"max_steps": 40}},
      ["--baseline", "greedy"]),
@@ -140,11 +144,15 @@ def per_module(mine: dict[str, int], theirs: dict[str, int]) -> str:
 
 
 def named_digest(line: str):
-    """(name, digest) of a CSV digest line or a viabench `digest` line, or
-    None for any other line."""
+    """(name, digest) of a CSV digest line or a viabench `digest` line, or of
+    an exit line `<run> exit=<code>` as (`<run> exit`, code); None for any
+    other line."""
     if line.startswith("digest "):
         name, _, digest = line.rpartition(" ")
         return name, digest
+    run, sep, code = line.rpartition(" exit=")
+    if sep:
+        return f"{run} exit", code
     digest, sep, name = line.partition("  ")
     return (name, digest) if sep else None
 

@@ -4,7 +4,7 @@ smoothness-shaped evolution strategy, and full-horizon MPC on toy worlds."""
 from .costs import CostReport, CostWeights, evaluate_total
 from .mpc import (ExactPlant, LagPlant, MpcConfig, MpcStepResult, greedy_step,
                   mpc_step, run_closed_loop, select_n_via)
-from .optimizer import EvolutionStrategy, SmoothnessPrior, build_prior, converged
+from .optimizer import EvolutionStrategy, build_prior, converged
 from .planner import PlanningProblem, SolveResult, solve
 from .spline import (BoundaryConditions, SplineBasis, build_basis, smoothness_cost,
                      smoothness_gram, via_timings)

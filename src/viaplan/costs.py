@@ -54,15 +54,19 @@ def cost_jla(q: np.ndarray, limits: KinodynamicLimits) -> tuple[np.ndarray, np.n
     per trajectory, 1 + overshoot summed over its (K+1, D) block with zeros
     where no limit is hit, and the number of violations.  A population with
     no grid point on or beyond a limit, as most are, gets the zero columns
-    that the sums would give, without them."""
+    that the sums would give, without them.  Each limit is compared as one
+    contiguous (K+1, D) plane, not as a (D,) row, whose broadcast would run
+    an inner loop only D long; the values are the same."""
     if limits.q_min is not None:
-        over = q >= limits.q_max
-        under = q <= limits.q_min
+        q_max, q_min = np.empty(q.shape[1:]), np.empty(q.shape[1:])
+        q_max[:], q_min[:] = limits.q_max, limits.q_min
+        over = q >= q_max
+        under = q <= q_min
         if over.any() or under.any():
             counts = (np.count_nonzero(over, axis=(1, 2))
                       + np.count_nonzero(under, axis=(1, 2)))
-            costs = (np.where(over, 1.0 + q - limits.q_max, 0.0).sum(axis=(1, 2))
-                     + np.where(under, 1.0 + limits.q_min - q, 0.0).sum(axis=(1, 2)))
+            costs = (np.where(over, 1.0 + q - q_max, 0.0).sum(axis=(1, 2))
+                     + np.where(under, 1.0 + q_min - q, 0.0).sum(axis=(1, 2)))
             return costs, counts
     return np.zeros(q.shape[0]), np.zeros(q.shape[0], dtype=int)
 

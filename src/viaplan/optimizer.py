@@ -2,9 +2,10 @@
 
 Candidates are sampled as x = mean + step * L @ (sqrt(sigma_diag) * z) with z
 standard normal.  L is the Cholesky factor of the smoothness covariance (the
-inverse Gram matrix of second phase-derivatives), so with unit diagonal scale
-the very first population is spread like the smoothness prior, which depends
-on the basis alone.  The diagonal scale is adapted by sep-CMA-ES; a
+inverse Gram matrix of second phase-derivatives), which `build_prior` returns
+with the covariance's largest marginal standard deviation; with unit diagonal
+scale the very first population is spread like the smoothness prior, which
+depends on the basis alone.  The diagonal scale is adapted by sep-CMA-ES; a
 full-covariance mode is kept for ablations.  All randomness comes from one
 seeded generator, and updates depend on cost ranks only: `update(costs)` ranks
 the standard-normal z that the last `sample()` drew (as CMA-ES does), so no
@@ -13,8 +14,6 @@ candidate is mapped back through L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spline import SplineBasis, smoothness_gram
@@ -22,25 +21,14 @@ from .spline import SplineBasis, smoothness_gram
 SIGMA_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothnessPrior:
-    """Gaussian over via-points induced by the smoothness quadratic form."""
-
-    sigma: np.ndarray       # (ND, ND) covariance = G_via^-1
-    chol: np.ndarray        # lower-triangular L with sigma = L L^T
-
-    @property
-    def scale(self) -> float:
-        """Largest marginal standard deviation; used to express initial
-        sampling scales in configuration units."""
-        return float(np.sqrt(np.max(np.diag(self.sigma))))
-
-
-def build_prior(basis: SplineBasis) -> SmoothnessPrior:
-    """Invert the via-point Gram matrix and factor the covariance."""
+def build_prior(basis: SplineBasis) -> tuple[np.ndarray, float]:
+    """(chol, scale) of the smoothness prior, the Gaussian over via-points
+    with covariance sigma = G_via^-1: the lower-triangular L with
+    sigma = L L^T, and sigma's largest marginal standard deviation, which
+    expresses initial sampling scales in configuration units."""
     sigma = np.linalg.inv(smoothness_gram(basis))
     sigma = 0.5 * (sigma + sigma.T)
-    return SmoothnessPrior(sigma=sigma, chol=np.linalg.cholesky(sigma))
+    return np.linalg.cholesky(sigma), float(np.sqrt(np.max(np.diag(sigma))))
 
 
 class EvolutionStrategy:

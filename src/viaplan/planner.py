@@ -3,7 +3,9 @@
 `make_es` sets up the evolution strategy and the boundary half of the
 duration kernel (`timing.boundary_half`), which depends only on the problem,
 so `solve` gets both from one call per solve and `mpc.mpc_step` from one
-call per ES step; it also owns the ES cold start that both take.
+call per ES step; it also owns the ES cold start that both take, and builds
+the smoothness prior (`optimizer.build_prior`) only when problem.use_chol
+asks the ES to sample behind its Cholesky factor.
 `optimize` is the one generation loop of both, sample -> evaluate ->
 update, each with its own stop rule; it tracks the best-ever candidate and
 owns the reported-plan rule: the reported plan is the final mean, or the
@@ -98,9 +100,7 @@ def make_es(problem: PlanningProblem, mean=None, sigma_scale: float | None = Non
     if sigma_scale is None:
         sigma_scale = 0.5 * float(np.linalg.norm(bc.qT - bc.q0)) or 0.5
     basis = build_basis(problem.n_via, bc.dof)
-    prior = build_prior(basis)
-    transform = prior.chol if problem.use_chol else None
-    scale = prior.scale if problem.use_chol else 1.0
+    transform, scale = build_prior(basis) if problem.use_chol else (None, 1.0)
     mean = np.asarray(mean, dtype=float).reshape(basis.n_via * bc.dof)
     variance = power_or_inf(sigma_scale / scale, 2)
     if not (sigma_scale > 0.0 and 0.0 < variance < np.inf):

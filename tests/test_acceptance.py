@@ -240,16 +240,16 @@ def test_criterion_8_smoothness_prior_sampling():
     rng = np.random.default_rng(21)
     basis = build_basis(4, 2)
     bc = BoundaryConditions(*rng.standard_normal((4, 2)))
-    prior = build_prior(basis)
+    chol, _ = build_prior(basis)
     sigma_diag = rng.uniform(0.5, 2.0, 8)
     step = 0.7
     es = EvolutionStrategy(conftest.conditioned_mean(basis, bc), sigma_diag,
-                           pop_size=100_000, transform=prior.chol,
+                           pop_size=100_000, transform=chol,
                            seed=0)
     es.step_size = step
     samples = es.sample()
     empirical = np.cov(samples.T)
-    theory = step**2 * prior.chol @ np.diag(sigma_diag) @ prior.chol.T
+    theory = step**2 * chol @ np.diag(sigma_diag) @ chol.T
     rel = np.linalg.norm(empirical - theory) / np.linalg.norm(theory)
     report(8, rel < 0.05, f"relative Frobenius error={rel:.4f}")
 

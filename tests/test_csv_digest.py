@@ -1,6 +1,6 @@
 """The planned-change list of `scripts/csv_digest.py --against`: a differing
-line passes only when an entry names it with the base's digest as `from`
-and this tree's as `to`.  Also the line and export counts it prints for
+line passes only when an entry names it with the base's digest (or exit
+code) as `from` and this tree's as `to`.  Also the line and export counts it prints for
 both trees."""
 
 import importlib.util
@@ -22,13 +22,38 @@ def csv_digest():
 
 
 CHANGES = {"mpc/episode.csv": {"from": "aa11", "to": "bb22"},
-           "digest mpc_2d first 6 inputs": {"from": "cc33", "to": "dd44"}}
+           "digest mpc_2d first 6 inputs": {"from": "cc33", "to": "dd44"},
+           "mpc_lag exit": {"from": "1", "to": "0"},
+           "viabench mpc_2d exit": {"from": "0", "to": "1"}}
 
 
 def test_a_listed_change_is_accepted(csv_digest):
     assert csv_digest.accepted("bb22  mpc/episode.csv", "aa11  mpc/episode.csv", CHANGES)
     assert csv_digest.accepted("digest mpc_2d first 6 inputs dd44",
                                "digest mpc_2d first 6 inputs cc33", CHANGES)
+
+
+def test_a_listed_exit_change_is_accepted(csv_digest):
+    # A CLI run's and a viabench workload's exit line, the codes as digests.
+    assert csv_digest.named_digest("mpc_lag exit=0") == ("mpc_lag exit", "0")
+    assert csv_digest.accepted("mpc_lag exit=0", "mpc_lag exit=1", CHANGES)
+    assert csv_digest.accepted("viabench mpc_2d exit=1", "viabench mpc_2d exit=0",
+                               CHANGES)
+
+
+def test_an_unlisted_exit_change_fails(csv_digest):
+    # Another run, another workload, or the listed codes on another line.
+    assert not csv_digest.accepted("mpc exit=0", "mpc exit=1", CHANGES)
+    assert not csv_digest.accepted("viabench offline_2d exit=1",
+                                   "viabench offline_2d exit=0", CHANGES)
+    assert not csv_digest.accepted("mpc_lag exit=0", "mpc exit=1", CHANGES)
+
+
+def test_a_wrong_exit_code_fails(csv_digest):
+    # A `from` that is not the base's code, and a `to` that is not this tree's.
+    assert not csv_digest.accepted("mpc_lag exit=0", "mpc_lag exit=2", CHANGES)
+    assert not csv_digest.accepted("mpc_lag exit=1", "mpc_lag exit=0", CHANGES)
+    assert not csv_digest.accepted("mpc_lag exit=2", "mpc_lag exit=1", CHANGES)
 
 
 def test_an_unlisted_change_fails(csv_digest):
@@ -56,9 +81,9 @@ def test_the_committed_list_names_digest_lines(csv_digest):
     for name, entry in changes.items():
         assert set(entry) == {"from", "to"} and entry["from"] != entry["to"]
         for digest in entry.values():
-            assert csv_digest.named_digest(f"{digest}  {name}"
-                                           if "/" in name else f"{name} {digest}") == (
-                name, digest)
+            line = (f"{name}={digest}" if name.endswith(" exit") else
+                    f"{digest}  {name}" if "/" in name else f"{name} {digest}")
+            assert csv_digest.named_digest(line) == (name, digest)
 
 
 def test_line_counts_per_module(csv_digest, tmp_path):

@@ -319,10 +319,10 @@ def ref_mpc_step(q, qd, qT, qdT, limits, config, checker=None, prev_result=None,
                  * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0))
         problem = dataclasses.replace(problem, n_via=n_via)
         basis = build_basis(n_via, bc.dof)
-        prior = build_prior(basis)
+        chol, scale = build_prior(basis)
         es = EvolutionStrategy(mean=np.asarray(mean, dtype=float).reshape(-1),
-                               sigma_diag=(sigma / prior.scale) ** 2,
-                               pop_size=problem.pop_size, transform=prior.chol,
+                               sigma_diag=(sigma / scale) ** 2,
+                               pop_size=problem.pop_size, transform=chol,
                                mode=problem.mode, seed=problem.seed)
         boundary = boundary_half(basis, bc, limits, problem.grid)
         best, best_cost = None, np.inf
@@ -1155,8 +1155,8 @@ def ref_es_start(problem, spread):
     distance = float(np.linalg.norm(bc.qT - bc.q0))
     sigma = (0.5 * distance or 0.5) if spread == "solve" else 0.5 * (distance or 1.0)
     mean = bc.q0 + np.outer(via_timings(problem.n_via), bc.qT - bc.q0)
-    prior = build_prior(build_basis(problem.n_via, bc.dof))
-    transform, scale = (prior.chol, prior.scale) if problem.use_chol else (None, 1.0)
+    transform, scale = (build_prior(build_basis(problem.n_via, bc.dof))
+                        if problem.use_chol else (None, 1.0))
     return EvolutionStrategy(mean=mean.reshape(-1), sigma_diag=(sigma / scale) ** 2,
                              pop_size=problem.pop_size, transform=transform,
                              mode=problem.mode, seed=problem.seed)

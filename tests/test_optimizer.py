@@ -11,9 +11,9 @@ from conftest import conditioned_mean
 
 
 def test_prior_single_via_value():
-    prior = build_prior(build_basis(1, 1))
-    assert abs(prior.sigma[0, 0] - 1.0 / 192.0) < 1e-10
-    np.testing.assert_allclose(prior.chol @ prior.chol.T, prior.sigma, atol=1e-8)
+    chol, scale = build_prior(build_basis(1, 1))
+    assert abs((chol @ chol.T)[0, 0] - 1.0 / 192.0) < 1e-10
+    assert abs(scale - np.sqrt(1.0 / 192.0)) < 1e-10
 
 
 def test_sampling_deterministic():
@@ -91,13 +91,13 @@ def test_update_from_drawn_z_matches_whitened_update():
     rng = np.random.default_rng(8)
     basis = build_basis(3, 2)
     bc = BoundaryConditions(*rng.standard_normal((4, 2)))
-    prior = build_prior(basis)
+    chol, _ = build_prior(basis)
     mean = conditioned_mean(basis, bc)
     target = rng.standard_normal(6)
     sigma_diag = rng.uniform(0.5, 2.0, 6)
     for mode in ("sep", "full"):
         args = dict(mean=mean, sigma_diag=sigma_diag, pop_size=8,
-                    transform=prior.chol, mode=mode, seed=1)
+                    transform=chol, mode=mode, seed=1)
         es, ref = EvolutionStrategy(**args), WhitenUpdateES(**args)
         es.step_size = ref.step_size = 0.7
         for _ in range(12):

@@ -169,7 +169,7 @@ def test_score_of_non_finite_via_points_is_none():
     assert (costs[1:] == np.finfo(float).max).all()
 
 
-# (sigma / prior.scale)**2 of the last three overflows or rounds to zero: no
+# (sigma / scale)**2 of the last three overflows or rounds to zero: no
 # finite positive ES variance.
 @pytest.mark.parametrize("sigma", [0.0, -0.4, np.inf, np.nan, 1e200, 1e300, 1e-300])
 def test_make_es_rejects_a_sigma_scale_that_is_not_finite_and_positive(sigma):

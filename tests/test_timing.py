@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viaplan.mpc import extract_reference
-from viaplan.optimizer import build_prior
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
                             PhaseGrid, Trajectory, boundary_half, min_duration,
@@ -488,9 +487,8 @@ def _boundary():
     lambda: synthesize(_boundary(), np.full((2, 2), 0.5)),
     _boundary,
     lambda: _boundary().lanes,
-    lambda: build_prior(build_basis(3, 2)),
 ], ids=["World2D", "BoundaryConditions", "KinodynamicLimits",
-        "Trajectory", "Boundary", "BoundaryLanes", "SmoothnessPrior"])
+        "Trajectory", "Boundary", "BoundaryLanes"])
 def test_array_dataclasses_compare_and_hash_by_identity(make):
     # Frozen dataclasses with array fields: an equal copy is another object.
     a, b = make(), make()
