@@ -6,22 +6,23 @@ runs. Compare a change against its parent with
 
     python3 scripts/csv_digest.py --against <parent checkout>/src
 
-which runs both trees in subprocesses, prints this tree's lines, then every
-line that differs, the line counts of both trees' `viaplan/*.py` (with and
-without `cli.py`, then per module as `timing.py 358 -> 332`, the other
-tree's count first), the number of public names each tree's `viaplan`
+which runs each tree's own copy of this script, with that tree's short
+configs and `configs/*.json`, in a subprocess.  It prints this tree's lines,
+then every line that differs, the line counts of both trees' `viaplan/*.py`
+(with and without `cli.py`, then per module as `timing.py 358 -> 332`, the
+other tree's count first), the number of public names each tree's `viaplan`
 package exports and the number of config keys each of their commands
-accepts, and exits 1 when any line differs.  A planned output change is
-listed in `scripts/digest_changes.json` as {line name: {"from": base digest,
-"to": new digest}}, where a line's name is the CSV path or the `digest` line
-without its digest; an exit line `<run> exit=<code>` or
-`viabench <workload> exit=<code>` is named without its `=<code>`, and its
-codes stand for the digests.  A differing line that an entry matches on
-both digests is printed as accepted and does not fail the comparison.  An
-entry whose `from` is not the base's digest matches nothing, so once the
-change is in the base the list has no effect.  Both trees run this
-script's own short configs, so a change to them alone differs from no
-line of the base.  With --against, each tree's lines also
+accepts, and exits 1 when any line differs.  Lines are compared by name: a
+CSV line's name is its path, a `digest` line's is the line without its
+digest, and an exit line `<run> exit=<code>` or `viabench <workload>
+exit=<code>` is named without its `=<code>`, its codes standing for the
+digests.  A name whose digest differs, or that only one tree prints, is a
+difference, printed as the entry that would list it.  A planned difference
+is listed in `scripts/digest_changes.json` as {name: {"from": base digest,
+"to": new digest}}, with null for the tree that prints no such line; it is
+printed as accepted and does not fail the comparison.  An entry whose
+`from` is not the base's digest matches nothing, so once the change is in
+the base the list has no effect.  With --against, each tree's lines also
 hold the exit code and `digest` lines of
 
     python3 viabench/run.py --workload <w> --seed 1 --seconds 1 --trace 1
@@ -95,9 +96,10 @@ def short_config(name: str, overrides: dict) -> dict:
 
 
 def digests(src: str) -> list[str]:
-    """This script's output for the viaplan package in src, from a subprocess:
-    its config-key line, then its digest lines."""
-    out = subprocess.run([sys.executable, __file__, "--src", src],
+    """The output of the csv_digest.py of the checkout that holds src, run on
+    that src in a subprocess: its config-key line, then its digest lines."""
+    script = Path(src).resolve().parent / "scripts" / "csv_digest.py"
+    out = subprocess.run([sys.executable, str(script), "--src", src],
                          capture_output=True, text=True, check=True)
     return out.stdout.splitlines()
 
@@ -143,45 +145,40 @@ def per_module(mine: dict[str, int], theirs: dict[str, int]) -> str:
                      for name in sorted(mine.keys() | theirs.keys()))
 
 
-def named_digest(line: str):
+def named_digest(line: str) -> tuple[str, str]:
     """(name, digest) of a CSV digest line or a viabench `digest` line, or of
-    an exit line `<run> exit=<code>` as (`<run> exit`, code); None for any
-    other line."""
+    an exit line `<run> exit=<code>` as (`<run> exit`, code).  Any other line
+    is its own name, with an empty digest."""
     if line.startswith("digest "):
         name, _, digest = line.rpartition(" ")
         return name, digest
     run, sep, code = line.rpartition(" exit=")
     if sep:
         return f"{run} exit", code
-    digest, sep, name = line.partition("  ")
-    return (name, digest) if sep else None
+    digest, _, name = line.rpartition("  ")
+    return name, digest
 
 
-def accepted(mine: str, theirs: str, changes: dict) -> bool:
-    """Whether this tree's line differs from the base's line exactly as an
-    entry of changes lists: same name, the base's digest as `from` and this
-    tree's as `to`."""
-    new, base = named_digest(mine), named_digest(theirs)
-    if new is None or base is None or new[0] != base[0]:
-        return False
-    entry = changes.get(new[0], {})
-    return (entry.get("from"), entry.get("to")) == (base[1], new[1])
+def differences(mine: list[str], theirs: list[str], changes: dict) -> tuple[dict, dict]:
+    """Every name whose digest differs between this tree's lines and the
+    base's, as {name: {"from": base digest, "to": this tree's}} with None for
+    a tree that prints no such line: (those that changes lists exactly as
+    they differ, the others)."""
+    new, base = (dict(map(named_digest, lines)) for lines in (mine, theirs))
+    differ = {name: {"from": base.get(name), "to": new.get(name)}
+              for name in {**new, **base} if base.get(name) != new.get(name)}
+    listed = {name: entry for name, entry in differ.items() if changes.get(name) == entry}
+    return listed, {name: entry for name, entry in differ.items() if name not in listed}
 
 
 def compare(src: str, other: str) -> int:
     (my_keys, *mine), (their_keys, *theirs) = (digests(tree) + bench_digests(tree)
                                                for tree in (src, other))
     print("\n".join(mine))
-    changes = json.loads(CHANGES.read_text())
-    differ = [(a, b) for a, b in zip(mine, theirs) if a != b]
-    listed = [(a, b) for a, b in differ if accepted(a, b, changes)]
-    differ = [pair for pair in differ if pair not in listed]
-    if len(mine) != len(theirs):
-        differ.append((f"{len(mine)} lines", f"{len(theirs)} lines"))
-    for a, b in listed:
-        print(f"accepted: {a}\n    from: {b}")
-    for a, b in differ:
-        print(f"differs: {a}\n against: {b}")
+    listed, differ = differences(mine, theirs, json.loads(CHANGES.read_text()))
+    for verdict, entries in (("accepted", listed), ("differs", differ)):
+        for name, entry in entries.items():
+            print(f"{verdict}: {json.dumps({name: entry})[1:-1]}")
     lines, their_lines = module_lines(src), module_lines(other)
     print(f"viaplan/*.py lines: {line_counts(lines)}, against {line_counts(their_lines)}")
     print(f"viaplan/*.py lines per module: {per_module(lines, their_lines)}")
@@ -198,8 +195,9 @@ def main() -> int:
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the viaplan package to run")
     parser.add_argument("--against", metavar="OTHER_SRC",
-                        help="also run the viaplan package in OTHER_SRC and "
-                             "exit 1 if any line differs but those listed in "
+                        help="also run the copy of this script in OTHER_SRC's "
+                             "checkout on OTHER_SRC and exit 1 if any line, "
+                             "by name, differs but those listed in "
                              "scripts/digest_changes.json")
     args = parser.parse_args()
     if args.against:

@@ -157,6 +157,9 @@ def build_problem(sec: dict) -> tuple[BoundaryConditions, KinodynamicLimits]:
 
 def build_world(sec: dict):
     kind = sec.get("type", "none")
+    shape = [key for key in sec if key != "type"]
+    if shape and kind != "custom":
+        raise ConfigError(f"key 'world.{shape[0]}' needs world.type \"custom\"")
     if kind == "none":
         return None
     if kind == "cluttered2d":
@@ -164,7 +167,7 @@ def build_world(sec: dict):
     if kind == "single_obstacle":
         return single_obstacle_world()
     if kind == "custom":
-        return World2D(**{key: value for key, value in sec.items() if key != "type"})
+        return World2D(**{key: sec[key] for key in shape})
     raise ConfigError(f"unknown key 'world.type' value '{kind}'")
 
 

@@ -163,14 +163,19 @@ def with_value(base, section, keys, value):
     # A plant_dt that gives one step more reference samples than the cap.
     ("mpc", "mpc", "plant_dt", 1e-300, "dt_mpc / plant_dt"),
     ("mpc", "mpc", "plant_dt", 1e-7, "dt_mpc / plant_dt"),
+    # An obstacle or bound key beside any world type but "custom", given or
+    # absent, would be silently ignored.
+    *(("mpc", "world", "type", kind, "key 'world.robot_radius' needs world.type \"custom\"")
+      for kind in ("cluttered2d", "single_obstacle", "none", None)),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):
     command, *flags = command.split()
-    # The mpc runs use the lag plant, whose time constant is checked too.
+    # The mpc runs use the lag plant, whose time constant is checked too, and
+    # a custom world with one key that only a custom world takes.
     base = {"plan": PLAN_1D, "ablate-nvia": ABLATE_1D,
             "ablate-chol": ABLATE_1D}.get(command) or dict(
-        MPC_FREE, world={"type": "custom"},
+        MPC_FREE, world={"type": "custom", "robot_radius": 0.02},
         mpc=dict(MPC_FREE["mpc"], plant="lag", lag_time_constant=0.05))
     cfg = with_value(base, section, key, value)
     code = main([command, write_config(tmp_path / "c.json", cfg), *flags,

@@ -18,6 +18,17 @@ change of its own.  The solve scales `optimizer.SIGMA_FLOOR`, the ES's
 absolute floor on its diagonal variance, by 2^2p with the positions: that
 floor is in squared configuration units too, and unscaled it binds for
 p <= -21 on the bundled world.
+
+The closed loop scales its step period, plant period and direct-plan gate
+`t_stop` by 2^t, the via-point rate `alpha` by 2^-t, `goal_tol` by 2^p,
+`vel_tol` by 2^(p-t) and the greedy baseline's reach `mpc.GREEDY_HORIZON`
+by 2^p; its rows' positions, velocities and times then scale exactly, and
+their modes, validity, iterations and step costs are unchanged.  A step of
+2^-4 at a plant period of 2^-10 is 64 whole samples at every scale.  Two
+unit-dependent constants are exempt, being unreachable here:
+`mpc.extract_reference`'s absolute 1e-12 s epsilons, which only round a
+window that is not a whole number of samples, and the `or 1.0` spread of
+`mpc.mpc_step`'s warm start, reached only at q == qT.
 """
 
 import dataclasses
@@ -27,8 +38,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from viaplan import optimizer
+from viaplan import mpc, optimizer
 from viaplan.costs import CostWeights, evaluate_total
+from viaplan.mpc import MpcConfig, greedy_step, mpc_step, run_closed_loop
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import (InfeasibleError, KinodynamicLimits, PhaseGrid,
@@ -164,3 +176,44 @@ def test_solve_scales_exactly(p, t):
         np.testing.assert_array_equal(got.trajectory.q_via,
                                       np.ldexp(res.trajectory.q_via, p))
         assert got.trajectory.duration == np.ldexp(res.trajectory.duration, t)
+
+
+def scale_config(config, p, t):
+    return dataclasses.replace(
+        config, dt_mpc=float(np.ldexp(config.dt_mpc, t)),
+        plant_dt=float(np.ldexp(config.plant_dt, t)),
+        t_stop=float(np.ldexp(config.t_stop, t)), alpha=float(np.ldexp(config.alpha, -t)),
+        goal_tol=float(np.ldexp(config.goal_tol, p)),
+        vel_tol=float(np.ldexp(config.vel_tol, p - t)),
+        weights=scale_weights(config.weights, p, t))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(EXPONENT, EXPONENT)
+@example(-22, 0)   # the unscaled SIGMA_FLOOR binds here
+def test_closed_loop_scales_exactly(p, t):
+    q0, qT = bundled_start_goal()
+    zero = np.zeros(2)
+    limits = KinodynamicLimits.symmetric(0.5, 2.0, 2)
+    world = bundled_cluttered_world()
+    config = MpcConfig(dt_mpc=2.0**-4, plant_dt=2.0**-10, pop_size=8,
+                       iterations_per_step=2)
+    for step in (mpc_step, greedy_step):
+        log = run_closed_loop(q0, zero, qT, zero, limits, config, world, max_steps=4,
+                              step=step)
+        with mock.patch.object(optimizer, "SIGMA_FLOOR",
+                               float(np.ldexp(optimizer.SIGMA_FLOOR, 2 * p))), \
+                mock.patch.object(mpc, "GREEDY_HORIZON",
+                                  float(np.ldexp(mpc.GREEDY_HORIZON, p))):
+            got = run_closed_loop(np.ldexp(q0, p), zero, np.ldexp(qT, p), zero,
+                                  scale_limits(limits, p, t), scale_config(config, p, t),
+                                  scale_world(world, p), max_steps=4, step=step)
+        assert (got.steps, got.goal_reached) == (log.steps, log.goal_reached)
+        assert got.final_distance == np.ldexp(log.final_distance, p)
+        for row, want in zip(got.rows, log.rows, strict=True):
+            assert [row[key] for key in ("step", "mode", "valid", "iterations")] == [
+                want[key] for key in ("step", "mode", "valid", "iterations")]
+            assert row["t"] == np.ldexp(want["t"], t)
+            np.testing.assert_array_equal(row["step_cost"], want["step_cost"])
+            np.testing.assert_array_equal(row["q"], np.ldexp(want["q"], p))
+            np.testing.assert_array_equal(row["qd"], np.ldexp(want["qd"], p - t))
