@@ -157,18 +157,16 @@ def build_problem(sec: dict) -> tuple[BoundaryConditions, KinodynamicLimits]:
 
 def build_world(sec: dict):
     kind = sec.get("type", "none")
-    shape = [key for key in sec if key != "type"]
-    if shape and kind != "custom":
-        raise ConfigError(f"key 'world.{shape[0]}' needs world.type \"custom\"")
-    if kind == "none":
-        return None
-    if kind == "cluttered2d":
-        return bundled_cluttered_world()
-    if kind == "single_obstacle":
-        return single_obstacle_world()
+    shape = {key: value for key, value in sec.items() if key != "type"}
     if kind == "custom":
-        return World2D(**{key: sec[key] for key in shape})
-    raise ConfigError(f"unknown key 'world.type' value '{kind}'")
+        return World2D(**shape)
+    bundled = {"none": lambda: None, "cluttered2d": bundled_cluttered_world,
+               "single_obstacle": single_obstacle_world}
+    if kind not in bundled:
+        raise ConfigError(f"unknown key 'world.type' value '{kind}'")
+    if shape:
+        raise ConfigError(f"key 'world.{next(iter(shape))}' needs world.type \"custom\"")
+    return bundled[kind]()
 
 
 def build_weights(sec: dict) -> CostWeights:

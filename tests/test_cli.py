@@ -167,6 +167,8 @@ def with_value(base, section, keys, value):
     # absent, would be silently ignored.
     *(("mpc", "world", "type", kind, "key 'world.robot_radius' needs world.type \"custom\"")
       for kind in ("cluttered2d", "single_obstacle", "none", None)),
+    # A misspelled type is named before the keys it would have to take.
+    ("mpc", "world", "type", "custum", "unknown key 'world.type'"),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):

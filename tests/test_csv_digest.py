@@ -74,10 +74,13 @@ def test_an_unlisted_exit_change_fails(csv_digest):
 
 
 def test_a_wrong_exit_code_fails(csv_digest):
-    # A `from` that is not the base's code, and a `to` that is not this tree's.
+    # A `from` that is not the base's code, a `to` that is not this tree's,
+    # and the listed codes the wrong way round.
     assert verdicts(csv_digest, changed({"mpc_lag exit=1": "mpc_lag exit=0"}),
                     changed({"mpc_lag exit=1": "mpc_lag exit=2"})) == ([], ["mpc_lag exit"])
     assert verdicts(csv_digest, changed({"mpc_lag exit=1": "mpc_lag exit=2"})) == (
+        [], ["mpc_lag exit"])
+    assert verdicts(csv_digest, BASE, changed({"mpc_lag exit=1": "mpc_lag exit=0"})) == (
         [], ["mpc_lag exit"])
 
 
