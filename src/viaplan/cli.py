@@ -287,17 +287,17 @@ MPC_KEYS = ({**dict.fromkeys(("dt_mpc", "t_stop", "alpha", "plant_dt", "goal_tol
              "plant": STR}, set())
 
 
-def parse_disturb(tokens: list[str]) -> dict:
+def parse_disturb(tokens: list[str], max_steps: int) -> dict:
     """Parse `step=40 dq=(0.3,0)` style tokens into {step: dq}: one
-    disturbance, at a non-negative step, by a finite dq."""
+    disturbance, at a step in range(max_steps), by a finite dq."""
     given = {}
     for tok in tokens:
         key, _, val = tok.partition("=")
         if key not in ("step", "dq") or key in given:
             raise ConfigError(f"--disturb takes step= and dq= once each, not '{tok}'")
         given[key] = val
-    if given.keys() != {"step", "dq"} or int(given["step"]) < 0:
-        raise ConfigError("--disturb needs step=<int >= 0> and dq=(..)")
+    if given.keys() != {"step", "dq"} or int(given["step"]) not in range(max_steps):
+        raise ConfigError(f"--disturb needs step=<int in [0, {max_steps})> and dq=(..)")
     dq = np.asarray([float(v) for v in given["dq"].strip("()").split(",")])
     if not np.isfinite(dq).all():
         raise ConfigError("--disturb dq must be finite")
@@ -306,9 +306,9 @@ def parse_disturb(tokens: list[str]) -> dict:
 
 def cmd_mpc(args) -> int:
     bc, limits, world, weights, m, seed = load_experiment(args, "mpc", MPC_KEYS)
-    # The keys of the closed loop itself; the rest are MpcConfig fields.  A
-    # key left out keeps the default of run_closed_loop or LagPlant.
-    steps = {"max_steps": m.pop("max_steps")} if "max_steps" in m else {}
+    # The keys of the closed loop itself (max_steps bounds a --disturb step,
+    # 150 as in run_closed_loop); the rest are MpcConfig fields.
+    max_steps = m.pop("max_steps", 150)
     plant_kind = m.pop("plant", "exact")
     if plant_kind not in ("exact", "lag"):
         raise ConfigError(f"unknown key 'mpc.plant' value '{plant_kind}'")
@@ -318,7 +318,7 @@ def cmd_mpc(args) -> int:
            if "lag_time_constant" in m else {})
     with config_values():
         config = MpcConfig(weights=weights, seed=seed, **m)
-        disturbances = parse_disturb(args.disturb) if args.disturb else None
+        disturbances = parse_disturb(args.disturb, max_steps) if args.disturb else None
         plant = LagPlant(bc.q0, bc.qd0, **lag) if plant_kind == "lag" else None
     if any(dq.shape != bc.q0.shape for dq in (disturbances or {}).values()):
         raise ConfigError("--disturb dq needs one value per DoF")
@@ -326,7 +326,7 @@ def cmd_mpc(args) -> int:
     step = greedy_step if args.baseline == "greedy" else None
     log = run_closed_loop(bc.q0, bc.qd0, bc.qT, bc.qdT, limits, config,
                           checker=world, plant=plant, disturbances=disturbances,
-                          step=step, **steps)
+                          step=step, max_steps=max_steps)
 
     out = out_dir(args)
     deterministic = config.iterations_per_step is not None

@@ -236,8 +236,9 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
                     step=None) -> EpisodeLog:
     """Call step (mpc_step when None, or greedy_step) at 1/dt_mpc until the
     goal state is reached or max_steps have run.  Each disturbance, a dq
-    added to the plant's position at its step, must hold one finite value
-    per DoF; ValueError before the first step otherwise.
+    added to the plant's position at its step, must be keyed by a step in
+    range(max_steps) and hold one finite value per DoF; ValueError before
+    the first step otherwise.
 
     The plant runs each valid step's reference.  After an invalid step it
     replays the rest of the last valid plan, one dt_mpc window per step from
@@ -252,9 +253,10 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
     qdT = np.asarray(qdT, dtype=float)
     disturbances = {k: np.asarray(dq, dtype=float)
                     for k, dq in (disturbances or {}).items()}
-    if any(dq.shape != qT.shape or not np.isfinite(dq).all()
-           for dq in disturbances.values()):
-        raise ValueError("every disturbance dq needs one finite value per DoF")
+    if any(k not in range(max_steps) or dq.shape != qT.shape
+           or not np.isfinite(dq).all() for k, dq in disturbances.items()):
+        raise ValueError("every disturbance needs a step in range(max_steps) and a dq "
+                         "of one finite value per DoF")
     if plant is None:
         plant = ExactPlant(q0, qd0)
     rows = []

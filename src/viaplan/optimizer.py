@@ -18,8 +18,6 @@ import numpy as np
 
 from .spline import SplineBasis, smoothness_gram
 
-SIGMA_FLOOR = 1e-12
-
 
 def build_prior(basis: SplineBasis) -> tuple[np.ndarray, float]:
     """(chol, scale) of the smoothness prior, the Gaussian over via-points
@@ -133,7 +131,8 @@ class EvolutionStrategy:
             self.sigma_diag = ((1.0 - self.c_1 - self.c_mu) * self.sigma_diag
                                + self.c_1 * (self.p_c**2 + delta_h * self.sigma_diag)
                                + self.c_mu * rank_mu)
-            self.sigma_diag = np.maximum(self.sigma_diag, SIGMA_FLOOR)
+            # 1 - c_1 - c_mu may round below 0 (by ~1e-16), so clip at 0.
+            self.sigma_diag = np.maximum(self.sigma_diag, 0.0)
         else:
             rank_mu = np.einsum("m,mi,mj->ij", self.weights, y, y)
             self.cov = ((1.0 - self.c_1 - self.c_mu) * self.cov
@@ -141,7 +140,7 @@ class EvolutionStrategy:
                         + self.c_mu * rank_mu)
             self.cov = 0.5 * (self.cov + self.cov.T)
             evals, evecs = np.linalg.eigh(self.cov)
-            evals = np.maximum(evals, SIGMA_FLOOR)
+            evals = np.maximum(evals, 0.0)
             self.cov = (evecs * evals) @ evecs.T
             self._cov_half = (evecs * np.sqrt(evals)) @ evecs.T
 

@@ -331,13 +331,13 @@ def test_mpc_disturb_flag(tmp_path):
 
 
 def test_parse_disturb():
-    d = parse_disturb(["step=40", "dq=(0.3,0)"])
+    d = parse_disturb(["step=40", "dq=(0.3,0)"], 41)
     assert list(d.keys()) == [40]
     np.testing.assert_allclose(d[40], [0.3, 0.0])
     with pytest.raises(ConfigError):
-        parse_disturb(["step=40"])
+        parse_disturb(["step=40"], 41)
     with pytest.raises(ConfigError):
-        parse_disturb(["when=40", "dq=(0.3,0)"])
+        parse_disturb(["when=40", "dq=(0.3,0)"], 41)
 
 
 @pytest.mark.parametrize("tokens", [
@@ -350,10 +350,13 @@ def test_parse_disturb():
     ["step=1", "dq=(nan,0)"],
     ["step=1", "dq=(0,inf)"],
     ["step=1", "dq=(-inf,0)"],
+    # So was a step at or past max_steps (80 here).
+    ["step=80", "dq=(0.2,0)"],
+    ["step=500", "dq=(0.2,0)"],
 ])
 def test_disturb_rejects_repeated_keys_and_negative_steps(tmp_path, capsys, tokens):
     with pytest.raises(ConfigError):
-        parse_disturb(tokens)
+        parse_disturb(tokens, MPC_FREE["mpc"]["max_steps"])
     code = main(["mpc", write_config(tmp_path / "c.json", MPC_FREE),
                  "--out-dir", str(tmp_path / "o"), "--quiet", "--disturb", *tokens])
     assert code == 2

@@ -9,22 +9,27 @@ tolerance, the ES's initial spread or a closed-loop setting.  A limit, the
 initial spread or the plant step may also be 1e-310, 1e-300, 1e300 or
 1e307, which gives durations or an ES variance whose float powers overflow
 or round to zero, duration lanes that overflow on the way, or more
-reference samples per MPC step than the closed loop allows; in about a
-fifth of the examples both qd_max and qdd_max are drawn from those four
-values.  In about a quarter of the examples one qd0 or qdT entry is
-+-1e-160 or +-1e160, whose square underflows or overflows a float, and in
-about half of those both limits are drawn from the four values.  In about
-half the mpc examples the run also takes `--disturb` at a step within
+reference samples per MPC step than the closed loop allows.  In about half
+the mpc examples the run also takes `--disturb` at a step from 0 to
 max_steps, by a dq whose entries are each finite, NaN or an infinity.
-Those draws repeat near-identical configs, so `test_custom_world_oracle`
-also runs plan and mpc in custom worlds drawn anew from one seed each, with
-no edge value.
+
+Rare combinations are rows of a table, not draws: derandomized draws
+repeat near-identical configs and seldom reach them.  For each command,
+`test_every_edge_value_at_every_target` runs one valid base config with
+each edge value at each target; with each boundary velocity of +-1e-160 or
++-1e160, whose square underflows or overflows a float, at qd0 and at qdT,
+against the base limits and against all 16 (qd_max, qdd_max) pairs of the
+four values above (136 rows); and with a 1e160 boundary velocity inside a
+1e300 qd_max.  For the same reason `test_custom_world_oracle` also runs
+plan and mpc in custom worlds drawn anew from one seed each, with no edge
+value.
+
 Every run must end in one of two ways:
 
 - exit 2 with `config error: ` and no traceback, which every NaN and every
   infinity outside the position limits, and in a dq, must give, and so must
-  an initial spread whose square is not a finite positive float and a
-  plant_dt below dt_mpc / 100,000; or
+  an initial spread whose square is not a finite positive float, a
+  plant_dt below dt_mpc / 100,000 and a disturbance past max_steps; or
 - exit 0 or 1, with an exit code that agrees with the rows, and every valid
   plan's `trajectory_<seed>.csv` passing a check that shares no code with the
   planner: it starts at q0, ends at qT, and stays within the velocity,
@@ -49,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from viaplan.cli import main
 from viaplan.worlds import bundled_cluttered_world, single_obstacle_world
@@ -96,13 +101,6 @@ def problems(draw):
                "qd0": [draw(speed) * qd_max for _ in range(dof)],
                "qdT": [draw(speed) * qd_max for _ in range(dof)],
                "qd_max": qd_max, "qdd_max": draw(st.floats(0.5, 4.0))}
-    far = draw(st.integers(0, 3)) == 0
-    if far:
-        problem[draw(st.sampled_from(["qd0", "qdT"]))][draw(st.integers(0, dof - 1))] = (
-            draw(st.sampled_from(FAR_VELOCITIES)))
-    if draw(st.integers(0, 1 if far else 4)) == 0:
-        problem.update(qd_max=draw(st.sampled_from(EXTREMES)),
-                       qdd_max=draw(st.sampled_from(EXTREMES)))
     if draw(st.booleans()):
         problem.update(q_min=0.0, q_max=1.0)
     world = {"type": draw(st.sampled_from(WORLD_TYPES if dof == 2 else
@@ -126,7 +124,7 @@ def corrupt(cfg: dict, target, value) -> None:
     sec = cfg.setdefault(section, {})
     dof = len(cfg["problem"]["q0"])
     if section == "problem" and dof > 1:
-        given_value = sec.get(key, {"q_min": 0.0, "q_max": 1.0}.get(key))
+        given_value = sec.get(key, {"q_min": 0.0, "q_max": 1.0}.get(key, 0.0))
         entries = [given_value] * dof
         entries[-1] = value
         sec[key] = entries
@@ -139,16 +137,19 @@ def values_at(target) -> tuple:
     return EDGES + EXTREMES if target in EXTREME_TARGETS else EDGES
 
 
-def must_reject(cfg: dict, dq=()) -> bool:
+def must_reject(cfg: dict, disturb=None) -> bool:
     """Whether cfg holds a NaN, or an infinity where none is meaningful, or
     an initial spread whose square is not a finite positive float, or a
-    plant_dt that gives one MPC step more than MAX_REFERENCE_SAMPLES, or the
-    disturbance dq any entry that is not finite.  The ES variance is
-    (init_sigma / scale)**2 with a scale between about 0.06 and 1, so it is
-    a finite positive float at every value drawn here exactly when
-    init_sigma**2 is."""
-    if not all(map(math.isfinite, dq)):
-        return True
+    plant_dt that gives one MPC step more than MAX_REFERENCE_SAMPLES, or
+    whether disturb's (step, dq) has a step past the episode's max_steps
+    (150 when cfg sets none) or a dq entry that is not finite.  The ES
+    variance is (init_sigma / scale)**2 with a scale between about 0.06 and
+    1, so it is a finite positive float at every value drawn here exactly
+    when init_sigma**2 is."""
+    if disturb is not None:
+        step, dq = disturb
+        if step >= cfg["mpc"].get("max_steps", 150) or not all(map(math.isfinite, dq)):
+            return True
     sigma = cfg.get("optimizer", {}).get("init_sigma")
     if sigma is not None and not 0.0 < sigma * sigma < math.inf:
         return True
@@ -212,13 +213,14 @@ def configs(draw, command):
 
 @st.composite
 def mpc_runs(draw):
-    """(mpc config, disturbance): None, or (step, dq) with a step within
-    max_steps and one dq entry per DoF, each finite, NaN or an infinity."""
+    """(mpc config, disturbance): None, or (step, dq) with a step from 0 to
+    max_steps, the last one past the episode, and one dq entry per DoF, each
+    finite, NaN or an infinity."""
     cfg = draw(configs("mpc"))
     if draw(st.booleans()):
         return cfg, None
     entry = st.sampled_from([0.05, -0.05, 0.0, math.nan, math.inf, -math.inf])
-    return cfg, (draw(st.integers(0, cfg["mpc"]["max_steps"] - 1)),
+    return cfg, (draw(st.integers(0, cfg["mpc"]["max_steps"])),
                  [draw(entry) for _ in cfg["problem"]["q0"]])
 
 
@@ -278,7 +280,7 @@ def check_trajectory(path: Path, cfg: dict, duration: float) -> None:
 def check_run(command: str, cfg: dict, disturb=None) -> None:
     """Run the CLI on cfg, with disturb's (step, dq) as --disturb unless it
     is None, in a fresh directory and check what it wrote."""
-    args, dq = [], ()
+    args = []
     if disturb is not None:
         step, dq = disturb
         args = ["--disturb", f"step={step}", f"dq=({','.join(map(str, dq))})"]
@@ -289,16 +291,16 @@ def check_run(command: str, cfg: dict, disturb=None) -> None:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, str(path), "--out-dir", str(out), "--quiet", *args])
-        check_outputs(command, cfg, code, err.getvalue(), out, dq)
+        check_outputs(command, cfg, code, err.getvalue(), out, disturb)
 
 
 def check_outputs(command: str, cfg: dict, code: int, err: str, out: Path,
-                  dq=()) -> None:
+                  disturb=None) -> None:
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("config error: "), err
         return
-    assert not must_reject(cfg, dq), f"exit {code} on {json.dumps(cfg)}, dq {dq}"
+    assert not must_reject(cfg, disturb), f"exit {code} on {json.dumps(cfg)}, {disturb}"
     assert code in (0, 1), (code, err)
     if command == "plan":
         rows = read_rows(out / "plan_runs.csv")
@@ -324,13 +326,6 @@ def check_outputs(command: str, cfg: dict, code: int, err: str, out: Path,
 
 @SETTINGS
 @given(configs("plan"))
-# A boundary velocity within qd_max whose d^2 overflows: the plan used to be
-# valid at T = 1.7e-300 s with infinite accelerations.
-@example({"problem": {"q0": [0.0], "qT": [1.0], "qd0": [1e160], "qdT": [0.0],
-                      "qd_max": 1e300, "qdd_max": 1.0},
-          "costs": {}, "world": {"type": "none"},
-          "optimizer": {"n_via": 2, "pop_size": 4, "max_iterations": 2, "runs": 1,
-                        "grid_k": 100}})
 def test_plan_oracle(cfg):
     check_run("plan", cfg)
 
@@ -424,10 +419,38 @@ BASE = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(BASE))
-def test_every_edge_value_at_every_target(command):
+# A boundary velocity within qd_max whose d^2 overflows: a plan used to be
+# valid at T = 1.7e-300 s with infinite accelerations.
+OVERFLOWING_PROBLEM = {"q0": [0.0], "qT": [1.0], "qd0": [1e160], "qdT": [0.0],
+                       "qd_max": 1e300, "qdd_max": 1.0}
+# The base limits, then every (qd_max, qdd_max) pair of EXTREMES.
+LIMIT_PAIRS = [{}] + [{"qd_max": v, "qdd_max": a} for v in EXTREMES for a in EXTREMES]
+
+
+def edge_table(command: str):
+    """BASE[command] with each edge value at each target; with each far
+    boundary velocity, at qd0 and at qdT, at each of LIMIT_PAIRS; and with
+    OVERFLOWING_PROBLEM in no world."""
     for target in TARGETS[command]:
         for value in values_at(target):
             cfg = copy.deepcopy(BASE[command])
             corrupt(cfg, target, value)
-            check_run(command, cfg)
+            yield cfg
+    for key in ("qd0", "qdT"):
+        for velocity in FAR_VELOCITIES:
+            for limits in LIMIT_PAIRS:
+                cfg = copy.deepcopy(BASE[command])
+                corrupt(cfg, ("problem", key), velocity)
+                cfg["problem"].update(limits)
+                yield cfg
+    cfg = copy.deepcopy(BASE[command])
+    cfg["problem"] = dict(OVERFLOWING_PROBLEM)
+    if "world" in cfg:
+        cfg["world"] = {"type": "none"}
+    yield cfg
+
+
+@pytest.mark.parametrize("command", sorted(BASE))
+def test_every_edge_value_at_every_target(command):
+    for cfg in edge_table(command):
+        check_run(command, cfg)

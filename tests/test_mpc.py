@@ -414,10 +414,14 @@ def test_closed_loop_disturbance_recovery():
     assert log.goal_reached
 
 
-@pytest.mark.parametrize("dq", [[0.05], [0.05, 0.0, 0.0], [np.nan, 0.0], [0.0, -np.inf]])
-def test_closed_loop_rejects_bad_disturbances_before_any_step(dq):
-    # A (1,) dq used to be broadcast over both axes, and a NaN one to fail
-    # mid-episode, in the step after it, once earlier steps had run.
+@pytest.mark.parametrize("k, dq", [(1, [0.05]), (1, [0.05, 0.0, 0.0]), (1, [np.nan, 0.0]),
+                                   (1, [0.0, -np.inf]), (3, [0.05, 0.0]),
+                                   (-1, [0.05, 0.0])],
+                         ids=[f"dq{i}" for i in range(6)])
+def test_closed_loop_rejects_bad_disturbances_before_any_step(k, dq):
+    # A (1,) dq used to be broadcast over both axes, a NaN one to fail
+    # mid-episode, in the step after it, once earlier steps had run, and one
+    # at a step outside range(max_steps) to be ignored.
     steps = []
 
     def recording_step(*args, **kwargs):
@@ -426,13 +430,14 @@ def test_closed_loop_rejects_bad_disturbances_before_any_step(dq):
 
     with pytest.raises(ValueError, match="disturbance"):
         run_closed_loop([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2), LIMITS_2D,
-                        MpcConfig(), max_steps=3, disturbances={1: np.array(dq)},
+                        MpcConfig(), max_steps=3, disturbances={k: np.array(dq)},
                         step=recording_step)
     assert steps == []
 
 
 def test_closed_loop_defaults():
-    # The CLI leaves max_steps and the lag time constant to these defaults.
+    # The CLI's max_steps default is this 150; it leaves the lag time
+    # constant to LagPlant's default.
     assert inspect.signature(run_closed_loop).parameters["max_steps"].default == 150
     assert LagPlant([0.0]).time_constant == 0.05
 

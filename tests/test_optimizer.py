@@ -199,6 +199,34 @@ def test_full_mode_initial_population_matches_sep():
     np.testing.assert_allclose(a.sample(), b.sample(), atol=1e-12)
 
 
+def update_with_zero_steps(es):
+    """An update in which the selected draws and the evolution path are zero,
+    so the covariance only decays, by the factor 1 - c_1 - c_mu."""
+    es.sample()
+    es._z[:] = 0.0
+    es.p_c[:] = 0.0
+    es.update(np.arange(float(es.pop_size)))
+
+
+def test_sep_variance_is_clipped_at_zero():
+    # At (dim 2, pop 56) 1 - c_1 - c_mu rounds to -1.1e-16, so the decay
+    # alone would make the variance negative and the next sample NaN.
+    es = EvolutionStrategy(np.zeros(2), 1.0, pop_size=56, mode="sep", seed=0)
+    assert 1.0 - es.c_1 - es.c_mu < 0.0
+    update_with_zero_steps(es)
+    assert np.all(np.isfinite(es.sigma_diag)) and np.all(es.sigma_diag >= 0.0)
+    assert np.all(np.isfinite(es.sample()))
+
+
+def test_full_mode_singular_covariance_keeps_a_finite_root():
+    # eigh gives the decayed outer product an eigenvalue of about -7e-18.
+    es = EvolutionStrategy(np.zeros(2), 1.0, pop_size=8, mode="full", seed=0)
+    es.cov = np.outer([0.3, 0.7], [0.3, 0.7])
+    update_with_zero_steps(es)
+    assert np.all(np.isfinite(es._cov_half))
+    assert np.all(np.isfinite(es.sample()))
+
+
 def test_converged_examples():
     assert converged([5.0, 5.0])
     assert not converged([5.0, 4.0])

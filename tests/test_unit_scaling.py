@@ -14,10 +14,8 @@ must scale exactly.
 Position limits stay out of these draws: `costs.cost_jla` adds 1 to an
 overshoot in configuration units (`1 + q - q_max`), which breaks the
 property, and measuring the overshoot without units is a planned behaviour
-change of its own.  The solve scales `optimizer.SIGMA_FLOOR`, the ES's
-absolute floor on its diagonal variance, by 2^2p with the positions: that
-floor is in squared configuration units too, and unscaled it binds for
-p <= -21 on the bundled world.
+change of its own.  The ES clips its variances at 0, not at an absolute
+floor, so a solve scales with nothing in `optimizer` patched.
 
 The closed loop scales its step period, plant period and direct-plan gate
 `t_stop` by 2^t, the via-point rate `alpha` by 2^-t, `goal_tol` by 2^p,
@@ -38,7 +36,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from viaplan import mpc, optimizer
+from viaplan import mpc
 from viaplan.costs import CostWeights, evaluate_total
 from viaplan.mpc import MpcConfig, greedy_step, mpc_step, run_closed_loop
 from viaplan.planner import PlanningProblem, solve
@@ -154,7 +152,7 @@ def test_evaluate_total_is_unchanged_by_a_unit_change(seed, p, t, dof, n_via, mo
 
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(EXPONENT, EXPONENT)
-@example(-22, 0)   # the unscaled SIGMA_FLOOR binds here
+@example(-22, 0)   # an absolute 1e-12 floor on the ES variance bound here
 def test_solve_scales_exactly(p, t):
     q0, qT = bundled_start_goal()
     bc = BoundaryConditions(q0, np.zeros(2), qT, np.zeros(2))
@@ -165,11 +163,9 @@ def test_solve_scales_exactly(p, t):
                                   weights=weights, checker=world, max_iterations=30,
                                   seed=seed)
         res = solve(problem)
-        with mock.patch.object(optimizer, "SIGMA_FLOOR",
-                               float(np.ldexp(optimizer.SIGMA_FLOOR, 2 * p))):
-            got = solve(dataclasses.replace(
-                problem, bc=scale_bc(bc, p, t), limits=scale_limits(limits, p, t),
-                weights=scale_weights(weights, p, t), checker=scale_world(world, p)))
+        got = solve(dataclasses.replace(
+            problem, bc=scale_bc(bc, p, t), limits=scale_limits(limits, p, t),
+            weights=scale_weights(weights, p, t), checker=scale_world(world, p)))
         assert got.iterations == res.iterations
         assert got.history_best == res.history_best
         assert got.report == res.report
@@ -190,7 +186,7 @@ def scale_config(config, p, t):
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(EXPONENT, EXPONENT)
-@example(-22, 0)   # the unscaled SIGMA_FLOOR binds here
+@example(-22, 0)   # an absolute 1e-12 floor on the ES variance bound here
 def test_closed_loop_scales_exactly(p, t):
     q0, qT = bundled_start_goal()
     zero = np.zeros(2)
@@ -201,10 +197,7 @@ def test_closed_loop_scales_exactly(p, t):
     for step in (mpc_step, greedy_step):
         log = run_closed_loop(q0, zero, qT, zero, limits, config, world, max_steps=4,
                               step=step)
-        with mock.patch.object(optimizer, "SIGMA_FLOOR",
-                               float(np.ldexp(optimizer.SIGMA_FLOOR, 2 * p))), \
-                mock.patch.object(mpc, "GREEDY_HORIZON",
-                                  float(np.ldexp(mpc.GREEDY_HORIZON, p))):
+        with mock.patch.object(mpc, "GREEDY_HORIZON", float(np.ldexp(mpc.GREEDY_HORIZON, p))):
             got = run_closed_loop(np.ldexp(q0, p), zero, np.ldexp(qT, p), zero,
                                   scale_limits(limits, p, t), scale_config(config, p, t),
                                   scale_world(world, p), max_steps=4, step=step)
