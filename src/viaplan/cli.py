@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .costs import CostWeights
-from .mpc import LagPlant, MpcConfig, greedy_step, run_closed_loop
+from .mpc import MAX_STEPS, LagPlant, MpcConfig, greedy_step, run_closed_loop
 from .planner import PlanningProblem, make_es, solve
 from .spline import BoundaryConditions
 from .timing import InfeasibleError, KinodynamicLimits, PhaseGrid
@@ -306,9 +306,9 @@ def parse_disturb(tokens: list[str], max_steps: int) -> dict:
 
 def cmd_mpc(args) -> int:
     bc, limits, world, weights, m, seed = load_experiment(args, "mpc", MPC_KEYS)
-    # The keys of the closed loop itself (max_steps bounds a --disturb step,
-    # 150 as in run_closed_loop); the rest are MpcConfig fields.
-    max_steps = m.pop("max_steps", 150)
+    # The keys of the closed loop itself (max_steps also bounds a --disturb
+    # step); the rest are MpcConfig fields.
+    max_steps = m.pop("max_steps", MAX_STEPS)
     plant_kind = m.pop("plant", "exact")
     if plant_kind not in ("exact", "lag"):
         raise ConfigError(f"unknown key 'mpc.plant' value '{plant_kind}'")

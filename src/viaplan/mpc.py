@@ -36,6 +36,7 @@ from .timing import KinodynamicLimits, PhaseGrid, Trajectory
 GREEDY_HORIZON = 0.15   # greedy baseline: reach of one step's endpoint
 GREEDY_SAMPLES = 32     # greedy baseline: endpoints tried per step
 MAX_REFERENCE_SAMPLES = 100_000   # dt_mpc / plant_dt: reference samples per step
+MAX_STEPS = 150        # run_closed_loop's default episode length
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ def _at_goal(plant, qT, qdT, config: MpcConfig) -> bool:
 
 
 def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
-                    config: MpcConfig, checker=None, max_steps: int = 150,
+                    config: MpcConfig, checker=None, max_steps: int = MAX_STEPS,
                     plant=None, disturbances: dict | None = None,
                     step=None) -> EpisodeLog:
     """Call step (mpc_step when None, or greedy_step) at 1/dt_mpc until the

@@ -16,13 +16,15 @@ max_steps, by a dq whose entries are each finite, NaN or an infinity.
 Rare combinations are rows of a table, not draws: derandomized draws
 repeat near-identical configs and seldom reach them.  For each command,
 `test_every_edge_value_at_every_target` runs one valid base config with
-each edge value at each target; with each boundary velocity of +-1e-160 or
-+-1e160, whose square underflows or overflows a float, at qd0 and at qdT,
-against the base limits and against all 16 (qd_max, qdd_max) pairs of the
-four values above (136 rows); and with a 1e160 boundary velocity inside a
-1e300 qd_max.  For the same reason `test_custom_world_oracle` also runs
-plan and mpc in custom worlds drawn anew from one seed each, with no edge
-value.
+each edge value at each target.  It also runs that base config, with and
+without its position limits, with each boundary velocity of +-1e-160 or
++-1e160, whose square underflows or overflows a float, in the last DoF of
+qd0 or of qdT, against the base limits and against all 16 (qd_max, qdd_max)
+pairs of the four values above (272 rows), and with a 1e160 boundary
+velocity inside a 1e300 qd_max; every number in these rows is finite and
+every limit positive, so none of them may exit 2.  For the same reason
+`test_custom_world_oracle` also runs plan and mpc in custom worlds drawn
+anew from one seed each, with no edge value.
 
 Every run must end in one of two ways:
 
@@ -57,6 +59,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viaplan.cli import main
+from viaplan.mpc import MAX_STEPS
 from viaplan.worlds import bundled_cluttered_world, single_obstacle_world
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
@@ -142,13 +145,14 @@ def must_reject(cfg: dict, disturb=None) -> bool:
     an initial spread whose square is not a finite positive float, or a
     plant_dt that gives one MPC step more than MAX_REFERENCE_SAMPLES, or
     whether disturb's (step, dq) has a step past the episode's max_steps
-    (150 when cfg sets none) or a dq entry that is not finite.  The ES
+    (MAX_STEPS when cfg sets none) or a dq entry that is not finite.  The ES
     variance is (init_sigma / scale)**2 with a scale between about 0.06 and
     1, so it is a finite positive float at every value drawn here exactly
     when init_sigma**2 is."""
     if disturb is not None:
         step, dq = disturb
-        if step >= cfg["mpc"].get("max_steps", 150) or not all(map(math.isfinite, dq)):
+        if (step >= cfg["mpc"].get("max_steps", MAX_STEPS)
+                or not all(map(math.isfinite, dq))):
             return True
     sigma = cfg.get("optimizer", {}).get("init_sigma")
     if sigma is not None and not 0.0 < sigma * sigma < math.inf:
@@ -277,9 +281,10 @@ def check_trajectory(path: Path, cfg: dict, duration: float) -> None:
         assert not collides(cfg.get("world", {}), q).any()
 
 
-def check_run(command: str, cfg: dict, disturb=None) -> None:
+def check_run(command: str, cfg: dict, disturb=None) -> int:
     """Run the CLI on cfg, with disturb's (step, dq) as --disturb unless it
-    is None, in a fresh directory and check what it wrote."""
+    is None, in a fresh directory, check what it wrote and return the exit
+    code."""
     args = []
     if disturb is not None:
         step, dq = disturb
@@ -292,6 +297,7 @@ def check_run(command: str, cfg: dict, disturb=None) -> None:
         with contextlib.redirect_stderr(err):
             code = main([command, str(path), "--out-dir", str(out), "--quiet", *args])
         check_outputs(command, cfg, code, err.getvalue(), out, disturb)
+    return code
 
 
 def check_outputs(command: str, cfg: dict, code: int, err: str, out: Path,
@@ -427,23 +433,32 @@ OVERFLOWING_PROBLEM = {"q0": [0.0], "qT": [1.0], "qd0": [1e160], "qdT": [0.0],
 LIMIT_PAIRS = [{}] + [{"qd_max": v, "qdd_max": a} for v in EXTREMES for a in EXTREMES]
 
 
-def edge_table(command: str):
-    """BASE[command] with each edge value at each target; with each far
-    boundary velocity, at qd0 and at qdT, at each of LIMIT_PAIRS; and with
-    OVERFLOWING_PROBLEM in no world."""
+def edge_rows(command: str):
+    """BASE[command] with each edge value at each target."""
     for target in TARGETS[command]:
         for value in values_at(target):
             cfg = copy.deepcopy(BASE[command])
             corrupt(cfg, target, value)
             yield cfg
-    for key in ("qd0", "qdT"):
-        for velocity in FAR_VELOCITIES:
-            for limits in LIMIT_PAIRS:
-                cfg = copy.deepcopy(BASE[command])
-                corrupt(cfg, ("problem", key), velocity)
-                cfg["problem"].update(limits)
-                yield cfg
-    cfg = copy.deepcopy(BASE[command])
+
+
+def far_rows(command: str):
+    """BASE[command], with and without its position limits, with each far
+    boundary velocity in the last DoF of qd0 or qdT at each of LIMIT_PAIRS;
+    then BASE[command] with OVERFLOWING_PROBLEM in no world."""
+    bounded = BASE[command]
+    unbounded = copy.deepcopy(bounded)
+    del unbounded["problem"]["q_min"], unbounded["problem"]["q_max"]
+    for base in (bounded, unbounded):
+        dof = len(base["problem"]["q0"])
+        for key in ("qd0", "qdT"):
+            for velocity in FAR_VELOCITIES:
+                for limits in LIMIT_PAIRS:
+                    cfg = copy.deepcopy(base)
+                    cfg["problem"][key] = [0.0] * (dof - 1) + [velocity]
+                    cfg["problem"].update(limits)
+                    yield cfg
+    cfg = copy.deepcopy(bounded)
     cfg["problem"] = dict(OVERFLOWING_PROBLEM)
     if "world" in cfg:
         cfg["world"] = {"type": "none"}
@@ -452,5 +467,9 @@ def edge_table(command: str):
 
 @pytest.mark.parametrize("command", sorted(BASE))
 def test_every_edge_value_at_every_target(command):
-    for cfg in edge_table(command):
+    for cfg in edge_rows(command):
         check_run(command, cfg)
+    # Every entry of a far row is finite and every limit positive, so each
+    # one must reach the planner rather than fail as a config error.
+    for cfg in far_rows(command):
+        assert check_run(command, cfg) != 2, json.dumps(cfg)

@@ -436,7 +436,7 @@ def test_closed_loop_rejects_bad_disturbances_before_any_step(k, dq):
 
 
 def test_closed_loop_defaults():
-    # The CLI's max_steps default is this 150; it leaves the lag time
+    # The CLI's max_steps default is MAX_STEPS; it leaves the lag time
     # constant to LagPlant's default.
     assert inspect.signature(run_closed_loop).parameters["max_steps"].default == 150
     assert LagPlant([0.0]).time_constant == 0.05
