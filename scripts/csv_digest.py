@@ -65,6 +65,9 @@ RUNS = (
               "plant": "lag"}}, []),
     ("mpc_greedy", "mpc", "mpc2d.json", {"mpc": {"max_steps": 40}},
      ["--baseline", "greedy"]),
+    # Few iterations: its invalid steps run their own plan as well as replay one.
+    ("mpc_sparse", "mpc", "mpc2d.json",
+     {"mpc": {"iterations_per_step": 1, "pop_size": 4, "seed": 1, "max_steps": 60}}, []),
     ("ablate_nvia", "ablate-nvia", "ablate_nvia.json",
      {"optimizer": {"n_list": [1, 2, 4], "seeds": 2, "max_iterations": 80}}, []),
     ("ablate_chol", "ablate-chol", "ablate_chol.json",

@@ -202,9 +202,13 @@ def load_experiment(args, section: str, keys, world: bool = True):
             seed if args.seed is None else args.seed)
 
 
-def out_dir(args) -> Path:
-    path = Path(args.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
+def out_dir(value: str) -> Path:
+    """The --out-dir directory, made if missing; a ConfigError when it cannot be."""
+    path = Path(value)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {value}: {exc.strerror or exc}") from exc
     return path
 
 
@@ -263,12 +267,12 @@ def cmd_plan(args) -> int:
                      zip(grid.points * traj.duration, *traj.sample_grid(grid))]
         header = ["t"] + [f"{v}{d}" for v in ("q", "qd", "qdd")
                           for d in range(problem.bc.dof)]
-        write_csv(out_dir(args) / f"trajectory_{seed}.csv", header, traj_rows)
+        write_csv(args.out_dir / f"trajectory_{seed}.csv", header, traj_rows)
         if not args.quiet:
             print(f"seed {seed}: T={traj.duration:.4f} valid={report.valid} "
                   f"iters={res.iterations}")
 
-    write_csv(out_dir(args) / "plan_runs.csv",
+    write_csv(args.out_dir / "plan_runs.csv",
               ["seed", "final_cost", "T", "valid", "iterations"], rows)
     if not any(valid for _, _, _, valid, _ in rows):
         print("no valid run", file=sys.stderr)
@@ -318,7 +322,8 @@ def cmd_mpc(args) -> int:
            if "lag_time_constant" in m else {})
     with config_values():
         config = MpcConfig(weights=weights, seed=seed, **m)
-        disturbances = parse_disturb(args.disturb, max_steps) if args.disturb else None
+        disturbances = (None if args.disturb is None
+                        else parse_disturb(args.disturb, max_steps))
         plant = LagPlant(bc.q0, bc.qd0, **lag) if plant_kind == "lag" else None
     if any(dq.shape != bc.q0.shape for dq in (disturbances or {}).values()):
         raise ConfigError("--disturb dq needs one value per DoF")
@@ -328,15 +333,14 @@ def cmd_mpc(args) -> int:
                           checker=world, plant=plant, disturbances=disturbances,
                           step=step, max_steps=max_steps)
 
-    out = out_dir(args)
     deterministic = config.iterations_per_step is not None
     ep_rows = [[r["step"], r["t"], *r["q"], *r["qd"], r["mode"], r["step_cost"],
                 0.0 if deterministic else 1e3 * r["step_seconds"], r["valid"]]
                for r in log.rows]
     header = (["step", "t"] + [f"{v}{d}" for v in ("q", "qd") for d in range(bc.dof)]
               + ["mode", "step_cost", "step_ms", "valid"])
-    write_csv(out / "episode.csv", header, ep_rows)
-    write_csv(out / "summary.csv",
+    write_csv(args.out_dir / "episode.csv", header, ep_rows)
+    write_csv(args.out_dir / "summary.csv",
               ["goal_reached", "steps", "final_distance"],
               [[log.goal_reached, log.steps, log.final_distance]])
     if not args.quiet:
@@ -366,7 +370,7 @@ def cmd_ablate_nvia(args) -> int:
         if not args.quiet:
             print(f"N={n_via} seed={problem.seed}: "
                   f"T={res.trajectory.duration:.4f} iters={res.iterations}")
-    write_csv(out_dir(args) / "ablate_nvia.csv", ["N", "T_final", "iterations"], rows)
+    write_csv(args.out_dir / "ablate_nvia.csv", ["N", "T_final", "iterations"], rows)
     if all(np.isnan(t_final) for _, t_final, _ in rows):
         print("no feasible run", file=sys.stderr)
         return 1
@@ -396,7 +400,7 @@ def cmd_ablate_chol(args) -> int:
         if not args.quiet:
             print(f"{name} seed={problem.seed}: first_valid={first_valid} "
                   f"best={res.history_best[-1]:.4f}")
-    write_csv(out_dir(args) / "ablate_chol.csv",
+    write_csv(args.out_dir / "ablate_chol.csv",
               ["setup", "seed", "iteration", "best_cost", "first_valid_iter"],
               rows)
     if all(np.isnan(row[3]) for row in rows):
@@ -428,6 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        args.out_dir = out_dir(args.out_dir)   # before any solve
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

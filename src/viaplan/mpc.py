@@ -1,24 +1,25 @@
 """Online re-optimization: full-horizon MPC steps under a wall-clock budget.
 
-Each step first tries the deterministic no-via-point trajectory (stopping
-primitive), scored by `planner.score_direct`.  When that fails the gate, it
-starts the evolution strategy from the time-shifted previous solution
-(`warm_start`, None once that has expired), sampled at 0.05 times the
-distance left, or else from the cold start of `planner.make_es`.  It runs
-`planner.optimize`, the loop of offline solves (always sep-CMA-ES behind
-the smoothness Cholesky factor), over the boundary that `make_es` returns
-until the step budget expires, with the same call as `solve`, and reports
-the plan that the planner's reported-plan rule picks from the final mean
-and the step's best-ever candidate.  `optimize` raises nothing where
+A step function only plans, over the PlanningProblem that `step_problem`
+builds for it.  `mpc_step` first tries the deterministic no-via-point
+trajectory (stopping primitive), scored by `planner.score_direct`.  When that
+fails the gate, it starts the evolution strategy from the time-shifted
+previous plan (`warm_start`, None once that has expired), sampled at 0.05
+times the distance left, or else from the cold start of `planner.make_es`.
+It runs `planner.optimize`, the loop of offline solves (always sep-CMA-ES
+behind the smoothness Cholesky factor), over the boundary that `make_es`
+returns until the step budget expires, with the same call as `solve`, and
+reports the plan that the planner's reported-plan rule picks from the final
+mean and the step's best-ever candidate.  `optimize` raises nothing where
 `solve` raises InfeasibleError: a plan is (None, None) when no finite
-duration meets the limits.  The greedy baseline is another step function
-for the same closed loop and `step_problem`: it scores each endpoint alone
-as a no-via-point plan with `score_direct`.  Both step functions end in
-`_step_result`, which samples the first dt_mpc of the solution at the
-plant rate (`extract_reference`, through `Trajectory.at_time`, which holds
-the solution's end state past its end) and times the step; MpcConfig caps
-that sampling at MAX_REFERENCE_SAMPLES per step.  Every reference that the
-closed loop hands its plant spans one whole dt_mpc.
+duration meets the limits.  The greedy baseline is another step function: it
+scores each endpoint alone as a no-via-point plan with `score_direct`.
+`run_closed_loop` executes: it builds and times each step, picks the plan the
+plant runs and samples one dt_mpc of it at the plant rate
+(`extract_reference`, through `Trajectory.at_time`, which holds a plan's end
+state past its end); MpcConfig caps that sampling at MAX_REFERENCE_SAMPLES
+per step.  Every reference that the closed loop hands its plant spans one
+whole dt_mpc.
 """
 
 from __future__ import annotations
@@ -93,8 +94,6 @@ class MpcStepResult:
     valid: bool
     mode: str                  # direct | warmstart | explore | greedy
     iterations_run: int
-    short_horizon: ShortHorizon | None
-    step_seconds: float
 
 
 def select_n_via(t_prev: float, alpha: float, n_max: int) -> int:
@@ -139,24 +138,20 @@ def step_problem(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
                            checker=checker, seed=seed)
 
 
-def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
-             checker=None, prev_result: MpcStepResult | None = None,
-             seed: int = 0) -> MpcStepResult:
-    """One full-horizon MPC step: the direct trajectory when it passes the
-    gate, else a budgeted optimization from a warm start, sampled at 0.05
-    times |qT - q| (or at 0.05 when that is 0), or from make_es's cold
-    start."""
+def mpc_step(problem: PlanningProblem, config: MpcConfig,
+             prev_plan: Trajectory | None = None) -> MpcStepResult:
+    """One full-horizon MPC step over problem: the direct trajectory when it
+    passes the gate, else a budgeted optimization from prev_plan's warm
+    start, sampled at 0.05 times |qT - q| (or at 0.05 when that is 0), or
+    from make_es's cold start."""
     t_start = time.monotonic()
-    problem = step_problem(q, qd, qT, qdT, limits, config, checker, seed)
     bc = problem.bc
     solution, report = score_direct(bc, problem)
 
     mode, iterations = "direct", 0
     if report is None or not (report.valid and solution.duration <= config.t_stop):
-        shifted = None
-        if prev_result is not None and prev_result.valid and prev_result.solution is not None:
-            shifted = warm_start(prev_result.solution, config.dt_mpc, config.alpha,
-                                 config.n_max)
+        shifted = (None if prev_plan is None
+                   else warm_start(prev_plan, config.dt_mpc, config.alpha, config.n_max))
         if shifted is None:
             mode, (es, boundary) = "explore", make_es(problem)
         else:
@@ -171,19 +166,8 @@ def mpc_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
             return time.monotonic() - t_start >= config.dt_mpc
         res = optimize(es, boundary, problem, stop)
         solution, report, iterations = res.trajectory, res.report, res.iterations
-    return _step_result(solution, report, report is not None and report.valid,
-                        mode, iterations, config, t_start)
-
-
-def _step_result(solution, report, valid: bool, mode: str, iterations: int,
-                 config: MpcConfig, t_start: float) -> MpcStepResult:
-    """The MpcStepResult of a step begun at t_start, with the first dt_mpc of
-    its solution as the reference; the step's time includes that extraction."""
-    horizon = (None if solution is None
-               else extract_reference(solution, 0.0, config.dt_mpc, config.plant_dt))
-    return MpcStepResult(solution=solution, report=report, valid=valid, mode=mode,
-                         iterations_run=iterations, short_horizon=horizon,
-                         step_seconds=time.monotonic() - t_start)
+    return MpcStepResult(solution, report, report is not None and report.valid,
+                         mode, iterations)
 
 
 # -- tracking plants ------------------------------------------------------
@@ -235,19 +219,21 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
                     config: MpcConfig, checker=None, max_steps: int = MAX_STEPS,
                     plant=None, disturbances: dict | None = None,
                     step=None) -> EpisodeLog:
-    """Call step (mpc_step when None, or greedy_step) at 1/dt_mpc until the
-    goal state is reached or max_steps have run.  Each disturbance, a dq
-    added to the plant's position at its step, must be keyed by a step in
-    range(max_steps) and hold one finite value per DoF; ValueError before
-    the first step otherwise.
+    """Call step (mpc_step when None, or greedy_step) at 1/dt_mpc on each
+    step's `step_problem` until the goal state is reached or max_steps have
+    run.  Each disturbance, a dq added to the plant's position at its step,
+    must be keyed by a step in range(max_steps) and hold one finite value per
+    DoF; ValueError before the first step otherwise.
 
-    The plant runs each valid step's reference.  After an invalid step it
-    replays the rest of the last valid plan, one dt_mpc window per step from
-    one step on, and holds with zero velocity once that plan has run out;
-    every reference and hold spans dt_mpc.
-    When there is no valid plan to replay (no valid step yet, or none since
-    a disturbance), the plant runs the invalid step's own reference, and
-    holds only when the step has no solution at all.
+    The plant runs the first dt_mpc of each valid step's plan.  After an
+    invalid step it replays the rest of the last valid plan, one dt_mpc
+    window per step from one step on, and holds with zero velocity once that
+    plan has run out.  When there is no valid plan to replay (no valid step
+    yet, or none since a disturbance), the plant runs the invalid step's own
+    plan, and holds only when the step has no solution at all.  The loop
+    samples the chosen plan once per step, and a row's step_seconds spans
+    building the problem, the step and that sampling (or the hold); every
+    reference and hold spans dt_mpc.
     """
     step = step or mpc_step   # looked up per call, so a patched mpc_step runs
     qT = np.asarray(qT, dtype=float)
@@ -261,44 +247,45 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
     if plant is None:
         plant = ExactPlant(q0, qd0)
     rows = []
-    prev: MpcStepResult | None = None
-    fallback: tuple[Trajectory, float] | None = None
+    prev_plan: Trajectory | None = None
+    fallback: tuple[Trajectory, float] | None = None   # last valid plan, offset
     t_sim = 0.0
     for k in range(max_steps):
         if k in disturbances:
             plant.q = plant.q + disturbances[k]
-            prev = None  # stale plan; force explore / direct re-entry
-            fallback = None
+            prev_plan = fallback = None  # stale plan; force explore / direct re-entry
         if _at_goal(plant, qT, qdT, config):
             break
-        result = step(plant.q, plant.qd, qT, qdT, limits, config,
-                      checker=checker, prev_result=prev,
-                      seed=config.seed + k)
-        horizon = result.short_horizon
+        t_start = time.monotonic()
+        problem = step_problem(plant.q, plant.qd, qT, qdT, limits, config, checker,
+                               config.seed + k)
+        result = step(problem, config, prev_plan)
         if result.valid:
-            # Replay the rest of this plan, from one step on, if later steps fail.
-            fallback = (result.solution, config.dt_mpc)
+            fallback = (result.solution, 0.0)
+            plan, offset = fallback
         elif fallback is not None:
-            traj, offset = fallback
-            if offset < traj.duration:
-                horizon = extract_reference(traj, offset, config.dt_mpc,
-                                            config.plant_dt)
-                fallback = (traj, offset + config.dt_mpc)
-            else:
-                horizon = None
-        if horizon is None:
+            fallback = (fallback[0], fallback[1] + config.dt_mpc)
+            plan, offset = fallback
+            if offset >= plan.duration:
+                plan = None   # the last valid plan has run out
+        else:
+            plan, offset = result.solution, 0.0
+        if plan is None:
             # Hold position with zero velocity.
             horizon = ShortHorizon(times=np.array([0.0, config.dt_mpc]),
                                    q=np.stack([plant.q, plant.q]),
                                    qd=np.zeros((2, plant.q.shape[0])))
+        else:
+            horizon = extract_reference(plan, offset, config.dt_mpc, config.plant_dt)
+        step_seconds = time.monotonic() - t_start
         plant.advance(horizon)
         cost = result.report.total if result.report else float("nan")
         rows.append({"step": k, "t": t_sim, "q": plant.q.copy(),
                      "qd": plant.qd.copy(), "mode": result.mode,
                      "valid": result.valid, "step_cost": cost,
-                     "step_seconds": result.step_seconds,
+                     "step_seconds": step_seconds,
                      "iterations": result.iterations_run})
-        prev = result if result.valid else None
+        prev_plan = result.solution if result.valid else None
         t_sim += config.dt_mpc
     return EpisodeLog(rows=rows, goal_reached=_at_goal(plant, qT, qdT, config),
                       steps=len(rows),
@@ -308,15 +295,13 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
 # -- greedy short-horizon baseline ----------------------------------------
 
 
-def greedy_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
-                checker=None, prev_result: MpcStepResult | None = None,
-                seed: int = 0) -> MpcStepResult:
+def greedy_step(problem: PlanningProblem, config: MpcConfig,
+                prev_plan: Trajectory | None = None) -> MpcStepResult:
     """Short-horizon baseline with mpc_step's signature: sample nearby
     endpoints, each reached at rest, and move to the valid one closest to the
-    goal; invalid when none is valid.  qdT and prev_result are unused."""
-    t_start = time.monotonic()
-    rng = np.random.default_rng(seed)
-    problem = step_problem(q, qd, qT, qdT, limits, config, checker, seed)
+    goal; invalid when none is valid.  The goal velocity, config and
+    prev_plan are unused."""
+    rng = np.random.default_rng(problem.seed)
     q, qT = problem.bc.q0, problem.bc.qT
     to_goal = qT - q
     dist = float(np.linalg.norm(to_goal))
@@ -335,4 +320,4 @@ def greedy_step(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
         if report is not None and report.valid and cost < best_cost:
             best_cost = cost
             best = traj
-    return _step_result(best, None, best is not None, "greedy", 0, config, t_start)
+    return MpcStepResult(best, None, best is not None, "greedy", 0)

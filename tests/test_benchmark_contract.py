@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from viaplan.costs import CostWeights
-from viaplan.mpc import MpcConfig, mpc_step
+from viaplan.mpc import MpcConfig, mpc_step, step_problem
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions
 from viaplan.timing import KinodynamicLimits, PhaseGrid
@@ -135,8 +135,9 @@ def test_check_plan_passes_valid_plans(workloads):
     # A direct mpc_step plan, and the same plan at duration 0.0, which rests.
     limits = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
     world = bundled_cluttered_world()
-    step = mpc_step([0.88, 0.5], np.zeros(2), [0.9, 0.5], np.zeros(2), limits,
-                    MpcConfig(), checker=world)
+    config = MpcConfig()
+    step = mpc_step(step_problem([0.88, 0.5], np.zeros(2), [0.9, 0.5], np.zeros(2),
+                                 limits, config, world, 0), config)
     assert step.mode == "direct" and step.valid
     rest = dataclasses.replace(step.solution, duration=0.0)
     assert not step.solution.degenerate and rest.degenerate

@@ -353,6 +353,8 @@ def test_parse_disturb():
     # So was a step at or past max_steps (80 here).
     ["step=80", "dq=(0.2,0)"],
     ["step=500", "dq=(0.2,0)"],
+    # A bare --disturb used to run the undisturbed episode.
+    [],
 ])
 def test_disturb_rejects_repeated_keys_and_negative_steps(tmp_path, capsys, tokens):
     with pytest.raises(ConfigError):
@@ -361,6 +363,28 @@ def test_disturb_rejects_repeated_keys_and_negative_steps(tmp_path, capsys, toke
                  "--out-dir", str(tmp_path / "o"), "--quiet", "--disturb", *tokens])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: --disturb")
+
+
+@pytest.mark.parametrize("command", ["plan", "mpc", "ablate-nvia", "ablate-chol"])
+@pytest.mark.parametrize("below", [False, True])
+def test_unusable_out_dir_exits_two_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                     command, below):
+    # An --out-dir that is a file, or a path below one, used to surface only
+    # when the first CSV was written, after the whole experiment: mpc died
+    # with FileExistsError, plan with NotADirectoryError at exit 1.
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "solve", no_run)
+    monkeypatch.setattr(cli, "run_closed_loop", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if below else taken
+    cfg = {"plan": PLAN_1D, "mpc": MPC_FREE}.get(command, ABLATE_1D)
+    assert main([command, write_config(tmp_path / "c.json", cfg),
+                 "--out-dir", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --out-dir {out}: ")
+    assert taken.read_text() == ""
 
 
 def test_ablate_nvia_artifacts(tmp_path):

@@ -186,7 +186,7 @@ def test_exports_count_public_package_names(csv_digest, tmp_path):
         "import numpy as np\n"
         "from typing import Any\n"
         "from .worlds import World2D, bundled_start_goal\n"
-        "from .mpc import (LagPlant, _step_result,\n"
+        "from .mpc import (LagPlant, _at_goal,\n"
         "                  run_closed_loop as run)\n"
         "from .spline import _private as public\n"
         '__version__ = "0.1.0"\n')

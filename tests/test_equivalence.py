@@ -15,13 +15,14 @@ and the tuple `CostReport` are held to copies of the code they replaced
 (the broadcast kernel with separate E1 and E2 products, the two-pass
 `cost_jla` and the frozen-dataclass report), on the bits of every float.
 So are the MPC step functions, to copies of the steps that built their own
-bases, boundary halves, ES and generation loop, scored each greedy endpoint
-through their own direct-plan and `evaluate_total` calls, warm-started with
-one `at_time` call per via-point and extracted references with their own
-(S, 1, N+4) @ (N+4, D) product.  `SplineBasis.eval_matrix` is held to its
-one branch per derivative order, the cold start of `planner.make_es` to
-the two starts that `solve` and the MPC explore branch each wrote out, and
-`planner.solve` to its own generation loop from before `planner.optimize`.
+problem, bases, boundary halves, ES and generation loop, scored each greedy
+endpoint through their own direct-plan and `evaluate_total` calls and
+warm-started with one `at_time` call per via-point, and `extract_reference`
+to its own (S, 1, N+4) @ (N+4, D) product.  `SplineBasis.eval_matrix` is
+held to its one branch per derivative order, the cold start of
+`planner.make_es` to the two starts that `solve` and the MPC explore branch
+each wrote out, and `planner.solve` to its own generation loop from before
+`planner.optimize`.
 """
 
 import dataclasses
@@ -36,7 +37,8 @@ from viaplan import planner
 from viaplan.costs import CostReport, CostWeights, cost_jla, evaluate_total
 from viaplan.mpc import (GREEDY_HORIZON, GREEDY_SAMPLES, MpcConfig,
                          MpcStepResult, ShortHorizon, extract_reference,
-                         greedy_step, mpc_step, select_n_via, warm_start)
+                         greedy_step, mpc_step, select_n_via, step_problem,
+                         warm_start)
 from viaplan.optimizer import EvolutionStrategy, build_prior, converged
 from viaplan.planner import PlanningProblem, evaluate_candidates
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
@@ -292,7 +294,7 @@ def ref_warm_start(prev, elapsed, alpha, n_max):
     return np.stack([ref_at_time(prev, t) for t in t_via]).reshape(-1), n_via
 
 
-def ref_mpc_step(q, qd, qT, qdT, limits, config, checker=None, prev_result=None,
+def ref_mpc_step(q, qd, qT, qdT, limits, config, checker=None, prev_plan=None,
                  seed=0):
     """mpc_step at a fixed iteration budget, with its own bases, boundary
     halves, ES set-up and generation loop, which runs the whole budget even
@@ -310,9 +312,8 @@ def ref_mpc_step(q, qd, qT, qdT, limits, config, checker=None, prev_result=None,
     if report is None or not (report.valid and solution.duration <= config.t_stop):
         mode, n_via = "explore", config.n_max
         mean = planner.straight_line_init(bc, config.n_max)
-        if prev_result is not None and prev_result.valid and prev_result.solution is not None:
-            shifted = ref_warm_start(prev_result.solution, config.dt_mpc,
-                                     config.alpha, config.n_max)
+        if prev_plan is not None:
+            shifted = ref_warm_start(prev_plan, config.dt_mpc, config.alpha, config.n_max)
             if shifted is not None:
                 (mean, n_via), mode = shifted, "warmstart"
         sigma = ((0.05 if mode == "warmstart" else 0.5)
@@ -335,14 +336,12 @@ def ref_mpc_step(q, qd, qT, qdT, limits, config, checker=None, prev_result=None,
         solution, report = planner.score(boundary, es.mean, problem)
         if best is not None and (report is None or (best[1].valid and not report.valid)):
             solution, report = best
-    horizon = (None if solution is None else ref_batched_extract_reference(
-        solution, 0.0, config.dt_mpc, config.plant_dt))
     return MpcStepResult(solution, report, report is not None and report.valid,
-                         mode, iterations, horizon, 0.0)
+                         mode, iterations)
 
 
 def ref_greedy_step(q, qd, qT, qdT, limits, config, checker=None,
-                    prev_result=None, seed=0):
+                    prev_plan=None, seed=0):
     """greedy_step with its own direct_plan, InfeasibleError handler and
     evaluate_total call per endpoint."""
     rng = np.random.default_rng(seed)
@@ -370,9 +369,7 @@ def ref_greedy_step(q, qd, qT, qdT, limits, config, checker=None,
         if report.valid and cost < best_cost:
             best_cost = cost
             best = traj
-    horizon = (None if best is None else ref_batched_extract_reference(
-        best, 0.0, config.dt_mpc, config.plant_dt))
-    return MpcStepResult(best, None, best is not None, "greedy", 0, horizon, 0.0)
+    return MpcStepResult(best, None, best is not None, "greedy", 0)
 
 
 # -- random problems ---------------------------------------------------------
@@ -746,24 +743,21 @@ def assert_same_step(got, want):
     if want.report is not None:
         assert same_bits(got.report.total, want.report.total)
     if want.solution is None:
-        assert got.solution is None and got.short_horizon is None
+        assert got.solution is None
         return
     assert same_bits(got.solution.duration, want.solution.duration)
     assert same_bits(got.solution.q_via, want.solution.q_via)
-    for name in ("times", "q", "qd"):
-        assert same_bits(getattr(got.short_horizon, name),
-                         getattr(want.short_horizon, name)), name
 
 
 @pytest.mark.parametrize("step, ref", [(mpc_step, ref_mpc_step),
                                        (greedy_step, ref_greedy_step)])
 def test_step_matches_its_reference(step, ref):
-    # Three steps from each start, the state advancing along each step's
-    # reference as the exact plant would and the previous step passed on, so
-    # that mpc_step also warm-starts.  The starts: among obstacles (explore),
-    # in free space, with boundary velocities, next to the goal (direct), at
-    # rest on the goal (a zero-duration plan), and moving faster than qd_max
-    # (every endpoint and candidate infeasible).
+    # Three steps from each start, the state advancing along the first
+    # dt_mpc of each step's plan as the exact plant would and a valid step's
+    # plan passed on, so that mpc_step also warm-starts.  The starts: among
+    # obstacles (explore), in free space, with boundary velocities, next to
+    # the goal (direct), at rest on the goal (a zero-duration plan), and
+    # moving faster than qd_max (every endpoint and candidate infeasible).
     limits = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
     config = MpcConfig(iterations_per_step=3, pop_size=8)
     world = bundled_cluttered_world()
@@ -779,10 +773,10 @@ def test_step_matches_its_reference(step, ref):
     for q, qd, qT, qdT, checker in starts:
         prev = None
         for k in range(3):
-            got = step(q, qd, qT, qdT, limits, config, checker=checker,
-                       prev_result=prev, seed=k)
+            got = step(step_problem(q, qd, qT, qdT, limits, config, checker, k),
+                       config, prev)
             want = ref(q, qd, qT, qdT, limits, config, checker=checker,
-                       prev_result=prev, seed=k)
+                       prev_plan=prev, seed=k)
             if step is mpc_step and np.any(np.abs(qd) > 0.5):
                 # Above qd_max the step runs no generation; the reference runs
                 # its budget of infeasible ones to the same result.
@@ -791,9 +785,11 @@ def test_step_matches_its_reference(step, ref):
             assert_same_step(got, want)
             seen.add((got.mode, got.valid, got.solution is not None
                       and got.solution.degenerate))
-            if got.short_horizon is not None:
-                q, qd = got.short_horizon.q[-1], got.short_horizon.qd[-1]
-            prev = got if got.valid else None
+            if got.solution is not None:
+                horizon = extract_reference(got.solution, 0.0, config.dt_mpc,
+                                            config.plant_dt)
+                q, qd = horizon.q[-1], horizon.qd[-1]
+            prev = got.solution if got.valid else None
     if step is mpc_step:
         assert {("explore", True, False), ("warmstart", True, False),
                 ("direct", True, True), ("explore", False, False)} <= seen

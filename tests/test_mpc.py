@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import viaplan.mpc as mpc
 import viaplan.planner as planner
 from viaplan.mpc import (MAX_REFERENCE_SAMPLES, ExactPlant, LagPlant, MpcConfig,
                          extract_reference, greedy_step, mpc_step,
-                         run_closed_loop, select_n_via, warm_start)
+                         run_closed_loop, select_n_via, step_problem, warm_start)
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import KinodynamicLimits, PhaseGrid, boundary_half, synthesize
@@ -75,11 +76,20 @@ def test_config_builds_its_grid_once():
 @pytest.mark.parametrize("dof", [1, 3])
 def test_step_rejects_limits_of_another_dof(step, dof):
     # One limit per axis used to be broadcast over the 2-DoF move; three
-    # failed with a numpy broadcast error.
+    # failed with a numpy broadcast error.  The loop's step_problem rejects
+    # them before the step function runs.
+    calls = []
+
+    def recording_step(*args):
+        calls.append(args)
+        return step(*args)
+
     with pytest.raises(ValueError, match="one value per DoF"):
-        step([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2),
-             KinodynamicLimits.symmetric(0.5, 2.0, dof),
-             MpcConfig(iterations_per_step=1, pop_size=8))
+        run_closed_loop([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2),
+                        KinodynamicLimits.symmetric(0.5, 2.0, dof),
+                        MpcConfig(iterations_per_step=1, pop_size=8), max_steps=1,
+                        step=recording_step)
+    assert calls == []
 
 
 def test_select_n_via_formula():
@@ -92,7 +102,9 @@ def test_select_n_via_formula():
 def test_direct_mode_near_goal():
     q = np.array([0.88, 0.5])
     goal = np.array([0.9, 0.5])
-    result = mpc_step(q, np.zeros(2), goal, np.zeros(2), LIMITS_2D, MpcConfig())
+    config = MpcConfig()
+    result = mpc_step(step_problem(q, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
+                                   None, 0), config)
     assert result.mode == "direct"
     assert result.iterations_run == 0
     assert result.valid
@@ -102,8 +114,8 @@ def test_direct_mode_near_goal():
 def test_explore_on_first_step():
     q0, goal = bundled_start_goal()
     config = MpcConfig(iterations_per_step=2)
-    result = mpc_step(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
-                      checker=bundled_cluttered_world())
+    result = mpc_step(step_problem(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
+                                   bundled_cluttered_world(), 0), config)
     assert result.mode == "explore"
     assert result.iterations_run == 2
 
@@ -125,8 +137,8 @@ def test_es_step_builds_one_boundary(monkeypatch):
     monkeypatch.setattr(planner, "boundary_half", spying(planner.boundary_half))
     q0, goal = bundled_start_goal()
     config = MpcConfig(iterations_per_step=5)
-    result = mpc_step(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
-                      checker=bundled_cluttered_world())
+    result = mpc_step(step_problem(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
+                                   bundled_cluttered_world(), 0), config)
     assert result.mode == "explore" and result.iterations_run == 5
     bases = [args[0] for args in built]
     assert bases == [build_basis(0, 2), build_basis(config.n_max, 2)]
@@ -152,9 +164,9 @@ def test_step_above_qd_max_runs_no_generation(monkeypatch):
     for name in calls:
         monkeypatch.setattr(planner, name, counting(name))
     q0, goal = bundled_start_goal()
-    result = mpc_step(q0, np.array([0.8, 0.0]), goal, np.zeros(2), LIMITS_2D,
-                      MpcConfig(iterations_per_step=5),
-                      checker=bundled_cluttered_world())
+    config = MpcConfig(iterations_per_step=5)
+    result = mpc_step(step_problem(q0, np.array([0.8, 0.0]), goal, np.zeros(2), LIMITS_2D,
+                                   config, bundled_cluttered_world(), 0), config)
     assert result.mode == "explore" and result.iterations_run == 0
     assert result.solution is None and result.report is None and not result.valid
     assert calls == {"synthesize": 2, "evaluate_candidates": 0}
@@ -179,9 +191,9 @@ def test_step_above_qd_max_takes_the_rule_from_optimize(monkeypatch):
     monkeypatch.setattr(mpc, "optimize", optimize_spy)
     monkeypatch.setattr(planner, "evaluate_candidates", evaluate_spy)
     q0, goal = bundled_start_goal()
-    result = mpc_step(q0, np.array([0.8, 0.0]), goal, np.zeros(2), LIMITS_2D,
-                      MpcConfig(iterations_per_step=5),
-                      checker=bundled_cluttered_world())
+    config = MpcConfig(iterations_per_step=5)
+    result = mpc_step(step_problem(q0, np.array([0.8, 0.0]), goal, np.zeros(2), LIMITS_2D,
+                                   config, bundled_cluttered_world(), 0), config)
     assert entered == [False] and evaluated == [] and result.iterations_run == 0
 
 
@@ -200,9 +212,9 @@ def test_step_reports_the_best_ever_candidate_when_only_it_is_valid(monkeypatch)
 
     monkeypatch.setattr(planner, "evaluate_candidates", spy)
     q0, goal = bundled_start_goal()
-    result = mpc_step(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D,
-                      MpcConfig(iterations_per_step=4, pop_size=16),
-                      checker=bundled_cluttered_world(), seed=0)
+    config = MpcConfig(iterations_per_step=4, pop_size=16)
+    result = mpc_step(step_problem(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
+                                   bundled_cluttered_world(), 0), config)
     assert result.mode == "explore" and result.iterations_run == 4
     assert result.valid and result.report.valid
     assert result.report.total == pytest.approx(3.656, abs=1e-3)
@@ -217,25 +229,35 @@ def test_direct_step_at_its_goal_emits_rest_reference():
         goal = np.array(goal)
         dof = goal.size
         lim = KinodynamicLimits.symmetric(0.5, 2.0, dof, q_range=(0.0, 1.0))
-        result = mpc_step(goal, np.zeros(dof), goal, np.zeros(dof), lim, MpcConfig())
+        config = MpcConfig()
+        result = mpc_step(step_problem(goal, np.zeros(dof), goal, np.zeros(dof), lim,
+                                       config, None, 0), config)
         assert result.mode == "direct" and result.valid
         assert result.solution.duration == 0.0 and result.solution.degenerate
-        ref = result.short_horizon
+        ref = extract_reference(result.solution, 0.0, config.dt_mpc, config.plant_dt)
         assert np.array_equal(ref.times, 1e-3 * np.arange(81))
         assert np.array_equal(ref.q, np.tile(goal, (81, 1)))
         assert not ref.qd.any()
 
 
 def test_explore_after_invalid_step():
+    # The loop passes a step's plan on only when the step was valid, so the
+    # step after an invalid one explores, and the one after that warm-starts.
     q0, goal = bundled_start_goal()
     config = MpcConfig(iterations_per_step=2)
-    world = bundled_cluttered_world()
-    invalid_prev = mpc_step(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D,
-                            config, checker=world)
-    invalid_prev.valid = False
-    result = mpc_step(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
-                      checker=world, prev_result=invalid_prev)
-    assert result.mode == "explore"
+    prev_plans, results = [], []
+
+    def first_invalid(problem, config, prev_plan=None):
+        prev_plans.append(prev_plan)
+        results.append(mpc_step(problem, config, prev_plan))
+        results[-1].valid = len(results) > 1
+        return results[-1]
+
+    run_closed_loop(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
+                    checker=bundled_cluttered_world(), max_steps=3, step=first_invalid)
+    assert results[0].solution is not None
+    assert [r.mode for r in results] == ["explore", "explore", "warmstart"]
+    assert prev_plans == [None, None, results[1].solution]
 
 
 def test_warm_start_zero_elapsed_preserves_cost():
@@ -267,9 +289,8 @@ def test_step_after_an_expired_plan_explores():
                                            np.zeros(2)), LIMITS_2D, PhaseGrid(20))
     config = MpcConfig(iterations_per_step=2)
     assert 0.0 < short.duration < config.dt_mpc
-    prev = mpc.MpcStepResult(short, None, True, "direct", 0, None, 0.0)
-    result = mpc_step(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
-                      checker=bundled_cluttered_world(), prev_result=prev)
+    result = mpc_step(step_problem(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
+                                   bundled_cluttered_world(), 0), config, short)
     assert result.mode == "explore" and result.iterations_run == 2
 
 
@@ -301,7 +322,9 @@ def test_explore_init_straight_line(monkeypatch):
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
     config = MpcConfig(iterations_per_step=1, pop_size=8)
     distance = float(np.linalg.norm([1.0, 1.0]))
-    first = mpc_step([0.0, 0.0], np.zeros(2), [1.0, 1.0], np.zeros(2), lim, config)
+    problem = step_problem([0.0, 0.0], np.zeros(2), [1.0, 1.0], np.zeros(2), lim, config,
+                           None, 0)
+    first = mpc_step(problem, config)
     assert first.mode == "explore" and first.valid
     (problem, mean, sigma, start), = inits
     assert mean is None and sigma is None and problem.n_via == config.n_max
@@ -310,8 +333,7 @@ def test_explore_init_straight_line(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(start, expected))
     assert start[0].shape == (8,)
     np.testing.assert_allclose(start[0].reshape(4, 2)[1], [0.4, 0.4], atol=1e-12)
-    second = mpc_step([0.0, 0.0], np.zeros(2), [1.0, 1.0], np.zeros(2), lim, config,
-                      prev_result=first)
+    second = mpc_step(problem, config, first.solution)
     assert second.mode == "warmstart"
     _, mean, sigma, _ = inits[1]
     expected, _ = warm_start(first.solution, config.dt_mpc, config.alpha, config.n_max)
@@ -390,11 +412,11 @@ def test_extract_short_horizon_holds_the_end_past_duration():
 def test_step_budget_wall_clock():
     q0, goal = bundled_start_goal()
     config = MpcConfig()  # wall-clock budget
-    result = mpc_step(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
-                      checker=bundled_cluttered_world())
-    assert result.iterations_run >= 1
-    per_gen = result.step_seconds / result.iterations_run
-    assert result.step_seconds <= config.dt_mpc + max(2 * per_gen, 0.05)
+    row, = run_closed_loop(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
+                           checker=bundled_cluttered_world(), max_steps=1).rows
+    assert row["mode"] == "explore" and row["iterations"] >= 1
+    per_gen = row["step_seconds"] / row["iterations"]
+    assert row["step_seconds"] <= config.dt_mpc + max(2 * per_gen, 0.05)
 
 
 def test_closed_loop_free_space():
@@ -512,7 +534,7 @@ def test_failed_greedy_step_holds_or_replays():
     prev_q, last_valid, since = np.array([0.1, 0.5]), None, 0
     for row, result in zip(log.rows, results):
         assert result.mode == "greedy" and result.report is None
-        assert result.iterations_run == 0 and result.step_seconds > 0.0
+        assert result.iterations_run == 0 and row["step_seconds"] > 0.0
         if result.valid:
             last_valid, since = result.solution, 0
         else:
@@ -544,7 +566,7 @@ def test_invalid_step_with_nothing_to_replay_runs_its_own_reference():
         result = mpc_step(*args, **kwargs)
         result.valid = False
         if len(results) % 2:
-            result.solution = result.report = result.short_horizon = None
+            result.solution = result.report = None
         results.append(result)
         return result
 
@@ -554,14 +576,62 @@ def test_invalid_step_with_nothing_to_replay_runs_its_own_reference():
     prev_q = np.array([0.1, 0.1])
     for row, result in zip(log.rows, results):
         assert not row["valid"]
-        if result.short_horizon is None:
+        if result.solution is None:
             np.testing.assert_array_equal(row["q"], prev_q)
             assert np.all(row["qd"] == 0.0)
         else:
-            np.testing.assert_array_equal(row["q"], result.short_horizon.q[-1])
-            np.testing.assert_array_equal(row["qd"], result.short_horizon.qd[-1])
+            own = extract_reference(result.solution, 0.0, config.dt_mpc, config.plant_dt)
+            np.testing.assert_array_equal(row["q"], own.q[-1])
+            np.testing.assert_array_equal(row["qd"], own.qd[-1])
             assert not np.array_equal(row["q"], prev_q)
         prev_q = row["q"]
+
+
+def test_loop_samples_one_reference_per_step_inside_its_time(monkeypatch):
+    # The loop extracts one reference per step that does not hold, from the
+    # plan it picked, and a row's step_seconds covers that extraction.  A
+    # replay step used to extract its own reference in the step and then the
+    # replay, and the replay's extraction went untimed.
+    config = MpcConfig(iterations_per_step=2, pop_size=8, seed=0)
+    calls, entries, results = [], [], []
+    sleep = 0.002
+    real_extract = mpc.extract_reference
+
+    def slow_extract(*args):
+        calls.append(args)
+        time.sleep(sleep)
+        return real_extract(*args)
+
+    def step(problem, *args):
+        # Step 0 is invalid with a plan (its own plan runs), step 1 invalid
+        # without one (a hold), step 2 valid, and every later step invalid
+        # with a plan, so the last valid plan is replayed.
+        entries.append(len(calls))
+        result = mpc_step(problem, *args)
+        result.valid = len(results) == 2
+        if len(results) == 1:
+            result.solution = result.report = None
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(mpc, "extract_reference", slow_extract)
+    log = run_closed_loop([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2), LIMITS_2D,
+                          config, max_steps=7, step=step)
+    assert len(results) == len(log.rows) == 7
+    per_row = np.diff(entries + [len(calls)])
+    assert list(per_row) == [1, 0, 1, 1, 1, 1, 1]
+    plan = results[2].solution
+    assert plan.duration > 5 * config.dt_mpc
+    for k, (row, n) in enumerate(zip(log.rows, per_row)):
+        if n:
+            assert row["step_seconds"] >= sleep
+            traj, t0 = calls[entries[k]][:2]
+            if k >= 2:
+                assert traj is plan and t0 == (k - 2) * config.dt_mpc
+            else:
+                assert traj is results[k].solution and t0 == 0.0
+        else:
+            assert np.all(row["qd"] == 0.0)
 
 
 def test_every_plant_horizon_spans_one_step():
@@ -581,15 +651,17 @@ def test_every_plant_horizon_spans_one_step():
     disturb_at = 16
     q0, qT, waypoint = np.array([0.1, 0.5]), np.array([0.9, 0.5]), np.array([0.3, 0.5])
 
-    def step(q, qd, _qT, qdT, *args, **kwargs):
+    def step(problem, *args):
         # Plans end at the waypoint, short of the goal, so the episode runs on.
-        result = mpc_step(q, qd, waypoint, qdT, *args, **kwargs)
+        bc = problem.bc
+        result = mpc_step(dataclasses.replace(problem, bc=BoundaryConditions(
+            bc.q0, bc.qd0, waypoint, bc.qdT)), *args)
         if results:
             # Invalid from here on: the first plan is replayed, then held;
-            # after the disturbance the step runs its own reference once.
+            # after the disturbance the step runs its own plan once.
             result.valid = False
             if len(results) != disturb_at:
-                result.solution = result.report = result.short_horizon = None
+                result.solution = result.report = None
         results.append(result)
         return result
 
@@ -606,7 +678,7 @@ def test_every_plant_horizon_spans_one_step():
     for row in log.rows[replays + 1:disturb_at]:
         np.testing.assert_array_equal(row["q"], log.rows[replays]["q"])
         assert np.all(row["qd"] == 0.0)
-    assert results[disturb_at].short_horizon is not None
+    assert results[disturb_at].solution is not None
 
 
 def test_lag_episode_reaches_the_goal(tmp_path):
