@@ -8,9 +8,10 @@ Each config section has one schema, a `*_KEYS` pair (key -> JSON kind,
 required keys), that `load_config` applies; a null keeps the key's default.
 
 Exit codes: 0 success, 1 experiment-level failure, 2 usage/config error.
-Identical config + seed reproduces byte-identical CSV; for the mpc command
-this requires the fixed `iterations_per_step` budget (wall-clock budgets make
-iteration counts machine-dependent, so step_ms is then written as 0).
+An identical config, seed included, reproduces byte-identical CSV; for the
+mpc command this requires the fixed `iterations_per_step` budget (wall-clock
+budgets make iteration counts machine-dependent, so step_ms is then written
+as 0).
 """
 
 from __future__ import annotations
@@ -197,9 +198,7 @@ def load_experiment(args, section: str, keys, world: bool = True):
         limits.check_dof(bc.dof)
     if checker is not None and bc.dof != 2:
         raise ConfigError("a world needs a 2-DoF problem")
-    seed = cfg[section].pop("seed", 0)
-    return (bc, limits, checker, weights, cfg[section],
-            seed if args.seed is None else args.seed)
+    return bc, limits, checker, weights, cfg[section], cfg[section].pop("seed", 0)
 
 
 def out_dir(value: str) -> Path:
@@ -284,7 +283,7 @@ def cmd_plan(args) -> int:
 
 
 MPC_KEYS = ({**dict.fromkeys(("dt_mpc", "t_stop", "alpha", "plant_dt", "goal_tol",
-                               "vel_tol", "lag_time_constant"), FLOAT),
+                               "vel_tol"), FLOAT),
              **dict.fromkeys(("n_max", "pop_size", "grid_k", "iterations_per_step",
                               "seed"), INT),
              "max_steps": COUNT,
@@ -316,15 +315,13 @@ def cmd_mpc(args) -> int:
     plant_kind = m.pop("plant", "exact")
     if plant_kind not in ("exact", "lag"):
         raise ConfigError(f"unknown key 'mpc.plant' value '{plant_kind}'")
-    if plant_kind == "exact" and "lag_time_constant" in m:
-        raise ConfigError("key 'mpc.lag_time_constant' needs mpc.plant \"lag\"")
-    lag = ({"time_constant": m.pop("lag_time_constant")}
-           if "lag_time_constant" in m else {})
+    if args.disturb is not None and len(args.disturb) > 1:
+        raise ConfigError("--disturb is given at most once")
     with config_values():
         config = MpcConfig(weights=weights, seed=seed, **m)
         disturbances = (None if args.disturb is None
-                        else parse_disturb(args.disturb, max_steps))
-        plant = LagPlant(bc.q0, bc.qd0, **lag) if plant_kind == "lag" else None
+                        else parse_disturb(args.disturb[0], max_steps))
+    plant = LagPlant(bc.q0, bc.qd0) if plant_kind == "lag" else None
     if any(dq.shape != bc.q0.shape for dq in (disturbances or {}).values()):
         raise ConfigError("--disturb dq needs one value per DoF")
 
@@ -420,12 +417,11 @@ def main(argv: list[str] | None = None) -> int:
                      ("ablate-chol", cmd_ablate_chol)):
         p = sub.add_parser(name)
         p.add_argument("config")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default=".")
         p.add_argument("--quiet", action="store_true")
         if name == "mpc":
             p.add_argument("--baseline", choices=["greedy"], default=None)
-            p.add_argument("--disturb", nargs="*", default=None)
+            p.add_argument("--disturb", nargs="*", action="append")
         p.set_defaults(fn=fn)
     try:
         args = parser.parse_args(argv)

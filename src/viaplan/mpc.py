@@ -191,7 +191,7 @@ class LagPlant(ExactPlant):
     def __init__(self, q, qd=None, time_constant: float = 0.05):
         super().__init__(q, qd)
         if not 0.0 < time_constant < np.inf:
-            raise ValueError("lag_time_constant must be finite and positive")
+            raise ValueError("time_constant must be finite and positive")
         self.time_constant = time_constant
 
     def advance(self, horizon: ShortHorizon) -> None:

@@ -97,19 +97,19 @@ def with_value(base, section, keys, value):
     ("mpc", "world", "rects", [[0.62, 0.34, 0.55, 0.66]], "lower corner"),
     ("plan", "optimizer", "seed", -3, "seed must be non-negative"),
     ("mpc", "mpc", "seed", -1, "seed must be non-negative"),
-    # The --seed flag overrides the config's seed of 0.
-    ("plan --seed -1", "optimizer", "seed", 0, "seed must be non-negative"),
+    ("ablate-nvia", "optimizer", "seed", -1, "seed must be non-negative"),
     ("plan", "costs", "push", 10, "costs.push"),
     ("plan", "costs", "invalid_penalty", -1, "invalid_penalty"),
     ("plan", "costs", "invalid_penalty", 0, "invalid_penalty"),
     ("mpc", "mpc", "goal_tol", 0, "goal_tol"),
+    # The lag plant runs at LagPlant's default time constant; the config has
+    # no key for it, whatever its value.
     ("mpc", "mpc", "lag_time_constant", -0.05, "lag_time_constant"),
     ("plan", "optimizer", "use_chol", False, "unknown key 'optimizer.use_chol'"),
     ("mpc", "mpc", "explore_sigma", 0.5, "unknown key 'mpc.explore_sigma'"),
     ("mpc", "mpc", "warmstart_sigma", 0.05, "unknown key 'mpc.warmstart_sigma'"),
-    # The exact plant, named or by default, has no time constant to set.
-    ("mpc", "mpc", "plant", "exact", "mpc.lag_time_constant"),
-    ("mpc", "mpc", "plant", None, "mpc.lag_time_constant"),
+    ("mpc", "mpc", "lag_time_constant", 0.05, "unknown key 'mpc.lag_time_constant'"),
+    ("ablate-chol", "optimizer", "seed", -1, "seed must be non-negative"),
     # The ES's initial spread is finite and positive, and every count is at
     # least 1; each is rejected before any run starts.
     ("plan", "optimizer", "init_sigma", 0, "optimizer.init_sigma"),
@@ -148,8 +148,7 @@ def with_value(base, section, keys, value):
                                   ("mpc", "qd_max", [0.5, float("inf")]),
                                   ("mpc", "qdd_max", [float("inf"), 2.0]))),
     # An infinite goal_tol or vel_tol would end the episode at step 0 with the
-    # goal "reached", and an infinite lag time constant would never move the
-    # plant.
+    # goal "reached"; a lag time constant is no key at all.
     ("mpc", "mpc", "goal_tol", float("inf"), "goal_tol"),
     ("mpc", "mpc", "vel_tol", float("inf"), "vel_tol"),
     ("mpc", "mpc", "lag_time_constant", float("inf"), "lag_time_constant"),
@@ -172,15 +171,14 @@ def with_value(base, section, keys, value):
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):
-    command, *flags = command.split()
-    # The mpc runs use the lag plant, whose time constant is checked too, and
-    # a custom world with one key that only a custom world takes.
+    # The mpc runs use the lag plant, and a custom world with one key that
+    # only a custom world takes.
     base = {"plan": PLAN_1D, "ablate-nvia": ABLATE_1D,
             "ablate-chol": ABLATE_1D}.get(command) or dict(
         MPC_FREE, world={"type": "custom", "robot_radius": 0.02},
-        mpc=dict(MPC_FREE["mpc"], plant="lag", lag_time_constant=0.05))
+        mpc=dict(MPC_FREE["mpc"], plant="lag"))
     cfg = with_value(base, section, key, value)
-    code = main([command, write_config(tmp_path / "c.json", cfg), *flags,
+    code = main([command, write_config(tmp_path / "c.json", cfg),
                  "--out-dir", str(tmp_path / "o"), "--quiet"])
     err = capsys.readouterr().err
     assert code == 2
@@ -363,6 +361,25 @@ def test_disturb_rejects_repeated_keys_and_negative_steps(tmp_path, capsys, toke
                  "--out-dir", str(tmp_path / "o"), "--quiet", "--disturb", *tokens])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: --disturb")
+
+
+def test_second_disturb_flag_exits_two(tmp_path, capsys):
+    # A second --disturb used to replace the first without a word.
+    code = main(["mpc", write_config(tmp_path / "c.json", MPC_FREE),
+                 "--out-dir", str(tmp_path / "o"), "--quiet",
+                 "--disturb", "step=5", "dq=(0.05,-0.1)",
+                 "--disturb", "step=10", "dq=(0.1,0)"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: --disturb")
+
+
+@pytest.mark.parametrize("command", ["plan", "mpc", "ablate-nvia", "ablate-chol"])
+def test_seed_comes_from_the_config_alone(tmp_path, capsys, command):
+    # The seed is optimizer.seed or mpc.seed; there is no flag to override it.
+    cfg = {"plan": PLAN_1D, "mpc": MPC_FREE}.get(command, ABLATE_1D)
+    assert main([command, write_config(tmp_path / "c.json", cfg),
+                 "--out-dir", str(tmp_path / "o"), "--quiet", "--seed", "3"]) == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["plan", "mpc", "ablate-nvia", "ablate-chol"])

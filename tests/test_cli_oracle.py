@@ -16,13 +16,15 @@ max_steps, by a dq whose entries are each finite, NaN or an infinity.
 Rare combinations are rows of a table, not draws: derandomized draws
 repeat near-identical configs and seldom reach them.  For each command,
 `test_every_edge_value_at_every_target` runs one valid base config with
-each edge value at each target.  It also runs that base config, with and
-without its position limits, with each boundary velocity of +-1e-160 or
-+-1e160, whose square underflows or overflows a float, in the last DoF of
-qd0 or of qdT, against the base limits and against all 16 (qd_max, qdd_max)
-pairs of the four values above (272 rows), and with a 1e160 boundary
-velocity inside a 1e300 qd_max; every number in these rows is finite and
-every limit positive, so none of them may exit 2.  For the same reason
+each edge value at each target.  It also runs that base config and its
+3-DoF twin in no world, each with and without its position limits, with
+each boundary velocity of +-1e-160 or +-1e160, whose square underflows or
+overflows a float, in the last DoF of qd0 or of qdT, against the base
+limits and against all 16 (qd_max, qdd_max) pairs of the four values above
+(544 rows; the 272 on the 2-DoF mpc base run once more with a finite
+`--disturb` at step 0), and with a 1e160 boundary velocity inside a 1e300
+qd_max; every number in these rows is finite and every limit positive, so
+none of them may exit 2.  For the same reason
 `test_custom_world_oracle` also runs plan and mpc in custom worlds drawn
 anew from one seed each, with no edge value.
 
@@ -83,7 +85,7 @@ TARGETS = {
     "ablate-chol": PROBLEM_TARGETS + COST_TARGETS + OPTIMIZER_TARGETS,
     "mpc": PROBLEM_TARGETS + COST_TARGETS + [
         ("mpc", key) for key in ("dt_mpc", "t_stop", "alpha", "goal_tol", "vel_tol",
-                                 "plant_dt", "lag_time_constant")],
+                                 "plant_dt")],
 }
 # The targets that also take EXTREMES.
 EXTREME_TARGETS = set(PROBLEM_TARGETS) | {("optimizer", "init_sigma"),
@@ -207,10 +209,9 @@ def configs(draw, command):
                       "goal_tol": draw(st.sampled_from([1e-3, 0.05])),
                       "seed": draw(st.integers(0, 3))}
         if draw(st.booleans()):
-            cfg["mpc"].update(plant="lag", lag_time_constant=0.05)
+            cfg["mpc"]["plant"] = "lag"
     target = draw(st.none() | st.sampled_from(TARGETS[command]))
-    if target is not None and not (target == ("mpc", "lag_time_constant")
-                                   and "plant" not in cfg["mpc"]):
+    if target is not None:
         corrupt(cfg, target, draw(st.sampled_from(values_at(target))))
     return cfg
 
@@ -420,8 +421,7 @@ BASE = {
                         "qdd_max": 2.0, "q_min": 0.0, "q_max": 1.0},
             "costs": {}, "world": {"type": "cluttered2d"},
             "mpc": {"n_max": 1, "pop_size": 4, "grid_k": 20,
-                    "iterations_per_step": 1, "max_steps": 3, "plant": "lag",
-                    "lag_time_constant": 0.05}},
+                    "iterations_per_step": 1, "max_steps": 3, "plant": "lag"}},
 }
 
 
@@ -431,6 +431,19 @@ OVERFLOWING_PROBLEM = {"q0": [0.0], "qT": [1.0], "qd0": [1e160], "qdT": [0.0],
                        "qd_max": 1e300, "qdd_max": 1.0}
 # The base limits, then every (qd_max, qdd_max) pair of EXTREMES.
 LIMIT_PAIRS = [{}] + [{"qd_max": v, "qdd_max": a} for v in EXTREMES for a in EXTREMES]
+# A finite disturbance at the first step, which every far row of the 2-DoF
+# mpc base also runs with.
+FIRST_STEP_DISTURBANCE = (0, [0.01, 0.0])
+
+
+def three_dof(cfg: dict) -> dict:
+    """cfg with q0 and qT repeated to three DoF, and no world."""
+    cfg = copy.deepcopy(cfg)
+    for key in ("q0", "qT"):
+        cfg["problem"][key] = (cfg["problem"][key] * 3)[:3]
+    if "world" in cfg:
+        cfg["world"] = {"type": "none"}
+    return cfg
 
 
 def edge_rows(command: str):
@@ -443,26 +456,33 @@ def edge_rows(command: str):
 
 
 def far_rows(command: str):
-    """BASE[command], with and without its position limits, with each far
-    boundary velocity in the last DoF of qd0 or qdT at each of LIMIT_PAIRS;
-    then BASE[command] with OVERFLOWING_PROBLEM in no world."""
-    bounded = BASE[command]
-    unbounded = copy.deepcopy(bounded)
-    del unbounded["problem"]["q_min"], unbounded["problem"]["q_max"]
-    for base in (bounded, unbounded):
+    """(cfg, disturb) rows: BASE[command] and its three_dof twin, each with
+    and without its position limits, with each far boundary velocity in the
+    last DoF of qd0 or qdT at each of LIMIT_PAIRS, undisturbed, and for mpc
+    the rows of BASE["mpc"] also with FIRST_STEP_DISTURBANCE; then
+    BASE[command] with OVERFLOWING_PROBLEM in no world."""
+    bases = []
+    for bounded in (BASE[command], three_dof(BASE[command])):
+        unbounded = copy.deepcopy(bounded)
+        del unbounded["problem"]["q_min"], unbounded["problem"]["q_max"]
+        bases += [bounded, unbounded]
+    for base in bases:
         dof = len(base["problem"]["q0"])
+        disturbs = ((None, FIRST_STEP_DISTURBANCE) if command == "mpc" and dof == 2
+                    else (None,))
         for key in ("qd0", "qdT"):
             for velocity in FAR_VELOCITIES:
                 for limits in LIMIT_PAIRS:
                     cfg = copy.deepcopy(base)
                     cfg["problem"][key] = [0.0] * (dof - 1) + [velocity]
                     cfg["problem"].update(limits)
-                    yield cfg
-    cfg = copy.deepcopy(bounded)
+                    for disturb in disturbs:
+                        yield cfg, disturb
+    cfg = copy.deepcopy(BASE[command])
     cfg["problem"] = dict(OVERFLOWING_PROBLEM)
     if "world" in cfg:
         cfg["world"] = {"type": "none"}
-    yield cfg
+    yield cfg, None
 
 
 @pytest.mark.parametrize("command", sorted(BASE))
@@ -471,5 +491,5 @@ def test_every_edge_value_at_every_target(command):
         check_run(command, cfg)
     # Every entry of a far row is finite and every limit positive, so each
     # one must reach the planner rather than fail as a config error.
-    for cfg in far_rows(command):
-        assert check_run(command, cfg) != 2, json.dumps(cfg)
+    for cfg, disturb in far_rows(command):
+        assert check_run(command, cfg, disturb) != 2, (json.dumps(cfg), disturb)
