@@ -15,11 +15,11 @@ mean and the step's best-ever candidate.  `optimize` raises nothing where
 duration meets the limits.  The greedy baseline is another step function: it
 scores each endpoint alone as a no-via-point plan with `score_direct`.
 `run_closed_loop` executes: it builds and times each step, picks the plan the
-plant runs and samples one dt_mpc of it at the plant rate
-(`extract_reference`, through `Trajectory.at_time`, which holds a plan's end
-state past its end); MpcConfig caps that sampling at MAX_REFERENCE_SAMPLES
-per step.  Every reference that the closed loop hands its plant spans one
-whole dt_mpc.
+plant runs, which is the degenerate `rest_plan` at the plant's position when
+it holds, and samples one dt_mpc of it at the plant rate (`extract_reference`,
+through `Trajectory.at_time`, which holds a plan's end state past its end);
+MpcConfig caps that sampling at MAX_REFERENCE_SAMPLES per step.  Every
+reference that the closed loop hands its plant spans one whole dt_mpc.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .costs import CostReport, CostWeights
 from .planner import PlanningProblem, make_es, optimize, score_direct
-from .spline import BoundaryConditions, via_timings
+from .spline import BoundaryConditions, build_basis, via_timings
 from .timing import KinodynamicLimits, PhaseGrid, Trajectory
 
 GREEDY_HORIZON = 0.15   # greedy baseline: reach of one step's endpoint
@@ -117,16 +117,20 @@ def warm_start(prev_solution: Trajectory, elapsed: float, alpha: float,
 
 def extract_reference(traj: Trajectory, t0: float, duration: float,
                       plant_dt: float) -> ShortHorizon:
-    """Reference positions and velocities from traj over [t0, t0 + duration],
-    one sample every plant_dt and one at the window's end, each
-    traj.at_time of its time: past T a sample holds traj's end state.  The
+    """Reference positions and velocities from traj over [t0, t0 + duration]:
+    one sample at each k plant_dt below duration, then one at duration, each
+    traj.at_time of its time, so past T a sample holds traj's end state.  The
     times are relative to t0, so the last one is duration."""
-    n_whole = int(np.floor(duration / plant_dt + 1e-12))
-    times = plant_dt * np.arange(n_whole + 1)
-    if times[-1] < duration - 1e-12:
-        times = np.append(times, duration)
+    times = plant_dt * np.arange(int(np.ceil(duration / plant_dt)) + 1)
+    times = np.append(times[times < duration], duration)
     return ShortHorizon(times=times, q=traj.at_time(t0 + times, 0),
                         qd=traj.at_time(t0 + times, 1))
+
+
+def rest_plan(q) -> Trajectory:
+    """The degenerate plan that rests at q with zero velocity."""
+    rest = BoundaryConditions(q, np.zeros_like(q), q, np.zeros_like(q))
+    return Trajectory(build_basis(0, rest.dof), np.zeros((0, rest.dof)), rest, 0.0)
 
 
 def step_problem(q, qd, qT, qdT, limits: KinodynamicLimits, config: MpcConfig,
@@ -230,10 +234,11 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
     window per step from one step on, and holds with zero velocity once that
     plan has run out.  When there is no valid plan to replay (no valid step
     yet, or none since a disturbance), the plant runs the invalid step's own
-    plan, and holds only when the step has no solution at all.  The loop
-    samples the chosen plan once per step, and a row's step_seconds spans
-    building the problem, the step and that sampling (or the hold); every
-    reference and hold spans dt_mpc.
+    plan, and holds only when the step has no solution at all.  A hold is a
+    plan too, the `rest_plan` at the plant's position.  The loop samples the
+    chosen plan once per step with `extract_reference`, so every reference
+    spans dt_mpc, and a row's step_seconds spans building the problem, the
+    step and that sampling.
     """
     step = step or mpc_step   # looked up per call, so a patched mpc_step runs
     qT = np.asarray(qT, dtype=float)
@@ -262,21 +267,12 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
         result = step(problem, config, prev_plan)
         if result.valid:
             fallback = (result.solution, 0.0)
-            plan, offset = fallback
         elif fallback is not None:
             fallback = (fallback[0], fallback[1] + config.dt_mpc)
-            plan, offset = fallback
-            if offset >= plan.duration:
-                plan = None   # the last valid plan has run out
-        else:
-            plan, offset = result.solution, 0.0
-        if plan is None:
-            # Hold position with zero velocity.
-            horizon = ShortHorizon(times=np.array([0.0, config.dt_mpc]),
-                                   q=np.stack([plant.q, plant.q]),
-                                   qd=np.zeros((2, plant.q.shape[0])))
-        else:
-            horizon = extract_reference(plan, offset, config.dt_mpc, config.plant_dt)
+        plan, offset = fallback or (result.solution, 0.0)
+        if plan is None or offset >= plan.duration:
+            plan, offset = rest_plan(plant.q), 0.0   # hold at zero velocity
+        horizon = extract_reference(plan, offset, config.dt_mpc, config.plant_dt)
         step_seconds = time.monotonic() - t_start
         plant.advance(horizon)
         cost = result.report.total if result.report else float("nan")

@@ -22,9 +22,10 @@ duration 0.0 exactly, whatever the rounding of a and c; via-points with a
 non-finite entry have no duration.  The no-via-point plan between two
 states is `synthesize` over the boundary half of `build_basis(0, D)` with
 None for its via-points, as `planner.score_direct` builds it.  A `Trajectory`
-evaluates at phases (`evaluate`, as `sample_grid` does) and at one time or
-an array of times (`at_time`, each time as if alone); a zero duration is
-degenerate and rests at q0, and one whose T^2 overflows divides by inf.
+has one evaluator, `evaluate`, which takes each phase as if alone;
+`sample_grid` calls it on the phase grid and `at_time` at the clamped phase
+of a time.  A zero duration is degenerate and rests at q0, and one whose T^2
+overflows divides by inf.
 """
 
 from __future__ import annotations
@@ -137,27 +138,22 @@ class Trajectory:
         """q, q-dot or q-ddot at phase s, one row per phase of an array s.
 
         Order 1 and 2 return time-domain derivatives, i.e. the phase
-        derivatives divided by T and T^2 respectively.
+        derivatives divided by T and T^2 respectively.  Each row is its own
+        (1, N+4) @ (N+4, D) product, as for that phase alone; one (S, N+4)
+        product would round differently.
         """
         if self.degenerate:
             rest = self.bc.q0 if order == 0 else np.zeros(self.bc.dof)
             return rest.copy() if np.ndim(s) == 0 else np.tile(rest, (np.size(s), 1))
         u = self.basis.pack(self.q_via, self.bc, self.duration)
-        values = (self.basis.eval_matrix(s, order) @ u
-                  / power_or_inf(self.duration, order))
-        return values[0] if np.ndim(s) == 0 else values
-
-    def at_time(self, t, order: int = 0) -> np.ndarray:
-        """Evaluate at absolute time t in [0, T] (clamped), one row per time
-        of an array t.  Each row is its own (1, N+4) @ (N+4, D) product, as
-        for that time alone; one (S, N+4) product would round differently."""
-        if self.degenerate:
-            return self.evaluate(np.zeros(np.shape(t)), order)
-        s = np.clip(np.divide(t, self.duration), 0.0, 1.0)
-        u = self.basis.pack(self.q_via, self.bc, self.duration)
         rows = np.matmul(self.basis.eval_matrix(s, order)[:, None, :], u)[:, 0]
         rows /= power_or_inf(self.duration, order)
-        return rows[0] if np.ndim(t) == 0 else rows
+        return rows[0] if np.ndim(s) == 0 else rows
+
+    def at_time(self, t, order: int = 0) -> np.ndarray:
+        """`evaluate` at the phase t/T of absolute time t, clamped to [0, 1],
+        one row per time of an array t; T is 1 for a degenerate trajectory."""
+        return self.evaluate(np.clip(np.divide(t, self.duration or 1.0), 0.0, 1.0), order)
 
     def sample_grid(self, grid: PhaseGrid):
         """(positions, velocities, accelerations) on the phase grid."""

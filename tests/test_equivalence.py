@@ -256,7 +256,9 @@ def ref_at_time(traj, t, order=0):
 
 
 def ref_times(duration, plant_dt):
-    """The window's times relative to its start: every plant_dt, then its end."""
+    """The window's times relative to its start: every plant_dt, then its end,
+    by the old rule with 1e-12 s tolerances, which gives extract_reference's
+    times on every window this file draws."""
     n_whole = int(np.floor(duration / plant_dt + 1e-12))
     times = plant_dt * np.arange(n_whole + 1)
     return np.append(times, duration) if times[-1] < duration - 1e-12 else times
@@ -709,12 +711,26 @@ def test_at_time_rows_match_single_times(params):
     # Times inside [0, T], on its ends and outside it, where they clamp.
     times = np.concatenate([[-0.5, 0.0], rng.uniform(0.0, 1.0, 7) * traj.duration,
                             [traj.duration, traj.duration + 1.0]])
+    phases = np.clip(times / (traj.duration or 1.0), 0.0, 1.0)
     for order in range(3):
         rows = traj.at_time(times, order)
         assert rows.shape == (times.size, traj.bc.dof)
+        assert rows.tobytes() == traj.evaluate(phases, order).tobytes(), order
         for t, row in zip(times, rows):
             assert row.tobytes() == traj.at_time(t, order).tobytes(), (t, order)
             assert row.tobytes() == ref_at_time(traj, t, order).tobytes(), (t, order)
+
+
+@SETTINGS
+@given(problems, st.integers(2, 40))
+def test_sample_grid_rows_match_single_phases(params, k):
+    # Each grid row is evaluate of its phase alone, for q, qd and qdd.
+    _, traj = random_trajectory(params)
+    grid = PhaseGrid(k)
+    for order, rows in enumerate(traj.sample_grid(grid)):
+        assert rows.shape == (grid.n_points, traj.bc.dof)
+        for s, row in zip(grid.points, rows):
+            assert row.tobytes() == traj.evaluate(s, order).tobytes(), (s, order)
 
 
 @SETTINGS

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import viaplan.mpc as mpc
 import viaplan.planner as planner
@@ -340,6 +341,23 @@ def test_explore_init_straight_line(monkeypatch):
     assert sigma == 0.05 * distance and np.array_equal(mean, expected)
 
 
+def test_warm_start_on_the_goal_samples_at_a_twentieth(monkeypatch):
+    # At q == qT the warm start samples at 0.05, a twentieth of the 1.0 that
+    # stands in for the zero distance left.  Here the direct plan, which has
+    # to turn the start velocity around, fails the t_stop gate.
+    inits = record_es_inits(monkeypatch)
+    lim = KinodynamicLimits.symmetric(0.5, 2.0, 2)
+    config = MpcConfig(iterations_per_step=1, pop_size=8, t_stop=1e-3)
+    prev = direct_plan(BoundaryConditions([0.2, 0.2], np.zeros(2), [0.8, 0.8],
+                                          np.zeros(2)), lim, PhaseGrid(20))
+    assert prev.duration > config.dt_mpc
+    problem = step_problem([0.5, 0.5], [0.1, 0.0], [0.5, 0.5], np.zeros(2), lim,
+                           config, None, 0)
+    assert mpc_step(problem, config, prev).mode == "warmstart"
+    (_, _, sigma, _), = inits
+    assert sigma == 0.05
+
+
 def test_explore_variance_exceeds_warmstart():
     # The first explore population spreads at least (ratio)^2 wider in trace.
     from viaplan.optimizer import EvolutionStrategy
@@ -357,12 +375,27 @@ def test_extract_short_horizon_sampling():
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     traj = direct_plan(bc, lim, PhaseGrid(50))
     horizon = extract_reference(traj, 0.0, 0.08, plant_dt=1e-3)
-    assert horizon.times.shape[0] == 81
-    np.testing.assert_allclose(horizon.times[-1], 0.08)
+    assert horizon.times.tobytes() == (1e-3 * np.arange(81)).tobytes()
     np.testing.assert_allclose(horizon.q[0], [0.0], atol=1e-12)
+    # Samples at k plant_dt while that is below the window, then the window's
+    # end itself.  A 0.3 s window at 0.1 s used to end at 3 * 0.1 =
+    # 0.30000000000000004, which an absolute 1e-12 s epsilon took for 0.3.
+    times = extract_reference(traj, 0.0, 0.3, 0.1).times
+    assert times.tolist() == [0.0, 0.1, 0.2, 0.3]
     # A plant step longer than the MPC step is a config error.
     with pytest.raises(ValueError):
         MpcConfig(dt_mpc=0.01, plant_dt=0.02)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.floats(1e-9, 1e3), st.floats(1e-4, 1.0))
+def test_reference_window_rule(duration, fraction):
+    plant_dt = duration * fraction
+    times = extract_reference(mpc.rest_plan(np.zeros(1)), 0.0, duration, plant_dt).times
+    n = times.size - 1
+    assert times[-1] == duration
+    assert times[:-1].tobytes() == (plant_dt * np.arange(n)).tobytes()
+    assert (times[:-1] < duration).all() and n * plant_dt >= duration
 
 
 def test_extract_reference_samples_equal_at_time():
@@ -455,6 +488,16 @@ def test_closed_loop_rejects_bad_disturbances_before_any_step(k, dq):
                         MpcConfig(), max_steps=3, disturbances={k: np.array(dq)},
                         step=recording_step)
     assert steps == []
+
+
+def test_a_plant_exactly_goal_tol_from_the_goal_runs_a_step():
+    # The goal test is strict: a plant at rest exactly goal_tol = 2**-10 from
+    # the goal (a distance with no rounding) is not there yet.
+    config = MpcConfig(iterations_per_step=1, pop_size=4, goal_tol=2.0**-10)
+    goal = np.array([0.5, 0.5])
+    log = run_closed_loop(goal + [2.0**-10, 0.0], np.zeros(2), goal, np.zeros(2),
+                          LIMITS_2D, config, max_steps=1)
+    assert log.steps == 1
 
 
 def test_closed_loop_defaults():
@@ -588,19 +631,25 @@ def test_invalid_step_with_nothing_to_replay_runs_its_own_reference():
 
 
 def test_loop_samples_one_reference_per_step_inside_its_time(monkeypatch):
-    # The loop extracts one reference per step that does not hold, from the
-    # plan it picked, and a row's step_seconds covers that extraction.  A
+    # The loop extracts one reference per step, from the plan it picked, and
+    # a row's step_seconds covers that extraction.  A hold is a plan too, the
+    # degenerate one at the plant's position, and is sampled the same way.  A
     # replay step used to extract its own reference in the step and then the
-    # replay, and the replay's extraction went untimed.
+    # replay, and the replay's extraction went untimed; a hold used to build
+    # its two-sample reference by hand.
     config = MpcConfig(iterations_per_step=2, pop_size=8, seed=0)
-    calls, entries, results = [], [], []
+    calls, entries, results, built = [], [], [], []
     sleep = 0.002
-    real_extract = mpc.extract_reference
+    real_extract, real_horizon = mpc.extract_reference, mpc.ShortHorizon
 
     def slow_extract(*args):
         calls.append(args)
         time.sleep(sleep)
         return real_extract(*args)
+
+    def counted_horizon(**fields):
+        built.append(fields)
+        return real_horizon(**fields)
 
     def step(problem, *args):
         # Step 0 is invalid with a plan (its own plan runs), step 1 invalid
@@ -615,23 +664,27 @@ def test_loop_samples_one_reference_per_step_inside_its_time(monkeypatch):
         return result
 
     monkeypatch.setattr(mpc, "extract_reference", slow_extract)
+    monkeypatch.setattr(mpc, "ShortHorizon", counted_horizon)
     log = run_closed_loop([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2), LIMITS_2D,
                           config, max_steps=7, step=step)
     assert len(results) == len(log.rows) == 7
-    per_row = np.diff(entries + [len(calls)])
-    assert list(per_row) == [1, 0, 1, 1, 1, 1, 1]
+    assert list(np.diff(entries + [len(calls)])) == [1] * 7
+    assert len(built) == len(calls)   # every reference is extract_reference's
     plan = results[2].solution
     assert plan.duration > 5 * config.dt_mpc
-    for k, (row, n) in enumerate(zip(log.rows, per_row)):
-        if n:
-            assert row["step_seconds"] >= sleep
-            traj, t0 = calls[entries[k]][:2]
-            if k >= 2:
-                assert traj is plan and t0 == (k - 2) * config.dt_mpc
-            else:
-                assert traj is results[k].solution and t0 == 0.0
+    for k, row in enumerate(log.rows):
+        assert row["step_seconds"] >= sleep
+        traj, t0, duration, plant_dt = calls[entries[k]]
+        assert (duration, plant_dt) == (config.dt_mpc, config.plant_dt)
+        if k >= 2:
+            assert traj is plan and t0 == (k - 2) * config.dt_mpc
+        elif k == 1:
+            assert traj.degenerate and t0 == 0.0
+            assert np.array_equal(traj.bc.q0, log.rows[0]["q"])
+            assert np.array_equal(row["q"], log.rows[0]["q"])
+            assert np.all(row["qd"] == 0.0) and not np.signbit(row["qd"]).any()
         else:
-            assert np.all(row["qd"] == 0.0)
+            assert traj is results[k].solution and t0 == 0.0
 
 
 def test_every_plant_horizon_spans_one_step():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viaplan.mpc import extract_reference
-from viaplan.spline import BoundaryConditions, build_basis
+from viaplan.spline import BoundaryConditions, SplineBasis, build_basis
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
                             PhaseGrid, Trajectory, boundary_half, min_duration,
                             synthesize)
@@ -292,7 +292,7 @@ def test_a_duration_whose_square_overflows_evaluates():
     # qd_max = 1e-300 synthesizes T of about 8e299 s, and T**2 of a duration
     # of 1e200 already overflows a float: evaluate and at_time divide by inf
     # there, so accelerations come out zero, and positions and velocities
-    # stay those of the spline.
+    # stay those of the spline, each grid row the product of its phase alone.
     bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
     basis = build_basis(2, 2)
     q_via = np.array([[0.3, 0.6], [0.6, 0.4]])
@@ -300,8 +300,9 @@ def test_a_duration_whose_square_overflows_evaluates():
     grid = PhaseGrid(10)
     q, qd, qdd = traj.sample_grid(grid)
     u = basis.pack(q_via, bc, 1e200)
-    np.testing.assert_array_equal(q, basis.eval_matrix(grid.points, 0) @ u)
-    np.testing.assert_array_equal(qd, basis.eval_matrix(grid.points, 1) @ u / 1e200)
+    for s, q_row, qd_row in zip(grid.points, q, qd):
+        np.testing.assert_array_equal(q_row, (basis.eval_matrix(s, 0) @ u)[0])
+        np.testing.assert_array_equal(qd_row, (basis.eval_matrix(s, 1) @ u)[0] / 1e200)
     assert (qdd == 0.0).all()
     for order, values in enumerate((q, qd, qdd)):
         at = traj.at_time(grid.points * 1e200, order)
@@ -388,6 +389,42 @@ def test_a_duration_whose_reciprocal_overflows_is_infeasible():
             synthesize(boundary, EXTREME_VIA)
     assert 1e299 < duration_of(basis, EXTREME_VIA, EXTREME_BC,
                                KinodynamicLimits.symmetric(1e-300, 2.0, 2), grid) < np.inf
+
+
+@pytest.mark.parametrize("c", [1e-300, -1e-300])
+def test_an_acceleration_root_that_underflows_to_minus_zero_sets_no_bound(c):
+    # With qdd_max 1e-300 and b = d = 0, c (4r) underflows to a signed zero,
+    # so both roots qv/c come out -0.0.  A root <= 0 is no bound, so only the
+    # velocity lane (qd_max - b)/a = 1/0.5 bounds the duration; a -0.0 root
+    # taken for a bound would make the move infeasible.
+    limits = KinodynamicLimits.symmetric(1.0, 1e-300, 1)
+    assert min_duration_at_point(0.5, 0.0, c, 0.0, limits) == 0.5
+
+
+def test_at_time_is_evaluate_at_the_clamped_phase(monkeypatch):
+    # at_time has no product of its own: it hands evaluate the phase t/T,
+    # clamped to [0, 1], with T = 1 for a degenerate trajectory, and returns
+    # what evaluate returns.
+    calls = []
+
+    def recording_evaluate(self, s, order=0):
+        calls.append((np.array(s), order))
+        return calls[-1]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("at_time packs or builds rows itself")
+
+    monkeypatch.setattr(Trajectory, "evaluate", recording_evaluate)
+    monkeypatch.setattr(SplineBasis, "pack", forbidden)
+    monkeypatch.setattr(SplineBasis, "eval_matrix", forbidden)
+    bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
+    traj = Trajectory(build_basis(1, 1), [[0.5]], bc, 4.0)
+    rest = Trajectory(build_basis(1, 1), [[0.5]], bc, 0.0)
+    for plan, t, order, phases in ((traj, [-1.0, 1.0, 5.0], 2, [0.0, 0.25, 1.0]),
+                                   (traj, 3.0, 1, 0.75),
+                                   (rest, [-1.0, 0.5, 3.0], 0, [0.0, 0.5, 1.0])):
+        assert plan.at_time(np.array(t), order) is calls[-1]
+        assert calls[-1][0].tolist() == phases and calls[-1][1] == order
 
 
 @pytest.mark.parametrize("duration", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
