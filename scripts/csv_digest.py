@@ -22,7 +22,9 @@ is listed in `scripts/digest_changes.json` as {name: {"from": base digest,
 "to": new digest}}, with null for the tree that prints no such line; it is
 printed as accepted and does not fail the comparison.  An entry whose
 `from` is not the base's digest matches nothing, so once the change is in
-the base the list has no effect.  With --against, each tree's lines also
+the base the list has no effect; each listed entry that matched no
+differing line is printed as `unused: …`, which does not change the exit
+code, so that stale entries show.  With --against, each tree's lines also
 hold the exit code and `digest` lines of
 
     python3 viabench/run.py --workload <w> --seed 1 --seconds 1 --trace 1
@@ -30,8 +32,10 @@ hold the exit code and `digest` lines of
 for every workload, run from the checkout that holds that tree's src.
 
 The short configs are the bundled ones in `configs/` with fewer runs,
-iterations and steps; the whole set takes about ten seconds on two cores,
-and the viabench runs about twenty seconds per tree.
+iterations and steps, and a run is its command and config alone: the
+disturbed closed loop sets `mpc.disturb`, and the greedy baseline is the
+`greedy` command.  The whole set takes about ten seconds on two cores, and
+the viabench runs about twenty seconds per tree.
 """
 
 import argparse
@@ -45,33 +49,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (name, command, bundled config, section overrides, extra CLI arguments)
+# (name, command, bundled config, section overrides)
 RUNS = (
     ("plan_1d", "plan", "timeopt1d.json",
-     {"optimizer": {"runs": 2, "max_iterations": 80}}, []),
+     {"optimizer": {"runs": 2, "max_iterations": 80}}),
     ("plan_2d", "plan", "cluttered2d.json",
-     {"optimizer": {"runs": 2, "max_iterations": 40, "pop_size": 16}}, []),
+     {"optimizer": {"runs": 2, "max_iterations": 40, "pop_size": 16}}),
     ("plan_custom", "plan", "cluttered2d.json",
      {"optimizer": {"runs": 2, "max_iterations": 40, "pop_size": 16},
       "world": {"type": "custom", "disks": [[0.5, 0.5, 0.15]],
-                "rects": [[0.25, 0.65, 0.35, 0.95]], "robot_radius": 0.02}}, []),
+                "rects": [[0.25, 0.65, 0.35, 0.95]], "robot_radius": 0.02}}),
     ("mpc", "mpc", "mpc2d.json",
-     {"mpc": {"iterations_per_step": 4, "pop_size": 16, "max_steps": 60}}, []),
+     {"mpc": {"iterations_per_step": 4, "pop_size": 16, "max_steps": 60}}),
     ("mpc_disturb", "mpc", "mpc2d.json",
-     {"mpc": {"iterations_per_step": 4, "pop_size": 16, "max_steps": 60}},
-     ["--disturb", "step=5", "dq=(0.05,0)"]),
+     {"mpc": {"iterations_per_step": 4, "pop_size": 16, "max_steps": 60,
+              "disturb": {"step": 5, "dq": [0.05, 0]}}}),
     ("mpc_lag", "mpc", "mpc2d.json",
      {"mpc": {"iterations_per_step": 4, "pop_size": 16, "max_steps": 60,
-              "plant": "lag"}}, []),
-    ("mpc_greedy", "mpc", "mpc2d.json", {"mpc": {"max_steps": 40}},
-     ["--baseline", "greedy"]),
+              "plant": "lag"}}),
+    ("mpc_greedy", "greedy", "mpc2d.json", {"mpc": {"max_steps": 40}}),
     # Few iterations: its invalid steps run their own plan as well as replay one.
     ("mpc_sparse", "mpc", "mpc2d.json",
-     {"mpc": {"iterations_per_step": 1, "pop_size": 4, "seed": 1, "max_steps": 60}}, []),
+     {"mpc": {"iterations_per_step": 1, "pop_size": 4, "seed": 1, "max_steps": 60}}),
     ("ablate_nvia", "ablate-nvia", "ablate_nvia.json",
-     {"optimizer": {"n_list": [1, 2, 4], "seeds": 2, "max_iterations": 80}}, []),
+     {"optimizer": {"n_list": [1, 2, 4], "seeds": 2, "max_iterations": 80}}),
     ("ablate_chol", "ablate-chol", "ablate_chol.json",
-     {"optimizer": {"seeds": 2, "max_iterations": 30}}, []),
+     {"optimizer": {"seeds": 2, "max_iterations": 30}}),
 )
 
 
@@ -86,6 +89,7 @@ WORKLOADS = ("offline_2d", "timeopt_1d", "mpc_2d")
 SCHEMAS = {
     "plan": ("PROBLEM_KEYS", "PLAN_OPT_KEYS", "COSTS_KEYS", "WORLD_KEYS"),
     "mpc": ("PROBLEM_KEYS", "MPC_KEYS", "COSTS_KEYS", "WORLD_KEYS"),
+    "greedy": ("PROBLEM_KEYS", "MPC_KEYS", "COSTS_KEYS", "WORLD_KEYS"),
     "ablate-nvia": ("PROBLEM_KEYS", "NVIA_OPT_KEYS", "COSTS_KEYS"),
     "ablate-chol": ("PROBLEM_KEYS", "CHOL_OPT_KEYS", "COSTS_KEYS", "WORLD_KEYS"),
 }
@@ -178,8 +182,10 @@ def compare(src: str, other: str) -> int:
     (my_keys, *mine), (their_keys, *theirs) = (digests(tree) + bench_digests(tree)
                                                for tree in (src, other))
     print("\n".join(mine))
-    listed, differ = differences(mine, theirs, json.loads(CHANGES.read_text()))
-    for verdict, entries in (("accepted", listed), ("differs", differ)):
+    changes = json.loads(CHANGES.read_text())
+    listed, differ = differences(mine, theirs, changes)
+    unused = {name: entry for name, entry in changes.items() if name not in listed}
+    for verdict, entries in (("accepted", listed), ("differs", differ), ("unused", unused)):
         for name, entry in entries.items():
             print(f"{verdict}: {json.dumps({name: entry})[1:-1]}")
     lines, their_lines = module_lines(src), module_lines(other)
@@ -212,13 +218,13 @@ def main() -> int:
         f"{command} {sum(len(getattr(cli, name)[0]) for name in names)}"
         for command, names in SCHEMAS.items()))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, command, config, overrides, extra in RUNS:
+        for name, command, config, overrides in RUNS:
             run_dir = Path(tmp) / name
             run_dir.mkdir()
             cfg_path = run_dir / "config.json"
             cfg_path.write_text(json.dumps(short_config(config, overrides)))
             code = cli.main([command, str(cfg_path), "--out-dir",
-                             str(run_dir / "out"), "--quiet", *extra])
+                             str(run_dir / "out"), "--quiet"])
             print(f"{name} exit={code}")
             for csv in sorted((run_dir / "out").glob("*.csv")):
                 digest = hashlib.sha256(csv.read_bytes()).hexdigest()

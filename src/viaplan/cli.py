@@ -1,17 +1,18 @@
-"""Command-line harness: offline planning, closed-loop MPC, and the two
-ablation studies (via-point count, covariance factorization), all driven by a
-JSON config and emitting CSV artifacts.  The three offline commands are
-sweeps of one solve loop, `offline_runs`: it builds one PlanningProblem per
-(setup, seed) and solves it, and each command turns what it yields into rows.
+"""Command-line harness: offline planning, closed-loop MPC and its greedy
+baseline, and the two ablation studies (via-point count, covariance
+factorization).  A command and its JSON config name the whole experiment,
+which writes CSV artifacts.  The three offline commands are sweeps of one
+solve loop, `offline_runs`: it builds one PlanningProblem per (setup, seed)
+and solves it, and each command turns what it yields into rows.
 
 Each config section has one schema, a `*_KEYS` pair (key -> JSON kind,
 required keys), that `load_config` applies; a null keeps the key's default.
 
 Exit codes: 0 success, 1 experiment-level failure, 2 usage/config error.
-An identical config, seed included, reproduces byte-identical CSV; for the
-mpc command this requires the fixed `iterations_per_step` budget (wall-clock
-budgets make iteration counts machine-dependent, so step_ms is then written
-as 0).
+An identical config, seed and disturbance included, reproduces
+byte-identical CSV; for mpc and greedy this requires the fixed
+`iterations_per_step` budget (wall-clock budgets make iteration counts
+machine-dependent, so step_ms is then written as 0).
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ INT, FLOAT, STR = "an integer", "a number", "a string"
 COUNT, POSITIVE = "a positive integer", "a finite positive number"
 VECTOR, COUNTS = "a number or a list of numbers", "a non-empty list of positive integers"
 DISKS = "a list of [x, y, radius] disks"
+DISTURB = 'an object {"step": <int>, "dq": [<number per DoF>]}'
 RECTS = "a list of [x_lo, y_lo, x_hi, y_hi] rectangles"
 ACCEPTS = {
     INT: lambda value: isinstance(value, int) and not isinstance(value, bool),
@@ -90,6 +92,9 @@ ACCEPTS = {
         map(ACCEPTS[COUNT], value)),
     DISKS: _rows(3),
     RECTS: _rows(4),
+    DISTURB: lambda value: isinstance(value, dict) and value.keys() == {"step", "dq"} and (
+        ACCEPTS[INT](value["step"]) and isinstance(value["dq"], list)
+        and all(map(_number, value["dq"]))),
 }
 
 
@@ -279,7 +284,7 @@ def cmd_plan(args) -> int:
     return 0
 
 
-# -- mpc -------------------------------------------------------------------
+# -- mpc and greedy --------------------------------------------------------
 
 
 MPC_KEYS = ({**dict.fromkeys(("dt_mpc", "t_stop", "alpha", "plant_dt", "goal_tol",
@@ -287,45 +292,32 @@ MPC_KEYS = ({**dict.fromkeys(("dt_mpc", "t_stop", "alpha", "plant_dt", "goal_tol
              **dict.fromkeys(("n_max", "pop_size", "grid_k", "iterations_per_step",
                               "seed"), INT),
              "max_steps": COUNT,
-             "plant": STR}, set())
+             "plant": STR,
+             "disturb": DISTURB}, set())
 
 
-def parse_disturb(tokens: list[str], max_steps: int) -> dict:
-    """Parse `step=40 dq=(0.3,0)` style tokens into {step: dq}: one
-    disturbance, at a step in range(max_steps), by a finite dq."""
-    given = {}
-    for tok in tokens:
-        key, _, val = tok.partition("=")
-        if key not in ("step", "dq") or key in given:
-            raise ConfigError(f"--disturb takes step= and dq= once each, not '{tok}'")
-        given[key] = val
-    if given.keys() != {"step", "dq"} or int(given["step"]) not in range(max_steps):
-        raise ConfigError(f"--disturb needs step=<int in [0, {max_steps})> and dq=(..)")
-    dq = np.asarray([float(v) for v in given["dq"].strip("()").split(",")])
-    if not np.isfinite(dq).all():
-        raise ConfigError("--disturb dq must be finite")
-    return {int(given["step"]): dq}
-
-
-def cmd_mpc(args) -> int:
+def cmd_mpc(args, step=None) -> int:
+    """The closed loop with `step`: mpc_step when None, which exits 1 when
+    the episode misses the goal, or greedy_step, which exits 0 either way."""
     bc, limits, world, weights, m, seed = load_experiment(args, "mpc", MPC_KEYS)
-    # The keys of the closed loop itself (max_steps also bounds a --disturb
-    # step); the rest are MpcConfig fields.
+    # The keys of the closed loop itself; the rest are MpcConfig fields.
     max_steps = m.pop("max_steps", MAX_STEPS)
     plant_kind = m.pop("plant", "exact")
     if plant_kind not in ("exact", "lag"):
         raise ConfigError(f"unknown key 'mpc.plant' value '{plant_kind}'")
-    if args.disturb is not None and len(args.disturb) > 1:
-        raise ConfigError("--disturb is given at most once")
+    disturb = m.pop("disturb", None)
+    disturbances = None
+    if disturb is not None:
+        dq = np.asarray(disturb["dq"], dtype=float)
+        if (disturb["step"] not in range(max_steps) or dq.shape != bc.q0.shape
+                or not np.isfinite(dq).all()):
+            raise ConfigError(f"key 'mpc.disturb' needs a step in [0, {max_steps}) "
+                              f"and one finite dq entry per DoF, not {json.dumps(disturb)}")
+        disturbances = {disturb["step"]: dq}
     with config_values():
         config = MpcConfig(weights=weights, seed=seed, **m)
-        disturbances = (None if args.disturb is None
-                        else parse_disturb(args.disturb[0], max_steps))
     plant = LagPlant(bc.q0, bc.qd0) if plant_kind == "lag" else None
-    if any(dq.shape != bc.q0.shape for dq in (disturbances or {}).values()):
-        raise ConfigError("--disturb dq needs one value per DoF")
 
-    step = greedy_step if args.baseline == "greedy" else None
     log = run_closed_loop(bc.q0, bc.qd0, bc.qT, bc.qdT, limits, config,
                           checker=world, plant=plant, disturbances=disturbances,
                           step=step, max_steps=max_steps)
@@ -343,7 +335,7 @@ def cmd_mpc(args) -> int:
     if not args.quiet:
         print(f"goal_reached={log.goal_reached} steps={log.steps} "
               f"final_distance={log.final_distance:.6f}")
-    if args.baseline is None and not log.goal_reached:
+    if step is None and not log.goal_reached:
         return 1
     return 0
 
@@ -409,27 +401,24 @@ def cmd_ablate_chol(args) -> int:
 # -- entry point -----------------------------------------------------------
 
 
+COMMANDS = {"plan": cmd_plan, "mpc": cmd_mpc,
+            "greedy": lambda args: cmd_mpc(args, greedy_step),
+            "ablate-nvia": cmd_ablate_nvia, "ablate-chol": cmd_ablate_chol}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="viaplan")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("plan", cmd_plan), ("mpc", cmd_mpc),
-                     ("ablate-nvia", cmd_ablate_nvia),
-                     ("ablate-chol", cmd_ablate_chol)):
-        p = sub.add_parser(name)
-        p.add_argument("config")
-        p.add_argument("--out-dir", default=".")
-        p.add_argument("--quiet", action="store_true")
-        if name == "mpc":
-            p.add_argument("--baseline", choices=["greedy"], default=None)
-            p.add_argument("--disturb", nargs="*", action="append")
-        p.set_defaults(fn=fn)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("config")
+    parser.add_argument("--out-dir", default=".")
+    parser.add_argument("--quiet", action="store_true")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         args.out_dir = out_dir(args.out_dir)   # before any solve
-        return args.fn(args)
+        return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ import pytest
 
 import viaplan
 from viaplan import cli
-from viaplan.cli import COSTS_KEYS, ConfigError, load_config, main, parse_disturb
+from viaplan.cli import COSTS_KEYS, load_config, main
 from viaplan.timing import BoundaryLanes, InfeasibleError
 
 
@@ -320,69 +320,92 @@ def test_mpc_determinism(tmp_path):
 
 
 def test_mpc_disturb_flag(tmp_path):
+    # The disturbance is the config's mpc.disturb.
+    cfg = with_value(MPC_FREE, "mpc", "disturb", {"step": 5, "dq": [0.05, -0.1]})
     out = tmp_path / "out"
-    code = main(["mpc", write_config(tmp_path / "c.json", MPC_FREE),
-                 "--out-dir", str(out), "--quiet",
-                 "--disturb", "step=5", "dq=(0.05,-0.1)"])
+    code = main(["mpc", write_config(tmp_path / "c.json", cfg),
+                 "--out-dir", str(out), "--quiet"])
     assert code == 0
     assert (out / "summary.csv").read_text().splitlines()[1].startswith("true")
-
-
-def test_parse_disturb():
-    d = parse_disturb(["step=40", "dq=(0.3,0)"], 41)
-    assert list(d.keys()) == [40]
-    np.testing.assert_allclose(d[40], [0.3, 0.0])
-    with pytest.raises(ConfigError):
-        parse_disturb(["step=40"], 41)
-    with pytest.raises(ConfigError):
-        parse_disturb(["when=40", "dq=(0.3,0)"], 41)
+    undisturbed = tmp_path / "undisturbed"
+    assert main(["mpc", write_config(tmp_path / "u.json", MPC_FREE),
+                 "--out-dir", str(undisturbed), "--quiet"]) == 0
+    assert (out / "episode.csv").read_bytes() != (undisturbed / "episode.csv").read_bytes()
 
 
 @pytest.mark.parametrize("tokens", [
-    # A second disturbance used to replace the first without a word.
-    ["step=5", "dq=(0.1,0)", "step=10", "dq=(0.2,0)"],
-    ["step=5", "dq=(0.1,0)", "dq=(0.2,0)"],
+    # Two disturbances, as a second --disturb or a second step= once gave:
+    # the flag used to replace the first without a word.
+    [{"step": 5, "dq": [0.1, 0.0]}, {"step": 10, "dq": [0.2, 0.0]}],
+    # Two dq for one step.
+    {"step": 5, "dq": [[0.1, 0.0], [0.2, 0.0]]},
     # A negative step used to be accepted and never fire.
-    ["step=-3", "dq=(0.1,0)"],
+    {"step": -3, "dq": [0.1, 0.0]},
     # A non-finite dq used to end in a traceback from BoundaryConditions.
-    ["step=1", "dq=(nan,0)"],
-    ["step=1", "dq=(0,inf)"],
-    ["step=1", "dq=(-inf,0)"],
+    {"step": 1, "dq": [float("nan"), 0.0]},
+    {"step": 1, "dq": [0.0, float("inf")]},
+    {"step": 1, "dq": [float("-inf"), 0.0]},
     # So was a step at or past max_steps (80 here).
-    ["step=80", "dq=(0.2,0)"],
-    ["step=500", "dq=(0.2,0)"],
-    # A bare --disturb used to run the undisturbed episode.
-    [],
+    {"step": 80, "dq": [0.2, 0.0]},
+    {"step": 500, "dq": [0.2, 0.0]},
+    # No step and no dq, as a bare --disturb once gave.
+    {},
+    # A dq of the wrong length, a missing dq and a step that is not an integer.
+    {"step": 1, "dq": [0.2]},
+    {"step": 1},
+    {"step": 1.0, "dq": [0.2, 0.0]},
 ])
 def test_disturb_rejects_repeated_keys_and_negative_steps(tmp_path, capsys, tokens):
-    with pytest.raises(ConfigError):
-        parse_disturb(tokens, MPC_FREE["mpc"]["max_steps"])
-    code = main(["mpc", write_config(tmp_path / "c.json", MPC_FREE),
-                 "--out-dir", str(tmp_path / "o"), "--quiet", "--disturb", *tokens])
+    # Each row is an mpc.disturb value that the run rejects before any step.
+    cfg = with_value(MPC_FREE, "mpc", "disturb", tokens)
+    code = main(["mpc", write_config(tmp_path / "c.json", cfg),
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
     assert code == 2
-    assert capsys.readouterr().err.startswith("config error: --disturb")
+    assert err.startswith("config error: key 'mpc.disturb' ")
 
 
 def test_second_disturb_flag_exits_two(tmp_path, capsys):
-    # A second --disturb used to replace the first without a word.
-    code = main(["mpc", write_config(tmp_path / "c.json", MPC_FREE),
-                 "--out-dir", str(tmp_path / "o"), "--quiet",
-                 "--disturb", "step=5", "dq=(0.05,-0.1)",
-                 "--disturb", "step=10", "dq=(0.1,0)"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("config error: --disturb")
+    # The disturbance and the controller come from the config and the
+    # command: --disturb, once or twice, and --baseline are usage errors.
+    path = write_config(tmp_path / "c.json", MPC_FREE)
+    for flags in (["--disturb", "step=5", "dq=(0.05,-0.1)"],
+                  ["--disturb", "step=5", "dq=(0.05,-0.1)", "--disturb", "step=10",
+                   "dq=(0.1,0)"],
+                  ["--baseline", "greedy"]):
+        assert main(["mpc", path, "--out-dir", str(tmp_path / "o"), "--quiet",
+                     *flags]) == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["plan", "mpc", "ablate-nvia", "ablate-chol"])
+def test_greedy_command_exits_zero_without_the_goal(tmp_path):
+    # Three steps reach no goal: mpc exits 1, its greedy baseline 0, and
+    # every greedy row is a greedy step.
+    cfg = with_value(MPC_FREE, "mpc", "max_steps", 3)
+    path = write_config(tmp_path / "c.json", cfg)
+    for command, code in (("mpc", 1), ("greedy", 0)):
+        assert main([command, path, "--out-dir", str(tmp_path / command),
+                     "--quiet"]) == code
+        summary = (tmp_path / command / "summary.csv").read_text().splitlines()
+        assert summary[1].startswith("false,3,")
+    episode = (tmp_path / "greedy" / "episode.csv").read_text().splitlines()
+    assert {line.split(",")[6] for line in episode[1:]} == {"greedy"}
+
+
+COMMANDS = ["plan", "mpc", "greedy", "ablate-nvia", "ablate-chol"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_seed_comes_from_the_config_alone(tmp_path, capsys, command):
     # The seed is optimizer.seed or mpc.seed; there is no flag to override it.
-    cfg = {"plan": PLAN_1D, "mpc": MPC_FREE}.get(command, ABLATE_1D)
+    cfg = {"plan": PLAN_1D, "mpc": MPC_FREE, "greedy": MPC_FREE}.get(command, ABLATE_1D)
     assert main([command, write_config(tmp_path / "c.json", cfg),
                  "--out-dir", str(tmp_path / "o"), "--quiet", "--seed", "3"]) == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["plan", "mpc", "ablate-nvia", "ablate-chol"])
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("below", [False, True])
 def test_unusable_out_dir_exits_two_before_any_solve(tmp_path, capsys, monkeypatch,
                                                      command, below):
@@ -397,7 +420,7 @@ def test_unusable_out_dir_exits_two_before_any_solve(tmp_path, capsys, monkeypat
     taken = tmp_path / "taken"
     taken.write_text("")
     out = taken / "sub" if below else taken
-    cfg = {"plan": PLAN_1D, "mpc": MPC_FREE}.get(command, ABLATE_1D)
+    cfg = {"plan": PLAN_1D, "mpc": MPC_FREE, "greedy": MPC_FREE}.get(command, ABLATE_1D)
     assert main([command, write_config(tmp_path / "c.json", cfg),
                  "--out-dir", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith(f"config error: --out-dir {out}: ")

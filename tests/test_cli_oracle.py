@@ -10,7 +10,7 @@ initial spread or the plant step may also be 1e-310, 1e-300, 1e300 or
 1e307, which gives durations or an ES variance whose float powers overflow
 or round to zero, duration lanes that overflow on the way, or more
 reference samples per MPC step than the closed loop allows.  In about half
-the mpc examples the run also takes `--disturb` at a step from 0 to
+the mpc examples the config also sets `mpc.disturb` at a step from 0 to
 max_steps, by a dq whose entries are each finite, NaN or an infinity.
 
 Rare combinations are rows of a table, not draws: derandomized draws
@@ -22,7 +22,7 @@ each boundary velocity of +-1e-160 or +-1e160, whose square underflows or
 overflows a float, in the last DoF of qd0 or of qdT, against the base
 limits and against all 16 (qd_max, qdd_max) pairs of the four values above
 (544 rows; the 272 on the 2-DoF mpc base run once more with a finite
-`--disturb` at step 0), and with a 1e160 boundary velocity inside a 1e300
+`mpc.disturb` at step 0), and with a 1e160 boundary velocity inside a 1e300
 qd_max; every number in these rows is finite and every limit positive, so
 none of them may exit 2.  For the same reason
 `test_custom_world_oracle` also runs plan and mpc in custom worlds drawn
@@ -283,20 +283,20 @@ def check_trajectory(path: Path, cfg: dict, duration: float) -> None:
 
 
 def check_run(command: str, cfg: dict, disturb=None) -> int:
-    """Run the CLI on cfg, with disturb's (step, dq) as --disturb unless it
+    """Run the CLI on cfg, with disturb's (step, dq) as mpc.disturb unless it
     is None, in a fresh directory, check what it wrote and return the exit
     code."""
-    args = []
+    written = cfg
     if disturb is not None:
         step, dq = disturb
-        args = ["--disturb", f"step={step}", f"dq=({','.join(map(str, dq))})"]
+        written = {**cfg, "mpc": {**cfg["mpc"], "disturb": {"step": step, "dq": dq}}}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         path = out / "config.json"
-        path.write_text(json.dumps(cfg))   # NaN and Infinity as JSON's extensions
+        path.write_text(json.dumps(written))   # NaN and Infinity as JSON's extensions
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main([command, str(path), "--out-dir", str(out), "--quiet", *args])
+            code = main([command, str(path), "--out-dir", str(out), "--quiet"])
         check_outputs(command, cfg, code, err.getvalue(), out, disturb)
     return code
 

@@ -1,8 +1,9 @@
 """The name-keyed comparison of `scripts/csv_digest.py --against`: a line
 that differs, or that only one tree prints, passes only when
 `scripts/digest_changes.json` names it with the base's digest (or exit
-code, or null for no line) as `from` and this tree's as `to`.  Also the line
-and export counts it prints for both trees."""
+code, or null for no line) as `from` and this tree's as `to`; a listed
+entry that matches no difference is printed as unused.  Also the line and
+export counts it prints for both trees."""
 
 import importlib.util
 import json
@@ -157,6 +158,28 @@ def test_the_committed_list_names_digest_lines(csv_digest):
             line = (f"{name}={digest}" if name.endswith(" exit") else
                     f"{digest}  {name}" if "/" in name else f"{name} {digest}")
             assert csv_digest.named_digest(line) == (name, digest)
+
+
+def test_a_listed_entry_that_matches_nothing_is_printed_unused(csv_digest, monkeypatch,
+                                                              tmp_path, capsys):
+    # A stale entry shows, but only a difference that no entry lists fails.
+    changes = tmp_path / "changes.json"
+    changes.write_text(json.dumps(CHANGES))
+    monkeypatch.setattr(csv_digest, "CHANGES", changes)
+    monkeypatch.setattr(csv_digest, "bench_digests", lambda tree: [])
+    monkeypatch.setattr(csv_digest, "module_lines", lambda tree: {"cli.py": 1})
+    monkeypatch.setattr(csv_digest, "exports", lambda tree: 1)
+    episode = changed({"aa11  mpc/episode.csv": "bb22  mpc/episode.csv"})
+    summary = changed({"aa12  mpc/summary.csv": "bb22  mpc/summary.csv"}, episode)
+    for mine, code in ((episode, 0), (summary, 1)):
+        lines = {"mine": ["config keys: mpc 1", *mine], "base": ["config keys: mpc 1", *BASE]}
+        monkeypatch.setattr(csv_digest, "digests", lines.get)
+        assert csv_digest.compare("mine", "base") == code
+        verdicts = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith(("accepted: ", "unused: "))]
+        assert verdicts == ['accepted: "mpc/episode.csv": {"from": "aa11", "to": "bb22"}'] + [
+            f"unused: {json.dumps({name: CHANGES[name]})[1:-1]}"
+            for name in list(CHANGES)[1:]]
 
 
 def test_line_counts_per_module(csv_digest, tmp_path):

@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 import viaplan.mpc as mpc
 import viaplan.planner as planner
 from viaplan.mpc import (MAX_REFERENCE_SAMPLES, ExactPlant, LagPlant, MpcConfig,
-                         extract_reference, greedy_step, mpc_step,
+                         MpcStepResult, extract_reference, greedy_step, mpc_step,
                          run_closed_loop, select_n_via, step_problem, warm_start)
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis
-from viaplan.timing import KinodynamicLimits, PhaseGrid, boundary_half, synthesize
+from viaplan.timing import (KinodynamicLimits, PhaseGrid, Trajectory, boundary_half,
+                            synthesize)
 from viaplan.worlds import bundled_cluttered_world, bundled_start_goal
 
 from conftest import direct_plan
@@ -732,6 +733,39 @@ def test_every_plant_horizon_spans_one_step():
         np.testing.assert_array_equal(row["q"], log.rows[replays]["q"])
         assert np.all(row["qd"] == 0.0)
     assert results[disturb_at].solution is not None
+
+
+def test_a_replay_that_reaches_the_plan_end_exactly_holds(monkeypatch):
+    # A valid plan of exactly two steps runs for one step and is replayed for
+    # one; the next replay would start at its end, so the plant holds.  In
+    # binary fractions every offset is exact, and the replay sampled from
+    # the plan's end (a `>` test against its duration) fails here.
+    config = MpcConfig(dt_mpc=2**-4, plant_dt=2**-10, iterations_per_step=1, pop_size=4)
+    bc = BoundaryConditions(np.array([0.1, 0.5]), np.zeros(2), np.array([0.2, 0.5]),
+                            np.zeros(2))
+    plan = Trajectory(build_basis(0, 2), np.zeros((0, 2)), bc, 2 * config.dt_mpc)
+    calls = []
+    real_extract = mpc.extract_reference
+
+    def spy(traj, t0, *args):
+        calls.append((traj, t0))
+        return real_extract(traj, t0, *args)
+
+    def step(problem, *args):
+        # Step 0 is valid with the plan; every later step has no solution.
+        if calls:
+            return MpcStepResult(None, None, False, "explore", 0)
+        return MpcStepResult(plan, None, True, "direct", 0)
+
+    monkeypatch.setattr(mpc, "extract_reference", spy)
+    log = run_closed_loop(bc.q0, bc.qd0, [0.9, 0.5], np.zeros(2), LIMITS_2D, config,
+                          max_steps=4, step=step)
+    assert log.steps == len(calls) == 4
+    assert [(traj is plan, t0) for traj, t0 in calls[:2]] == [(True, 0.0),
+                                                              (True, config.dt_mpc)]
+    for traj, t0 in calls[2:]:
+        assert traj.degenerate and t0 == 0.0
+        np.testing.assert_array_equal(traj.bc.q0, bc.qT)
 
 
 def test_lag_episode_reaches_the_goal(tmp_path):
