@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .costs import CostWeights
-from .mpc import MAX_STEPS, LagPlant, MpcConfig, greedy_step, run_closed_loop
-from .planner import PlanningProblem, make_es, solve
+from .mpc import MAX_STEPS, ExactPlant, LagPlant, MpcConfig, greedy_step, run_closed_loop
+from .planner import PlanningProblem, solve
 from .spline import BoundaryConditions
 from .timing import InfeasibleError, KinodynamicLimits, PhaseGrid
 from .worlds import World2D, bundled_cluttered_world, single_obstacle_world
@@ -98,16 +98,24 @@ ACCEPTS = {
 }
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice in it is a ConfigError."""
+    for i, (key, _) in enumerate(pairs):
+        if any(key == earlier for earlier, _ in pairs[:i]):
+            raise ConfigError(f"key '{key}' is given twice in one JSON object")
+    return dict(pairs)
+
+
 def load_config(path: str, sections: dict) -> dict:
     """Parse the JSON config and check it against the schemas in `sections`,
     which maps section name -> (key -> JSON kind, required keys).
 
-    Unknown sections and keys, missing required keys and values not of their
-    key's kind are ConfigErrors naming the key.  A null counts as absent, so
-    the key's default applies; float-kind values come back as floats.
+    Unknown and repeated sections and keys, missing required keys and values
+    not of their key's kind are ConfigErrors naming the key.  A null keeps
+    the key's default; float-kind values come back as floats.
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -224,9 +232,10 @@ def offline_runs(args, keys, setups, world: bool = True):
     command's (name, fields) setups.  Each setup solves one PlanningProblem
     of its fields, overridden by the section's own keys, per seed from the
     section's seed on; fields that PlanningProblem rejects, and an initial
-    spread that gives the ES no finite positive variance, are ConfigErrors.
-    Yields (name, problem, result), the result None when no candidate
-    admitted a finite duration.
+    spread that gives the ES no finite positive variance, which solve's own
+    ES set-up checks, are ConfigErrors: once the PlanningProblem is built,
+    solve raises no other ValueError or TypeError.  Yields (name, problem,
+    result), the result None when no candidate admitted a finite duration.
     """
     bc, limits, checker, weights, opt, base_seed = load_experiment(
         args, "optimizer", keys, world)
@@ -240,12 +249,10 @@ def offline_runs(args, keys, setups, world: bool = True):
             with config_values():
                 problem = PlanningProblem(bc, limits, weights=weights, checker=checker,
                                           seed=seed, **{**fields, **opt})
-                # solve's ES start, so that a spread it cannot hold is a config error.
-                make_es(problem, sigma_scale=init_sigma)
-            try:
-                result = solve(problem, init_sigma_scale=init_sigma)
-            except InfeasibleError:
-                result = None
+                try:
+                    result = solve(problem, init_sigma_scale=init_sigma)
+                except InfeasibleError:
+                    result = None
             yield name, problem, result
 
 
@@ -264,8 +271,7 @@ def cmd_plan(args) -> int:
             rows.append([seed, float("nan"), float("nan"), False, problem.max_iterations])
             continue
         traj, report = res.trajectory, res.report
-        rows.append([seed, report.total, traj.duration, report.valid,
-                     res.iterations])
+        rows.append([seed, report.total, traj.duration, report.valid, res.iterations])
         grid = PhaseGrid(100)
         traj_rows = [[t, *q, *qd, *qdd] for t, q, qd, qdd in
                      zip(grid.points * traj.duration, *traj.sample_grid(grid))]
@@ -316,11 +322,9 @@ def cmd_mpc(args, step=None) -> int:
         disturbances = {disturb["step"]: dq}
     with config_values():
         config = MpcConfig(weights=weights, seed=seed, **m)
-    plant = LagPlant(bc.q0, bc.qd0) if plant_kind == "lag" else None
-
-    log = run_closed_loop(bc.q0, bc.qd0, bc.qT, bc.qdT, limits, config,
-                          checker=world, plant=plant, disturbances=disturbances,
-                          step=step, max_steps=max_steps)
+    log = run_closed_loop(bc.q0, bc.qd0, bc.qT, bc.qdT, limits, config, checker=world,
+                          plant=LagPlant if plant_kind == "lag" else ExactPlant,
+                          disturbances=disturbances, step=step, max_steps=max_steps)
 
     deterministic = config.iterations_per_step is not None
     ep_rows = [[r["step"], r["t"], *r["q"], *r["qd"], r["mode"], r["step_cost"],

@@ -164,9 +164,9 @@ def mpc_step(problem: PlanningProblem, config: MpcConfig,
             spread = 0.05 * (float(np.linalg.norm(bc.qT - bc.q0)) or 1.0)
             es, boundary = make_es(problem, mean, spread)
 
-        def stop(iterations, _history):
+        def stop(history):
             if config.iterations_per_step is not None:
-                return iterations >= config.iterations_per_step
+                return len(history) >= config.iterations_per_step
             return time.monotonic() - t_start >= config.dt_mpc
         res = optimize(es, boundary, problem, stop)
         solution, report, iterations = res.trajectory, res.report, res.iterations
@@ -180,9 +180,9 @@ def mpc_step(problem: PlanningProblem, config: MpcConfig,
 class ExactPlant:
     """Perfectly tracks the emitted reference."""
 
-    def __init__(self, q, qd=None):
+    def __init__(self, q, qd):
         self.q = np.asarray(q, dtype=float).copy()
-        self.qd = np.zeros_like(self.q) if qd is None else np.asarray(qd, dtype=float).copy()
+        self.qd = np.asarray(qd, dtype=float).copy()
 
     def advance(self, horizon: ShortHorizon) -> None:
         self.q = horizon.q[-1].copy()
@@ -192,7 +192,7 @@ class ExactPlant:
 class LagPlant(ExactPlant):
     """First-order tracking lag: the state pulls toward the reference."""
 
-    def __init__(self, q, qd=None, time_constant: float = 0.05):
+    def __init__(self, q, qd, time_constant: float = 0.05):
         super().__init__(q, qd)
         if not 0.0 < time_constant < np.inf:
             raise ValueError("time_constant must be finite and positive")
@@ -221,13 +221,14 @@ def _at_goal(plant, qT, qdT, config: MpcConfig) -> bool:
 
 def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
                     config: MpcConfig, checker=None, max_steps: int = MAX_STEPS,
-                    plant=None, disturbances: dict | None = None,
+                    plant=ExactPlant, disturbances: dict | None = None,
                     step=None) -> EpisodeLog:
     """Call step (mpc_step when None, or greedy_step) at 1/dt_mpc on each
     step's `step_problem` until the goal state is reached or max_steps have
-    run.  Each disturbance, a dq added to the plant's position at its step,
-    must be keyed by a step in range(max_steps) and hold one finite value per
-    DoF; ValueError before the first step otherwise.
+    run, on the one plant(q0, qd0) that the plant type builds.  Each
+    disturbance, a dq added to the plant's position at its step, must be
+    keyed by a step in range(max_steps) and hold one finite value per DoF;
+    ValueError before the first step otherwise.
 
     The plant runs the first dt_mpc of each valid step's plan.  After an
     invalid step it replays the rest of the last valid plan, one dt_mpc
@@ -241,29 +242,28 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
     step and that sampling.
     """
     step = step or mpc_step   # looked up per call, so a patched mpc_step runs
-    qT = np.asarray(qT, dtype=float)
-    qdT = np.asarray(qdT, dtype=float)
+    qT, qdT = np.asarray(qT, dtype=float), np.asarray(qdT, dtype=float)
     disturbances = {k: np.asarray(dq, dtype=float)
                     for k, dq in (disturbances or {}).items()}
     if any(k not in range(max_steps) or dq.shape != qT.shape
            or not np.isfinite(dq).all() for k, dq in disturbances.items()):
         raise ValueError("every disturbance needs a step in range(max_steps) and a dq "
                          "of one finite value per DoF")
-    if plant is None:
-        plant = ExactPlant(q0, qd0)
+    plant = plant(q0, qd0)
     rows = []
-    prev_plan: Trajectory | None = None
-    fallback: tuple[Trajectory, float] | None = None   # last valid plan, offset
+    fallback: tuple[Trajectory, float] | None = None   # followed plan (last valid), offset
     t_sim = 0.0
     for k in range(max_steps):
         if k in disturbances:
             plant.q = plant.q + disturbances[k]
-            prev_plan = fallback = None  # stale plan; force explore / direct re-entry
+            fallback = None  # stale plan; force explore / direct re-entry
         if _at_goal(plant, qT, qdT, config):
             break
         t_start = time.monotonic()
         problem = step_problem(plant.q, plant.qd, qT, qdT, limits, config, checker,
                                config.seed + k)
+        # Offset 0.0 means the last step was valid: only its plan warm-starts a step.
+        prev_plan = fallback[0] if fallback is not None and fallback[1] == 0.0 else None
         result = step(problem, config, prev_plan)
         if result.valid:
             fallback = (result.solution, 0.0)
@@ -281,11 +281,9 @@ def run_closed_loop(q0, qd0, qT, qdT, limits: KinodynamicLimits,
                      "valid": result.valid, "step_cost": cost,
                      "step_seconds": step_seconds,
                      "iterations": result.iterations_run})
-        prev_plan = result.solution if result.valid else None
         t_sim += config.dt_mpc
     return EpisodeLog(rows=rows, goal_reached=_at_goal(plant, qT, qdT, config),
-                      steps=len(rows),
-                      final_distance=float(np.linalg.norm(plant.q - qT)))
+                      steps=len(rows), final_distance=float(np.linalg.norm(plant.q - qT)))
 
 
 # -- greedy short-horizon baseline ----------------------------------------

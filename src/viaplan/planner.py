@@ -149,35 +149,32 @@ def evaluate_candidates(boundary: Boundary, candidates: np.ndarray,
 
 def optimize(es: EvolutionStrategy, boundary: Boundary, problem: PlanningProblem,
              stop) -> SolveResult:
-    """Sample, evaluate and update until stop(iterations, history), asked
-    after each generation with the per-generation best costs so far, is
-    true, and return the reported plan and the best-ever candidate.  Over a
-    boundary that is not `feasible` no candidate has a duration, so it runs
-    no generation.  When no candidate admitted a finite duration
-    the best-ever candidate is (None, None) and the reported plan is the
-    mean's score."""
-    history: list[float] = []
-    history_best: list[float] = []
+    """Sample, evaluate and update until stop(history), asked after each
+    generation with the per-generation best costs so far, one per generation,
+    is true, and return the reported plan and the best-ever candidate.  Over
+    a boundary that is not `feasible` no candidate has a duration, so it runs
+    no generation.  When no candidate admitted a finite duration the best-ever
+    candidate is (None, None) and the reported plan is the mean's score."""
+    history, history_best = [], []   # per-generation best cost, best so far
     best_cost, best = np.inf, (None, None)
-    iterations, first_valid = 0, None
+    first_valid = None
     while boundary.lanes.feasible:
         trajs, reports, costs = evaluate_candidates(boundary, es.sample(), problem)
         es.update(costs)
-        iterations += 1
-        if first_valid is None and any(r is not None and r.valid for r in reports):
-            first_valid = iterations
         i_best = int(np.argmin(costs))
         if trajs[i_best] is not None and costs[i_best] < best_cost:
             best_cost, best = costs[i_best], (trajs[i_best], reports[i_best])
         history.append(float(costs[i_best]))
         history_best.append(float(best_cost))
-        if stop(iterations, history):
+        if first_valid is None and any(r is not None and r.valid for r in reports):
+            first_valid = len(history)
+        if stop(history):
             break
 
     traj, report = score(boundary, es.mean, problem)
     if report is None or (best[1] is not None and best[1].valid and not report.valid):
         traj, report = best
-    return SolveResult(traj, report, *best, history_best, iterations, first_valid)
+    return SolveResult(traj, report, *best, history_best, len(history), first_valid)
 
 
 def solve(problem: PlanningProblem,
@@ -187,8 +184,8 @@ def solve(problem: PlanningProblem,
     Convergence watches the per-generation best: it only stalls once the
     sampling distribution has collapsed onto a local optimum."""
     es, boundary = make_es(problem, sigma_scale=init_sigma_scale)
-    res = optimize(es, boundary, problem, lambda iterations, history: (
-        iterations >= problem.max_iterations or converged(history, problem.tol)))
+    res = optimize(es, boundary, problem, lambda history: (
+        len(history) >= problem.max_iterations or converged(history, problem.tol)))
     if res.best_trajectory is None:
         raise InfeasibleError("no candidate admitted a finite duration")
     return res

@@ -258,6 +258,31 @@ def test_malformed_json(tmp_path):
     assert main(["plan", str(path), "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("key, repeat", [
+    # Two disturbances in the mpc section, a step given twice inside one, and
+    # the problem section given twice.
+    ("disturb", lambda text: text.replace(
+        '"disturb": null', '"disturb": {"step": 1, "dq": [0.05, 0.0]}, '
+                           '"disturb": {"step": 2, "dq": [0.0, 0.05]}')),
+    ("step", lambda text: text.replace(
+        '"disturb": null', '"disturb": {"step": 1, "step": 2, "dq": [0.05, 0.0]}')),
+    ("problem", lambda text: text[:-1] + ', "problem": {"q0": [0.2, 0.5], '
+                                         '"qT": [0.9, 0.5], "qd_max": 0.5, "qdd_max": 2.0}}'),
+])
+def test_a_key_given_twice_is_a_config_error(tmp_path, capsys, key, repeat):
+    # json.loads keeps the last of two equal keys, so a key or section given
+    # twice used to run on one of its values without a word.
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "mpc2d.json").read_text())
+    cfg["mpc"].update(max_steps=3, disturb=None)
+    path = tmp_path / "c.json"
+    path.write_text(repeat(json.dumps(cfg)))
+    assert path.read_text().count(f'"{key}"') == 2
+    code = main(["mpc", str(path), "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: key '{key}' is given twice")
+
+
 def test_plan_artifacts(tmp_path):
     out = tmp_path / "out"
     code = main(["plan", write_config(tmp_path / "c.json", PLAN_1D),
@@ -595,6 +620,41 @@ def test_ablate_chol_artifacts(tmp_path):
     assert lines[0] == "setup,seed,iteration,best_cost,first_valid_iter"
     setups = {line.split(",")[0] for line in lines[1:]}
     assert setups == {"sep_chol", "sep_plain", "full_chol", "full_plain"}
+
+
+def test_each_cli_solve_sets_up_one_es(tmp_path, monkeypatch, capsys):
+    # ablate-chol's four setups at two seeds are eight solves, and each sets
+    # up its ES once, in solve, whose own spread check is the config check.
+    # The CLI used to set up a throwaway ES before each solve for that check,
+    # so the spy also stands in for the CLI's own name for make_es.
+    import viaplan.planner as planner
+
+    set_up = []
+    real_make_es = planner.make_es
+
+    def spy(problem, *args, **kwargs):
+        set_up.append(problem)
+        return real_make_es(problem, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "make_es", spy)
+    monkeypatch.setattr(cli, "make_es", spy, raising=False)
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "ablate_chol.json").read_text())
+    cfg["optimizer"].update(seeds=2, max_iterations=5)
+    args = ["--out-dir", str(tmp_path / "o"), "--quiet"]
+    assert main(["ablate-chol", write_config(tmp_path / "c.json", cfg), *args]) == 0
+    assert len(set_up) == 8
+    setups = [(mode, chol) for mode in ("sep", "full") for chol in (True, False)]
+    assert [(p.mode, p.use_chol, p.seed) for p in set_up] == [
+        (mode, chol, seed) for mode, chol in setups for seed in (0, 1)]
+    # A spread whose ES variance overflows is still a config error, from the
+    # first solve's ES set-up, before any generation; the oracle's
+    # test_every_edge_value_at_every_target[ablate-chol] runs it as well.
+    set_up.clear()
+    cfg["optimizer"]["init_sigma"] = 1e300
+    assert main(["ablate-chol", write_config(tmp_path / "c.json", cfg), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "ES variance" in err
+    assert "Traceback" not in err and len(set_up) == 1
 
 
 def test_bad_subcommand_exits_two():

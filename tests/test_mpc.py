@@ -262,6 +262,52 @@ def test_explore_after_invalid_step():
     assert prev_plans == [None, None, results[1].solution]
 
 
+def test_closed_loop_builds_its_plant_once_from_the_start_state():
+    built = []
+
+    def plant(q, qd):
+        built.append((q, qd))
+        return ExactPlant(q, qd)
+
+    def hold(problem, config, prev_plan=None):
+        return MpcStepResult(None, None, False, "explore", 0)
+
+    q0, qd0 = np.array([0.1, 0.5]), np.array([0.05, -0.02])
+    log = run_closed_loop(q0, qd0, [0.9, 0.5], np.zeros(2), LIMITS_2D, MpcConfig(),
+                          max_steps=3, plant=plant, step=hold)
+    assert log.steps == 3 and len(built) == 1
+    np.testing.assert_array_equal(built[0][0], q0)
+    np.testing.assert_array_equal(built[0][1], qd0)
+
+
+def test_a_step_gets_the_last_plan_only_when_that_step_was_valid():
+    # The loop keeps one plan state, the followed plan and its offset; the
+    # step warm-starts from that plan only at offset 0.0, just after a valid
+    # step.  An invalid step, with or without a plan, and a disturbance each
+    # leave the next step None.
+    valid = [True, True, False, True, True, True, False, False, True, True]
+    has_plan = [True, True, True, True, True, True, False, True, True, True]
+    disturb_at = 4
+    received, results = [], []
+
+    def step(problem, config, prev_plan=None):
+        received.append(prev_plan)
+        k = len(results)
+        plan = mpc.rest_plan(problem.bc.q0) if has_plan[k] else None
+        results.append(MpcStepResult(plan, None, valid[k], "explore", 0))
+        return results[-1]
+
+    run_closed_loop([0.1, 0.5], np.zeros(2), [0.9, 0.5], np.zeros(2), LIMITS_2D,
+                    MpcConfig(), max_steps=len(valid),
+                    disturbances={disturb_at: np.array([0.01, 0.0])}, step=step)
+    expected = [None] + [results[k - 1].solution if valid[k - 1] and k != disturb_at
+                         else None for k in range(1, len(valid))]
+    assert len(received) == len(valid)
+    assert all(got is want for got, want in zip(received, expected))
+    assert [plan is None for plan in received] == [
+        True, False, False, True, True, False, False, True, True, False]
+
+
 def test_warm_start_zero_elapsed_preserves_cost():
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     lim = KinodynamicLimits.symmetric(0.1, 0.2, 1)
@@ -505,15 +551,15 @@ def test_closed_loop_defaults():
     # The CLI's max_steps default is MAX_STEPS; it leaves the lag time
     # constant to LagPlant's default.
     assert inspect.signature(run_closed_loop).parameters["max_steps"].default == 150
-    assert LagPlant([0.0]).time_constant == 0.05
+    assert LagPlant([0.0], [0.0]).time_constant == 0.05
 
 
 def test_closed_loop_lag_plant():
     config = MpcConfig(iterations_per_step=8, seed=0, goal_tol=0.02,
                        vel_tol=0.05)
-    plant = LagPlant([0.1, 0.1], np.zeros(2), time_constant=0.01)
     log = run_closed_loop([0.1, 0.1], np.zeros(2), [0.9, 0.9], np.zeros(2),
-                          LIMITS_2D, config, max_steps=200, plant=plant)
+                          LIMITS_2D, config, max_steps=200,
+                          plant=lambda q, qd: LagPlant(q, qd, time_constant=0.01))
     assert log.goal_reached
 
 
@@ -720,7 +766,7 @@ def test_every_plant_horizon_spans_one_step():
         return result
 
     log = run_closed_loop(q0, np.zeros(2), qT, np.zeros(2), LIMITS_2D, config,
-                          max_steps=disturb_at + 2, plant=SpyPlant(q0),
+                          max_steps=disturb_at + 2, plant=SpyPlant,
                           disturbances={disturb_at: np.zeros(2)}, step=step)
     plan = results[0].solution
     replays = int(np.ceil(plan.duration / config.dt_mpc)) - 1
@@ -791,7 +837,7 @@ def test_short_horizon_fields():
 
 
 def test_exact_plant_advances_to_horizon_end():
-    plant = ExactPlant([0.0, 0.0])
+    plant = ExactPlant([0.0, 0.0], [0.0, 0.0])
     from viaplan.mpc import ShortHorizon
     horizon = ShortHorizon(times=np.array([0.0, 0.01]),
                            q=np.array([[0.0, 0.0], [0.1, 0.2]]),
