@@ -57,8 +57,8 @@ RUNS = (
      {"optimizer": {"runs": 2, "max_iterations": 40, "pop_size": 16}}),
     ("plan_custom", "plan", "cluttered2d.json",
      {"optimizer": {"runs": 2, "max_iterations": 40, "pop_size": 16},
-      "world": {"type": "custom", "disks": [[0.5, 0.5, 0.15]],
-                "rects": [[0.25, 0.65, 0.35, 0.95]], "robot_radius": 0.02}}),
+      "world": {"disks": [[0.5, 0.5, 0.15]], "rects": [[0.25, 0.65, 0.35, 0.95]],
+                "robot_radius": 0.02}}),
     ("mpc", "mpc", "mpc2d.json",
      {"mpc": {"iterations_per_step": 4, "pop_size": 16, "max_steps": 60}}),
     ("mpc_disturb", "mpc", "mpc2d.json",

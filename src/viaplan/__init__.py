@@ -10,7 +10,6 @@ from .spline import (BoundaryConditions, SplineBasis, build_basis, smoothness_co
                      smoothness_gram, via_timings)
 from .timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
                      boundary_half, min_duration, synthesize)
-from .worlds import (World2D, ablation_world_1d, bundled_cluttered_world,
-                     bundled_start_goal, single_obstacle_world)
+from .worlds import World2D, ablation_world_1d
 
 __version__ = "0.1.0"

@@ -7,6 +7,8 @@ and solves it, and each command turns what it yields into rows.
 
 Each config section has one schema, a `*_KEYS` pair (key -> JSON kind,
 required keys), that `load_config` applies; a null keeps the key's default.
+The `world` section takes World2D's own fields, its obstacle rows, robot
+radius and bounds, and an empty or absent one means no collision checker.
 
 Exit codes: 0 success, 1 experiment-level failure, 2 usage/config error.
 An identical config, seed and disturbance included, reproduces
@@ -27,10 +29,10 @@ import numpy as np
 
 from .costs import CostWeights
 from .mpc import MAX_STEPS, ExactPlant, LagPlant, MpcConfig, greedy_step, run_closed_loop
-from .planner import PlanningProblem, solve
+from .planner import PlanningProblem, es_prior, solve
 from .spline import BoundaryConditions
 from .timing import InfeasibleError, KinodynamicLimits, PhaseGrid
-from .worlds import World2D, bundled_cluttered_world, single_obstacle_world
+from .worlds import World2D
 
 
 class ConfigError(Exception):
@@ -150,7 +152,7 @@ PROBLEM_KEYS = (dict.fromkeys(("q0", "qd0", "qT", "qdT", "qd_max", "qdd_max",
                 {"q0", "qT", "qd_max", "qdd_max"})
 COSTS_KEYS = (dict.fromkeys(("duration", "smooth", "jla", "collision",
                              "invalid_penalty"), FLOAT), set())
-WORLD_KEYS = ({"type": STR, "disks": DISKS, "rects": RECTS, "robot_radius": FLOAT,
+WORLD_KEYS = ({"disks": DISKS, "rects": RECTS, "robot_radius": FLOAT,
                "bounds_lo": VECTOR, "bounds_hi": VECTOR}, set())
 
 
@@ -170,17 +172,7 @@ def build_problem(sec: dict) -> tuple[BoundaryConditions, KinodynamicLimits]:
 
 
 def build_world(sec: dict):
-    kind = sec.get("type", "none")
-    shape = {key: value for key, value in sec.items() if key != "type"}
-    if kind == "custom":
-        return World2D(**shape)
-    bundled = {"none": lambda: None, "cluttered2d": bundled_cluttered_world,
-               "single_obstacle": single_obstacle_world}
-    if kind not in bundled:
-        raise ConfigError(f"unknown key 'world.type' value '{kind}'")
-    if shape:
-        raise ConfigError(f"key 'world.{next(iter(shape))}' needs world.type \"custom\"")
-    return bundled[kind]()
+    return World2D(**sec) if sec else None
 
 
 def build_weights(sec: dict) -> CostWeights:
@@ -231,11 +223,12 @@ def offline_runs(args, keys, setups, world: bool = True):
     PlanningProblem fields out of it and returns the number of seeds and the
     command's (name, fields) setups.  Each setup solves one PlanningProblem
     of its fields, overridden by the section's own keys, per seed from the
-    section's seed on; fields that PlanningProblem rejects, and an initial
-    spread that gives the ES no finite positive variance, which solve's own
-    ES set-up checks, are ConfigErrors: once the PlanningProblem is built,
-    solve raises no other ValueError or TypeError.  Yields (name, problem,
-    result), the result None when no candidate admitted a finite duration.
+    section's seed on.  Fields that PlanningProblem rejects, and an initial
+    spread that gives some setup's ES no finite positive variance
+    (`planner.es_prior`, checked once per setup), are ConfigErrors raised
+    before the first solve; once they pass, solve raises no other ValueError
+    or TypeError.  Yields (name, problem, result), the result None when no
+    candidate admitted a finite duration.
     """
     bc, limits, checker, weights, opt, base_seed = load_experiment(
         args, "optimizer", keys, world)
@@ -244,11 +237,16 @@ def offline_runs(args, keys, setups, world: bool = True):
         with config_values():
             opt["grid"] = PhaseGrid(opt.pop("grid_k"))
     seeds, named = setups(opt)
-    for name, fields in named:
-        for seed in range(base_seed, base_seed + seeds):
+    with config_values():
+        runs = [(name, [PlanningProblem(bc, limits, weights=weights, checker=checker,
+                                        seed=seed, **{**fields, **opt})
+                        for seed in range(base_seed, base_seed + seeds)])
+                for name, fields in named]
+        for _, problems in runs:   # the variance depends on the setup, not the seed
+            es_prior(problems[0], init_sigma)
+    for name, problems in runs:
+        for problem in problems:
             with config_values():
-                problem = PlanningProblem(bc, limits, weights=weights, checker=checker,
-                                          seed=seed, **{**fields, **opt})
                 try:
                     result = solve(problem, init_sigma_scale=init_sigma)
                 except InfeasibleError:

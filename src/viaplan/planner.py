@@ -3,9 +3,12 @@
 `make_es` sets up the evolution strategy and the boundary half of the
 duration kernel (`timing.boundary_half`), which depends only on the problem,
 so `solve` gets both from one call per solve and `mpc.mpc_step` from one
-call per ES step; it also owns the ES cold start that both take, and builds
-the smoothness prior (`optimizer.build_prior`) only when problem.use_chol
-asks the ES to sample behind its Cholesky factor.
+call per ES step; it also owns the ES cold start that both take.
+`es_prior` owns the ES's start spread and the rule that its variance be
+finite and positive, which `make_es` applies and the CLI checks once per
+setup before its first solve; it builds the smoothness prior
+(`optimizer.build_prior`) only when problem.use_chol asks the ES to sample
+behind its Cholesky factor.
 `optimize` is the one generation loop of both, sample -> evaluate ->
 update, each with its own stop rule; it tracks the best-ever candidate and
 owns the reported-plan rule: the reported plan is the final mean, or the
@@ -88,24 +91,34 @@ def straight_line_init(bc: BoundaryConditions, n_via: int) -> np.ndarray:
     return pts.reshape(-1)
 
 
-def make_es(problem: PlanningProblem, mean=None, sigma_scale: float | None = None):
-    """(ES, Boundary) over problem's n_via via-points: the ES starts at mean
-    behind the smoothness Cholesky factor unless problem.use_chol is off, and
-    the boundary half serves all it samples; sigma_scale, in configuration
-    units, and the ES variance it gives must be finite and positive.  The
-    cold start is their default: the straight line q0 -> qT at half its
-    length, or at 0.5 when q0 == qT."""
+def es_prior(problem: PlanningProblem, sigma_scale: float | None = None):
+    """(basis, transform, variance) that problem's ES starts from: its
+    via-point basis, the smoothness Cholesky factor (None when
+    problem.use_chol is off) and the diagonal ES variance that puts
+    sigma_scale, in configuration units, on the factor's largest marginal
+    standard deviation.  sigma_scale and the variance must be finite and
+    positive; the default sigma_scale is half the straight line q0 -> qT, or
+    0.5 when q0 == qT."""
     bc = problem.bc
-    mean = straight_line_init(bc, problem.n_via) if mean is None else mean
     if sigma_scale is None:
         sigma_scale = 0.5 * float(np.linalg.norm(bc.qT - bc.q0)) or 0.5
     basis = build_basis(problem.n_via, bc.dof)
     transform, scale = build_prior(basis) if problem.use_chol else (None, 1.0)
-    mean = np.asarray(mean, dtype=float).reshape(basis.n_via * bc.dof)
     variance = power_or_inf(sigma_scale / scale, 2)
     if not (sigma_scale > 0.0 and 0.0 < variance < np.inf):
         raise ValueError("sigma_scale must be finite and positive, with a finite "
                          f"positive ES variance, not {sigma_scale:g}")
+    return basis, transform, variance
+
+
+def make_es(problem: PlanningProblem, mean=None, sigma_scale: float | None = None):
+    """(ES, Boundary) over problem's n_via via-points: the ES starts at mean,
+    by default the straight line q0 -> qT, with es_prior's transform and
+    variance, and the boundary half serves all it samples."""
+    bc = problem.bc
+    basis, transform, variance = es_prior(problem, sigma_scale)
+    mean = straight_line_init(bc, problem.n_via) if mean is None else mean
+    mean = np.asarray(mean, dtype=float).reshape(basis.n_via * bc.dof)
     es = EvolutionStrategy(mean=mean, sigma_diag=variance,
                            pop_size=problem.pop_size, transform=transform,
                            mode=problem.mode, seed=problem.seed)

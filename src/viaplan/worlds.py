@@ -1,11 +1,13 @@
-"""Desk-scale task environments: the 2D cluttered world and the 1D
-time-optimal problem.
+"""Task environments: the 2D obstacle world and the 1D time-optimal problem.
 
 A World2D keeps its obstacles as rows of two arrays, in the row formats of
 the config's `world.disks` and `world.rects`, and checks all points against
-each kind in one array pass.  Collision convention: a configuration collides
-iff the robot disk strictly overlaps an obstacle or strictly exits the
-workspace bounds; exact tangency is collision-free.
+each kind in one array pass.  A config's `world` section holds exactly
+World2D's fields, so the bundled worlds are rows of the configs in
+`configs/`.
+Collision convention: a configuration collides iff the robot disk strictly
+overlaps an obstacle or strictly exits the workspace bounds; exact tangency
+is collision-free.
 """
 
 from __future__ import annotations
@@ -90,28 +92,9 @@ def ablation_world_1d():
     """The 1D rest-to-rest time-optimal benchmark with its bang-bang reference.
 
     Returns (bc, limits, reference duration): move 0 -> 1 under |qd| < 0.1 and
-    |qdd| < 0.2; the optimal bang-bang profile takes 10.5 s.
+    |qdd| < 0.2, the problem section of `configs/ablate_nvia.json` and
+    `configs/timeopt1d.json`; the optimal bang-bang profile takes 10.5 s.
     """
     bc = BoundaryConditions([0.0], [0.0], [1.0], [0.0])
     limits = KinodynamicLimits.symmetric(0.1, 0.2, 1)
     return bc, limits, 10.5
-
-
-def bundled_cluttered_world() -> World2D:
-    """Default cluttered 2D world: a U-shaped trap on the start-goal line plus
-    scattered disks, leaving passages above and below (two homotopy classes)."""
-    rects = [[0.55, 0.34, 0.62, 0.66],   # back wall of the U
-             [0.40, 0.34, 0.62, 0.40],   # lower arm
-             [0.40, 0.60, 0.62, 0.66]]   # upper arm
-    disks = [[0.25, 0.15, 0.04], [0.25, 0.85, 0.04],
-             [0.78, 0.15, 0.04], [0.78, 0.85, 0.04]]
-    return World2D(disks=disks, rects=rects, robot_radius=0.02)
-
-
-def bundled_start_goal() -> tuple[np.ndarray, np.ndarray]:
-    return np.array([0.10, 0.50]), np.array([0.90, 0.50])
-
-
-def single_obstacle_world() -> World2D:
-    """One large disk blocking the straight start-goal line (ablation setup)."""
-    return World2D(disks=[[0.5, 0.5, 0.18]], robot_radius=0.02)

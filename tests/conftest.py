@@ -1,15 +1,21 @@
 """Shared pytest hooks and helpers: surface acceptance-criterion lines in the
-summary, test one configuration for collision, build the no-via-point plan,
-price synthesized trajectories, count a path's half-turns around a point,
-and condition the smoothness prior's mean on boundary conditions."""
+summary, read a bundled config and build its world, test one configuration
+for collision, build the no-via-point plan, price synthesized trajectories,
+count a path's half-turns around a point, and condition the smoothness
+prior's mean on boundary conditions."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 
 from viaplan.costs import evaluate_total
 from viaplan.spline import build_basis, smoothness_gram
 from viaplan.timing import boundary_half, synthesize
+from viaplan.worlds import World2D
 
 ACCEPTANCE_LINES = []
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -17,6 +23,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def bundled_config(name: str) -> dict:
+    """A config in `configs/`, parsed."""
+    return json.loads((CONFIGS / name).read_text())
+
+
+def bundled_world(name: str = "cluttered2d.json"):
+    """(world, q0, qT) of a config in `configs/`: the World2D of its world
+    section, and its problem's start and goal.  The default is the U-trap
+    world of the offline and MPC experiments."""
+    cfg = bundled_config(name)
+    return (World2D(**cfg["world"]), np.array(cfg["problem"]["q0"], dtype=float),
+            np.array(cfg["problem"]["qT"], dtype=float))
 
 
 def is_colliding(world, q) -> bool:

@@ -19,8 +19,7 @@ from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import (KinodynamicLimits, PhaseGrid, Trajectory, boundary_half,
                             synthesize)
-from viaplan.worlds import (ablation_world_1d, bundled_cluttered_world,
-                            bundled_start_goal, single_obstacle_world)
+from viaplan.worlds import ablation_world_1d
 
 import conftest
 from test_spline import qp_reference
@@ -66,8 +65,7 @@ def iteration_sweep():
 @pytest.fixture(scope="module")
 def offline_2d_runs():
     """100 seeded offline runs on the bundled cluttered world."""
-    world = bundled_cluttered_world()
-    q0, qT = bundled_start_goal()
+    world, q0, qT = conftest.bundled_world()
     bc = BoundaryConditions(q0, np.zeros(2), qT, np.zeros(2))
     limits = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
     results = []
@@ -178,8 +176,7 @@ def test_criterion_5_spline_qp_oracle():
 
 
 def test_criterion_6_mpc_vs_greedy():
-    world = bundled_cluttered_world()
-    q0, qT = bundled_start_goal()
+    world, q0, qT = conftest.bundled_world()
     limits = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
     mpc_ok = greedy_ok = 0
     overshoots = []
@@ -209,8 +206,8 @@ def test_criterion_6_mpc_vs_greedy():
 
 
 def test_criterion_7_cholesky_ablation():
-    world = single_obstacle_world()
-    bc = BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0])
+    world, q0, qT = conftest.bundled_world("ablate_chol.json")
+    bc = BoundaryConditions(q0, [0.0, 0.0], qT, [0.0, 0.0])
     limits = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
     first_valid = {}
     finals = {}
@@ -259,12 +256,12 @@ def test_criterion_9_command_determinism(tmp_path):
         "problem": {"q0": [0.0], "qT": [1.0], "qd_max": 0.1, "qdd_max": 0.2},
         "optimizer": {"n_via": 3, "pop_size": 8, "runs": 2,
                       "max_iterations": 40, "seed": 0},
-        "costs": {}, "world": {"type": "none"},
+        "costs": {},
     }
     mpc_cfg = {
         "problem": {"q0": [0.1, 0.5], "qT": [0.9, 0.5], "qd_max": 0.5,
                     "qdd_max": 2.0, "q_min": 0.0, "q_max": 1.0},
-        "costs": {}, "world": {"type": "cluttered2d"},
+        "costs": {}, "world": conftest.bundled_config("mpc2d.json")["world"],
         "mpc": {"iterations_per_step": 6, "max_steps": 60, "pop_size": 16,
                 "seed": 0},
     }
@@ -278,7 +275,7 @@ def test_criterion_9_command_determinism(tmp_path):
         "problem": mpc_cfg["problem"],
         "optimizer": {"n_via": 3, "seeds": 2, "pop_size": 8,
                       "max_iterations": 10, "init_sigma": 0.4, "seed": 0},
-        "costs": {}, "world": {"type": "single_obstacle"},
+        "costs": {}, "world": conftest.bundled_config("ablate_chol.json")["world"],
     }
     jobs = (("plan", plan_cfg, "plan_runs.csv"),
             ("mpc", mpc_cfg, "episode.csv"),

@@ -22,12 +22,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from viaplan import cli
 from viaplan.costs import CostWeights
 from viaplan.mpc import MpcConfig, mpc_step, step_problem
 from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions
 from viaplan.timing import KinodynamicLimits, PhaseGrid
-from viaplan.worlds import bundled_cluttered_world, bundled_start_goal
+from viaplan.worlds import ablation_world_1d
+
+from conftest import bundled_config, bundled_world
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,11 +56,10 @@ def workloads():
 
 
 def cluttered_problem(pop_size, max_iterations):
-    start, goal = bundled_start_goal()
+    world, start, goal = bundled_world()
     bc = BoundaryConditions(start, np.zeros(2), goal, np.zeros(2))
     return PlanningProblem(bc, KinodynamicLimits.symmetric(0.5, 1.0, 2), n_via=3,
-                           pop_size=pop_size, grid=PhaseGrid(20),
-                           checker=bundled_cluttered_world(),
+                           pop_size=pop_size, grid=PhaseGrid(20), checker=world,
                            max_iterations=max_iterations, tol=0.0, seed=3)
 
 
@@ -103,7 +105,7 @@ def test_workloads_build_from_the_configs(workloads):
     np.testing.assert_array_equal(offline.bc.q0, [0.1, 0.5])
     np.testing.assert_array_equal(offline.bc.qT, [0.9, 0.5])
     assert_same_fields(offline.limits, limits_2d)
-    assert_same_fields(offline.world, bundled_cluttered_world())
+    assert_same_fields(offline.world, bundled_world()[0])
 
     timeopt = workloads.TimeOpt1D(ROOT)
     timeopt.build()
@@ -111,6 +113,15 @@ def test_workloads_build_from_the_configs(workloads):
             timeopt.tol) == (16, 50, 500, 1e-6)
     assert timeopt.weights == CostWeights()
     assert timeopt.world is None
+    # The 1D problem is the one experiment that viabench reads from code; it
+    # is the problem section of both 1D configs.
+    bc, limits, _ = ablation_world_1d()
+    for name in ("ablate_nvia.json", "timeopt1d.json"):
+        cfg = bundled_config(name)
+        assert "world" not in cfg, name
+        from_config = cli.build_problem(cfg["problem"])
+        assert_same_fields(from_config[0], bc)
+        assert_same_fields(from_config[1], limits)
 
     mpc = workloads.Mpc2D(ROOT)
     mpc.build()
@@ -119,7 +130,11 @@ def test_workloads_build_from_the_configs(workloads):
                                    iterations_per_step=12)
     assert mpc.max_steps == 150
     assert_same_fields(mpc.limits, limits_2d)
-    assert_same_fields(mpc.world, bundled_cluttered_world())
+    # The offline and closed-loop experiments run in one world, whose rows
+    # each config carries.
+    assert_same_fields(mpc.world, offline.world)
+    np.testing.assert_array_equal(mpc.bc.q0, offline.bc.q0)
+    np.testing.assert_array_equal(mpc.bc.qT, offline.bc.qT)
 
 
 def test_check_plan_passes_valid_plans(workloads):
@@ -134,7 +149,7 @@ def test_check_plan_passes_valid_plans(workloads):
                                 problem.checker) == []
     # A direct mpc_step plan, and the same plan at duration 0.0, which rests.
     limits = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
-    world = bundled_cluttered_world()
+    world, _, _ = bundled_world()
     config = MpcConfig()
     step = mpc_step(step_problem([0.88, 0.5], np.zeros(2), [0.9, 0.5], np.zeros(2),
                                  limits, config, world, 0), config)

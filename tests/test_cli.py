@@ -16,6 +16,8 @@ from viaplan import cli
 from viaplan.cli import COSTS_KEYS, load_config, main
 from viaplan.timing import BoundaryLanes, InfeasibleError
 
+from conftest import bundled_config
+
 
 def write_config(path, data):
     path.write_text(json.dumps(data))
@@ -27,14 +29,14 @@ PLAN_1D = {
     "optimizer": {"n_via": 2, "pop_size": 8, "runs": 2, "max_iterations": 40,
                   "seed": 0},
     "costs": {},
-    "world": {"type": "none"},
+    "world": {},
 }
 
 MPC_FREE = {
     "problem": {"q0": [0.1, 0.1], "qT": [0.9, 0.9], "qd_max": 0.5,
                 "qdd_max": 2.0, "q_min": 0.0, "q_max": 1.0},
     "costs": {},
-    "world": {"type": "none"},
+    "world": {},
     "mpc": {"iterations_per_step": 6, "max_steps": 80, "pop_size": 16, "seed": 0},
 }
 
@@ -86,7 +88,7 @@ def with_value(base, section, keys, value):
     ("plan", "costs", "smooth", -1, "cost weights"),
     ("plan", "optimizer", "mode", "diag", "unknown key 'optimizer.mode'"),
     ("plan", "optimizer", "grid_k", 1, "K >= 2"),
-    ("plan", "world", "type", "cluttered2d", "2-DoF"),
+    ("plan", "world", "robot_radius", 0.02, "2-DoF"),
     ("mpc", "mpc", "dt_mpc", 0, "dt_mpc"),
     ("mpc", "mpc", "plant", "lagged", "mpc.plant"),
     ("mpc", "world", "disks", [[0.5, 0.5]], "world.disks"),
@@ -162,21 +164,18 @@ def with_value(base, section, keys, value):
     # A plant_dt that gives one step more reference samples than the cap.
     ("mpc", "mpc", "plant_dt", 1e-300, "dt_mpc / plant_dt"),
     ("mpc", "mpc", "plant_dt", 1e-7, "dt_mpc / plant_dt"),
-    # An obstacle or bound key beside any world type but "custom", given or
-    # absent, would be silently ignored.
-    *(("mpc", "world", "type", kind, "key 'world.robot_radius' needs world.type \"custom\"")
-      for kind in ("cluttered2d", "single_obstacle", "none", None)),
-    # A misspelled type is named before the keys it would have to take.
+    # A world is its rows: a config that names a world type, as configs once
+    # did, fails instead of running in whatever world the type used to name.
+    *(("greedy", "world", "type", kind, "unknown key 'world.type'")
+      for kind in ("cluttered2d", "single_obstacle", "custom", "none", None)),
     ("mpc", "world", "type", "custum", "unknown key 'world.type'"),
 ])
 def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
                                         value, says):
-    # The mpc runs use the lag plant, and a custom world with one key that
-    # only a custom world takes.
+    # The mpc and greedy runs use the lag plant.
     base = {"plan": PLAN_1D, "ablate-nvia": ABLATE_1D,
             "ablate-chol": ABLATE_1D}.get(command) or dict(
-        MPC_FREE, world={"type": "custom", "robot_radius": 0.02},
-        mpc=dict(MPC_FREE["mpc"], plant="lag"))
+        MPC_FREE, mpc=dict(MPC_FREE["mpc"], plant="lag"))
     cfg = with_value(base, section, key, value)
     code = main([command, write_config(tmp_path / "c.json", cfg),
                  "--out-dir", str(tmp_path / "o"), "--quiet"])
@@ -192,6 +191,9 @@ def test_invalid_config_values_exit_two(tmp_path, capsys, command, section, key,
     ("optimizer", "tol", "1e-6"), ("world", "type", 1),
     ("costs", "smooth", "0.1"), ("problem", "qd_max", "0.1"),
     ("problem", "q0", [True]),
+    # The world's own keys are strict too.  world.type is no key at all, so
+    # the rows above that set it name it as unknown, whatever the value.
+    ("world", "robot_radius", "0.02"),
 ])
 def test_config_types_are_strict(tmp_path, capsys, section, key, value):
     cfg = with_value(PLAN_1D, section, key, value)
@@ -229,7 +231,7 @@ def plan_csvs(tmp_path, name, cfg):
 def test_null_keeps_the_default_in_every_section(tmp_path, capsys):
     nulls = copy.deepcopy(PLAN_1D)
     nulls["costs"]["smooth"] = None
-    nulls["world"]["type"] = None
+    nulls["world"]["robot_radius"] = None
     nulls["problem"].update(qd0=None, q_min=None, q_max=None)
     nulls["optimizer"]["tol"] = None
     assert plan_csvs(tmp_path, "nulls", nulls) == plan_csvs(tmp_path, "omitted", PLAN_1D)
@@ -316,7 +318,7 @@ def test_plan_exit_one_when_nothing_valid(tmp_path):
                       "seed": 0},
         "costs": {},
         # The goal sits inside the obstacle, so no run can become valid.
-        "world": {"type": "custom", "disks": [[0.9, 0.5, 0.2]]},
+        "world": {"disks": [[0.9, 0.5, 0.2]]},
     }
     assert main(["plan", write_config(tmp_path / "c.json", cfg),
                  "--out-dir", str(tmp_path / "o"), "--quiet"]) == 1
@@ -497,7 +499,7 @@ def test_plan_whose_duration_overflows_is_a_nan_row(tmp_path, capsys):
 
 def bundled(name, **problem):
     """The bundled config name with problem's entries."""
-    cfg = json.loads((Path(__file__).parents[1] / "configs" / name).read_text())
+    cfg = bundled_config(name)
     cfg["problem"].update(problem)
     return cfg
 
@@ -611,7 +613,7 @@ def test_ablate_chol_artifacts(tmp_path):
         "optimizer": {"n_via": 3, "seeds": 2, "pop_size": 8,
                       "max_iterations": 10, "init_sigma": 0.4, "seed": 0},
         "costs": {},
-        "world": {"type": "single_obstacle"},
+        "world": bundled_config("ablate_chol.json")["world"],
     }
     out = tmp_path / "out"
     assert main(["ablate-chol", write_config(tmp_path / "c.json", cfg),
@@ -624,9 +626,10 @@ def test_ablate_chol_artifacts(tmp_path):
 
 def test_each_cli_solve_sets_up_one_es(tmp_path, monkeypatch, capsys):
     # ablate-chol's four setups at two seeds are eight solves, and each sets
-    # up its ES once, in solve, whose own spread check is the config check.
-    # The CLI used to set up a throwaway ES before each solve for that check,
-    # so the spy also stands in for the CLI's own name for make_es.
+    # up its ES once, in solve; the CLI checks the spread through
+    # planner.es_prior alone.  The CLI used to set up a throwaway ES before
+    # each solve for that check, so the spy also stands in for the CLI's own
+    # name for make_es.
     import viaplan.planner as planner
 
     set_up = []
@@ -638,7 +641,7 @@ def test_each_cli_solve_sets_up_one_es(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(planner, "make_es", spy)
     monkeypatch.setattr(cli, "make_es", spy, raising=False)
-    cfg = json.loads((Path(__file__).parents[1] / "configs" / "ablate_chol.json").read_text())
+    cfg = bundled_config("ablate_chol.json")
     cfg["optimizer"].update(seeds=2, max_iterations=5)
     args = ["--out-dir", str(tmp_path / "o"), "--quiet"]
     assert main(["ablate-chol", write_config(tmp_path / "c.json", cfg), *args]) == 0
@@ -647,14 +650,43 @@ def test_each_cli_solve_sets_up_one_es(tmp_path, monkeypatch, capsys):
     assert [(p.mode, p.use_chol, p.seed) for p in set_up] == [
         (mode, chol, seed) for mode, chol in setups for seed in (0, 1)]
     # A spread whose ES variance overflows is still a config error, from the
-    # first solve's ES set-up, before any generation; the oracle's
+    # CLI's check of each setup's planner.es_prior before any solve, so no
+    # ES is set up; the oracle's
     # test_every_edge_value_at_every_target[ablate-chol] runs it as well.
     set_up.clear()
     cfg["optimizer"]["init_sigma"] = 1e300
     assert main(["ablate-chol", write_config(tmp_path / "c.json", cfg), *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "ES variance" in err
-    assert "Traceback" not in err and len(set_up) == 1
+    assert "Traceback" not in err and len(set_up) == 0
+
+
+def test_every_setups_es_variance_is_checked_before_any_solve(tmp_path, monkeypatch,
+                                                               capsys):
+    # init_sigma 8.8e152 gives the ES a finite variance at N=1 (prior scale
+    # 0.0722) and an overflowing one at N=2 (0.0605).  The N=2 setup's
+    # variance used to be checked by its first solve's ES set-up, after both
+    # N=1 solves had run, only for their rows to be discarded.
+    solved = []
+    real_solve = cli.solve
+
+    def spy(problem, **kwargs):
+        result = real_solve(problem, **kwargs)
+        solved.append(problem)
+        return result
+
+    monkeypatch.setattr(cli, "solve", spy)
+    cfg = bundled_config("ablate_nvia.json")
+    cfg["optimizer"].update(n_list=[1, 2], seeds=2, init_sigma=8.8e152, max_iterations=3)
+    args = ["--out-dir", str(tmp_path / "o"), "--quiet"]
+    assert main(["ablate-nvia", write_config(tmp_path / "c.json", cfg), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "ES variance" in err
+    assert solved == []
+    # The same spread at N=1 alone runs both seeds.
+    cfg["optimizer"]["n_list"] = [1]
+    assert main(["ablate-nvia", write_config(tmp_path / "c.json", cfg), *args]) == 0
+    assert [(p.n_via, p.seed) for p in solved] == [(1, 0), (1, 1)]
 
 
 def test_bad_subcommand_exits_two():

@@ -1,11 +1,11 @@
 """A validity oracle at the CLI boundary.
 
 Hypothesis draws configs for every command: DoF 1-3, with a world that only
-a 2-DoF problem may have (a custom one holds 0-2 disks and 0-2 rectangles,
-at robot_radius 0 or 0.02), boundary velocities at rest, inside, on and beyond
-qd_max, and in about half the examples one entry replaced by 0, -1, NaN or
-an infinity: a velocity, acceleration or position limit, a cost weight, a
-tolerance, the ES's initial spread or a closed-loop setting.  A limit, the
+a 2-DoF problem may have (a bundled config's, or a custom one of 0-2 disks
+and 0-2 rectangles at robot_radius 0 or 0.02), boundary velocities at rest,
+inside, on and beyond qd_max, and in about half the examples one entry
+replaced by 0, -1, NaN or an infinity: a velocity, acceleration or position
+limit, a cost weight, a tolerance, the ES's initial spread or a closed-loop setting.  A limit, the
 initial spread or the plant step may also be 1e-310, 1e-300, 1e300 or
 1e307, which gives durations or an ES variance whose float powers overflow
 or round to zero, duration lanes that overflow on the way, or more
@@ -62,7 +62,8 @@ from hypothesis import given, settings, strategies as st
 
 from viaplan.cli import main
 from viaplan.mpc import MAX_STEPS
-from viaplan.worlds import bundled_cluttered_world, single_obstacle_world
+
+from conftest import bundled_config
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -90,13 +91,16 @@ TARGETS = {
 # The targets that also take EXTREMES.
 EXTREME_TARGETS = set(PROBLEM_TARGETS) | {("optimizer", "init_sigma"),
                                           ("mpc", "plant_dt")}
-WORLD_TYPES = ("none", "cluttered2d", "single_obstacle", "custom")
+# The world sections that a draw picks from by name: none, the bundled
+# configs' two worlds, or rows of its own ("custom").
+WORLDS = {"none": {}, "cluttered2d": bundled_config("cluttered2d.json")["world"],
+          "single_obstacle": bundled_config("ablate_chol.json")["world"]}
 
 
 @st.composite
 def problems(draw):
     """(problem section, world section) with boundary velocities at rest,
-    inside, on or beyond qd_max, and a world of any type for any DoF."""
+    inside, on or beyond qd_max, and any world for any DoF."""
     dof = draw(st.integers(1, 3))
     position = st.floats(0.15, 0.85)
     qd_max = draw(st.floats(0.2, 1.0))
@@ -108,9 +112,10 @@ def problems(draw):
                "qd_max": qd_max, "qdd_max": draw(st.floats(0.5, 4.0))}
     if draw(st.booleans()):
         problem.update(q_min=0.0, q_max=1.0)
-    world = {"type": draw(st.sampled_from(WORLD_TYPES if dof == 2 else
-                                          ("none", "none", "none", "cluttered2d")))}
-    if world["type"] == "custom":
+    kind = draw(st.sampled_from((*WORLDS, "custom") if dof == 2 else
+                                ("none", "none", "none", "cluttered2d")))
+    world = copy.deepcopy(WORLDS.get(kind, {}))
+    if kind == "custom":
         disks = [[draw(position), draw(position), draw(st.floats(0.0, 0.2))]
                  for _ in range(draw(st.integers(0, 2)))]
         rects = []
@@ -240,17 +245,12 @@ def per_dof(value, dof):
 
 def collides(world: dict, q: np.ndarray) -> np.ndarray:
     """Per-row collision of 2-D positions q, written out from the geometry."""
-    kind = world.get("type", "none")
-    if kind == "none":
+    if not world:
         return np.zeros(len(q), dtype=bool)
-    if kind == "custom":
-        disks, rects = world.get("disks", []), world.get("rects", [])
-        rr, lo, hi = world.get("robot_radius", 0.0), np.zeros(2), np.ones(2)
-    else:
-        bundled = (bundled_cluttered_world() if kind == "cluttered2d"
-                   else single_obstacle_world())
-        disks, rects, rr = bundled.disks, bundled.rects, bundled.robot_radius
-        lo, hi = bundled.bounds_lo, bundled.bounds_hi
+    disks, rects = world.get("disks", []), world.get("rects", [])
+    rr = world.get("robot_radius", 0.0)
+    lo = np.array(world.get("bounds_lo", [0.0, 0.0]))
+    hi = np.array(world.get("bounds_hi", [1.0, 1.0]))
     hit = np.any((q - rr < lo) | (q + rr > hi), axis=1)
     for x, y, radius in disks:
         hit |= np.hypot(q[:, 0] - x, q[:, 1] - y) < radius + rr
@@ -359,7 +359,7 @@ def custom_world_config(command: str, seed: int) -> dict:
     disks = rng.uniform(0.0, 1.0, (rng.integers(3), 3)) * [1.0, 1.0, 0.2]
     corners = rng.uniform(0.0, 0.9, (rng.integers(3), 2))
     sides = rng.uniform(0.01, 0.3, corners.shape)
-    world = {"type": "custom", "disks": disks.tolist(),
+    world = {"disks": disks.tolist(),
              "rects": np.hstack([corners, corners + sides]).tolist(),
              "robot_radius": float(rng.choice([0.0, 0.02]))}
     cfg = {"problem": problem, "costs": {}, "world": world}
@@ -404,7 +404,7 @@ def test_ablate_chol_oracle(cfg):
 BASE = {
     "plan": {"problem": {"q0": [0.1, 0.5], "qT": [0.3, 0.5], "qd_max": 0.5,
                          "qdd_max": 2.0, "q_min": 0.0, "q_max": 1.0},
-             "costs": {}, "world": {"type": "cluttered2d"},
+             "costs": {}, "world": WORLDS["cluttered2d"],
              "optimizer": {"n_via": 1, "pop_size": 4, "max_iterations": 2,
                            "grid_k": 100}},
     "ablate-nvia": {"problem": {"q0": [0.0], "qT": [1.0], "qd_max": 0.1,
@@ -419,7 +419,7 @@ BASE = {
                                   "max_iterations": 2, "grid_k": 20}},
     "mpc": {"problem": {"q0": [0.85, 0.5], "qT": [0.9, 0.5], "qd_max": 0.5,
                         "qdd_max": 2.0, "q_min": 0.0, "q_max": 1.0},
-            "costs": {}, "world": {"type": "cluttered2d"},
+            "costs": {}, "world": WORLDS["cluttered2d"],
             "mpc": {"n_max": 1, "pop_size": 4, "grid_k": 20,
                     "iterations_per_step": 1, "max_steps": 3, "plant": "lag"}},
 }
@@ -442,7 +442,7 @@ def three_dof(cfg: dict) -> dict:
     for key in ("q0", "qT"):
         cfg["problem"][key] = (cfg["problem"][key] * 3)[:3]
     if "world" in cfg:
-        cfg["world"] = {"type": "none"}
+        cfg["world"] = {}
     return cfg
 
 
@@ -481,7 +481,7 @@ def far_rows(command: str):
     cfg = copy.deepcopy(BASE[command])
     cfg["problem"] = dict(OVERFLOWING_PROBLEM)
     if "world" in cfg:
-        cfg["world"] = {"type": "none"}
+        cfg["world"] = {}
     yield cfg, None
 
 

@@ -44,10 +44,9 @@ from viaplan.planner import PlanningProblem, evaluate_candidates
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
                             PhaseGrid, boundary_half, min_duration, synthesize)
-from viaplan.worlds import (World2D, bundled_cluttered_world,
-                            bundled_start_goal)
+from viaplan.worlds import World2D
 
-from conftest import direct_plan, evaluate_trajectories, is_colliding
+from conftest import bundled_world, direct_plan, evaluate_trajectories, is_colliding
 
 
 def lanes_min_duration(a, b, c, d, limits):
@@ -776,8 +775,7 @@ def test_step_matches_its_reference(step, ref):
     # moving faster than qd_max (every endpoint and candidate infeasible).
     limits = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
     config = MpcConfig(iterations_per_step=3, pop_size=8)
-    world = bundled_cluttered_world()
-    q0, goal = bundled_start_goal()
+    world, q0, goal = bundled_world()
     zero = np.zeros(2)
     starts = [(q0, zero, goal, zero, world),
               ([0.1, 0.1], zero, [0.9, 0.9], zero, None),
@@ -861,17 +859,16 @@ def test_solve_matches_its_own_loop(tol, max_iterations):
     # Both worlds, a goal inside a disk (every plan collides) and a start
     # above qd_max, at seeds where the reported plan is the final mean and
     # where it is the best-ever candidate.
-    q0, goal = bundled_start_goal()
+    world, q0, goal = bundled_world()
     zero = np.zeros(2)
     limits = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
-    cases = [(BoundaryConditions(q0, zero, goal, zero), bundled_cluttered_world(), 3, 0.4),
-             (BoundaryConditions(q0, zero, goal, zero), bundled_cluttered_world(), 2, None),
+    cases = [(BoundaryConditions(q0, zero, goal, zero), world, 3, 0.4),
+             (BoundaryConditions(q0, zero, goal, zero), world, 2, None),
              (BoundaryConditions([0.2, 0.3], [0.2, -0.1], [0.8, 0.6], [0.1, 0.0]),
               None, 4, None),
              (BoundaryConditions(q0, zero, goal, zero),
               World2D(disks=[[*goal, 0.05]], robot_radius=0.02), 2, None),
-             (BoundaryConditions(q0, [0.8, 0.0], goal, zero), bundled_cluttered_world(),
-              3, None)]
+             (BoundaryConditions(q0, [0.8, 0.0], goal, zero), world, 3, None)]
     picked_best = mean_invalid = 0
     for bc, checker, n_via, sigma in cases:
         for seed in range(3):

@@ -18,9 +18,8 @@ from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import (KinodynamicLimits, PhaseGrid, Trajectory, boundary_half,
                             synthesize)
-from viaplan.worlds import bundled_cluttered_world, bundled_start_goal
 
-from conftest import direct_plan
+from conftest import bundled_world, direct_plan
 
 
 LIMITS_2D = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
@@ -114,10 +113,10 @@ def test_direct_mode_near_goal():
 
 
 def test_explore_on_first_step():
-    q0, goal = bundled_start_goal()
+    world, q0, goal = bundled_world()
     config = MpcConfig(iterations_per_step=2)
     result = mpc_step(step_problem(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
-                                   bundled_cluttered_world(), 0), config)
+                                   world, 0), config)
     assert result.mode == "explore"
     assert result.iterations_run == 2
 
@@ -137,10 +136,10 @@ def test_es_step_builds_one_boundary(monkeypatch):
     # for the ES alike; mpc holds no boundary_half of its own.
     assert not hasattr(mpc, "boundary_half")
     monkeypatch.setattr(planner, "boundary_half", spying(planner.boundary_half))
-    q0, goal = bundled_start_goal()
+    world, q0, goal = bundled_world()
     config = MpcConfig(iterations_per_step=5)
     result = mpc_step(step_problem(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
-                                   bundled_cluttered_world(), 0), config)
+                                   world, 0), config)
     assert result.mode == "explore" and result.iterations_run == 5
     bases = [args[0] for args in built]
     assert bases == [build_basis(0, 2), build_basis(config.n_max, 2)]
@@ -165,10 +164,10 @@ def test_step_above_qd_max_runs_no_generation(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(planner, name, counting(name))
-    q0, goal = bundled_start_goal()
+    world, q0, goal = bundled_world()
     config = MpcConfig(iterations_per_step=5)
     result = mpc_step(step_problem(q0, np.array([0.8, 0.0]), goal, np.zeros(2), LIMITS_2D,
-                                   config, bundled_cluttered_world(), 0), config)
+                                   config, world, 0), config)
     assert result.mode == "explore" and result.iterations_run == 0
     assert result.solution is None and result.report is None and not result.valid
     assert calls == {"synthesize": 2, "evaluate_candidates": 0}
@@ -192,10 +191,10 @@ def test_step_above_qd_max_takes_the_rule_from_optimize(monkeypatch):
 
     monkeypatch.setattr(mpc, "optimize", optimize_spy)
     monkeypatch.setattr(planner, "evaluate_candidates", evaluate_spy)
-    q0, goal = bundled_start_goal()
+    world, q0, goal = bundled_world()
     config = MpcConfig(iterations_per_step=5)
     result = mpc_step(step_problem(q0, np.array([0.8, 0.0]), goal, np.zeros(2), LIMITS_2D,
-                                   config, bundled_cluttered_world(), 0), config)
+                                   config, world, 0), config)
     assert entered == [False] and evaluated == [] and result.iterations_run == 0
 
 
@@ -213,10 +212,10 @@ def test_step_reports_the_best_ever_candidate_when_only_it_is_valid(monkeypatch)
         return trajs, reports, costs
 
     monkeypatch.setattr(planner, "evaluate_candidates", spy)
-    q0, goal = bundled_start_goal()
+    world, q0, goal = bundled_world()
     config = MpcConfig(iterations_per_step=4, pop_size=16)
     result = mpc_step(step_problem(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
-                                   bundled_cluttered_world(), 0), config)
+                                   world, 0), config)
     assert result.mode == "explore" and result.iterations_run == 4
     assert result.valid and result.report.valid
     assert result.report.total == pytest.approx(3.656, abs=1e-3)
@@ -245,7 +244,7 @@ def test_direct_step_at_its_goal_emits_rest_reference():
 def test_explore_after_invalid_step():
     # The loop passes a step's plan on only when the step was valid, so the
     # step after an invalid one explores, and the one after that warm-starts.
-    q0, goal = bundled_start_goal()
+    world, q0, goal = bundled_world()
     config = MpcConfig(iterations_per_step=2)
     prev_plans, results = [], []
 
@@ -256,7 +255,7 @@ def test_explore_after_invalid_step():
         return results[-1]
 
     run_closed_loop(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
-                    checker=bundled_cluttered_world(), max_steps=3, step=first_invalid)
+                    checker=world, max_steps=3, step=first_invalid)
     assert results[0].solution is not None
     assert [r.mode for r in results] == ["explore", "explore", "warmstart"]
     assert prev_plans == [None, None, results[1].solution]
@@ -332,13 +331,13 @@ def test_warm_start_expired():
 def test_step_after_an_expired_plan_explores():
     # The previous step was valid, but its plan ends within dt_mpc, so the
     # next step that fails the direct gate explores instead of warm-starting.
-    q0, goal = bundled_start_goal()
+    world, q0, goal = bundled_world()
     short = direct_plan(BoundaryConditions(q0, np.zeros(2), q0 + [0.001, 0.0],
                                            np.zeros(2)), LIMITS_2D, PhaseGrid(20))
     config = MpcConfig(iterations_per_step=2)
     assert 0.0 < short.duration < config.dt_mpc
     result = mpc_step(step_problem(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
-                                   bundled_cluttered_world(), 0), config, short)
+                                   world, 0), config, short)
     assert result.mode == "explore" and result.iterations_run == 2
 
 
@@ -490,10 +489,10 @@ def test_extract_short_horizon_holds_the_end_past_duration():
 
 
 def test_step_budget_wall_clock():
-    q0, goal = bundled_start_goal()
+    world, q0, goal = bundled_world()
     config = MpcConfig()  # wall-clock budget
     row, = run_closed_loop(q0, np.zeros(2), goal, np.zeros(2), LIMITS_2D, config,
-                           checker=bundled_cluttered_world(), max_steps=1).rows
+                           checker=world, max_steps=1).rows
     assert row["mode"] == "explore" and row["iterations"] >= 1
     per_gen = row["step_seconds"] / row["iterations"]
     assert row["step_seconds"] <= config.dt_mpc + max(2 * per_gen, 0.05)
@@ -617,7 +616,7 @@ def test_failed_greedy_step_holds_or_replays():
         return results[-1]
 
     log = run_closed_loop([0.1, 0.5], np.zeros(2), [0.9, 0.5], np.zeros(2),
-                          LIMITS_2D, config, checker=bundled_cluttered_world(),
+                          LIMITS_2D, config, checker=bundled_world()[0],
                           max_steps=40, step=recording_step)
     assert len(results) == len(log.rows)
     replayed = held = 0

@@ -12,7 +12,9 @@ from viaplan.planner import (PlanningProblem, evaluate_candidates, make_es, scor
 from viaplan.spline import BoundaryConditions, build_basis, via_timings
 from viaplan.timing import (InfeasibleError, KinodynamicLimits, PhaseGrid, Trajectory,
                             boundary_half)
-from viaplan.worlds import World2D, bundled_cluttered_world, bundled_start_goal
+from viaplan.worlds import World2D
+
+from conftest import bundled_world
 
 
 def make_1d_problem(n_via=5, pop_size=16, seed=0, **kw):
@@ -203,11 +205,10 @@ def test_evaluate_candidates_penalizes_infeasible():
 
 
 def cluttered_problem(**kw):
-    q0, qT = bundled_start_goal()
+    world, q0, qT = bundled_world()
     bc = BoundaryConditions(q0, [0.0, 0.0], qT, [0.0, 0.0])
     lim = KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0))
-    return PlanningProblem(bc, lim, grid=PhaseGrid(20),
-                           checker=bundled_cluttered_world(), **kw)
+    return PlanningProblem(bc, lim, grid=PhaseGrid(20), checker=world, **kw)
 
 
 @pytest.mark.parametrize("penalty", [1.0, 1e6, 1e308])
@@ -289,7 +290,7 @@ def test_problem_rejects_limits_of_another_dof():
     # One limit per axis used to be broadcast over a 2-DoF move, which then
     # solved and reported valid; three failed inside boundary_half with a
     # numpy broadcast error.
-    q0, goal = bundled_start_goal()
+    _, q0, goal = bundled_world()
     bc = BoundaryConditions(q0, np.zeros(2), goal, np.zeros(2))
     two = KinodynamicLimits.symmetric(0.5, 2.0, 2)
     for limits in (KinodynamicLimits.symmetric(0.5, 2.0, 1),

@@ -12,9 +12,7 @@ from viaplan.spline import BoundaryConditions, SplineBasis, build_basis
 from viaplan.timing import (BoundaryLanes, InfeasibleError, KinodynamicLimits,
                             PhaseGrid, Trajectory, boundary_half, min_duration,
                             synthesize)
-from viaplan.worlds import bundled_cluttered_world
-
-from conftest import direct_plan
+from conftest import bundled_world, direct_plan
 
 
 def duration_of(basis, q_via, bc, limits, grid):
@@ -518,7 +516,7 @@ def _boundary():
 
 
 @pytest.mark.parametrize("make", [
-    bundled_cluttered_world,
+    lambda: bundled_world()[0],
     lambda: BoundaryConditions([0.1, 0.5], [0.0, 0.0], [0.9, 0.5], [0.0, 0.0]),
     lambda: KinodynamicLimits.symmetric(0.5, 2.0, 2, q_range=(0.0, 1.0)),
     lambda: synthesize(_boundary(), np.full((2, 2), 0.5)),

@@ -43,7 +43,9 @@ from viaplan.planner import PlanningProblem, solve
 from viaplan.spline import BoundaryConditions, build_basis
 from viaplan.timing import (InfeasibleError, KinodynamicLimits, PhaseGrid,
                             boundary_half, min_duration)
-from viaplan.worlds import World2D, bundled_cluttered_world, bundled_start_goal
+from viaplan.worlds import World2D
+
+from conftest import bundled_world
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 EXPONENT = st.integers(-60, 60)
@@ -131,7 +133,7 @@ def test_evaluate_total_is_unchanged_by_a_unit_change(seed, p, t, dof, n_via, mo
     bc = BoundaryConditions(0.5 + 0.4 * bc.q0, bc.qd0, 0.5 + 0.4 * bc.qT, bc.qdT)
     limits, grid = random_limits(rng, dof), PhaseGrid(int(rng.integers(2, 40)))
     weights = CostWeights(duration=rng.uniform(0.1, 2.0), smooth=rng.uniform(0.0, 0.1))
-    bundled = bundled_cluttered_world()
+    bundled, _, _ = bundled_world()
     world = None if radius is None else World2D(bundled.disks, bundled.rects,
                                                 robot_radius=radius)
     basis = build_basis(n_via, dof)
@@ -154,10 +156,10 @@ def test_evaluate_total_is_unchanged_by_a_unit_change(seed, p, t, dof, n_via, mo
 @given(EXPONENT, EXPONENT)
 @example(-22, 0)   # an absolute 1e-12 floor on the ES variance bound here
 def test_solve_scales_exactly(p, t):
-    q0, qT = bundled_start_goal()
+    world, q0, qT = bundled_world()
     bc = BoundaryConditions(q0, np.zeros(2), qT, np.zeros(2))
     limits = KinodynamicLimits.symmetric(0.5, 2.0, 2)
-    world, weights = bundled_cluttered_world(), CostWeights()
+    weights = CostWeights()
     for seed in (0, 1):
         problem = PlanningProblem(bc, limits, n_via=4, pop_size=8, grid=PhaseGrid(30),
                                   weights=weights, checker=world, max_iterations=30,
@@ -188,10 +190,9 @@ def scale_config(config, p, t):
 @given(EXPONENT, EXPONENT)
 @example(-22, 0)   # an absolute 1e-12 floor on the ES variance bound here
 def test_closed_loop_scales_exactly(p, t):
-    q0, qT = bundled_start_goal()
+    world, q0, qT = bundled_world()
     zero = np.zeros(2)
     limits = KinodynamicLimits.symmetric(0.5, 2.0, 2)
-    world = bundled_cluttered_world()
     config = MpcConfig(dt_mpc=2.0**-4, plant_dt=2.0**-10, pop_size=8,
                        iterations_per_step=2)
     for step in (mpc_step, greedy_step):

@@ -5,11 +5,9 @@ import pytest
 
 from viaplan.spline import BoundaryConditions
 from viaplan.timing import KinodynamicLimits
-from viaplan.worlds import (World2D, ablation_world_1d,
-                            bundled_cluttered_world, bundled_start_goal,
-                            single_obstacle_world)
+from viaplan.worlds import World2D, ablation_world_1d
 
-from conftest import is_colliding, path_winding
+from conftest import bundled_world, is_colliding, path_winding
 
 
 def test_disk_collision_basics():
@@ -41,7 +39,7 @@ def test_bounds_collision():
 
 def test_batch_mask_matches_pointwise():
     rng = np.random.default_rng(6)
-    world = bundled_cluttered_world()
+    world, _, _ = bundled_world()
     pts = rng.uniform(-0.1, 1.1, (300, 2))
     mask = world.colliding_mask(pts)
     loop = np.array([is_colliding(world, p) for p in pts])
@@ -125,8 +123,7 @@ def test_ablation_world_1d():
 
 
 def test_bundled_world_start_goal_free_line_blocked():
-    world = bundled_cluttered_world()
-    q0, qT = bundled_start_goal()
+    world, q0, qT = bundled_world()
     assert not is_colliding(world, q0)
     assert not is_colliding(world, qT)
     line = q0 + np.linspace(0.0, 1.0, 101)[:, None] * (qT - q0)
@@ -134,7 +131,7 @@ def test_bundled_world_start_goal_free_line_blocked():
 
 
 def test_bundled_world_has_passages():
-    world = bundled_cluttered_world()
+    world, _, _ = bundled_world()
     # Corridors above and below the trap stay free of the rectangles.
     for y in (0.15, 0.85):
         free = np.stack([np.linspace(0.35, 0.65, 31), np.full(31, y)], axis=1)
@@ -142,7 +139,7 @@ def test_bundled_world_has_passages():
 
 
 def test_single_obstacle_world_blocks_center():
-    world = single_obstacle_world()
+    world, _, _ = bundled_world("ablate_chol.json")
     assert is_colliding(world, [0.5, 0.5])
     assert not is_colliding(world, [0.1, 0.5])
 
